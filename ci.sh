@@ -6,7 +6,8 @@
 #            and the concurrency gates that need no special toolchain
 #   --loom   model-check the speculation runtime: builds stats-core with
 #            RUSTFLAGS="--cfg loom" (the sync facade swaps onto the model
-#            checker) and runs every model in tests/loom.rs
+#            checker), runs every model in tests/loom.rs and names them in
+#            its summary line (the wake-free dispatch models must be there)
 #   --miri   run the non-pool stats-core unit tests under Miri (needs the
 #            nightly `miri` component; skips with a message otherwise)
 #   --tsan   run tests/pool_stress.rs under ThreadSanitizer (needs nightly
@@ -50,7 +51,19 @@ if [[ "$stage" == "--loom" ]]; then
     echo "== loom model checking (RUSTFLAGS=--cfg loom, release)"
     RUSTFLAGS="--cfg loom" cargo test --offline --release -p stats-core \
         --test loom -- --test-threads="$(nproc 2>/dev/null || echo 2)"
-    echo "loom OK"
+    models="$(RUSTFLAGS="--cfg loom" cargo test --offline --release -q \
+        -p stats-core --test loom -- --list 2>/dev/null \
+        | sed -n 's/: test$//p' | tr '\n' ' ')"
+    # The wake-free dispatch handshakes (docs/concurrency.md) rest on these
+    # three; a rename or deletion must not pass silently.
+    for required in ticket_runs_exactly_once pool_submit_never_strands_a_sleeper \
+        session_halfway_wakeup_never_strands_producer; do
+        if [[ " $models " != *" $required "* ]]; then
+            echo "error: loom model '$required' is missing from tests/loom.rs" >&2
+            exit 1
+        fi
+    done
+    echo "loom OK: $models"
     exit 0
 fi
 
@@ -232,6 +245,16 @@ fi
 
 echo "== cargo test"
 cargo test --offline --workspace -q
+
+echo "== stats-benchmark correctness smokes (light + misspec, held-out seed)"
+# Every repetition of every rung is checked bit-exactly against the
+# sequential reference; the binary exits 1 on any failed operation. These
+# two are the coordination-bound workloads, where who runs a group (a pool
+# worker or the coordinator taking it back) changes most often.
+for workload in light misspec; do
+    cargo run --release --offline -q -p stats-benchmark -- \
+        --workload "$workload" --seed 7919 --seconds 2 --trace 0 > /dev/null
+done
 
 echo "== bench smoke (parallel pipeline, emits BENCH_pipeline.json)"
 cargo build --offline --release -q -p bench

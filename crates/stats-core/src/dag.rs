@@ -258,6 +258,12 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
         self.drain();
     }
 
+    /// The eager node whose run the resolver needs before anything else can
+    /// resolve; `None` once every node has.
+    pub(crate) fn awaited(&self) -> Option<PlanNodeId> {
+        self.plan.topo_order().get(self.next_topo).copied()
+    }
+
     fn drain(&mut self) {
         while self.next_topo < self.plan.len() {
             let node = self.plan.topo_order()[self.next_topo];

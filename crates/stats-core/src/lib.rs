@@ -99,7 +99,7 @@ pub use faults::{FaultKind, FaultPlan, FaultRule};
 pub use obs::{Event, EventKind, EventSink, NoopSink, RecordingSink};
 pub use options::RunOptions;
 pub use plan::{PlanError, PlanNode, PlanNodeId, SpecPlan, SpecPlanBuilder};
-pub use pool::{PoolMetrics, Priority, ThreadPool};
+pub use pool::{PoolMetrics, Priority, ThreadPool, Ticket};
 pub use protocol::{
     run_protocol, run_protocol_with_options, GroupRecord, GroupResolution, ProtocolResult,
     SpecConfig, SpecReport, SpecTrace, TraceNode, TraceNodeKind,

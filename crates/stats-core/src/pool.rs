@@ -1,4 +1,4 @@
-//! A fixed-size, work-stealing thread pool.
+//! A fixed-size, work-stealing thread pool whose jobs can be taken back.
 //!
 //! The paper's runtime "includes an efficient thread pool implementation
 //! (shared with all state dependences) to minimize thread creation
@@ -7,16 +7,44 @@
 //! own queue, falls back to the shared injector, and finally steals from
 //! siblings — the standard work-stealing discipline, which keeps group
 //! executions balanced even when their costs are skewed (e.g. groups with
-//! different auxiliary windows). [`ThreadPool::scope`] provides structured
-//! completion: wait until every job submitted in the scope has finished.
+//! different auxiliary windows).
+//!
+//! Speculation only pays when coordinating a group costs less than running
+//! it, so the pool wakes nobody it does not need:
+//!
+//! - [`ThreadPool::submit`] returns a [`Ticket`]. A submitted job is
+//!   *claimable*: whichever thread takes it out of its slot first — a
+//!   worker that popped it, or the ticket's holder through
+//!   [`Ticket::run_if_unclaimed`] — runs it, exactly once. A thread that is
+//!   about to block on a job nobody has started runs it instead of waiting
+//!   for a worker to wake up; [`ThreadPool::scope`] and the runtime's
+//!   coordinators do exactly that.
+//! - Submission wakes at most one sleeping worker, and none when every
+//!   worker is awake; a finished job wakes nobody (workers waiting out a
+//!   shutdown excepted).
+//!
+//! [`ThreadPool::scope`] provides structured completion: wait until every
+//! job submitted in the scope has finished.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::deque::{Injector, Steal, Stealer, Worker};
 use crate::sync::{thread, Arc, CachePadded, Condvar, Mutex};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A submitted closure in the slot it waits in until a thread claims it.
+/// The queues and the [`Ticket`] share it; `take()` under the mutex is the
+/// claim, so the closure runs exactly once whoever gets there first.
+struct Task(Mutex<Option<Box<dyn FnOnce() + Send>>>);
+
+type Job = Arc<Task>;
+
+/// How long a parked worker sleeps before it looks again unprompted. A
+/// backstop only: `submit` publishes a job under the lock a worker parks
+/// with, so the worker either sees the job or is a registered sleeper by
+/// the time `submit` notifies (`pool_submit_never_strands_a_sleeper` in
+/// `tests/loom.rs` runs with the timeout disabled).
+const PARK_BACKSTOP: Duration = Duration::from_millis(1);
 
 /// Dispatch lane for a submitted job.
 ///
@@ -35,7 +63,7 @@ pub enum Priority {
     High,
 }
 
-/// Monotonic pool counters, updated by workers as they run.
+/// Monotonic pool counters, updated by whichever thread runs a job.
 ///
 /// Every field is cache-line padded: these counters are written from all
 /// workers on every job, and unpadded they share lines with each other (and
@@ -44,14 +72,17 @@ pub enum Priority {
 /// worker count. `busy_ns` is padded per *entry* because each worker owns
 /// exactly one slot; adjacent slots in one `Vec` are the textbook case.
 struct PoolCounters {
-    /// Jobs completed (across all workers).
+    /// Jobs completed, by workers and ticket holders alike.
     jobs: CachePadded<AtomicU64>,
     /// Successful steals from a sibling worker's deque.
     steals: CachePadded<AtomicU64>,
-    /// Deepest injector backlog observed at submission time.
+    /// Deepest backlog of unclaimed jobs observed at submission time.
     max_injector_depth: CachePadded<AtomicU64>,
     /// Per-worker nanoseconds spent executing jobs (not idling).
     busy_ns: Vec<CachePadded<AtomicU64>>,
+    /// Jobs run by their ticket's holder, and the nanoseconds that took.
+    helped_jobs: CachePadded<AtomicU64>,
+    helper_busy_ns: CachePadded<AtomicU64>,
 }
 
 struct PoolShared {
@@ -60,8 +91,13 @@ struct PoolShared {
     /// High-priority lane, drained by workers before any other source.
     priority_injector: CachePadded<Injector<Job>>,
     stealers: Vec<Stealer<Job>>,
+    /// Jobs submitted and not yet claimed. Raised under `live` before the
+    /// job is pushed, lowered by the claiming thread; a worker parks only
+    /// when it reads zero under `live` (docs/concurrency.md).
+    unclaimed: CachePadded<AtomicUsize>,
     /// Jobs submitted but not yet finished; also the shutdown flag home.
     live: Mutex<PoolState>,
+    /// Parked workers wait here; its waiter count is the sleeper count.
     wake: Condvar,
     counters: PoolCounters,
 }
@@ -69,6 +105,94 @@ struct PoolShared {
 struct PoolState {
     pending: usize,
     shutdown: bool,
+}
+
+/// Which thread runs a claimed job, for the busy-time accounts.
+#[derive(Clone, Copy)]
+enum Runner {
+    Worker(usize),
+    TicketHolder,
+}
+
+impl PoolShared {
+    /// Claim `job` and run it on this thread; `false` when another thread
+    /// already had.
+    fn run(&self, job: &Task, runner: Runner) -> bool {
+        let Some(body) = job.0.lock().take() else {
+            return false;
+        };
+        self.unclaimed.fetch_sub(1, Ordering::Relaxed);
+        // The accounts settle on drop, so a panicking job (none of the
+        // runtime's: they catch their own) still counts as finished and
+        // cannot hang the pool's shutdown.
+        let _finished = Finished {
+            shared: self,
+            runner,
+            began: Instant::now(),
+        };
+        body();
+        true
+    }
+}
+
+struct Finished<'a> {
+    shared: &'a PoolShared,
+    runner: Runner,
+    began: Instant,
+}
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        let c = &self.shared.counters;
+        let ns = self.began.elapsed().as_nanos() as u64;
+        match self.runner {
+            Runner::Worker(idx) => c.busy_ns[idx].fetch_add(ns, Ordering::Relaxed),
+            Runner::TicketHolder => {
+                c.helped_jobs.fetch_add(1, Ordering::Relaxed);
+                c.helper_busy_ns.fetch_add(ns, Ordering::Relaxed)
+            }
+        };
+        // Release pairs with the Acquire loads in `scope`/`metrics`: once
+        // a job is visible in the counter, its busy time is too.
+        c.jobs.fetch_add(1, Ordering::Release);
+        let mut state = self.shared.live.lock();
+        state.pending -= 1;
+        let draining = state.shutdown;
+        drop(state);
+        // Only workers waiting for `pending == 0` to exit care that a job
+        // finished; nobody else is woken for it.
+        if draining {
+            self.shared.wake.notify_all();
+        }
+    }
+}
+
+/// A submitted job, as seen by the thread that may have to wait for it.
+///
+/// Dropping the ticket leaves the job to the workers (fire and forget).
+pub struct Ticket {
+    job: Job,
+    shared: Arc<PoolShared>,
+}
+
+impl Ticket {
+    /// Run the job on the calling thread unless some thread has already
+    /// started (or finished) it; returns whether this call ran it.
+    ///
+    /// This is for a thread about to block on the job's result: running a
+    /// job no worker has picked up costs the job, waiting for it costs a
+    /// wake-up and two context switches on top. The job's queue entry stays
+    /// behind and is discarded by the worker that eventually pops it. A
+    /// panic in the job unwinds into the caller.
+    pub fn run_if_unclaimed(&self) -> bool {
+        self.shared.run(&self.job, Runner::TicketHolder)
+    }
+}
+
+impl std::fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ticket").finish_non_exhaustive()
+    }
 }
 
 /// A fixed-size pool of worker threads executing submitted closures with
@@ -84,22 +208,24 @@ impl ThreadPool {
         let threads = threads.max(1);
         let locals: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_fifo()).collect();
         let stealers = locals.iter().map(Worker::stealer).collect();
+        let counter = || CachePadded::new(AtomicU64::new(0));
         let shared = Arc::new(PoolShared {
             injector: CachePadded::new(Injector::new()),
             priority_injector: CachePadded::new(Injector::new()),
             stealers,
+            unclaimed: CachePadded::new(AtomicUsize::new(0)),
             live: Mutex::new(PoolState {
                 pending: 0,
                 shutdown: false,
             }),
             wake: Condvar::new(),
             counters: PoolCounters {
-                jobs: CachePadded::new(AtomicU64::new(0)),
-                steals: CachePadded::new(AtomicU64::new(0)),
-                max_injector_depth: CachePadded::new(AtomicU64::new(0)),
-                busy_ns: (0..threads)
-                    .map(|_| CachePadded::new(AtomicU64::new(0)))
-                    .collect(),
+                jobs: counter(),
+                steals: counter(),
+                max_injector_depth: counter(),
+                busy_ns: (0..threads).map(|_| counter()).collect(),
+                helped_jobs: counter(),
+                helper_busy_ns: counter(),
             },
         });
 
@@ -122,49 +248,65 @@ impl ThreadPool {
 
     /// Submit a fire-and-forget job on the [`Priority::Normal`] lane.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.execute_with_priority(Priority::Normal, job);
+        self.enqueue(Priority::Normal, Box::new(job));
     }
 
-    /// Submit a fire-and-forget job on an explicit dispatch lane.
-    pub fn execute_with_priority(&self, priority: Priority, job: impl FnOnce() + Send + 'static) {
-        {
+    /// Submit a job on a dispatch lane, waking one sleeping worker if there
+    /// is one. The [`Ticket`] lets the caller run the job itself should it
+    /// come to wait for it before a worker has started it.
+    pub fn submit(&self, priority: Priority, job: impl FnOnce() + Send + 'static) -> Ticket {
+        Ticket {
+            job: self.enqueue(priority, Box::new(job)),
+            shared: Arc::clone(&self.shared),
+        }
+    }
+
+    fn enqueue(&self, priority: Priority, job: Box<dyn FnOnce() + Send>) -> Job {
+        let job: Job = Arc::new(Task(Mutex::new(Some(job))));
+        let depth = {
+            // Published under `live`: a worker decides to park under the
+            // same lock, so it either sees this job or is already waiting
+            // when the notify below looks for sleepers.
             let mut state = self.shared.live.lock();
             assert!(!state.shutdown, "pool is shut down");
             state.pending += 1;
-        }
-        match priority {
-            Priority::Normal => self.shared.injector.push(Box::new(job)),
-            Priority::High => self.shared.priority_injector.push(Box::new(job)),
-        }
-        // Racy sample (jobs drain concurrently): a lower bound on the true
-        // peak backlog, good enough to spot submission bursts.
-        let depth = (self.shared.injector.len() + self.shared.priority_injector.len()) as u64;
+            let depth = self.shared.unclaimed.fetch_add(1, Ordering::Relaxed) + 1;
+            match priority {
+                Priority::Normal => self.shared.injector.push(Arc::clone(&job)),
+                Priority::High => self.shared.priority_injector.push(Arc::clone(&job)),
+            }
+            depth
+        };
         self.shared
             .counters
             .max_injector_depth
-            .fetch_max(depth, Ordering::Relaxed);
-        self.shared.wake.notify_all();
+            .fetch_max(depth as u64, Ordering::Relaxed);
+        self.shared.wake.notify_one();
+        job
     }
 
     /// Snapshot the pool's observability counters.
     pub fn metrics(&self) -> PoolMetrics {
         let c = &self.shared.counters;
+        let nanos = |ns: &AtomicU64| Duration::from_nanos(ns.load(Ordering::Relaxed));
         PoolMetrics {
             jobs_executed: c.jobs.load(Ordering::Acquire),
             steals: c.steals.load(Ordering::Relaxed),
             max_injector_depth: c.max_injector_depth.load(Ordering::Relaxed),
-            busy: c
-                .busy_ns
-                .iter()
-                .map(|ns| Duration::from_nanos(ns.load(Ordering::Relaxed)))
-                .collect(),
+            busy: c.busy_ns.iter().map(|ns| nanos(ns)).collect(),
+            helped_jobs: c.helped_jobs.load(Ordering::Relaxed),
+            helper_busy: nanos(&c.helper_busy_ns),
         }
     }
 
     /// Run a batch of jobs and wait for all of them to complete.
     ///
-    /// Jobs receive their index. Panics in jobs are contained per-worker and
-    /// surface as a panic here once the scope completes accounting.
+    /// Jobs receive their index. The caller works through the batch itself,
+    /// in order, running every job no worker has started yet, and then
+    /// waits for the ones workers did take — so a scope called from inside
+    /// a pool job completes even when every worker is busy. Panics in jobs
+    /// are contained and surface as a panic here once the scope completes
+    /// accounting.
     pub fn scope<F>(&self, jobs: Vec<F>)
     where
         F: FnOnce(usize) + Send + 'static,
@@ -174,43 +316,52 @@ impl ThreadPool {
             return;
         }
         let jobs_before = self.shared.counters.jobs.load(Ordering::Acquire);
-        let done = Arc::new((Mutex::new(0usize), Condvar::new()));
-        let panicked = Arc::new(AtomicUsize::new(0));
-        for (i, job) in jobs.into_iter().enumerate() {
-            let done = Arc::clone(&done);
-            let panicked = Arc::clone(&panicked);
-            self.execute(move || {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    job(i);
-                }));
-                if result.is_err() {
-                    // Ordering: Relaxed suffices. This increment is
-                    // sequenced before the `done` lock/increment below, and
-                    // the scope's read is sequenced after it observes
-                    // `count == total` under the same mutex — the mutex
-                    // release/acquire edge orders every increment before the
-                    // read (docs/concurrency.md; pinned by the loom model
-                    // `pool_scope_routes_job_panics`, which fails if the
-                    // count is read before the handshake instead).
-                    panicked.fetch_add(1, Ordering::Relaxed);
-                }
-                let (lock, cvar) = &*done;
-                let mut count = lock.lock();
-                *count += 1;
-                cvar.notify_all();
-            });
+        let batch = Arc::new(Batch {
+            done: Mutex::new(0),
+            all_done: Condvar::new(),
+            panicked: AtomicUsize::new(0),
+        });
+        let tickets: Vec<Ticket> = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(i, job)| {
+                let batch = Arc::clone(&batch);
+                self.submit(Priority::Normal, move || {
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        job(i);
+                    }));
+                    if result.is_err() {
+                        // Ordering: Relaxed suffices. This increment is
+                        // sequenced before the `done` lock/increment below,
+                        // and the scope's read is sequenced after it
+                        // observes `done == total` under the same mutex —
+                        // the mutex release/acquire edge orders every
+                        // increment before the read (docs/concurrency.md;
+                        // pinned by the loom model
+                        // `pool_scope_routes_job_panics`, which fails if
+                        // the count is read before the handshake instead).
+                        batch.panicked.fetch_add(1, Ordering::Relaxed);
+                    }
+                    *batch.done.lock() += 1;
+                    batch.all_done.notify_all();
+                })
+            })
+            .collect();
+        for ticket in &tickets {
+            ticket.run_if_unclaimed();
         }
-        let (lock, cvar) = &*done;
-        let mut count = lock.lock();
-        while *count < total {
-            cvar.wait(&mut count);
+        let mut done = batch.done.lock();
+        while *done < total {
+            batch.all_done.wait(&mut done);
         }
-        // Workers bump the observability counters just *after* a job's
-        // completion signal fires, so settle until this batch's increments
-        // land — metrics() taken right after a scope then covers all of it.
+        drop(done);
+        // A job's runner bumps the observability counters just *after* the
+        // job's completion signal fires, so settle until this batch's
+        // increments land — metrics() taken right after a scope then covers
+        // all of it.
         let target = jobs_before + total as u64;
         // Ordering: Acquire pairs with the Release increment in
-        // `worker_loop` so that once the settle loop exits, each counted
+        // `Finished::drop` so that once the settle loop exits, each counted
         // job's side effects (busy_ns, steal counters) are visible — see
         // docs/concurrency.md, pinned by `pool_scope_settle_publishes_metrics`.
         while self.shared.counters.jobs.load(Ordering::Acquire) < target {
@@ -219,14 +370,14 @@ impl ThreadPool {
         // Ordering: Relaxed; ordered by the `done` mutex handshake above
         // (was SeqCst before the 2026-08 audit — over-synchronized, since
         // the mutex already provides the needed edge).
-        let panics = panicked.load(Ordering::Relaxed);
+        let panics = batch.panicked.load(Ordering::Relaxed);
         assert!(panics == 0, "{panics} job(s) panicked in ThreadPool::scope");
     }
 
     /// Apply `f` to every item concurrently, returning results in item order.
     ///
     /// The parallel counterpart of `items.iter().map(f).collect()`: results
-    /// land at their item's index regardless of which worker ran them or in
+    /// land at their item's index regardless of which thread ran them or in
     /// what order they finished.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
@@ -234,57 +385,84 @@ impl ThreadPool {
         R: Send + 'static,
         F: Fn(T) -> R + Send + Sync + 'static,
     {
-        let n = items.len();
-        let f = Arc::new(f);
-        let out = Arc::new(Mutex::new((0..n).map(|_| None).collect::<Vec<_>>()));
+        // One slot per item, so finished jobs do not queue up on one lock.
+        let shared = Arc::new((
+            f,
+            items.iter().map(|_| Mutex::new(None)).collect::<Vec<_>>(),
+        ));
         let jobs: Vec<_> = items
             .into_iter()
             .map(|item| {
-                let f = Arc::clone(&f);
-                let out = Arc::clone(&out);
+                let shared = Arc::clone(&shared);
                 move |i: usize| {
+                    let (f, out) = &*shared;
                     let r = f(item);
-                    out.lock()[i] = Some(r);
+                    *out[i].lock() = Some(r);
                 }
             })
             .collect();
         self.scope(jobs);
-        Arc::try_unwrap(out)
-            .unwrap_or_else(|_| panic!("map results still shared after scope"))
-            .into_inner()
-            .into_iter()
-            .map(|r| r.expect("scope ran every job"))
+        let (_, out) = Arc::try_unwrap(shared)
+            .unwrap_or_else(|_| panic!("map results still shared after scope"));
+        out.into_iter()
+            .map(|slot| slot.into_inner().expect("scope ran every job"))
             .collect()
     }
+}
+
+/// What the jobs of one [`ThreadPool::scope`] share with their caller.
+struct Batch {
+    done: Mutex<usize>,
+    all_done: Condvar,
+    panicked: AtomicUsize,
 }
 
 /// A point-in-time snapshot of [`ThreadPool`] activity, for utilization
 /// reporting (`stats-report`) and pool tuning.
 #[derive(Debug, Clone)]
 pub struct PoolMetrics {
-    /// Jobs completed since the pool was created.
+    /// Jobs completed since the pool was created — each submitted job
+    /// once, whether a worker or its ticket's holder ran it.
     pub jobs_executed: u64,
     /// Successful steals from sibling workers (work that migrated).
     pub steals: u64,
-    /// Deepest shared-injector backlog observed at submission time.
+    /// Deepest backlog of submitted jobs no thread had claimed yet,
+    /// observed at submission time.
     pub max_injector_depth: u64,
     /// Per-worker time spent executing jobs (index = worker).
     pub busy: Vec<Duration>,
+    /// Jobs (out of `jobs_executed`) that their ticket's holder ran through
+    /// [`Ticket::run_if_unclaimed`] instead of waiting for a worker.
+    pub helped_jobs: u64,
+    /// Time ticket holders spent executing those jobs.
+    pub helper_busy: Duration,
 }
 
 impl PoolMetrics {
-    /// Total busy time summed over workers.
+    /// Total time spent executing jobs: every worker's plus the ticket
+    /// holders'.
     pub fn total_busy(&self) -> Duration {
-        self.busy.iter().sum()
+        self.busy.iter().sum::<Duration>() + self.helper_busy
     }
 
-    /// Fraction of `wall × workers` capacity spent executing jobs.
+    /// Fraction of `wall × workers` capacity spent executing jobs (ticket
+    /// holders' time included, so the share says how much pool-sized
+    /// capacity the submitted work used, not which threads supplied it).
     pub fn utilization(&self, wall: Duration) -> f64 {
         let capacity = wall.as_secs_f64() * self.busy.len().max(1) as f64;
         if capacity > 0.0 {
             (self.total_busy().as_secs_f64() / capacity).clamp(0.0, 1.0)
         } else {
             0.0
+        }
+    }
+
+    /// Fraction of the executed jobs that ticket holders ran themselves.
+    pub fn helped_share(&self) -> f64 {
+        if self.jobs_executed == 0 {
+            0.0
+        } else {
+            self.helped_jobs as f64 / self.jobs_executed as f64
         }
     }
 }
@@ -334,17 +512,8 @@ fn find_job(idx: usize, local: &Worker<Job>, shared: &PoolShared) -> Option<Job>
 fn worker_loop(idx: usize, local: Worker<Job>, shared: Arc<PoolShared>) {
     loop {
         if let Some(job) = find_job(idx, &local, &shared) {
-            let began = std::time::Instant::now();
-            job();
-            shared.counters.busy_ns[idx]
-                .fetch_add(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            // Release pairs with the Acquire loads in `scope`/`metrics`: once
-            // a job is visible in the counter, its busy time is too.
-            shared.counters.jobs.fetch_add(1, Ordering::Release);
-            let mut state = shared.live.lock();
-            state.pending -= 1;
-            drop(state);
-            shared.wake.notify_all();
+            // An entry whose ticket holder ran the job is simply dropped.
+            shared.run(&job, Runner::Worker(idx));
             continue;
         }
         // Nothing runnable: park until new work or shutdown.
@@ -352,27 +521,17 @@ fn worker_loop(idx: usize, local: Worker<Job>, shared: Arc<PoolShared>) {
         if state.shutdown && state.pending == 0 {
             return;
         }
-        // Wait whenever nothing is findable — including during shutdown
-        // with jobs still in flight on siblings (their completion notifies
-        // `wake`). Gating the hint on `!shutdown`, as this loop originally
-        // did, busy-spins here until the last job's `pending` decrement
-        // lands; the loom model `pool_scope_settle_publishes_metrics`
-        // flagged that spin as a livelock. The timeout bounds any wakeup
-        // miss to 1ms regardless.
-        if state.pending == 0 || find_nothing_hint(&shared) {
-            shared.wake.wait_for(&mut state, Duration::from_millis(1));
+        if shared.unclaimed.load(Ordering::Relaxed) > 0 {
+            // A job was published since the search above, or a sibling has
+            // popped one and not claimed it yet: look again.
+            drop(state);
+            thread::yield_now();
+            continue;
         }
-        if state.shutdown && state.pending == 0 {
-            return;
-        }
+        // Also the wait of a shutdown with jobs still in flight elsewhere:
+        // their completion notifies `wake` once `shutdown` is set.
+        shared.wake.wait_backstop(&mut state, PARK_BACKSTOP);
     }
-}
-
-/// Cheap emptiness hint (racy by design; the wait above has a timeout).
-fn find_nothing_hint(shared: &PoolShared) -> bool {
-    shared.injector.is_empty()
-        && shared.priority_injector.is_empty()
-        && shared.stealers.iter().all(Stealer::is_empty)
 }
 
 impl Drop for ThreadPool {
@@ -523,14 +682,23 @@ mod tests {
         pool.scope(jobs);
         let wall = began.elapsed();
         let m = pool.metrics();
+        // Each job counts once, whether a worker or the scope's caller
+        // (through its tickets) ran it.
         assert_eq!(m.jobs_executed, 30);
         assert_eq!(m.busy.len(), 3);
-        // 30 × 2ms of sleep happened inside jobs.
+        assert!(m.helped_jobs <= 30);
+        // 30 × 2ms of sleep happened inside jobs, on workers and caller
+        // together.
         assert!(
             m.total_busy() >= std::time::Duration::from_millis(55),
             "total busy {:?}",
             m.total_busy()
         );
+        assert_eq!(
+            m.total_busy(),
+            m.busy.iter().sum::<Duration>() + m.helper_busy
+        );
+        assert_eq!(m.helped_jobs == 0, m.helper_busy.is_zero());
         let u = m.utilization(wall);
         assert!(u > 0.0 && u <= 1.0, "utilization {u}");
         // 30 jobs pushed through one injector: a backlog was observable.
@@ -593,7 +761,7 @@ mod tests {
         }
         {
             let order = Arc::clone(&order);
-            pool.execute_with_priority(Priority::High, move || {
+            pool.submit(Priority::High, move || {
                 order.lock().push("high".to_string())
             });
         }

@@ -16,10 +16,9 @@ use crate::sync::{thread, Arc, Condvar, Mutex};
 
 use crate::dag::{assert_plan_matches, node_is_eager, run_node_eager, NodeRun, PlanResolver};
 use crate::options::RunOptions;
-use crate::pool::{Priority, ThreadPool};
+use crate::pool::{Priority, ThreadPool, Ticket};
 use crate::protocol::{
-    execute_group, run_protocol_with, GroupData, ProtocolResult, SegmentAccumulator, SpecReport,
-    SpecTrace,
+    execute_group, run_protocol_with, ProtocolResult, SegmentAccumulator, SpecReport, SpecTrace,
 };
 use crate::sdi::StateTransition;
 
@@ -201,7 +200,7 @@ fn run_pooled<T: StateTransition>(
             options.seed,
             0,
             shared.inputs.len(),
-            &shared.initial,
+            shared.initial.clone(),
         ),
         Some(segment) => {
             let segment = segment.max(1);
@@ -213,7 +212,7 @@ fn run_pooled<T: StateTransition>(
                 let hi = (lo + segment).min(n);
                 let initial = acc.state().clone();
                 let r =
-                    run_pooled_chunk(shared, pool, options.seed ^ seg_idx << 32, lo, hi, &initial);
+                    run_pooled_chunk(shared, pool, options.seed ^ seg_idx << 32, lo, hi, initial);
                 acc.absorb(r);
                 lo = hi;
                 seg_idx += 1;
@@ -223,56 +222,42 @@ fn run_pooled<T: StateTransition>(
     }
 }
 
-/// One (sub-)run over `inputs[lo..hi]`, groups fanned out to the pool.
+/// One (sub-)run over `inputs[lo..hi]`, groups fanned out to the pool. The
+/// chunk's initial state sits behind one `Arc` next to the shared inputs,
+/// so a group's job clones a pointer, not the state.
 fn run_pooled_chunk<T: StateTransition>(
     shared: &Arc<Shared<T>>,
     pool: &Arc<ThreadPool>,
     seed: u64,
     lo: usize,
     hi: usize,
-    initial: &T::State,
+    initial: T::State,
 ) -> ProtocolResult<T> {
-    let s = Arc::clone(shared);
+    let chunk = Arc::new((Arc::clone(shared), initial));
     run_protocol_with(
         &shared.transition,
         &shared.inputs[lo..hi],
-        initial,
+        &chunk.1,
         &shared.options.config,
         seed,
         &*shared.options.sink,
         shared.options.faults.as_ref(),
-        move |specs| {
-            let slots: Arc<Mutex<Vec<Option<GroupData<T>>>>> =
-                Arc::new(Mutex::new((0..specs.len()).map(|_| None).collect()));
-            let jobs: Vec<_> = specs
-                .iter()
-                .map(|&spec| {
-                    let s = Arc::clone(&s);
-                    let slots = Arc::clone(&slots);
-                    let init = initial.clone();
-                    move |idx: usize| {
-                        let data = execute_group(
-                            &s.transition,
-                            &s.inputs[lo..hi],
-                            0,
-                            &init,
-                            &s.options.config,
-                            seed,
-                            spec,
-                            &*s.options.sink,
-                            s.options.faults.as_ref(),
-                        );
-                        slots.lock()[idx] = Some(data);
-                    }
-                })
-                .collect();
-            pool.scope(jobs);
-            Arc::try_unwrap(slots)
-                .unwrap_or_else(|_| panic!("pool scope leaked a slot reference"))
-                .into_inner()
-                .into_iter()
-                .map(|d| d.expect("every group executed"))
-                .collect()
+        |specs| {
+            let chunk = Arc::clone(&chunk);
+            pool.map(specs.to_vec(), move |spec| {
+                let (s, initial) = &*chunk;
+                execute_group(
+                    &s.transition,
+                    &s.inputs[lo..hi],
+                    0,
+                    initial,
+                    &s.options.config,
+                    seed,
+                    spec,
+                    &*s.options.sink,
+                    s.options.faults.as_ref(),
+                )
+            })
         },
     )
 }
@@ -288,6 +273,10 @@ type NodeSlots<T> = Arc<(Mutex<Vec<Option<std::thread::Result<NodeRun<T>>>>>, Co
 /// runs into the [`PlanResolver`], which resolves nodes strictly in the
 /// plan's canonical topological order; dataflow nodes and post-abort
 /// recovery runs execute inline on the coordinator as their parents settle.
+/// Each time round, before it looks for finished runs (and parks if there
+/// are none), the coordinator runs the eager node the resolver is waiting
+/// for itself if no worker has started it — only that one; `Session`'s
+/// `stream_segment` has the rule and why.
 /// Bit-identical to the sequential reference at any worker count.
 fn run_plan_pooled<T: StateTransition>(
     shared: &Arc<Shared<T>>,
@@ -307,6 +296,7 @@ fn run_plan_pooled<T: StateTransition>(
         Mutex::new((0..plan.len()).map(|_| None).collect()),
         Condvar::new(),
     ));
+    let mut tickets: Vec<Option<Ticket>> = (0..plan.len()).map(|_| None).collect();
     for &node in &eager {
         let s = Arc::clone(shared);
         let slots = Arc::clone(&slots);
@@ -316,7 +306,7 @@ fn run_plan_pooled<T: StateTransition>(
         } else {
             options.priority
         };
-        pool.execute_with_priority(priority, move || {
+        tickets[node] = Some(pool.submit(priority, move || {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_node_eager(
                     &plan_job,
@@ -340,7 +330,7 @@ fn run_plan_pooled<T: StateTransition>(
             let (lock, cv) = &*slots;
             lock.lock()[node] = Some(result);
             cv.notify_all();
-        });
+        }));
     }
     let mut resolver = PlanResolver::new(
         &plan,
@@ -354,6 +344,11 @@ fn run_plan_pooled<T: StateTransition>(
     let mut remaining = eager.len();
     let (lock, cv) = &*slots;
     while remaining > 0 {
+        // Nothing resolves before the awaited node does, so run it here
+        // rather than wait for a worker to wake up for it.
+        if let Some(ticket) = resolver.awaited().and_then(|node| tickets[node].as_ref()) {
+            ticket.run_if_unclaimed();
+        }
         let mut taken = Vec::new();
         {
             let mut guard = lock.lock();

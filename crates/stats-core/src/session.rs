@@ -5,11 +5,13 @@
 //! A `Session` keeps one [`ThreadPool`], one [`EventSink`], and one tuned
 //! [`SpecConfig`] alive across an entire input stream instead of paying for
 //! them per call. Producers `push`/`push_batch` into a bounded queue
-//! (backpressure: a full queue blocks the producer); a dedicated
-//! `stats-stream` coordinator thread forms speculation groups on the fly,
-//! runs group 0 inline while dispatching later groups to the pool, and
-//! overlaps validation + commit of group `k` with the auxiliary + original
-//! execution of later groups already in flight.
+//! (backpressure: a full queue blocks the producer until it has drained to
+//! half); a dedicated `stats-stream` coordinator thread forms speculation
+//! groups on the fly, runs group 0 inline while dispatching later groups to
+//! the pool, and overlaps validation + commit of group `k` with the
+//! auxiliary + original execution of later groups already in flight. When
+//! the coordinator would otherwise park and the group its resolver needs
+//! next has not been started by any worker, it runs that group itself.
 //!
 //! **Determinism contract**: for the same seed and the same input order,
 //! `Session` is bit-identical — outputs, final state, [`SpecReport`], and
@@ -31,7 +33,7 @@ use crate::adapt::{AdaptiveController, RetryPolicy, SegmentStats};
 use crate::faults::{FaultKind, FaultPlan, InjectedFault};
 use crate::obs::{EventKind, EventSink};
 use crate::options::RunOptions;
-use crate::pool::{Priority, ThreadPool};
+use crate::pool::{Priority, ThreadPool, Ticket};
 use crate::protocol::{
     execute_group, run_invocation, GroupData, GroupSpec, ProtocolResult, SegmentAccumulator,
     SpecConfig, SpecReport, SpecTrace,
@@ -78,6 +80,23 @@ struct EngineCtx<T: StateTransition> {
     faults: Option<FaultPlan>,
     retry: RetryPolicy,
     priority: Priority,
+}
+
+/// What every group of one segment starts from. Built once per segment, so
+/// dispatching a group clones one `Arc` and not the state behind it.
+struct SegmentCtx<T: StateTransition> {
+    engine: Arc<EngineCtx<T>>,
+    config: Arc<SpecConfig>,
+    initial: T::State,
+    seed: u64,
+}
+
+/// A speculative group handed to the pool and not yet ingested.
+struct InFlight {
+    start: usize,
+    end: usize,
+    /// Of the latest dispatch (a retry replaces it).
+    ticket: Ticket,
 }
 
 /// A long-lived streaming run of the STATS execution model.
@@ -573,7 +592,7 @@ fn stream_main<T: StateTransition>(
             ctx,
             pool,
             options.seed,
-            &initial,
+            initial,
             usize::MAX,
             max_inflight,
             &base,
@@ -586,13 +605,12 @@ fn stream_main<T: StateTransition>(
                     Some(c) => Arc::new(c.apply(&base)),
                     None => Arc::clone(&base),
                 };
-                let seg_initial = acc.state().clone();
                 let r = stream_segment(
                     shared,
                     ctx,
                     pool,
                     options.seed ^ seg_idx << 32,
-                    &seg_initial,
+                    acc.state().clone(),
                     segment,
                     max_inflight,
                     &seg_config,
@@ -675,18 +693,32 @@ fn wait_for_input<T: StateTransition>(shared: &StreamShared<T>) -> bool {
 /// admitted inputs, execute group 0 inline on the coordinator, dispatch
 /// later groups to the pool as soon as their inputs are complete, and feed
 /// finished groups — strictly in order — into the shared [`Resolver`].
+///
+/// Who runs a dispatched group: normally a pool worker. But when nothing
+/// else is actionable and the group the resolver needs next (`ingested`)
+/// is still unclaimed, the coordinator claims its [`Ticket`] and runs it
+/// here instead of parking until a worker has woken up for it. Only that
+/// group: taking any unclaimed one would have the coordinator compete with
+/// the workers for cores on work that is not yet on the critical path.
 #[allow(clippy::too_many_arguments)] // one parameter per execution-model knob
 fn stream_segment<T: StateTransition>(
     shared: &Arc<StreamShared<T>>,
     ctx: &Arc<EngineCtx<T>>,
     pool: &Arc<ThreadPool>,
     seed: u64,
-    initial: &T::State,
+    initial: T::State,
     limit: usize,
     max_inflight: usize,
-    config_arc: &Arc<SpecConfig>,
+    config: &Arc<SpecConfig>,
 ) -> ProtocolResult<T> {
-    let config: &SpecConfig = config_arc;
+    let seg = Arc::new(SegmentCtx {
+        engine: Arc::clone(ctx),
+        config: Arc::clone(config),
+        initial,
+        seed,
+    });
+    let initial = &seg.initial;
+    let config: &SpecConfig = &seg.config;
     let sink: &dyn EventSink = &*ctx.sink;
     // Group cardinality while the input count is unknown: with speculation
     // on, every full `group_size` block becomes a group; the cases where
@@ -727,10 +759,14 @@ fn stream_segment<T: StateTransition>(
     let mut ingested = 0usize; // groups handed to the resolver so far
     let mut pending: BTreeMap<usize, GroupData<T>> = BTreeMap::new();
     let mut total_groups: Option<usize> = None;
-    // Retry bookkeeping for groups lost to injected worker panics.
+    // Dispatched groups by index: their input range for a retry after an
+    // injected worker panic, and the ticket of the job that is running them.
     let mut retries: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut ranges: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
+    let mut inflight: BTreeMap<usize, InFlight> = BTreeMap::new();
 
+    // The job is the same closure whichever thread ends up running it — a
+    // worker or, through the ticket, the coordinator — so fault sites,
+    // events and the completion hand-off do not depend on who did.
     let dispatch_group =
         |k: usize, start: usize, end: usize, attempt: u32, all_inputs: &[T::Input]| {
             let w_start = start.saturating_sub(config.window);
@@ -741,51 +777,53 @@ fn stream_segment<T: StateTransition>(
                 end,
                 speculative: true,
             };
-            let job_ctx = Arc::clone(ctx);
-            let job_config = Arc::clone(config_arc);
+            let seg = Arc::clone(&seg);
             let job_shared = Arc::clone(shared);
-            let job_initial = initial.clone();
-            pool.execute_with_priority(ctx.priority, move || {
-                // Injected worker panic: the job dies without producing its
-                // group. The loss is routed to the coordinator through the
-                // same completion channel, which retries under the
-                // RetryPolicy; the global panic hook is deliberately not
-                // tripped for injected (as opposed to real) failures.
-                if let Some(plan) = &job_ctx.faults {
-                    if plan.fires(FaultKind::WorkerPanic, seed, k as u64, attempt) {
-                        if job_ctx.sink.enabled() {
-                            job_ctx.sink.emit(EventKind::FaultInjected {
-                                kind: FaultKind::WorkerPanic,
-                                site: k,
-                                attempt: attempt as usize,
-                            });
-                        }
-                        let mut inner = job_shared.inner.lock();
-                        inner.lost.push(InjectedFault { group: k, attempt });
-                        drop(inner);
-                        job_shared.coordinator.notify_all();
-                        return;
-                    }
-                }
-                // `ThreadPool::execute` jobs are not panic-isolated (a panic
-                // kills the worker): catch here and hand the payload to the
+            let ticket = pool.submit(ctx.priority, move || {
+                let engine = &*seg.engine;
+                // Pool jobs are not panic-isolated (a panic would kill the
+                // worker): catch here and hand the payload to the
                 // coordinator, which re-raises it on the session owner.
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    execute_group(
-                        &job_ctx.transition,
+                    // Injected worker panic: the job dies without producing
+                    // its group. The loss is routed to the coordinator
+                    // through the same completion channel, which retries
+                    // under the RetryPolicy; the global panic hook is
+                    // deliberately not tripped for injected (as opposed to
+                    // real) failures.
+                    if let Some(plan) = &engine.faults {
+                        if plan.fires(FaultKind::WorkerPanic, seg.seed, k as u64, attempt) {
+                            if engine.sink.enabled() {
+                                engine.sink.emit(EventKind::FaultInjected {
+                                    kind: FaultKind::WorkerPanic,
+                                    site: k,
+                                    attempt: attempt as usize,
+                                });
+                            }
+                            return Err(InjectedFault { group: k, attempt });
+                        }
+                    }
+                    Ok(execute_group(
+                        &engine.transition,
                         &slice,
                         w_start,
-                        &job_initial,
-                        &job_config,
-                        seed,
+                        &seg.initial,
+                        &seg.config,
+                        seg.seed,
                         spec,
-                        &*job_ctx.sink,
-                        job_ctx.faults.as_ref(),
-                    )
+                        &*engine.sink,
+                        engine.faults.as_ref(),
+                    ))
                 }));
+                // Let go of the engine context before the coordinator can
+                // learn the group is done: it may finish the stream at once,
+                // and the session's owner expects the transition released
+                // when `finish`/drop returns.
+                drop(seg);
                 let mut inner = job_shared.inner.lock();
                 match outcome {
-                    Ok(data) => inner.completions.push((k, data)),
+                    Ok(Ok(data)) => inner.completions.push((k, data)),
+                    Ok(Err(fault)) => inner.lost.push(fault),
                     Err(payload) => {
                         if inner.panic.is_none() {
                             inner.panic = Some(payload);
@@ -795,6 +833,7 @@ fn stream_segment<T: StateTransition>(
                 drop(inner);
                 job_shared.coordinator.notify_all();
             });
+            InFlight { start, end, ticket }
         };
 
     loop {
@@ -809,6 +848,7 @@ fn stream_segment<T: StateTransition>(
         let mut lost: Vec<InjectedFault> = Vec::new();
         {
             let mut inner = shared.inner.lock();
+            let mut may_help = true;
             loop {
                 if let Some(payload) = inner.panic.take() {
                     drop(inner);
@@ -840,7 +880,12 @@ fn stream_segment<T: StateTransition>(
                         None => break,
                     }
                 }
-                if actionable {
+                // A producer blocked on the full queue is woken once the
+                // queue has drained to half: it then refills many slots per
+                // wake-up, where a wake-up per pop bought one slot each. The
+                // coordinator never waits for a producer while inputs are
+                // queued, so the queue always gets there.
+                if actionable && inner.queue.len() <= shared.capacity / 2 {
                     shared.producer.notify_all();
                 }
                 if !inner.completions.is_empty() {
@@ -859,6 +904,20 @@ fn stream_segment<T: StateTransition>(
                 }
                 if actionable {
                     break;
+                }
+                // About to park. If no worker has started the group the
+                // resolver needs next, run it here (unlocked: the job takes
+                // `inner` to publish its result) and look again. One
+                // attempt per visit: after it the group is in `completions`
+                // or in a worker's hands, and that worker will notify.
+                if may_help {
+                    may_help = false;
+                    if let Some(group) = inflight.get(&ingested) {
+                        drop(inner);
+                        group.ticket.run_if_unclaimed();
+                        inner = shared.inner.lock();
+                        continue;
+                    }
                 }
                 shared.coordinator.wait(&mut inner);
             }
@@ -885,7 +944,10 @@ fn stream_segment<T: StateTransition>(
             let attempt = retries.entry(fault.group).or_insert(0);
             *attempt += 1;
             let attempt = *attempt;
-            let (start, end) = ranges[&fault.group];
+            let group = inflight
+                .get_mut(&fault.group)
+                .expect("a lost group was dispatched and not ingested");
+            let (start, end) = (group.start, group.end);
             if attempt <= ctx.retry.max_retries {
                 thread::sleep(ctx.retry.delay_for(attempt - 1));
                 if sink.enabled() {
@@ -894,7 +956,7 @@ fn stream_segment<T: StateTransition>(
                         attempt: attempt as usize,
                     });
                 }
-                dispatch_group(fault.group, start, end, attempt, &inputs);
+                *group = dispatch_group(fault.group, start, end, attempt, &inputs);
             } else {
                 let data = execute_group(
                     &ctx.transition,
@@ -977,14 +1039,14 @@ fn stream_segment<T: StateTransition>(
         // ---- Dispatch every speculative group whose inputs are complete.
         if let Some(gs) = group_cap {
             while (dispatched + 1) * gs <= inputs.len() {
-                ranges.insert(dispatched, (dispatched * gs, (dispatched + 1) * gs));
-                dispatch_group(
+                let group = dispatch_group(
                     dispatched,
                     dispatched * gs,
                     (dispatched + 1) * gs,
                     0,
                     &inputs,
                 );
+                inflight.insert(dispatched, group);
                 dispatched += 1;
             }
         }
@@ -1013,8 +1075,8 @@ fn stream_segment<T: StateTransition>(
                 total_groups = Some(match group_cap {
                     Some(gs) if n > gs => {
                         if dispatched * gs < n {
-                            ranges.insert(dispatched, (dispatched * gs, n));
-                            dispatch_group(dispatched, dispatched * gs, n, 0, &inputs);
+                            let group = dispatch_group(dispatched, dispatched * gs, n, 0, &inputs);
+                            inflight.insert(dispatched, group);
                             dispatched += 1;
                         }
                         n.div_ceil(gs)
@@ -1027,6 +1089,7 @@ fn stream_segment<T: StateTransition>(
         // ---- Feed finished groups to the resolver, strictly in order.
         while let Some(data) = pending.remove(&ingested) {
             resolver.ingest(data, &inputs);
+            inflight.remove(&ingested);
             ingested += 1;
         }
     }

@@ -21,6 +21,8 @@
 //!   model threads.
 //! - `Condvar` timed waits time out exactly when no other model thread can
 //!   run; a timeout never races a notification.
+//! - [`Condvar::wait_backstop`] never times out at all, so a schedule that
+//!   only its timeout would rescue is reported as a deadlock.
 //! - `thread::available_parallelism` reports a fixed small constant so
 //!   models stay tractable.
 
@@ -30,11 +32,101 @@ pub use self::std_impl::*;
 #[cfg(loom)]
 pub use self::loom_impl::*;
 
+use std::time::Duration;
+
+/// Condition variable with `parking_lot`'s `&mut guard` signatures whose
+/// notifies cost nothing when nobody waits.
+///
+/// The vendored `parking_lot` stand-in forwards to `std::sync::Condvar`,
+/// which enters the kernel on every `notify_*`; the real `parking_lot`
+/// returns at once when its wait queue is empty. The runtime notifies far
+/// more often than anyone waits (a pool job's completion, a producer's
+/// push, the coordinator's intake), so the count of current waiters is
+/// kept here and a notify that finds it zero does nothing.
+///
+/// **Contract**: whoever makes the waited-for condition true does so
+/// while holding the mutex the waiters wait with, and notifies afterwards
+/// (still holding it or not). A waiter registers while it holds that
+/// mutex, so either it saw the new condition and never waits, or its
+/// registration happens-before the notifier's critical section and the
+/// notify sees a non-zero count. Every condvar in `stats-core` is used
+/// this way; the loom suite runs this same code over the model atomics.
+#[derive(Debug, Default)]
+pub struct Condvar {
+    raw: RawCondvar,
+    /// Threads inside `wait*`. Ordering: `Relaxed` everywhere — the count
+    /// publishes no data, and the mutex named in the contract orders a
+    /// registration before any notify that has to see it
+    /// (docs/concurrency.md).
+    waiters: atomic::AtomicUsize,
+}
+
+impl Condvar {
+    /// New condition variable.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Wake one waiter, if there is one.
+    pub fn notify_one(&self) {
+        if self.waiters.load(atomic::Ordering::Relaxed) > 0 {
+            self.raw.notify_one();
+        }
+    }
+
+    /// Wake every waiter, if there is one.
+    pub fn notify_all(&self) {
+        if self.waiters.load(atomic::Ordering::Relaxed) > 0 {
+            self.raw.notify_all();
+        }
+    }
+
+    /// Run a raw wait as a registered waiter.
+    fn registered<R>(&self, raw_wait: impl FnOnce(&RawCondvar) -> R) -> R {
+        self.waiters.fetch_add(1, atomic::Ordering::Relaxed);
+        let result = raw_wait(&self.raw);
+        self.waiters.fetch_sub(1, atomic::Ordering::Relaxed);
+        result
+    }
+
+    /// Block until notified, releasing the lock while waiting.
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        self.registered(|raw| raw.wait(guard));
+    }
+
+    /// Block until notified or `timeout` elapses (under the model: until
+    /// no other thread can run).
+    pub fn wait_for<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        timeout: Duration,
+    ) -> WaitTimeoutResult {
+        self.registered(|raw| raw.wait_for(guard, timeout))
+    }
+
+    /// [`wait_for`](Condvar::wait_for) whose timeout is a *backstop*: the
+    /// caller's protocol must deliver a notification for everything it
+    /// waits for, and the timeout only bounds the damage if a future edit
+    /// breaks that. Under the model the timeout therefore never fires, so
+    /// a schedule in which it would be what delivers progress fails as a
+    /// deadlock instead of passing silently.
+    pub fn wait_backstop<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) {
+        #[cfg(not(loom))]
+        self.wait_for(guard, timeout);
+        #[cfg(loom)]
+        {
+            let _ = timeout;
+            self.wait(guard);
+        }
+    }
+}
+
 /// Production implementation: thin re-exports of the real primitives.
 #[cfg(not(loom))]
 mod std_impl {
     pub use crossbeam::utils::CachePadded;
-    pub use parking_lot::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+    pub(super) use parking_lot::Condvar as RawCondvar;
+    pub use parking_lot::{Mutex, MutexGuard, WaitTimeoutResult};
     pub use std::sync::Arc;
 
     /// Atomic integer types and memory orderings.
@@ -169,19 +261,14 @@ mod loom_impl {
         }
     }
 
-    /// Condition variable with `parking_lot`'s `&mut guard` signatures
-    /// over the loom model condvar.
+    /// The loom model condvar under `parking_lot`'s `&mut guard`
+    /// signatures; [`Condvar`](super::Condvar) adds the waiter count.
     #[derive(Debug, Default)]
-    pub struct Condvar {
+    pub(super) struct RawCondvar {
         inner: loom::sync::Condvar,
     }
 
-    impl Condvar {
-        /// New condition variable.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
+    impl RawCondvar {
         /// Wake one waiter (deterministic under the model).
         pub fn notify_one(&self) {
             self.inner.notify_one();

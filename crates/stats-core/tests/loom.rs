@@ -21,10 +21,16 @@
 //!   downgrade of the 2026-08 audit).
 //! - `pool_drop_completes_outstanding_work` — shutdown/drain handshake.
 //! - `pool_injector_never_loses_jobs` — injector vs. steal interleavings.
+//! - `ticket_runs_exactly_once` — a worker, the ticket's holder and a pool
+//!   drop race for one job: it runs once, is counted once, and a panic in
+//!   it still surfaces from `scope` when the caller ran it.
+//! - `pool_submit_never_strands_a_sleeper` — submit vs. park with the 1 ms
+//!   backstop disabled: a parked worker is always woken for a new job.
 //! - `session_push_finish_matches_batch` — producer/coordinator/worker
 //!   handoff commits every input exactly once, in order.
-//! - `session_backpressure_wakeup` — a producer blocked on a full bounded
-//!   queue is always woken when the coordinator drains it.
+//! - `session_halfway_wakeup_never_strands_producer` — a producer blocked
+//!   on a full bounded queue is always woken by the coordinator's
+//!   half-capacity notify, at capacities 1, 2 and 3.
 //! - `session_drop_mid_stream_joins` — Drop drains and joins; no leaked
 //!   coordinator, in any interleaving.
 //! - `session_panic_routing_try_finish` — a panic in a pool-executed
@@ -37,10 +43,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use loom::model::Builder;
 use stats_core::sync::atomic::{AtomicU64, Ordering};
-use stats_core::sync::{Arc, Mutex};
+use stats_core::sync::{thread, Arc, Condvar, Mutex};
 use stats_core::{
-    ExactState, InvocationCtx, RunOptions, Session, SessionError, SpecConfig, StateTransition,
-    ThreadPool,
+    ExactState, InvocationCtx, Priority, RunOptions, Session, SessionError, SpecConfig,
+    StateTransition, ThreadPool,
 };
 
 /// Run `f` under every schedule within `preemptions` involuntary switches.
@@ -196,6 +202,71 @@ fn pool_injector_never_loses_jobs() {
     });
 }
 
+/// A submitted job is claimed by exactly one thread. The worker, the
+/// ticket's holder (on a thread of its own) and the pool's drop all race:
+/// the job must have run exactly once by the time both the drop and the
+/// holder return, and the drop must not hang on a job the holder took.
+/// Then the same claim inside `scope`: whoever ran the panicking job, the
+/// panic surfaces from `scope` and the job is counted once.
+#[test]
+fn ticket_runs_exactly_once() {
+    model(2, || {
+        let runs = Arc::new(AtomicU64::new(0));
+        let pool = ThreadPool::new(1);
+        let ticket = {
+            let runs = Arc::clone(&runs);
+            pool.submit(Priority::Normal, move || {
+                runs.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        let holder = thread::spawn(move || ticket.run_if_unclaimed());
+        // Drop drains: it returns only once the job has finished, on
+        // whichever thread.
+        drop(pool);
+        holder.join().expect("ticket holder");
+        // Joining the holder and the (joined) worker orders the increment.
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "job lost or run twice");
+    });
+    model(2, || {
+        let pool = ThreadPool::new(1);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            pool.scope(vec![|_i: usize| panic!("job exploded")]);
+        }))
+        .expect_err("a panicking job must fail the scope");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("panicked in ThreadPool::scope"), "{msg}");
+        let m = pool.metrics();
+        assert_eq!(m.jobs_executed, 1, "a job counts once whoever ran it");
+        assert!(m.helped_jobs <= 1);
+    });
+}
+
+/// The park/submit handshake, with the backstop timeout out of the
+/// picture (`Condvar::wait_backstop` never times out under the model): the
+/// only thread that can run the job is the worker, because `execute` drops
+/// the ticket, so a schedule where the worker parks past a published job —
+/// the submit landing between its last look and its wait — is a deadlock
+/// here instead of a silent millisecond. Two rounds, so the worker also
+/// parks after having run something.
+#[test]
+fn pool_submit_never_strands_a_sleeper() {
+    model(3, || {
+        let pool = ThreadPool::new(1);
+        for _ in 0..2 {
+            let done = Arc::new((Mutex::new(false), Condvar::new()));
+            let signal = Arc::clone(&done);
+            pool.execute(move || {
+                *signal.0.lock() = true;
+                signal.1.notify_all();
+            });
+            let mut finished = done.0.lock();
+            while !*finished {
+                done.1.wait(&mut finished);
+            }
+        }
+    });
+}
+
 /// Tentpole model 5: the full streaming handoff — producer pushes, the
 /// coordinator forms groups, a pool worker executes the speculative
 /// group, the resolver commits in order. The outcome must equal the
@@ -219,35 +290,39 @@ fn session_push_finish_matches_batch() {
     });
 }
 
-/// Tentpole model 6: with `queue_capacity` 1 the producer blocks on a full
-/// queue; the coordinator's drain must always wake it (producer condvar),
-/// and the close/finish handshake must complete — no lost-wakeup schedule.
+/// Tentpole model 6: a producer blocks on the full bounded queue and is
+/// woken only when the coordinator has drained the queue to half its
+/// capacity. At capacities 1, 2 and 3 (half = 0, 1, 1) that notify must
+/// reach every blocked producer and the close/finish handshake must
+/// complete — no schedule strands the producer (a deadlock) or loses an
+/// input.
 #[test]
-fn session_backpressure_wakeup() {
-    model(1, || {
-        let session = Session::new(
-            ExactState(0u64),
-            Sum,
-            RunOptions::default()
-                .pool(Arc::new(ThreadPool::new(1)))
-                // group_size 1 keeps every group inline on the coordinator:
-                // this model isolates the producer <-> coordinator queue.
-                .config(SpecConfig {
-                    group_size: 1,
-                    ..SpecConfig::default()
-                })
-                .queue_capacity(1),
-        );
-        for i in 1..=3u64 {
-            session.push(i); // blocks whenever the 1-slot queue is full
-        }
-        let outcome = session.finish();
-        assert_eq!(
-            outcome.outputs,
-            vec![1, 3, 6],
-            "input lost past a full queue"
-        );
-    });
+fn session_halfway_wakeup_never_strands_producer() {
+    for capacity in 1..=3usize {
+        model(1, move || {
+            let session = Session::new(
+                ExactState(0u64),
+                Sum,
+                RunOptions::default()
+                    .pool(Arc::new(ThreadPool::new(1)))
+                    // group_size 1 keeps every group inline on the
+                    // coordinator: this model isolates the producer <->
+                    // coordinator queue.
+                    .config(SpecConfig {
+                        group_size: 1,
+                        ..SpecConfig::default()
+                    })
+                    .queue_capacity(capacity),
+            );
+            let n = capacity as u64 + 2;
+            for i in 1..=n {
+                session.push(i); // blocks whenever the queue is full
+            }
+            let outcome = session.finish();
+            let sums: Vec<u64> = (1..=n).map(|i| i * (i + 1) / 2).collect();
+            assert_eq!(outcome.outputs, sums, "input lost past a full queue");
+        });
+    }
 }
 
 /// Tentpole model 7: dropping a session mid-stream (inputs still queued,

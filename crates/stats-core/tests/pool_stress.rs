@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use stats_core::sync::atomic::{AtomicUsize, Ordering};
-use stats_core::sync::Arc;
+use stats_core::sync::{Arc, Condvar, Mutex};
 use stats_core::{
     ExactState, FaultPlan, FaultRule, InvocationCtx, RunOptions, Session, SpecConfig,
     StateTransition, ThreadPool,
@@ -81,6 +81,65 @@ fn many_short_scopes_share_one_pool() {
         assert_eq!(ran.load(Ordering::Relaxed), before + 16, "round {round}");
     }
     assert_eq!(ran.load(Ordering::Relaxed), rounds * 16);
+}
+
+/// A scope opened from inside a job of another scope on the same pool, with
+/// no worker free to run either: once with the only worker wedged on a gate
+/// job (the outer jobs run on the caller, through their tickets, and so do
+/// the inner ones), once with it free (it may take an outer job and must
+/// then run that job's inner scope itself). A scope that only waited for
+/// workers would deadlock both ways.
+#[test]
+fn nested_scope_inside_a_helped_job_completes() {
+    for wedged in [true, false] {
+        let pool = Arc::new(ThreadPool::new(1));
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        if wedged {
+            let entered = Arc::new(AtomicUsize::new(0));
+            let (job_gate, job_entered) = (Arc::clone(&gate), Arc::clone(&entered));
+            pool.execute(move || {
+                job_entered.fetch_add(1, Ordering::SeqCst);
+                let (lock, cvar) = &*job_gate;
+                let mut open = lock.lock();
+                while !*open {
+                    cvar.wait(&mut open);
+                }
+            });
+            while entered.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+        }
+        let ran = Arc::new(AtomicUsize::new(0));
+        let rounds = 20 * stress_iters();
+        for _ in 0..rounds {
+            let outer: Vec<_> = (0..4)
+                .map(|_| {
+                    let (pool, ran) = (Arc::clone(&pool), Arc::clone(&ran));
+                    move |_idx: usize| {
+                        let inner: Vec<_> = (0..3)
+                            .map(|_| {
+                                let ran = Arc::clone(&ran);
+                                move |_idx: usize| {
+                                    ran.fetch_add(1, Ordering::Relaxed);
+                                }
+                            })
+                            .collect();
+                        pool.scope(inner);
+                    }
+                })
+                .collect();
+            pool.scope(outer);
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), rounds * 12, "wedged: {wedged}");
+        if wedged {
+            // Every job ran on this thread, so every count has landed.
+            let m = pool.metrics();
+            assert_eq!(m.jobs_executed as usize, rounds * 16);
+            assert_eq!(m.helped_jobs, m.jobs_executed, "a wedged worker ran a job");
+        }
+        *gate.0.lock() = true;
+        gate.1.notify_all();
+    }
 }
 
 /// Concurrent sessions over one pool, each a deterministic prefix sum:

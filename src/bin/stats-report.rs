@@ -286,10 +286,14 @@ fn main() -> ExitCode {
             m.jobs_executed, m.steals, m.max_injector_depth
         );
         println!(
-            "  busy {:?} over {:?} wall — utilization {:.1}%",
+            "  busy {:?} over {:?} wall — utilization {:.1}%; {} jobs ({:.1}%, {:?}) \
+             run by the coordinator instead of waiting for a worker",
             m.total_busy(),
             wall,
-            100.0 * m.utilization(wall)
+            100.0 * m.utilization(wall),
+            m.helped_jobs,
+            100.0 * m.helped_share(),
+            m.helper_busy
         );
         assert_eq!(
             outcome.outputs.len(),

@@ -1,7 +1,8 @@
 //! Property-based tests of the streaming [`Session`] engine: streamed
 //! execution is bit-identical to the batch protocol over the concatenated
-//! inputs, for any push chunking, and the bounded queue really blocks
-//! producers (backpressure).
+//! inputs, for any push chunking, whichever thread runs a group (a pool
+//! worker, or the coordinator taking the group back), and the bounded queue
+//! really blocks producers (backpressure).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -10,6 +11,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use stats::core::prelude::*;
+use stats::core::replay::{replay, SessionLog, SessionRecorder};
 
 /// Nondeterministic short-memory transition with a tolerant comparison —
 /// exercises commits, re-executions, and aborts depending on config/seed.
@@ -176,6 +178,126 @@ proptest! {
             let solo = solo.finish();
             prop_assert_eq!(&multiplexed.outputs, &solo.outputs);
             prop_assert_eq!(&multiplexed.report, &solo.report);
+        }
+    }
+}
+
+/// A pool whose every worker sits inside a gate job until this guard is
+/// dropped: nothing submitted to it meanwhile can run on a worker, so a
+/// session over it has to take every dispatched group back and run it on
+/// its coordinator.
+struct WedgedPool {
+    pool: Arc<ThreadPool>,
+    gate: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+}
+
+impl WedgedPool {
+    fn new(workers: usize) -> Self {
+        let pool = Arc::new(ThreadPool::new(workers));
+        let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let entered = Arc::new(AtomicUsize::new(0));
+        for _ in 0..workers {
+            let (gate, entered) = (Arc::clone(&gate), Arc::clone(&entered));
+            pool.execute(move || {
+                entered.fetch_add(1, Ordering::SeqCst);
+                let (lock, cvar) = &*gate;
+                let mut open = lock.lock().unwrap();
+                while !*open {
+                    open = cvar.wait(open).unwrap();
+                }
+            });
+        }
+        // A worker inside a gate job takes no other: once all are in, the
+        // pool is wedged.
+        while entered.load(Ordering::SeqCst) < workers {
+            std::thread::yield_now();
+        }
+        WedgedPool { pool, gate }
+    }
+}
+
+impl Drop for WedgedPool {
+    fn drop(&mut self) {
+        *self.gate.0.lock().unwrap() = true;
+        self.gate.1.notify_all();
+    }
+}
+
+/// Record `inputs` through a session under `options`, pushed in
+/// `chunk`-sized batches.
+fn record(
+    inputs: &[u64],
+    options: RunOptions,
+    chunk: usize,
+) -> (SpecOutcome<NoisyLast>, SessionLog) {
+    let recorder = SessionRecorder::new(Fuzzy(0.0), NoisyLast, options);
+    for batch in inputs.chunks(chunk) {
+        recorder.push_batch(batch.iter().copied());
+    }
+    recorder.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// WHO RUNS A GROUP IS INVISIBLE: a session whose pool is wedged (the
+    /// coordinator takes every group back through its ticket and runs it
+    /// inline) and a session over an idle pool (workers race the
+    /// coordinator for each group) produce bit-identical outputs, final
+    /// state, report, trace and canonical event stream, and each one's
+    /// recording replays faithfully on the other's kind of pool — with and
+    /// without injected worker panics, whose fault sites, retries and
+    /// inline fallback must not depend on the thread either.
+    #[test]
+    fn helped_inline_equals_worker_run(
+        n in 0usize..64,
+        config in arb_config(),
+        seed in any::<u64>(),
+        chunk in 1usize..9,
+        faulted in any::<bool>(),
+        panic_rate in 0.1f64..0.7,
+    ) {
+        let inputs: Vec<u64> = (0..n as u64).collect();
+        let mut options = RunOptions::default().config(config).seed(seed);
+        if faulted {
+            options = options
+                .faults(FaultPlan::new(seed ^ 0xFA17).worker_panic(FaultRule::transient(panic_rate)));
+        }
+        let idle = Arc::new(ThreadPool::new(2));
+        let wedged = WedgedPool::new(2);
+
+        let (on_workers, worker_log) =
+            record(&inputs, options.clone().pool(Arc::clone(&idle)), chunk);
+        let (inline, inline_log) =
+            record(&inputs, options.clone().pool(Arc::clone(&wedged.pool)), chunk);
+
+        // Only the two gate jobs ever reached a worker, and they have not
+        // finished: every finished job was run by its ticket's holder.
+        let m = wedged.pool.metrics();
+        prop_assert_eq!(m.helped_jobs, m.jobs_executed);
+        prop_assert!(m.busy.iter().all(|b| b.is_zero()));
+
+        prop_assert_eq!(&inline.outputs, &on_workers.outputs);
+        prop_assert_eq!(inline.final_state.0.to_bits(), on_workers.final_state.0.to_bits());
+        prop_assert_eq!(&inline.report, &on_workers.report);
+        prop_assert_eq!(&inline.trace, &on_workers.trace);
+        prop_assert_eq!(&inline_log.events, &worker_log.events);
+        prop_assert_eq!(&inline_log.summary, &worker_log.summary);
+
+        let replay_on = |log: &SessionLog, pool: &Arc<ThreadPool>| {
+            replay(log, Fuzzy(0.0), NoisyLast, RunOptions::default().pool(Arc::clone(pool)))
+                .expect("replay must start")
+        };
+        let crossed = [replay_on(&inline_log, &idle), replay_on(&worker_log, &wedged.pool)];
+        for replayed in &crossed {
+            prop_assert!(
+                replayed.is_faithful(),
+                "divergences={} trace_matched={} report_matched={}",
+                replayed.divergences,
+                replayed.trace_matched,
+                replayed.report_matched
+            );
+            prop_assert_eq!(&replayed.outcome.outputs, &inline.outputs);
         }
     }
 }
