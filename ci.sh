@@ -2,8 +2,9 @@
 # Local CI: formatting, lints, and the full test suite — all offline.
 #
 # Usage: ./ci.sh [stage]
-#   (none)   the default pipeline: fmt, clippy, tests, benches, smokes,
-#            and the concurrency gates that need no special toolchain
+#   (none)   the default pipeline: fmt, clippy, tests, the stats-benchmark
+#            correctness smokes, the CLI smokes, the docs check, and a final
+#            check that none of it touched the source tree
 #   --loom   model-check the speculation runtime: builds stats-core with
 #            RUSTFLAGS="--cfg loom" (the sync facade swaps onto the model
 #            checker), runs every model in tests/loom.rs and names them in
@@ -12,29 +13,13 @@
 #            nightly `miri` component; skips with a message otherwise)
 #   --tsan   run tests/pool_stress.rs under ThreadSanitizer (needs nightly
 #            + rust-src for -Zbuild-std; skips with a message otherwise)
-#   --bench-gate
-#            re-measure the pipeline benchmarks into a temp file and gate:
-#            fails if speedup.tuner_serial < 1.0 (the closed regression
-#            reopening) or if speedup.interp falls below 85% of the number
-#            in the committed BENCH_pipeline.json (the margin absorbs
-#            shared-container noise; a real regression blows through it);
-#            also validates the serve section: >= 500 tenants, spill
-#            engaged, zero solo mismatches
-#   --serve-smoke
-#            multi-tenant session-service smoke (docs/serving.md): a small
-#            open-loop traffic run that must show spill engaged, every
-#            spilled input replayed, and every tenant bit-identical to its
-#            solo session
-#   --dag-smoke
-#            task-DAG speculation smoke (docs/dag.md): every stats-workloads
-#            DAG family run sequentially and pooled at tiny scale; fails on
-#            any pooled-vs-sequential divergence or any cut-set abort under
-#            the families' tuned configs
-#   --replay-smoke
-#            session record/replay smoke (docs/replay.md): plain, faulted,
-#            adaptive, and online-retuned sessions each recorded once and
-#            replayed at two worker counts; fails on any canonical-event or
-#            digest divergence
+#   --bench-gate BASE.json
+#            `stats-benchmark run` into a temp file, then `stats-benchmark
+#            compare BASE.json` against it; exits with compare's status
+#            (1 on any end-to-end metric worse than BASE beyond its
+#            BENCHMARK.json bound, or any differing exact count). BASE.json
+#            is a `stats-benchmark run --out` file of the commit to gate
+#            against, taken on this machine.
 #
 # The --loom/--miri/--tsan stages are separate entry points because each
 # rebuilds the world under a different configuration; run them when
@@ -45,7 +30,12 @@ cd "$(dirname "$0")"
 
 stage="${1:-}"
 
-# ---- opt-in concurrency stages ---------------------------------------------
+# The one program that times anything (crates/stats-benchmark/README.md).
+# Every repetition of every rung is checked bit-exactly against the
+# sequential reference; it exits 1 on any failed operation.
+bench() { cargo run --release --offline -q -p stats-benchmark -- "$@"; }
+
+# ---- opt-in stages -----------------------------------------------------------
 
 if [[ "$stage" == "--loom" ]]; then
     echo "== loom model checking (RUSTFLAGS=--cfg loom, release)"
@@ -102,126 +92,31 @@ if [[ "$stage" == "--tsan" ]]; then
 fi
 
 if [[ "$stage" == "--bench-gate" ]]; then
-    echo "== bench gate (fresh pipeline run vs committed BENCH_pipeline.json)"
-    cargo build --offline --release -q -p bench
-    fresh_json=$(mktemp /tmp/bench_pipeline.XXXXXX.json)
-    ./target/release/bench_pipeline "$fresh_json" > /dev/null
-    python3 - "$fresh_json" BENCH_pipeline.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    fresh = json.load(f)
-with open(sys.argv[2]) as f:
-    committed = json.load(f)
-tuner = fresh["speedup"]["tuner_serial"]
-interp = fresh["speedup"]["interp"]
-floor = 0.85 * committed["speedup"]["interp"]
-print(f"tuner_serial {tuner:.2f}x (gate: >= 1.0)")
-print(f"interp {interp:.2f}x (gate: >= {floor:.2f}, 85% of committed "
-      f"{committed['speedup']['interp']:.2f})")
-if tuner < 1.0:
-    sys.exit(f"bench gate: speedup.tuner_serial {tuner:.2f} < 1.0 — "
-             "the tuner regression this gate guards against has reopened")
-if interp < floor:
-    sys.exit(f"bench gate: speedup.interp {interp:.2f} regressed below "
-             f"{floor:.2f} (85% of the committed file)")
-serve = fresh.get("serve")
-if serve is None:
-    sys.exit("bench gate: fresh run is missing the serve section")
-for key in ("tenants", "inputs_per_sec", "tenant_p50_ms", "tenant_p95_ms",
-            "tenant_p99_ms", "spilled_inputs", "spilled_segments",
-            "solo_mismatches"):
-    if key not in serve:
-        sys.exit(f"bench gate: serve section is missing '{key}'")
-    if key not in committed.get("serve", {}):
-        sys.exit(f"bench gate: committed serve section is missing '{key}'")
-print(f"serve {serve['tenants']} tenants, {serve['inputs_per_sec']:.0f} "
-      f"inputs/s, p99 {serve['tenant_p99_ms']:.2f}ms, "
-      f"{serve['spilled_inputs']} spilled")
-if serve["tenants"] < 500:
-    sys.exit(f"bench gate: serve ran only {serve['tenants']} tenants "
-             "(heavy traffic means >= 500)")
-if serve["spilled_inputs"] <= 0:
-    sys.exit("bench gate: serve traffic never hit the spill path")
-if serve["solo_mismatches"] != 0:
-    sys.exit(f"bench gate: {serve['solo_mismatches']} tenants diverged "
-             "from their solo sessions — determinism under multiplexing "
-             "is broken")
-dag = fresh.get("dag")
-if dag is None:
-    sys.exit("bench gate: fresh run is missing the dag section")
-for family in ("windowed_join", "gameloop", "ensemble"):
-    fam = dag.get(family)
-    if fam is None:
-        sys.exit(f"bench gate: dag section is missing the '{family}' family")
-    for key in ("nodes", "inputs", "seq_inputs_per_sec",
-                "pooled_inputs_per_sec", "speedup", "aborts", "mismatches"):
-        if key not in fam:
-            sys.exit(f"bench gate: dag.{family} is missing '{key}'")
-    print(f"dag {family}: {fam['nodes']} nodes, seq "
-          f"{fam['seq_inputs_per_sec']:.0f}/s, pooled "
-          f"{fam['pooled_inputs_per_sec']:.0f}/s, "
-          f"{fam['mismatches']} mismatches")
-    if fam["mismatches"] != 0:
-        sys.exit(f"bench gate: dag.{family} pooled run diverged from the "
-                 "sequential topological reference — DAG determinism is "
-                 "broken")
-    if fam["aborts"] != 0:
-        sys.exit(f"bench gate: dag.{family} aborted a cut-set under its "
-                 "tuned config")
-replay = fresh.get("replay")
-if replay is None:
-    sys.exit("bench gate: fresh run is missing the replay section")
-for key in ("inputs_per_sec_plain", "inputs_per_sec_recorded",
-            "record_overhead_pct", "replay_divergences", "events_compared",
-            "log_bytes"):
-    if key not in replay:
-        sys.exit(f"bench gate: replay section is missing '{key}'")
-    if key not in committed.get("replay", {}):
-        sys.exit(f"bench gate: committed replay section is missing '{key}'")
-print(f"replay overhead {replay['record_overhead_pct']:.2f}% "
-      f"(gate: <= 5.0), {replay['replay_divergences']} divergences "
-      f"over {replay['events_compared']} events (gate: 0)")
-if replay["record_overhead_pct"] > 5.0:
-    sys.exit(f"bench gate: record-mode overhead "
-             f"{replay['record_overhead_pct']:.2f}% exceeds the 5% ceiling "
-             "over the noop-sink arm")
-if replay["replay_divergences"] != 0:
-    sys.exit(f"bench gate: {replay['replay_divergences']} replay "
-             "divergences — record/replay determinism is broken")
-print("bench gate OK")
-EOF
-    rm -f "$fresh_json"
-    exit 0
-fi
-
-if [[ "$stage" == "--serve-smoke" ]]; then
-    echo "== serve smoke (multi-tenant fairness + spill/replay equality)"
-    cargo build --offline --release -q -p bench
-    ./target/release/serve_smoke
-    exit 0
-fi
-
-if [[ "$stage" == "--dag-smoke" ]]; then
-    echo "== dag smoke (plan families: pooled bit-identical to sequential)"
-    cargo build --offline --release -q -p bench
-    ./target/release/dag_smoke
-    exit 0
-fi
-
-if [[ "$stage" == "--replay-smoke" ]]; then
-    echo "== replay smoke (recorded sessions replay faithfully at any worker count)"
-    cargo build --offline --release -q -p bench
-    ./target/release/replay_smoke
-    exit 0
+    base="${2:-}"
+    if [[ ! -f "$base" ]]; then
+        echo "usage: ./ci.sh --bench-gate BASE.json   (BASE.json: a" \
+             "'stats-benchmark run --out' file of the commit to gate against)" >&2
+        exit 2
+    fi
+    echo "== bench gate (fresh stats-benchmark run vs $base)"
+    fresh="$(mktemp /tmp/stats-benchmark.XXXXXX.json)"
+    trap 'rm -f "$fresh"' EXIT
+    bench run --out "$fresh"
+    bench compare "$base" "$fresh"
+    exit
 fi
 
 if [[ -n "$stage" ]]; then
     echo "error: unknown stage '$stage' (expected --loom, --miri, --tsan," \
-         "--bench-gate, --serve-smoke, --dag-smoke, or --replay-smoke)" >&2
+         "or --bench-gate BASE.json)" >&2
     exit 2
 fi
 
 # ---- default pipeline -------------------------------------------------------
+
+# What the tree looked like before CI ran; compared again at the end.
+tree_state() { git status --porcelain 2>/dev/null; git diff HEAD 2>/dev/null | cksum; }
+tree_before="$(tree_state)"
 
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
@@ -246,75 +141,29 @@ fi
 echo "== cargo test"
 cargo test --offline --workspace -q
 
-echo "== stats-benchmark correctness smokes (light + misspec, held-out seed)"
-# Every repetition of every rung is checked bit-exactly against the
-# sequential reference; the binary exits 1 on any failed operation. These
-# two are the coordination-bound workloads, where who runs a group (a pool
-# worker or the coordinator taking it back) changes most often.
-for workload in light misspec; do
-    cargo run --release --offline -q -p stats-benchmark -- \
-        --workload "$workload" --seed 7919 --seconds 2 --trace 0 > /dev/null
+echo "== stats-benchmark correctness smokes (held-out seed)"
+# Linear commit path, mismatch path, heap state with real aborts, plans
+# pooled vs sequential, tenants through admission and spill; then the
+# traced pass of light, where an unfaithful replay is a failed operation.
+for workload in light misspec bodytrack dag_small serve_open; do
+    bench --workload "$workload" --seed 7919 --seconds 2 --trace 0 > /dev/null
 done
+bench --workload light --seed 7919 --seconds 2 --trace 1 > /dev/null
 
-echo "== bench smoke (parallel pipeline, emits BENCH_pipeline.json)"
-cargo build --offline --release -q -p bench
-./target/release/figures --tiny fig3 fig13 > /dev/null
-./target/release/bench_pipeline BENCH_pipeline.json
-
-echo "== chaos smoke (seeded fault plans, identical traces across two runs)"
-./target/release/chaos_smoke
-
-echo "== replay smoke (recorded sessions replay faithfully at any worker count)"
-./target/release/replay_smoke
-
-echo "== serve smoke (multi-tenant fairness + spill/replay equality)"
-./target/release/serve_smoke
-
-echo "== dag smoke (plan families: pooled bit-identical to sequential)"
-./target/release/dag_smoke
+echo "== figures smoke (parallel cell driver, tiny sizes)"
+cargo run --release --offline -q -p bench --bin figures -- --tiny fig3 fig13 > /dev/null
 
 echo "== rustdoc (deny warnings, workspace crates only)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q \
     --exclude rand --exclude proptest --exclude criterion \
     --exclude crossbeam --exclude parking_lot --exclude loom
 
-echo "== streaming smoke (stream_run bench in test mode)"
-cargo test --offline -q -p bench --bench stream_run
-
-echo "== removed protocol shims (deleted in the RunOptions-only API; no references anywhere)"
-# run_protocol_observed/run_protocol_segmented and the StateDependence
-# with_pool/with_config/with_sink/with_seed builders were deleted when the
-# RunOptions surface became the only public API (docs/observability.md has
-# the migration table). No exclusions: the names must not reappear at all.
-if grep -rn --include='*.rs' \
-    -E 'run_protocol_observed|run_protocol_segmented|\.with_pool\(|\.with_config\(|\.with_sink\(|\.with_seed\(' \
-    --exclude-dir=target --exclude-dir=vendor .; then
-    echo "error: reference to a removed pre-RunOptions shim (use" \
-         "run_protocol_with_options / RunOptions builders instead)" >&2
-    exit 1
-fi
-
-echo "== observability smoke (stats-report + Chrome trace validation)"
+echo "== observability smoke (stats-report: Chrome trace export + --check)"
 cargo build --offline -q --bin stats-report
 TRACE_JSON=$(mktemp /tmp/stats-report.XXXXXX.trace.json)
 ./target/debug/stats-report swaptions --inputs 24 --threads 4 \
     --trace "$TRACE_JSON" --check > /dev/null
-python3 - "$TRACE_JSON" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-events = doc["traceEvents"]
-assert events, "trace has no events"
-sched = [e for e in events if e["ph"] == "X" and "deps" in e.get("args", {})]
-assert sched, "trace has no virtual-schedule events"
-for e in sched:
-    for dep in e["args"]["deps"]:
-        assert dep < e["args"]["node"], f"forward dependence edge: {e}"
-begins = sum(1 for e in events if e["ph"] == "B")
-ends = sum(1 for e in events if e["ph"] == "E")
-assert begins == ends, f"unbalanced span events: {begins} B vs {ends} E"
-print(f"trace OK: {len(events)} events, {len(sched)} scheduled nodes")
-EOF
+test -s "$TRACE_JSON"
 rm -f "$TRACE_JSON"
 
 echo "== replay CLI smoke (stats-report replay record/verify round trip)"
@@ -324,29 +173,41 @@ REPLAY_LOG=$(mktemp /tmp/stats-replay.XXXXXX.statslog)
 ./target/debug/stats-report replay --verify "$REPLAY_LOG" > /dev/null
 rm -f "$REPLAY_LOG"
 
-echo "== docs link check (relative links and [[rust-path]] refs resolve)"
+echo "== docs check (links, BENCHMARK.json metric names, commands resolve)"
 python3 - <<'EOF'
-import os, re, sys
+import fnmatch, json, os, re, sys
+
+pages = sorted(os.path.join("docs", p) for p in os.listdir("docs") if p.endswith(".md"))
+pages += ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+with open("BENCHMARK.json") as f:
+    declared = json.load(f)
+workloads = {w["name"] for w in declared["workloads"]}
+end_to_end = {m["name"] for m in declared["end_to_end"]}
+per_layer = {m["name"] for m in declared["per_layer"]}
+layers = {name.split(".")[0] for name in per_layer}
+with open("ci.sh") as f:
+    stages = set(re.findall(r'"\$stage" == "(--[a-z-]+)"', f.read()))
+with open("crates/bench/Cargo.toml") as f:
+    benches = set(re.findall(r'\[\[bench\]\]\s*name = "([^"]+)"', f.read()))
 
 link = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 rustref = re.compile(r"\[\[([^\]\s|]+)\]\]")
-pages = sorted(
-    os.path.join("docs", p) for p in os.listdir("docs") if p.endswith(".md")
-)
+# `workload/metric` or `layer.metric`, nothing else inside the backticks;
+# `F`, `<family>` and `*` stand for any one component (`dag.F.pooled_vs_seq`).
+token = re.compile(r"`([a-z_]+)([/.])([A-Za-z0-9_.<>*]+)`")
+file_ext = re.compile(r"(^|\.)(rs|md|json|toml|stats|statslog|tsv|sh|txt)$")
 problems = []
 checked = 0
 for page in pages:
     with open(page) as f:
         text = f.read()
-    # Fenced code blocks hold example syntax, not navigable links.
+    # Fenced code blocks hold example syntax, not navigable links or names.
     prose = re.sub(r"```.*?```", "", text, flags=re.S)
     for m in link.finditer(prose):
         target = m.group(1)
         if target.startswith(("http://", "https://", "#", "mailto:")):
             continue
-        path = os.path.normpath(
-            os.path.join(os.path.dirname(page), target.split("#")[0])
-        )
+        path = os.path.normpath(os.path.join(os.path.dirname(page), target.split("#")[0]))
         checked += 1
         if not os.path.exists(path):
             problems.append(f"{page}: broken link '{target}'")
@@ -354,11 +215,36 @@ for page in pages:
         checked += 1
         if not os.path.exists(m.group(1)):
             problems.append(f"{page}: [[{m.group(1)}]] does not resolve")
+    for left, sep, right in token.findall(prose):
+        if sep == "/" and left in workloads:
+            names, name = end_to_end | per_layer, right
+        elif sep == "." and left in layers and not file_ext.search(right):
+            names, name = per_layer, f"{left}.{right}"
+        else:
+            continue
+        checked += 1
+        pattern = ".".join("*" if c in ("F", "<family>") else c for c in name.split("."))
+        if not fnmatch.filter(names, pattern):
+            problems.append(f"{page}: `{left}{sep}{right}` is not a BENCHMARK.json metric")
+    # Commands are checked inside fenced blocks too.
+    for name in re.findall(r"-p bench\b[^\n`]*?--bin ([\w-]+)", text):
+        checked += 1
+        if not os.path.exists(f"crates/bench/src/bin/{name}.rs"):
+            problems.append(f"{page}: `-p bench --bin {name}` has no source file")
+    for name in re.findall(r"--bench ([\w-]+)", text):
+        checked += 1
+        if name not in benches:
+            problems.append(f"{page}: `--bench {name}` is not in crates/bench/Cargo.toml")
+    for names in re.findall(r"ci\.sh ((?:--[a-z-]+/?)+)", text):
+        for name in names.rstrip("/").split("/"):
+            checked += 1
+            if name not in stages:
+                problems.append(f"{page}: `./ci.sh {name}` is not a stage of ci.sh")
 for p in problems:
     print(f"error: {p}", file=sys.stderr)
 if problems:
     sys.exit(1)
-print(f"docs links OK: {checked} references across {len(pages)} pages")
+print(f"docs OK: {checked} references across {len(pages)} pages")
 EOF
 
 echo "== stats-lint corpus smoke"
@@ -366,6 +252,13 @@ cargo build --offline -q --bin stats-lint
 ./target/debug/stats-lint --quiet examples/dsl/*.stats
 if ./target/debug/stats-lint --quiet examples/dsl/violations/*.stats; then
     echo "error: violation corpus unexpectedly passed stats-lint" >&2
+    exit 1
+fi
+
+echo "== clean tree (CI wrote nothing outside target/ and /tmp)"
+if [[ "$(tree_state)" != "$tree_before" ]]; then
+    echo "error: CI modified or created files in the source tree:" >&2
+    git status --porcelain >&2
     exit 1
 fi
 

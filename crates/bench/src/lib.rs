@@ -10,10 +10,8 @@
 
 #![deny(missing_docs)]
 
-pub mod dag_driver;
 pub mod experiments;
 pub mod render;
-pub mod serve_driver;
 pub mod tsv;
 
 pub use experiments::Settings;

@@ -482,7 +482,7 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
                 report: run_report,
                 trace: run_trace,
             } = run;
-            absorb_subtrace(&mut trace, run_trace, &entry, squashed);
+            trace.absorb(run_trace, &entry, squashed);
             report.reexecutions += run_report.reexecutions;
             report.validations += run_report.validations;
             report.aborted |= run_report.aborted;
@@ -514,7 +514,7 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
                         entry.push(v);
                     }
                     entry.extend_from_slice(&gates);
-                    absorb_subtrace(&mut trace, re_trace, &entry, false);
+                    trace.absorb(re_trace, &entry, false);
                     report.reexecutions += re_report.reexecutions;
                     report.validations += re_report.validations;
                     report.aborted |= re_report.aborted;
@@ -574,24 +574,6 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
             report,
             trace,
         }
-    }
-}
-
-/// Append a node-internal sub-trace: shift dependence indices past the
-/// nodes already laid out, attach the node's entry nodes (those with no
-/// intra-run dependences) to `entry_deps`, and — when the run was squashed
-/// — force every node's committed flag off.
-fn absorb_subtrace(trace: &mut SpecTrace, sub: SpecTrace, entry_deps: &[usize], squash: bool) {
-    let base = trace.nodes.len();
-    for mut node in sub.nodes {
-        node.deps.iter_mut().for_each(|d| *d += base);
-        if node.deps.is_empty() {
-            node.deps.extend_from_slice(entry_deps);
-        }
-        if squash {
-            node.committed = false;
-        }
-        trace.nodes.push(node);
     }
 }
 

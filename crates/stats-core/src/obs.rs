@@ -11,8 +11,8 @@
 //! - [`EventSink`]: where the protocol emits events. The default
 //!   [`NoopSink`] compiles to a virtual `enabled()` check per site and
 //!   nothing else, so instrumentation costs nothing unless a recording sink
-//!   is installed (the `protocol_run` bench pins the disabled overhead
-//!   below 2%);
+//!   is installed (what recording then costs is `stats-benchmark`'s
+//!   `obs.recording_delta_ns_per_input`);
 //! - [`RecordingSink`]: an in-memory sink stamping events with microsecond
 //!   wall-clock offsets and a per-thread tag — usable concurrently from
 //!   pool workers;

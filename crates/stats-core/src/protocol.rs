@@ -192,6 +192,25 @@ impl SpecTrace {
         self.nodes.len() - 1
     }
 
+    /// Append a sub-trace laid out on its own (a segment, or one plan
+    /// node's run): shift its dependence indices past the nodes already
+    /// here, attach its entry nodes (those with no dependences inside the
+    /// sub-trace) to `entry_deps`, and — when the run was squashed — force
+    /// every node's committed flag off.
+    pub(crate) fn absorb(&mut self, sub: SpecTrace, entry_deps: &[usize], squash: bool) {
+        let base = self.nodes.len();
+        for mut node in sub.nodes {
+            node.deps.iter_mut().for_each(|d| *d += base);
+            if node.deps.is_empty() {
+                node.deps.extend_from_slice(entry_deps);
+            }
+            if squash {
+                node.committed = false;
+            }
+            self.nodes.push(node);
+        }
+    }
+
     /// Total work units across all nodes (committed and squashed).
     pub fn total_work(&self) -> f64 {
         self.nodes.iter().map(|n| n.work.total).sum()
@@ -719,22 +738,13 @@ impl<T: StateTransition> SegmentAccumulator<T> {
         self.report.committed_original_work += r.report.committed_original_work;
         self.report.committed_aux_work += r.report.committed_aux_work;
         self.report.squashed_work += r.report.squashed_work;
-        // Chain the trace: shift the segment's dependence indices past the
-        // nodes already merged, and add the cross-segment state edge — a
-        // segment's entry nodes (group 0's first invocation and every
-        // auxiliary run, the nodes with no intra-segment dependences) start
-        // from the previous segment's committed final state, so they must
-        // depend on the node that produced it.
+        // Chain the trace with the cross-segment state edge: a segment's
+        // entry nodes (group 0's first invocation and every auxiliary run)
+        // start from the previous segment's committed final state, so they
+        // must depend on the node that produced it.
         let base = self.trace.nodes.len();
-        for mut node in r.trace.nodes {
-            node.deps.iter_mut().for_each(|d| *d += base);
-            if node.deps.is_empty() {
-                if let Some(p) = self.prev_final {
-                    node.deps.push(p);
-                }
-            }
-            self.trace.nodes.push(node);
-        }
+        self.trace
+            .absorb(r.trace, self.prev_final.as_slice(), false);
         self.prev_final = self.trace.nodes[base..]
             .iter()
             .rposition(|n| n.committed)
@@ -1588,12 +1598,13 @@ mod tests {
         assert!(json.ends_with("]}"));
         // One complete event per trace node, plus the wall-clock section.
         assert_eq!(json.matches("\"ph\":\"X\"").count(), r.trace.nodes.len());
-        assert!(json.contains("\"ph\":\"B\""));
-        assert!(json.contains("\"ph\":\"E\""));
+        // Every span that begins ends.
+        let begins = json.matches("\"ph\":\"B\"").count();
+        assert!(begins > 0);
+        assert_eq!(begins, json.matches("\"ph\":\"E\"").count());
         assert!(json.contains("virtual schedule"));
         assert!(json.contains("wall clock"));
-        // Balanced braces/brackets (a cheap structural JSON check; the CI
-        // smoke step parses the exported file with a real JSON parser).
+        // Balanced braces/brackets (a cheap structural JSON check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

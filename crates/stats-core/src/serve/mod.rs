@@ -918,17 +918,24 @@ mod tests {
 
     #[test]
     fn weighted_tenant_gets_more_admission_credit() {
-        // Both tenants backlogged behind a 1-slot admission window; the
-        // weight-4 tenant must be admitted measurably more often per
-        // round once both spill.
+        // Whether a `try_push` takes the fast path or spills races with the
+        // tenant's session, so the backlog is built under the state lock,
+        // which the dispatcher holds for a whole round: both tenants are
+        // fully backlogged before the first round, and the session window
+        // holds every input, so each round moves exactly the tenant's
+        // credit — `quantum` for weight 1, `4 * quantum` for weight 4.
+        const INPUTS: u64 = 128;
+        const QUANTUM: u64 = 2;
         let pool = Arc::new(ThreadPool::new(1));
         let server = SessionServer::new(
             Arc::clone(&pool),
             ServerOptions::default()
-                .session_queue_capacity(1)
+                .session_queue_capacity(INPUTS as usize)
                 .spill_mem_capacity(8)
                 .spill_segment(8)
-                .fairness(FairnessPolicy::DeficitWeighted { quantum: 2 }),
+                .fairness(FairnessPolicy::DeficitWeighted {
+                    quantum: QUANTUM as usize,
+                }),
         );
         let light = server.open_tenant(
             Noisy(0.0),
@@ -941,24 +948,27 @@ mod tests {
             RunOptions::default().config(config()).seed(2),
             4,
         );
-        for i in 0..128u64 {
-            light.try_push(i).unwrap();
-            heavy.try_push(i).unwrap();
+        {
+            let mut state = server.shared.state.lock();
+            for handle in [&light, &heavy] {
+                let slot = state.tenants[handle.id].as_mut().expect("open tenant");
+                for i in 0..INPUTS {
+                    handle.spill_push(slot, i).expect("spill");
+                }
+            }
         }
         let lo = light.finish().expect("light");
         let hi = heavy.finish().expect("heavy");
-        assert_eq!(lo.outputs.len(), 128);
-        assert_eq!(hi.outputs.len(), 128);
+        assert_eq!(lo.outputs.len(), INPUTS as usize);
+        assert_eq!(hi.outputs.len(), INPUTS as usize);
         let m = server.metrics();
         let light_m = m.tenant(0).expect("light metrics");
         let heavy_m = m.tenant(1).expect("heavy metrics");
-        // Identical workloads: both finish, and neither starves. The
-        // weighted tenant cannot have needed more rounds than the light
-        // one (it drains at least as fast per round).
-        assert!(light_m.pushed == 128 && heavy_m.pushed == 128);
-        assert!(
-            heavy_m.admission_rounds <= light_m.admission_rounds.max(1),
-            "weight-4 tenant took more rounds than weight-1: {heavy_m:?} vs {light_m:?}"
-        );
+        for t in [light_m, heavy_m] {
+            assert_eq!((t.pushed, t.fast_path, t.admitted), (INPUTS, 0, INPUTS));
+        }
+        assert_eq!(light_m.admission_rounds, INPUTS / QUANTUM);
+        assert_eq!(heavy_m.admission_rounds, INPUTS / (4 * QUANTUM));
+        assert_eq!(m.dispatch_rounds, light_m.admission_rounds);
     }
 }

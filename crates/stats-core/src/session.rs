@@ -287,11 +287,12 @@ impl<T: StateTransition> Session<T> {
 
     /// Enqueue a batch through the bounded queue in capacity-sized chunks:
     /// one lock acquisition and one coordinator notification per *chunk*
-    /// instead of per input (the `push_batch` Criterion bench measures the
-    /// lock-churn win). Blocks whenever the queue is full mid-batch;
-    /// returns how many inputs were enqueued, which is all of them unless
-    /// the coordinator terminated partway (the error reports the pending
-    /// panic like [`try_push`](Session::try_push)).
+    /// instead of per input (`stats-benchmark`'s
+    /// `session.chunk1_ns_per_input` is the same stream pushed one input at
+    /// a time). Blocks whenever the queue is full mid-batch; returns how
+    /// many inputs were enqueued, which is all of them unless the
+    /// coordinator terminated partway (the error reports the pending panic
+    /// like [`try_push`](Session::try_push)).
     pub fn try_push_batch(
         &self,
         inputs: impl IntoIterator<Item = T::Input>,

@@ -23,9 +23,10 @@
 //! `matches_any` tolerance, exactly the property the paper's auxiliary
 //! code exploits on the linear stream.
 //!
-//! The families are driven by the `dag_driver` bench (the `dag` section of
-//! `BENCH_pipeline.json`) and the DAG property suite; they are not part of
-//! the paper's [`BenchmarkId`](crate::BenchmarkId) roster.
+//! The families are driven by the `dag_small`/`dag_large` workloads of
+//! `stats-benchmark` (`dag.<family>.pooled_vs_seq` in `BENCHMARK.json`) and
+//! the DAG property suite; they are not part of the paper's
+//! [`BenchmarkId`](crate::BenchmarkId) roster.
 
 pub mod ensemble;
 pub mod gameloop;

@@ -201,6 +201,69 @@ proptest! {
     }
 }
 
+/// One seeded plan per [`FaultKind`]. The rows below are both the list the
+/// test walks and the arms of an exhaustive `match`, so a variant without a
+/// row (new in the enum, or deleted here) does not compile.
+macro_rules! fault_rows {
+    ($($kind:ident => $builder:ident($rule:expr)),* $(,)?) => {
+        fn fault_rows() -> Vec<(FaultKind, FaultPlan)> {
+            let plan_for = |kind: FaultKind| {
+                let plan = FaultPlan::new(0xC4A0_5000 + kind as u64);
+                match kind {
+                    $(FaultKind::$kind => plan.$builder($rule),)*
+                }
+            };
+            [$(FaultKind::$kind),*].into_iter().map(|k| (k, plan_for(k))).collect()
+        }
+    };
+}
+
+fault_rows! {
+    WorkerPanic => worker_panic(FaultRule::transient(1.0)),
+    ValidationMismatch => validation_mismatch(FaultRule::transient(0.5)),
+    SlowGroup => slow_group(FaultRule::slow(0.5, Duration::from_micros(100))),
+    QueueStall => queue_stall(FaultRule::slow(0.3, Duration::from_micros(50))),
+}
+
+/// Per fault kind: a plan injecting only that kind fires it at least once,
+/// two streamed runs of the plan are indistinguishable (outputs, report,
+/// trace, event multiset), and the faulted run still commits the
+/// sequential reference outputs.
+#[test]
+fn every_fault_kind_fires_and_repeats_identically() {
+    let inputs: Vec<u64> = (0..96).collect();
+    let config = SpecConfig {
+        group_size: 8,
+        window: 1,
+        max_reexec: 2,
+        ..SpecConfig::default()
+    };
+    let reference = run_protocol(&WindowLast, &inputs, &ExactState(0u64), &config, 17);
+    for (kind, plan) in fault_rows() {
+        let run = || {
+            let sink = Arc::new(RecordingSink::new());
+            let o = stream_faulted(&inputs, &config, 17, plan, false, Some(Arc::clone(&sink)));
+            let events = sink.events();
+            let fired = events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::FaultInjected { kind: k, .. } if k == kind))
+                .count();
+            let mut l = labels(&events);
+            l.sort();
+            (o, l, fired)
+        };
+        let (a, la, fired) = run();
+        let (b, lb, _) = run();
+        let name = kind.label();
+        assert!(fired > 0, "{name}: the plan never fired");
+        assert_eq!(la, lb, "{name}: event multisets differ");
+        assert_eq!(a.outputs, b.outputs, "{name}: outputs differ");
+        assert_eq!(a.report, b.report, "{name}: reports differ");
+        assert_eq!(a.trace, b.trace, "{name}: traces differ");
+        assert_eq!(a.outputs, reference.outputs, "{name}: not the reference");
+    }
+}
+
 /// Every speculative group's first dispatch dies; the retry (attempt 1)
 /// succeeds. The stream must recover every group through the retry path
 /// and commit the reference outputs.
