@@ -1,7 +1,6 @@
 //! The benchmark harness: one regeneration function per table/figure of the
 //! STATS evaluation (§4). The `figures` binary prints the same rows/series
-//! the paper reports; the Criterion benches under `benches/` wrap the same
-//! functions.
+//! the paper reports.
 //!
 //! Absolute numbers differ from the paper's (our substrate is a simulated
 //! 28-core Haswell, not the authors' testbed); the *shape* — who wins, by

@@ -38,8 +38,8 @@ use crate::faults::{FaultKind, FaultPlan};
 use crate::obs::{EventKind, EventSink};
 use crate::plan::{PlanNodeId, SpecPlan};
 use crate::protocol::{
-    run_invocation, run_observed_inner, ProtocolResult, SpecConfig, SpecReport, SpecTrace,
-    TraceNodeKind,
+    run_invocation, run_observed_inner, segment_seed, ProtocolResult, SpecConfig, SpecReport,
+    SpecTrace, TraceNodeKind,
 };
 use crate::sdi::{SpecState, StateTransition};
 
@@ -53,11 +53,11 @@ const PLAN_AUX_SALT: u64 = 0x0DA6_A0C1_7E57_A0ED;
 /// run's (the DAG analog of the linear tail's attempt bump).
 const DAG_RERUN_SALT: u64 = 0x0DA6_2E2C_5EED_F00D;
 
-/// The seed of `node`'s internal protocol run. Matches the segmented path's
-/// `run_seed ^ seg_idx << 32` derivation — the reason a linear
+/// The seed of `node`'s internal protocol run: the segmented path's
+/// derivation with the node as the segment — the reason a linear
 /// non-speculative plan is byte-identical to `RunOptions::segment`.
-pub(crate) fn node_seed(run_seed: u64, node: PlanNodeId) -> u64 {
-    run_seed ^ (node as u64) << 32
+fn node_seed(run_seed: u64, node: PlanNodeId) -> u64 {
+    segment_seed(run_seed, node as u64)
 }
 
 fn rerun_seed(run_seed: u64, node: PlanNodeId) -> u64 {
@@ -749,17 +749,6 @@ mod tests {
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.report, b.report);
         assert_eq!(a.trace, b.trace);
-    }
-
-    #[test]
-    fn node_seed_matches_segmented_derivation() {
-        // The segmented path derives `run_seed ^ seg_idx << 32`; node seeds
-        // must be identical for the linear-plan reduction to hold.
-        for seed in [0u64, 1, 0xDEAD_BEEF] {
-            for node in 0..5usize {
-                assert_eq!(node_seed(seed, node), seed ^ (node as u64) << 32);
-            }
-        }
     }
 
     #[test]

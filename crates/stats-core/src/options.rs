@@ -9,7 +9,7 @@
 //! [`run_protocol_with_options`](crate::run_protocol_with_options), and the
 //! streaming [`Session`](crate::Session).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::adapt::{AdaptPolicy, RetryPolicy, Retuner};
 use crate::faults::FaultPlan;
@@ -17,6 +17,7 @@ use crate::obs::{EventSink, NoopSink};
 use crate::plan::SpecPlan;
 use crate::pool::{Priority, ThreadPool};
 use crate::protocol::SpecConfig;
+use crate::sync::Mutex;
 
 /// Options shared by every way of executing the STATS protocol.
 ///

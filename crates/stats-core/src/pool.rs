@@ -1,13 +1,14 @@
-//! A fixed-size, work-stealing thread pool whose jobs can be taken back.
+//! A fixed-size thread pool whose jobs can be taken back.
 //!
 //! The paper's runtime "includes an efficient thread pool implementation
 //! (shared with all state dependences) to minimize thread creation
-//! overhead". This pool is created once and shared. Jobs are distributed
-//! over per-worker deques (`crossbeam-deque`): each worker pops from its
-//! own queue, falls back to the shared injector, and finally steals from
-//! siblings — the standard work-stealing discipline, which keeps group
-//! executions balanced even when their costs are skewed (e.g. groups with
-//! different auxiliary windows).
+//! overhead". This pool is created once and shared. Submitted jobs wait in
+//! one of two FIFO lanes (see [`Priority`]) that live, with the rest of the
+//! pool's state, under one mutex: every idle worker takes the oldest job of
+//! the high lane, else of the normal lane, so group executions stay
+//! balanced when their costs are skewed (e.g. groups with different
+//! auxiliary windows) — no worker holds work another could run. Looking at
+//! the lanes and deciding to park are one critical section.
 //!
 //! Speculation only pays when coordinating a group costs less than running
 //! it, so the pool wakes nobody it does not need:
@@ -26,15 +27,15 @@
 //! [`ThreadPool::scope`] provides structured completion: wait until every
 //! job submitted in the scope has finished.
 
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use crate::sync::deque::{Injector, Steal, Stealer, Worker};
 use crate::sync::{thread, Arc, CachePadded, Condvar, Mutex};
 
 /// A submitted closure in the slot it waits in until a thread claims it.
-/// The queues and the [`Ticket`] share it; `take()` under the mutex is the
-/// claim, so the closure runs exactly once whoever gets there first.
+/// Its lane entry and the [`Ticket`] share it; `take()` under the mutex is
+/// the claim, so the closure runs exactly once whoever gets there first.
 struct Task(Mutex<Option<Box<dyn FnOnce() + Send>>>);
 
 type Job = Arc<Task>;
@@ -48,12 +49,11 @@ const PARK_BACKSTOP: Duration = Duration::from_millis(1);
 
 /// Dispatch lane for a submitted job.
 ///
-/// The pool keeps two global injectors. Workers drain the high lane
-/// before touching their local deque or the normal injector, so
-/// latency-critical jobs (e.g. speculative groups of a high-priority
-/// tenant behind the [`serve`](crate::serve) front door) overtake bulk
-/// work that was submitted earlier without preempting anything already
-/// running. Within a lane, order stays FIFO.
+/// The pool keeps two queues. Workers drain the high lane before touching
+/// the normal one, so latency-critical jobs (e.g. speculative groups of a
+/// high-priority tenant behind the [`serve`](crate::serve) front door)
+/// overtake bulk work that was submitted earlier without preempting
+/// anything already running. Within a lane, order stays FIFO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Priority {
     /// The default lane; all pre-existing entry points submit here.
@@ -74,8 +74,6 @@ pub enum Priority {
 struct PoolCounters {
     /// Jobs completed, by workers and ticket holders alike.
     jobs: CachePadded<AtomicU64>,
-    /// Successful steals from a sibling worker's deque.
-    steals: CachePadded<AtomicU64>,
     /// Deepest backlog of unclaimed jobs observed at submission time.
     max_injector_depth: CachePadded<AtomicU64>,
     /// Per-worker nanoseconds spent executing jobs (not idling).
@@ -86,23 +84,23 @@ struct PoolCounters {
 }
 
 struct PoolShared {
-    /// Padded so injector traffic doesn't drag the stealers/lock lines along.
-    injector: CachePadded<Injector<Job>>,
-    /// High-priority lane, drained by workers before any other source.
-    priority_injector: CachePadded<Injector<Job>>,
-    stealers: Vec<Stealer<Job>>,
-    /// Jobs submitted and not yet claimed. Raised under `live` before the
-    /// job is pushed, lowered by the claiming thread; a worker parks only
-    /// when it reads zero under `live` (docs/concurrency.md).
-    unclaimed: CachePadded<AtomicUsize>,
-    /// Jobs submitted but not yet finished; also the shutdown flag home.
+    /// The lanes and everything a worker decides to park or exit on.
     live: Mutex<PoolState>,
     /// Parked workers wait here; its waiter count is the sleeper count.
     wake: Condvar,
+    /// Jobs submitted and not yet claimed: raised by `enqueue`, lowered by
+    /// the claiming thread. Only the source of `max_injector_depth` — the
+    /// lanes' lengths would also count entries whose ticket holder has
+    /// already run the job.
+    unclaimed: CachePadded<AtomicUsize>,
     counters: PoolCounters,
 }
 
 struct PoolState {
+    /// The [`Priority::High`] lane, drained before `normal`.
+    high: VecDeque<Job>,
+    normal: VecDeque<Job>,
+    /// Jobs submitted but not yet finished.
     pending: usize,
     shutdown: bool,
 }
@@ -195,8 +193,7 @@ impl std::fmt::Debug for Ticket {
     }
 }
 
-/// A fixed-size pool of worker threads executing submitted closures with
-/// work stealing.
+/// A fixed-size pool of worker threads executing submitted closures.
 pub struct ThreadPool {
     shared: Arc<PoolShared>,
     workers: Vec<thread::JoinHandle<()>>,
@@ -206,22 +203,18 @@ impl ThreadPool {
     /// Spawn a pool with `threads` workers (at least 1).
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let locals: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers = locals.iter().map(Worker::stealer).collect();
         let counter = || CachePadded::new(AtomicU64::new(0));
         let shared = Arc::new(PoolShared {
-            injector: CachePadded::new(Injector::new()),
-            priority_injector: CachePadded::new(Injector::new()),
-            stealers,
-            unclaimed: CachePadded::new(AtomicUsize::new(0)),
             live: Mutex::new(PoolState {
+                high: VecDeque::new(),
+                normal: VecDeque::new(),
                 pending: 0,
                 shutdown: false,
             }),
             wake: Condvar::new(),
+            unclaimed: CachePadded::new(AtomicUsize::new(0)),
             counters: PoolCounters {
                 jobs: counter(),
-                steals: counter(),
                 max_injector_depth: counter(),
                 busy_ns: (0..threads).map(|_| counter()).collect(),
                 helped_jobs: counter(),
@@ -229,15 +222,15 @@ impl ThreadPool {
             },
         });
 
-        let mut workers = Vec::with_capacity(threads);
-        for (i, local) in locals.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let handle = thread::Builder::new()
-                .name(format!("stats-worker-{i}"))
-                .spawn(move || worker_loop(i, local, shared))
-                .expect("failed to spawn worker thread");
-            workers.push(handle);
-        }
+        let workers = (0..threads)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("stats-worker-{i}"))
+                    .spawn(move || worker_loop(i, &shared))
+                    .expect("failed to spawn worker thread")
+            })
+            .collect();
         ThreadPool { shared, workers }
     }
 
@@ -264,18 +257,17 @@ impl ThreadPool {
     fn enqueue(&self, priority: Priority, job: Box<dyn FnOnce() + Send>) -> Job {
         let job: Job = Arc::new(Task(Mutex::new(Some(job))));
         let depth = {
-            // Published under `live`: a worker decides to park under the
-            // same lock, so it either sees this job or is already waiting
-            // when the notify below looks for sleepers.
+            // Published under `live`: a worker looks at the lanes and
+            // parks under the same lock, so it either sees this job or is
+            // already waiting when the notify below looks for sleepers.
             let mut state = self.shared.live.lock();
             assert!(!state.shutdown, "pool is shut down");
             state.pending += 1;
-            let depth = self.shared.unclaimed.fetch_add(1, Ordering::Relaxed) + 1;
             match priority {
-                Priority::Normal => self.shared.injector.push(Arc::clone(&job)),
-                Priority::High => self.shared.priority_injector.push(Arc::clone(&job)),
+                Priority::Normal => state.normal.push_back(Arc::clone(&job)),
+                Priority::High => state.high.push_back(Arc::clone(&job)),
             }
-            depth
+            self.shared.unclaimed.fetch_add(1, Ordering::Relaxed) + 1
         };
         self.shared
             .counters
@@ -291,7 +283,7 @@ impl ThreadPool {
         let nanos = |ns: &AtomicU64| Duration::from_nanos(ns.load(Ordering::Relaxed));
         PoolMetrics {
             jobs_executed: c.jobs.load(Ordering::Acquire),
-            steals: c.steals.load(Ordering::Relaxed),
+            steals: 0,
             max_injector_depth: c.max_injector_depth.load(Ordering::Relaxed),
             busy: c.busy_ns.iter().map(|ns| nanos(ns)).collect(),
             helped_jobs: c.helped_jobs.load(Ordering::Relaxed),
@@ -362,7 +354,7 @@ impl ThreadPool {
         let target = jobs_before + total as u64;
         // Ordering: Acquire pairs with the Release increment in
         // `Finished::drop` so that once the settle loop exits, each counted
-        // job's side effects (busy_ns, steal counters) are visible — see
+        // job's side effects (busy_ns, the helper pair) are visible — see
         // docs/concurrency.md, pinned by `pool_scope_settle_publishes_metrics`.
         while self.shared.counters.jobs.load(Ordering::Acquire) < target {
             thread::yield_now();
@@ -424,10 +416,13 @@ pub struct PoolMetrics {
     /// Jobs completed since the pool was created — each submitted job
     /// once, whether a worker or its ticket's holder ran it.
     pub jobs_executed: u64,
-    /// Successful steals from sibling workers (work that migrated).
+    /// Always 0 — one shared queue per lane, nothing to steal. Kept as a
+    /// field for the readers that name it.
     pub steals: u64,
     /// Deepest backlog of submitted jobs no thread had claimed yet,
-    /// observed at submission time.
+    /// observed at submission time. Read from a counter of unclaimed jobs,
+    /// not from the lanes' lengths, which also hold the entries of jobs
+    /// their ticket holders ran.
     pub max_injector_depth: u64,
     /// Per-worker time spent executing jobs (index = worker).
     pub busy: Vec<Duration>,
@@ -467,69 +462,24 @@ impl PoolMetrics {
     }
 }
 
-fn find_job(idx: usize, local: &Worker<Job>, shared: &PoolShared) -> Option<Job> {
-    // The high-priority lane preempts every other source (one job at a
-    // time — batch-stealing would bury priority jobs in the local FIFO
-    // behind normal work), then own queue, then the normal injector
-    // (refilling the local queue), then steal from siblings.
+fn worker_loop(idx: usize, shared: &PoolShared) {
+    let mut state = shared.live.lock();
     loop {
-        match shared.priority_injector.steal() {
-            Steal::Success(job) => return Some(job),
-            Steal::Empty => break,
-            Steal::Retry => continue,
-        }
-    }
-    if let Some(job) = local.pop() {
-        return Some(job);
-    }
-    loop {
-        let steal = shared.injector.steal_batch_and_pop(local);
-        if let Steal::Success(job) = steal {
-            return Some(job);
-        }
-        if steal.is_empty() {
-            break;
-        } // Retry on contention.
-    }
-    for (j, stealer) in shared.stealers.iter().enumerate() {
-        if j == idx {
-            continue;
-        }
-        loop {
-            match stealer.steal() {
-                Steal::Success(job) => {
-                    shared.counters.steals.fetch_add(1, Ordering::Relaxed);
-                    return Some(job);
-                }
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
-        }
-    }
-    None
-}
-
-fn worker_loop(idx: usize, local: Worker<Job>, shared: Arc<PoolShared>) {
-    loop {
-        if let Some(job) = find_job(idx, &local, &shared) {
+        let next = state.high.pop_front().or_else(|| state.normal.pop_front());
+        if let Some(job) = next {
+            drop(state);
             // An entry whose ticket holder ran the job is simply dropped.
             shared.run(&job, Runner::Worker(idx));
+            drop(job);
+            state = shared.live.lock();
             continue;
         }
-        // Nothing runnable: park until new work or shutdown.
-        let mut state = shared.live.lock();
         if state.shutdown && state.pending == 0 {
             return;
         }
-        if shared.unclaimed.load(Ordering::Relaxed) > 0 {
-            // A job was published since the search above, or a sibling has
-            // popped one and not claimed it yet: look again.
-            drop(state);
-            thread::yield_now();
-            continue;
-        }
-        // Also the wait of a shutdown with jobs still in flight elsewhere:
-        // their completion notifies `wake` once `shutdown` is set.
+        // Nothing queued: park until new work or shutdown. Also the wait
+        // of a shutdown with jobs still in flight elsewhere: their
+        // completion notifies `wake` once `shutdown` is set.
         shared.wake.wait_backstop(&mut state, PARK_BACKSTOP);
     }
 }
@@ -550,6 +500,27 @@ impl Drop for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A latch tests wedge a worker on: `wait` blocks until `open`.
+    #[derive(Default)]
+    struct Gate {
+        open: Mutex<bool>,
+        changed: Condvar,
+    }
+
+    impl Gate {
+        fn wait(&self) {
+            let mut open = self.open.lock();
+            while !*open {
+                self.changed.wait(&mut open);
+            }
+        }
+
+        fn open(&self) {
+            *self.open.lock() = true;
+            self.changed.notify_all();
+        }
+    }
 
     #[test]
     fn executes_all_jobs() {
@@ -616,28 +587,40 @@ mod tests {
     }
 
     #[test]
-    fn skewed_job_costs_balance_via_stealing() {
-        // One long job + many short ones: total wall time must be far below
-        // the serial sum, i.e. short jobs ran on other workers while one
-        // worker was stuck with the long job.
-        let pool = ThreadPool::new(4);
-        let start = std::time::Instant::now();
-        let jobs: Vec<_> = (0..40)
-            .map(|i| {
-                move |_idx: usize| {
-                    let ms = if i == 0 { 60 } else { 3 };
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-            })
-            .collect();
-        pool.scope(jobs);
-        let elapsed = start.elapsed();
-        // Serial: 60 + 39*3 = 177ms. Balanced on 4 workers: ~60-110ms.
-        assert!(
-            elapsed.as_millis() < 160,
-            "no overlap: {}ms",
-            elapsed.as_millis()
-        );
+    fn skewed_job_costs_balance_across_workers() {
+        // One worker is stuck with a long job (it runs until the gate
+        // opens). `execute` keeps the caller out, so only the other worker
+        // can run the short jobs: all of them must finish while the long
+        // one is still running, and each exactly once.
+        let pool = ThreadPool::new(2);
+        let gate = Arc::new(Gate::default());
+        let long_started = Arc::new(Gate::default());
+        {
+            let (gate, started) = (Arc::clone(&gate), Arc::clone(&long_started));
+            pool.execute(move || {
+                started.open();
+                gate.wait();
+            });
+        }
+        long_started.wait();
+        let runs = Arc::new((Mutex::new(vec![0u32; 40]), Condvar::new()));
+        for i in 0..40 {
+            let runs = Arc::clone(&runs);
+            pool.execute(move || {
+                runs.0.lock()[i] += 1;
+                runs.1.notify_all();
+            });
+        }
+        let mut seen = runs.0.lock();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while seen.iter().sum::<u32>() < 40 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "short jobs stuck behind the long one");
+            runs.1.wait_for(&mut seen, left);
+        }
+        assert_eq!(*seen, vec![1; 40], "job lost or run twice");
+        drop(seen);
+        gate.open();
     }
 
     #[test]
@@ -701,7 +684,7 @@ mod tests {
         assert_eq!(m.helped_jobs == 0, m.helper_busy.is_zero());
         let u = m.utilization(wall);
         assert!(u > 0.0 && u <= 1.0, "utilization {u}");
-        // 30 jobs pushed through one injector: a backlog was observable.
+        // 30 jobs pushed through one lane: a backlog was observable.
         assert!(m.max_injector_depth >= 1);
     }
 
@@ -715,26 +698,25 @@ mod tests {
     }
 
     #[test]
-    fn steals_observed_under_skew() {
-        // One worker gets a long job batch-stolen into its local queue;
-        // siblings must steal from it (or the injector) to stay busy. The
-        // steal counter is best-effort: assert it doesn't panic and is
-        // consistent with jobs having run somewhere.
-        let pool = ThreadPool::new(4);
-        let jobs: Vec<_> = (0..64)
-            .map(|i| {
-                move |_idx: usize| {
-                    let ms = if i % 8 == 0 { 5 } else { 0 };
-                    if ms > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(ms));
-                    }
-                }
-            })
-            .collect();
-        pool.scope(jobs);
-        let m = pool.metrics();
-        assert_eq!(m.jobs_executed, 64);
-        assert!(m.steals <= 64);
+    fn jobs_in_a_lane_start_in_submission_order() {
+        // One worker, wedged on a gate job while 32 jobs queue up behind
+        // it: a lane is FIFO, so they start in the order they were
+        // submitted (what the in-order resolvers wait for first, runs
+        // first).
+        let pool = ThreadPool::new(1);
+        let gate = Arc::new(Gate::default());
+        {
+            let gate = Arc::clone(&gate);
+            pool.execute(move || gate.wait());
+        }
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..32 {
+            let order = Arc::clone(&order);
+            pool.execute(move || order.lock().push(i));
+        }
+        gate.open();
+        drop(pool); // drains everything
+        assert_eq!(*order.lock(), (0..32).collect::<Vec<_>>());
     }
 
     #[test]
@@ -743,17 +725,11 @@ mod tests {
         // burst of normal jobs and then one high-priority job: the
         // priority job must run before any of the queued normal jobs.
         let pool = ThreadPool::new(1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let gate = Arc::new(Gate::default());
         let order = Arc::new(Mutex::new(Vec::new()));
         {
             let gate = Arc::clone(&gate);
-            pool.execute(move || {
-                let (lock, cvar) = &*gate;
-                let mut open = lock.lock();
-                while !*open {
-                    cvar.wait(&mut open);
-                }
-            });
+            pool.execute(move || gate.wait());
         }
         for i in 0..8 {
             let order = Arc::clone(&order);
@@ -765,8 +741,7 @@ mod tests {
                 order.lock().push("high".to_string())
             });
         }
-        *gate.0.lock() = true;
-        gate.1.notify_all();
+        gate.open();
         drop(pool); // drains everything
         let order = order.lock().clone();
         assert_eq!(order.len(), 9);

@@ -516,15 +516,22 @@ pub fn run_protocol_with_options<T: StateTransition>(
             &*options.sink,
             options.faults.as_ref(),
         ),
-        Some(segment) => run_segmented_inner(
-            transition,
-            inputs,
-            initial,
-            &options.config,
+        Some(segment) => run_segmented(
+            inputs.len(),
+            initial.clone(),
             options.seed,
             segment,
-            &*options.sink,
-            options.faults.as_ref(),
+            |range, seed, state| {
+                run_observed_inner(
+                    transition,
+                    &inputs[range],
+                    state,
+                    &options.config,
+                    seed,
+                    &*options.sink,
+                    options.faults.as_ref(),
+                )
+            },
         ),
     }
 }
@@ -653,9 +660,17 @@ impl fmt::Display for SpecReport {
     }
 }
 
-/// Run the execution model over `inputs` in consecutive segments of
+/// The seed of segment `idx`'s own protocol run (plan nodes count as
+/// segments). The batch, pooled, streaming and plan drivers all derive it
+/// here: their bit-identity to each other rests on it.
+pub(crate) fn segment_seed(run_seed: u64, idx: u64) -> u64 {
+    run_seed ^ idx << 32
+}
+
+/// Run the execution model over `n` inputs in consecutive segments of
 /// `segment` inputs each, carrying the committed final state across
-/// segments.
+/// segments. `run_chunk(range, seed, state)` runs one segment — the
+/// sequential reference in a loop, the pooled runtime on its workers.
 ///
 /// §3.1's abort rule says "no other speculation is performed until all the
 /// *current* inputs are processed": in a long-running program the state
@@ -663,29 +678,18 @@ impl fmt::Display for SpecReport {
 /// an abort disables speculation only for the rest of its own segment —
 /// the next segment speculates afresh. Reports are merged (group indices
 /// keep segment-local numbering).
-#[allow(clippy::too_many_arguments)] // one parameter per execution-model knob
-fn run_segmented_inner<T: StateTransition>(
-    transition: &T,
-    inputs: &[T::Input],
-    initial: &T::State,
-    config: &SpecConfig,
+pub(crate) fn run_segmented<T: StateTransition>(
+    n: usize,
+    initial: T::State,
     run_seed: u64,
     segment: usize,
-    sink: &dyn EventSink,
-    faults: Option<&FaultPlan>,
+    mut run_chunk: impl FnMut(std::ops::Range<usize>, u64, &T::State) -> ProtocolResult<T>,
 ) -> ProtocolResult<T> {
     let segment = segment.max(1);
-    let mut acc = SegmentAccumulator::new(initial.clone());
-    for (seg_idx, chunk) in inputs.chunks(segment).enumerate() {
-        let r = run_observed_inner(
-            transition,
-            chunk,
-            acc.state(),
-            config,
-            run_seed ^ (seg_idx as u64) << 32,
-            sink,
-            faults,
-        );
+    let mut acc = SegmentAccumulator::new(initial);
+    for (seg_idx, lo) in (0..n).step_by(segment).enumerate() {
+        let hi = (lo + segment).min(n);
+        let r = run_chunk(lo..hi, segment_seed(run_seed, seg_idx as u64), acc.state());
         acc.absorb(r);
     }
     acc.finish()

@@ -1155,8 +1155,7 @@ where
                 _ => None,
             })
             .collect();
-        Arc::new(std::sync::Mutex::new(ReplayRetuner { decisions }))
-            as Arc<std::sync::Mutex<dyn Retuner>>
+        Arc::new(Mutex::new(ReplayRetuner { decisions })) as Arc<Mutex<dyn Retuner>>
     });
 
     let tape = Arc::new(TapeSink::over(Arc::clone(&options.sink)));

@@ -18,7 +18,7 @@ use crate::dag::{assert_plan_matches, node_is_eager, run_node_eager, NodeRun, Pl
 use crate::options::RunOptions;
 use crate::pool::{Priority, ThreadPool, Ticket};
 use crate::protocol::{
-    execute_group, run_protocol_with, ProtocolResult, SegmentAccumulator, SpecReport, SpecTrace,
+    execute_group, run_protocol_with, run_segmented, ProtocolResult, SpecReport, SpecTrace,
 };
 use crate::sdi::StateTransition;
 
@@ -202,23 +202,15 @@ fn run_pooled<T: StateTransition>(
             shared.inputs.len(),
             shared.initial.clone(),
         ),
-        Some(segment) => {
-            let segment = segment.max(1);
-            let n = shared.inputs.len();
-            let mut acc: SegmentAccumulator<T> = SegmentAccumulator::new(shared.initial.clone());
-            let mut lo = 0usize;
-            let mut seg_idx = 0u64;
-            while lo < n {
-                let hi = (lo + segment).min(n);
-                let initial = acc.state().clone();
-                let r =
-                    run_pooled_chunk(shared, pool, options.seed ^ seg_idx << 32, lo, hi, initial);
-                acc.absorb(r);
-                lo = hi;
-                seg_idx += 1;
-            }
-            acc.finish()
-        }
+        Some(segment) => run_segmented(
+            shared.inputs.len(),
+            shared.initial.clone(),
+            options.seed,
+            segment,
+            |range, seed, state: &T::State| {
+                run_pooled_chunk(shared, pool, seed, range.start, range.end, state.clone())
+            },
+        ),
     }
 }
 

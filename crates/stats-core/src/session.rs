@@ -35,8 +35,8 @@ use crate::obs::{EventKind, EventSink};
 use crate::options::RunOptions;
 use crate::pool::{Priority, ThreadPool, Ticket};
 use crate::protocol::{
-    execute_group, run_invocation, GroupData, GroupSpec, ProtocolResult, SegmentAccumulator,
-    SpecConfig, SpecReport, SpecTrace,
+    execute_group, run_invocation, segment_seed, GroupData, GroupSpec, ProtocolResult,
+    SegmentAccumulator, SpecConfig, SpecReport, SpecTrace,
 };
 use crate::resolver::Resolver;
 use crate::runtime::{resolve_pool, SpecOutcome};
@@ -610,7 +610,7 @@ fn stream_main<T: StateTransition>(
                     shared,
                     ctx,
                     pool,
-                    options.seed ^ seg_idx << 32,
+                    segment_seed(options.seed, seg_idx),
                     acc.state().clone(),
                     segment,
                     max_inflight,
@@ -642,7 +642,7 @@ fn stream_main<T: StateTransition>(
                 }
                 if let Some(rt) = retuner {
                     let decision = {
-                        let mut rt = rt.lock().unwrap_or_else(|e| e.into_inner());
+                        let mut rt = rt.lock();
                         rt.observe(&stats);
                         rt.decide(seg_idx)
                     };

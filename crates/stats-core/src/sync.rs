@@ -1,18 +1,20 @@
 //! Synchronization facade for the speculation runtime.
 //!
 //! Every concurrency primitive `stats-core` uses — mutexes, condvars,
-//! atomics, threads, and the work-stealing deque — is imported from this
-//! module rather than from `std`/`parking_lot`/`crossbeam` directly. A
-//! normal build re-exports the real primitives unchanged (zero cost); a
-//! build with `RUSTFLAGS="--cfg loom"` swaps in the `loom` model checker's
-//! equivalents, so the loom suites in `tests/loom.rs` exhaustively explore
-//! thread interleavings of the *actual* runtime code paths.
+//! atomics, threads — is imported from this module rather than from `std`
+//! directly. The module is one implementation over a `base` that is
+//! `std::sync` in a normal build and `loom::sync` (same API) in a build
+//! with `RUSTFLAGS="--cfg loom"`, so the loom suites in `tests/loom.rs`
+//! exhaustively explore thread interleavings of the *actual* runtime code
+//! paths, wrappers included. This is also the single place where other
+//! primitives could be swapped in.
 //!
-//! CI enforces the funnel: `ci.sh` greps that no file outside `sync.rs`
-//! imports `std::sync::atomic`, and `ci.sh --loom` runs the model suite.
-//! The memory-ordering audit in `docs/concurrency.md` documents every
-//! atomic routed through here, the happens-before edge its orderings
-//! establish, and the loom model that pins it.
+//! CI enforces the funnel: `ci.sh` greps that no file of `stats-core`
+//! outside `sync.rs` imports a `std::sync` atomic or lock, and `ci.sh
+//! --loom` runs the model suite. The memory-ordering audit in
+//! `docs/concurrency.md` documents every atomic routed through here, the
+//! happens-before edge its orderings establish, and the loom model that
+//! pins it.
 //!
 //! Differences under `cfg(loom)` (all documented in `vendor/loom`):
 //!
@@ -26,23 +28,162 @@
 //! - `thread::available_parallelism` reports a fixed small constant so
 //!   models stay tractable.
 
-#[cfg(not(loom))]
-pub use self::std_impl::*;
-
-#[cfg(loom)]
-pub use self::loom_impl::*;
-
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::PoisonError;
 use std::time::Duration;
 
-/// Condition variable with `parking_lot`'s `&mut guard` signatures whose
-/// notifies cost nothing when nobody waits.
+#[cfg(loom)]
+use loom::sync as base;
+#[cfg(not(loom))]
+use std::sync as base;
+
+pub use self::base::Arc;
+
+/// Atomic integer types and memory orderings (model-checked under loom:
+/// `Relaxed` loads explore stale values, `Acquire`/`Release` pairs
+/// establish happens-before edges the model tracks).
+pub mod atomic {
+    pub use super::base::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+}
+
+/// Thread spawning and control (scheduled by the model under loom).
+pub mod thread {
+    #[cfg(loom)]
+    pub use loom::thread::{panicking, spawn, yield_now, Builder, JoinHandle, Result};
+    #[cfg(not(loom))]
+    pub use std::thread::{panicking, sleep, spawn, yield_now, Builder, JoinHandle, Result};
+
+    /// The model has no clock: sleeping degrades to a cooperative yield so
+    /// the threads being waited on can run.
+    #[cfg(loom)]
+    pub fn sleep(_dur: std::time::Duration) {
+        yield_now();
+    }
+
+    /// Available hardware parallelism, defaulting to 1 when unknown; a
+    /// fixed 2 under the model so models stay tractable.
+    pub fn available_parallelism() -> usize {
+        #[cfg(loom)]
+        return 2;
+        #[cfg(not(loom))]
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    }
+}
+
+/// A mutex whose `lock` returns the guard directly: poisoning is
+/// swallowed, because every structure the runtime locks is valid at every
+/// step and panics are routed to their owner by other means.
+#[derive(Default)]
+pub struct Mutex<T: ?Sized> {
+    inner: base::Mutex<T>,
+}
+
+impl<T> Mutex<T> {
+    /// Wrap `value` in a new mutex.
+    pub fn new(value: T) -> Self {
+        Self {
+            inner: base::Mutex::new(value),
+        }
+    }
+
+    /// Consume the mutex, returning the inner value.
+    pub fn into_inner(self) -> T {
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: ?Sized> Mutex<T> {
+    /// Acquire the lock, ignoring poisoning (a scheduling point under the
+    /// model).
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        MutexGuard {
+            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
+        }
+    }
+}
+
+impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.inner.fmt(f)
+    }
+}
+
+/// RAII guard returned by [`Mutex::lock`].
+pub struct MutexGuard<'a, T: ?Sized> {
+    // Kept in an Option so a condvar wait can take the base guard out by
+    // value and put the reacquired one back.
+    inner: Option<base::MutexGuard<'a, T>>,
+}
+
+impl<T: ?Sized> Deref for MutexGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.inner.as_ref().expect("guard taken during wait")
+    }
+}
+
+impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.inner.as_mut().expect("guard taken during wait")
+    }
+}
+
+/// Result of a timed wait.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitTimeoutResult {
+    timed_out: bool,
+}
+
+impl WaitTimeoutResult {
+    /// Whether the wait ended because the timeout elapsed.
+    pub fn timed_out(&self) -> bool {
+        self.timed_out
+    }
+}
+
+/// The base condvar under `&mut guard` wait signatures; [`Condvar`] adds
+/// the waiter count.
+#[derive(Debug, Default)]
+struct RawCondvar {
+    inner: base::Condvar,
+}
+
+impl RawCondvar {
+    fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        let inner = guard.inner.take().expect("guard taken during wait");
+        let inner = self
+            .inner
+            .wait(inner)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.inner = Some(inner);
+    }
+
+    fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> WaitTimeoutResult {
+        let inner = guard.inner.take().expect("guard taken during wait");
+        let (inner, result) = self
+            .inner
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.inner = Some(inner);
+        WaitTimeoutResult {
+            timed_out: result.timed_out(),
+        }
+    }
+}
+
+/// Condition variable with `&mut guard` wait signatures whose notifies
+/// cost nothing when nobody waits.
 ///
-/// The vendored `parking_lot` stand-in forwards to `std::sync::Condvar`,
-/// which enters the kernel on every `notify_*`; the real `parking_lot`
-/// returns at once when its wait queue is empty. The runtime notifies far
-/// more often than anyone waits (a pool job's completion, a producer's
-/// push, the coordinator's intake), so the count of current waiters is
-/// kept here and a notify that finds it zero does nothing.
+/// `std::sync::Condvar::notify_*` enters the kernel on every call, waiter
+/// or not. The runtime notifies far more often than anyone waits (a pool
+/// job's completion, a producer's push, the coordinator's intake), so the
+/// count of current waiters is kept here and a notify that finds it zero
+/// does nothing.
 ///
 /// **Contract**: whoever makes the waited-for condition true does so
 /// while holding the mutex the waiters wait with, and notifies afterwards
@@ -70,14 +211,14 @@ impl Condvar {
     /// Wake one waiter, if there is one.
     pub fn notify_one(&self) {
         if self.waiters.load(atomic::Ordering::Relaxed) > 0 {
-            self.raw.notify_one();
+            self.raw.inner.notify_one();
         }
     }
 
     /// Wake every waiter, if there is one.
     pub fn notify_all(&self) {
         if self.waiters.load(atomic::Ordering::Relaxed) > 0 {
-            self.raw.notify_all();
+            self.raw.inner.notify_all();
         }
     }
 
@@ -121,349 +262,109 @@ impl Condvar {
     }
 }
 
-/// Production implementation: thin re-exports of the real primitives.
-#[cfg(not(loom))]
-mod std_impl {
-    pub use crossbeam::utils::CachePadded;
-    pub(super) use parking_lot::Condvar as RawCondvar;
-    pub use parking_lot::{Mutex, MutexGuard, WaitTimeoutResult};
-    pub use std::sync::Arc;
+/// Pads and aligns a value to 128 bytes so that neighbouring values land
+/// on distinct cache lines.
+///
+/// Frequently-written shared counters that share a line with unrelated
+/// data cause false sharing: every write invalidates the line in all other
+/// cores' caches even though they touch different bytes. The alignment is
+/// 128 rather than 64 because modern x86_64 prefetchers pull cache lines
+/// in adjacent pairs. Padding is a layout concern invisible to the model,
+/// so the type is the same under loom.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[repr(align(128))]
+pub struct CachePadded<T> {
+    value: T,
+}
 
-    /// Atomic integer types and memory orderings.
-    pub mod atomic {
-        pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+impl<T> CachePadded<T> {
+    /// Pad and align `value`.
+    pub const fn new(value: T) -> Self {
+        CachePadded { value }
     }
 
-    /// Thread spawning and control.
-    pub mod thread {
-        pub use std::thread::{panicking, sleep, spawn, yield_now, Builder, JoinHandle, Result};
-
-        /// Available hardware parallelism, defaulting to 1 when unknown.
-        pub fn available_parallelism() -> usize {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
-    }
-
-    /// Work-stealing deques (crossbeam's `Injector`/`Worker`/`Stealer`).
-    pub mod deque {
-        pub use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+    /// Consume the padding, returning the inner value.
+    pub fn into_inner(self) -> T {
+        self.value
     }
 }
 
-/// Model-checked implementation: loom primitives wrapped back into the
-/// `parking_lot`-style ergonomics the runtime is written against.
-#[cfg(loom)]
-mod loom_impl {
-    use std::fmt;
-    use std::ops::{Deref, DerefMut};
-    use std::time::Duration;
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
 
-    pub use loom::sync::Arc;
+impl<T> DerefMut for CachePadded<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.value
+    }
+}
 
-    // Padding is a layout concern invisible to the model: reusing the
-    // vendored type keeps the padded runtime structs identical under loom.
-    pub use crossbeam::utils::CachePadded;
+impl<T> From<T> for CachePadded<T> {
+    fn from(value: T) -> Self {
+        CachePadded::new(value)
+    }
+}
 
-    /// Atomic integer types and memory orderings (model-checked: `Relaxed`
-    /// loads explore stale values, `Acquire`/`Release` pairs establish
-    /// happens-before edges the model tracks).
-    pub mod atomic {
-        pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+// Wrapper behaviour on the real primitives; the loom suite covers the same
+// code over the model's.
+#[cfg(all(test, not(loom)))]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lock_and_mutate() {
+        let m = Mutex::new(vec![0; 3]);
+        m.lock()[1] = 7;
+        assert_eq!(*m.lock(), vec![0, 7, 0]);
+        assert_eq!(m.into_inner(), vec![0, 7, 0]);
     }
 
-    /// Thread spawning and control, scheduled by the model.
-    pub mod thread {
-        pub use loom::thread::{panicking, spawn, yield_now, Builder, JoinHandle, Result};
-
-        /// The model has no clock: sleeping degrades to a cooperative
-        /// yield so the threads being waited on can run.
-        pub fn sleep(_dur: std::time::Duration) {
-            yield_now();
-        }
-
-        /// Fixed small parallelism so models stay tractable.
-        pub fn available_parallelism() -> usize {
-            2
-        }
+    #[test]
+    fn lock_survives_a_panicked_holder() {
+        let m = Arc::new(Mutex::new(1));
+        let m2 = Arc::clone(&m);
+        let _ = thread::spawn(move || {
+            let _held = m2.lock();
+            panic!("poison the base mutex");
+        })
+        .join();
+        assert_eq!(*m.lock(), 1);
     }
 
-    /// A mutex with `parking_lot` ergonomics over the loom model mutex.
-    #[derive(Default)]
-    pub struct Mutex<T> {
-        inner: loom::sync::Mutex<T>,
+    #[test]
+    fn condvar_wakes_waiter() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let t = thread::spawn(move || {
+            let (lock, cvar) = &*p2;
+            let mut started = lock.lock();
+            while !*started {
+                cvar.wait(&mut started);
+            }
+        });
+        let (lock, cvar) = &*pair;
+        *lock.lock() = true;
+        cvar.notify_all();
+        t.join().unwrap();
     }
 
-    impl<T> Mutex<T> {
-        /// Wrap `value` in a new mutex.
-        pub fn new(value: T) -> Self {
-            Self {
-                inner: loom::sync::Mutex::new(value),
-            }
-        }
-
-        /// Consume the mutex, returning the inner value.
-        pub fn into_inner(self) -> T {
-            self.inner
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        }
-
-        /// Acquire the lock (a model scheduling point).
-        pub fn lock(&self) -> MutexGuard<'_, T> {
-            MutexGuard {
-                inner: Some(
-                    self.inner
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner),
-                ),
-            }
-        }
+    #[test]
+    fn wait_for_times_out() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        let r = cv.wait_for(&mut g, Duration::from_millis(1));
+        assert!(r.timed_out());
     }
 
-    impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.debug_struct("Mutex").finish_non_exhaustive()
-        }
-    }
-
-    /// RAII guard returned by [`Mutex::lock`].
-    pub struct MutexGuard<'a, T> {
-        // Kept in an Option so Condvar::wait can take the loom guard out
-        // by value, mirroring the parking_lot facade.
-        inner: Option<loom::sync::MutexGuard<'a, T>>,
-    }
-
-    impl<T> Deref for MutexGuard<'_, T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            self.inner.as_ref().expect("guard taken during wait")
-        }
-    }
-
-    impl<T> DerefMut for MutexGuard<'_, T> {
-        fn deref_mut(&mut self) -> &mut T {
-            self.inner.as_mut().expect("guard taken during wait")
-        }
-    }
-
-    /// Result of a timed wait; mirrors `parking_lot::WaitTimeoutResult`.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct WaitTimeoutResult {
-        timed_out: bool,
-    }
-
-    impl WaitTimeoutResult {
-        /// Whether the wait ended because the timeout elapsed.
-        pub fn timed_out(&self) -> bool {
-            self.timed_out
-        }
-    }
-
-    /// The loom model condvar under `parking_lot`'s `&mut guard`
-    /// signatures; [`Condvar`](super::Condvar) adds the waiter count.
-    #[derive(Debug, Default)]
-    pub(super) struct RawCondvar {
-        inner: loom::sync::Condvar,
-    }
-
-    impl RawCondvar {
-        /// Wake one waiter (deterministic under the model).
-        pub fn notify_one(&self) {
-            self.inner.notify_one();
-        }
-
-        /// Wake all waiters.
-        pub fn notify_all(&self) {
-            self.inner.notify_all();
-        }
-
-        /// Block until notified, releasing the lock while waiting.
-        pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-            let inner = guard.inner.take().expect("guard taken during wait");
-            let inner = self
-                .inner
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.inner = Some(inner);
-        }
-
-        /// Block until notified or "timed out" — under the model, a
-        /// timeout fires only when no other thread is runnable.
-        pub fn wait_for<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            _timeout: Duration,
-        ) -> WaitTimeoutResult {
-            let inner = guard.inner.take().expect("guard taken during wait");
-            let (inner, result) = self
-                .inner
-                .wait_timeout(inner, _timeout)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.inner = Some(inner);
-            WaitTimeoutResult {
-                timed_out: result.timed_out(),
-            }
-        }
-    }
-
-    /// Work-stealing deques re-implemented over the model mutex so every
-    /// queue operation is a scheduling point the checker can interleave
-    /// (routing the vendored crossbeam shim's internal `std::sync::Mutex`
-    /// through the model would hide those points instead).
-    pub mod deque {
-        use super::{Arc, Mutex};
-        use std::collections::VecDeque;
-
-        /// Result of a steal attempt.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub enum Steal<T> {
-            /// The queue was empty.
-            Empty,
-            /// One task was stolen.
-            Success(T),
-            /// The operation lost a race and may be retried.
-            Retry,
-        }
-
-        impl<T> Steal<T> {
-            /// Whether the attempt found the queue empty.
-            pub fn is_empty(&self) -> bool {
-                matches!(self, Steal::Empty)
-            }
-
-            /// Whether a task was stolen.
-            pub fn is_success(&self) -> bool {
-                matches!(self, Steal::Success(_))
-            }
-        }
-
-        /// Shared FIFO injector queue (model-checked).
-        #[derive(Debug)]
-        pub struct Injector<T> {
-            q: Mutex<VecDeque<T>>,
-        }
-
-        impl<T> Default for Injector<T> {
-            fn default() -> Self {
-                Self::new()
-            }
-        }
-
-        impl<T> Injector<T> {
-            /// New empty injector.
-            pub fn new() -> Self {
-                Self {
-                    q: Mutex::new(VecDeque::new()),
-                }
-            }
-
-            /// Push a task onto the global queue.
-            pub fn push(&self, task: T) {
-                self.q.lock().push_back(task);
-            }
-
-            /// Whether the queue is currently empty (racy hint).
-            pub fn is_empty(&self) -> bool {
-                self.q.lock().is_empty()
-            }
-
-            /// Number of queued tasks (racy hint).
-            pub fn len(&self) -> usize {
-                self.q.lock().len()
-            }
-
-            /// Pop one task.
-            pub fn steal(&self) -> Steal<T> {
-                match self.q.lock().pop_front() {
-                    Some(t) => Steal::Success(t),
-                    None => Steal::Empty,
-                }
-            }
-
-            /// Move a batch of tasks into `dest`'s local queue and pop one.
-            pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-                let mut q = self.q.lock();
-                let Some(first) = q.pop_front() else {
-                    return Steal::Empty;
-                };
-                let batch = q.len() / 2;
-                let mut local = dest.q.lock();
-                for _ in 0..batch {
-                    match q.pop_front() {
-                        Some(t) => local.push_back(t),
-                        None => break,
-                    }
-                }
-                Steal::Success(first)
-            }
-        }
-
-        /// A thread's local queue; the single producer-consumer end.
-        #[derive(Debug)]
-        pub struct Worker<T> {
-            q: Arc<Mutex<VecDeque<T>>>,
-        }
-
-        impl<T> Worker<T> {
-            /// New FIFO worker queue.
-            pub fn new_fifo() -> Self {
-                Self {
-                    q: Arc::new(Mutex::new(VecDeque::new())),
-                }
-            }
-
-            /// Push a task onto the local queue.
-            pub fn push(&self, task: T) {
-                self.q.lock().push_back(task);
-            }
-
-            /// Pop the next local task.
-            pub fn pop(&self) -> Option<T> {
-                self.q.lock().pop_front()
-            }
-
-            /// Whether the local queue is empty.
-            pub fn is_empty(&self) -> bool {
-                self.q.lock().is_empty()
-            }
-
-            /// A shared stealing handle onto this queue.
-            pub fn stealer(&self) -> Stealer<T> {
-                Stealer {
-                    q: Arc::clone(&self.q),
-                }
-            }
-        }
-
-        /// Shared handle that steals from the far end of a [`Worker`].
-        #[derive(Debug)]
-        pub struct Stealer<T> {
-            q: Arc<Mutex<VecDeque<T>>>,
-        }
-
-        impl<T> Clone for Stealer<T> {
-            fn clone(&self) -> Self {
-                Self {
-                    q: Arc::clone(&self.q),
-                }
-            }
-        }
-
-        impl<T> Stealer<T> {
-            /// Steal one task from the queue's far end.
-            pub fn steal(&self) -> Steal<T> {
-                match self.q.lock().pop_back() {
-                    Some(t) => Steal::Success(t),
-                    None => Steal::Empty,
-                }
-            }
-
-            /// Whether the victim queue is empty (racy hint).
-            pub fn is_empty(&self) -> bool {
-                self.q.lock().is_empty()
-            }
-        }
+    #[test]
+    fn cache_padded_separates_neighbours() {
+        let pair = [CachePadded::new(1u8), CachePadded::new(2u8)];
+        assert_eq!(std::mem::align_of_val(&pair[0]), 128);
+        assert_eq!(std::mem::size_of_val(&pair), 256);
+        assert_eq!(*pair[1] + *pair[0], 3);
     }
 }

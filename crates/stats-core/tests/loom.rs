@@ -1,8 +1,8 @@
 //! Loom model checks for the speculation runtime's concurrency core.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"` (run via `./ci.sh --loom`):
-//! the `stats_core::sync` facade then routes every mutex, condvar, atomic,
-//! thread, and deque operation through the model checker, and each test
+//! the `stats_core::sync` facade then routes every mutex, condvar, atomic
+//! and thread operation through the model checker, and each test
 //! below asserts its invariant under **every** explored interleaving of
 //! the *actual* runtime code paths — not a reimplementation of them.
 //!
@@ -20,7 +20,8 @@
 //!   being ordered by the `done` mutex handshake (the SeqCst→Relaxed
 //!   downgrade of the 2026-08 audit).
 //! - `pool_drop_completes_outstanding_work` — shutdown/drain handshake.
-//! - `pool_injector_never_loses_jobs` — injector vs. steal interleavings.
+//! - `pool_lanes_never_lose_jobs` — two workers, jobs on both lanes, a
+//!   drop right behind the last submit: each job runs exactly once.
 //! - `ticket_runs_exactly_once` — a worker, the ticket's holder and a pool
 //!   drop race for one job: it runs once, is counted once, and a panic in
 //!   it still surfaces from `scope` when the caller ran it.
@@ -181,23 +182,23 @@ fn pool_drop_completes_outstanding_work() {
     });
 }
 
-/// Tentpole model 4: two workers racing the injector and each other's
-/// deques execute every submitted job exactly once (no loss, no
-/// duplication), whatever the steal interleaving.
+/// Tentpole model 4: two workers racing for jobs on both lanes run every
+/// submitted job exactly once (no loss, no duplication), and the drop that
+/// follows the last submit still drains them all.
 #[test]
-fn pool_injector_never_loses_jobs() {
+fn pool_lanes_never_lose_jobs() {
     model(2, || {
-        let pool = ThreadPool::new(2);
         let seen = Arc::new(Mutex::new([0u32; 3]));
-        let jobs: Vec<_> = (0..3)
-            .map(|_| {
-                let seen = Arc::clone(&seen);
-                move |i: usize| {
-                    seen.lock()[i] += 1;
-                }
-            })
-            .collect();
-        pool.scope(jobs);
+        let pool = ThreadPool::new(2);
+        for (i, lane) in [Priority::Normal, Priority::High, Priority::Normal]
+            .into_iter()
+            .enumerate()
+        {
+            let seen = Arc::clone(&seen);
+            // The ticket is dropped: only the workers can run the job.
+            pool.submit(lane, move || seen.lock()[i] += 1);
+        }
+        drop(pool);
         assert_eq!(*seen.lock(), [1, 1, 1], "job lost or duplicated");
     });
 }

@@ -54,7 +54,7 @@ fn config() -> SpecConfig {
 }
 
 /// Many short scopes with skewed job costs through one shared pool: the
-/// steal path, the settle loop, and the wake condvar all stay hot. Every
+/// lanes' lock, the settle loop, and the wake condvar all stay hot. Every
 /// job must run exactly once per scope.
 #[test]
 fn many_short_scopes_share_one_pool() {
@@ -66,7 +66,7 @@ fn many_short_scopes_share_one_pool() {
             .map(|i| {
                 let ran = Arc::clone(&ran);
                 move |_idx: usize| {
-                    // Skew: some jobs spin a little so siblings must steal.
+                    // Skew: some jobs spin a little so siblings run ahead.
                     let mut acc = (round + i) as u64;
                     for _ in 0..(i % 5) * 200 {
                         acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -144,7 +144,7 @@ fn nested_scope_inside_a_helped_job_completes() {
 
 /// Concurrent sessions over one pool, each a deterministic prefix sum:
 /// outputs must be exact despite cross-session contention on the pool's
-/// injector, counters, and wake condvar.
+/// lanes, counters, and wake condvar.
 #[test]
 fn concurrent_sessions_stay_deterministic() {
     let pool = Arc::new(ThreadPool::new(4));
