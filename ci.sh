@@ -44,11 +44,13 @@ if [[ "$stage" == "--loom" ]]; then
     models="$(RUSTFLAGS="--cfg loom" cargo test --offline --release -q \
         -p stats-core --test loom -- --list 2>/dev/null \
         | sed -n 's/: test$//p' | tr '\n' ' ')"
-    # The wake-free dispatch handshakes and the two-lane queue
-    # (docs/concurrency.md) rest on these four; a rename or deletion must
+    # The wake-free dispatch handshakes, the two-lane queue and the
+    # ordered-completion slots every batch waits through
+    # (docs/concurrency.md) rest on these five; a rename or deletion must
     # not pass silently.
     for required in ticket_runs_exactly_once pool_submit_never_strands_a_sleeper \
-        pool_lanes_never_lose_jobs session_halfway_wakeup_never_strands_producer; do
+        pool_lanes_never_lose_jobs pool_ordered_yields_each_result_once \
+        session_halfway_wakeup_never_strands_producer; do
         if [[ " $models " != *" $required "* ]]; then
             echo "error: loom model '$required' is missing from tests/loom.rs" >&2
             exit 1

@@ -34,12 +34,11 @@
 //! property-tests this across random plans, seeds, and worker counts.
 
 use crate::ctx::WorkMeter;
-use crate::faults::{FaultKind, FaultPlan};
-use crate::obs::{EventKind, EventSink};
+use crate::obs::EventKind;
 use crate::plan::{PlanNodeId, SpecPlan};
 use crate::protocol::{
-    run_invocation, run_observed_inner, segment_seed, ProtocolResult, SpecConfig, SpecReport,
-    SpecTrace, TraceNodeKind,
+    run_invocation, run_linear, segment_seed, Executor, Inline, ProtocolResult, RunCtx, SpecConfig,
+    SpecReport, SpecTrace, TraceNodeKind,
 };
 use crate::sdi::{SpecState, StateTransition};
 
@@ -78,18 +77,6 @@ pub(crate) fn node_is_eager(plan: &SpecPlan, config: &SpecConfig, node: PlanNode
     plan.node(node).parents.is_empty() || node_speculates(plan, config, node)
 }
 
-/// Panic (with coordinates) unless the input count matches the plan.
-pub(crate) fn assert_plan_matches(plan: &SpecPlan, inputs: usize) {
-    assert_eq!(
-        plan.total_inputs(),
-        inputs,
-        "RunOptions::plan expects exactly {} inputs (the plan's total across \
-         all nodes), got {}",
-        plan.total_inputs(),
-        inputs
-    );
-}
-
 /// One eagerly executable node run: the plan-auxiliary state it started
 /// from (`None` for roots) and the inner protocol result. Pure data — this
 /// is what pool jobs hand back to the [`PlanResolver`].
@@ -99,38 +86,45 @@ pub(crate) struct NodeRun<T: StateTransition> {
     run: ProtocolResult<T>,
 }
 
+/// One inner protocol run over `node`'s inputs from `start`, inline on the
+/// calling thread. Node-internal runs are fault-free in plan mode: injected
+/// faults target plan nodes, not the groups inside them.
+fn run_node_inner<T: StateTransition>(
+    plan: &SpecPlan,
+    node: PlanNodeId,
+    ctx: RunCtx<'_, T>,
+    inputs: &[T::Input],
+    start: &T::State,
+    seed: u64,
+) -> ProtocolResult<T> {
+    let base = plan.input_base(node);
+    let inner = RunCtx {
+        seed,
+        faults: None,
+        ..ctx
+    };
+    let range = base..base + plan.node(node).inputs;
+    run_linear(inner, inputs, range, start, &Inline)
+}
+
 /// Execute `node`'s eager run. For roots: the inner protocol from the
 /// plan's initial state. For speculative nodes: the plan-auxiliary chain
 /// over each parent's input tail (ascending parent order, auxiliary
 /// bindings, plan-aux seed space), then the inner protocol from the
 /// resulting speculative state. Thread-safe and deterministic.
-#[allow(clippy::too_many_arguments)] // one parameter per execution-model knob
 pub(crate) fn run_node_eager<T: StateTransition>(
     plan: &SpecPlan,
     node: PlanNodeId,
-    transition: &T,
+    ctx: RunCtx<'_, T>,
     inputs: &[T::Input],
     initial: &T::State,
-    config: &SpecConfig,
-    run_seed: u64,
-    sink: &dyn EventSink,
 ) -> NodeRun<T> {
-    let base = plan.input_base(node);
-    let slice = &inputs[base..base + plan.node(node).inputs];
+    let seed = node_seed(ctx.seed, node);
     if plan.node(node).parents.is_empty() {
-        let run = run_observed_inner(
-            transition,
-            slice,
-            initial,
-            config,
-            node_seed(run_seed, node),
-            sink,
-            None,
-        );
         return NodeRun {
             aux_work: None,
             spec_start: None,
-            run,
+            run: run_node_inner(plan, node, ctx, inputs, initial, seed),
         };
     }
     let mut state = initial.clone();
@@ -138,33 +132,25 @@ pub(crate) fn run_node_eager<T: StateTransition>(
     for &p in &plan.node(node).parents {
         let p_base = plan.input_base(p);
         let p_len = plan.node(p).inputs;
-        let w = config.window.min(p_len);
+        let w = ctx.config.window.min(p_len);
         let lo = p_base + p_len - w;
         for (i, input) in (lo..p_base + p_len).zip(&inputs[lo..p_base + p_len]) {
             let (_out, m) = run_invocation(
-                transition,
+                ctx.transition,
                 input,
                 &mut state,
-                run_seed ^ PLAN_AUX_SALT,
+                ctx.seed ^ PLAN_AUX_SALT,
                 node as u64,
                 i as u64,
                 0,
-                &config.aux_bindings,
+                &ctx.config.aux_bindings,
                 true,
             );
             aux_work.total += m.total;
             aux_work.memory += m.memory;
         }
     }
-    let run = run_observed_inner(
-        transition,
-        slice,
-        &state,
-        config,
-        node_seed(run_seed, node),
-        sink,
-        None,
-    );
+    let run = run_node_inner(plan, node, ctx, inputs, &state, seed);
     NodeRun {
         aux_work: Some(aux_work),
         spec_start: Some(state),
@@ -188,21 +174,18 @@ struct NodeOutcome<T: StateTransition> {
     rerun: Option<ProtocolResult<T>>,
 }
 
-/// The incremental DAG resolver: ingest eager node runs in *any* order (as
-/// the pool finishes them); nodes are resolved — validated, committed, or
-/// aborted with their downstream cone squashed — strictly in the plan's
-/// canonical topological order, as soon as their cut-set allows. That fixed
-/// resolution order is what makes every schedule bit-identical.
+/// The incremental DAG resolver: ingest eager node runs (the engine hands
+/// them over in topological order; any order would do); nodes are resolved
+/// — validated, committed, or aborted with their downstream cone squashed —
+/// strictly in the plan's canonical topological order, as soon as their
+/// cut-set allows. That fixed resolution order is what makes every schedule
+/// bit-identical.
 pub(crate) struct PlanResolver<'a, T: StateTransition> {
     plan: &'a SpecPlan,
-    transition: &'a T,
+    /// Its fault plan is plan-level: forced mismatches target plan nodes
+    /// (site = node id).
+    ctx: RunCtx<'a, T>,
     inputs: &'a [T::Input],
-    config: &'a SpecConfig,
-    run_seed: u64,
-    sink: &'a dyn EventSink,
-    /// Plan-level fault injection: forced mismatches target plan nodes
-    /// (site = node id). Node-internal runs are fault-free in plan mode.
-    faults: Option<&'a FaultPlan>,
     pending: Vec<Option<NodeRun<T>>>,
     outcomes: Vec<Option<NodeOutcome<T>>>,
     settled: Vec<bool>,
@@ -216,26 +199,17 @@ pub(crate) struct PlanResolver<'a, T: StateTransition> {
 }
 
 impl<'a, T: StateTransition> PlanResolver<'a, T> {
-    #[allow(clippy::too_many_arguments)] // one parameter per execution-model knob
-    pub(crate) fn new(
-        plan: &'a SpecPlan,
-        transition: &'a T,
-        inputs: &'a [T::Input],
-        config: &'a SpecConfig,
-        run_seed: u64,
-        sink: &'a dyn EventSink,
-        faults: Option<&'a FaultPlan>,
-    ) -> Self {
-        assert_plan_matches(plan, inputs.len());
+    pub(crate) fn new(plan: &'a SpecPlan, ctx: RunCtx<'a, T>, inputs: &'a [T::Input]) -> Self {
+        assert_eq!(
+            plan.total_inputs(),
+            inputs.len(),
+            "RunOptions::plan expects exactly as many inputs as the plan's nodes hold in total"
+        );
         let n = plan.len();
         PlanResolver {
             plan,
-            transition,
+            ctx,
             inputs,
-            config,
-            run_seed,
-            sink,
-            faults,
             pending: (0..n).map(|_| None).collect(),
             outcomes: (0..n).map(|_| None).collect(),
             settled: vec![false; n],
@@ -258,16 +232,10 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
         self.drain();
     }
 
-    /// The eager node whose run the resolver needs before anything else can
-    /// resolve; `None` once every node has.
-    pub(crate) fn awaited(&self) -> Option<PlanNodeId> {
-        self.plan.topo_order().get(self.next_topo).copied()
-    }
-
     fn drain(&mut self) {
         while self.next_topo < self.plan.len() {
             let node = self.plan.topo_order()[self.next_topo];
-            if node_is_eager(self.plan, self.config, node) && self.pending[node].is_none() {
+            if node_is_eager(self.plan, self.ctx.config, node) && self.pending[node].is_none() {
                 break; // the eager run has not arrived yet
             }
             self.resolve(node);
@@ -296,41 +264,13 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
             .iter()
             .map(|&p| self.node_final(p).clone())
             .collect();
-        self.transition.merge_states(&states)
+        self.ctx.transition.merge_states(&states)
     }
 
-    /// One inner protocol run over `node`'s inputs from `start` — used for
-    /// dataflow nodes and post-abort recovery runs, inline on the resolving
-    /// thread.
+    /// An inner run of `node` on the resolving thread: a dataflow node, or
+    /// a post-abort recovery run.
     fn run_inline(&self, node: PlanNodeId, start: &T::State, seed: u64) -> ProtocolResult<T> {
-        let base = self.plan.input_base(node);
-        let slice = &self.inputs[base..base + self.plan.node(node).inputs];
-        run_observed_inner(
-            self.transition,
-            slice,
-            start,
-            self.config,
-            seed,
-            self.sink,
-            None,
-        )
-    }
-
-    /// Whether the fault plan forces this node's cut-set validation to
-    /// mismatch; emits the marker event when it fires.
-    fn forced_mismatch(&self, node: PlanNodeId) -> bool {
-        let Some(plan) = self.faults else {
-            return false;
-        };
-        let fired = plan.fires(FaultKind::ValidationMismatch, self.run_seed, node as u64, 0);
-        if fired && self.sink.enabled() {
-            self.sink.emit(EventKind::FaultInjected {
-                kind: FaultKind::ValidationMismatch,
-                site: node,
-                attempt: 0,
-            });
-        }
-        fired
+        run_node_inner(self.plan, node, self.ctx, self.inputs, start, seed)
     }
 
     fn resolve(&mut self, node: PlanNodeId) {
@@ -346,10 +286,10 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
             return;
         }
         let merged = self.merged_parent_state(node);
-        if !node_speculates(self.plan, self.config, node) {
+        if !node_speculates(self.plan, self.ctx.config, node) {
             // Pure dataflow: the node waited for its parents and now runs
             // from the real merged state — the segmented semantics.
-            let run = self.run_inline(node, &merged, node_seed(self.run_seed, node));
+            let run = self.run_inline(node, &merged, node_seed(self.ctx.seed, node));
             self.outcomes[node] = Some(NodeOutcome {
                 aux_work: None,
                 validated: false,
@@ -371,10 +311,8 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
             // its real merged state (speculation re-enabled inside — the
             // recovery run starts from a *real* state, like a fresh
             // segment after a segmented abort).
-            if self.sink.enabled() {
-                self.sink.emit(EventKind::ConeSquash { node, root });
-            }
-            let rerun = self.run_inline(node, &merged, rerun_seed(self.run_seed, node));
+            self.ctx.emit(EventKind::ConeSquash { node, root });
+            let rerun = self.run_inline(node, &merged, rerun_seed(self.ctx.seed, node));
             self.outcomes[node] = Some(NodeOutcome {
                 aux_work,
                 validated: false,
@@ -385,15 +323,11 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
             return;
         }
         self.dag_validations += 1;
-        let matched =
-            spec_start.matches_any(std::slice::from_ref(&merged)) && !self.forced_mismatch(node);
-        if self.sink.enabled() {
-            self.sink.emit(EventKind::NodeValidation { node, matched });
-        }
+        let matched = spec_start.matches_any(std::slice::from_ref(&merged))
+            && !self.ctx.forced_mismatch(node, 0);
+        self.ctx.emit(EventKind::NodeValidation { node, matched });
         if matched {
-            if self.sink.enabled() {
-                self.sink.emit(EventKind::NodeCommit { node });
-            }
+            self.ctx.emit(EventKind::NodeCommit { node });
             self.outcomes[node] = Some(NodeOutcome {
                 aux_work,
                 validated: true,
@@ -402,15 +336,13 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
             });
         } else {
             self.aborted = true;
-            if self.sink.enabled() {
-                self.sink.emit(EventKind::NodeAbort { node });
-            }
+            self.ctx.emit(EventKind::NodeAbort { node });
             for c in self.plan.downstream_cone(node) {
                 if self.squash_root[c].is_none() {
                     self.squash_root[c] = Some(node);
                 }
             }
-            let rerun = self.run_inline(node, &merged, rerun_seed(self.run_seed, node));
+            let rerun = self.run_inline(node, &merged, rerun_seed(self.ctx.seed, node));
             self.outcomes[node] = Some(NodeOutcome {
                 aux_work,
                 validated: true,
@@ -431,7 +363,7 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
             "unresolved plan nodes at finish"
         );
         let val_work = WorkMeter {
-            total: self.config.validation_cost,
+            total: self.ctx.config.validation_cost,
             memory: 0.0,
         };
         let mut trace = SpecTrace::default();
@@ -563,7 +495,7 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
             .filter(|&i| self.plan.children(i).is_empty())
             .map(|i| finals[i].take().expect("sink node settled"))
             .collect();
-        let final_state = self.transition.merge_states(&sink_finals);
+        let final_state = self.ctx.transition.merge_states(&sink_finals);
         let outputs: Vec<T::Output> = outputs
             .into_iter()
             .map(|o| o.expect("every plan input has a committed output"))
@@ -577,29 +509,31 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
     }
 }
 
-/// The sequential reference execution of a plan: eager runs executed inline
-/// in canonical topological order, resolution interleaved by the
-/// [`PlanResolver`]. Every parallel schedule must reproduce this result
-/// bit-for-bit.
-#[allow(clippy::too_many_arguments)] // one parameter per execution-model knob
-pub(crate) fn run_plan_sequential<T: StateTransition>(
-    transition: &T,
+/// Execute a plan: `exec` runs the eager nodes (roots and speculative
+/// non-roots), their runs are ingested in canonical topological order into
+/// the [`PlanResolver`], and dataflow nodes and post-abort recovery runs
+/// execute on this thread as their parents settle. [`Inline`] — each eager
+/// node run right before it is ingested — is the sequential reference that
+/// every parallel schedule must reproduce bit-for-bit.
+pub(crate) fn run_plan<T: StateTransition, E: Executor<T>>(
+    ctx: RunCtx<'_, T>,
+    plan: &SpecPlan,
     inputs: &[T::Input],
     initial: &T::State,
-    plan: &SpecPlan,
-    config: &SpecConfig,
-    run_seed: u64,
-    sink: &dyn EventSink,
-    faults: Option<&FaultPlan>,
+    exec: &E,
 ) -> ProtocolResult<T> {
-    let mut resolver = PlanResolver::new(plan, transition, inputs, config, run_seed, sink, faults);
-    for &node in plan.topo_order() {
-        if node_is_eager(plan, config, node) {
-            let run = run_node_eager(
-                plan, node, transition, inputs, initial, config, run_seed, sink,
-            );
-            resolver.ingest(node, run);
-        }
+    let mut resolver = PlanResolver::new(plan, ctx, inputs);
+    let eager: Vec<PlanNodeId> = plan
+        .topo_order()
+        .iter()
+        .copied()
+        .filter(|&n| node_is_eager(plan, ctx.config, n))
+        .collect();
+    for (&node, run) in eager
+        .iter()
+        .zip(exec.nodes(ctx, plan, inputs, initial, &eager))
+    {
+        resolver.ingest(node, run);
     }
     resolver.finish()
 }
@@ -608,8 +542,8 @@ pub(crate) fn run_plan_sequential<T: StateTransition>(
 mod tests {
     use super::*;
     use crate::ctx::InvocationCtx;
-    use crate::faults::FaultRule;
-    use crate::obs::{RecordingSink, NOOP};
+    use crate::faults::{FaultKind, FaultPlan, FaultRule};
+    use crate::obs::{EventSink, RecordingSink, NOOP};
     use crate::sdi::ExactState;
     use std::sync::Arc;
 
@@ -659,16 +593,14 @@ mod tests {
             window: 1,
             ..SpecConfig::default()
         };
-        run_plan_sequential(
-            &LastMerge,
-            &inputs,
-            &ExactState(0),
-            &plan,
-            &config,
+        let ctx = RunCtx {
+            transition: &LastMerge,
+            config: &config,
             seed,
             sink,
             faults,
-        )
+        };
+        run_plan(ctx, &plan, &inputs, &ExactState(0), &Inline)
     }
 
     #[test]

@@ -74,6 +74,7 @@
 #![deny(missing_docs)]
 
 mod adapt;
+mod codec;
 mod ctx;
 mod dag;
 mod faults;
@@ -94,6 +95,7 @@ mod tradeoff;
 pub use adapt::{
     AdaptPolicy, AdaptState, AdaptiveController, RetryPolicy, Retuner, SegmentStats, TuneDecision,
 };
+pub use codec::SpillCodec;
 pub use ctx::{InvocationCtx, WorkMeter};
 pub use faults::{FaultKind, FaultPlan, FaultRule};
 pub use obs::{Event, EventKind, EventSink, NoopSink, RecordingSink};
@@ -108,8 +110,8 @@ pub use replay::{replay, ReplayError, ReplayOutcome, SessionLog, SessionRecorder
 pub use runtime::{SpecOutcome, StateDependence};
 pub use sdi::{ExactState, SpecState, StateTransition};
 pub use serve::{
-    FairnessPolicy, ServeError, ServerMetrics, ServerOptions, SessionServer, SpillCodec,
-    TenantHandle, TenantMetrics,
+    FairnessPolicy, ServeError, ServerMetrics, ServerOptions, SessionServer, TenantHandle,
+    TenantMetrics,
 };
 pub use session::{PushError, Session, SessionError};
 pub use tradeoff::{

@@ -18,14 +18,15 @@
 //!   worker that popped it, or the ticket's holder through
 //!   [`Ticket::run_if_unclaimed`] — runs it, exactly once. A thread that is
 //!   about to block on a job nobody has started runs it instead of waiting
-//!   for a worker to wake up; [`ThreadPool::scope`] and the runtime's
-//!   coordinators do exactly that.
+//!   for a worker to wake up.
 //! - Submission wakes at most one sleeping worker, and none when every
 //!   worker is awake; a finished job wakes nobody (workers waiting out a
 //!   shutdown excepted).
 //!
-//! [`ThreadPool::scope`] provides structured completion: wait until every
-//! job submitted in the scope has finished.
+//! Waiting for a batch of jobs is written once, in `ThreadPool::ordered`
+//! (results in submission order; the consumer runs the job it is about to
+//! wait for if nobody has): [`ThreadPool::scope`], [`ThreadPool::map`] and
+//! the batch engine all consume it.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -291,78 +292,83 @@ impl ThreadPool {
         }
     }
 
+    /// Submit every job on its lane; the returned iterator hands the results
+    /// back strictly in submission order, whatever order they finish in.
+    pub(crate) fn ordered<R, F, I>(&self, jobs: I) -> Ordered<R>
+    where
+        R: Send + 'static,
+        F: FnOnce() -> R + Send + 'static,
+        I: IntoIterator<Item = (Priority, F)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let jobs = jobs.into_iter();
+        let slots = Arc::new(Slots {
+            results: Mutex::new((0..jobs.len()).map(|_| None).collect()),
+            filled: Condvar::new(),
+        });
+        let jobs = jobs
+            .enumerate()
+            .map(|(i, (priority, job))| {
+                let slots = Arc::clone(&slots);
+                let body = move || {
+                    // The call consumes `job`, so its captures are gone
+                    // before the result can be seen.
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                    slots.results.lock()[i] = Some(result);
+                    slots.filled.notify_all();
+                };
+                self.enqueue(priority, Box::new(body))
+            })
+            .collect();
+        Ordered {
+            shared: Arc::clone(&self.shared),
+            jobs,
+            slots,
+            next: 0,
+        }
+    }
+
+    /// [`ordered`](ThreadPool::ordered) for `tests/loom.rs`, which links the
+    /// crate from outside and cannot see crate-private items.
+    #[cfg(loom)]
+    #[doc(hidden)]
+    pub fn ordered_for_model<R: Send + 'static>(
+        &self,
+        jobs: Vec<(Priority, Box<dyn FnOnce() -> R + Send>)>,
+    ) -> impl Iterator<Item = R> {
+        self.ordered(jobs)
+    }
+
     /// Run a batch of jobs and wait for all of them to complete.
     ///
     /// Jobs receive their index. The caller works through the batch itself,
-    /// in order, running every job no worker has started yet, and then
-    /// waits for the ones workers did take — so a scope called from inside
-    /// a pool job completes even when every worker is busy. Panics in jobs
-    /// are contained and surface as a panic here once the scope completes
+    /// in order, running every job no worker has started yet and waiting
+    /// for the ones workers did take — so a scope called from inside a pool
+    /// job completes even when every worker is busy. Panics in jobs are
+    /// contained and surface as a panic here once the scope completes
     /// accounting.
     pub fn scope<F>(&self, jobs: Vec<F>)
     where
         F: FnOnce(usize) + Send + 'static,
     {
-        let total = jobs.len();
-        if total == 0 {
-            return;
-        }
-        let jobs_before = self.shared.counters.jobs.load(Ordering::Acquire);
-        let batch = Arc::new(Batch {
-            done: Mutex::new(0),
-            all_done: Condvar::new(),
-            panicked: AtomicUsize::new(0),
-        });
-        let tickets: Vec<Ticket> = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(i, job)| {
-                let batch = Arc::clone(&batch);
-                self.submit(Priority::Normal, move || {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        job(i);
-                    }));
-                    if result.is_err() {
-                        // Ordering: Relaxed suffices. This increment is
-                        // sequenced before the `done` lock/increment below,
-                        // and the scope's read is sequenced after it
-                        // observes `done == total` under the same mutex —
-                        // the mutex release/acquire edge orders every
-                        // increment before the read (docs/concurrency.md;
-                        // pinned by the loom model
-                        // `pool_scope_routes_job_panics`, which fails if
-                        // the count is read before the handshake instead).
-                        batch.panicked.fetch_add(1, Ordering::Relaxed);
-                    }
-                    *batch.done.lock() += 1;
-                    batch.all_done.notify_all();
-                })
-            })
-            .collect();
-        for ticket in &tickets {
-            ticket.run_if_unclaimed();
-        }
-        let mut done = batch.done.lock();
-        while *done < total {
-            batch.all_done.wait(&mut done);
-        }
-        drop(done);
+        let settled = self.shared.counters.jobs.load(Ordering::Acquire) + jobs.len() as u64;
+        let mut batch = self.ordered(
+            jobs.into_iter()
+                .enumerate()
+                .map(|(i, job)| (Priority::Normal, move || job(i))),
+        );
+        let panics = std::iter::from_fn(|| batch.next_caught())
+            .filter(Result::is_err)
+            .count();
         // A job's runner bumps the observability counters just *after* the
-        // job's completion signal fires, so settle until this batch's
-        // increments land — metrics() taken right after a scope then covers
-        // all of it.
-        let target = jobs_before + total as u64;
-        // Ordering: Acquire pairs with the Release increment in
-        // `Finished::drop` so that once the settle loop exits, each counted
-        // job's side effects (busy_ns, the helper pair) are visible — see
-        // docs/concurrency.md, pinned by `pool_scope_settle_publishes_metrics`.
-        while self.shared.counters.jobs.load(Ordering::Acquire) < target {
+        // job has published its result: settle until this batch's increments
+        // land, so that metrics() taken right after a scope covers all of it.
+        // The Acquire load pairs with the Release increment in
+        // `Finished::drop` (docs/concurrency.md; pinned by
+        // `pool_scope_settle_publishes_metrics`).
+        while self.shared.counters.jobs.load(Ordering::Acquire) < settled {
             thread::yield_now();
         }
-        // Ordering: Relaxed; ordered by the `done` mutex handshake above
-        // (was SeqCst before the 2026-08 audit — over-synchronized, since
-        // the mutex already provides the needed edge).
-        let panics = batch.panicked.load(Ordering::Relaxed);
         assert!(panics == 0, "{panics} job(s) panicked in ThreadPool::scope");
     }
 
@@ -370,43 +376,87 @@ impl ThreadPool {
     ///
     /// The parallel counterpart of `items.iter().map(f).collect()`: results
     /// land at their item's index regardless of which thread ran them or in
-    /// what order they finished.
+    /// what order they finished. A panic in `f` is re-raised here.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + 'static,
         R: Send + 'static,
         F: Fn(T) -> R + Send + Sync + 'static,
     {
-        // One slot per item, so finished jobs do not queue up on one lock.
-        let shared = Arc::new((
-            f,
-            items.iter().map(|_| Mutex::new(None)).collect::<Vec<_>>(),
-        ));
-        let jobs: Vec<_> = items
-            .into_iter()
-            .map(|item| {
-                let shared = Arc::clone(&shared);
-                move |i: usize| {
-                    let (f, out) = &*shared;
-                    let r = f(item);
-                    *out[i].lock() = Some(r);
-                }
-            })
-            .collect();
-        self.scope(jobs);
-        let (_, out) = Arc::try_unwrap(shared)
-            .unwrap_or_else(|_| panic!("map results still shared after scope"));
-        out.into_iter()
-            .map(|slot| slot.into_inner().expect("scope ran every job"))
-            .collect()
+        let f = Arc::new(f);
+        let jobs = items.into_iter().map(|item| {
+            let f = Arc::clone(&f);
+            (Priority::Normal, move || f(item))
+        });
+        self.ordered(jobs).collect()
     }
 }
 
-/// What the jobs of one [`ThreadPool::scope`] share with their caller.
-struct Batch {
-    done: Mutex<usize>,
-    all_done: Condvar,
-    panicked: AtomicUsize,
+/// Where the jobs of one [`ThreadPool::ordered`] batch leave their results
+/// (or panic payloads); the consumer waits on `filled` for the next one.
+struct Slots<R> {
+    results: Mutex<Vec<Option<std::thread::Result<R>>>>,
+    filled: Condvar,
+}
+
+/// The results of one [`ThreadPool::ordered`] batch, in submission order.
+///
+/// - Before blocking on result *i*, the consumer runs job *i* itself if no
+///   worker has claimed it (why: [`Ticket::run_if_unclaimed`]) — only that
+///   job: any other would have it compete with the workers for cores on
+///   work that is not yet on its critical path.
+/// - A job's captures are released before its result becomes visible: the
+///   consumer may return, and its caller drop the last other handle on
+///   whatever the job held, the moment the slot fills. (A job holding the
+///   last `Arc<ThreadPool>` would otherwise drop the pool on one of its
+///   own workers, which then joins itself: EDEADLK.)
+/// - A job's panic is contained where it ran and re-raised, with its own
+///   payload, by the `next` that reaches it — so the consumer sees the
+///   first failure in submission order, whichever job failed first in time.
+/// - No job outlives the batch: dropping the iterator early (a consumer
+///   that panicked, say) runs or waits out the jobs not yet consumed.
+pub(crate) struct Ordered<R> {
+    shared: Arc<PoolShared>,
+    jobs: Vec<Job>,
+    slots: Arc<Slots<R>>,
+    /// Index of the next result to hand out.
+    next: usize,
+}
+
+impl<R> Ordered<R> {
+    /// The next job's result, or the payload of its panic.
+    fn next_caught(&mut self) -> Option<std::thread::Result<R>> {
+        let job = self.jobs.get(self.next)?;
+        self.shared.run(job, Runner::TicketHolder);
+        let mut results = self.slots.results.lock();
+        loop {
+            if let Some(result) = results[self.next].take() {
+                self.next += 1;
+                return Some(result);
+            }
+            self.slots.filled.wait(&mut results);
+        }
+    }
+}
+
+impl<R> Iterator for Ordered<R> {
+    type Item = R;
+
+    fn next(&mut self) -> Option<R> {
+        self.next_caught()
+            .map(|result| result.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.jobs.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl<R> Drop for Ordered<R> {
+    fn drop(&mut self) {
+        while self.next_caught().is_some() {}
+    }
 }
 
 /// A point-in-time snapshot of [`ThreadPool`] activity, for utilization
@@ -649,6 +699,136 @@ mod tests {
                 assert_eq!(*i, k as u64);
             }
         }
+    }
+
+    /// A single-worker pool whose worker sits in a job until the returned
+    /// gate opens: whatever is submitted meanwhile, only a ticket holder
+    /// can run.
+    fn wedged_pool() -> (ThreadPool, Arc<Gate>) {
+        let pool = ThreadPool::new(1);
+        let (gate, started) = (Arc::new(Gate::default()), Arc::new(Gate::default()));
+        {
+            let (gate, started) = (Arc::clone(&gate), Arc::clone(&started));
+            pool.execute(move || {
+                started.open();
+                gate.wait();
+            });
+        }
+        started.wait();
+        (pool, gate)
+    }
+
+    #[test]
+    fn ordered_yields_in_submission_order_under_skewed_costs() {
+        // Job 0 cannot finish before the last job has run (it waits for the
+        // latch that job opens), so the jobs finish in an order far from the
+        // one they were submitted in — and come back in that one anyway.
+        let pool = ThreadPool::new(2);
+        let last_ran = Arc::new(Gate::default());
+        let n = 24;
+        let jobs = (0..n).map(|i| {
+            let last_ran = Arc::clone(&last_ran);
+            (Priority::Normal, move || {
+                match i {
+                    0 => last_ran.wait(),
+                    _ if i == n - 1 => last_ran.open(),
+                    _ => {}
+                }
+                i
+            })
+        });
+        let out: Vec<usize> = pool.ordered(jobs).collect();
+        assert_eq!(out, (0..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn ordered_consumer_runs_every_unclaimed_job_exactly_once() {
+        let (pool, gate) = wedged_pool();
+        let runs = Arc::new(Mutex::new(vec![0u32; 16]));
+        let helped_before = pool.metrics().helped_jobs;
+        let jobs = (0..16).map(|i| {
+            let runs = Arc::clone(&runs);
+            (Priority::Normal, move || {
+                runs.lock()[i] += 1;
+                i
+            })
+        });
+        let out: Vec<usize> = pool.ordered(jobs).collect();
+        assert_eq!(out, (0..16).collect::<Vec<_>>());
+        assert_eq!(*runs.lock(), vec![1; 16], "job lost or run twice");
+        assert_eq!(pool.metrics().helped_jobs - helped_before, 16);
+        gate.open();
+        drop(pool); // the worker discards the sixteen stale lane entries
+        assert_eq!(*runs.lock(), vec![1; 16], "a stale entry ran its job again");
+    }
+
+    #[test]
+    fn ordered_releases_captures_before_the_result_is_handed_out() {
+        // The EDEADLK-on-worker-drop invariant: by the time the consumer
+        // holds result i, job i's closure — here its sentinel clone — is
+        // gone, whichever thread ran it.
+        let pool = ThreadPool::new(2);
+        let sentinels: Vec<Arc<()>> = (0..64).map(|_| Arc::new(())).collect();
+        let jobs: Vec<_> = sentinels
+            .iter()
+            .enumerate()
+            .map(|(i, sentinel)| {
+                let held = Arc::clone(sentinel);
+                (Priority::Normal, move || {
+                    let _held = &held;
+                    i
+                })
+            })
+            .collect();
+        for (i, got) in pool.ordered(jobs).enumerate() {
+            assert_eq!(got, i);
+            assert_eq!(Arc::strong_count(&sentinels[i]), 1, "job {i} still held");
+        }
+    }
+
+    #[test]
+    fn ordered_mixed_priorities_come_back_in_submission_order() {
+        // The worker is released only once every job is queued, so it
+        // drains the high lane first while the consumer works from the
+        // front: execution order and submission order differ.
+        let (pool, gate) = wedged_pool();
+        let lanes = [Priority::Normal, Priority::High];
+        let runs = Arc::new(Mutex::new(vec![0u32; 12]));
+        let jobs = (0..12).map(|i| {
+            let runs = Arc::clone(&runs);
+            (lanes[i % 2], move || {
+                runs.lock()[i] += 1;
+                i
+            })
+        });
+        let results = pool.ordered(jobs);
+        gate.open();
+        assert_eq!(results.collect::<Vec<_>>(), (0..12).collect::<Vec<_>>());
+        assert_eq!(*runs.lock(), vec![1; 12]);
+    }
+
+    #[test]
+    fn ordered_reraises_the_first_failing_jobs_own_payload() {
+        let pool = ThreadPool::new(2);
+        let started = Arc::new(AtomicU64::new(0));
+        let jobs = (0..8).map(|i| {
+            let started = Arc::clone(&started);
+            (Priority::Normal, move || {
+                started.fetch_add(1, Ordering::SeqCst);
+                assert!(i % 3 != 2, "job {i} exploded");
+                i
+            })
+        });
+        let mut results = pool.ordered(jobs);
+        assert_eq!(results.next(), Some(0));
+        assert_eq!(results.next(), Some(1));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| results.next()))
+            .expect_err("job 2 panicked");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "job 2 exploded");
+        // The batch goes on past a failure, and dropping it waits out the rest.
+        assert_eq!(results.next(), Some(3));
+        drop(results);
+        assert_eq!(started.load(Ordering::SeqCst), 8);
     }
 
     #[test]

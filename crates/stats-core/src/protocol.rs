@@ -20,11 +20,14 @@
 //! any number of virtual cores.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::ctx::{InvocationCtx, WorkMeter};
+use crate::dag::{run_node_eager, run_plan, NodeRun};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::obs::{EventKind, EventSink, NOOP};
 use crate::options::RunOptions;
+use crate::plan::{PlanNodeId, SpecPlan};
 use crate::resolver::Resolver;
 use crate::sdi::StateTransition;
 use crate::tradeoff::TradeoffBindings;
@@ -326,9 +329,73 @@ pub(crate) struct GroupData<T: StateTransition> {
     pub(crate) works: Vec<WorkMeter>,
 }
 
+/// What every unit of one run — a group, a plan node, a validation —
+/// executes under: the transition, the operating point, the seed its PRVG
+/// streams derive from, where events go and which faults are injected.
+pub(crate) struct RunCtx<'a, T: StateTransition> {
+    pub(crate) transition: &'a T,
+    pub(crate) config: &'a SpecConfig,
+    pub(crate) seed: u64,
+    pub(crate) sink: &'a dyn EventSink,
+    pub(crate) faults: Option<&'a FaultPlan>,
+}
+
+impl<T: StateTransition> Clone for RunCtx<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T: StateTransition> Copy for RunCtx<'_, T> {}
+
+impl<'a, T: StateTransition> RunCtx<'a, T> {
+    /// The context of a borrowed `transition` under `options`.
+    pub(crate) fn new(transition: &'a T, options: &'a RunOptions) -> Self {
+        RunCtx {
+            transition,
+            config: &options.config,
+            seed: options.seed,
+            sink: &*options.sink,
+            faults: options.faults.as_ref(),
+        }
+    }
+
+    /// The same context for a sub-run (a segment, a plan node) with its own
+    /// seed.
+    pub(crate) fn with_seed(self, seed: u64) -> Self {
+        RunCtx { seed, ..self }
+    }
+
+    /// Emit `kind` if the sink wants events at all (an [`EventSink`] is
+    /// only ever handed events while it reports `enabled`).
+    pub(crate) fn emit(&self, kind: EventKind) {
+        if self.sink.enabled() {
+            self.sink.emit(kind);
+        }
+    }
+
+    /// Whether the fault plan forces validation attempt `attempt` at `site`
+    /// (a group of a linear run, a node of a plan) to report a mismatch
+    /// even when the states matched; emits the marker event when it does.
+    pub(crate) fn forced_mismatch(&self, site: usize, attempt: usize) -> bool {
+        let kind = FaultKind::ValidationMismatch;
+        let fired = self
+            .faults
+            .is_some_and(|plan| plan.fires(kind, self.seed, site as u64, attempt as u32));
+        if fired {
+            self.emit(EventKind::FaultInjected {
+                kind,
+                site,
+                attempt,
+            });
+        }
+        fired
+    }
+}
+
 /// Execute one group: auxiliary code (for speculative groups) followed by
 /// the chained invocations over the group's inputs. Thread-safe and
-/// deterministic given `run_seed`.
+/// deterministic given `ctx.seed`.
 ///
 /// `inputs` may be a window of the full input stream starting at absolute
 /// position `base` (the streaming engine ships each pool job only the slice
@@ -337,44 +404,36 @@ pub(crate) struct GroupData<T: StateTransition> {
 // Loop indices below are *absolute input positions* fed to the PRVG seed
 // derivation, not mere subscripts: iterator rewrites would obscure that.
 #[allow(clippy::needless_range_loop)]
-#[allow(clippy::too_many_arguments)] // one parameter per execution-model knob
 pub(crate) fn execute_group<T: StateTransition>(
-    transition: &T,
+    ctx: RunCtx<'_, T>,
     inputs: &[T::Input],
     base: usize,
     initial: &T::State,
-    config: &SpecConfig,
-    run_seed: u64,
     spec: GroupSpec,
-    sink: &dyn EventSink,
-    faults: Option<&FaultPlan>,
 ) -> GroupData<T> {
+    let (config, run_seed) = (ctx.config, ctx.seed);
     let GroupSpec {
         k,
         start,
         end,
         speculative,
     } = spec;
-    if let Some(plan) = faults {
+    if let Some(plan) = ctx.faults {
         if let Some(delay) = plan.delay(FaultKind::SlowGroup, run_seed, k as u64) {
-            if sink.enabled() {
-                sink.emit(EventKind::FaultInjected {
-                    kind: FaultKind::SlowGroup,
-                    site: k,
-                    attempt: 0,
-                });
-            }
+            ctx.emit(EventKind::FaultInjected {
+                kind: FaultKind::SlowGroup,
+                site: k,
+                attempt: 0,
+            });
             crate::sync::thread::sleep(delay);
         }
     }
-    if sink.enabled() {
-        sink.emit(EventKind::GroupStart {
-            group: k,
-            start,
-            end,
-            speculative,
-        });
-    }
+    ctx.emit(EventKind::GroupStart {
+        group: k,
+        start,
+        end,
+        speculative,
+    });
     let len = end - start;
     let rollback = config.rollback.clamp(1, len);
 
@@ -388,7 +447,7 @@ pub(crate) fn execute_group<T: StateTransition>(
         let w_start = start.saturating_sub(config.window);
         for i in w_start..start {
             let (_out, m) = run_invocation(
-                transition,
+                ctx.transition,
                 &inputs[i - base],
                 &mut aux_state,
                 run_seed,
@@ -415,7 +474,7 @@ pub(crate) fn execute_group<T: StateTransition>(
             checkpoint = Some(state.clone());
         }
         let (out, m) = run_invocation(
-            transition,
+            ctx.transition,
             &inputs[i - base],
             &mut state,
             run_seed,
@@ -429,9 +488,7 @@ pub(crate) fn execute_group<T: StateTransition>(
         works.push(m);
     }
 
-    if sink.enabled() {
-        sink.emit(EventKind::GroupEnd { group: k });
-    }
+    ctx.emit(EventKind::GroupEnd { group: k });
     GroupData {
         spec,
         aux_work,
@@ -478,127 +535,140 @@ pub fn run_protocol<T: StateTransition>(
     config: &SpecConfig,
     run_seed: u64,
 ) -> ProtocolResult<T> {
-    run_observed_inner(transition, inputs, initial, config, run_seed, &NOOP, None)
+    let ctx = RunCtx {
+        transition,
+        config,
+        seed: run_seed,
+        sink: &NOOP,
+        faults: None,
+    };
+    run_batch(ctx, inputs, initial, None, None, &Inline)
 }
 
 /// The sequential reference run with every knob taken from one
-/// [`RunOptions`] value: sink, seed, config, and optional segmenting. This
-/// is the batch counterpart of the streaming [`Session`](crate::Session);
-/// the options' pool (if any) is ignored — the parallel execution lives in
-/// [`StateDependence`](crate::StateDependence).
+/// [`RunOptions`] value: sink, seed, config, optional segmenting or DAG
+/// plan. This is the batch counterpart of the streaming
+/// [`Session`](crate::Session); the options' pool (if any) is ignored — the
+/// parallel execution lives in [`StateDependence`](crate::StateDependence).
 pub fn run_protocol_with_options<T: StateTransition>(
     transition: &T,
     inputs: &[T::Input],
     initial: &T::State,
     options: &RunOptions,
 ) -> ProtocolResult<T> {
-    if let Some(plan) = &options.plan {
-        // A DAG plan takes precedence over `segment`: the plan's own node
-        // boundaries are the segmentation.
-        return crate::dag::run_plan_sequential(
-            transition,
-            inputs,
-            initial,
-            plan,
-            &options.config,
-            options.seed,
-            &*options.sink,
-            options.faults.as_ref(),
-        );
-    }
-    match options.segment {
-        None => run_observed_inner(
-            transition,
-            inputs,
-            initial,
-            &options.config,
-            options.seed,
-            &*options.sink,
-            options.faults.as_ref(),
-        ),
-        Some(segment) => run_segmented(
-            inputs.len(),
-            initial.clone(),
-            options.seed,
-            segment,
-            |range, seed, state| {
-                run_observed_inner(
-                    transition,
-                    &inputs[range],
-                    state,
-                    &options.config,
-                    seed,
-                    &*options.sink,
-                    options.faults.as_ref(),
-                )
-            },
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // one parameter per execution-model knob
-pub(crate) fn run_observed_inner<T: StateTransition>(
-    transition: &T,
-    inputs: &[T::Input],
-    initial: &T::State,
-    config: &SpecConfig,
-    run_seed: u64,
-    sink: &dyn EventSink,
-    faults: Option<&FaultPlan>,
-) -> ProtocolResult<T> {
-    run_protocol_with(
-        transition,
+    run_batch(
+        RunCtx::new(transition, options),
         inputs,
         initial,
-        config,
-        run_seed,
-        sink,
-        faults,
-        |specs| {
-            specs
-                .iter()
-                .map(|&s| {
-                    execute_group(
-                        transition, inputs, 0, initial, config, run_seed, s, sink, faults,
-                    )
-                })
-                .collect()
-        },
+        options.segment,
+        options.plan.as_ref(),
+        &Inline,
     )
 }
 
-/// The execution model parameterized over *how* groups execute: the
-/// sequential reference path runs them in a loop; the thread-pool runtime
-/// runs them concurrently. Both feed identical [`GroupData`] into the same
-/// [`Resolver`] validation/commit/abort logic (which the streaming
-/// [`Session`](crate::Session) drives incrementally), so the three paths
-/// cannot diverge semantically.
-#[allow(clippy::too_many_arguments)] // one parameter per execution-model knob
-pub(crate) fn run_protocol_with<T, F>(
-    transition: &T,
-    inputs: &[T::Input],
-    initial: &T::State,
-    config: &SpecConfig,
-    run_seed: u64,
-    sink: &dyn EventSink,
-    faults: Option<&FaultPlan>,
-    exec_groups: F,
-) -> ProtocolResult<T>
-where
-    T: StateTransition,
-    F: FnOnce(&[GroupSpec]) -> Vec<GroupData<T>>,
-{
-    let n = inputs.len();
-    if n == 0 {
-        return ProtocolResult {
-            outputs: Vec::new(),
-            final_state: initial.clone(),
-            report: SpecReport::default(),
-            trace: SpecTrace::default(),
-        };
+/// How the units of a batch run — a linear run's groups, a plan's eager
+/// nodes — get executed. Units are mutually independent pure functions of
+/// the run's context, so *who* runs them changes nothing the run produces;
+/// the engine consumes their results in a fixed order either way. The
+/// default methods are the sequential reference: every unit runs on the
+/// calling thread.
+pub(crate) trait Executor<T: StateTransition> {
+    /// Run the groups `specs` of the (sub-)run over `inputs[range]` from
+    /// `initial` under `ctx`; results come back in group order. The
+    /// reference executes every group before the first is resolved.
+    fn groups<'a>(
+        &'a self,
+        ctx: RunCtx<'a, T>,
+        inputs: &'a [T::Input],
+        range: Range<usize>,
+        initial: &'a T::State,
+        specs: Vec<GroupSpec>,
+    ) -> impl Iterator<Item = GroupData<T>> + 'a {
+        let inputs = &inputs[range];
+        let data: Vec<_> = specs
+            .into_iter()
+            .map(|spec| execute_group(ctx, inputs, 0, initial, spec))
+            .collect();
+        data.into_iter()
     }
 
-    let g = config.effective_group_size(n);
+    /// Run the eager nodes `eager` (in topological order) of `plan` over
+    /// `inputs` from `initial` under `ctx`; results come back in that order.
+    /// The reference executes each node when the resolver gets to it.
+    fn nodes<'a>(
+        &'a self,
+        ctx: RunCtx<'a, T>,
+        plan: &'a SpecPlan,
+        inputs: &'a [T::Input],
+        initial: &'a T::State,
+        eager: &'a [PlanNodeId],
+    ) -> impl Iterator<Item = NodeRun<T>> + 'a {
+        eager
+            .iter()
+            .map(move |&node| run_node_eager(plan, node, ctx, inputs, initial))
+    }
+}
+
+/// The sequential reference executor.
+pub(crate) struct Inline;
+
+impl<T: StateTransition> Executor<T> for Inline {}
+
+/// The batch engine: the execution model over all of `inputs`, as one
+/// linear run, as consecutive segments of `segment` inputs, or over the
+/// dependency DAG `plan` (which takes precedence: its node boundaries are
+/// the segmentation) — with `exec` saying who runs the units. The
+/// sequential reference ([`Inline`]) and the pooled runtime
+/// (`runtime::Pooled`) are this function, so they cannot diverge.
+pub(crate) fn run_batch<T: StateTransition, E: Executor<T>>(
+    ctx: RunCtx<'_, T>,
+    inputs: &[T::Input],
+    initial: &T::State,
+    segment: Option<usize>,
+    plan: Option<&SpecPlan>,
+    exec: &E,
+) -> ProtocolResult<T> {
+    if let Some(plan) = plan {
+        return run_plan(ctx, plan, inputs, initial, exec);
+    }
+    let Some(segment) = segment else {
+        return run_linear(ctx, inputs, 0..inputs.len(), initial, exec);
+    };
+    // §3.1's abort rule says "no other speculation is performed until all
+    // the *current* inputs are processed": in a long-running program the
+    // state dependence is re-entered per batch (a video chunk, a stream
+    // window), so an abort disables speculation only for the rest of its
+    // own segment — the next segment speculates afresh, from the committed
+    // final state of the one before.
+    let segment = segment.max(1);
+    let mut acc = SegmentAccumulator::new(initial.clone());
+    for (seg_idx, lo) in (0..inputs.len()).step_by(segment).enumerate() {
+        let hi = (lo + segment).min(inputs.len());
+        let seg_ctx = ctx.with_seed(segment_seed(ctx.seed, seg_idx as u64));
+        let r = run_linear(seg_ctx, inputs, lo..hi, acc.state(), exec);
+        acc.absorb(r);
+    }
+    acc.finish()
+}
+
+/// One linear (sub-)run over `inputs[range]`: form the groups, let `exec`
+/// run them, and feed their [`GroupData`] — in group order, as `exec` hands
+/// it back — into the [`Resolver`] validation/commit/abort logic (which the
+/// streaming [`Session`](crate::Session) drives incrementally as well).
+pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
+    ctx: RunCtx<'_, T>,
+    inputs: &[T::Input],
+    range: Range<usize>,
+    initial: &T::State,
+    exec: &E,
+) -> ProtocolResult<T> {
+    let n = range.len();
+    if n == 0 {
+        // No groups, no events: the resolver's degenerate result.
+        return Resolver::new(ctx, 1).finish(initial);
+    }
+
+    let g = ctx.config.effective_group_size(n);
     let speculating = g < n;
     let specs: Vec<GroupSpec> = (0..n)
         .step_by(g)
@@ -610,32 +680,25 @@ where
             speculative: k > 0 && speculating,
         })
         .collect();
+    let groups = specs.len();
 
-    if sink.enabled() {
-        sink.emit(EventKind::RunStart {
-            inputs: n,
-            groups: specs.len(),
-        });
+    ctx.emit(EventKind::RunStart { inputs: n, groups });
+
+    // Every group runs (group 0 from S0, later groups from their auxiliary
+    // speculative state) and is ingested in order; validation, re-execution
+    // and abort settle as groups are ingested, the canonical trace is laid
+    // out at finish(). Its dependence edges carry the parallelism however
+    // `exec` scheduled the work.
+    let run_inputs = &inputs[range.clone()];
+    let mut resolver = Resolver::new(ctx, g);
+    for data in exec.groups(ctx, inputs, range.clone(), initial, specs) {
+        resolver.ingest(data, run_inputs);
     }
-
-    // ---- Phase 1: run every group (group 0 from S0, later groups from
-    // their auxiliary speculative state). The trace's dependence edges carry
-    // the parallelism regardless of how `exec_groups` scheduled the work.
-    let data = exec_groups(&specs);
-    assert_eq!(data.len(), specs.len(), "executor must run every group");
-
-    // ---- Phases 2 and 3 live in the Resolver, shared with the streaming
-    // engine: validation/re-execution/abort settle as groups are ingested;
-    // the canonical trace is laid out at finish().
-    let mut resolver = Resolver::new(transition, config, run_seed, sink, g, faults);
-    for d in data {
-        resolver.ingest(d, inputs);
-    }
+    let ingested = resolver.settled_groups();
+    assert_eq!(ingested, groups, "executor must run every group");
     let result = resolver.finish(initial);
 
-    if sink.enabled() {
-        sink.emit(EventKind::RunEnd);
-    }
+    ctx.emit(EventKind::RunEnd);
     result
 }
 
@@ -665,34 +728,6 @@ impl fmt::Display for SpecReport {
 /// here: their bit-identity to each other rests on it.
 pub(crate) fn segment_seed(run_seed: u64, idx: u64) -> u64 {
     run_seed ^ idx << 32
-}
-
-/// Run the execution model over `n` inputs in consecutive segments of
-/// `segment` inputs each, carrying the committed final state across
-/// segments. `run_chunk(range, seed, state)` runs one segment — the
-/// sequential reference in a loop, the pooled runtime on its workers.
-///
-/// §3.1's abort rule says "no other speculation is performed until all the
-/// *current* inputs are processed": in a long-running program the state
-/// dependence is re-entered per batch (a video chunk, a stream window), so
-/// an abort disables speculation only for the rest of its own segment —
-/// the next segment speculates afresh. Reports are merged (group indices
-/// keep segment-local numbering).
-pub(crate) fn run_segmented<T: StateTransition>(
-    n: usize,
-    initial: T::State,
-    run_seed: u64,
-    segment: usize,
-    mut run_chunk: impl FnMut(std::ops::Range<usize>, u64, &T::State) -> ProtocolResult<T>,
-) -> ProtocolResult<T> {
-    let segment = segment.max(1);
-    let mut acc = SegmentAccumulator::new(initial);
-    for (seg_idx, lo) in (0..n).step_by(segment).enumerate() {
-        let hi = (lo + segment).min(n);
-        let r = run_chunk(lo..hi, segment_seed(run_seed, seg_idx as u64), acc.state());
-        acc.absorb(r);
-    }
-    acc.finish()
 }
 
 /// Merges per-segment [`ProtocolResult`]s into one, carrying committed

@@ -37,13 +37,13 @@ use std::sync::Arc;
 use crate::sync::Mutex;
 
 use crate::adapt::{AdaptPolicy, RetryPolicy, Retuner, SegmentStats, TuneDecision};
+use crate::codec::{take, SpillCodec};
 use crate::faults::{FaultKind, FaultPlan, FaultRule};
 use crate::obs::{EventKind, EventSink};
 use crate::options::RunOptions;
 use crate::protocol::{GroupResolution, SpecConfig, SpecReport, SpecTrace, TraceNodeKind};
 use crate::runtime::SpecOutcome;
 use crate::sdi::StateTransition;
-use crate::serve::SpillCodec;
 use crate::session::Session;
 use crate::AdaptState;
 
@@ -473,15 +473,6 @@ fn section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     out.push(tag);
     (payload.len() as u64).encode(out);
     out.extend_from_slice(payload);
-}
-
-fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if bytes.len() < n {
-        return None;
-    }
-    let (front, rest) = bytes.split_at(n);
-    *bytes = rest;
-    Some(front)
 }
 
 // --------------------------------------------------------- event codec

@@ -15,11 +15,10 @@
 //! batch run over the same inputs and seed.
 
 use crate::ctx::WorkMeter;
-use crate::faults::{FaultKind, FaultPlan};
-use crate::obs::{EventKind, EventSink};
+use crate::obs::EventKind;
 use crate::protocol::{
-    run_invocation, GroupData, GroupRecord, GroupResolution, ProtocolResult, SpecConfig,
-    SpecReport, SpecTrace, TraceNodeKind,
+    run_invocation, GroupData, GroupRecord, GroupResolution, ProtocolResult, RunCtx, SpecReport,
+    SpecTrace, TraceNodeKind,
 };
 use crate::sdi::{SpecState, StateTransition};
 
@@ -57,14 +56,10 @@ struct ValRec {
 /// Incremental validation/commit/abort engine. Groups are ingested strictly
 /// in order; each ingest resolves as many groups as possible.
 pub(crate) struct Resolver<'a, T: StateTransition> {
-    transition: &'a T,
-    config: &'a SpecConfig,
-    run_seed: u64,
-    sink: &'a dyn EventSink,
+    /// Its fault plan forces validation mismatches when set.
+    ctx: RunCtx<'a, T>,
     /// Effective group size, for the post-abort `group_of` arithmetic.
     g: usize,
-    /// Injected-fault plan: forces validation mismatches when set.
-    faults: Option<&'a FaultPlan>,
     chains: Vec<ChainRec>,
     states: Vec<StateRec<T>>,
     vals: Vec<Option<ValRec>>,
@@ -82,21 +77,10 @@ pub(crate) struct Resolver<'a, T: StateTransition> {
 }
 
 impl<'a, T: StateTransition> Resolver<'a, T> {
-    pub(crate) fn new(
-        transition: &'a T,
-        config: &'a SpecConfig,
-        run_seed: u64,
-        sink: &'a dyn EventSink,
-        g: usize,
-        faults: Option<&'a FaultPlan>,
-    ) -> Self {
+    pub(crate) fn new(ctx: RunCtx<'a, T>, g: usize) -> Self {
         Resolver {
-            transition,
-            config,
-            run_seed,
-            sink,
+            ctx,
             g,
-            faults,
             chains: Vec::new(),
             states: Vec::new(),
             vals: Vec::new(),
@@ -211,34 +195,11 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         }
     }
 
-    /// Whether the fault plan forces validation attempt `attempt` of group
-    /// `k` to report a mismatch even when the states matched; emits the
-    /// [`EventKind::FaultInjected`] marker when it does.
-    fn forced_mismatch(&self, k: usize, attempt: usize) -> bool {
-        let Some(plan) = self.faults else {
-            return false;
-        };
-        let fired = plan.fires(
-            FaultKind::ValidationMismatch,
-            self.run_seed,
-            k as u64,
-            attempt as u32,
-        );
-        if fired && self.sink.enabled() {
-            self.sink.emit(EventKind::FaultInjected {
-                kind: FaultKind::ValidationMismatch,
-                site: k,
-                attempt,
-            });
-        }
-        fired
-    }
-
     /// Validate speculative group `k` against the (growing) set of original
     /// final states of group `k - 1`, re-executing the previous group's
     /// tail up to the budget; on exhaustion, abort into the sequential tail.
     fn validate(&mut self, k: usize, inputs: &[T::Input]) {
-        let config = self.config;
+        let config = self.ctx.config;
         let spec = self.states[k]
             .spec_start
             .take()
@@ -254,15 +215,13 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         let mut originals: Vec<T::State> = Vec::new();
         self.validations += 1;
         let mut matched = spec.matches_any(std::slice::from_ref(&self.states[k - 1].final_state))
-            && !self.forced_mismatch(k, 0);
+            && !self.ctx.forced_mismatch(k, 0);
         let mut attempts = 0usize;
-        if self.sink.enabled() {
-            self.sink.emit(EventKind::Validation {
-                group: k,
-                attempt: 0,
-                matched,
-            });
-        }
+        self.ctx.emit(EventKind::Validation {
+            group: k,
+            attempt: 0,
+            matched,
+        });
 
         let mut rec = ValRec {
             attempts: Vec::new(),
@@ -274,12 +233,10 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             }
             attempts += 1;
             self.reexecutions += 1;
-            if self.sink.enabled() {
-                self.sink.emit(EventKind::Reexecution {
-                    group: k - 1,
-                    attempt: attempts,
-                });
-            }
+            self.ctx.emit(EventKind::Reexecution {
+                group: k - 1,
+                attempt: attempts,
+            });
             // Re-execute the previous group's last `rollback` inputs from
             // the checkpoint, with fresh PRVG streams.
             let mut state = self.states[k - 1].checkpoint.clone();
@@ -288,10 +245,10 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             let mut tail_works: Vec<WorkMeter> = Vec::with_capacity(rollback);
             for (off, input) in inputs[re_start..prev_end].iter().enumerate() {
                 let (out, m) = run_invocation(
-                    self.transition,
+                    self.ctx.transition,
                     input,
                     &mut state,
-                    self.run_seed,
+                    self.ctx.seed,
                     (k - 1) as u64,
                     (re_start + off) as u64,
                     attempts as u64,
@@ -303,14 +260,12 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             }
             originals.push(state);
             self.validations += 1;
-            matched = spec.matches_any(&originals) && !self.forced_mismatch(k, attempts);
-            if self.sink.enabled() {
-                self.sink.emit(EventKind::Validation {
-                    group: k,
-                    attempt: attempts,
-                    matched,
-                });
-            }
+            matched = spec.matches_any(&originals) && !self.ctx.forced_mismatch(k, attempts);
+            self.ctx.emit(EventKind::Validation {
+                group: k,
+                attempt: attempts,
+                matched,
+            });
             if matched {
                 // The matching original execution becomes official: its
                 // tail outputs replace attempt 0's, whose nodes are
@@ -332,17 +287,13 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             self.records[k].resolution = GroupResolution::Committed {
                 reexecutions: attempts,
             };
-            if self.sink.enabled() {
-                self.sink.emit(EventKind::GroupCommit {
-                    group: k,
-                    reexecutions: attempts,
-                });
-            }
+            self.ctx.emit(EventKind::GroupCommit {
+                group: k,
+                reexecutions: attempts,
+            });
         } else {
             self.aborted = true;
-            if self.sink.enabled() {
-                self.sink.emit(EventKind::GroupAbort { group: k });
-            }
+            self.ctx.emit(EventKind::GroupAbort { group: k });
             // Squash every group from k on (outputs and work).
             for c in self.chains.iter_mut().skip(k) {
                 c.squashed_all = true;
@@ -354,10 +305,8 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             for r in self.records.iter_mut().skip(k) {
                 r.resolution = GroupResolution::SequentialTail;
             }
-            if self.sink.enabled() {
-                self.sink
-                    .emit(EventKind::SequentialTailStart { index: restart });
-            }
+            self.ctx
+                .emit(EventKind::SequentialTailStart { index: restart });
             self.abort_restart = restart;
             self.tail_next = restart;
             self.tail_state = Some(self.states[k - 1].final_state.clone());
@@ -377,16 +326,16 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         while self.tail_next < inputs.len() {
             let i = self.tail_next;
             let (out, m) = run_invocation(
-                self.transition,
+                self.ctx.transition,
                 &inputs[i],
                 &mut state,
-                self.run_seed,
+                self.ctx.seed,
                 (i / self.g) as u64,
                 i as u64,
                 // A fresh (re-)execution: distinct attempt number so its
                 // PRVG streams differ from the squashed speculative run.
-                (self.config.max_reexec + 1) as u64,
-                &self.config.orig_bindings,
+                (self.ctx.config.max_reexec + 1) as u64,
+                &self.ctx.config.orig_bindings,
                 false,
             );
             if self.outputs.len() <= i {
@@ -407,7 +356,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             self.chains.len(),
             "unresolved groups at finish"
         );
-        let config = self.config;
+        let config = self.ctx.config;
         let mut trace = SpecTrace::default();
 
         // Phase-1 layout: every group's attempt-0 chain (auxiliary node,
@@ -522,8 +471,8 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                 break;
             }
         }
-        if self.aborted && self.sink.enabled() {
-            self.sink.emit(EventKind::SequentialTailEnd);
+        if self.aborted {
+            self.ctx.emit(EventKind::SequentialTailEnd);
         }
 
         // Phase-3 accounting.

@@ -12,44 +12,34 @@
 //! and byte-identical to the sequential reference
 //! [`run_protocol`](crate::run_protocol) — a property the test suite checks.
 
-use crate::sync::{thread, Arc, Condvar, Mutex};
+use std::ops::Range;
 
-use crate::dag::{assert_plan_matches, node_is_eager, run_node_eager, NodeRun, PlanResolver};
+use crate::sync::{thread, Arc};
+
+use crate::dag::{run_node_eager, NodeRun};
 use crate::options::RunOptions;
-use crate::pool::{Priority, ThreadPool, Ticket};
+use crate::plan::{PlanNodeId, SpecPlan};
+use crate::pool::{Priority, ThreadPool};
 use crate::protocol::{
-    execute_group, run_protocol_with, run_segmented, ProtocolResult, SpecReport, SpecTrace,
+    execute_group, run_batch, Executor, GroupData, GroupSpec, ProtocolResult, RunCtx,
 };
 use crate::sdi::StateTransition;
 
-/// The result of a completed state-dependence execution.
-pub struct SpecOutcome<T: StateTransition> {
-    /// Committed outputs, one per input, in input order.
-    pub outputs: Vec<T::Output>,
-    /// The committed final state.
-    pub final_state: T::State,
-    /// Speculation statistics (commits, re-executions, aborts, work split).
-    pub report: SpecReport,
-    /// The recorded task graph of everything that executed.
-    pub trace: SpecTrace,
-}
-
-impl<T: StateTransition> From<ProtocolResult<T>> for SpecOutcome<T> {
-    fn from(result: ProtocolResult<T>) -> Self {
-        SpecOutcome {
-            outputs: result.outputs,
-            final_state: result.final_state,
-            report: result.report,
-            trace: result.trace,
-        }
-    }
-}
+/// The result of a completed state-dependence execution — the one result
+/// type every entry point returns.
+pub type SpecOutcome<T> = ProtocolResult<T>;
 
 struct Shared<T: StateTransition> {
     inputs: Vec<T::Input>,
     initial: T::State,
     transition: T,
     options: RunOptions,
+}
+
+impl<T: StateTransition> Shared<T> {
+    fn ctx(&self) -> RunCtx<'_, T> {
+        RunCtx::new(&self.transition, &self.options)
+    }
 }
 
 /// A state dependence made explicit (paper Figures 8/9): the inputs, the
@@ -87,7 +77,7 @@ struct Shared<T: StateTransition> {
 /// assert!(!outcome.report.aborted);
 /// ```
 pub struct StateDependence<T: StateTransition> {
-    shared: Option<Arc<Shared<T>>>,
+    shared: Arc<Shared<T>>,
     handle: Option<thread::JoinHandle<ProtocolResult<T>>>,
 }
 
@@ -97,28 +87,23 @@ impl<T: StateTransition> StateDependence<T> {
     /// to the machine's available parallelism is created at `start()`).
     pub fn new(inputs: Vec<T::Input>, initial: T::State, transition: T) -> Self {
         StateDependence {
-            shared: Some(Arc::new(Shared {
+            shared: Arc::new(Shared {
                 inputs,
                 initial,
                 transition,
                 options: RunOptions::default(),
-            })),
+            }),
             handle: None,
         }
     }
 
-    fn map_options(mut self, f: impl FnOnce(&mut RunOptions)) -> Self {
-        let mut shared = Arc::try_unwrap(self.shared.take().expect("not started"))
-            .unwrap_or_else(|_| panic!("options must be set before start"));
-        f(&mut shared.options);
-        self.shared = Some(Arc::new(shared));
-        self
-    }
-
     /// Replace every runtime knob at once (builder style): pool, sink,
     /// seed, config, segmenting, and DAG plan all come from `options`.
-    pub fn with_options(self, options: RunOptions) -> Self {
-        self.map_options(|o| *o = options)
+    pub fn with_options(mut self, options: RunOptions) -> Self {
+        Arc::get_mut(&mut self.shared)
+            .expect("options must be set before start")
+            .options = options;
+        self
     }
 
     /// Run to completion and return the outcome. Equivalent to `start()`
@@ -135,12 +120,25 @@ impl<T: StateTransition> StateDependence<T> {
     /// Panics if called twice.
     pub fn start(&mut self) {
         assert!(self.handle.is_none(), "start() called twice");
-        let shared = Arc::clone(self.shared.as_ref().expect("not consumed"));
+        let shared = Arc::clone(&self.shared);
         let pool = resolve_pool(&shared.options);
         self.handle = Some(
             thread::Builder::new()
                 .name("stats-coordinator".into())
-                .spawn(move || run_pooled(&shared, &pool))
+                .spawn(move || {
+                    let exec = Pooled {
+                        shared: &shared,
+                        pool: &pool,
+                    };
+                    run_batch(
+                        shared.ctx(),
+                        &shared.inputs,
+                        &shared.initial,
+                        shared.options.segment,
+                        shared.options.plan.as_ref(),
+                        &exec,
+                    )
+                })
                 .expect("failed to spawn coordinator"),
         );
     }
@@ -152,8 +150,9 @@ impl<T: StateTransition> StateDependence<T> {
     /// Panics if `start()` was not called first.
     pub fn join(mut self) -> SpecOutcome<T> {
         let handle = self.handle.take().expect("join() requires start()");
-        let result = handle.join().expect("coordinator panicked");
-        result.into()
+        handle
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
 }
 
@@ -182,189 +181,69 @@ impl<T: StateTransition> Drop for StateDependence<T> {
     }
 }
 
-/// Execute the protocol with group execution fanned out to the pool,
-/// segment by segment when [`RunOptions::segment`] is set, or over the
-/// dependency DAG when [`RunOptions::plan`] is set.
-fn run_pooled<T: StateTransition>(
-    shared: &Arc<Shared<T>>,
-    pool: &Arc<ThreadPool>,
-) -> ProtocolResult<T> {
-    let options = &shared.options;
-    if options.plan.is_some() {
-        return run_plan_pooled(shared, pool);
-    }
-    match options.segment {
-        None => run_pooled_chunk(
-            shared,
-            pool,
-            options.seed,
-            0,
-            shared.inputs.len(),
-            shared.initial.clone(),
-        ),
-        Some(segment) => run_segmented(
-            shared.inputs.len(),
-            shared.initial.clone(),
-            options.seed,
-            segment,
-            |range, seed, state: &T::State| {
-                run_pooled_chunk(shared, pool, seed, range.start, range.end, state.clone())
-            },
-        ),
-    }
+/// The pooled runtime's executor: every unit is a job for
+/// [`ThreadPool::ordered`], so group *k* is validated and committed while
+/// groups *k+1…* still run, and the coordinator runs the unit it is about
+/// to wait for itself when no worker has started it.
+///
+/// Pool jobs outlive any borrow, so they reach the run through `shared`
+/// rather than through the borrowed arguments, which name the same run.
+/// `shared.options` may hold the last `Arc<ThreadPool>`; `ordered`
+/// releases a job's clone before its result is visible, so that handle is
+/// never dropped on a worker.
+struct Pooled<'s, T: StateTransition> {
+    shared: &'s Arc<Shared<T>>,
+    pool: &'s ThreadPool,
 }
 
-/// One (sub-)run over `inputs[lo..hi]`, groups fanned out to the pool. The
-/// chunk's initial state sits behind one `Arc` next to the shared inputs,
-/// so a group's job clones a pointer, not the state.
-fn run_pooled_chunk<T: StateTransition>(
-    shared: &Arc<Shared<T>>,
-    pool: &Arc<ThreadPool>,
-    seed: u64,
-    lo: usize,
-    hi: usize,
-    initial: T::State,
-) -> ProtocolResult<T> {
-    let chunk = Arc::new((Arc::clone(shared), initial));
-    run_protocol_with(
-        &shared.transition,
-        &shared.inputs[lo..hi],
-        &chunk.1,
-        &shared.options.config,
-        seed,
-        &*shared.options.sink,
-        shared.options.faults.as_ref(),
-        |specs| {
-            let chunk = Arc::clone(&chunk);
-            pool.map(specs.to_vec(), move |spec| {
-                let (s, initial) = &*chunk;
-                execute_group(
-                    &s.transition,
-                    &s.inputs[lo..hi],
-                    0,
-                    initial,
-                    &s.options.config,
-                    seed,
-                    spec,
-                    &*s.options.sink,
-                    s.options.faults.as_ref(),
-                )
-            })
-        },
-    )
-}
-
-/// One filled slot per eager plan node, shared between pool jobs and the
-/// coordinator (a job's panic is carried as the `Err` payload).
-type NodeSlots<T> = Arc<(Mutex<Vec<Option<std::thread::Result<NodeRun<T>>>>>, Condvar)>;
-
-/// Execute a [`SpecPlan`](crate::SpecPlan) with every eager node run (roots
-/// and speculative non-roots) fanned out to the pool at once — critical-path
-/// nodes on the [`Priority::High`] lane so the longest dependence chain is
-/// never stuck behind sibling branches. The coordinator ingests finished
-/// runs into the [`PlanResolver`], which resolves nodes strictly in the
-/// plan's canonical topological order; dataflow nodes and post-abort
-/// recovery runs execute inline on the coordinator as their parents settle.
-/// Each time round, before it looks for finished runs (and parks if there
-/// are none), the coordinator runs the eager node the resolver is waiting
-/// for itself if no worker has started it — only that one; `Session`'s
-/// `stream_segment` has the rule and why.
-/// Bit-identical to the sequential reference at any worker count.
-fn run_plan_pooled<T: StateTransition>(
-    shared: &Arc<Shared<T>>,
-    pool: &Arc<ThreadPool>,
-) -> ProtocolResult<T> {
-    let options = &shared.options;
-    let plan = Arc::new(options.plan.clone().expect("plan mode"));
-    assert_plan_matches(&plan, shared.inputs.len());
-    let eager: Vec<usize> = plan
-        .topo_order()
-        .iter()
-        .copied()
-        .filter(|&n| node_is_eager(&plan, &options.config, n))
-        .collect();
-    let critical = plan.critical_path();
-    let slots: NodeSlots<T> = Arc::new((
-        Mutex::new((0..plan.len()).map(|_| None).collect()),
-        Condvar::new(),
-    ));
-    let mut tickets: Vec<Option<Ticket>> = (0..plan.len()).map(|_| None).collect();
-    for &node in &eager {
-        let s = Arc::clone(shared);
-        let slots = Arc::clone(&slots);
-        let plan_job = Arc::clone(&plan);
-        let priority = if critical.contains(&node) {
-            Priority::High
-        } else {
-            options.priority
-        };
-        tickets[node] = Some(pool.submit(priority, move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_node_eager(
-                    &plan_job,
-                    node,
-                    &s.transition,
-                    &s.inputs,
-                    &s.initial,
-                    &s.options.config,
-                    s.options.seed,
-                    &*s.options.sink,
-                )
-            }));
-            // Release the Shared/plan clones BEFORE publishing the result:
-            // once the slot is filled the coordinator may return and the
-            // caller drop its pool handle, and `s.options` holds an
-            // `Arc<ThreadPool>` — if this worker's clone were the last one,
-            // the pool would be dropped on a worker thread and join itself
-            // (EDEADLK). After this point the job owns only `slots`.
-            drop(s);
-            drop(plan_job);
-            let (lock, cv) = &*slots;
-            lock.lock()[node] = Some(result);
-            cv.notify_all();
-        }));
+impl<T: StateTransition> Executor<T> for Pooled<'_, T> {
+    fn groups<'a>(
+        &'a self,
+        ctx: RunCtx<'a, T>,
+        _inputs: &'a [T::Input],
+        range: Range<usize>,
+        initial: &'a T::State,
+        specs: Vec<GroupSpec>,
+    ) -> impl Iterator<Item = GroupData<T>> + 'a {
+        // The (sub-)run's initial state sits behind one `Arc` next to the
+        // shared inputs, so a group's job clones a pointer, not the state.
+        let run = Arc::new((Arc::clone(self.shared), initial.clone()));
+        let seed = ctx.seed;
+        self.pool.ordered(specs.into_iter().map(move |spec| {
+            let (run, range) = (Arc::clone(&run), range.clone());
+            let job = move || {
+                let (s, initial) = &*run;
+                execute_group(s.ctx().with_seed(seed), &s.inputs[range], 0, initial, spec)
+            };
+            (Priority::Normal, job)
+        }))
     }
-    let mut resolver = PlanResolver::new(
-        &plan,
-        &shared.transition,
-        &shared.inputs,
-        &options.config,
-        options.seed,
-        &*options.sink,
-        options.faults.as_ref(),
-    );
-    let mut remaining = eager.len();
-    let (lock, cv) = &*slots;
-    while remaining > 0 {
-        // Nothing resolves before the awaited node does, so run it here
-        // rather than wait for a worker to wake up for it.
-        if let Some(ticket) = resolver.awaited().and_then(|node| tickets[node].as_ref()) {
-            ticket.run_if_unclaimed();
-        }
-        let mut taken = Vec::new();
-        {
-            let mut guard = lock.lock();
-            loop {
-                for (node, slot) in guard.iter_mut().enumerate() {
-                    if slot.is_some() {
-                        taken.push((node, slot.take().expect("checked is_some")));
-                    }
-                }
-                if !taken.is_empty() {
-                    break;
-                }
-                cv.wait(&mut guard);
-            }
-        }
-        for (node, result) in taken {
-            remaining -= 1;
-            match result {
-                Ok(run) => resolver.ingest(node, run),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
+
+    /// Critical-path nodes go on the [`Priority::High`] lane so the longest
+    /// dependence chain is never stuck behind sibling branches.
+    fn nodes<'a>(
+        &'a self,
+        _ctx: RunCtx<'a, T>,
+        plan: &'a SpecPlan,
+        _inputs: &'a [T::Input],
+        _initial: &'a T::State,
+        eager: &'a [PlanNodeId],
+    ) -> impl Iterator<Item = NodeRun<T>> + 'a {
+        let critical = plan.critical_path();
+        self.pool.ordered(eager.iter().map(|&node| {
+            let s = Arc::clone(self.shared);
+            let priority = if critical.contains(&node) {
+                Priority::High
+            } else {
+                s.options.priority
+            };
+            let job = move || {
+                let plan = s.options.plan.as_ref().expect("plan mode");
+                run_node_eager(plan, node, s.ctx(), &s.inputs, &s.initial)
+            };
+            (priority, job)
+        }))
     }
-    resolver.finish()
 }
 
 #[cfg(test)]
@@ -549,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "panicked in ThreadPool::scope")]
+    #[should_panic(expected = "transition exploded")]
     fn dropping_dependence_propagates_coordinator_panic() {
         // The old detached handle silently swallowed coordinator panics;
         // now drop re-raises them on the owning thread.

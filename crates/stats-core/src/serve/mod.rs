@@ -32,8 +32,9 @@
 mod admission;
 mod spill;
 
+pub use crate::codec::SpillCodec;
 pub use admission::FairnessPolicy;
-pub use spill::{SpillCodec, SpillEffect, SpillQueue, SpillStats};
+pub use spill::{SpillEffect, SpillQueue, SpillStats};
 
 use std::io;
 use std::path::PathBuf;

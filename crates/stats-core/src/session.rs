@@ -35,8 +35,8 @@ use crate::obs::{EventKind, EventSink};
 use crate::options::RunOptions;
 use crate::pool::{Priority, ThreadPool, Ticket};
 use crate::protocol::{
-    execute_group, run_invocation, segment_seed, GroupData, GroupSpec, ProtocolResult,
-    SegmentAccumulator, SpecConfig, SpecReport, SpecTrace,
+    execute_group, run_invocation, segment_seed, GroupData, GroupSpec, ProtocolResult, RunCtx,
+    SegmentAccumulator, SpecConfig,
 };
 use crate::resolver::Resolver;
 use crate::runtime::{resolve_pool, SpecOutcome};
@@ -89,6 +89,18 @@ struct SegmentCtx<T: StateTransition> {
     config: Arc<SpecConfig>,
     initial: T::State,
     seed: u64,
+}
+
+impl<T: StateTransition> SegmentCtx<T> {
+    fn ctx(&self) -> RunCtx<'_, T> {
+        RunCtx {
+            transition: &self.engine.transition,
+            config: &self.config,
+            seed: self.seed,
+            sink: &*self.engine.sink,
+            faults: self.engine.faults.as_ref(),
+        }
+    }
 }
 
 /// A speculative group handed to the pool and not yet ingested.
@@ -358,13 +370,10 @@ impl<T: StateTransition> Session<T> {
             return Err(SessionError::AlreadyFinished);
         };
         self.close();
-        match handle.join() {
-            Ok(result) => Ok(result.into()),
-            Err(payload) => Err(SessionError::Panicked {
-                message: panic_message(&*payload),
-                payload,
-            }),
-        }
+        handle.join().map_err(|payload| SessionError::Panicked {
+            message: panic_message(&*payload),
+            payload,
+        })
     }
 
     fn close(&self) {
@@ -588,16 +597,15 @@ fn stream_main<T: StateTransition>(
         None
     };
     match segment {
-        None => stream_segment(
-            shared,
-            ctx,
-            pool,
-            options.seed,
-            initial,
-            usize::MAX,
-            max_inflight,
-            &base,
-        ),
+        None => {
+            let seg = SegmentCtx {
+                engine: Arc::clone(ctx),
+                config: base,
+                initial,
+                seed: options.seed,
+            };
+            stream_segment(shared, pool, seg, usize::MAX, max_inflight)
+        }
         Some(segment) => {
             let mut acc: SegmentAccumulator<T> = SegmentAccumulator::new(initial);
             let mut seg_idx = 0u64;
@@ -606,16 +614,13 @@ fn stream_main<T: StateTransition>(
                     Some(c) => Arc::new(c.apply(&base)),
                     None => Arc::clone(&base),
                 };
-                let r = stream_segment(
-                    shared,
-                    ctx,
-                    pool,
-                    segment_seed(options.seed, seg_idx),
-                    acc.state().clone(),
-                    segment,
-                    max_inflight,
-                    &seg_config,
-                );
+                let seg = SegmentCtx {
+                    engine: Arc::clone(ctx),
+                    config: Arc::clone(&seg_config),
+                    initial: acc.state().clone(),
+                    seed: segment_seed(options.seed, seg_idx),
+                };
+                let r = stream_segment(shared, pool, seg, segment, max_inflight);
                 let aborted = r.report.aborted;
                 let stats = SegmentStats {
                     segment: seg_idx,
@@ -701,26 +706,18 @@ fn wait_for_input<T: StateTransition>(shared: &StreamShared<T>) -> bool {
 /// here instead of parking until a worker has woken up for it. Only that
 /// group: taking any unclaimed one would have the coordinator compete with
 /// the workers for cores on work that is not yet on the critical path.
-#[allow(clippy::too_many_arguments)] // one parameter per execution-model knob
 fn stream_segment<T: StateTransition>(
     shared: &Arc<StreamShared<T>>,
-    ctx: &Arc<EngineCtx<T>>,
     pool: &Arc<ThreadPool>,
-    seed: u64,
-    initial: T::State,
+    seg: SegmentCtx<T>,
     limit: usize,
     max_inflight: usize,
-    config: &Arc<SpecConfig>,
 ) -> ProtocolResult<T> {
-    let seg = Arc::new(SegmentCtx {
-        engine: Arc::clone(ctx),
-        config: Arc::clone(config),
-        initial,
-        seed,
-    });
+    let seg = Arc::new(seg);
+    let (ctx, seed) = (&seg.engine, seg.seed);
+    let run = seg.ctx();
     let initial = &seg.initial;
     let config: &SpecConfig = &seg.config;
-    let sink: &dyn EventSink = &*ctx.sink;
     // Group cardinality while the input count is unknown: with speculation
     // on, every full `group_size` block becomes a group; the cases where
     // the batch path would collapse to a single group (n <= group_size, or
@@ -732,14 +729,7 @@ fn stream_segment<T: StateTransition>(
         None
     };
     let g_eff = group_cap.unwrap_or(usize::MAX);
-    let mut resolver: Resolver<T> = Resolver::new(
-        &ctx.transition,
-        config,
-        seed,
-        sink,
-        g_eff,
-        ctx.faults.as_ref(),
-    );
+    let mut resolver: Resolver<T> = Resolver::new(run, g_eff);
 
     let mut inputs: Vec<T::Input> = Vec::new();
     let mut consumed = 0usize; // inputs taken off the queue this segment
@@ -781,7 +771,6 @@ fn stream_segment<T: StateTransition>(
             let seg = Arc::clone(&seg);
             let job_shared = Arc::clone(shared);
             let ticket = pool.submit(ctx.priority, move || {
-                let engine = &*seg.engine;
                 // Pool jobs are not panic-isolated (a panic would kill the
                 // worker): catch here and hand the payload to the
                 // coordinator, which re-raises it on the session owner.
@@ -792,29 +781,18 @@ fn stream_segment<T: StateTransition>(
                     // under the RetryPolicy; the global panic hook is
                     // deliberately not tripped for injected (as opposed to
                     // real) failures.
-                    if let Some(plan) = &engine.faults {
-                        if plan.fires(FaultKind::WorkerPanic, seg.seed, k as u64, attempt) {
-                            if engine.sink.enabled() {
-                                engine.sink.emit(EventKind::FaultInjected {
-                                    kind: FaultKind::WorkerPanic,
-                                    site: k,
-                                    attempt: attempt as usize,
-                                });
-                            }
+                    let run = seg.ctx();
+                    if let Some(plan) = run.faults {
+                        if plan.fires(FaultKind::WorkerPanic, run.seed, k as u64, attempt) {
+                            run.emit(EventKind::FaultInjected {
+                                kind: FaultKind::WorkerPanic,
+                                site: k,
+                                attempt: attempt as usize,
+                            });
                             return Err(InjectedFault { group: k, attempt });
                         }
                     }
-                    Ok(execute_group(
-                        &engine.transition,
-                        &slice,
-                        w_start,
-                        &seg.initial,
-                        &seg.config,
-                        seg.seed,
-                        spec,
-                        &*engine.sink,
-                        engine.faults.as_ref(),
-                    ))
+                    Ok(execute_group(run, &slice, w_start, &seg.initial, spec))
                 }));
                 // Let go of the engine context before the coordinator can
                 // learn the group is done: it may finish the stream at once,
@@ -927,13 +905,11 @@ fn stream_segment<T: StateTransition>(
         // ---- Injected queue stalls: the coordinator sleeps outside the
         // lock (producers keep filling the freed queue space meanwhile).
         for (site, delay) in stalls {
-            if sink.enabled() {
-                sink.emit(EventKind::FaultInjected {
-                    kind: FaultKind::QueueStall,
-                    site,
-                    attempt: 0,
-                });
-            }
+            run.emit(EventKind::FaultInjected {
+                kind: FaultKind::QueueStall,
+                site,
+                attempt: 0,
+            });
             thread::sleep(delay);
         }
 
@@ -951,30 +927,19 @@ fn stream_segment<T: StateTransition>(
             let (start, end) = (group.start, group.end);
             if attempt <= ctx.retry.max_retries {
                 thread::sleep(ctx.retry.delay_for(attempt - 1));
-                if sink.enabled() {
-                    sink.emit(EventKind::GroupRetry {
-                        group: fault.group,
-                        attempt: attempt as usize,
-                    });
-                }
+                run.emit(EventKind::GroupRetry {
+                    group: fault.group,
+                    attempt: attempt as usize,
+                });
                 *group = dispatch_group(fault.group, start, end, attempt, &inputs);
             } else {
-                let data = execute_group(
-                    &ctx.transition,
-                    &inputs,
-                    0,
-                    initial,
-                    config,
-                    seed,
-                    GroupSpec {
-                        k: fault.group,
-                        start,
-                        end,
-                        speculative: true,
-                    },
-                    sink,
-                    ctx.faults.as_ref(),
-                );
+                let spec = GroupSpec {
+                    k: fault.group,
+                    start,
+                    end,
+                    speculative: true,
+                };
+                let data = execute_group(run, &inputs, 0, initial, spec);
                 pending.insert(fault.group, data);
             }
         }
@@ -986,14 +951,12 @@ fn stream_segment<T: StateTransition>(
             inputs.push(item);
             if !run_started {
                 run_started = true;
-                if sink.enabled() {
-                    // Input and group counts are unknown for an open
-                    // stream; a streamed RunStart reports zeros.
-                    sink.emit(EventKind::RunStart {
-                        inputs: 0,
-                        groups: 0,
-                    });
-                }
+                // Input and group counts are unknown for an open stream; a
+                // streamed RunStart reports zeros.
+                run.emit(EventKind::RunStart {
+                    inputs: 0,
+                    groups: 0,
+                });
             }
             if resolver.aborted() {
                 continue; // swept into process_tail below
@@ -1026,7 +989,7 @@ fn stream_segment<T: StateTransition>(
                             &g0_state,
                             std::mem::take(&mut g0_outputs),
                             std::mem::take(&mut g0_works),
-                            sink,
+                            run,
                         ),
                     );
                     g0_done = true;
@@ -1068,7 +1031,7 @@ fn stream_segment<T: StateTransition>(
                             &g0_state,
                             std::mem::take(&mut g0_outputs),
                             std::mem::take(&mut g0_works),
-                            sink,
+                            run,
                         ),
                     );
                     g0_done = true;
@@ -1095,17 +1058,10 @@ fn stream_segment<T: StateTransition>(
         }
     }
 
-    if inputs.is_empty() {
-        return ProtocolResult {
-            outputs: Vec::new(),
-            final_state: initial.clone(),
-            report: SpecReport::default(),
-            trace: SpecTrace::default(),
-        };
-    }
+    // An empty stream resolves to no outputs and the initial state.
     let result = resolver.finish(initial);
-    if sink.enabled() {
-        sink.emit(EventKind::RunEnd);
+    if run_started {
+        run.emit(EventKind::RunEnd);
     }
     result
 }
@@ -1120,17 +1076,15 @@ fn seal_group0<T: StateTransition>(
     final_state: &T::State,
     outputs: Vec<T::Output>,
     works: Vec<crate::ctx::WorkMeter>,
-    sink: &dyn EventSink,
+    run: RunCtx<'_, T>,
 ) -> GroupData<T> {
-    if sink.enabled() {
-        sink.emit(EventKind::GroupStart {
-            group: 0,
-            start: 0,
-            end,
-            speculative: false,
-        });
-        sink.emit(EventKind::GroupEnd { group: 0 });
-    }
+    run.emit(EventKind::GroupStart {
+        group: 0,
+        start: 0,
+        end,
+        speculative: false,
+    });
+    run.emit(EventKind::GroupEnd { group: 0 });
     GroupData {
         spec: GroupSpec {
             k: 0,

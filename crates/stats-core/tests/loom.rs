@@ -16,9 +16,8 @@
 //!
 //! - `pool_scope_settle_publishes_metrics` — pins the `jobs`
 //!   Release/Acquire pair (worker increment → scope settle loop/metrics).
-//! - `pool_scope_routes_job_panics` — pins the `panicked` Relaxed counter
-//!   being ordered by the `done` mutex handshake (the SeqCst→Relaxed
-//!   downgrade of the 2026-08 audit).
+//! - `pool_scope_routes_job_panics` — a job's panic travels in its result
+//!   slot and surfaces from `scope` in every schedule.
 //! - `pool_drop_completes_outstanding_work` — shutdown/drain handshake.
 //! - `pool_lanes_never_lose_jobs` — two workers, jobs on both lanes, a
 //!   drop right behind the last submit: each job runs exactly once.
@@ -27,6 +26,11 @@
 //!   it still surfaces from `scope` when the caller ran it.
 //! - `pool_submit_never_strands_a_sleeper` — submit vs. park with the 1 ms
 //!   backstop disabled: a parked worker is always woken for a new job.
+//! - `pool_ordered_yields_each_result_once` — the `ordered` slot handshake
+//!   the batch and plan engines, `scope` and `map` all wait through: two
+//!   workers and the consumer race for three jobs on both lanes; every
+//!   result arrives once, in submission order, after its job's captures
+//!   are gone, and the pool can be dropped right behind the last one.
 //! - `session_push_finish_matches_batch` — producer/coordinator/worker
 //!   handoff commits every input exactly once, in order.
 //! - `session_halfway_wakeup_never_strands_producer` — a producer blocked
@@ -135,12 +139,9 @@ fn pool_scope_settle_publishes_metrics() {
     });
 }
 
-/// Tentpole model 2 (audit regression): a job panic must surface from
-/// `scope()` in every interleaving. The `panicked` counter is Relaxed —
-/// the `done` mutex handshake is what orders it, so this model is the
-/// regression test for the SeqCst→Relaxed downgrade: remove the handshake
-/// (or read the counter before it) and an execution appears where the
-/// panic is lost.
+/// Tentpole model 2: a job panic must surface from `scope()` in every
+/// interleaving. The payload travels in the job's result slot, under the
+/// slot mutex, so whichever thread ran the job the scope counts it.
 #[test]
 fn pool_scope_routes_job_panics() {
     model(2, || {
@@ -265,6 +266,46 @@ fn pool_submit_never_strands_a_sleeper() {
                 done.1.wait(&mut finished);
             }
         }
+    });
+}
+
+/// The ordered-completion handshake (`ThreadPool::ordered`): two workers
+/// and the consumer — which claims the job it is about to wait for — race
+/// for three jobs spread over both lanes. In every schedule each result is
+/// handed out exactly once and in submission order, the job behind it ran
+/// exactly once and has let go of what it captured (the sentinel) by the
+/// time its result is visible, and dropping the pool right behind the last
+/// result neither hangs nor loses a job. A result published before the slot
+/// lock is taken, or a notify that precedes the store, shows up here as a
+/// deadlock; a result published before the job's captures are released, as
+/// the sentinel count.
+#[test]
+fn pool_ordered_yields_each_result_once() {
+    model(2, || {
+        let runs = Arc::new(Mutex::new([0u32; 3]));
+        let sentinels: Vec<Arc<()>> = (0..3).map(|_| Arc::new(())).collect();
+        let pool = ThreadPool::new(2);
+        let jobs = [Priority::Normal, Priority::High, Priority::Normal]
+            .into_iter()
+            .enumerate()
+            .map(|(i, lane)| {
+                let (runs, held) = (Arc::clone(&runs), Arc::clone(&sentinels[i]));
+                let job = move || {
+                    let _held = &held;
+                    runs.lock()[i] += 1;
+                    i
+                };
+                (lane, Box::new(job) as Box<dyn FnOnce() -> usize + Send>)
+            })
+            .collect();
+        let mut results = pool.ordered_for_model(jobs);
+        for (i, sentinel) in sentinels.iter().enumerate() {
+            assert_eq!(results.next(), Some(i), "result lost or out of order");
+            assert_eq!(Arc::strong_count(sentinel), 1, "job {i} still holds");
+        }
+        drop(pool);
+        assert_eq!(results.next(), None);
+        assert_eq!(*runs.lock(), [1, 1, 1], "job lost or duplicated");
     });
 }
 

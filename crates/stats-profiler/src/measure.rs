@@ -1,7 +1,8 @@
 //! One profile run: protocol → trace → platform simulation → measurement.
 
 use stats_core::{
-    run_protocol_with_options, RunOptions, Session, SpecConfig, SpecReport, TradeoffBindings,
+    run_protocol_with_options, ProtocolResult, RunOptions, Session, SpecConfig, SpecReport,
+    TradeoffBindings,
 };
 use stats_sim::{simulate, EnergyModel, Platform};
 use stats_workloads::{Instance, Workload, WorkloadSpec};
@@ -186,50 +187,50 @@ pub fn measure_streamed<W: Workload>(
     settings: &RunSettings,
     chunk: usize,
 ) -> FullMeasurement {
-    let mut options = RunOptions::default()
-        .config(settings.spec_config.clone())
-        .seed(settings.run_seed);
-    if let Some(segment) = settings.segment {
-        options = options.segment(segment);
-    }
-    let session = Session::new(instance.initial, instance.transition, options);
+    let session = Session::new(instance.initial, instance.transition, run_options(settings));
     for batch in instance.inputs.chunks(chunk.max(1)) {
         session.push_batch(batch.iter().cloned());
     }
-    let outcome = session.finish();
-    let tlp = workload.original_tlp();
-    let graph = expand_trace(&outcome.trace, &tlp, settings.t_orig);
-    let schedule = simulate(&graph, &settings.platform, settings.threads);
-    let energy = settings.energy.energy(&schedule, &settings.platform);
-    FullMeasurement {
-        time_s: schedule.makespan_seconds(),
-        energy_j: energy.joules,
-        output_error: workload.output_error(spec, &outcome.outputs),
-        report: outcome.report,
-        utilization: schedule.utilization(),
+    profile(workload, spec, settings, session.finish()).0
+}
+
+/// The runtime options a profile run executes under.
+fn run_options(settings: &RunSettings) -> RunOptions {
+    let options = RunOptions::default()
+        .config(settings.spec_config.clone())
+        .seed(settings.run_seed);
+    match settings.segment {
+        Some(segment) => options.segment(segment),
+        None => options,
     }
 }
 
-/// The shared profile pipeline, keeping the expanded task graph and its
-/// schedule alive for callers that export them.
+/// The batch profile run, keeping the expanded task graph and its schedule
+/// alive for callers that export them.
 fn measure_with_schedule<W: Workload>(
     workload: &W,
     instance: &Instance<W::T>,
     spec: &WorkloadSpec,
     settings: &RunSettings,
 ) -> (FullMeasurement, stats_sim::TaskGraph, stats_sim::Schedule) {
-    let mut options = RunOptions::default()
-        .config(settings.spec_config.clone())
-        .seed(settings.run_seed);
-    if let Some(segment) = settings.segment {
-        options = options.segment(segment);
-    }
     let result = run_protocol_with_options(
         &instance.transition,
         &instance.inputs,
         &instance.initial,
-        &options,
+        &run_options(settings),
     );
+    profile(workload, spec, settings, result)
+}
+
+/// The shared tail of every profile run, batch or streamed: expand the
+/// executed trace, schedule it on the simulated platform, integrate energy
+/// and score output quality.
+fn profile<W: Workload>(
+    workload: &W,
+    spec: &WorkloadSpec,
+    settings: &RunSettings,
+    result: ProtocolResult<W::T>,
+) -> (FullMeasurement, stats_sim::TaskGraph, stats_sim::Schedule) {
     let tlp = workload.original_tlp();
     let graph = expand_trace(&result.trace, &tlp, settings.t_orig);
     let schedule = simulate(&graph, &settings.platform, settings.threads);
