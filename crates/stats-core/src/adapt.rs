@@ -24,13 +24,20 @@
 //! re-tuning*: between segments an installed retuner observes the same
 //! per-segment telemetry and may re-pick the execution-model operating
 //! point (group cardinality, auxiliary window, re-execution budget) for
-//! the rest of the stream. `stats-autotune`'s `OnlineTuner` implements it
+//! the rest of the run. `stats-autotune`'s `OnlineTuner` implements it
 //! with the bandit portfolio, warm-started from the cross-run
-//! `ResultsDatabase`; `docs/tuning.md` contrasts the two ladders.
+//! `ResultsDatabase`. `SegmentControl` composes the controller and the
+//! retuner, once, for every linear run — batch or streamed
+//! (`docs/tuning.md`).
 
+use std::borrow::Cow;
 use std::time::Duration;
 
-use crate::protocol::SpecConfig;
+use crate::obs::EventKind;
+use crate::options::RunOptions;
+use crate::protocol::{ProtocolResult, RunCtx, SpecConfig};
+use crate::sdi::StateTransition;
+use crate::sync::Mutex;
 
 /// Retry-with-backoff budget for re-executing work lost to worker death.
 ///
@@ -266,8 +273,8 @@ impl AdaptiveController {
     }
 }
 
-/// Telemetry for one finished streaming segment, handed to an installed
-/// [`Retuner`] by the [`Session`](crate::Session) coordinator.
+/// Telemetry for one finished segment of a linear run, batch or streamed,
+/// handed to an installed [`Retuner`] before the next segment starts.
 ///
 /// Every field is a deterministic function of `(inputs, seed, fault plan,
 /// configuration)` — no clocks — so a retuner driven only by these values
@@ -314,11 +321,11 @@ pub struct TuneDecision {
 /// Online re-tuning hook, installed via
 /// [`RunOptions::retune`](crate::RunOptions::retune).
 ///
-/// The [`Session`](crate::Session) coordinator calls
+/// Every linear run, batch or streamed, calls
 /// [`observe`](Retuner::observe) once per finished segment and then
 /// [`decide`](Retuner::decide) for the next segment; a `Some` decision
 /// rewrites the base configuration's group cardinality, auxiliary window,
-/// and re-execution budget for the rest of the stream (the degradation
+/// and re-execution budget for the rest of the run (the degradation
 /// ladder, when also enabled, restarts from the new base — see
 /// `docs/tuning.md`). Each applied decision is emitted as
 /// [`EventKind::Retune`](crate::EventKind::Retune), which is what makes
@@ -335,6 +342,118 @@ pub trait Retuner: Send {
     /// Re-pick the operating point for `next_segment` (the zero-based index
     /// of the segment about to run), or `None` to keep the current one.
     fn decide(&mut self, next_segment: u64) -> Option<TuneDecision>;
+}
+
+/// The operating point of each segment of one linear run, and the one
+/// place it moves: the [`AdaptiveController`] degrades the base
+/// configuration on abort pressure, the [`Retuner`] re-bases it, and a
+/// re-tune restarts the ladder from the new base. Both are clock-free, and
+/// every move is emitted, so a replay repeats it without the tuner.
+///
+/// Control is segment-granular because the resolver assumes one group
+/// cardinality per run. The segment length is fixed when the run starts,
+/// so segment boundaries — and with them per-segment seeds and fault
+/// sites — never depend on a decision.
+pub(crate) struct SegmentControl<'a> {
+    base: Cow<'a, SpecConfig>,
+    /// The degradation ladder and the policy it restarts from.
+    ladder: Option<(AdaptPolicy, AdaptiveController)>,
+    retuner: Option<&'a Mutex<dyn Retuner>>,
+    /// Inputs per segment; `usize::MAX` makes the whole run one segment.
+    pub(crate) segment: usize,
+}
+
+impl<'a> SegmentControl<'a> {
+    /// `config` for the whole run, as one segment.
+    pub(crate) fn fixed(config: &'a SpecConfig) -> Self {
+        SegmentControl {
+            base: Cow::Borrowed(config),
+            ladder: None,
+            retuner: None,
+            segment: usize::MAX,
+        }
+    }
+
+    /// The segmenting and controllers `options` ask for.
+    pub(crate) fn new(options: &'a RunOptions) -> Self {
+        let base = &options.config;
+        let controlled = options.adapt.is_some() || options.retune.is_some();
+        SegmentControl {
+            ladder: options
+                .adapt
+                .map(|policy| (policy, AdaptiveController::new(policy, base))),
+            retuner: options.retune.as_deref(),
+            segment: match options.segment {
+                Some(segment) => segment.max(1),
+                None if controlled => base.group_size.max(1).saturating_mul(4),
+                None => usize::MAX,
+            },
+            ..Self::fixed(base)
+        }
+    }
+
+    /// The configuration the next segment runs at: the base, on the
+    /// ladder's current rung.
+    pub(crate) fn config(&self) -> Cow<'a, SpecConfig> {
+        match &self.ladder {
+            Some((_, ladder)) => Cow::Owned(ladder.apply(&self.base)),
+            None => self.base.clone(),
+        }
+    }
+
+    /// Digest the result `r` of segment `index`, which ran under `seg`.
+    pub(crate) fn observe<T: StateTransition>(
+        &mut self,
+        seg: RunCtx<'_, T>,
+        index: u64,
+        r: &ProtocolResult<T>,
+    ) {
+        let report = &r.report;
+        if let Some((_, ladder)) = &mut self.ladder {
+            if let Some((state, group_size)) = ladder.observe_segment(report.aborted) {
+                seg.emit(EventKind::AdaptTransition { state, group_size });
+            }
+        }
+        let Some(retuner) = self.retuner else { return };
+        let stats = SegmentStats {
+            segment: index,
+            inputs: r.outputs.len(),
+            aborted: report.aborted,
+            reexecutions: report.reexecutions,
+            validations: report.validations,
+            committed_original_work: report.committed_original_work,
+            committed_aux_work: report.committed_aux_work,
+            squashed_work: report.squashed_work,
+            group_size: seg.config.group_size,
+            window: seg.config.window,
+            max_reexec: seg.config.max_reexec,
+        };
+        let next = index + 1;
+        let decision = {
+            let mut retuner = retuner.lock();
+            retuner.observe(&stats);
+            retuner.decide(next)
+        };
+        let Some(d) = decision else { return };
+        let base = SpecConfig {
+            group_size: d.group_size.max(1),
+            window: d.window,
+            max_reexec: d.max_reexec,
+            ..SpecConfig::clone(&self.base)
+        };
+        // The ladder's shrink/grow targets are relative to the base group
+        // size, which just moved.
+        if let Some((policy, ladder)) = &mut self.ladder {
+            *ladder = AdaptiveController::new(*policy, &base);
+        }
+        seg.emit(EventKind::Retune {
+            segment: next,
+            group_size: base.group_size,
+            window: base.window,
+            max_reexec: base.max_reexec,
+        });
+        self.base = Cow::Owned(base);
+    }
 }
 
 #[cfg(test)]

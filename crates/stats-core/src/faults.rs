@@ -20,8 +20,8 @@
 //!   the resolver treats a speculative start state as mismatched even when
 //!   it matched, driving re-execution and — with an unbounded rule — a
 //!   full abort.
-//! - **Slow group** ([`FaultPlan::slow_group`]): a group's execution is
-//!   delayed by [`FaultRule::delay`] before it starts.
+//! - **Slow group** ([`FaultPlan::slow_group`]): a speculative group's
+//!   execution is delayed by [`FaultRule::delay`] before it starts.
 //! - **Queue stall** ([`FaultPlan::queue_stall`]): the streaming
 //!   coordinator sleeps before admitting a given input from the bounded
 //!   queue.
@@ -37,7 +37,7 @@ pub enum FaultKind {
     WorkerPanic,
     /// A validation is forced to report a mismatch.
     ValidationMismatch,
-    /// A group's execution is delayed before it starts.
+    /// A speculative group's execution is delayed before it starts.
     SlowGroup,
     /// The streaming coordinator stalls before admitting an input.
     QueueStall,

@@ -117,8 +117,8 @@ pub enum EventKind {
         /// Retry attempt number (1-based; `0` was the original dispatch).
         attempt: usize,
     },
-    /// The [`Session`](crate::Session) adaptive controller moved on the
-    /// degradation ladder (see `docs/robustness.md`).
+    /// A linear run's adaptive controller moved on the degradation ladder
+    /// (see `docs/robustness.md`).
     AdaptTransition {
         /// The state entered.
         state: AdaptState,
@@ -126,8 +126,8 @@ pub enum EventKind {
         group_size: usize,
     },
     /// An online [`Retuner`](crate::Retuner) re-picked the execution-model
-    /// operating point between two [`Session`](crate::Session) segments
-    /// (see `docs/tuning.md`). Recorded in session logs so tuned runs
+    /// operating point between two segments of a linear run (see
+    /// `docs/tuning.md`). Recorded in session logs so tuned runs
     /// replay deterministically without the tuner (`docs/replay.md`).
     Retune {
         /// First segment the new operating point applies to.

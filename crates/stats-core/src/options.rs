@@ -1,13 +1,11 @@
 //! The unified configuration surface for every protocol entry point.
 //!
-//! [`RunOptions`] bundles everything that used to be spread across the
-//! `run_protocol*` signatures (including the deprecated observed and
-//! segmented variants) and the `StateDependence::with_*` builders: the shared
-//! [`ThreadPool`], the [`EventSink`], the run seed, the tuned
-//! [`SpecConfig`], and segmenting. The same value drives the one-shot
-//! [`StateDependence`](crate::StateDependence), the sequential reference
+//! One [`RunOptions`] value — the shared [`ThreadPool`], the [`EventSink`],
+//! the run seed, the tuned [`SpecConfig`], segmenting and its controllers —
+//! drives the one-shot [`StateDependence`](crate::StateDependence), the
+//! sequential reference
 //! [`run_protocol_with_options`](crate::run_protocol_with_options), and the
-//! streaming [`Session`](crate::Session).
+//! streaming [`Session`](crate::Session) alike.
 
 use std::sync::Arc;
 
@@ -53,15 +51,19 @@ pub struct RunOptions {
     pub config: SpecConfig,
     /// When set, process inputs in consecutive segments of this many inputs,
     /// carrying committed state across segments — an abort disables
-    /// speculation only for the rest of its own segment.
+    /// speculation only for the rest of its own segment. Unset, a run with
+    /// [`adapt`](Self::adapt) or [`retune`](Self::retune) uses segments of
+    /// four groups.
     pub segment: Option<usize>,
     /// When set, execute the inputs as a dependency DAG of segments (see
     /// [`SpecPlan`] and `docs/dag.md`). Takes precedence over [`segment`]
-    /// (the plan's node boundaries *are* the segmentation). Batch-only:
-    /// [`Session`](crate::Session) streams a linear input sequence and
-    /// panics if a plan is set.
+    /// (the plan's node boundaries *are* the segmentation), so [`adapt`]
+    /// and [`retune`] do not apply. Batch-only: [`Session`](crate::Session)
+    /// streams a linear input sequence and panics if a plan is set.
     ///
     /// [`segment`]: RunOptions::segment
+    /// [`adapt`]: RunOptions::adapt
+    /// [`retune`]: RunOptions::retune
     pub plan: Option<SpecPlan>,
     /// Bound of the [`Session`](crate::Session) input queue: a producer
     /// pushing into a full queue blocks until the engine drains it.
@@ -73,22 +75,22 @@ pub struct RunOptions {
     /// Deterministic fault-injection plan. `None` (the default) injects
     /// nothing; see [`FaultPlan`] and `docs/robustness.md`.
     pub faults: Option<FaultPlan>,
-    /// Adaptive-degradation policy for [`Session`](crate::Session): shrink
-    /// group cardinality under abort storms, fall back to sequential
+    /// Adaptive-degradation policy for every linear run, batch or streamed:
+    /// shrink group cardinality under abort storms, fall back to sequential
     /// execution, re-probe once aborts subside. `None` (the default) keeps
     /// the configured [`SpecConfig`] fixed for the whole run.
     pub adapt: Option<AdaptPolicy>,
-    /// Online re-tuning hook for [`Session`](crate::Session): between
-    /// segments the retuner observes per-segment telemetry and may re-pick
-    /// group cardinality, auxiliary window, and re-execution budget for
-    /// the rest of the stream (`docs/tuning.md`). `None` (the default)
+    /// Online re-tuning hook for every linear run, batch or streamed:
+    /// between segments the retuner observes per-segment telemetry and may
+    /// re-pick group cardinality, auxiliary window, and re-execution budget
+    /// for the rest of the run (`docs/tuning.md`). `None` (the default)
     /// keeps the configured operating point. Shared behind a mutex so the
     /// caller can keep a handle (e.g. to persist a results database after
-    /// the run); only the coordinator thread locks it, once per segment.
-    /// Batch entry points ignore it.
+    /// the run); only the run's coordinator locks it, once per segment.
     pub retune: Option<Arc<Mutex<dyn Retuner>>>,
-    /// Retry-with-backoff budget for groups lost to worker death in a
-    /// [`Session`](crate::Session).
+    /// Retry-with-backoff budget for groups lost to worker death. Only a
+    /// [`Session`](crate::Session) uses it: only its dispatch injects
+    /// [`FaultKind::WorkerPanic`](crate::FaultKind::WorkerPanic).
     pub retry: RetryPolicy,
     /// Dispatch lane for speculative groups handed to the shared pool.
     /// [`Priority::High`] lets one run's groups overtake queued
@@ -177,15 +179,14 @@ impl RunOptions {
         self
     }
 
-    /// Enable the [`Session`](crate::Session) adaptive-degradation
-    /// controller with the given policy.
+    /// Enable the adaptive-degradation controller with the given policy.
     pub fn adapt(mut self, policy: AdaptPolicy) -> Self {
         self.adapt = Some(policy);
         self
     }
 
     /// Install an online [`Retuner`] re-picking the execution-model
-    /// operating point between [`Session`](crate::Session) segments.
+    /// operating point between segments.
     pub fn retune(self, retuner: impl Retuner + 'static) -> Self {
         self.retune_shared(Arc::new(Mutex::new(retuner)))
     }

@@ -22,6 +22,7 @@
 use std::fmt;
 use std::ops::Range;
 
+use crate::adapt::SegmentControl;
 use crate::ctx::{InvocationCtx, WorkMeter};
 use crate::dag::{run_node_eager, run_plan, NodeRun};
 use crate::faults::{FaultKind, FaultPlan};
@@ -360,12 +361,6 @@ impl<'a, T: StateTransition> RunCtx<'a, T> {
         }
     }
 
-    /// The same context for a sub-run (a segment, a plan node) with its own
-    /// seed.
-    pub(crate) fn with_seed(self, seed: u64) -> Self {
-        RunCtx { seed, ..self }
-    }
-
     /// Emit `kind` if the sink wants events at all (an [`EventSink`] is
     /// only ever handed events while it reports `enabled`).
     pub(crate) fn emit(&self, kind: EventKind) {
@@ -418,7 +413,9 @@ pub(crate) fn execute_group<T: StateTransition>(
         end,
         speculative,
     } = spec;
-    if let Some(plan) = ctx.faults {
+    // Only speculative groups: a stream runs group 0 on its coordinator as
+    // the inputs arrive, with no point before the group to stall at.
+    if let Some(plan) = ctx.faults.filter(|_| speculative) {
         if let Some(delay) = plan.delay(FaultKind::SlowGroup, run_seed, k as u64) {
             ctx.emit(EventKind::FaultInjected {
                 kind: FaultKind::SlowGroup,
@@ -542,14 +539,16 @@ pub fn run_protocol<T: StateTransition>(
         sink: &NOOP,
         faults: None,
     };
-    run_batch(ctx, inputs, initial, None, None, &Inline)
+    let control = SegmentControl::fixed(config);
+    run_batch(ctx, inputs, initial, control, None, &Inline)
 }
 
 /// The sequential reference run with every knob taken from one
-/// [`RunOptions`] value: sink, seed, config, optional segmenting or DAG
-/// plan. This is the batch counterpart of the streaming
-/// [`Session`](crate::Session); the options' pool (if any) is ignored — the
-/// parallel execution lives in [`StateDependence`](crate::StateDependence).
+/// [`RunOptions`] value: sink, seed, config, faults, segmenting, the
+/// adaptive and re-tuning controllers, or a DAG plan. This is the batch
+/// counterpart of the streaming [`Session`](crate::Session); the options'
+/// pool (if any) is ignored — the parallel execution lives in
+/// [`StateDependence`](crate::StateDependence).
 pub fn run_protocol_with_options<T: StateTransition>(
     transition: &T,
     inputs: &[T::Input],
@@ -560,7 +559,7 @@ pub fn run_protocol_with_options<T: StateTransition>(
         RunCtx::new(transition, options),
         inputs,
         initial,
-        options.segment,
+        SegmentControl::new(options),
         options.plan.as_ref(),
         &Inline,
     )
@@ -614,47 +613,80 @@ pub(crate) struct Inline;
 
 impl<T: StateTransition> Executor<T> for Inline {}
 
-/// The batch engine: the execution model over all of `inputs`, as one
-/// linear run, as consecutive segments of `segment` inputs, or over the
-/// dependency DAG `plan` (which takes precedence: its node boundaries are
-/// the segmentation) — with `exec` saying who runs the units. The
-/// sequential reference ([`Inline`]) and the pooled runtime
-/// (`runtime::Pooled`) are this function, so they cannot diverge.
+/// The batch engine: the execution model over all of `inputs`, as the
+/// linear segments `control` sizes and configures, or over the dependency
+/// DAG `plan` (which takes precedence: its node boundaries are the
+/// segmentation, so the controllers do not apply) — with `exec` saying who
+/// runs the units. The sequential reference ([`Inline`]) and the pooled
+/// runtime (`runtime::Pooled`) are this function, so they cannot diverge.
 pub(crate) fn run_batch<T: StateTransition, E: Executor<T>>(
     ctx: RunCtx<'_, T>,
     inputs: &[T::Input],
     initial: &T::State,
-    segment: Option<usize>,
+    control: SegmentControl<'_>,
     plan: Option<&SpecPlan>,
     exec: &E,
 ) -> ProtocolResult<T> {
     if let Some(plan) = plan {
         return run_plan(ctx, plan, inputs, initial, exec);
     }
-    let Some(segment) = segment else {
-        return run_linear(ctx, inputs, 0..inputs.len(), initial, exec);
-    };
-    // §3.1's abort rule says "no other speculation is performed until all
-    // the *current* inputs are processed": in a long-running program the
-    // state dependence is re-entered per batch (a video chunk, a stream
-    // window), so an abort disables speculation only for the rest of its
-    // own segment — the next segment speculates afresh, from the committed
-    // final state of the one before.
-    let segment = segment.max(1);
-    let mut acc = SegmentAccumulator::new(initial.clone());
-    for (seg_idx, lo) in (0..inputs.len()).step_by(segment).enumerate() {
-        let hi = (lo + segment).min(inputs.len());
-        let seg_ctx = ctx.with_seed(segment_seed(ctx.seed, seg_idx as u64));
-        let r = run_linear(seg_ctx, inputs, lo..hi, acc.state(), exec);
-        acc.absorb(r);
-    }
-    acc.finish()
+    let mut lo = 0usize;
+    run_segments(ctx, initial, control, |ctx, start, len| {
+        let range = lo..lo.saturating_add(len).min(inputs.len());
+        lo = range.end;
+        (!range.is_empty()).then(|| run_linear(ctx, inputs, range, start, exec))
+    })
 }
 
-/// One linear (sub-)run over `inputs[range]`: form the groups, let `exec`
-/// run them, and feed their [`GroupData`] — in group order, as `exec` hands
-/// it back — into the [`Resolver`] validation/commit/abort logic (which the
-/// streaming [`Session`](crate::Session) drives incrementally as well).
+/// The one loop over the segments of a linear run. §3.1's abort rule says
+/// "no other speculation is performed until all the *current* inputs are
+/// processed": in a long-running program the state dependence is
+/// re-entered per batch (a video chunk, a stream window), so an abort
+/// disables speculation only for the rest of its own segment — the next
+/// segment speculates afresh, from the committed final state of the one
+/// before.
+///
+/// Segment *i* runs under `ctx` with its own seed, `segment_seed(seed,
+/// i)`, and the configuration `control` hands it; `next(ctx, start, len)`
+/// runs it over at most `len` further inputs from the committed state
+/// `start` — a slice of the batch, or what a stream's queue delivers — and
+/// returns `None` once there are none. `control` then observes the result.
+/// An unsegmented run is one segment of `usize::MAX` inputs, and since
+/// `segment_seed(seed, 0) == seed` that segment *is* the whole run: its
+/// result is returned as it is.
+pub(crate) fn run_segments<T: StateTransition>(
+    ctx: RunCtx<'_, T>,
+    initial: &T::State,
+    mut control: SegmentControl<'_>,
+    mut next: impl FnMut(RunCtx<'_, T>, &T::State, usize) -> Option<ProtocolResult<T>>,
+) -> ProtocolResult<T> {
+    let mut merged: Option<ProtocolResult<T>> = None;
+    for index in 0u64.. {
+        let config = control.config();
+        let seg = RunCtx {
+            config: &config,
+            seed: segment_seed(ctx.seed, index),
+            ..ctx
+        };
+        let start = merged.as_ref().map_or(initial, |m| &m.final_state);
+        let Some(r) = next(seg, start, control.segment) else {
+            break;
+        };
+        control.observe(seg, index, &r);
+        match &mut merged {
+            Some(m) => m.chain(r),
+            None => merged = Some(r),
+        }
+    }
+    // No inputs, no groups, no events: the resolver's degenerate result.
+    merged.unwrap_or_else(|| Resolver::new(ctx, 1).finish(initial))
+}
+
+/// One linear (sub-)run over the non-empty `inputs[range]` (a segment, or a
+/// plan node's inputs): form the groups, let `exec` run them, and feed their
+/// [`GroupData`] — in group order, as `exec` hands it back — into the
+/// [`Resolver`] validation/commit/abort logic (which the streaming
+/// [`Session`](crate::Session) drives incrementally as well).
 pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
     ctx: RunCtx<'_, T>,
     inputs: &[T::Input],
@@ -663,11 +695,6 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
     exec: &E,
 ) -> ProtocolResult<T> {
     let n = range.len();
-    if n == 0 {
-        // No groups, no events: the resolver's degenerate result.
-        return Resolver::new(ctx, 1).finish(initial);
-    }
-
     let g = ctx.config.effective_group_size(n);
     let speculating = g < n;
     let specs: Vec<GroupSpec> = (0..n)
@@ -724,80 +751,39 @@ impl fmt::Display for SpecReport {
 }
 
 /// The seed of segment `idx`'s own protocol run (plan nodes count as
-/// segments). The batch, pooled, streaming and plan drivers all derive it
-/// here: their bit-identity to each other rests on it.
+/// segments). The linear and plan drivers both derive it here: their
+/// bit-identity to each other rests on it.
 pub(crate) fn segment_seed(run_seed: u64, idx: u64) -> u64 {
     run_seed ^ idx << 32
 }
 
-/// Merges per-segment [`ProtocolResult`]s into one, carrying committed
-/// state across segments: output offsets shift, reports add up, and segment
-/// traces chain behind the previous segment's last committed node. Shared
-/// by the batch segmented path and the streaming engine's segmented mode.
-pub(crate) struct SegmentAccumulator<T: StateTransition> {
-    outputs: Vec<T::Output>,
-    report: SpecReport,
-    trace: SpecTrace,
-    /// Index of the node producing the previous segment's committed final
-    /// state (its last committed node in execution order).
-    prev_final: Option<usize>,
-    state: T::State,
-}
-
-impl<T: StateTransition> SegmentAccumulator<T> {
-    pub(crate) fn new(initial: T::State) -> Self {
-        SegmentAccumulator {
-            outputs: Vec::new(),
-            report: SpecReport::default(),
-            trace: SpecTrace::default(),
-            prev_final: None,
-            state: initial,
-        }
-    }
-
-    /// The committed state the next segment must start from.
-    pub(crate) fn state(&self) -> &T::State {
-        &self.state
-    }
-
-    /// Fold one segment's result into the accumulated run.
-    pub(crate) fn absorb(&mut self, r: ProtocolResult<T>) {
-        self.state = r.final_state;
+impl<T: StateTransition> ProtocolResult<T> {
+    /// Append the result of the next segment, run from this one's final
+    /// state: output offsets shift, reports add up, and the segment's trace
+    /// chains behind the last committed node so far.
+    fn chain(&mut self, next: ProtocolResult<T>) {
         let offset = self.outputs.len();
-        self.outputs.extend(r.outputs);
-        // Merge the report, shifting group input ranges by the offset.
-        for mut g in r.report.groups {
+        self.final_state = next.final_state;
+        self.outputs.extend(next.outputs);
+        let (report, r) = (&mut self.report, next.report);
+        for mut g in r.groups {
             g.start += offset;
             g.end += offset;
-            self.report.groups.push(g);
+            report.groups.push(g);
         }
-        self.report.reexecutions += r.report.reexecutions;
-        self.report.validations += r.report.validations;
-        self.report.aborted |= r.report.aborted;
-        self.report.committed_original_work += r.report.committed_original_work;
-        self.report.committed_aux_work += r.report.committed_aux_work;
-        self.report.squashed_work += r.report.squashed_work;
-        // Chain the trace with the cross-segment state edge: a segment's
-        // entry nodes (group 0's first invocation and every auxiliary run)
-        // start from the previous segment's committed final state, so they
-        // must depend on the node that produced it.
-        let base = self.trace.nodes.len();
-        self.trace
-            .absorb(r.trace, self.prev_final.as_slice(), false);
-        self.prev_final = self.trace.nodes[base..]
-            .iter()
-            .rposition(|n| n.committed)
-            .map(|off| base + off);
-    }
-
-    /// The merged result of every absorbed segment.
-    pub(crate) fn finish(self) -> ProtocolResult<T> {
-        ProtocolResult {
-            outputs: self.outputs,
-            final_state: self.state,
-            report: self.report,
-            trace: self.trace,
-        }
+        report.reexecutions += r.reexecutions;
+        report.validations += r.validations;
+        report.aborted |= r.aborted;
+        report.committed_original_work += r.committed_original_work;
+        report.committed_aux_work += r.committed_aux_work;
+        report.squashed_work += r.squashed_work;
+        // The cross-segment state edge: a segment's entry nodes (group 0's
+        // first invocation and every auxiliary run) start from the state
+        // the previous segment committed last, so they depend on the node
+        // that produced it. Every input has a committed node, so that is
+        // the previous segment's last committed node.
+        let prev_final = self.trace.nodes.iter().rposition(|n| n.committed);
+        self.trace.absorb(next.trace, prev_final.as_slice(), false);
     }
 }
 

@@ -16,6 +16,7 @@ use std::ops::Range;
 
 use crate::sync::{thread, Arc};
 
+use crate::adapt::SegmentControl;
 use crate::dag::{run_node_eager, NodeRun};
 use crate::options::RunOptions;
 use crate::plan::{PlanNodeId, SpecPlan};
@@ -134,7 +135,7 @@ impl<T: StateTransition> StateDependence<T> {
                         shared.ctx(),
                         &shared.inputs,
                         &shared.initial,
-                        shared.options.segment,
+                        SegmentControl::new(&shared.options),
                         shared.options.plan.as_ref(),
                         &exec,
                     )
@@ -205,15 +206,21 @@ impl<T: StateTransition> Executor<T> for Pooled<'_, T> {
         initial: &'a T::State,
         specs: Vec<GroupSpec>,
     ) -> impl Iterator<Item = GroupData<T>> + 'a {
-        // The (sub-)run's initial state sits behind one `Arc` next to the
-        // shared inputs, so a group's job clones a pointer, not the state.
-        let run = Arc::new((Arc::clone(self.shared), initial.clone()));
+        // The segment's initial state and configuration (not the options':
+        // the controllers move it) sit behind one `Arc` next to the shared
+        // inputs, so a group's job clones a pointer, not the state.
+        let run = Arc::new((Arc::clone(self.shared), initial.clone(), ctx.config.clone()));
         let seed = ctx.seed;
         self.pool.ordered(specs.into_iter().map(move |spec| {
             let (run, range) = (Arc::clone(&run), range.clone());
             let job = move || {
-                let (s, initial) = &*run;
-                execute_group(s.ctx().with_seed(seed), &s.inputs[range], 0, initial, spec)
+                let (s, initial, config) = &*run;
+                let ctx = RunCtx {
+                    config,
+                    seed,
+                    ..s.ctx()
+                };
+                execute_group(ctx, &s.inputs[range], 0, initial, spec)
             };
             (Priority::Normal, job)
         }))

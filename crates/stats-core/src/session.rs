@@ -29,14 +29,14 @@ use std::time::Duration;
 
 use crate::sync::{thread, Arc, Condvar, Mutex};
 
-use crate::adapt::{AdaptiveController, RetryPolicy, SegmentStats};
+use crate::adapt::{RetryPolicy, SegmentControl};
 use crate::faults::{FaultKind, FaultPlan, InjectedFault};
 use crate::obs::{EventKind, EventSink};
 use crate::options::RunOptions;
 use crate::pool::{Priority, ThreadPool, Ticket};
 use crate::protocol::{
-    execute_group, run_invocation, segment_seed, GroupData, GroupSpec, ProtocolResult, RunCtx,
-    SegmentAccumulator, SpecConfig,
+    execute_group, run_invocation, run_segments, GroupData, GroupSpec, ProtocolResult, RunCtx,
+    SpecConfig,
 };
 use crate::resolver::Resolver;
 use crate::runtime::{resolve_pool, SpecOutcome};
@@ -75,7 +75,6 @@ struct StreamInner<T: StateTransition> {
 /// Immutable engine context shared with pool jobs.
 struct EngineCtx<T: StateTransition> {
     transition: T,
-    config: Arc<SpecConfig>,
     sink: Arc<dyn EventSink>,
     faults: Option<FaultPlan>,
     retry: RetryPolicy,
@@ -86,7 +85,7 @@ struct EngineCtx<T: StateTransition> {
 /// dispatching a group clones one `Arc` and not the state behind it.
 struct SegmentCtx<T: StateTransition> {
     engine: Arc<EngineCtx<T>>,
-    config: Arc<SpecConfig>,
+    config: SpecConfig,
     initial: T::State,
     seed: u64,
 }
@@ -179,9 +178,8 @@ impl<T: StateTransition> Session<T> {
             coordinator: Condvar::new(),
             capacity: options.queue_capacity.max(1),
         });
-        let ctx = Arc::new(EngineCtx {
+        let engine = Arc::new(EngineCtx {
             transition,
-            config: Arc::new(options.config.clone()),
             sink: Arc::clone(&options.sink),
             faults: options.faults,
             retry: options.retry,
@@ -195,7 +193,21 @@ impl<T: StateTransition> Session<T> {
                     shared: Arc::clone(&thread_shared),
                 };
                 match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    stream_main(&thread_shared, &ctx, &pool, &options, initial, max_inflight)
+                    // The batch engine's segment loop, with each segment
+                    // read off the queue as it arrives.
+                    let ctx = RunCtx::new(&engine.transition, &options);
+                    let control = SegmentControl::new(&options);
+                    run_segments(ctx, &initial, control, |ctx, start, limit| {
+                        wait_for_input(&thread_shared).then(|| {
+                            let seg = SegmentCtx {
+                                engine: Arc::clone(&engine),
+                                config: ctx.config.clone(),
+                                initial: start.clone(),
+                                seed: ctx.seed,
+                            };
+                            stream_segment(&thread_shared, &pool, seg, limit, max_inflight)
+                        })
+                    })
                 })) {
                     Ok(result) => result,
                     Err(payload) => {
@@ -554,132 +566,6 @@ impl<T: StateTransition> Drop for CoordinatorGuard<T> {
     }
 }
 
-/// Coordinator entry point: one un-segmented run, or one run per segment
-/// with committed state carried across (same semantics as the batch
-/// segmented path, same seed derivation per segment).
-///
-/// When [`RunOptions::adapt`] is set, each segment's configuration comes
-/// from the [`AdaptiveController`], which watches the same per-segment
-/// abort outcome the event stream reports and walks the degradation ladder
-/// (`docs/robustness.md`). Adaptation is segment-granular because the
-/// resolver assumes one group cardinality per run; without an explicit
-/// `segment`, an adaptive session defaults to four groups per segment.
-///
-/// When [`RunOptions::retune`] is set, the installed [`Retuner`] observes
-/// each finished segment's telemetry and may re-pick the base operating
-/// point (group cardinality, auxiliary window, re-execution budget) for
-/// the rest of the stream; every applied decision is emitted as
-/// [`EventKind::Retune`] and restarts the degradation ladder from the new
-/// base (`docs/tuning.md`). The segment *length* stays fixed at its
-/// stream-start value so segment boundaries — and therefore per-segment
-/// seeds and fault sites — never depend on tuning decisions, which is what
-/// keeps tuned runs replayable (`docs/replay.md`).
-fn stream_main<T: StateTransition>(
-    shared: &Arc<StreamShared<T>>,
-    ctx: &Arc<EngineCtx<T>>,
-    pool: &Arc<ThreadPool>,
-    options: &RunOptions,
-    initial: T::State,
-    max_inflight: usize,
-) -> ProtocolResult<T> {
-    let mut base = Arc::clone(&ctx.config);
-    let mut controller = options
-        .adapt
-        .map(|policy| AdaptiveController::new(policy, &base));
-    let retuner = options.retune.as_ref();
-    let segment = if let Some(s) = options.segment {
-        Some(s.max(1))
-    } else if controller.is_some() || retuner.is_some() {
-        // Segment-granular control without an explicit segment length:
-        // default to four groups per segment.
-        Some(base.group_size.max(1) * 4)
-    } else {
-        None
-    };
-    match segment {
-        None => {
-            let seg = SegmentCtx {
-                engine: Arc::clone(ctx),
-                config: base,
-                initial,
-                seed: options.seed,
-            };
-            stream_segment(shared, pool, seg, usize::MAX, max_inflight)
-        }
-        Some(segment) => {
-            let mut acc: SegmentAccumulator<T> = SegmentAccumulator::new(initial);
-            let mut seg_idx = 0u64;
-            while wait_for_input(shared) {
-                let seg_config = match &controller {
-                    Some(c) => Arc::new(c.apply(&base)),
-                    None => Arc::clone(&base),
-                };
-                let seg = SegmentCtx {
-                    engine: Arc::clone(ctx),
-                    config: Arc::clone(&seg_config),
-                    initial: acc.state().clone(),
-                    seed: segment_seed(options.seed, seg_idx),
-                };
-                let r = stream_segment(shared, pool, seg, segment, max_inflight);
-                let aborted = r.report.aborted;
-                let stats = SegmentStats {
-                    segment: seg_idx,
-                    inputs: r.outputs.len(),
-                    aborted,
-                    reexecutions: r.report.reexecutions,
-                    validations: r.report.validations,
-                    committed_original_work: r.report.committed_original_work,
-                    committed_aux_work: r.report.committed_aux_work,
-                    squashed_work: r.report.squashed_work,
-                    group_size: seg_config.group_size,
-                    window: seg_config.window,
-                    max_reexec: seg_config.max_reexec,
-                };
-                acc.absorb(r);
-                seg_idx += 1;
-                if let Some(c) = controller.as_mut() {
-                    if let Some((state, group_size)) = c.observe_segment(aborted) {
-                        if ctx.sink.enabled() {
-                            ctx.sink
-                                .emit(EventKind::AdaptTransition { state, group_size });
-                        }
-                    }
-                }
-                if let Some(rt) = retuner {
-                    let decision = {
-                        let mut rt = rt.lock();
-                        rt.observe(&stats);
-                        rt.decide(seg_idx)
-                    };
-                    if let Some(d) = decision {
-                        base = Arc::new(SpecConfig {
-                            group_size: d.group_size.max(1),
-                            window: d.window,
-                            max_reexec: d.max_reexec,
-                            ..(*base).clone()
-                        });
-                        // The degradation ladder restarts from the re-tuned
-                        // base: its shrink/grow targets are relative to the
-                        // base group size, which just moved.
-                        if let Some(policy) = options.adapt {
-                            controller = Some(AdaptiveController::new(policy, &base));
-                        }
-                        if ctx.sink.enabled() {
-                            ctx.sink.emit(EventKind::Retune {
-                                segment: seg_idx,
-                                group_size: base.group_size,
-                                window: base.window,
-                                max_reexec: base.max_reexec,
-                            });
-                        }
-                    }
-                }
-            }
-            acc.finish()
-        }
-    }
-}
-
 /// Block until at least one input is queued (true) or the stream is closed
 /// with nothing left (false).
 fn wait_for_input<T: StateTransition>(shared: &StreamShared<T>) -> bool {
@@ -695,10 +581,11 @@ fn wait_for_input<T: StateTransition>(shared: &StreamShared<T>) -> bool {
     }
 }
 
-/// Run one stream (or one segment of it, `limit` inputs at most): consume
-/// admitted inputs, execute group 0 inline on the coordinator, dispatch
-/// later groups to the pool as soon as their inputs are complete, and feed
-/// finished groups — strictly in order — into the shared [`Resolver`].
+/// Run one segment of the stream, `limit` inputs at most, and never empty
+/// (its caller has seen an input queued): consume admitted inputs, execute
+/// group 0 inline on the coordinator, dispatch later groups to the pool as
+/// soon as their inputs are complete, and feed finished groups — strictly
+/// in order — into the shared [`Resolver`].
 ///
 /// Who runs a dispatched group: normally a pool worker. But when nothing
 /// else is actionable and the group the resolver needs next (`ingested`)
@@ -1019,35 +906,31 @@ fn stream_segment<T: StateTransition>(
         // the final (possibly partial) speculative group.
         if intake_done && total_groups.is_none() {
             let n = inputs.len();
-            if n == 0 {
-                total_groups = Some(0);
-            } else {
-                if !g0_done {
-                    pending.insert(
-                        0,
-                        seal_group0(
-                            n.min(g_eff),
-                            &g0_checkpoint,
-                            &g0_state,
-                            std::mem::take(&mut g0_outputs),
-                            std::mem::take(&mut g0_works),
-                            run,
-                        ),
-                    );
-                    g0_done = true;
-                }
-                total_groups = Some(match group_cap {
-                    Some(gs) if n > gs => {
-                        if dispatched * gs < n {
-                            let group = dispatch_group(dispatched, dispatched * gs, n, 0, &inputs);
-                            inflight.insert(dispatched, group);
-                            dispatched += 1;
-                        }
-                        n.div_ceil(gs)
-                    }
-                    _ => 1,
-                });
+            if !g0_done {
+                pending.insert(
+                    0,
+                    seal_group0(
+                        n.min(g_eff),
+                        &g0_checkpoint,
+                        &g0_state,
+                        std::mem::take(&mut g0_outputs),
+                        std::mem::take(&mut g0_works),
+                        run,
+                    ),
+                );
+                g0_done = true;
             }
+            total_groups = Some(match group_cap {
+                Some(gs) if n > gs => {
+                    if dispatched * gs < n {
+                        let group = dispatch_group(dispatched, dispatched * gs, n, 0, &inputs);
+                        inflight.insert(dispatched, group);
+                        dispatched += 1;
+                    }
+                    n.div_ceil(gs)
+                }
+                _ => 1,
+            });
         }
 
         // ---- Feed finished groups to the resolver, strictly in order.
@@ -1058,11 +941,8 @@ fn stream_segment<T: StateTransition>(
         }
     }
 
-    // An empty stream resolves to no outputs and the initial state.
     let result = resolver.finish(initial);
-    if run_started {
-        run.emit(EventKind::RunEnd);
-    }
+    run.emit(EventKind::RunEnd);
     result
 }
 
