@@ -44,13 +44,14 @@ if [[ "$stage" == "--loom" ]]; then
     models="$(RUSTFLAGS="--cfg loom" cargo test --offline --release -q \
         -p stats-core --test loom -- --list 2>/dev/null \
         | sed -n 's/: test$//p' | tr '\n' ' ')"
-    # The wake-free dispatch handshakes, the two-lane queue and the
-    # ordered-completion slots every batch waits through
-    # (docs/concurrency.md) rest on these five; a rename or deletion must
-    # not pass silently.
+    # The wake-free dispatch handshakes, the two-lane queue, the
+    # ordered-completion slots every batch and stream waits through and the
+    # stream's wake-after-store (docs/concurrency.md) rest on these six; a
+    # rename or deletion must not pass silently.
     for required in ticket_runs_exactly_once pool_submit_never_strands_a_sleeper \
         pool_lanes_never_lose_jobs pool_ordered_yields_each_result_once \
-        session_halfway_wakeup_never_strands_producer; do
+        session_halfway_wakeup_never_strands_producer \
+        session_group_completion_wakes_coordinator; do
         if [[ " $models " != *" $required "* ]]; then
             echo "error: loom model '$required' is missing from tests/loom.rs" >&2
             exit 1

@@ -3,10 +3,9 @@
 //!
 //! Two pieces live here:
 //!
-//! - [`RetryPolicy`]: how many times the streaming coordinator re-dispatches
-//!   a group whose pool job died, and with what backoff, before executing
-//!   the group inline on the coordinator itself (the terminal fallback that
-//!   always succeeds).
+//! - [`RetryPolicy`]: how many times a group whose job lost its worker is
+//!   retried, and with what backoff, before it runs regardless (the
+//!   terminal fallback that always succeeds).
 //! - [`AdaptiveController`]: a per-segment state machine driven by the
 //!   abort/commit outcomes the [`EventSink`](crate::EventSink) stream also
 //!   observes. Under abort storms it *shrinks* group cardinality (halving
@@ -41,13 +40,12 @@ use crate::sync::Mutex;
 
 /// Retry-with-backoff budget for re-executing work lost to worker death.
 ///
-/// Attempt `i` (zero-based) of a retry waits `backoff * multiplier^i`
-/// before re-dispatching. Once `max_retries` retries have been consumed
-/// for a group, the coordinator executes that group inline instead of
-/// dispatching it to the pool.
+/// After losing attempt `i` (zero-based), a group's job waits
+/// `backoff * multiplier^i` before retrying. Once `max_retries` retries
+/// have been consumed, it runs the group regardless.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Re-dispatch attempts per lost group before falling back inline.
+    /// Retries per lost group before it runs regardless.
     pub max_retries: u32,
     /// Base delay before the first retry.
     pub backoff: Duration,

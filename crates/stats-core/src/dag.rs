@@ -599,6 +599,7 @@ mod tests {
             seed,
             sink,
             faults,
+            retry: Default::default(),
         };
         run_plan(ctx, &plan, &inputs, &ExactState(0), &Inline)
     }

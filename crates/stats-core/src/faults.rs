@@ -11,11 +11,11 @@
 //!
 //! Injection sites:
 //!
-//! - **Worker panic** ([`FaultPlan::worker_panic`]): a pool job dispatched
-//!   by [`Session`](crate::Session) dies before producing its group,
-//!   routed through the same completion channel a real panic uses. The
-//!   coordinator retries under [`RetryPolicy`](crate::RetryPolicy) and
-//!   finally re-executes the group inline.
+//! - **Worker panic** ([`FaultPlan::worker_panic`]): the job of a
+//!   speculative group dies before producing anything, on every linear
+//!   driver. The job itself retries under
+//!   [`RetryPolicy`](crate::RetryPolicy) and, once the budget is spent,
+//!   runs the group anyway.
 //! - **Forced validation mismatch** ([`FaultPlan::validation_mismatch`]):
 //!   the resolver treats a speculative start state as mismatched even when
 //!   it matched, driving re-execution and — with an unbounded rule — a
@@ -33,7 +33,7 @@ use std::time::Duration;
 /// record exactly which faults fired where.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// A speculative pool job dies before producing its group.
+    /// A speculative group's job dies before producing its group.
     WorkerPanic,
     /// A validation is forced to report a mismatch.
     ValidationMismatch,
@@ -150,8 +150,9 @@ impl FaultRule {
 pub struct FaultPlan {
     /// Seed from which every injection decision is derived.
     pub seed: u64,
-    /// Rule for killing speculative pool jobs ([`Session`](crate::Session)
-    /// dispatch only; the batch pool path treats job panics as fatal).
+    /// Rule for killing the job of a speculative group (group 0 is never
+    /// targeted), batch or streamed; recovered under
+    /// [`RunOptions::retry`](crate::RunOptions::retry).
     pub worker_panic: FaultRule,
     /// Rule for forcing validation mismatches in the resolver.
     pub validation_mismatch: FaultRule,
@@ -173,7 +174,10 @@ impl FaultPlan {
         }
     }
 
-    /// Set the worker-panic rule.
+    /// Set the worker-panic rule: while it fires for a speculative group's
+    /// attempt, that attempt is lost and the group retried under
+    /// [`RunOptions::retry`](crate::RunOptions::retry); past the budget
+    /// the group runs regardless.
     pub fn worker_panic(mut self, rule: FaultRule) -> Self {
         self.worker_panic = rule;
         self
@@ -240,16 +244,6 @@ fn hash01(seed: u64, run_seed: u64, site: u64) -> f64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^= z >> 31;
     (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Payload routed through the streaming coordinator's completion channel
-/// when an injected [`FaultKind::WorkerPanic`] kills a pool job: records
-/// which group died on which attempt so the coordinator can retry it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct InjectedFault {
-    pub(crate) group: usize,
-    #[allow(dead_code)]
-    pub(crate) attempt: u32,
 }
 
 #[cfg(test)]

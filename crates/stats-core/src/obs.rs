@@ -109,12 +109,12 @@ pub enum EventKind {
         /// The attempt the fault fired on (dispatch or validation attempt).
         attempt: usize,
     },
-    /// The streaming coordinator is re-dispatching a group whose pool job
-    /// died, under the run's [`RetryPolicy`](crate::RetryPolicy).
+    /// A group's job is retrying the group after losing its worker, under
+    /// the run's [`RetryPolicy`](crate::RetryPolicy).
     GroupRetry {
-        /// The group being re-dispatched.
+        /// The group being retried.
         group: usize,
-        /// Retry attempt number (1-based; `0` was the original dispatch).
+        /// Retry attempt number (1-based; `0` was the first attempt).
         attempt: usize,
     },
     /// A linear run's adaptive controller moved on the degradation ladder

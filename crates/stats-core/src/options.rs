@@ -88,14 +88,18 @@ pub struct RunOptions {
     /// caller can keep a handle (e.g. to persist a results database after
     /// the run); only the run's coordinator locks it, once per segment.
     pub retune: Option<Arc<Mutex<dyn Retuner>>>,
-    /// Retry-with-backoff budget for groups lost to worker death. Only a
-    /// [`Session`](crate::Session) uses it: only its dispatch injects
-    /// [`FaultKind::WorkerPanic`](crate::FaultKind::WorkerPanic).
+    /// Retry-with-backoff budget for speculative groups whose job lost its
+    /// worker ([`FaultKind::WorkerPanic`](crate::FaultKind::WorkerPanic)),
+    /// on every linear run, batch or streamed: the group's job retries
+    /// itself, then runs the group regardless once the budget is spent.
     pub retry: RetryPolicy,
-    /// Dispatch lane for speculative groups handed to the shared pool.
-    /// [`Priority::High`] lets one run's groups overtake queued
-    /// [`Priority::Normal`] work from other sessions sharing the pool —
-    /// the per-tenant knob behind the [`serve`](crate::serve) front door.
+    /// Dispatch lane for the speculative groups a pooled run — a
+    /// [`StateDependence`](crate::StateDependence) or a
+    /// [`Session`](crate::Session) — hands to the shared pool (and for the
+    /// non-critical nodes of a plan). [`Priority::High`] lets one run's
+    /// groups overtake queued [`Priority::Normal`] work from other runs
+    /// sharing the pool — the per-tenant knob behind the
+    /// [`serve`](crate::serve) front door. The lane never changes a result.
     pub priority: Priority,
 }
 

@@ -25,10 +25,12 @@
 //!
 //! Waiting for a batch of jobs is written once, in `ThreadPool::ordered`
 //! (results in submission order; the consumer runs the job it is about to
-//! wait for if nobody has): [`ThreadPool::scope`], [`ThreadPool::map`] and
-//! the batch engine all consume it.
+//! wait for if nobody has): [`ThreadPool::scope`], [`ThreadPool::map`], the
+//! batch engine and — through an open batch it keeps adding groups to —
+//! the streaming [`Session`](crate::Session) all consume it.
 
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -114,6 +116,28 @@ enum Runner {
 }
 
 impl PoolShared {
+    fn enqueue(&self, priority: Priority, job: Box<dyn FnOnce() + Send>) -> Job {
+        let job: Job = Arc::new(Task(Mutex::new(Some(job))));
+        let depth = {
+            // Published under `live`: a worker looks at the lanes and
+            // parks under the same lock, so it either sees this job or is
+            // already waiting when the notify below looks for sleepers.
+            let mut state = self.live.lock();
+            assert!(!state.shutdown, "pool is shut down");
+            state.pending += 1;
+            match priority {
+                Priority::Normal => state.normal.push_back(Arc::clone(&job)),
+                Priority::High => state.high.push_back(Arc::clone(&job)),
+            }
+            self.unclaimed.fetch_add(1, Ordering::Relaxed) + 1
+        };
+        self.counters
+            .max_injector_depth
+            .fetch_max(depth as u64, Ordering::Relaxed);
+        self.wake.notify_one();
+        job
+    }
+
     /// Claim `job` and run it on this thread; `false` when another thread
     /// already had.
     fn run(&self, job: &Task, runner: Runner) -> bool {
@@ -242,7 +266,7 @@ impl ThreadPool {
 
     /// Submit a fire-and-forget job on the [`Priority::Normal`] lane.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.enqueue(Priority::Normal, Box::new(job));
+        self.shared.enqueue(Priority::Normal, Box::new(job));
     }
 
     /// Submit a job on a dispatch lane, waking one sleeping worker if there
@@ -250,32 +274,9 @@ impl ThreadPool {
     /// come to wait for it before a worker has started it.
     pub fn submit(&self, priority: Priority, job: impl FnOnce() + Send + 'static) -> Ticket {
         Ticket {
-            job: self.enqueue(priority, Box::new(job)),
+            job: self.shared.enqueue(priority, Box::new(job)),
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    fn enqueue(&self, priority: Priority, job: Box<dyn FnOnce() + Send>) -> Job {
-        let job: Job = Arc::new(Task(Mutex::new(Some(job))));
-        let depth = {
-            // Published under `live`: a worker looks at the lanes and
-            // parks under the same lock, so it either sees this job or is
-            // already waiting when the notify below looks for sleepers.
-            let mut state = self.shared.live.lock();
-            assert!(!state.shutdown, "pool is shut down");
-            state.pending += 1;
-            match priority {
-                Priority::Normal => state.normal.push_back(Arc::clone(&job)),
-                Priority::High => state.high.push_back(Arc::clone(&job)),
-            }
-            self.shared.unclaimed.fetch_add(1, Ordering::Relaxed) + 1
-        };
-        self.shared
-            .counters
-            .max_injector_depth
-            .fetch_max(depth as u64, Ordering::Relaxed);
-        self.shared.wake.notify_one();
-        job
     }
 
     /// Snapshot the pool's observability counters.
@@ -301,30 +302,29 @@ impl ThreadPool {
         I: IntoIterator<Item = (Priority, F)>,
         I::IntoIter: ExactSizeIterator,
     {
-        let jobs = jobs.into_iter();
-        let slots = Arc::new(Slots {
-            results: Mutex::new((0..jobs.len()).map(|_| None).collect()),
-            filled: Condvar::new(),
-        });
-        let jobs = jobs
-            .enumerate()
-            .map(|(i, (priority, job))| {
-                let slots = Arc::clone(&slots);
-                let body = move || {
-                    // The call consumes `job`, so its captures are gone
-                    // before the result can be seen.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                    slots.results.lock()[i] = Some(result);
-                    slots.filled.notify_all();
-                };
-                self.enqueue(priority, Box::new(body))
-            })
-            .collect();
+        let mut batch = self.open_ordered(|| {});
+        batch.submit(jobs);
+        batch
+    }
+
+    /// An empty [`ordered`](ThreadPool::ordered) batch that stays open:
+    /// [`Ordered::submit`] adds jobs behind the ones already in it. Every
+    /// stored result also calls `wake`, strictly after the store, for a
+    /// consumer that blocks on a condition of its own rather than in `next`.
+    pub(crate) fn open_ordered<R>(&self, wake: impl Fn() + Send + Sync + 'static) -> Ordered<R> {
+        let results = Results {
+            consumed: 0,
+            slots: VecDeque::new(),
+        };
         Ordered {
             shared: Arc::clone(&self.shared),
-            jobs,
-            slots,
-            next: 0,
+            jobs: VecDeque::new(),
+            submitted: 0,
+            slots: Arc::new(Slots {
+                results: Mutex::new(results),
+                filled: Condvar::new(),
+                wake: Box::new(wake),
+            }),
         }
     }
 
@@ -393,18 +393,40 @@ impl ThreadPool {
 }
 
 /// Where the jobs of one [`ThreadPool::ordered`] batch leave their results
-/// (or panic payloads); the consumer waits on `filled` for the next one.
+/// (or panic payloads); the consumer waits on `filled` — or on whatever
+/// `wake` signals — for the next one.
 struct Slots<R> {
-    results: Mutex<Vec<Option<std::thread::Result<R>>>>,
+    results: Mutex<Results<R>>,
     filled: Condvar,
+    wake: Box<dyn Fn() + Send + Sync>,
+}
+
+/// The slots of the jobs not consumed yet: job `i`'s is `slots[i - consumed]`,
+/// once some job at or past `i` has stored its result.
+struct Results<R> {
+    consumed: usize,
+    slots: VecDeque<Option<std::thread::Result<R>>>,
+}
+
+impl<R> Slots<R> {
+    /// Store job `i`'s result, then wake its consumer.
+    fn fill(&self, i: usize, result: std::thread::Result<R>) {
+        let mut results = self.results.lock();
+        let at = i - results.consumed;
+        if results.slots.len() <= at {
+            results.slots.resize_with(at + 1, || None);
+        }
+        results.slots[at] = Some(result);
+        drop(results);
+        self.filled.notify_all();
+        (self.wake)();
+    }
 }
 
 /// The results of one [`ThreadPool::ordered`] batch, in submission order.
 ///
 /// - Before blocking on result *i*, the consumer runs job *i* itself if no
-///   worker has claimed it (why: [`Ticket::run_if_unclaimed`]) — only that
-///   job: any other would have it compete with the workers for cores on
-///   work that is not yet on its critical path.
+///   worker has claimed it ([`claim_next`](Ordered::claim_next)).
 /// - A job's captures are released before its result becomes visible: the
 ///   consumer may return, and its caller drop the last other handle on
 ///   whatever the job held, the moment the slot fills. (A job holding the
@@ -417,41 +439,96 @@ struct Slots<R> {
 ///   that panicked, say) runs or waits out the jobs not yet consumed.
 pub(crate) struct Ordered<R> {
     shared: Arc<PoolShared>,
-    jobs: Vec<Job>,
+    /// The jobs whose results are not consumed yet, oldest first.
+    jobs: VecDeque<Job>,
+    /// Jobs submitted so far: the next one's index.
+    submitted: usize,
     slots: Arc<Slots<R>>,
-    /// Index of the next result to hand out.
-    next: usize,
+}
+
+impl<R: Send + 'static> Ordered<R> {
+    /// Submit `jobs`, each on its lane, behind the ones already in the batch.
+    pub(crate) fn submit<F, I>(&mut self, jobs: I)
+    where
+        F: FnOnce() -> R + Send + 'static,
+        I: IntoIterator<Item = (Priority, F)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let jobs = jobs.into_iter();
+        self.jobs.reserve(jobs.len());
+        for (priority, job) in jobs {
+            let (slots, i) = (Arc::clone(&self.slots), self.submitted);
+            self.submitted += 1;
+            // The call consumes `job`, so its captures are gone before the
+            // result can be seen.
+            let body = move || slots.fill(i, std::panic::catch_unwind(AssertUnwindSafe(job)));
+            let job = self.shared.enqueue(priority, Box::new(body));
+            self.jobs.push_back(job);
+        }
+    }
 }
 
 impl<R> Ordered<R> {
+    /// Run the next job on this thread unless some thread has claimed it:
+    /// the step before blocking on its result (why:
+    /// [`Ticket::run_if_unclaimed`]). Only that job: any other would
+    /// compete with the workers for cores on work that is not yet on the
+    /// consumer's critical path.
+    pub(crate) fn claim_next(&self) {
+        if let Some(job) = self.jobs.front() {
+            self.shared.run(job, Runner::TicketHolder);
+        }
+    }
+
+    /// The next result if it is already stored, a panic re-raised as by
+    /// `next`.
+    pub(crate) fn try_next(&mut self) -> Option<R> {
+        self.pop(false).map(reraise)
+    }
+
     /// The next job's result, or the payload of its panic.
     fn next_caught(&mut self) -> Option<std::thread::Result<R>> {
-        let job = self.jobs.get(self.next)?;
-        self.shared.run(job, Runner::TicketHolder);
+        self.claim_next();
+        self.pop(true)
+    }
+
+    /// Take the next result, waiting for it to be stored if `wait`.
+    fn pop(&mut self, wait: bool) -> Option<std::thread::Result<R>> {
+        self.jobs.front()?;
         let mut results = self.slots.results.lock();
         loop {
-            if let Some(result) = results[self.next].take() {
-                self.next += 1;
+            if let Some(result) = results.slots.front_mut().and_then(Option::take) {
+                results.slots.pop_front();
+                results.consumed += 1;
+                drop(results);
+                self.jobs.pop_front();
                 return Some(result);
+            }
+            if !wait {
+                return None;
             }
             self.slots.filled.wait(&mut results);
         }
     }
 }
 
+fn reraise<R>(result: std::thread::Result<R>) -> R {
+    result.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+}
+
 impl<R> Iterator for Ordered<R> {
     type Item = R;
 
     fn next(&mut self) -> Option<R> {
-        self.next_caught()
-            .map(|result| result.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        self.next_caught().map(reraise)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.jobs.len() - self.next;
-        (left, Some(left))
+        (self.jobs.len(), Some(self.jobs.len()))
     }
 }
+
+impl<R> ExactSizeIterator for Ordered<R> {}
 
 impl<R> Drop for Ordered<R> {
     fn drop(&mut self) {

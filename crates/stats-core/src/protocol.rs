@@ -22,7 +22,7 @@
 use std::fmt;
 use std::ops::Range;
 
-use crate::adapt::SegmentControl;
+use crate::adapt::{RetryPolicy, SegmentControl};
 use crate::ctx::{InvocationCtx, WorkMeter};
 use crate::dag::{run_node_eager, run_plan, NodeRun};
 use crate::faults::{FaultKind, FaultPlan};
@@ -332,13 +332,15 @@ pub(crate) struct GroupData<T: StateTransition> {
 
 /// What every unit of one run — a group, a plan node, a validation —
 /// executes under: the transition, the operating point, the seed its PRVG
-/// streams derive from, where events go and which faults are injected.
+/// streams derive from, where events go, which faults are injected and how
+/// often a group that lost its worker is retried.
 pub(crate) struct RunCtx<'a, T: StateTransition> {
     pub(crate) transition: &'a T,
     pub(crate) config: &'a SpecConfig,
     pub(crate) seed: u64,
     pub(crate) sink: &'a dyn EventSink,
     pub(crate) faults: Option<&'a FaultPlan>,
+    pub(crate) retry: RetryPolicy,
 }
 
 impl<T: StateTransition> Clone for RunCtx<'_, T> {
@@ -358,6 +360,7 @@ impl<'a, T: StateTransition> RunCtx<'a, T> {
             seed: options.seed,
             sink: &*options.sink,
             faults: options.faults.as_ref(),
+            retry: options.retry,
         }
     }
 
@@ -389,8 +392,9 @@ impl<'a, T: StateTransition> RunCtx<'a, T> {
 }
 
 /// Execute one group: auxiliary code (for speculative groups) followed by
-/// the chained invocations over the group's inputs. Thread-safe and
-/// deterministic given `ctx.seed`.
+/// the chained invocations over the group's inputs. This is the whole job
+/// of a group on every linear driver, whichever thread runs it. Thread-safe
+/// and deterministic given `ctx.seed`.
 ///
 /// `inputs` may be a window of the full input stream starting at absolute
 /// position `base` (the streaming engine ships each pool job only the slice
@@ -414,8 +418,29 @@ pub(crate) fn execute_group<T: StateTransition>(
         speculative,
     } = spec;
     // Only speculative groups: a stream runs group 0 on its coordinator as
-    // the inputs arrive, with no point before the group to stall at.
+    // the inputs arrive, with no point before the group to fail or stall at.
     if let Some(plan) = ctx.faults.filter(|_| speculative) {
+        // A lost worker: the attempt dies before it produces anything, and
+        // the group is retried after a backoff while the budget lasts. Once
+        // it is spent the group runs anyway — the fallback that always
+        // succeeds — so a lost group never wedges the run.
+        let mut attempt = 0;
+        while plan.fires(FaultKind::WorkerPanic, run_seed, k as u64, attempt) {
+            ctx.emit(EventKind::FaultInjected {
+                kind: FaultKind::WorkerPanic,
+                site: k,
+                attempt: attempt as usize,
+            });
+            if attempt >= ctx.retry.max_retries {
+                break;
+            }
+            crate::sync::thread::sleep(ctx.retry.delay_for(attempt));
+            attempt += 1;
+            ctx.emit(EventKind::GroupRetry {
+                group: k,
+                attempt: attempt as usize,
+            });
+        }
         if let Some(delay) = plan.delay(FaultKind::SlowGroup, run_seed, k as u64) {
             ctx.emit(EventKind::FaultInjected {
                 kind: FaultKind::SlowGroup,
@@ -538,6 +563,7 @@ pub fn run_protocol<T: StateTransition>(
         seed: run_seed,
         sink: &NOOP,
         faults: None,
+        retry: RetryPolicy::default(),
     };
     let control = SegmentControl::fixed(config);
     run_batch(ctx, inputs, initial, control, None, &Inline)

@@ -185,7 +185,8 @@ impl<T: StateTransition> Drop for StateDependence<T> {
 /// The pooled runtime's executor: every unit is a job for
 /// [`ThreadPool::ordered`], so group *k* is validated and committed while
 /// groups *k+1…* still run, and the coordinator runs the unit it is about
-/// to wait for itself when no worker has started it.
+/// to wait for itself when no worker has started it. Groups go on the
+/// options' [`Priority`] lane, as a stream's do.
 ///
 /// Pool jobs outlive any borrow, so they reach the run through `shared`
 /// rather than through the borrowed arguments, which name the same run.
@@ -210,7 +211,7 @@ impl<T: StateTransition> Executor<T> for Pooled<'_, T> {
         // the controllers move it) sit behind one `Arc` next to the shared
         // inputs, so a group's job clones a pointer, not the state.
         let run = Arc::new((Arc::clone(self.shared), initial.clone(), ctx.config.clone()));
-        let seed = ctx.seed;
+        let (seed, priority) = (ctx.seed, self.shared.options.priority);
         self.pool.ordered(specs.into_iter().map(move |spec| {
             let (run, range) = (Arc::clone(&run), range.clone());
             let job = move || {
@@ -222,7 +223,7 @@ impl<T: StateTransition> Executor<T> for Pooled<'_, T> {
                 };
                 execute_group(ctx, &s.inputs[range], 0, initial, spec)
             };
-            (Priority::Normal, job)
+            (priority, job)
         }))
     }
 
@@ -469,6 +470,100 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, EventKind::RunStart { inputs: 24, .. })));
+    }
+
+    /// A latch: `wait` blocks until `open`.
+    #[derive(Default)]
+    struct Latch(crate::sync::Mutex<bool>, crate::sync::Condvar);
+    impl Latch {
+        fn open(&self) {
+            *self.0.lock() = true;
+            self.1.notify_all();
+        }
+        fn wait(&self) {
+            let mut open = self.0.lock();
+            while !*open {
+                self.1.wait(&mut open);
+            }
+        }
+    }
+
+    /// Short-memory transition that logs every input it runs, except
+    /// input 0, on which it blocks until `release` opens.
+    struct BlockOnFirst {
+        log: Arc<crate::sync::Mutex<Vec<String>>>,
+        entered: Arc<Latch>,
+        release: Arc<Latch>,
+    }
+    impl StateTransition for BlockOnFirst {
+        type Input = u64;
+        type State = crate::sdi::ExactState<u64>;
+        type Output = u64;
+        fn compute_output(
+            &self,
+            input: &u64,
+            state: &mut Self::State,
+            ctx: &mut InvocationCtx,
+        ) -> u64 {
+            if *input == 0 {
+                self.entered.open();
+                self.release.wait();
+            } else {
+                self.log.lock().push(format!("input {input}"));
+            }
+            ctx.charge(1.0);
+            state.0 = *input;
+            *input
+        }
+    }
+
+    #[test]
+    fn batch_groups_run_on_the_options_priority_lane() {
+        // The only worker is wedged, with normal-lane fillers queued behind
+        // it; the run's coordinator is stuck inside group 0 (input 0
+        // blocks), so it cannot run later groups itself. Released, the
+        // worker takes the high lane first: a `Priority::High` run's groups
+        // overtake the fillers — group 1's auxiliary run on input 3 is the
+        // first thing it executes.
+        let pool = Arc::new(ThreadPool::new(1));
+        let (wedge, wedged) = (Arc::new(Latch::default()), Arc::new(Latch::default()));
+        {
+            let (wedge, wedged) = (Arc::clone(&wedge), Arc::clone(&wedged));
+            pool.execute(move || {
+                wedged.open();
+                wedge.wait();
+            });
+        }
+        wedged.wait();
+        let log = Arc::new(crate::sync::Mutex::new(Vec::new()));
+        for _ in 0..4 {
+            let log = Arc::clone(&log);
+            pool.execute(move || log.lock().push("filler".to_string()));
+        }
+        let (entered, release) = (Arc::new(Latch::default()), Arc::new(Latch::default()));
+        let transition = BlockOnFirst {
+            log: Arc::clone(&log),
+            entered: Arc::clone(&entered),
+            release: Arc::clone(&release),
+        };
+        let initial = crate::sdi::ExactState(0);
+        let mut dep = StateDependence::new((0..16).collect(), initial, transition).with_options(
+            RunOptions::default()
+                .pool(Arc::clone(&pool))
+                .config(config())
+                .priority(Priority::High),
+        );
+        dep.start();
+        entered.wait();
+        wedge.open();
+        while log.lock().is_empty() {
+            thread::yield_now();
+        }
+        let first = log.lock()[0].clone();
+        release.open();
+        let outcome = dep.join();
+        assert_eq!(first, "input 3", "the worker ran {first:?} first");
+        assert_eq!(outcome.outputs, (0..16).collect::<Vec<u64>>());
     }
 
     #[test]

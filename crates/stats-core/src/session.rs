@@ -22,18 +22,18 @@
 //! `docs/streaming.md` for lifecycle and backpressure details.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
 use crate::sync::{thread, Arc, Condvar, Mutex};
 
-use crate::adapt::{RetryPolicy, SegmentControl};
-use crate::faults::{FaultKind, FaultPlan, InjectedFault};
-use crate::obs::{EventKind, EventSink};
+use crate::adapt::SegmentControl;
+use crate::faults::FaultKind;
+use crate::obs::EventKind;
 use crate::options::RunOptions;
-use crate::pool::{Priority, ThreadPool, Ticket};
+use crate::pool::{Ordered, ThreadPool};
 use crate::protocol::{
     execute_group, run_invocation, run_segments, GroupData, GroupSpec, ProtocolResult, RunCtx,
     SpecConfig,
@@ -47,7 +47,7 @@ struct StreamShared<T: StateTransition> {
     inner: Mutex<StreamInner<T>>,
     /// Signaled when queue space frees up (or the coordinator dies).
     producer: Condvar,
-    /// Signaled when inputs, completions, or a close arrive.
+    /// Signaled when inputs, a finished group, or a close arrive.
     coordinator: Condvar,
     capacity: usize,
 }
@@ -55,14 +55,6 @@ struct StreamShared<T: StateTransition> {
 struct StreamInner<T: StateTransition> {
     queue: VecDeque<T::Input>,
     closed: bool,
-    /// Finished group executions, keyed by group index within the current
-    /// segment (pool jobs may finish out of order).
-    completions: Vec<(usize, GroupData<T>)>,
-    /// First panic payload from a pool job; re-raised by the coordinator.
-    panic: Option<Box<dyn Any + Send>>,
-    /// Groups whose pool job was killed by an injected worker-panic fault;
-    /// the coordinator retries them under the [`RetryPolicy`].
-    lost: Vec<InjectedFault>,
     /// Set when the coordinator thread exits (normally or by panic), so
     /// blocked producers fail fast instead of waiting forever.
     coordinator_gone: bool,
@@ -75,10 +67,7 @@ struct StreamInner<T: StateTransition> {
 /// Immutable engine context shared with pool jobs.
 struct EngineCtx<T: StateTransition> {
     transition: T,
-    sink: Arc<dyn EventSink>,
-    faults: Option<FaultPlan>,
-    retry: RetryPolicy,
-    priority: Priority,
+    options: RunOptions,
 }
 
 /// What every group of one segment starts from. Built once per segment, so
@@ -93,21 +82,11 @@ struct SegmentCtx<T: StateTransition> {
 impl<T: StateTransition> SegmentCtx<T> {
     fn ctx(&self) -> RunCtx<'_, T> {
         RunCtx {
-            transition: &self.engine.transition,
             config: &self.config,
             seed: self.seed,
-            sink: &*self.engine.sink,
-            faults: self.engine.faults.as_ref(),
+            ..RunCtx::new(&self.engine.transition, &self.engine.options)
         }
     }
-}
-
-/// A speculative group handed to the pool and not yet ingested.
-struct InFlight {
-    start: usize,
-    end: usize,
-    /// Of the latest dispatch (a retry replaces it).
-    ticket: Ticket,
 }
 
 /// A long-lived streaming run of the STATS execution model.
@@ -168,9 +147,6 @@ impl<T: StateTransition> Session<T> {
             inner: Mutex::new(StreamInner {
                 queue: VecDeque::new(),
                 closed: false,
-                completions: Vec::new(),
-                panic: None,
-                lost: Vec::new(),
                 coordinator_gone: false,
                 gone_message: None,
             }),
@@ -180,10 +156,7 @@ impl<T: StateTransition> Session<T> {
         });
         let engine = Arc::new(EngineCtx {
             transition,
-            sink: Arc::clone(&options.sink),
-            faults: options.faults,
-            retry: options.retry,
-            priority: options.priority,
+            options,
         });
         let thread_shared = Arc::clone(&shared);
         let handle = thread::Builder::new()
@@ -195,8 +168,9 @@ impl<T: StateTransition> Session<T> {
                 match std::panic::catch_unwind(AssertUnwindSafe(|| {
                     // The batch engine's segment loop, with each segment
                     // read off the queue as it arrives.
-                    let ctx = RunCtx::new(&engine.transition, &options);
-                    let control = SegmentControl::new(&options);
+                    let options = &engine.options;
+                    let ctx = RunCtx::new(&engine.transition, options);
+                    let control = SegmentControl::new(options);
                     run_segments(ctx, &initial, control, |ctx, start, limit| {
                         wait_for_input(&thread_shared).then(|| {
                             let seg = SegmentCtx {
@@ -583,28 +557,26 @@ fn wait_for_input<T: StateTransition>(shared: &StreamShared<T>) -> bool {
 
 /// Run one segment of the stream, `limit` inputs at most, and never empty
 /// (its caller has seen an input queued): consume admitted inputs, execute
-/// group 0 inline on the coordinator, dispatch later groups to the pool as
-/// soon as their inputs are complete, and feed finished groups — strictly
-/// in order — into the shared [`Resolver`].
+/// group 0 inline on the coordinator, submit each later group to one open
+/// [`ThreadPool::ordered`] batch as soon as its inputs are complete, and
+/// feed finished groups — strictly in order — into the shared [`Resolver`].
 ///
-/// Who runs a dispatched group: normally a pool worker. But when nothing
-/// else is actionable and the group the resolver needs next (`ingested`)
-/// is still unclaimed, the coordinator claims its [`Ticket`] and runs it
-/// here instead of parking until a worker has woken up for it. Only that
-/// group: taking any unclaimed one would have the coordinator compete with
-/// the workers for cores on work that is not yet on the critical path.
+/// Who runs a submitted group: normally a pool worker. But when nothing
+/// else is actionable, the coordinator runs the group the resolver needs
+/// next if no worker has started it ([`Ordered::claim_next`], the step
+/// every consumer of `ordered` takes before it blocks) instead of parking
+/// until a worker has woken up for it.
 fn stream_segment<T: StateTransition>(
     shared: &Arc<StreamShared<T>>,
-    pool: &Arc<ThreadPool>,
+    pool: &ThreadPool,
     seg: SegmentCtx<T>,
     limit: usize,
     max_inflight: usize,
 ) -> ProtocolResult<T> {
     let seg = Arc::new(seg);
-    let (ctx, seed) = (&seg.engine, seg.seed);
     let run = seg.ctx();
-    let initial = &seg.initial;
-    let config: &SpecConfig = &seg.config;
+    let (initial, config, seed) = (&seg.initial, &seg.config, seg.seed);
+    let priority = seg.engine.options.priority;
     // Group cardinality while the input count is unknown: with speculation
     // on, every full `group_size` block becomes a group; the cases where
     // the batch path would collapse to a single group (n <= group_size, or
@@ -632,94 +604,53 @@ fn stream_segment<T: StateTransition>(
     let mut g0_works = Vec::new();
     let mut g0_done = false;
     let g0_checkpoint_at = group_cap.map(|gs| gs - config.rollback.clamp(1, gs));
+    // The group the resolver needs next, once it is here: group 0 when
+    // sealed, later ones taken off the batch.
+    let mut next: Option<GroupData<T>> = None;
 
-    let mut dispatched = 1usize; // next speculative group to hand to the pool
+    // Groups 1, 2, … in order. A stored result wakes the coordinator by
+    // taking `inner` — the lock it takes results under — strictly after
+    // the store: it either sees the result or is already waiting.
+    let mut groups = pool.open_ordered({
+        let shared = Arc::clone(shared);
+        move || {
+            drop(shared.inner.lock());
+            shared.coordinator.notify_all();
+        }
+    });
+    let mut dispatched = 1usize; // next speculative group to submit
     let mut ingested = 0usize; // groups handed to the resolver so far
-    let mut pending: BTreeMap<usize, GroupData<T>> = BTreeMap::new();
     let mut total_groups: Option<usize> = None;
-    // Dispatched groups by index: their input range for a retry after an
-    // injected worker panic, and the ticket of the job that is running them.
-    let mut retries: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut inflight: BTreeMap<usize, InFlight> = BTreeMap::new();
 
-    // The job is the same closure whichever thread ends up running it — a
-    // worker or, through the ticket, the coordinator — so fault sites,
-    // events and the completion hand-off do not depend on who did.
-    let dispatch_group =
-        |k: usize, start: usize, end: usize, attempt: u32, all_inputs: &[T::Input]| {
-            let w_start = start.saturating_sub(config.window);
-            let slice: Vec<T::Input> = all_inputs[w_start..end].to_vec();
-            let spec = GroupSpec {
-                k,
-                start,
-                end,
-                speculative: true,
-            };
-            let seg = Arc::clone(&seg);
-            let job_shared = Arc::clone(shared);
-            let ticket = pool.submit(ctx.priority, move || {
-                // Pool jobs are not panic-isolated (a panic would kill the
-                // worker): catch here and hand the payload to the
-                // coordinator, which re-raises it on the session owner.
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    // Injected worker panic: the job dies without producing
-                    // its group. The loss is routed to the coordinator
-                    // through the same completion channel, which retries
-                    // under the RetryPolicy; the global panic hook is
-                    // deliberately not tripped for injected (as opposed to
-                    // real) failures.
-                    let run = seg.ctx();
-                    if let Some(plan) = run.faults {
-                        if plan.fires(FaultKind::WorkerPanic, run.seed, k as u64, attempt) {
-                            run.emit(EventKind::FaultInjected {
-                                kind: FaultKind::WorkerPanic,
-                                site: k,
-                                attempt: attempt as usize,
-                            });
-                            return Err(InjectedFault { group: k, attempt });
-                        }
-                    }
-                    Ok(execute_group(run, &slice, w_start, &seg.initial, spec))
-                }));
-                // Let go of the engine context before the coordinator can
-                // learn the group is done: it may finish the stream at once,
-                // and the session's owner expects the transition released
-                // when `finish`/drop returns.
-                drop(seg);
-                let mut inner = job_shared.inner.lock();
-                match outcome {
-                    Ok(Ok(data)) => inner.completions.push((k, data)),
-                    Ok(Err(fault)) => inner.lost.push(fault),
-                    Err(payload) => {
-                        if inner.panic.is_none() {
-                            inner.panic = Some(payload);
-                        }
-                    }
-                }
-                drop(inner);
-                job_shared.coordinator.notify_all();
-            });
-            InFlight { start, end, ticket }
+    // A group's job is `execute_group` over the only inputs it reads, as
+    // on every other driver.
+    let dispatch = |groups: &mut Ordered<GroupData<T>>, k, start: usize, end, all: &[T::Input]| {
+        let w_start = start.saturating_sub(config.window);
+        let slice: Vec<T::Input> = all[w_start..end].to_vec();
+        let spec = GroupSpec {
+            k,
+            start,
+            end,
+            speculative: true,
         };
+        let seg = Arc::clone(&seg);
+        let job = move || execute_group(seg.ctx(), &slice, w_start, &seg.initial, spec);
+        groups.submit([(priority, job)]);
+    };
 
     loop {
         if total_groups.is_some_and(|total| ingested >= total) {
             break;
         }
 
-        // ---- Pull admitted inputs and finished groups under the lock,
-        // blocking until something actionable arrives.
+        // ---- Pull admitted inputs under the lock, blocking until an
+        // input, the end of the intake or the next group's result arrives.
         let mut fresh: Vec<T::Input> = Vec::new();
         let mut stalls: Vec<(usize, Duration)> = Vec::new();
-        let mut lost: Vec<InjectedFault> = Vec::new();
         {
             let mut inner = shared.inner.lock();
             let mut may_help = true;
             loop {
-                if let Some(payload) = inner.panic.take() {
-                    drop(inner);
-                    std::panic::resume_unwind(payload);
-                }
                 let mut actionable = false;
                 // Admit inputs only a bounded number of groups past the
                 // resolved prefix, so an unbounded stream cannot pile up
@@ -732,7 +663,7 @@ fn stream_segment<T: StateTransition>(
                     }
                     match inner.queue.pop_front() {
                         Some(item) => {
-                            if let Some(plan) = &ctx.faults {
+                            if let Some(plan) = run.faults {
                                 if let Some(d) =
                                     plan.delay(FaultKind::QueueStall, seed, next_index as u64)
                                 {
@@ -754,36 +685,29 @@ fn stream_segment<T: StateTransition>(
                 if actionable && inner.queue.len() <= shared.capacity / 2 {
                     shared.producer.notify_all();
                 }
-                if !inner.completions.is_empty() {
-                    for (k, data) in inner.completions.drain(..) {
-                        pending.insert(k, data);
-                    }
-                    actionable = true;
-                }
-                if !inner.lost.is_empty() {
-                    lost.append(&mut inner.lost);
-                    actionable = true;
-                }
                 if !intake_done && (consumed == limit || (inner.closed && inner.queue.is_empty())) {
                     intake_done = true;
                     actionable = true;
                 }
-                if actionable {
+                // The batch only holds groups once group 0 is ingested, so
+                // its next result is always the one the resolver needs.
+                if next.is_none() {
+                    next = groups.try_next();
+                }
+                if actionable || next.is_some() {
                     break;
                 }
                 // About to park. If no worker has started the group the
-                // resolver needs next, run it here (unlocked: the job takes
-                // `inner` to publish its result) and look again. One
-                // attempt per visit: after it the group is in `completions`
-                // or in a worker's hands, and that worker will notify.
-                if may_help {
+                // resolver needs next, run it here (unlocked: its wake-up
+                // takes `inner`) and look again. One attempt per visit:
+                // after it the group is stored or in a worker's hands, and
+                // that worker will wake us.
+                if may_help && groups.len() > 0 {
                     may_help = false;
-                    if let Some(group) = inflight.get(&ingested) {
-                        drop(inner);
-                        group.ticket.run_if_unclaimed();
-                        inner = shared.inner.lock();
-                        continue;
-                    }
+                    drop(inner);
+                    groups.claim_next();
+                    inner = shared.inner.lock();
+                    continue;
                 }
                 shared.coordinator.wait(&mut inner);
             }
@@ -798,37 +722,6 @@ fn stream_segment<T: StateTransition>(
                 attempt: 0,
             });
             thread::sleep(delay);
-        }
-
-        // ---- Groups lost to injected worker panics: re-dispatch with
-        // backoff while the retry budget lasts, then degrade gracefully by
-        // executing the group inline on the coordinator (never subject to
-        // worker faults), so a lost group can never wedge the stream.
-        for fault in lost {
-            let attempt = retries.entry(fault.group).or_insert(0);
-            *attempt += 1;
-            let attempt = *attempt;
-            let group = inflight
-                .get_mut(&fault.group)
-                .expect("a lost group was dispatched and not ingested");
-            let (start, end) = (group.start, group.end);
-            if attempt <= ctx.retry.max_retries {
-                thread::sleep(ctx.retry.delay_for(attempt - 1));
-                run.emit(EventKind::GroupRetry {
-                    group: fault.group,
-                    attempt: attempt as usize,
-                });
-                *group = dispatch_group(fault.group, start, end, attempt, &inputs);
-            } else {
-                let spec = GroupSpec {
-                    k: fault.group,
-                    start,
-                    end,
-                    speculative: true,
-                };
-                let data = execute_group(run, &inputs, 0, initial, spec);
-                pending.insert(fault.group, data);
-            }
         }
 
         // ---- Run the inline group 0 (and, after an abort, the sequential
@@ -853,7 +746,7 @@ fn stream_segment<T: StateTransition>(
                     g0_checkpoint = g0_state.clone();
                 }
                 let (out, m) = run_invocation(
-                    &ctx.transition,
+                    &seg.engine.transition,
                     &inputs[i],
                     &mut g0_state,
                     seed,
@@ -868,17 +761,14 @@ fn stream_segment<T: StateTransition>(
                 if group_cap == Some(i + 1) {
                     // Group 0 is exactly full: seal it so validation of
                     // group 1 can proceed without waiting for the close.
-                    pending.insert(
-                        0,
-                        seal_group0(
-                            i + 1,
-                            &g0_checkpoint,
-                            &g0_state,
-                            std::mem::take(&mut g0_outputs),
-                            std::mem::take(&mut g0_works),
-                            run,
-                        ),
-                    );
+                    next = Some(seal_group0(
+                        i + 1,
+                        &g0_checkpoint,
+                        &g0_state,
+                        std::mem::take(&mut g0_outputs),
+                        std::mem::take(&mut g0_works),
+                        run,
+                    ));
                     g0_done = true;
                 }
             }
@@ -887,44 +777,34 @@ fn stream_segment<T: StateTransition>(
             resolver.process_tail(&inputs);
         }
 
-        // ---- Dispatch every speculative group whose inputs are complete.
+        // ---- Submit every speculative group whose inputs are complete.
         if let Some(gs) = group_cap {
             while (dispatched + 1) * gs <= inputs.len() {
-                let group = dispatch_group(
-                    dispatched,
-                    dispatched * gs,
-                    (dispatched + 1) * gs,
-                    0,
-                    &inputs,
-                );
-                inflight.insert(dispatched, group);
+                let start = dispatched * gs;
+                dispatch(&mut groups, dispatched, start, start + gs, &inputs);
                 dispatched += 1;
             }
         }
 
-        // ---- On intake completion, seal the partial group 0 and dispatch
+        // ---- On intake completion, seal the partial group 0 and submit
         // the final (possibly partial) speculative group.
         if intake_done && total_groups.is_none() {
             let n = inputs.len();
             if !g0_done {
-                pending.insert(
-                    0,
-                    seal_group0(
-                        n.min(g_eff),
-                        &g0_checkpoint,
-                        &g0_state,
-                        std::mem::take(&mut g0_outputs),
-                        std::mem::take(&mut g0_works),
-                        run,
-                    ),
-                );
+                next = Some(seal_group0(
+                    n.min(g_eff),
+                    &g0_checkpoint,
+                    &g0_state,
+                    std::mem::take(&mut g0_outputs),
+                    std::mem::take(&mut g0_works),
+                    run,
+                ));
                 g0_done = true;
             }
             total_groups = Some(match group_cap {
                 Some(gs) if n > gs => {
                     if dispatched * gs < n {
-                        let group = dispatch_group(dispatched, dispatched * gs, n, 0, &inputs);
-                        inflight.insert(dispatched, group);
+                        dispatch(&mut groups, dispatched, dispatched * gs, n, &inputs);
                         dispatched += 1;
                     }
                     n.div_ceil(gs)
@@ -933,10 +813,10 @@ fn stream_segment<T: StateTransition>(
             });
         }
 
-        // ---- Feed finished groups to the resolver, strictly in order.
-        while let Some(data) = pending.remove(&ingested) {
+        // ---- Feed finished groups to the resolver, strictly in order; a
+        // group's panic is re-raised by `try_next`, in group order.
+        while let Some(data) = next.take().or_else(|| groups.try_next()) {
             resolver.ingest(data, &inputs);
-            inflight.remove(&ingested);
             ingested += 1;
         }
     }

@@ -33,6 +33,9 @@
 //!   are gone, and the pool can be dropped right behind the last one.
 //! - `session_push_finish_matches_batch` — producer/coordinator/worker
 //!   handoff commits every input exactly once, in order.
+//! - `session_group_completion_wakes_coordinator` — a stream's groups go
+//!   through an open `ordered` batch whose stored results wake the parked
+//!   coordinator, strictly after the store.
 //! - `session_halfway_wakeup_never_strands_producer` — a producer blocked
 //!   on a full bounded queue is always woken by the coordinator's
 //!   half-capacity notify, at capacities 1, 2 and 3.
@@ -329,6 +332,30 @@ fn session_push_finish_matches_batch() {
         let outcome = session.finish();
         assert_eq!(outcome.outputs, vec![1, 3, 6, 10], "stream diverged");
         assert_eq!(outcome.final_state.0, 10);
+    });
+}
+
+/// The handshake a stream adds to `ordered`: a stored group result wakes
+/// the coordinator through the stream's own condvar, strictly after the
+/// store. Group 0 runs inline, group 1 is the only speculative group, and
+/// the close may come before the coordinator has looked at anything — so
+/// in some schedules it has sealed group 0 with nothing left to admit and
+/// parks on group 1 while the worker finishes it. In every schedule it
+/// ingests the group and `finish` returns; a wake-up that could precede
+/// the store leaves it parked for good, a deadlock here.
+#[test]
+fn session_group_completion_wakes_coordinator() {
+    model(2, || {
+        let session = Session::new(
+            ExactState(0u64),
+            Sum,
+            RunOptions::default()
+                .pool(Arc::new(ThreadPool::new(1)))
+                .config(two_group_config()),
+        );
+        session.push_batch(1..=4u64);
+        let outcome = session.finish();
+        assert_eq!(outcome.outputs, vec![1, 3, 6, 10], "group 1 lost");
     });
 }
 

@@ -55,20 +55,36 @@ fn arb_config() -> impl Strategy<Value = SpecConfig> {
         )
 }
 
-/// The fault kinds both drivers inject: forced validation mismatches (in
-/// the resolver) and slow speculative groups (in `execute_group`).
-fn arb_faults() -> impl Strategy<Value = FaultPlan> {
-    (any::<u64>(), 0.0f64..0.6, any::<bool>(), 0.0f64..0.3).prop_map(
-        |(seed, mismatch, hard, slow)| {
-            FaultPlan::new(seed)
-                .validation_mismatch(if hard {
-                    FaultRule::permanent(mismatch)
-                } else {
-                    FaultRule::transient(mismatch)
-                })
-                .slow_group(FaultRule::slow(slow, Duration::from_micros(20)))
-        },
+/// The fault kinds every linear driver injects: forced validation
+/// mismatches (in the resolver), and lost workers and slow speculative
+/// groups (in `execute_group`, the one group job), with the retry budget
+/// the lost workers are recovered under.
+fn arb_faults() -> impl Strategy<Value = (FaultPlan, RetryPolicy)> {
+    let rule = |rate, hard| {
+        if hard {
+            FaultRule::permanent(rate)
+        } else {
+            FaultRule::transient(rate)
+        }
+    };
+    (
+        (any::<u64>(), 0.0f64..0.6, any::<bool>(), 0.0f64..0.3),
+        (0.0f64..0.6, any::<bool>(), 0u32..3),
     )
+        .prop_map(
+            move |((seed, mismatch, hard, slow), (lost, dead, retries))| {
+                let plan = FaultPlan::new(seed)
+                    .validation_mismatch(rule(mismatch, hard))
+                    .slow_group(FaultRule::slow(slow, Duration::from_micros(20)))
+                    .worker_panic(rule(lost, dead));
+                let retry = RetryPolicy {
+                    max_retries: retries,
+                    backoff: Duration::ZERO,
+                    ..RetryPolicy::default()
+                };
+                (plan, retry)
+            },
+        )
 }
 
 /// The canonical event sequence with `RunStart` counts zeroed: a stream
@@ -114,7 +130,8 @@ proptest! {
                 .pool(Arc::clone(&pool))
                 .config(config.clone())
                 .seed(seed)
-                .faults(faults)
+                .faults(faults.0)
+                .retry(faults.1)
                 .sink(Arc::clone(sink) as Arc<dyn EventSink>);
             if let Some(s) = segment {
                 options = options.segment(s);
