@@ -180,6 +180,24 @@ REPLAY_LOG=$(mktemp /tmp/stats-replay.XXXXXX.statslog)
 ./target/debug/stats-report replay --record "$REPLAY_LOG" \
     --inputs 128 --fault-rate 0.2 --tune > /dev/null
 ./target/debug/stats-report replay --verify "$REPLAY_LOG" > /dev/null
+# The same log, its events section now claiming 2^63 events: the reader
+# must refuse it with a typed error (exit 1), never panic (exit 101).
+python3 - "$REPLAY_LOG" <<'EOF'
+import struct, sys
+log = bytearray(open(sys.argv[1], "rb").read())
+at = 12  # past magic and version; a section is tag u8, length u64, payload
+while log[at] != 5:  # the events section (docs/replay.md)
+    at += 9 + struct.unpack_from("<Q", log, at + 1)[0]
+struct.pack_into("<Q", log, at + 9, 1 << 63)
+open(sys.argv[1], "wb").write(log)
+EOF
+status=0
+err="$(./target/debug/stats-report replay --verify "$REPLAY_LOG" 2>&1 > /dev/null)" || status=$?
+if [[ $status -ne 1 || "$err" != *"corrupt session log: events section"* ]]; then
+    echo "error: a hostile events count must exit 1 with a typed error;" \
+         "got status $status: $err" >&2
+    exit 1
+fi
 rm -f "$REPLAY_LOG"
 
 echo "== docs check (links, BENCHMARK.json metric names, commands resolve)"

@@ -1,14 +1,22 @@
-//! The byte-exact little-endian codec inputs cross a durability boundary
-//! through: the spill queues' disk segments ([`serve`](crate::serve)) and
-//! the input section of a STATSLOG ([`replay`](crate::replay)).
+//! The byte-exact little-endian codec everything that crosses a durability
+//! boundary goes through: inputs in the spill queues' disk segments
+//! ([`serve`](crate::serve)) and every section of a STATSLOG
+//! ([`replay`](crate::replay), which declares the codecs of the log's
+//! records).
+
+use std::time::Duration;
 
 /// Exact binary serialization for inputs that may spill to disk.
 ///
 /// The contract is byte-exact round-tripping: `decode` must reconstruct
 /// the encoded value exactly (floats included — they travel as their IEEE
 /// bit patterns). Implementations are provided for the integer and float
-/// primitives, `bool`, `char`, `String`, `Vec<T>`, and pairs; compose
-/// those (or hand-roll the two methods) for richer input types.
+/// primitives, `bool`, `char`, `String`, `Vec<T>`, byte arrays, `Duration`
+/// and pairs; compose those (or hand-roll the two methods) for richer input
+/// types. The bytes are the same on every target: `usize` and `isize`
+/// travel as `u64` and `i64` (a value the decoding target cannot hold does
+/// not decode), `[u8; N]` as its `N` raw bytes, and `Duration` as `u64`
+/// nanoseconds — the one lossy case, saturating past ~584 years.
 pub trait SpillCodec: Sized {
     /// Append this value's exact byte representation to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -42,7 +50,42 @@ macro_rules! le_codec {
     };
 }
 
-le_codec!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize, f32, f64);
+le_codec!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
+
+macro_rules! wide_codec {
+    ($($ty:ty as $wire:ty),+) => {
+        $(impl SpillCodec for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                (*self as $wire).encode(out);
+            }
+            fn decode(bytes: &mut &[u8]) -> Option<Self> {
+                <$ty>::try_from(<$wire>::decode(bytes)?).ok()
+            }
+        })+
+    };
+}
+
+wide_codec!(usize as u64, isize as i64);
+
+impl<const N: usize> SpillCodec for [u8; N] {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+    fn decode(bytes: &mut &[u8]) -> Option<Self> {
+        take(bytes, N)?.try_into().ok()
+    }
+}
+
+impl SpillCodec for Duration {
+    fn encode(&self, out: &mut Vec<u8>) {
+        u64::try_from(self.as_nanos())
+            .unwrap_or(u64::MAX)
+            .encode(out);
+    }
+    fn decode(bytes: &mut &[u8]) -> Option<Self> {
+        Some(Duration::from_nanos(u64::decode(bytes)?))
+    }
+}
 
 impl SpillCodec for bool {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -68,24 +111,24 @@ impl SpillCodec for char {
 
 impl SpillCodec for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
+        self.len().encode(out);
         out.extend_from_slice(self.as_bytes());
     }
     fn decode(bytes: &mut &[u8]) -> Option<Self> {
-        let len = usize::try_from(u64::decode(bytes)?).ok()?;
+        let len = usize::decode(bytes)?;
         String::from_utf8(take(bytes, len)?.to_vec()).ok()
     }
 }
 
 impl<T: SpillCodec> SpillCodec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
+        self.len().encode(out);
         for item in self {
             item.encode(out);
         }
     }
     fn decode(bytes: &mut &[u8]) -> Option<Self> {
-        let len = usize::try_from(u64::decode(bytes)?).ok()?;
+        let len = usize::decode(bytes)?;
         // Guard against a corrupt length claiming more items than bytes.
         if len > bytes.len() {
             return None;
@@ -145,5 +188,21 @@ mod tests {
         12345u64.encode(&mut bytes);
         let mut cursor: &[u8] = &bytes[..4];
         assert_eq!(u64::decode(&mut cursor), None);
+    }
+
+    #[test]
+    fn widths_do_not_depend_on_the_target() {
+        fn bytes<T: SpillCodec>(value: T) -> Vec<u8> {
+            let mut out = Vec::new();
+            value.encode(&mut out);
+            out
+        }
+        assert_eq!(bytes(7usize), bytes(7u64));
+        assert_eq!(bytes(-7isize), bytes(-7i64));
+        assert_eq!(bytes(*b"STATS"), b"STATS");
+        assert_eq!(bytes(Duration::from_nanos(1_234_567)), bytes(1_234_567u64));
+        assert_eq!(bytes(Duration::MAX), bytes(u64::MAX));
+        let mut cursor: &[u8] = &[1, 2];
+        assert_eq!(<[u8; 3]>::decode(&mut cursor), None);
     }
 }

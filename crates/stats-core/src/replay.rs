@@ -29,6 +29,12 @@
 //! bit-identically *without* the database. `docs/replay.md` documents the
 //! log format and its stability contract; `docs/tuning.md` the re-tuning
 //! ladder.
+//!
+//! Every section of the log is one [`SpillCodec`] value, and every record
+//! in it is declared once, in this module's `log_codec!` tables: each
+//! [`EventKind`] with its wire tag and fields, the fault plan, the policies
+//! and the meta fields. Both directions of each codec are generated from
+//! that one declaration.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -170,8 +176,7 @@ pub struct SessionLog {
     pub events: Vec<EventKind>,
     /// Digest of the recorded run's results.
     pub summary: RunDigest,
-    input_count: u64,
-    input_bytes: Vec<u8>,
+    inputs: Inputs,
 }
 
 // Manual: SpecConfig holds TradeoffBindings (not comparable); equality
@@ -199,23 +204,24 @@ impl PartialEq for SessionLog {
             && self.chunks == other.chunks
             && self.events == other.events
             && self.summary == other.summary
-            && self.input_count == other.input_count
-            && self.input_bytes == other.input_bytes
+            && self.inputs == other.inputs
     }
 }
 
 impl SessionLog {
     /// Number of recorded inputs.
     pub fn input_count(&self) -> u64 {
-        self.input_count
+        self.inputs.count
     }
 
     /// Decode the recorded inputs as `I` (the input type of the replaying
     /// transition).
     pub fn decode_inputs<I: SpillCodec>(&self) -> Result<Vec<I>, ReplayError> {
-        let mut bytes: &[u8] = &self.input_bytes;
-        let mut inputs = Vec::with_capacity(self.input_count as usize);
-        for index in 0..self.input_count {
+        let mut bytes: &[u8] = &self.inputs.bytes;
+        // The count is read from the log: reserve no more inputs than there
+        // are bytes. Capacity is only a hint, so a zero-byte `I` still decodes.
+        let mut inputs = Vec::with_capacity(self.inputs.count.min(bytes.len() as u64) as usize);
+        for index in 0..self.inputs.count {
             match I::decode(&mut bytes) {
                 Some(input) => inputs.push(input),
                 None => return Err(ReplayError::InputDecode { index }),
@@ -228,73 +234,20 @@ impl SessionLog {
     }
 
     /// Serialize to the versioned, self-describing binary format of
-    /// `docs/replay.md`.
+    /// `docs/replay.md`: the magic, the version, then one section per
+    /// [`SpillCodec`] value.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&LOG_MAGIC);
+        LOG_MAGIC.encode(&mut out);
         LOG_VERSION.encode(&mut out);
-
-        let mut meta = Vec::new();
-        self.label.encode(&mut meta);
-        self.seed.encode(&mut meta);
-        (self.config.group_size as u64).encode(&mut meta);
-        (self.config.window as u64).encode(&mut meta);
-        (self.config.max_reexec as u64).encode(&mut meta);
-        (self.config.rollback as u64).encode(&mut meta);
-        self.config.speculate.encode(&mut meta);
-        self.config.validation_cost.encode(&mut meta);
-        self.segment.is_some().encode(&mut meta);
-        (self.segment.unwrap_or(0) as u64).encode(&mut meta);
-        self.adapt.is_some().encode(&mut meta);
-        let a = self.adapt.unwrap_or_default();
-        a.shrink_after.encode(&mut meta);
-        (a.min_group_size as u64).encode(&mut meta);
-        a.grow_after.encode(&mut meta);
-        a.reprobe_after.encode(&mut meta);
-        self.retry.max_retries.encode(&mut meta);
-        (self.retry.backoff.as_nanos() as u64).encode(&mut meta);
-        self.retry.multiplier.encode(&mut meta);
-        self.retune_enabled.encode(&mut meta);
-        section(&mut out, TAG_META, &meta);
-
+        section(&mut out, TAG_META, &Meta::of(self));
         if let Some(plan) = &self.faults {
-            let mut fp = Vec::new();
-            plan.seed.encode(&mut fp);
-            for rule in [
-                &plan.worker_panic,
-                &plan.validation_mismatch,
-                &plan.slow_group,
-                &plan.queue_stall,
-            ] {
-                rule.rate.encode(&mut fp);
-                rule.attempts.encode(&mut fp);
-                (rule.delay.as_nanos() as u64).encode(&mut fp);
-            }
-            section(&mut out, TAG_FAULTS, &fp);
+            section(&mut out, TAG_FAULTS, plan);
         }
-
-        let mut chunks = Vec::new();
-        self.chunks.encode(&mut chunks);
-        section(&mut out, TAG_CHUNKS, &chunks);
-
-        let mut inputs = Vec::new();
-        self.input_count.encode(&mut inputs);
-        inputs.extend_from_slice(&self.input_bytes);
-        section(&mut out, TAG_INPUTS, &inputs);
-
-        let mut events = Vec::new();
-        (self.events.len() as u64).encode(&mut events);
-        for ev in &self.events {
-            encode_event(ev, &mut events);
-        }
-        section(&mut out, TAG_EVENTS, &events);
-
-        let mut summary = Vec::new();
-        self.summary.outputs.encode(&mut summary);
-        self.summary.trace_digest.encode(&mut summary);
-        self.summary.report_digest.encode(&mut summary);
-        section(&mut out, TAG_SUMMARY, &summary);
-
+        section(&mut out, TAG_CHUNKS, &self.chunks);
+        section(&mut out, TAG_INPUTS, &self.inputs);
+        section(&mut out, TAG_EVENTS, &self.events);
+        section(&mut out, TAG_SUMMARY, &self.summary);
         section(&mut out, TAG_END, &[]);
         out
     }
@@ -304,7 +257,7 @@ impl SessionLog {
     /// unknown tags are skipped.
     pub fn from_bytes(buf: &[u8]) -> Result<SessionLog, ReplayError> {
         let mut bytes = buf;
-        let magic = take(&mut bytes, LOG_MAGIC.len()).ok_or(ReplayError::Truncated)?;
+        let magic = <[u8; 8]>::decode(&mut bytes).ok_or(ReplayError::Truncated)?;
         if magic != LOG_MAGIC {
             return Err(ReplayError::BadMagic);
         }
@@ -321,413 +274,225 @@ impl SessionLog {
         let mut summary = None;
         loop {
             let tag = u8::decode(&mut bytes).ok_or(ReplayError::Truncated)?;
-            let len = u64::decode(&mut bytes).ok_or(ReplayError::Truncated)? as usize;
-            let mut payload = take(&mut bytes, len).ok_or(ReplayError::Truncated)?;
+            let len = usize::decode(&mut bytes).ok_or(ReplayError::Truncated)?;
+            let payload = take(&mut bytes, len).ok_or(ReplayError::Truncated)?;
             match tag {
                 TAG_END => break,
-                TAG_META => meta = Some(decode_meta(&mut payload)?),
-                TAG_FAULTS => faults = Some(decode_faults(&mut payload)?),
-                TAG_CHUNKS => {
-                    chunks = Some(
-                        Vec::<u64>::decode(&mut payload)
-                            .ok_or(ReplayError::Corrupt("chunks section"))?,
-                    )
-                }
-                TAG_INPUTS => {
-                    let count =
-                        u64::decode(&mut payload).ok_or(ReplayError::Corrupt("inputs section"))?;
-                    inputs = Some((count, payload.to_vec()));
-                }
-                TAG_EVENTS => {
-                    let count =
-                        u64::decode(&mut payload).ok_or(ReplayError::Corrupt("events section"))?;
-                    let mut evs = Vec::with_capacity(count as usize);
-                    for _ in 0..count {
-                        evs.push(
-                            decode_event(&mut payload)
-                                .ok_or(ReplayError::Corrupt("events section"))?,
-                        );
-                    }
-                    events = Some(evs);
-                }
-                TAG_SUMMARY => {
-                    let mut word =
-                        || u64::decode(&mut payload).ok_or(ReplayError::Corrupt("summary section"));
-                    summary = Some(RunDigest {
-                        outputs: word()?,
-                        trace_digest: word()?,
-                        report_digest: word()?,
-                    });
-                }
+                TAG_META => meta = Some(value(payload, "meta section")?),
+                TAG_FAULTS => faults = Some(value(payload, "faults section")?),
+                TAG_CHUNKS => chunks = Some(value(payload, "chunks section")?),
+                TAG_INPUTS => inputs = Some(value(payload, "inputs section")?),
+                TAG_EVENTS => events = Some(value(payload, "events section")?),
+                TAG_SUMMARY => summary = Some(value(payload, "summary section")?),
                 // Unknown section from a same-version writer extension:
                 // self-describing framing lets us skip it.
                 _ => {}
             }
         }
 
-        let (label, seed, config, segment, adapt, retry, retune_enabled) =
-            meta.ok_or(ReplayError::MissingSection("meta"))?;
-        let chunks = chunks.ok_or(ReplayError::MissingSection("chunks"))?;
-        let (input_count, input_bytes) = inputs.ok_or(ReplayError::MissingSection("inputs"))?;
+        let meta: Meta = meta.ok_or(ReplayError::MissingSection("meta"))?;
+        let chunks: Vec<u64> = chunks.ok_or(ReplayError::MissingSection("chunks"))?;
+        let inputs: Inputs = inputs.ok_or(ReplayError::MissingSection("inputs"))?;
         let events = events.ok_or(ReplayError::MissingSection("events"))?;
         let summary = summary.ok_or(ReplayError::MissingSection("summary"))?;
-        if chunks.iter().sum::<u64>() != input_count {
+        let total = chunks
+            .iter()
+            .try_fold(0u64, |sum, &chunk| sum.checked_add(chunk));
+        if total != Some(inputs.count) {
             return Err(ReplayError::Corrupt(
                 "chunk sizes disagree with input count",
             ));
         }
         Ok(SessionLog {
-            label,
-            seed,
-            config,
-            segment,
-            adapt,
-            retry,
-            retune_enabled,
+            config: SpecConfig {
+                group_size: meta.group_size,
+                window: meta.window,
+                max_reexec: meta.max_reexec,
+                rollback: meta.rollback,
+                speculate: meta.speculate,
+                validation_cost: meta.validation_cost,
+                ..SpecConfig::default()
+            },
+            segment: meta.has_segment.then_some(meta.segment),
+            adapt: meta.has_adapt.then_some(meta.adapt),
+            retry: meta.retry,
+            retune_enabled: meta.retune_enabled,
+            label: meta.label,
+            seed: meta.seed,
             faults,
             chunks,
             events,
             summary,
-            input_count,
-            input_bytes,
+            inputs,
         })
     }
 }
 
-type MetaFields = (
-    String,
-    u64,
-    SpecConfig,
-    Option<usize>,
-    Option<AdaptPolicy>,
-    RetryPolicy,
-    bool,
-);
-
-fn decode_meta(bytes: &mut &[u8]) -> Result<MetaFields, ReplayError> {
-    let corrupt = ReplayError::Corrupt("meta section");
-    let label = String::decode(bytes).ok_or(corrupt.clone())?;
-    let seed = u64::decode(bytes).ok_or(corrupt.clone())?;
-    let group_size = u64::decode(bytes).ok_or(corrupt.clone())? as usize;
-    let window = u64::decode(bytes).ok_or(corrupt.clone())? as usize;
-    let max_reexec = u64::decode(bytes).ok_or(corrupt.clone())? as usize;
-    let rollback = u64::decode(bytes).ok_or(corrupt.clone())? as usize;
-    let speculate = bool::decode(bytes).ok_or(corrupt.clone())?;
-    let validation_cost = f64::decode(bytes).ok_or(corrupt.clone())?;
-    let has_segment = bool::decode(bytes).ok_or(corrupt.clone())?;
-    let segment = u64::decode(bytes).ok_or(corrupt.clone())? as usize;
-    let has_adapt = bool::decode(bytes).ok_or(corrupt.clone())?;
-    let shrink_after = u32::decode(bytes).ok_or(corrupt.clone())?;
-    let min_group_size = u64::decode(bytes).ok_or(corrupt.clone())? as usize;
-    let grow_after = u32::decode(bytes).ok_or(corrupt.clone())?;
-    let reprobe_after = u32::decode(bytes).ok_or(corrupt.clone())?;
-    let max_retries = u32::decode(bytes).ok_or(corrupt.clone())?;
-    let backoff_ns = u64::decode(bytes).ok_or(corrupt.clone())?;
-    let multiplier = u32::decode(bytes).ok_or(corrupt.clone())?;
-    let retune_enabled = bool::decode(bytes).ok_or(corrupt)?;
-    Ok((
-        label,
-        seed,
-        SpecConfig {
-            group_size,
-            window,
-            max_reexec,
-            rollback,
-            speculate,
-            validation_cost,
-            ..SpecConfig::default()
-        },
-        has_segment.then_some(segment),
-        has_adapt.then_some(AdaptPolicy {
-            shrink_after,
-            min_group_size,
-            grow_after,
-            reprobe_after,
-        }),
-        RetryPolicy {
-            max_retries,
-            backoff: std::time::Duration::from_nanos(backoff_ns),
-            multiplier,
-        },
-        retune_enabled,
-    ))
-}
-
-fn decode_faults(bytes: &mut &[u8]) -> Result<FaultPlan, ReplayError> {
-    let corrupt = ReplayError::Corrupt("faults section");
-    let seed = u64::decode(bytes).ok_or(corrupt.clone())?;
-    let mut rules = [FaultRule::off(); 4];
-    for rule in &mut rules {
-        rule.rate = f64::decode(bytes).ok_or(corrupt.clone())?;
-        rule.attempts = u32::decode(bytes).ok_or(corrupt.clone())?;
-        rule.delay = std::time::Duration::from_nanos(u64::decode(bytes).ok_or(corrupt.clone())?);
-    }
-    Ok(FaultPlan::new(seed)
-        .worker_panic(rules[0])
-        .validation_mismatch(rules[1])
-        .slow_group(rules[2])
-        .queue_stall(rules[3]))
-}
-
-fn section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+/// Append section `tag` holding `value`: the tag, the payload's length,
+/// the payload.
+fn section<V: SpillCodec>(out: &mut Vec<u8>, tag: u8, value: &V) {
+    let mut payload = Vec::new();
+    value.encode(&mut payload);
     out.push(tag);
-    (payload.len() as u64).encode(out);
-    out.extend_from_slice(payload);
+    payload.len().encode(out);
+    out.extend_from_slice(&payload);
 }
 
-// --------------------------------------------------------- event codec
+/// Decode a known section's payload as its value. Bytes past the value are
+/// ignored, as every v1 reader has ignored them.
+fn value<V: SpillCodec>(mut payload: &[u8], corrupt: &'static str) -> Result<V, ReplayError> {
+    V::decode(&mut payload).ok_or(ReplayError::Corrupt(corrupt))
+}
 
-fn encode_event(ev: &EventKind, out: &mut Vec<u8>) {
-    let u = |x: usize, out: &mut Vec<u8>| (x as u64).encode(out);
-    match ev {
-        EventKind::RunStart { inputs, groups } => {
-            out.push(0);
-            u(*inputs, out);
-            u(*groups, out);
-        }
-        EventKind::RunEnd => out.push(1),
-        EventKind::GroupStart {
-            group,
-            start,
-            end,
-            speculative,
-        } => {
-            out.push(2);
-            u(*group, out);
-            u(*start, out);
-            u(*end, out);
-            speculative.encode(out);
-        }
-        EventKind::GroupEnd { group } => {
-            out.push(3);
-            u(*group, out);
-        }
-        EventKind::Validation {
-            group,
-            attempt,
-            matched,
-        } => {
-            out.push(4);
-            u(*group, out);
-            u(*attempt, out);
-            matched.encode(out);
-        }
-        EventKind::Reexecution { group, attempt } => {
-            out.push(5);
-            u(*group, out);
-            u(*attempt, out);
-        }
-        EventKind::GroupCommit {
-            group,
-            reexecutions,
-        } => {
-            out.push(6);
-            u(*group, out);
-            u(*reexecutions, out);
-        }
-        EventKind::GroupAbort { group } => {
-            out.push(7);
-            u(*group, out);
-        }
-        EventKind::SequentialTailStart { index } => {
-            out.push(8);
-            u(*index, out);
-        }
-        EventKind::SequentialTailEnd => out.push(9),
-        EventKind::FaultInjected {
-            kind,
-            site,
-            attempt,
-        } => {
-            out.push(10);
-            out.push(fault_kind_tag(*kind));
-            u(*site, out);
-            u(*attempt, out);
-        }
-        EventKind::GroupRetry { group, attempt } => {
-            out.push(11);
-            u(*group, out);
-            u(*attempt, out);
-        }
-        EventKind::AdaptTransition { state, group_size } => {
-            out.push(12);
-            out.push(adapt_state_tag(*state));
-            u(*group_size, out);
-        }
-        EventKind::Retune {
-            segment,
-            group_size,
-            window,
-            max_reexec,
-        } => {
-            out.push(13);
-            segment.encode(out);
-            u(*group_size, out);
-            u(*window, out);
-            u(*max_reexec, out);
-        }
-        EventKind::TenantAdmission { tenant, admitted } => {
-            out.push(14);
-            u(*tenant, out);
-            u(*admitted, out);
-        }
-        EventKind::SpillWrite {
-            tenant,
-            segment,
-            inputs,
-        } => {
-            out.push(15);
-            u(*tenant, out);
-            segment.encode(out);
-            u(*inputs, out);
-        }
-        EventKind::SpillReplay {
-            tenant,
-            segment,
-            inputs,
-        } => {
-            out.push(16);
-            u(*tenant, out);
-            segment.encode(out);
-            u(*inputs, out);
-        }
-        EventKind::NodeValidation { node, matched } => {
-            out.push(17);
-            u(*node, out);
-            matched.encode(out);
-        }
-        EventKind::NodeCommit { node } => {
-            out.push(18);
-            u(*node, out);
-        }
-        EventKind::NodeAbort { node } => {
-            out.push(19);
-            u(*node, out);
-        }
-        EventKind::ConeSquash { node, root } => {
-            out.push(20);
-            u(*node, out);
-            u(*root, out);
+// ------------------------------------------------------------- records
+
+/// The meta section, field by field in wire order: the run's label, seed
+/// and `SpecConfig` scalars; `segment` and `adapt`, each as a presence flag
+/// followed by the value or, when absent, a default placeholder; the retry
+/// policy; whether a re-tuner ran.
+struct Meta {
+    label: String,
+    seed: u64,
+    group_size: usize,
+    window: usize,
+    max_reexec: usize,
+    rollback: usize,
+    speculate: bool,
+    validation_cost: f64,
+    has_segment: bool,
+    segment: usize,
+    has_adapt: bool,
+    adapt: AdaptPolicy,
+    retry: RetryPolicy,
+    retune_enabled: bool,
+}
+
+impl Meta {
+    fn of(log: &SessionLog) -> Meta {
+        let config = &log.config;
+        Meta {
+            label: log.label.clone(),
+            seed: log.seed,
+            group_size: config.group_size,
+            window: config.window,
+            max_reexec: config.max_reexec,
+            rollback: config.rollback,
+            speculate: config.speculate,
+            validation_cost: config.validation_cost,
+            has_segment: log.segment.is_some(),
+            segment: log.segment.unwrap_or_default(),
+            has_adapt: log.adapt.is_some(),
+            adapt: log.adapt.unwrap_or_default(),
+            retry: log.retry,
+            retune_enabled: log.retune_enabled,
         }
     }
 }
 
-fn decode_event(bytes: &mut &[u8]) -> Option<EventKind> {
-    let tag = u8::decode(bytes)?;
-    let u = |bytes: &mut &[u8]| u64::decode(bytes).map(|x| x as usize);
-    Some(match tag {
-        0 => EventKind::RunStart {
-            inputs: u(bytes)?,
-            groups: u(bytes)?,
-        },
-        1 => EventKind::RunEnd,
-        2 => EventKind::GroupStart {
-            group: u(bytes)?,
-            start: u(bytes)?,
-            end: u(bytes)?,
-            speculative: bool::decode(bytes)?,
-        },
-        3 => EventKind::GroupEnd { group: u(bytes)? },
-        4 => EventKind::Validation {
-            group: u(bytes)?,
-            attempt: u(bytes)?,
-            matched: bool::decode(bytes)?,
-        },
-        5 => EventKind::Reexecution {
-            group: u(bytes)?,
-            attempt: u(bytes)?,
-        },
-        6 => EventKind::GroupCommit {
-            group: u(bytes)?,
-            reexecutions: u(bytes)?,
-        },
-        7 => EventKind::GroupAbort { group: u(bytes)? },
-        8 => EventKind::SequentialTailStart { index: u(bytes)? },
-        9 => EventKind::SequentialTailEnd,
-        10 => EventKind::FaultInjected {
-            kind: fault_kind_from_tag(u8::decode(bytes)?)?,
-            site: u(bytes)?,
-            attempt: u(bytes)?,
-        },
-        11 => EventKind::GroupRetry {
-            group: u(bytes)?,
-            attempt: u(bytes)?,
-        },
-        12 => EventKind::AdaptTransition {
-            state: adapt_state_from_tag(u8::decode(bytes)?)?,
-            group_size: u(bytes)?,
-        },
-        13 => EventKind::Retune {
-            segment: u64::decode(bytes)?,
-            group_size: u(bytes)?,
-            window: u(bytes)?,
-            max_reexec: u(bytes)?,
-        },
-        14 => EventKind::TenantAdmission {
-            tenant: u(bytes)?,
-            admitted: u(bytes)?,
-        },
-        15 => EventKind::SpillWrite {
-            tenant: u(bytes)?,
-            segment: u64::decode(bytes)?,
-            inputs: u(bytes)?,
-        },
-        16 => EventKind::SpillReplay {
-            tenant: u(bytes)?,
-            segment: u64::decode(bytes)?,
-            inputs: u(bytes)?,
-        },
-        17 => EventKind::NodeValidation {
-            node: u(bytes)?,
-            matched: bool::decode(bytes)?,
-        },
-        18 => EventKind::NodeCommit { node: u(bytes)? },
-        19 => EventKind::NodeAbort { node: u(bytes)? },
-        20 => EventKind::ConeSquash {
-            node: u(bytes)?,
-            root: u(bytes)?,
-        },
-        _ => return None,
-    })
+/// The inputs section: the count, then each recorded input's [`SpillCodec`]
+/// encoding back to back — the section's last bytes, so decoding takes
+/// them all. [`SessionLog::decode_inputs`] reads them as the replaying
+/// transition's input type.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Inputs {
+    count: u64,
+    bytes: Vec<u8>,
 }
 
-fn fault_kind_tag(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::WorkerPanic => 0,
-        FaultKind::ValidationMismatch => 1,
-        FaultKind::SlowGroup => 2,
-        FaultKind::QueueStall => 3,
+impl SpillCodec for Inputs {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.count.encode(out);
+        out.extend_from_slice(&self.bytes);
+    }
+    fn decode(bytes: &mut &[u8]) -> Option<Self> {
+        let count = u64::decode(bytes)?;
+        Some(Inputs {
+            count,
+            bytes: std::mem::take(bytes).to_vec(),
+        })
     }
 }
 
-fn fault_kind_from_tag(tag: u8) -> Option<FaultKind> {
-    Some(match tag {
-        0 => FaultKind::WorkerPanic,
-        1 => FaultKind::ValidationMismatch,
-        2 => FaultKind::SlowGroup,
-        3 => FaultKind::QueueStall,
-        _ => return None,
-    })
+/// Declares a log record once and generates both directions of its
+/// [`SpillCodec`]: fields travel in the order listed, each through its own
+/// type's codec, so the type's definition fixes every width. A struct
+/// lists its fields; an enum gives each variant a `u8` wire tag, written
+/// before the variant's fields. An unknown tag does not decode, and a
+/// variant without a row does not compile.
+macro_rules! log_codec {
+    (struct $ty:ident { $($field:ident),+ $(,)? }) => {
+        impl SpillCodec for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $(self.$field.encode(out);)+
+            }
+            fn decode(bytes: &mut &[u8]) -> Option<Self> {
+                Some($ty { $($field: SpillCodec::decode(bytes)?),+ })
+            }
+        }
+    };
+    (enum $ty:ident { $($tag:literal => $variant:ident $({ $($field:ident),+ })?),+ $(,)? }) => {
+        // Inlined into the section's `Vec` loop, which otherwise pays a call
+        // per event: decoding a log took twice as long without it.
+        impl SpillCodec for $ty {
+            #[inline]
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $($field),+ })? => {
+                        out.push($tag);
+                        $($($field.encode(out);)+)?
+                    })+
+                }
+            }
+            #[inline]
+            fn decode(bytes: &mut &[u8]) -> Option<Self> {
+                Some(match u8::decode(bytes)? {
+                    $($tag => $ty::$variant $({ $($field: SpillCodec::decode(bytes)?),+ })?,)+
+                    _ => return None,
+                })
+            }
+        }
+    };
 }
 
-fn adapt_state_tag(state: AdaptState) -> u8 {
-    match state {
-        AdaptState::Speculative => 0,
-        AdaptState::Shrunk => 1,
-        AdaptState::Sequential => 2,
-        AdaptState::Probing => 3,
-    }
-}
+log_codec!(struct Meta {
+    label, seed, group_size, window, max_reexec, rollback, speculate, validation_cost,
+    has_segment, segment, has_adapt, adapt, retry, retune_enabled,
+});
+log_codec!(struct AdaptPolicy { shrink_after, min_group_size, grow_after, reprobe_after });
+log_codec!(struct RetryPolicy { max_retries, backoff, multiplier });
+log_codec!(struct FaultPlan { seed, worker_panic, validation_mismatch, slow_group, queue_stall });
+log_codec!(struct FaultRule { rate, attempts, delay });
+log_codec!(struct RunDigest { outputs, trace_digest, report_digest });
+log_codec!(enum FaultKind {
+    0 => WorkerPanic, 1 => ValidationMismatch, 2 => SlowGroup, 3 => QueueStall,
+});
+log_codec!(enum AdaptState { 0 => Speculative, 1 => Shrunk, 2 => Sequential, 3 => Probing });
 
-fn adapt_state_from_tag(tag: u8) -> Option<AdaptState> {
-    Some(match tag {
-        0 => AdaptState::Speculative,
-        1 => AdaptState::Shrunk,
-        2 => AdaptState::Sequential,
-        3 => AdaptState::Probing,
-        _ => return None,
-    })
-}
+// The events section's vocabulary. A tag keeps its meaning for as long as
+// `LOG_VERSION` is 1 (`docs/replay.md`): never renumber or reuse one.
+log_codec!(enum EventKind {
+    0 => RunStart { inputs, groups },
+    1 => RunEnd,
+    2 => GroupStart { group, start, end, speculative },
+    3 => GroupEnd { group },
+    4 => Validation { group, attempt, matched },
+    5 => Reexecution { group, attempt },
+    6 => GroupCommit { group, reexecutions },
+    7 => GroupAbort { group },
+    8 => SequentialTailStart { index },
+    9 => SequentialTailEnd,
+    10 => FaultInjected { kind, site, attempt },
+    11 => GroupRetry { group, attempt },
+    12 => AdaptTransition { state, group_size },
+    13 => Retune { segment, group_size, window, max_reexec },
+    14 => TenantAdmission { tenant, admitted },
+    15 => SpillWrite { tenant, segment, inputs },
+    16 => SpillReplay { tenant, segment, inputs },
+    17 => NodeValidation { node, matched },
+    18 => NodeCommit { node },
+    19 => NodeAbort { node },
+    20 => ConeSquash { node, root },
+});
 
 // --------------------------------------------------- canonical ordering
 
@@ -987,8 +752,7 @@ where
             chunks: Vec::new(),
             events: Vec::new(),
             summary: RunDigest::default(),
-            input_count: 0,
-            input_bytes: Vec::new(),
+            inputs: Inputs::default(),
         };
         let tape = Arc::new(TapeSink::over(Arc::clone(&options.sink)));
         options.sink = Arc::clone(&tape) as Arc<dyn EventSink>;
@@ -1010,8 +774,8 @@ where
     pub fn push(&self, input: T::Input) {
         {
             let mut log = self.log.lock();
-            input.encode(&mut log.input_bytes);
-            log.input_count += 1;
+            input.encode(&mut log.inputs.bytes);
+            log.inputs.count += 1;
             log.chunks.push(1);
         }
         self.session.push(input);
@@ -1024,9 +788,9 @@ where
         {
             let mut log = self.log.lock();
             for input in &inputs {
-                input.encode(&mut log.input_bytes);
+                input.encode(&mut log.inputs.bytes);
             }
-            log.input_count += inputs.len() as u64;
+            log.inputs.count += inputs.len() as u64;
             log.chunks.push(inputs.len() as u64);
         }
         self.session.push_batch(inputs);
@@ -1376,5 +1140,248 @@ mod tests {
         trace.nodes[0].work.total = -0.0; // same value, different bits
         let b = trace_digest(&trace);
         assert_ne!(a, b);
+    }
+
+    /// Where section `tag`'s payload sits in the log `bytes`.
+    fn payload(bytes: &[u8], tag: u8) -> std::ops::Range<usize> {
+        let mut at = LOG_MAGIC.len() + 4;
+        loop {
+            let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+            if bytes[at] == tag {
+                return at + 9..at + 9 + len;
+            }
+            at += 9 + len;
+        }
+    }
+
+    /// `bytes` with the `u64` at `offset` into section `tag`'s payload
+    /// replaced by `value`.
+    fn patched(bytes: &[u8], tag: u8, offset: usize, value: u64) -> Vec<u8> {
+        let mut bytes = bytes.to_vec();
+        let at = payload(&bytes, tag).start + offset;
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        bytes
+    }
+
+    /// A log in which every meta, fault-plan and event field holds a value
+    /// of its own, with every event kind, fault kind and adapt state.
+    fn distinct_log() -> SessionLog {
+        let mut log = sample_log();
+        log.config = SpecConfig {
+            group_size: 3,
+            window: 4,
+            max_reexec: 5,
+            rollback: 6,
+            speculate: false,
+            validation_cost: 7.5,
+            ..SpecConfig::default()
+        };
+        log.segment = Some(8);
+        log.adapt = Some(AdaptPolicy {
+            shrink_after: 9,
+            min_group_size: 10,
+            grow_after: 11,
+            reprobe_after: 12,
+        });
+        log.retry = RetryPolicy {
+            max_retries: 13,
+            backoff: std::time::Duration::from_nanos(14),
+            multiplier: 15,
+        };
+        log.retune_enabled = true;
+        let rule = |n: u32| FaultRule {
+            rate: f64::from(n) / 64.0,
+            attempts: n + 1,
+            delay: std::time::Duration::from_nanos(u64::from(n) + 2),
+        };
+        log.faults = Some(FaultPlan {
+            seed: 16,
+            worker_panic: rule(17),
+            validation_mismatch: rule(20),
+            slow_group: rule(23),
+            queue_stall: rule(26),
+        });
+        use EventKind::*;
+        log.events = vec![
+            RunStart {
+                inputs: 1,
+                groups: 2,
+            },
+            RunEnd,
+            GroupStart {
+                group: 3,
+                start: 4,
+                end: 5,
+                speculative: true,
+            },
+            GroupEnd { group: 6 },
+            Validation {
+                group: 7,
+                attempt: 8,
+                matched: false,
+            },
+            Reexecution {
+                group: 9,
+                attempt: 10,
+            },
+            GroupCommit {
+                group: 11,
+                reexecutions: 12,
+            },
+            GroupAbort { group: 13 },
+            SequentialTailStart { index: 14 },
+            SequentialTailEnd,
+            FaultInjected {
+                kind: FaultKind::WorkerPanic,
+                site: 15,
+                attempt: 16,
+            },
+            FaultInjected {
+                kind: FaultKind::ValidationMismatch,
+                site: 17,
+                attempt: 18,
+            },
+            FaultInjected {
+                kind: FaultKind::SlowGroup,
+                site: 19,
+                attempt: 20,
+            },
+            FaultInjected {
+                kind: FaultKind::QueueStall,
+                site: 21,
+                attempt: 22,
+            },
+            GroupRetry {
+                group: 23,
+                attempt: 24,
+            },
+            AdaptTransition {
+                state: AdaptState::Speculative,
+                group_size: 25,
+            },
+            AdaptTransition {
+                state: AdaptState::Shrunk,
+                group_size: 26,
+            },
+            AdaptTransition {
+                state: AdaptState::Sequential,
+                group_size: 27,
+            },
+            AdaptTransition {
+                state: AdaptState::Probing,
+                group_size: 28,
+            },
+            Retune {
+                segment: 29,
+                group_size: 30,
+                window: 31,
+                max_reexec: 32,
+            },
+            TenantAdmission {
+                tenant: 33,
+                admitted: 34,
+            },
+            SpillWrite {
+                tenant: 35,
+                segment: 36,
+                inputs: 37,
+            },
+            SpillReplay {
+                tenant: 38,
+                segment: 39,
+                inputs: 40,
+            },
+            NodeValidation {
+                node: 41,
+                matched: true,
+            },
+            NodeCommit { node: 42 },
+            NodeAbort { node: 43 },
+            ConeSquash { node: 44, root: 45 },
+        ];
+        log
+    }
+
+    /// The meta, faults and events sections of `distinct_log()` as the
+    /// hand-written encoder that the `log_codec!` tables replaced wrote
+    /// them. Two fields of one width trading places move bytes here; the
+    /// compat fixture's default policies (`shrink_after == grow_after`) and
+    /// its event kinds cannot show every such swap.
+    const DISTINCT_V1: [(u8, &str); 3] = [
+        (
+            TAG_META,
+            "\
+            0600000000000000646f75626c652a000000000000000300000000000000040000000000000005000000000000000600\
+            000000000000000000000000001e4001080000000000000001090000000a000000000000000b0000000c0000000d0000\
+            000e000000000000000f00000001",
+        ),
+        (
+            TAG_FAULTS,
+            "\
+            1000000000000000000000000000d13f120000001300000000000000000000000000d43f150000001600000000000000\
+            000000000000d73f180000001900000000000000000000000000da3f1b0000001c00000000000000",
+        ),
+        (
+            TAG_EVENTS,
+            "\
+            1b0000000000000000010000000000000002000000000000000102030000000000000004000000000000000500000000\
+            000000010306000000000000000407000000000000000800000000000000000509000000000000000a00000000000000\
+            060b000000000000000c00000000000000070d00000000000000080e00000000000000090a000f000000000000001000\
+            0000000000000a01110000000000000012000000000000000a02130000000000000014000000000000000a0315000000\
+            0000000016000000000000000b170000000000000018000000000000000c0019000000000000000c011a000000000000\
+            000c021b000000000000000c031c000000000000000d1d000000000000001e000000000000001f000000000000002000\
+            0000000000000e210000000000000022000000000000000f230000000000000024000000000000002500000000000000\
+            1026000000000000002700000000000000280000000000000011290000000000000001122a00000000000000132b0000\
+            0000000000142c000000000000002d00000000000000",
+        ),
+    ];
+
+    #[test]
+    fn every_record_field_keeps_its_v1_bytes() {
+        let log = distinct_log();
+        let bytes = log.to_bytes();
+        for (tag, v1) in DISTINCT_V1 {
+            let written: String = bytes[payload(&bytes, tag)]
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(written, v1, "section {tag}");
+        }
+        assert_eq!(SessionLog::from_bytes(&bytes).unwrap(), log);
+    }
+
+    #[test]
+    fn hostile_event_count_is_a_typed_error() {
+        let bytes = patched(&sample_log().to_bytes(), TAG_EVENTS, 0, 0xFF << 56);
+        assert_eq!(
+            SessionLog::from_bytes(&bytes),
+            Err(ReplayError::Corrupt("events section"))
+        );
+    }
+
+    #[test]
+    fn overflowing_chunk_sizes_are_a_typed_error() {
+        // 2^64 - 1 + 42 wraps to the 41 recorded inputs.
+        let bytes = patched(&sample_log().to_bytes(), TAG_CHUNKS, 8, u64::MAX);
+        let bytes = patched(&bytes, TAG_CHUNKS, 16, 42);
+        assert_eq!(
+            SessionLog::from_bytes(&bytes),
+            Err(ReplayError::Corrupt(
+                "chunk sizes disagree with input count"
+            ))
+        );
+    }
+
+    #[test]
+    fn hostile_input_count_is_a_typed_error() {
+        let count = 1 << 61;
+        let bytes = patched(&sample_log().to_bytes(), TAG_CHUNKS, 8, count);
+        let bytes = patched(&bytes, TAG_CHUNKS, 16, 0);
+        let bytes = patched(&bytes, TAG_INPUTS, 0, count);
+        let log = SessionLog::from_bytes(&bytes).expect("chunks and count agree");
+        let short = Err(ReplayError::InputDecode { index: 41 });
+        assert_eq!(log.decode_inputs::<u64>(), short);
+        let replayed = replay(&log, ExactState(0), Double, RunOptions::default());
+        assert_eq!(replayed.err(), short.err());
     }
 }

@@ -8,7 +8,8 @@
 //!    bit patterns carry NaN payloads or signed zeros, and including every
 //!    recorded fault and re-tuning event.
 //! 2. **Damage is typed** — every truncation of a valid log decodes to a
-//!    typed [`ReplayError`]; corrupt bytes never panic the decoder.
+//!    typed [`ReplayError`]; corrupt bytes and forged section counts never
+//!    panic the decoder.
 //! 3. **Replay fidelity** — `replay(record(run))` reproduces the original
 //!    outputs, final state, canonical event sequence, and trace/report
 //!    digests bit-for-bit, at a *different* worker count, with faults,
@@ -94,6 +95,28 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
                 })
                 .slow_group(FaultRule::slow(slow_r, Duration::from_micros(40)))
         })
+}
+
+/// The offset of section `tag`'s payload in a log: past the magic and the
+/// version, each section is its tag, its payload length and its payload
+/// (`docs/replay.md`, "Log format").
+fn payload_at(bytes: &[u8], tag: u8) -> usize {
+    let mut at = 8 + 4;
+    while bytes[at] != tag {
+        at += 9 + u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+    }
+    at + 9
+}
+
+/// A count a hostile log could carry: anything, near the top of the range,
+/// just under `2^64 / 8`, or small.
+fn arb_count() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        (u64::MAX - 64)..=u64::MAX,
+        (1u64 << 60)..(1u64 << 61),
+        0u64..64,
+    ]
 }
 
 proptest! {
@@ -220,5 +243,70 @@ proptest! {
         );
         prop_assert_eq!(&replayed.outcome.outputs, &outcome.outputs);
         prop_assert_eq!(replayed.outcome.final_state.0, outcome.final_state.0);
+    }
+
+    /// HOSTILE COUNTS ARE TYPED: overwriting the leading count of the
+    /// chunks (tag 3), inputs (4) and events (5) sections — one at a time,
+    /// all at once, or the input count together with the first chunk so
+    /// that the chunk sizes still add up to it — never panics the decoder
+    /// or `decode_inputs`; each returns `Ok` or a `ReplayError`.
+    #[test]
+    fn hostile_counts_fail_with_typed_errors(
+        n in 0u64..24,
+        seed in any::<u64>(),
+        chunk in 1usize..9,
+        counts in (arb_count(), arb_count(), arb_count()),
+    ) {
+        let recorder = SessionRecorder::new(
+            ExactState(0u64),
+            Mix,
+            RunOptions::default().seed(seed),
+        );
+        let inputs: Vec<u64> = (0..n).collect();
+        for c in inputs.chunks(chunk) {
+            recorder.push_batch(c.iter().copied());
+        }
+        let (_, log) = recorder.finish();
+        let bytes = log.to_bytes();
+        let (chunks_at, inputs_at, events_at) =
+            (payload_at(&bytes, 3), payload_at(&bytes, 4), payload_at(&bytes, 5));
+        let put = |bytes: &mut Vec<u8>, at: usize, value: u64| {
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        };
+
+        let mut hostile = Vec::new();
+        for (at, count) in [(chunks_at, counts.0), (inputs_at, counts.1), (events_at, counts.2)] {
+            let mut one = bytes.clone();
+            put(&mut one, at, count);
+            hostile.push(one);
+        }
+        let mut all = bytes.clone();
+        put(&mut all, chunks_at, counts.0);
+        put(&mut all, inputs_at, counts.1);
+        put(&mut all, events_at, counts.2);
+        hostile.push(all);
+        if let Some(&first) = log.chunks.first() {
+            let mut consistent = bytes.clone();
+            put(&mut consistent, inputs_at, counts.1);
+            put(&mut consistent, chunks_at + 8, counts.1.wrapping_sub(n - first));
+            hostile.push(consistent);
+        }
+
+        for crafted in &hostile {
+            // Returning at all is the property; the arms also name the only
+            // errors a forged count may produce.
+            match SessionLog::from_bytes(crafted) {
+                Ok(decoded) => match decoded.decode_inputs::<u64>() {
+                    Ok(_) | Err(ReplayError::InputDecode { .. } | ReplayError::Corrupt(_)) => {}
+                    Err(other) => prop_assert!(false, "decode_inputs: {:?}", other),
+                },
+                Err(
+                    ReplayError::Truncated
+                    | ReplayError::Corrupt(_)
+                    | ReplayError::MissingSection(_),
+                ) => {}
+                Err(other) => prop_assert!(false, "from_bytes: {:?}", other),
+            }
+        }
     }
 }
