@@ -8,7 +8,7 @@
 #   --loom   model-check the speculation runtime: builds stats-core with
 #            RUSTFLAGS="--cfg loom" (the sync facade swaps onto the model
 #            checker), runs every model in tests/loom.rs and names them in
-#            its summary line (the wake-free dispatch models must be there)
+#            its summary line (the dispatch and session models must be there)
 #   --miri   run the non-pool stats-core unit tests under Miri (needs the
 #            nightly `miri` component; skips with a message otherwise)
 #   --tsan   run tests/pool_stress.rs under ThreadSanitizer (needs nightly
@@ -44,14 +44,17 @@ if [[ "$stage" == "--loom" ]]; then
     models="$(RUSTFLAGS="--cfg loom" cargo test --offline --release -q \
         -p stats-core --test loom -- --list 2>/dev/null \
         | sed -n 's/: test$//p' | tr '\n' ' ')"
-    # The wake-free dispatch handshakes, the two-lane queue, the
-    # ordered-completion slots every batch and stream waits through and the
-    # stream's wake-after-store (docs/concurrency.md) rest on these six; a
-    # rename or deletion must not pass silently.
+    # The wake-free dispatch handshakes, the two-lane queue and the
+    # ordered-completion slots every batch and stream waits through rest on
+    # the first four; the five session models drive the coordinator loop —
+    # the linear engine over a stream's queue intake, with its
+    # wake-after-store (docs/concurrency.md). A rename or deletion must not
+    # pass silently.
     for required in ticket_runs_exactly_once pool_submit_never_strands_a_sleeper \
         pool_lanes_never_lose_jobs pool_ordered_yields_each_result_once \
-        session_halfway_wakeup_never_strands_producer \
-        session_group_completion_wakes_coordinator; do
+        session_push_finish_matches_batch session_group_completion_wakes_coordinator \
+        session_halfway_wakeup_never_strands_producer session_drop_mid_stream_joins \
+        session_panic_routing_try_finish; do
         if [[ " $models " != *" $required "* ]]; then
             echo "error: loom model '$required' is missing from tests/loom.rs" >&2
             exit 1

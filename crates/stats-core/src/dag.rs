@@ -37,7 +37,7 @@ use crate::ctx::WorkMeter;
 use crate::obs::EventKind;
 use crate::plan::{PlanNodeId, SpecPlan};
 use crate::protocol::{
-    run_invocation, run_linear, segment_seed, Executor, Inline, ProtocolResult, RunCtx, SpecConfig,
+    run_linear, segment_seed, Executor, Inline, ProtocolResult, RunCtx, Slice, SpecConfig,
     SpecReport, SpecTrace, TraceNodeKind,
 };
 use crate::sdi::{SpecState, StateTransition};
@@ -103,8 +103,8 @@ fn run_node_inner<T: StateTransition>(
         faults: None,
         ..ctx
     };
-    let range = base..base + plan.node(node).inputs;
-    run_linear(inner, inputs, range, start, &Inline)
+    let slice = &mut Slice(&inputs[base..base + plan.node(node).inputs], base);
+    run_linear(inner, slice, start, &Inline)
 }
 
 /// Execute `node`'s eager run. For roots: the inner protocol from the
@@ -129,23 +129,17 @@ pub(crate) fn run_node_eager<T: StateTransition>(
     }
     let mut state = initial.clone();
     let mut aux_work = WorkMeter::default();
+    let plan_aux = RunCtx {
+        seed: ctx.seed ^ PLAN_AUX_SALT,
+        ..ctx
+    };
     for &p in &plan.node(node).parents {
         let p_base = plan.input_base(p);
         let p_len = plan.node(p).inputs;
         let w = ctx.config.window.min(p_len);
         let lo = p_base + p_len - w;
         for (i, input) in (lo..p_base + p_len).zip(&inputs[lo..p_base + p_len]) {
-            let (_out, m) = run_invocation(
-                ctx.transition,
-                input,
-                &mut state,
-                ctx.seed ^ PLAN_AUX_SALT,
-                node as u64,
-                i as u64,
-                0,
-                &ctx.config.aux_bindings,
-                true,
-            );
+            let (_out, m) = plan_aux.invoke(input, &mut state, node, i, 0, true);
             aux_work.total += m.total;
             aux_work.memory += m.memory;
         }
@@ -408,16 +402,8 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
                 Some(a) => vec![a],
                 None => gates.clone(),
             };
-            let ProtocolResult {
-                outputs: run_outputs,
-                final_state: run_final,
-                report: run_report,
-                trace: run_trace,
-            } = run;
-            trace.absorb(run_trace, &entry, squashed);
-            report.reexecutions += run_report.reexecutions;
-            report.validations += run_report.validations;
-            report.aborted |= run_report.aborted;
+            let committed_at = (!squashed).then_some(base);
+            let (run_outputs, run_final) = report.absorb_run(&mut trace, run, &entry, committed_at);
 
             let mut val_idx = None;
             if validated {
@@ -433,60 +419,22 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
                 ));
             }
 
-            let (node_outputs, node_groups, node_final) = match rerun {
+            let (node_outputs, node_final) = match rerun {
                 Some(r) => {
-                    let ProtocolResult {
-                        outputs: re_outputs,
-                        final_state: re_final,
-                        report: re_report,
-                        trace: re_trace,
-                    } = r;
-                    let mut entry: Vec<usize> = Vec::new();
-                    if let Some(v) = val_idx {
-                        entry.push(v);
-                    }
+                    let mut entry: Vec<usize> = val_idx.into_iter().collect();
                     entry.extend_from_slice(&gates);
-                    trace.absorb(re_trace, &entry, false);
-                    report.reexecutions += re_report.reexecutions;
-                    report.validations += re_report.validations;
-                    report.aborted |= re_report.aborted;
-                    (re_outputs, re_report.groups, re_final)
+                    report.absorb_run(&mut trace, r, &entry, Some(base))
                 }
-                None => (run_outputs, run_report.groups, run_final),
+                None => (run_outputs, run_final),
             };
 
             for (off, out) in node_outputs.into_iter().enumerate() {
                 outputs[base + off] = Some(out);
             }
-            for mut g in node_groups {
-                g.start += base;
-                g.end += base;
-                report.groups.push(g);
-            }
             finals[node] = Some(node_final);
-            last_committed[node] = trace.nodes[region_start..]
-                .iter()
-                .rposition(|n| n.committed)
-                .map(|off| region_start + off);
-
-            // Per-node work sub-sums, added node by node: the same float
-            // operation order the segmented accumulator uses, so a linear
-            // dataflow plan reproduces its report bit-for-bit.
-            let (mut orig, mut aux, mut squash) = (0.0_f64, 0.0_f64, 0.0_f64);
-            for tn in &trace.nodes[region_start..] {
-                let w = tn.work.total;
-                if tn.committed {
-                    match tn.kind {
-                        TraceNodeKind::Auxiliary { .. } => aux += w,
-                        _ => orig += w,
-                    }
-                } else {
-                    squash += w;
-                }
-            }
-            report.committed_original_work += orig;
-            report.committed_aux_work += aux;
-            report.squashed_work += squash;
+            last_committed[node] = trace.last_committed(region_start);
+            // Per-node work sub-sums, added node by node, as segments add.
+            report.add_work(&trace.nodes[region_start..]);
         }
 
         // The plan's final state: the sink nodes' committed finals, merged

@@ -19,8 +19,8 @@
 //! outputs, and the simulated platform (`stats-sim`) can replay the trace on
 //! any number of virtual cores.
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::ops::Range;
 
 use crate::adapt::{RetryPolicy, SegmentControl};
 use crate::ctx::{InvocationCtx, WorkMeter};
@@ -215,6 +215,13 @@ impl SpecTrace {
         }
     }
 
+    /// The last committed node from index `from` on: the node that
+    /// produced the state a sub-run laid out there committed last.
+    pub(crate) fn last_committed(&self, from: usize) -> Option<usize> {
+        let region = &self.nodes[from..];
+        region.iter().rposition(|n| n.committed).map(|i| from + i)
+    }
+
     /// Total work units across all nodes (committed and squashed).
     pub fn total_work(&self) -> f64 {
         self.nodes.iter().map(|n| n.work.total).sum()
@@ -286,6 +293,56 @@ impl SpecReport {
             .count()
     }
 
+    /// Merge a sub-run laid out on its own — a segment, or one run of a
+    /// plan node — into this run, whose trace is `trace`: the sub-run's
+    /// trace goes behind `entry` ([`SpecTrace::absorb`]), its counters add
+    /// up, and its groups shift to input `base`. A squashed sub-run (`base`
+    /// is `None`) has every node squashed, and its groups are not the
+    /// run's. Its work is added with the rest of its trace region
+    /// ([`add_work`](SpecReport::add_work)). Returns the sub-run's outputs
+    /// and final state.
+    pub(crate) fn absorb_run<T: StateTransition>(
+        &mut self,
+        trace: &mut SpecTrace,
+        sub: ProtocolResult<T>,
+        entry: &[usize],
+        base: Option<usize>,
+    ) -> (Vec<T::Output>, T::State) {
+        trace.absorb(sub.trace, entry, base.is_none());
+        self.reexecutions += sub.report.reexecutions;
+        self.validations += sub.report.validations;
+        self.aborted |= sub.report.aborted;
+        if let Some(base) = base {
+            let groups = sub.report.groups.into_iter();
+            self.groups.extend(groups.map(|g| GroupRecord {
+                start: g.start + base,
+                end: g.end + base,
+                ..g
+            }));
+        }
+        (sub.outputs, sub.final_state)
+    }
+
+    /// Add the work of one region of the run's trace to the committed
+    /// original / committed auxiliary / squashed partition, as one sub-sum
+    /// per part: the float addition order every driver's report shares, so
+    /// a linear dataflow plan reproduces the segmented run's report bit for
+    /// bit.
+    pub(crate) fn add_work(&mut self, region: &[TraceNode]) {
+        let (mut original, mut aux, mut squashed) = (0.0_f64, 0.0_f64, 0.0_f64);
+        for node in region {
+            let w = node.work.total;
+            match (node.committed, &node.kind) {
+                (false, _) => squashed += w,
+                (true, TraceNodeKind::Auxiliary { .. }) => aux += w,
+                (true, _) => original += w,
+            }
+        }
+        self.committed_original_work += original;
+        self.committed_aux_work += aux;
+        self.squashed_work += squashed;
+    }
+
     /// Extra committed work (auxiliary code) relative to the committed
     /// original work — Table 1's "extra committed x86_64 instructions".
     pub fn extra_committed_fraction(&self) -> f64 {
@@ -309,13 +366,13 @@ pub struct ProtocolResult<T: StateTransition> {
     pub trace: SpecTrace,
 }
 
-/// Identity of one group to execute (input range and position).
-#[derive(Debug, Clone, Copy)]
+/// Identity of one group to execute (input range and position). Group 0
+/// is the non-speculative one; every later group is speculative.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct GroupSpec {
     pub(crate) k: usize,
     pub(crate) start: usize,
     pub(crate) end: usize,
-    pub(crate) speculative: bool,
 }
 
 /// Everything one group execution produces. Pure data: group executions are
@@ -324,7 +381,10 @@ pub(crate) struct GroupData<T: StateTransition> {
     pub(crate) spec: GroupSpec,
     pub(crate) aux_work: Option<WorkMeter>,
     pub(crate) spec_start: Option<T::State>,
-    pub(crate) checkpoint: T::State,
+    /// The state `rollback` inputs before the end, where a re-execution of
+    /// the group's tail starts; `None` only for a group 0 that is its run's
+    /// only group, which no validation re-executes.
+    pub(crate) checkpoint: Option<T::State>,
     pub(crate) final_state: T::State,
     pub(crate) outputs: Vec<T::Output>,
     pub(crate) works: Vec<WorkMeter>,
@@ -372,6 +432,28 @@ impl<'a, T: StateTransition> RunCtx<'a, T> {
         }
     }
 
+    /// Run `input` on `state` as invocation `(group, index, attempt)` of
+    /// this run: the original code, or the auxiliary code with its own
+    /// bindings and seed salt.
+    pub(crate) fn invoke(
+        &self,
+        input: &T::Input,
+        state: &mut T::State,
+        group: usize,
+        index: usize,
+        attempt: usize,
+        auxiliary: bool,
+    ) -> (T::Output, WorkMeter) {
+        let (bindings, seed) = match auxiliary {
+            true => (&self.config.aux_bindings, self.seed ^ AUX_SEED_SALT),
+            false => (&self.config.orig_bindings, self.seed),
+        };
+        let seed = InvocationCtx::derive_seed(seed, group as u64, index as u64, attempt as u64);
+        let mut ctx = InvocationCtx::new(seed, bindings.clone(), auxiliary);
+        let out = self.transition.compute_output(input, state, &mut ctx);
+        (out, ctx.meter())
+    }
+
     /// Whether the fault plan forces validation attempt `attempt` at `site`
     /// (a group of a linear run, a node of a plan) to report a mismatch
     /// even when the states matched; emits the marker event when it does.
@@ -391,18 +473,51 @@ impl<'a, T: StateTransition> RunCtx<'a, T> {
     }
 }
 
-/// Execute one group: auxiliary code (for speculative groups) followed by
-/// the chained invocations over the group's inputs. This is the whole job
-/// of a group on every linear driver, whichever thread runs it. Thread-safe
-/// and deterministic given `ctx.seed`.
+impl<T: StateTransition> GroupData<T> {
+    /// Group `spec` before its chained invocations of the original code
+    /// from `state` — which [`execute_group`] runs after the auxiliary
+    /// code, and every linear run's coordinator runs for group 0 as its
+    /// inputs arrive.
+    fn chain(spec: GroupSpec, state: T::State) -> Self {
+        let len = spec.end - spec.start;
+        GroupData {
+            spec,
+            aux_work: None,
+            spec_start: None,
+            checkpoint: None,
+            final_state: state,
+            outputs: Vec::with_capacity(len),
+            works: Vec::with_capacity(len),
+        }
+    }
+
+    /// Run input `i` of the run, the group's next one, keeping the state
+    /// before input `checkpoint_at` as the checkpoint.
+    fn step(
+        &mut self,
+        ctx: RunCtx<'_, T>,
+        input: &T::Input,
+        i: usize,
+        checkpoint_at: Option<usize>,
+    ) {
+        if checkpoint_at == Some(i) {
+            self.checkpoint = Some(self.final_state.clone());
+        }
+        let (out, m) = ctx.invoke(input, &mut self.final_state, self.spec.k, i, 0, false);
+        self.outputs.push(out);
+        self.works.push(m);
+    }
+}
+
+/// Execute one speculative group: auxiliary code followed by the chained
+/// invocations over the group's inputs. This is the whole job of a
+/// speculative group on every linear driver, whichever thread runs it.
+/// Thread-safe and deterministic given `ctx.seed`.
 ///
-/// `inputs` may be a window of the full input stream starting at absolute
-/// position `base` (the streaming engine ships each pool job only the slice
-/// it needs); the spec's `start`/`end` and the loop indices stay *absolute*,
-/// because they feed the PRVG seed derivation.
-// Loop indices below are *absolute input positions* fed to the PRVG seed
-// derivation, not mere subscripts: iterator rewrites would obscure that.
-#[allow(clippy::needless_range_loop)]
+/// `inputs` may be a window of the run's inputs starting at position `base`
+/// (a stream ships each pool job only the inputs it reads); the spec's
+/// `start`/`end` and the loop indices stay those of the run, because they
+/// feed the PRVG seed derivation.
 pub(crate) fn execute_group<T: StateTransition>(
     ctx: RunCtx<'_, T>,
     inputs: &[T::Input],
@@ -411,15 +526,10 @@ pub(crate) fn execute_group<T: StateTransition>(
     spec: GroupSpec,
 ) -> GroupData<T> {
     let (config, run_seed) = (ctx.config, ctx.seed);
-    let GroupSpec {
-        k,
-        start,
-        end,
-        speculative,
-    } = spec;
-    // Only speculative groups: a stream runs group 0 on its coordinator as
-    // the inputs arrive, with no point before the group to fail or stall at.
-    if let Some(plan) = ctx.faults.filter(|_| speculative) {
+    let GroupSpec { k, start, end } = spec;
+    // Group 0 runs on its run's coordinator as the inputs arrive, with no
+    // point before the group to fail or stall at: faults target the rest.
+    if let Some(plan) = ctx.faults {
         // A lost worker: the attempt dies before it produces anything, and
         // the group is retried after a backoff while the budget lasts. Once
         // it is spent the group runs anyway — the fallback that always
@@ -454,95 +564,30 @@ pub(crate) fn execute_group<T: StateTransition>(
         group: k,
         start,
         end,
-        speculative,
+        speculative: true,
     });
-    let len = end - start;
-    let rollback = config.rollback.clamp(1, len);
-
-    let (mut state, aux_work, spec_start) = if !speculative {
-        (initial.clone(), None, None)
-    } else {
-        // Auxiliary code: from the initial state, consume the last
-        // `window` inputs before `start` with the auxiliary bindings.
-        let mut aux_state = initial.clone();
-        let mut aux_work = WorkMeter::default();
-        let w_start = start.saturating_sub(config.window);
-        for i in w_start..start {
-            let (_out, m) = run_invocation(
-                ctx.transition,
-                &inputs[i - base],
-                &mut aux_state,
-                run_seed,
-                k as u64,
-                i as u64,
-                0,
-                &config.aux_bindings,
-                true,
-            );
-            aux_work.total += m.total;
-            aux_work.memory += m.memory;
-        }
-        (aux_state.clone(), Some(aux_work), Some(aux_state))
-    };
-
-    // `rollback` is clamped to `1..=len`, so exactly one iteration below
-    // hits `i == end - rollback`: the checkpoint is captured there, never
-    // cloned eagerly up front only to be overwritten.
-    let mut checkpoint = None;
-    let mut outputs = Vec::with_capacity(len);
-    let mut works = Vec::with_capacity(len);
-    for i in start..end {
-        if i == end - rollback {
-            checkpoint = Some(state.clone());
-        }
-        let (out, m) = run_invocation(
-            ctx.transition,
-            &inputs[i - base],
-            &mut state,
-            run_seed,
-            k as u64,
-            i as u64,
-            0,
-            &config.orig_bindings,
-            false,
-        );
-        outputs.push(out);
-        works.push(m);
+    // Auxiliary code: from the initial state, consume the last `window`
+    // inputs before `start` with the auxiliary bindings.
+    let mut aux_state = initial.clone();
+    let mut aux_work = WorkMeter::default();
+    let w_start = start.saturating_sub(config.window);
+    for (i, input) in (w_start..start).zip(&inputs[w_start - base..start - base]) {
+        let (_out, m) = ctx.invoke(input, &mut aux_state, k, i, 0, true);
+        aux_work.total += m.total;
+        aux_work.memory += m.memory;
     }
 
+    // `rollback` is clamped to `1..=len`, so the chain passes the
+    // checkpoint and captures it there.
+    let checkpoint_at = end - config.rollback.clamp(1, end - start);
+    let mut data = GroupData::chain(spec, aux_state.clone());
+    for (i, input) in (start..end).zip(&inputs[start - base..end - base]) {
+        data.step(ctx, input, i, Some(checkpoint_at));
+    }
     ctx.emit(EventKind::GroupEnd { group: k });
-    GroupData {
-        spec,
-        aux_work,
-        spec_start,
-        checkpoint: checkpoint.expect("rollback clamp guarantees a checkpoint capture"),
-        final_state: state,
-        outputs,
-        works,
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // the invocation coordinates are the point
-pub(crate) fn run_invocation<T: StateTransition>(
-    transition: &T,
-    input: &T::Input,
-    state: &mut T::State,
-    run_seed: u64,
-    group: u64,
-    index: u64,
-    attempt: u64,
-    bindings: &TradeoffBindings,
-    auxiliary: bool,
-) -> (T::Output, WorkMeter) {
-    let seed_base = if auxiliary {
-        run_seed ^ AUX_SEED_SALT
-    } else {
-        run_seed
-    };
-    let seed = InvocationCtx::derive_seed(seed_base, group, index, attempt);
-    let mut ctx = InvocationCtx::new(seed, bindings.clone(), auxiliary);
-    let out = transition.compute_output(input, state, &mut ctx);
-    (out, ctx.meter())
+    data.aux_work = Some(aux_work);
+    data.spec_start = Some(aux_state);
+    data
 }
 
 /// Execute the STATS execution model over `inputs`, starting from `initial`.
@@ -591,30 +636,28 @@ pub fn run_protocol_with_options<T: StateTransition>(
     )
 }
 
-/// How the units of a batch run — a linear run's groups, a plan's eager
-/// nodes — get executed. Units are mutually independent pure functions of
-/// the run's context, so *who* runs them changes nothing the run produces;
-/// the engine consumes their results in a fixed order either way. The
-/// default methods are the sequential reference: every unit runs on the
-/// calling thread.
+/// How the units of a run — a linear run's speculative groups, a plan's
+/// eager nodes — get executed. Units are mutually independent pure
+/// functions of the run's context, so *who* runs them changes nothing the
+/// run produces; the engine consumes their results in a fixed order either
+/// way. The default methods are the sequential reference: every unit runs
+/// on the calling thread.
 pub(crate) trait Executor<T: StateTransition> {
-    /// Run the groups `specs` of the (sub-)run over `inputs[range]` from
-    /// `initial` under `ctx`; results come back in group order. The
-    /// reference executes every group before the first is resolved.
+    /// Open the batch that one linear run from `initial` under `ctx`
+    /// submits its speculative groups to; every stored result runs `wake`
+    /// (see [`Intake::wake`]). The reference runs a group when it is
+    /// submitted.
     fn groups<'a>(
         &'a self,
         ctx: RunCtx<'a, T>,
-        inputs: &'a [T::Input],
-        range: Range<usize>,
         initial: &'a T::State,
-        specs: Vec<GroupSpec>,
-    ) -> impl Iterator<Item = GroupData<T>> + 'a {
-        let inputs = &inputs[range];
-        let data: Vec<_> = specs
-            .into_iter()
-            .map(|spec| execute_group(ctx, inputs, 0, initial, spec))
-            .collect();
-        data.into_iter()
+        _wake: impl Fn() + Send + Sync + 'static,
+    ) -> impl Groups<T> + 'a {
+        InlineGroups {
+            ctx,
+            initial,
+            done: VecDeque::new(),
+        }
     }
 
     /// Run the eager nodes `eager` (in topological order) of `plan` over
@@ -634,10 +677,113 @@ pub(crate) trait Executor<T: StateTransition> {
     }
 }
 
+/// The open batch of one linear run's speculative groups: submitted in
+/// group order, results handed back in that order. The default methods are
+/// the reference's, which runs a group when it is submitted.
+pub(crate) trait Groups<T: StateTransition> {
+    /// Submit the next group. A job on another thread reads `window`; one
+    /// run on the submitting thread reads the run's `arrived` inputs.
+    fn submit(&mut self, spec: GroupSpec, arrived: &[T::Input], window: Window<T::Input>);
+
+    /// The next group's result: run here if nobody has started the group,
+    /// waited for otherwise; `None` when no group is outstanding.
+    fn next(&mut self) -> Option<GroupData<T>>;
+
+    /// The next group's result, if it is stored already.
+    fn try_next(&mut self) -> Option<GroupData<T>> {
+        self.next()
+    }
+
+    /// Run the next group here if nobody has started it: the step before
+    /// blocking on it (why: [`Ticket::run_if_unclaimed`](crate::Ticket::run_if_unclaimed)).
+    /// A no-op with no group outstanding.
+    fn claim_next(&self) {}
+}
+
+/// What a pool job of a group reads its inputs from.
+pub(crate) enum Window<I> {
+    /// The batch the executor was built over, from the run's input 0 at
+    /// `offset` on: a batch run's groups copy nothing.
+    Batch { offset: usize },
+    /// A copy of the inputs the group reads, the first being input `base`.
+    Copied { inputs: Vec<I>, base: usize },
+}
+
+/// The sequential reference's batch: a group runs when it is submitted.
+struct InlineGroups<'a, T: StateTransition> {
+    ctx: RunCtx<'a, T>,
+    initial: &'a T::State,
+    done: VecDeque<GroupData<T>>,
+}
+
+impl<T: StateTransition> Groups<T> for InlineGroups<'_, T> {
+    fn submit(&mut self, spec: GroupSpec, arrived: &[T::Input], _: Window<T::Input>) {
+        let data = execute_group(self.ctx, arrived, 0, self.initial, spec);
+        self.done.push_back(data);
+    }
+
+    fn next(&mut self) -> Option<GroupData<T>> {
+        self.done.pop_front()
+    }
+}
+
 /// The sequential reference executor.
 pub(crate) struct Inline;
 
 impl<T: StateTransition> Executor<T> for Inline {}
+
+/// The inputs of one linear run as they arrive. A batch run's intake is
+/// its [`Slice`], every input there from the start; a stream's is its
+/// queue (`session::QueueIntake`), the only intake that bounds admission or
+/// waits for inputs. The default methods are a closed intake's.
+pub(crate) trait Intake<T: StateTransition> {
+    /// The inputs arrived so far, the run's input 0 first, and whether
+    /// they are all of them.
+    fn arrived(&self) -> (&[T::Input], bool);
+
+    /// What a pool job of a group over inputs `lo..hi` reads.
+    fn window(&self, lo: usize, hi: usize) -> Window<T::Input>;
+
+    /// What every stored group result must run for [`wait`](Intake::wait)
+    /// to see it.
+    fn wake(&self) -> impl Fn() + Send + Sync + 'static {
+        || {}
+    }
+
+    /// Block until the run can move on: inputs arrived — none of a group
+    /// more than the intake's window past the `settled` groups of
+    /// `group_size` inputs —, the intake closed, or `next` holds the next
+    /// result of `groups`. Called with `next` empty, and only while the run
+    /// is waiting for an input, the close or a submitted group — of which
+    /// a closed intake has only the last.
+    fn wait(
+        &mut self,
+        groups: &mut impl Groups<T>,
+        next: &mut Option<GroupData<T>>,
+        _settled: usize,
+        _group_size: usize,
+    ) {
+        *next = Some(
+            groups
+                .next()
+                .expect("a closed run waits only for submitted groups"),
+        );
+    }
+}
+
+/// A batch run's intake, or a plan node's: its inputs, all arrived, and
+/// where they start in the batch.
+pub(crate) struct Slice<'a, I>(pub(crate) &'a [I], pub(crate) usize);
+
+impl<T: StateTransition> Intake<T> for Slice<'_, T::Input> {
+    fn arrived(&self) -> (&[T::Input], bool) {
+        (self.0, true)
+    }
+
+    fn window(&self, _: usize, _: usize) -> Window<T::Input> {
+        Window::Batch { offset: self.1 }
+    }
+}
 
 /// The batch engine: the execution model over all of `inputs`, as the
 /// linear segments `control` sizes and configures, or over the dependency
@@ -660,7 +806,8 @@ pub(crate) fn run_batch<T: StateTransition, E: Executor<T>>(
     run_segments(ctx, initial, control, |ctx, start, len| {
         let range = lo..lo.saturating_add(len).min(inputs.len());
         lo = range.end;
-        (!range.is_empty()).then(|| run_linear(ctx, inputs, range, start, exec))
+        let slice = &mut Slice(&inputs[range.clone()], range.start);
+        (!range.is_empty()).then(|| run_linear(ctx, slice, start, exec))
     })
 }
 
@@ -708,49 +855,98 @@ pub(crate) fn run_segments<T: StateTransition>(
     merged.unwrap_or_else(|| Resolver::new(ctx, 1).finish(initial))
 }
 
-/// One linear (sub-)run over the non-empty `inputs[range]` (a segment, or a
-/// plan node's inputs): form the groups, let `exec` run them, and feed their
-/// [`GroupData`] — in group order, as `exec` hands it back — into the
-/// [`Resolver`] validation/commit/abort logic (which the streaming
-/// [`Session`](crate::Session) drives incrementally as well).
+/// The one per-segment engine of every linear run — a segment of a batch
+/// or of a stream, or a plan node's inputs — from `initial`, over the
+/// inputs `intake` delivers (never none), with `exec` running the
+/// speculative groups. The paper's loop (§3.1), written once:
+///
+/// - Groups are the `group_size`-blocks of the inputs in arrival order;
+///   with speculation off, or inputs for one block only, the run is one
+///   group (as [`SpecConfig::effective_group_size`] says).
+/// - A speculative group is submitted as soon as its inputs are complete,
+///   *before* this thread runs group 0's newly arrived inputs, so the two
+///   overlap.
+/// - Group 0 runs here, input by input, as [`execute_group`] runs a
+///   group's chain; its `GroupStart`/`GroupEnd` pair is emitted once it is
+///   complete, and `RunStart` counts the inputs there when the run starts
+///   (all of a batch's, none of a stream's).
+/// - Results reach the [`Resolver`] in group order; the trace's dependence
+///   edges carry the parallelism however `exec` scheduled the work.
 pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
     ctx: RunCtx<'_, T>,
-    inputs: &[T::Input],
-    range: Range<usize>,
+    intake: &mut impl Intake<T>,
     initial: &T::State,
     exec: &E,
 ) -> ProtocolResult<T> {
-    let n = range.len();
-    let g = ctx.config.effective_group_size(n);
-    let speculating = g < n;
-    let specs: Vec<GroupSpec> = (0..n)
-        .step_by(g)
-        .enumerate()
-        .map(|(k, start)| GroupSpec {
-            k,
-            start,
-            end: (start + g).min(n),
-            speculative: k > 0 && speculating,
-        })
-        .collect();
-    let groups = specs.len();
-
-    ctx.emit(EventKind::RunStart { inputs: n, groups });
-
-    // Every group runs (group 0 from S0, later groups from their auxiliary
-    // speculative state) and is ingested in order; validation, re-execution
-    // and abort settle as groups are ingested, the canonical trace is laid
-    // out at finish(). Its dependence edges carry the parallelism however
-    // `exec` scheduled the work.
-    let run_inputs = &inputs[range.clone()];
+    let config = ctx.config;
+    // The group size while the input count is unknown: a run that never
+    // completes a second block has one group, however large.
+    let g = if config.speculate && config.group_size > 1 {
+        config.group_size
+    } else {
+        usize::MAX
+    };
+    let known = intake.arrived().0.len();
     let mut resolver = Resolver::new(ctx, g);
-    for data in exec.groups(ctx, inputs, range.clone(), initial, specs) {
-        resolver.ingest(data, run_inputs);
+    let mut groups = exec.groups(ctx, initial, intake.wake());
+    let checkpoint_at = (g < usize::MAX).then(|| g - config.rollback.clamp(1, g));
+    let mut group0 = Some(GroupData::chain(GroupSpec::default(), initial.clone()));
+    // The result the resolver needs next, once it is here.
+    let mut next: Option<GroupData<T>> = None;
+    let (mut submitted, mut ingested) = (1usize, 0usize);
+    loop {
+        let (inputs, closed) = intake.arrived();
+        let n = inputs.len();
+        if n > 0 && group0.as_ref().is_some_and(|g0| g0.outputs.is_empty()) {
+            ctx.emit(EventKind::RunStart {
+                inputs: known,
+                groups: known.div_ceil(g),
+            });
+        }
+        while submitted.saturating_mul(g) < n
+            && (closed || submitted.saturating_add(1).saturating_mul(g) <= n)
+        {
+            let start = submitted * g;
+            let spec = GroupSpec {
+                k: submitted,
+                start,
+                end: start.saturating_add(g).min(n),
+            };
+            let window = intake.window(start.saturating_sub(config.window), spec.end);
+            groups.submit(spec, inputs, window);
+            submitted += 1;
+        }
+        if let Some(data) = &mut group0 {
+            let end = n.min(g);
+            for (i, input) in inputs.iter().enumerate().take(end).skip(data.outputs.len()) {
+                data.step(ctx, input, i, checkpoint_at);
+            }
+            if end == g || closed {
+                ctx.emit(EventKind::GroupStart {
+                    group: 0,
+                    start: 0,
+                    end,
+                    speculative: false,
+                });
+                ctx.emit(EventKind::GroupEnd { group: 0 });
+                next = group0.take().map(|data| GroupData {
+                    spec: GroupSpec { end, ..data.spec },
+                    ..data
+                });
+            }
+        }
+        resolver.process_tail(inputs);
+        // Until group 0 is here, no later group has been submitted.
+        while let Some(data) = next.take().or_else(|| groups.try_next()) {
+            resolver.ingest(data, intake.arrived().0);
+            ingested += 1;
+        }
+        if closed && ingested == n.div_ceil(g) {
+            break;
+        }
+        intake.wait(&mut groups, &mut next, resolver.settled_groups(), g);
     }
-    let ingested = resolver.settled_groups();
-    assert_eq!(ingested, groups, "executor must run every group");
     let result = resolver.finish(initial);
-
     ctx.emit(EventKind::RunEnd);
     result
 }
@@ -788,28 +984,18 @@ impl<T: StateTransition> ProtocolResult<T> {
     /// state: output offsets shift, reports add up, and the segment's trace
     /// chains behind the last committed node so far.
     fn chain(&mut self, next: ProtocolResult<T>) {
-        let offset = self.outputs.len();
-        self.final_state = next.final_state;
-        self.outputs.extend(next.outputs);
-        let (report, r) = (&mut self.report, next.report);
-        for mut g in r.groups {
-            g.start += offset;
-            g.end += offset;
-            report.groups.push(g);
-        }
-        report.reexecutions += r.reexecutions;
-        report.validations += r.validations;
-        report.aborted |= r.aborted;
-        report.committed_original_work += r.committed_original_work;
-        report.committed_aux_work += r.committed_aux_work;
-        report.squashed_work += r.squashed_work;
+        let (base, from) = (self.outputs.len(), self.trace.nodes.len());
         // The cross-segment state edge: a segment's entry nodes (group 0's
         // first invocation and every auxiliary run) start from the state
         // the previous segment committed last, so they depend on the node
         // that produced it. Every input has a committed node, so that is
         // the previous segment's last committed node.
-        let prev_final = self.trace.nodes.iter().rposition(|n| n.committed);
-        self.trace.absorb(next.trace, prev_final.as_slice(), false);
+        let prev = self.trace.last_committed(0);
+        let (report, trace) = (&mut self.report, &mut self.trace);
+        let (outputs, final_state) = report.absorb_run(trace, next, prev.as_slice(), Some(base));
+        report.add_work(&trace.nodes[from..]);
+        self.outputs.extend(outputs);
+        self.final_state = final_state;
     }
 }
 
@@ -1454,45 +1640,23 @@ mod tests {
 
         // Replay group 0 by hand: attempt-0 chain up to the checkpoint,
         // then the tail at attempt 0 and attempt 1.
+        let ctx = RunCtx {
+            transition: &NoisySecond,
+            config: &cfg,
+            seed,
+            sink: &NOOP,
+            faults: None,
+            retry: RetryPolicy::default(),
+        };
         let mut state = MatchSecond(0.0);
         for (i, input) in ins.iter().enumerate().take(3) {
-            let _ = run_invocation(
-                &NoisySecond,
-                input,
-                &mut state,
-                seed,
-                0,
-                i as u64,
-                0,
-                &cfg.orig_bindings,
-                false,
-            );
+            let _ = ctx.invoke(input, &mut state, 0, i, 0, false);
         }
         let checkpoint = state.clone();
         let mut s0 = checkpoint.clone();
-        let (attempt0_out, _) = run_invocation(
-            &NoisySecond,
-            &ins[3],
-            &mut s0,
-            seed,
-            0,
-            3,
-            0,
-            &cfg.orig_bindings,
-            false,
-        );
+        let (attempt0_out, _) = ctx.invoke(&ins[3], &mut s0, 0, 3, 0, false);
         let mut s1 = checkpoint.clone();
-        let (attempt1_out, _) = run_invocation(
-            &NoisySecond,
-            &ins[3],
-            &mut s1,
-            seed,
-            0,
-            3,
-            1,
-            &cfg.orig_bindings,
-            false,
-        );
+        let (attempt1_out, _) = ctx.invoke(&ins[3], &mut s1, 0, 3, 1, false);
         assert_ne!(attempt0_out, attempt1_out, "re-execution must differ");
         assert_eq!(
             r.outputs[3], attempt1_out,

@@ -17,28 +17,21 @@
 use crate::ctx::WorkMeter;
 use crate::obs::EventKind;
 use crate::protocol::{
-    run_invocation, GroupData, GroupRecord, GroupResolution, ProtocolResult, RunCtx, SpecReport,
-    SpecTrace, TraceNodeKind,
+    GroupData, GroupRecord, GroupResolution, ProtocolResult, RunCtx, SpecReport, SpecTrace,
+    TraceNodeKind,
 };
 use crate::sdi::{SpecState, StateTransition};
 
-/// Everything remembered about one ingested group's attempt-0 chain.
-struct ChainRec {
-    start: usize,
-    end: usize,
-    aux_work: Option<WorkMeter>,
-    works: Vec<WorkMeter>,
+/// One ingested group: what its run handed over (outputs moved into the
+/// run's), how much of its attempt-0 chain is squashed, and — once it is
+/// validated — its validation history.
+struct Ingested<T: StateTransition> {
+    data: GroupData<T>,
     /// Trailing invocations squashed by a matched re-execution.
     tail_squashed: usize,
     /// Entire chain (including the auxiliary run) squashed by an abort.
     squashed_all: bool,
-}
-
-/// The states one group run handed over for later validation.
-struct StateRec<T: StateTransition> {
-    checkpoint: T::State,
-    final_state: T::State,
-    spec_start: Option<T::State>,
+    val: Option<ValRec>,
 }
 
 /// One re-execution of the previous group's tail.
@@ -60,9 +53,7 @@ pub(crate) struct Resolver<'a, T: StateTransition> {
     ctx: RunCtx<'a, T>,
     /// Effective group size, for the post-abort `group_of` arithmetic.
     g: usize,
-    chains: Vec<ChainRec>,
-    states: Vec<StateRec<T>>,
-    vals: Vec<Option<ValRec>>,
+    groups: Vec<Ingested<T>>,
     records: Vec<GroupRecord>,
     outputs: Vec<Option<T::Output>>,
     /// Number of groups fully settled (validated, or squashed by an abort).
@@ -81,9 +72,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         Resolver {
             ctx,
             g,
-            chains: Vec::new(),
-            states: Vec::new(),
-            vals: Vec::new(),
+            groups: Vec::new(),
             records: Vec::new(),
             outputs: Vec::new(),
             settled: 0,
@@ -97,14 +86,8 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         }
     }
 
-    /// Whether a speculative group failed validation and aborted the rest
-    /// of the run into the sequential tail.
-    pub(crate) fn aborted(&self) -> bool {
-        self.aborted
-    }
-
-    /// Number of groups whose fate (commit / abort / tail) is decided. The
-    /// streaming engine admits new inputs only a bounded number of groups
+    /// Number of groups whose fate (commit / abort / tail) is decided. A
+    /// stream's intake admits new inputs only a bounded number of groups
     /// past this point.
     pub(crate) fn settled_groups(&self) -> usize {
         self.settled
@@ -112,78 +95,43 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
 
     /// Hand the next group's execution data to the resolver (groups must
     /// arrive in order `0, 1, 2, ...`) and resolve as far as possible.
-    pub(crate) fn ingest(&mut self, data: GroupData<T>, inputs: &[T::Input]) {
-        let GroupData {
-            spec,
-            aux_work,
-            spec_start,
-            checkpoint,
-            final_state,
-            outputs: group_outputs,
-            works,
-        } = data;
+    pub(crate) fn ingest(&mut self, mut data: GroupData<T>, inputs: &[T::Input]) {
+        let spec = data.spec;
         debug_assert_eq!(
             spec.k,
-            self.chains.len(),
+            self.groups.len(),
             "groups must be ingested in order"
         );
         if self.outputs.len() < spec.end {
             self.outputs.resize_with(spec.end, || None);
         }
-        if self.aborted {
-            // The group was doomed before its data arrived: the sequential
-            // tail already owns its input range, so its outputs are dropped
-            // and its whole chain is squashed work — exactly how the batch
-            // path treats every group from the abort point on.
-            self.chains.push(ChainRec {
-                start: spec.start,
-                end: spec.end,
-                aux_work,
-                works,
-                tail_squashed: 0,
-                squashed_all: true,
-            });
-            self.states.push(StateRec {
-                checkpoint,
-                final_state,
-                spec_start: None,
-            });
-            self.vals.push(None);
-            self.records.push(GroupRecord {
-                start: spec.start,
-                end: spec.end,
-                resolution: GroupResolution::SequentialTail,
-            });
-            self.settled += 1;
-            return;
+        // After an abort the group was doomed before its data arrived: the
+        // sequential tail already owns its input range, so its outputs are
+        // dropped and its whole chain is squashed work — exactly how the
+        // batch path treats every group from the abort point on.
+        let doomed = self.aborted;
+        let outputs = std::mem::take(&mut data.outputs);
+        if !doomed {
+            for (off, out) in outputs.into_iter().enumerate() {
+                self.outputs[spec.start + off] = Some(out);
+            }
         }
-        for (off, out) in group_outputs.into_iter().enumerate() {
-            self.outputs[spec.start + off] = Some(out);
-        }
-        self.chains.push(ChainRec {
-            start: spec.start,
-            end: spec.end,
-            aux_work,
-            works,
-            tail_squashed: 0,
-            squashed_all: false,
-        });
-        self.states.push(StateRec {
-            checkpoint,
-            final_state,
-            spec_start,
-        });
-        self.vals.push(None);
         self.records.push(GroupRecord {
             start: spec.start,
             end: spec.end,
-            resolution: if spec.speculative {
-                GroupResolution::Committed { reexecutions: 0 } // provisional
-            } else {
-                GroupResolution::NonSpeculative
+            resolution: match spec.k {
+                _ if doomed => GroupResolution::SequentialTail,
+                0 => GroupResolution::NonSpeculative,
+                _ => GroupResolution::Committed { reexecutions: 0 }, // provisional
             },
         });
-        while !self.aborted && self.settled < self.chains.len() {
+        self.groups.push(Ingested {
+            data,
+            tail_squashed: 0,
+            squashed_all: doomed,
+            val: None,
+        });
+        while !self.aborted && self.settled < self.groups.len() {
             let k = self.settled;
             if k > 0 {
                 self.validate(k, inputs);
@@ -191,7 +139,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             self.settled = k + 1;
         }
         if self.aborted {
-            self.settled = self.chains.len();
+            self.settled = self.groups.len();
         }
     }
 
@@ -200,12 +148,13 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
     /// tail up to the budget; on exhaustion, abort into the sequential tail.
     fn validate(&mut self, k: usize, inputs: &[T::Input]) {
         let config = self.ctx.config;
-        let spec = self.states[k]
+        let spec = self.groups[k]
+            .data
             .spec_start
             .take()
             .expect("speculative group has a start state");
-        let prev_start = self.chains[k - 1].start;
-        let prev_end = self.chains[k - 1].end;
+        let prev = self.groups[k - 1].data.spec;
+        let (prev_start, prev_end) = (prev.start, prev.end);
         let rollback = config.rollback.clamp(1, prev_end - prev_start);
 
         // Attempt 0 — the common, all-matched path — compares against the
@@ -214,7 +163,8 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         // documents) is only materialized if a re-execution is needed.
         let mut originals: Vec<T::State> = Vec::new();
         self.validations += 1;
-        let mut matched = spec.matches_any(std::slice::from_ref(&self.states[k - 1].final_state))
+        let mut matched = spec
+            .matches_any(std::slice::from_ref(&self.groups[k - 1].data.final_state))
             && !self.ctx.forced_mismatch(k, 0);
         let mut attempts = 0usize;
         self.ctx.emit(EventKind::Validation {
@@ -229,7 +179,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         };
         while !matched && attempts < config.max_reexec {
             if originals.is_empty() {
-                originals.push(self.states[k - 1].final_state.clone());
+                originals.push(self.groups[k - 1].data.final_state.clone());
             }
             attempts += 1;
             self.reexecutions += 1;
@@ -239,22 +189,19 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             });
             // Re-execute the previous group's last `rollback` inputs from
             // the checkpoint, with fresh PRVG streams.
-            let mut state = self.states[k - 1].checkpoint.clone();
+            let mut state = self.groups[k - 1]
+                .data
+                .checkpoint
+                .clone()
+                .expect("a group followed by another has its checkpoint");
             let re_start = prev_end - rollback;
             let mut tail_outputs: Vec<T::Output> = Vec::with_capacity(rollback);
             let mut tail_works: Vec<WorkMeter> = Vec::with_capacity(rollback);
             for (off, input) in inputs[re_start..prev_end].iter().enumerate() {
-                let (out, m) = run_invocation(
-                    self.ctx.transition,
-                    input,
-                    &mut state,
-                    self.ctx.seed,
-                    (k - 1) as u64,
-                    (re_start + off) as u64,
-                    attempts as u64,
-                    &config.orig_bindings,
-                    false,
-                );
+                let i = re_start + off;
+                let (out, m) = self
+                    .ctx
+                    .invoke(input, &mut state, k - 1, i, attempts, false);
                 tail_outputs.push(out);
                 tail_works.push(m);
             }
@@ -273,7 +220,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                 for (off, out) in tail_outputs.into_iter().enumerate() {
                     self.outputs[re_start + off] = Some(out);
                 }
-                self.chains[k - 1].tail_squashed = rollback;
+                self.groups[k - 1].tail_squashed = rollback;
             }
             rec.attempts.push(AttemptRec {
                 works: tail_works,
@@ -281,7 +228,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             });
         }
         rec.matched = matched;
-        self.vals[k] = Some(rec);
+        self.groups[k].val = Some(rec);
 
         if matched {
             self.records[k].resolution = GroupResolution::Committed {
@@ -295,10 +242,10 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             self.aborted = true;
             self.ctx.emit(EventKind::GroupAbort { group: k });
             // Squash every group from k on (outputs and work).
-            for c in self.chains.iter_mut().skip(k) {
+            for c in self.groups.iter_mut().skip(k) {
                 c.squashed_all = true;
             }
-            let restart = self.chains[k].start;
+            let restart = self.groups[k].data.spec.start;
             for slot in self.outputs.iter_mut().skip(restart) {
                 *slot = None;
             }
@@ -309,7 +256,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                 .emit(EventKind::SequentialTailStart { index: restart });
             self.abort_restart = restart;
             self.tail_next = restart;
-            self.tail_state = Some(self.states[k - 1].final_state.clone());
+            self.tail_state = Some(self.groups[k - 1].data.final_state.clone());
             self.process_tail(inputs);
         }
     }
@@ -325,19 +272,12 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         let mut state = self.tail_state.take().expect("tail state present");
         while self.tail_next < inputs.len() {
             let i = self.tail_next;
-            let (out, m) = run_invocation(
-                self.ctx.transition,
-                &inputs[i],
-                &mut state,
-                self.ctx.seed,
-                (i / self.g) as u64,
-                i as u64,
-                // A fresh (re-)execution: distinct attempt number so its
-                // PRVG streams differ from the squashed speculative run.
-                (self.ctx.config.max_reexec + 1) as u64,
-                &self.ctx.config.orig_bindings,
-                false,
-            );
+            // A fresh (re-)execution: distinct attempt number so its PRVG
+            // streams differ from the squashed speculative run.
+            let attempt = self.ctx.config.max_reexec + 1;
+            let (out, m) = self
+                .ctx
+                .invoke(&inputs[i], &mut state, i / self.g, i, attempt, false);
             if self.outputs.len() <= i {
                 self.outputs.resize_with(i + 1, || None);
             }
@@ -353,7 +293,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
     pub(crate) fn finish(mut self, initial: &T::State) -> ProtocolResult<T> {
         debug_assert_eq!(
             self.settled,
-            self.chains.len(),
+            self.groups.len(),
             "unresolved groups at finish"
         );
         let config = self.ctx.config;
@@ -361,24 +301,24 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
 
         // Phase-1 layout: every group's attempt-0 chain (auxiliary node,
         // then the chained invocations), in group order.
-        let mut chain_last: Vec<usize> = Vec::with_capacity(self.chains.len());
-        let mut chain_aux: Vec<Option<usize>> = Vec::with_capacity(self.chains.len());
-        for (k, c) in self.chains.iter().enumerate() {
+        let mut chain_last: Vec<usize> = Vec::with_capacity(self.groups.len());
+        let mut chain_aux: Vec<Option<usize>> = Vec::with_capacity(self.groups.len());
+        for (k, c) in self.groups.iter().enumerate() {
             let mut deps: Vec<usize> = Vec::new();
             let mut aux = None;
-            if let Some(aux_work) = c.aux_work {
+            if let Some(aux_work) = c.data.aux_work {
                 let idx = trace.push(TraceNodeKind::Auxiliary { group: k }, aux_work, vec![]);
                 trace.nodes[idx].committed = !c.squashed_all;
                 deps.push(idx);
                 aux = Some(idx);
             }
-            let len = c.works.len();
+            let len = c.data.works.len();
             let mut last = usize::MAX;
-            for (off, &m) in c.works.iter().enumerate() {
+            for (off, &m) in c.data.works.iter().enumerate() {
                 let node = trace.push(
                     TraceNodeKind::Invocation {
                         group: k,
-                        index: c.start + off,
+                        index: c.data.spec.start + off,
                         attempt: 0,
                         sequential_tail: false,
                     },
@@ -400,10 +340,12 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             total: config.validation_cost,
             memory: 0.0,
         };
-        for k in 1..self.chains.len() {
-            let Some(rec) = &self.vals[k] else { break };
-            let prev_start = self.chains[k - 1].start;
-            let prev_end = self.chains[k - 1].end;
+        for k in 1..self.groups.len() {
+            let Some(rec) = &self.groups[k].val else {
+                break;
+            };
+            let prev = self.groups[k - 1].data.spec;
+            let (prev_start, prev_end) = (prev.start, prev.end);
             let rollback = config.rollback.clamp(1, prev_end - prev_start);
             let re_start = prev_end - rollback;
             let mut val_deps = vec![
@@ -483,25 +425,15 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             aborted: self.aborted,
             ..SpecReport::default()
         };
-        for node in &trace.nodes {
-            let w = node.work.total;
-            if node.committed {
-                match node.kind {
-                    TraceNodeKind::Auxiliary { .. } => report.committed_aux_work += w,
-                    _ => report.committed_original_work += w,
-                }
-            } else {
-                report.squashed_work += w;
-            }
-        }
+        report.add_work(&trace.nodes);
 
         let final_state = if self.aborted {
             self.tail_state.take().expect("tail state present")
         } else {
             // `self` is consumed: the last final state moves out instead of
             // cloning (states can be arbitrarily large workload states).
-            match self.states.pop() {
-                Some(s) => s.final_state,
+            match self.groups.pop() {
+                Some(last) => last.data.final_state,
                 None => initial.clone(),
             }
         };

@@ -12,17 +12,16 @@
 //! and byte-identical to the sequential reference
 //! [`run_protocol`](crate::run_protocol) — a property the test suite checks.
 
-use std::ops::Range;
-
 use crate::sync::{thread, Arc};
 
 use crate::adapt::SegmentControl;
 use crate::dag::{run_node_eager, NodeRun};
 use crate::options::RunOptions;
 use crate::plan::{PlanNodeId, SpecPlan};
-use crate::pool::{Priority, ThreadPool};
+use crate::pool::{Ordered, Priority, ThreadPool};
 use crate::protocol::{
-    execute_group, run_batch, Executor, GroupData, GroupSpec, ProtocolResult, RunCtx,
+    execute_group, run_batch, Executor, GroupData, GroupSpec, Groups, ProtocolResult, RunCtx,
+    SpecConfig, Window,
 };
 use crate::sdi::StateTransition;
 
@@ -30,15 +29,18 @@ use crate::sdi::StateTransition;
 /// type every entry point returns.
 pub type SpecOutcome<T> = ProtocolResult<T>;
 
-struct Shared<T: StateTransition> {
-    inputs: Vec<T::Input>,
-    initial: T::State,
-    transition: T,
-    options: RunOptions,
+/// One run's engine context, shared with its pool jobs: a
+/// `StateDependence`'s batch, or a `Session`'s stream (whose inputs arrive
+/// through its queue, so `inputs` stays empty).
+pub(crate) struct Shared<T: StateTransition> {
+    pub(crate) inputs: Vec<T::Input>,
+    pub(crate) initial: T::State,
+    pub(crate) transition: T,
+    pub(crate) options: RunOptions,
 }
 
 impl<T: StateTransition> Shared<T> {
-    fn ctx(&self) -> RunCtx<'_, T> {
+    pub(crate) fn ctx(&self) -> RunCtx<'_, T> {
         RunCtx::new(&self.transition, &self.options)
     }
 }
@@ -182,49 +184,87 @@ impl<T: StateTransition> Drop for StateDependence<T> {
     }
 }
 
-/// The pooled runtime's executor: every unit is a job for
-/// [`ThreadPool::ordered`], so group *k* is validated and committed while
-/// groups *k+1…* still run, and the coordinator runs the unit it is about
-/// to wait for itself when no worker has started it. Groups go on the
-/// options' [`Priority`] lane, as a stream's do.
+/// The pooled executor of `StateDependence` and `Session`: every unit is a
+/// job for [`ThreadPool::ordered`], so group *k* is validated and
+/// committed while groups *k+1…* still run, and the coordinator runs the
+/// unit it is about to wait for itself when no worker has started it.
+/// Groups go on the options' [`Priority`] lane.
 ///
 /// Pool jobs outlive any borrow, so they reach the run through `shared`
 /// rather than through the borrowed arguments, which name the same run.
 /// `shared.options` may hold the last `Arc<ThreadPool>`; `ordered`
 /// releases a job's clone before its result is visible, so that handle is
 /// never dropped on a worker.
-struct Pooled<'s, T: StateTransition> {
-    shared: &'s Arc<Shared<T>>,
-    pool: &'s ThreadPool,
+pub(crate) struct Pooled<'s, T: StateTransition> {
+    pub(crate) shared: &'s Arc<Shared<T>>,
+    pub(crate) pool: &'s ThreadPool,
+}
+
+/// What every group job of one linear run starts from. Built once per run
+/// (the controllers move the configuration, and a run starts from its
+/// segment's state), so submitting a group clones one `Arc`, not the state.
+struct RunJob<T: StateTransition> {
+    shared: Arc<Shared<T>>,
+    initial: T::State,
+    config: SpecConfig,
+    seed: u64,
+}
+
+/// One linear run's open batch on the pool.
+struct PooledGroups<T: StateTransition> {
+    run: Arc<RunJob<T>>,
+    batch: Ordered<GroupData<T>>,
+}
+
+impl<T: StateTransition> Groups<T> for PooledGroups<T> {
+    fn submit(&mut self, spec: GroupSpec, _: &[T::Input], window: Window<T::Input>) {
+        let run = Arc::clone(&self.run);
+        let priority = run.shared.options.priority;
+        let job = move || {
+            let ctx = RunCtx {
+                config: &run.config,
+                seed: run.seed,
+                ..run.shared.ctx()
+            };
+            let (inputs, base) = match &window {
+                Window::Batch { offset } => (&run.shared.inputs[*offset..], 0),
+                Window::Copied { inputs, base } => (&inputs[..], *base),
+            };
+            execute_group(ctx, inputs, base, &run.initial, spec)
+        };
+        self.batch.submit([(priority, job)]);
+    }
+
+    fn try_next(&mut self) -> Option<GroupData<T>> {
+        self.batch.try_next()
+    }
+
+    fn next(&mut self) -> Option<GroupData<T>> {
+        self.batch.next()
+    }
+
+    fn claim_next(&self) {
+        self.batch.claim_next();
+    }
 }
 
 impl<T: StateTransition> Executor<T> for Pooled<'_, T> {
     fn groups<'a>(
         &'a self,
         ctx: RunCtx<'a, T>,
-        _inputs: &'a [T::Input],
-        range: Range<usize>,
         initial: &'a T::State,
-        specs: Vec<GroupSpec>,
-    ) -> impl Iterator<Item = GroupData<T>> + 'a {
-        // The segment's initial state and configuration (not the options':
-        // the controllers move it) sit behind one `Arc` next to the shared
-        // inputs, so a group's job clones a pointer, not the state.
-        let run = Arc::new((Arc::clone(self.shared), initial.clone(), ctx.config.clone()));
-        let (seed, priority) = (ctx.seed, self.shared.options.priority);
-        self.pool.ordered(specs.into_iter().map(move |spec| {
-            let (run, range) = (Arc::clone(&run), range.clone());
-            let job = move || {
-                let (s, initial, config) = &*run;
-                let ctx = RunCtx {
-                    config,
-                    seed,
-                    ..s.ctx()
-                };
-                execute_group(ctx, &s.inputs[range], 0, initial, spec)
-            };
-            (priority, job)
-        }))
+        wake: impl Fn() + Send + Sync + 'static,
+    ) -> impl Groups<T> + 'a {
+        let run = RunJob {
+            shared: Arc::clone(self.shared),
+            initial: initial.clone(),
+            config: ctx.config.clone(),
+            seed: ctx.seed,
+        };
+        PooledGroups {
+            run: Arc::new(run),
+            batch: self.pool.open_ordered(wake),
+        }
     }
 
     /// Critical-path nodes go on the [`Priority::High`] lane so the longest

@@ -2,16 +2,18 @@
 //! inputs incrementally and runs the §3.1 execution model over them as they
 //! arrive.
 //!
-//! A `Session` keeps one [`ThreadPool`], one [`EventSink`], and one tuned
-//! [`SpecConfig`] alive across an entire input stream instead of paying for
-//! them per call. Producers `push`/`push_batch` into a bounded queue
-//! (backpressure: a full queue blocks the producer until it has drained to
-//! half); a dedicated `stats-stream` coordinator thread forms speculation
-//! groups on the fly, runs group 0 inline while dispatching later groups to
-//! the pool, and overlaps validation + commit of group `k` with the
-//! auxiliary + original execution of later groups already in flight. When
-//! the coordinator would otherwise park and the group its resolver needs
-//! next has not been started by any worker, it runs that group itself.
+//! A `Session` keeps one [`ThreadPool`](crate::ThreadPool), one
+//! [`EventSink`], and one tuned [`SpecConfig`] alive across an entire input
+//! stream instead of paying for them per call. Producers
+//! `push`/`push_batch` into a bounded queue (backpressure: a full queue
+//! blocks the producer until it has drained to half); a dedicated
+//! `stats-stream` coordinator thread runs the linear engine every run
+//! uses, with the queue as its input intake: it forms groups as inputs
+//! arrive, runs group 0 itself, submits each later group to the pool once
+//! its inputs are complete, and overlaps validation + commit of group `k`
+//! with the execution of later groups already in flight. When the
+//! coordinator would otherwise park and the group its resolver needs next
+//! has not been started by any worker, it runs that group itself.
 //!
 //! **Determinism contract**: for the same seed and the same input order,
 //! `Session` is bit-identical — outputs, final state, [`SpecReport`], and
@@ -25,7 +27,6 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
-use std::time::Duration;
 
 use crate::sync::{thread, Arc, Condvar, Mutex};
 
@@ -33,13 +34,10 @@ use crate::adapt::SegmentControl;
 use crate::faults::FaultKind;
 use crate::obs::EventKind;
 use crate::options::RunOptions;
-use crate::pool::{Ordered, ThreadPool};
 use crate::protocol::{
-    execute_group, run_invocation, run_segments, GroupData, GroupSpec, ProtocolResult, RunCtx,
-    SpecConfig,
+    run_linear, run_segments, GroupData, Groups, Intake, ProtocolResult, RunCtx, Window,
 };
-use crate::resolver::Resolver;
-use crate::runtime::{resolve_pool, SpecOutcome};
+use crate::runtime::{resolve_pool, Pooled, Shared, SpecOutcome};
 use crate::sdi::StateTransition;
 
 /// Everything shared between producers, the coordinator, and pool jobs.
@@ -62,31 +60,6 @@ struct StreamInner<T: StateTransition> {
     /// recorded before `coordinator_gone` is raised so a failing
     /// [`Session::try_push`] can report *why* the front door is closed.
     gone_message: Option<String>,
-}
-
-/// Immutable engine context shared with pool jobs.
-struct EngineCtx<T: StateTransition> {
-    transition: T,
-    options: RunOptions,
-}
-
-/// What every group of one segment starts from. Built once per segment, so
-/// dispatching a group clones one `Arc` and not the state behind it.
-struct SegmentCtx<T: StateTransition> {
-    engine: Arc<EngineCtx<T>>,
-    config: SpecConfig,
-    initial: T::State,
-    seed: u64,
-}
-
-impl<T: StateTransition> SegmentCtx<T> {
-    fn ctx(&self) -> RunCtx<'_, T> {
-        RunCtx {
-            config: &self.config,
-            seed: self.seed,
-            ..RunCtx::new(&self.engine.transition, &self.engine.options)
-        }
-    }
 }
 
 /// A long-lived streaming run of the STATS execution model.
@@ -137,12 +110,10 @@ impl<T: StateTransition> Session<T> {
              run_protocol_with_options; see docs/dag.md)"
         );
         let pool = resolve_pool(&options);
-        let max_inflight = if options.max_inflight_groups == 0 {
-            pool.threads() + 2
-        } else {
-            options.max_inflight_groups
-        }
-        .max(1);
+        let max_inflight = match options.max_inflight_groups {
+            0 => pool.threads() + 2,
+            n => n,
+        };
         let shared = Arc::new(StreamShared {
             inner: Mutex::new(StreamInner {
                 queue: VecDeque::new(),
@@ -154,7 +125,9 @@ impl<T: StateTransition> Session<T> {
             coordinator: Condvar::new(),
             capacity: options.queue_capacity.max(1),
         });
-        let engine = Arc::new(EngineCtx {
+        let engine = Arc::new(Shared {
+            inputs: Vec::new(),
+            initial,
             transition,
             options,
         });
@@ -166,22 +139,22 @@ impl<T: StateTransition> Session<T> {
                     shared: Arc::clone(&thread_shared),
                 };
                 match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    // The batch engine's segment loop, with each segment
-                    // read off the queue as it arrives.
-                    let options = &engine.options;
-                    let ctx = RunCtx::new(&engine.transition, options);
-                    let control = SegmentControl::new(options);
-                    run_segments(ctx, &initial, control, |ctx, start, limit| {
-                        wait_for_input(&thread_shared).then(|| {
-                            let seg = SegmentCtx {
-                                engine: Arc::clone(&engine),
-                                config: ctx.config.clone(),
-                                initial: start.clone(),
-                                seed: ctx.seed,
-                            };
-                            stream_segment(&thread_shared, &pool, seg, limit, max_inflight)
-                        })
-                    })
+                    // The batch engine's segment loop and per-segment
+                    // engine, with each segment read off the queue.
+                    let exec = Pooled {
+                        shared: &engine,
+                        pool: &pool,
+                    };
+                    let control = SegmentControl::new(&engine.options);
+                    run_segments(
+                        engine.ctx(),
+                        &engine.initial,
+                        control,
+                        |ctx, start, limit| {
+                            QueueIntake::open(&thread_shared, ctx, limit, max_inflight)
+                                .map(|mut intake| run_linear(ctx, &mut intake, start, &exec))
+                        },
+                    )
                 })) {
                     Ok(result) => result,
                     Err(payload) => {
@@ -233,20 +206,7 @@ impl<T: StateTransition> Session<T> {
     /// session and is re-raised or reported at
     /// [`finish`](Session::finish)/[`try_finish`](Session::try_finish)).
     pub fn try_push(&self, input: T::Input) -> Result<(), PushError> {
-        let mut inner = self.shared.inner.lock();
-        loop {
-            if inner.coordinator_gone {
-                return Err(PushError::coordinator_gone(&inner));
-            }
-            if inner.queue.len() < self.shared.capacity {
-                break;
-            }
-            self.shared.producer.wait(&mut inner);
-        }
-        inner.queue.push_back(input);
-        drop(inner);
-        self.shared.coordinator.notify_all();
-        Ok(())
+        self.try_push_batch([input]).map(drop)
     }
 
     /// Nonblocking push: `Ok(None)` means the input was enqueued,
@@ -540,324 +500,148 @@ impl<T: StateTransition> Drop for CoordinatorGuard<T> {
     }
 }
 
-/// Block until at least one input is queued (true) or the stream is closed
-/// with nothing left (false).
-fn wait_for_input<T: StateTransition>(shared: &StreamShared<T>) -> bool {
-    let mut inner = shared.inner.lock();
-    loop {
-        if !inner.queue.is_empty() {
-            return true;
+/// A stream segment's intake: the inputs taken off the bounded queue so
+/// far, `limit` at most. The one place that admits inputs (never more than
+/// `max_inflight` groups past the resolved prefix, so an unbounded stream
+/// cannot pile up unresolved speculative groups), injects `QueueStall`,
+/// wakes blocked producers, and waits for inputs, the close and group
+/// results at once.
+struct QueueIntake<'a, T: StateTransition> {
+    shared: &'a Arc<StreamShared<T>>,
+    ctx: RunCtx<'a, T>,
+    limit: usize,
+    max_inflight: usize,
+    arrived: Vec<T::Input>,
+    closed: bool,
+}
+
+impl<'a, T: StateTransition> QueueIntake<'a, T> {
+    /// Block until an input is queued (`Some`), or the stream is closed with
+    /// nothing left (`None`): a segment is never empty.
+    fn open(
+        shared: &'a Arc<StreamShared<T>>,
+        ctx: RunCtx<'a, T>,
+        limit: usize,
+        max_inflight: usize,
+    ) -> Option<Self> {
+        let mut inner = shared.inner.lock();
+        while inner.queue.is_empty() {
+            if inner.closed {
+                return None;
+            }
+            shared.coordinator.wait(&mut inner);
         }
-        if inner.closed {
-            return false;
-        }
-        shared.coordinator.wait(&mut inner);
+        Some(QueueIntake {
+            shared,
+            ctx,
+            limit,
+            max_inflight,
+            arrived: Vec::new(),
+            closed: false,
+        })
     }
 }
 
-/// Run one segment of the stream, `limit` inputs at most, and never empty
-/// (its caller has seen an input queued): consume admitted inputs, execute
-/// group 0 inline on the coordinator, submit each later group to one open
-/// [`ThreadPool::ordered`] batch as soon as its inputs are complete, and
-/// feed finished groups — strictly in order — into the shared [`Resolver`].
-///
-/// Who runs a submitted group: normally a pool worker. But when nothing
-/// else is actionable, the coordinator runs the group the resolver needs
-/// next if no worker has started it ([`Ordered::claim_next`], the step
-/// every consumer of `ordered` takes before it blocks) instead of parking
-/// until a worker has woken up for it.
-fn stream_segment<T: StateTransition>(
-    shared: &Arc<StreamShared<T>>,
-    pool: &ThreadPool,
-    seg: SegmentCtx<T>,
-    limit: usize,
-    max_inflight: usize,
-) -> ProtocolResult<T> {
-    let seg = Arc::new(seg);
-    let run = seg.ctx();
-    let (initial, config, seed) = (&seg.initial, &seg.config, seg.seed);
-    let priority = seg.engine.options.priority;
-    // Group cardinality while the input count is unknown: with speculation
-    // on, every full `group_size` block becomes a group; the cases where
-    // the batch path would collapse to a single group (n <= group_size, or
-    // speculation off) fall out naturally because no second group ever
-    // forms before the stream closes.
-    let group_cap = if config.speculate && config.group_size > 1 {
-        Some(config.group_size)
-    } else {
-        None
-    };
-    let g_eff = group_cap.unwrap_or(usize::MAX);
-    let mut resolver: Resolver<T> = Resolver::new(run, g_eff);
+impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
+    fn arrived(&self) -> (&[T::Input], bool) {
+        (&self.arrived, self.closed)
+    }
 
-    let mut inputs: Vec<T::Input> = Vec::new();
-    let mut consumed = 0usize; // inputs taken off the queue this segment
-    let mut intake_done = false;
-    let mut run_started = false;
+    /// A pool job gets a copy of only the inputs it reads.
+    fn window(&self, lo: usize, hi: usize) -> Window<T::Input> {
+        Window::Copied {
+            inputs: self.arrived[lo..hi].to_vec(),
+            base: lo,
+        }
+    }
 
-    // Group 0 runs inline on the coordinator thread: it starts from the
-    // known initial state, needs no auxiliary code, and computing it here
-    // is what makes the bounded queue back-pressure producers.
-    let mut g0_state = initial.clone();
-    let mut g0_checkpoint = initial.clone();
-    let mut g0_outputs: Vec<T::Output> = Vec::new();
-    let mut g0_works = Vec::new();
-    let mut g0_done = false;
-    let g0_checkpoint_at = group_cap.map(|gs| gs - config.rollback.clamp(1, gs));
-    // The group the resolver needs next, once it is here: group 0 when
-    // sealed, later ones taken off the batch.
-    let mut next: Option<GroupData<T>> = None;
-
-    // Groups 1, 2, … in order. A stored result wakes the coordinator by
-    // taking `inner` — the lock it takes results under — strictly after
-    // the store: it either sees the result or is already waiting.
-    let mut groups = pool.open_ordered({
-        let shared = Arc::clone(shared);
+    /// A stored result wakes the coordinator by taking `inner` — the lock
+    /// it looks for results under — strictly after the store: it either
+    /// sees the result or is already waiting.
+    fn wake(&self) -> impl Fn() + Send + Sync + 'static {
+        let shared = Arc::clone(self.shared);
         move || {
             drop(shared.inner.lock());
             shared.coordinator.notify_all();
         }
-    });
-    let mut dispatched = 1usize; // next speculative group to submit
-    let mut ingested = 0usize; // groups handed to the resolver so far
-    let mut total_groups: Option<usize> = None;
+    }
 
-    // A group's job is `execute_group` over the only inputs it reads, as
-    // on every other driver.
-    let dispatch = |groups: &mut Ordered<GroupData<T>>, k, start: usize, end, all: &[T::Input]| {
-        let w_start = start.saturating_sub(config.window);
-        let slice: Vec<T::Input> = all[w_start..end].to_vec();
-        let spec = GroupSpec {
-            k,
-            start,
-            end,
-            speculative: true,
-        };
-        let seg = Arc::clone(&seg);
-        let job = move || execute_group(seg.ctx(), &slice, w_start, &seg.initial, spec);
-        groups.submit([(priority, job)]);
-    };
-
-    loop {
-        if total_groups.is_some_and(|total| ingested >= total) {
-            break;
-        }
-
-        // ---- Pull admitted inputs under the lock, blocking until an
-        // input, the end of the intake or the next group's result arrives.
-        let mut fresh: Vec<T::Input> = Vec::new();
-        let mut stalls: Vec<(usize, Duration)> = Vec::new();
-        {
-            let mut inner = shared.inner.lock();
-            let mut may_help = true;
-            loop {
-                let mut actionable = false;
-                // Admit inputs only a bounded number of groups past the
-                // resolved prefix, so an unbounded stream cannot pile up
-                // unresolved speculative groups.
-                while !intake_done && consumed < limit {
-                    let next_index = inputs.len() + fresh.len();
-                    let group_of_next = group_cap.map_or(0, |gs| next_index / gs);
-                    if group_of_next >= resolver.settled_groups() + max_inflight {
-                        break;
-                    }
-                    match inner.queue.pop_front() {
-                        Some(item) => {
-                            if let Some(plan) = run.faults {
-                                if let Some(d) =
-                                    plan.delay(FaultKind::QueueStall, seed, next_index as u64)
-                                {
-                                    stalls.push((next_index, d));
-                                }
-                            }
-                            fresh.push(item);
-                            consumed += 1;
-                            actionable = true;
-                        }
-                        None => break,
-                    }
-                }
-                // A producer blocked on the full queue is woken once the
-                // queue has drained to half: it then refills many slots per
-                // wake-up, where a wake-up per pop bought one slot each. The
-                // coordinator never waits for a producer while inputs are
-                // queued, so the queue always gets there.
-                if actionable && inner.queue.len() <= shared.capacity / 2 {
-                    shared.producer.notify_all();
-                }
-                if !intake_done && (consumed == limit || (inner.closed && inner.queue.is_empty())) {
-                    intake_done = true;
-                    actionable = true;
-                }
-                // The batch only holds groups once group 0 is ingested, so
-                // its next result is always the one the resolver needs.
-                if next.is_none() {
-                    next = groups.try_next();
-                }
-                if actionable || next.is_some() {
+    fn wait(
+        &mut self,
+        groups: &mut impl Groups<T>,
+        next: &mut Option<GroupData<T>>,
+        settled: usize,
+        group_size: usize,
+    ) {
+        let shared = &**self.shared;
+        let admit = (settled + self.max_inflight)
+            .saturating_mul(group_size)
+            .min(self.limit);
+        let mut stalls = Vec::new();
+        let mut inner = shared.inner.lock();
+        let mut may_help = true;
+        loop {
+            let mut actionable = false;
+            while !self.closed && self.arrived.len() < admit {
+                let Some(item) = inner.queue.pop_front() else {
                     break;
-                }
-                // About to park. If no worker has started the group the
-                // resolver needs next, run it here (unlocked: its wake-up
-                // takes `inner`) and look again. One attempt per visit:
-                // after it the group is stored or in a worker's hands, and
-                // that worker will wake us.
-                if may_help && groups.len() > 0 {
-                    may_help = false;
-                    drop(inner);
-                    groups.claim_next();
-                    inner = shared.inner.lock();
-                    continue;
-                }
-                shared.coordinator.wait(&mut inner);
+                };
+                let i = self.arrived.len();
+                let stall = self
+                    .ctx
+                    .faults
+                    .and_then(|plan| plan.delay(FaultKind::QueueStall, self.ctx.seed, i as u64));
+                stalls.extend(stall.map(|delay| (i, delay)));
+                self.arrived.push(item);
+                actionable = true;
             }
+            // A producer blocked on the full queue is woken once the queue
+            // has drained to half: it then refills many slots per wake-up,
+            // where a wake-up per pop bought one slot each. The coordinator
+            // never waits for a producer while inputs are queued, so the
+            // queue always gets there.
+            if actionable && inner.queue.len() <= shared.capacity / 2 {
+                shared.producer.notify_all();
+            }
+            if !self.closed
+                && (self.arrived.len() == self.limit || (inner.closed && inner.queue.is_empty()))
+            {
+                self.closed = true;
+                actionable = true;
+            }
+            // `next` is empty only once group 0 is ingested, so the
+            // batch's next result is the one the resolver needs.
+            if next.is_none() {
+                *next = groups.try_next();
+            }
+            if actionable || next.is_some() {
+                break;
+            }
+            // About to park. If no worker has started the group the
+            // resolver needs next, run it here (unlocked: its wake-up takes
+            // `inner`) and look again. One attempt per visit: after it the
+            // group is stored or in a worker's hands, and that worker will
+            // wake us.
+            if may_help {
+                may_help = false;
+                drop(inner);
+                groups.claim_next();
+                inner = shared.inner.lock();
+                continue;
+            }
+            shared.coordinator.wait(&mut inner);
         }
-
-        // ---- Injected queue stalls: the coordinator sleeps outside the
-        // lock (producers keep filling the freed queue space meanwhile).
+        drop(inner);
+        // Injected queue stalls: the coordinator sleeps outside the lock
+        // (producers keep filling the freed queue space meanwhile).
         for (site, delay) in stalls {
-            run.emit(EventKind::FaultInjected {
+            self.ctx.emit(EventKind::FaultInjected {
                 kind: FaultKind::QueueStall,
                 site,
                 attempt: 0,
             });
             thread::sleep(delay);
         }
-
-        // ---- Run the inline group 0 (and, after an abort, the sequential
-        // tail) over the freshly admitted inputs.
-        for item in fresh {
-            let i = inputs.len();
-            inputs.push(item);
-            if !run_started {
-                run_started = true;
-                // Input and group counts are unknown for an open stream; a
-                // streamed RunStart reports zeros.
-                run.emit(EventKind::RunStart {
-                    inputs: 0,
-                    groups: 0,
-                });
-            }
-            if resolver.aborted() {
-                continue; // swept into process_tail below
-            }
-            if !g0_done && group_cap.is_none_or(|gs| i < gs) {
-                if g0_checkpoint_at == Some(i) {
-                    g0_checkpoint = g0_state.clone();
-                }
-                let (out, m) = run_invocation(
-                    &seg.engine.transition,
-                    &inputs[i],
-                    &mut g0_state,
-                    seed,
-                    0,
-                    i as u64,
-                    0,
-                    &config.orig_bindings,
-                    false,
-                );
-                g0_outputs.push(out);
-                g0_works.push(m);
-                if group_cap == Some(i + 1) {
-                    // Group 0 is exactly full: seal it so validation of
-                    // group 1 can proceed without waiting for the close.
-                    next = Some(seal_group0(
-                        i + 1,
-                        &g0_checkpoint,
-                        &g0_state,
-                        std::mem::take(&mut g0_outputs),
-                        std::mem::take(&mut g0_works),
-                        run,
-                    ));
-                    g0_done = true;
-                }
-            }
-        }
-        if resolver.aborted() {
-            resolver.process_tail(&inputs);
-        }
-
-        // ---- Submit every speculative group whose inputs are complete.
-        if let Some(gs) = group_cap {
-            while (dispatched + 1) * gs <= inputs.len() {
-                let start = dispatched * gs;
-                dispatch(&mut groups, dispatched, start, start + gs, &inputs);
-                dispatched += 1;
-            }
-        }
-
-        // ---- On intake completion, seal the partial group 0 and submit
-        // the final (possibly partial) speculative group.
-        if intake_done && total_groups.is_none() {
-            let n = inputs.len();
-            if !g0_done {
-                next = Some(seal_group0(
-                    n.min(g_eff),
-                    &g0_checkpoint,
-                    &g0_state,
-                    std::mem::take(&mut g0_outputs),
-                    std::mem::take(&mut g0_works),
-                    run,
-                ));
-                g0_done = true;
-            }
-            total_groups = Some(match group_cap {
-                Some(gs) if n > gs => {
-                    if dispatched * gs < n {
-                        dispatch(&mut groups, dispatched, dispatched * gs, n, &inputs);
-                        dispatched += 1;
-                    }
-                    n.div_ceil(gs)
-                }
-                _ => 1,
-            });
-        }
-
-        // ---- Feed finished groups to the resolver, strictly in order; a
-        // group's panic is re-raised by `try_next`, in group order.
-        while let Some(data) = next.take().or_else(|| groups.try_next()) {
-            resolver.ingest(data, &inputs);
-            ingested += 1;
-        }
-    }
-
-    let result = resolver.finish(initial);
-    run.emit(EventKind::RunEnd);
-    result
-}
-
-/// Package the coordinator-executed group 0 as [`GroupData`], emitting the
-/// GroupStart/GroupEnd pair. The batch path emits GroupStart before running
-/// the group; a stream cannot know `end` until the group is complete, so
-/// both events are emitted at seal time (see docs/streaming.md).
-fn seal_group0<T: StateTransition>(
-    end: usize,
-    checkpoint: &T::State,
-    final_state: &T::State,
-    outputs: Vec<T::Output>,
-    works: Vec<crate::ctx::WorkMeter>,
-    run: RunCtx<'_, T>,
-) -> GroupData<T> {
-    run.emit(EventKind::GroupStart {
-        group: 0,
-        start: 0,
-        end,
-        speculative: false,
-    });
-    run.emit(EventKind::GroupEnd { group: 0 });
-    GroupData {
-        spec: GroupSpec {
-            k: 0,
-            start: 0,
-            end,
-            speculative: false,
-        },
-        aux_work: None,
-        spec_start: None,
-        checkpoint: checkpoint.clone(),
-        final_state: final_state.clone(),
-        outputs,
-        works,
     }
 }
 
@@ -867,7 +651,8 @@ mod tests {
 
     use super::*;
     use crate::ctx::InvocationCtx;
-    use crate::protocol::run_protocol;
+    use crate::pool::ThreadPool;
+    use crate::protocol::{run_protocol, SpecConfig};
     use crate::sdi::{ExactState, SpecState};
     use crate::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1012,6 +797,59 @@ mod tests {
         let session = Arc::try_unwrap(session).unwrap_or_else(|_| panic!("session still shared"));
         let outcome = session.finish();
         assert_eq!(outcome.outputs.len(), 20);
+    }
+
+    /// Short-memory transition that opens its latch when it runs input 0.
+    struct OpensOnFirst(Arc<(Mutex<bool>, Condvar)>);
+    impl StateTransition for OpensOnFirst {
+        type Input = u64;
+        type State = ExactState<u64>;
+        type Output = u64;
+        fn compute_output(
+            &self,
+            input: &u64,
+            state: &mut ExactState<u64>,
+            ctx: &mut InvocationCtx,
+        ) -> u64 {
+            if *input == 0 {
+                *self.0 .0.lock() = true;
+                self.0 .1.notify_all();
+            }
+            ctx.charge(1.0);
+            state.0 = *input;
+            *input
+        }
+    }
+
+    #[test]
+    fn non_speculative_stream_runs_inputs_as_they_arrive() {
+        // One group, by speculation off or by a group larger than the
+        // stream: group 0 still runs input by input on the coordinator,
+        // before the stream is closed — not when the group is complete.
+        let one_group = SpecConfig {
+            group_size: 64,
+            ..config()
+        };
+        for config in [SpecConfig::sequential(), one_group] {
+            let latch = Arc::new((Mutex::new(false), Condvar::new()));
+            let session = Session::new(
+                ExactState(0u64),
+                OpensOnFirst(Arc::clone(&latch)),
+                RunOptions::default()
+                    .pool(Arc::new(ThreadPool::new(1)))
+                    .config(config),
+            );
+            session.push(0);
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            let mut ran = latch.0.lock();
+            while !*ran {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                assert!(!left.is_zero(), "input 0 did not run before finish");
+                latch.1.wait_for(&mut ran, left);
+            }
+            drop(ran);
+            assert_eq!(session.finish().outputs, vec![0]);
+        }
     }
 
     /// A transition holding a sentinel `Arc`: once the coordinator thread

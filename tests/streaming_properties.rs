@@ -182,6 +182,40 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// BIT-IDENTITY UNDER TIGHT ADMISSION: however few groups the intake
+    /// may open past the resolved ones (`max_inflight_groups` 1–3) and
+    /// however small the queue (1–4 inputs), a streamed run equals
+    /// `run_protocol` — outputs, final state, report and trace — at 1 or 2
+    /// workers and any push chunking.
+    #[test]
+    fn tight_admission_windows_equal_batch(
+        n in 0usize..48,
+        config in arb_config(),
+        seed in any::<u64>(),
+        max_inflight in 1usize..=3,
+        capacity in 1usize..=4,
+        chunk in 1usize..9,
+        workers in 1usize..=2,
+    ) {
+        let inputs: Vec<u64> = (0..n as u64).collect();
+        let batch = run_protocol(&NoisyLast, &inputs, &Fuzzy(0.0), &config, seed);
+        let options = RunOptions::default()
+            .config(config)
+            .seed(seed)
+            .pool(Arc::new(ThreadPool::new(workers)))
+            .max_inflight_groups(max_inflight)
+            .queue_capacity(capacity);
+        let session = Session::new(Fuzzy(0.0), NoisyLast, options);
+        for batch in inputs.chunks(chunk) {
+            session.push_batch(batch.iter().copied());
+        }
+        assert_identical(&session.finish(), &batch)?;
+    }
+}
+
 /// A pool whose every worker sits inside a gate job until this guard is
 /// dropped: nothing submitted to it meanwhile can run on a worker, so a
 /// session over it has to take every dispatched group back and run it on
