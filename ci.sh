@@ -176,6 +176,15 @@ TRACE_JSON=$(mktemp /tmp/stats-report.XXXXXX.trace.json)
 ./target/debug/stats-report swaptions --inputs 24 --threads 4 \
     --trace "$TRACE_JSON" --check > /dev/null
 test -s "$TRACE_JSON"
+# One file, two processes: the simulated schedule and the run's wall clock.
+python3 - "$TRACE_JSON" <<'EOF'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+names = {e["args"]["name"] for e in events if e["name"] == "process_name"}
+missing = {"simulated schedule", "wall clock"} - names
+if missing or not any(e["ph"] == "X" for e in events):
+    sys.exit(f"stats-report --trace: processes {sorted(missing)} or complete events missing")
+EOF
 rm -f "$TRACE_JSON"
 
 echo "== replay CLI smoke (stats-report replay record/verify round trip)"

@@ -1,9 +1,10 @@
-//! Runtime observability: typed events, wall-clock spans, and exporters.
+//! Runtime observability: typed events with wall-clock stamps.
 //!
 //! The execution model already records *what* ran as a [`SpecTrace`] (a task
 //! graph with work costs and dependence edges); this module adds the
-//! orthogonal runtime view — *when* things happened on real threads — and
-//! the tooling to inspect both:
+//! orthogonal runtime view — *when* things happened on real threads.
+//! `stats_profiler::SimulatedRun` draws both: the trace as its simulated
+//! schedule, the events as wall-clock rows.
 //!
 //! - [`EventKind`]/[`Event`]: typed protocol events (group start/commit/
 //!   abort, validation, re-execution, sequential-tail entry) with wall-clock
@@ -16,12 +17,6 @@
 //! - [`RecordingSink`]: an in-memory sink stamping events with microsecond
 //!   wall-clock offsets and a per-thread tag — usable concurrently from
 //!   pool workers;
-//! - [`chrome_trace_json`]: a Chrome `trace_event` exporter combining the
-//!   [`SpecTrace`] (laid out as a virtual schedule in work units) with the
-//!   recorded wall-clock events; the output loads in `about:tracing` /
-//!   Perfetto;
-//! - [`render_summary`]: the human-readable per-group timeline and
-//!   work-split table behind the `stats-report` CLI;
 //! - [`validate_backward_deps`]: the structural invariant every exported
 //!   trace must satisfy (dependence edges point strictly backward).
 
@@ -33,7 +28,7 @@ use crate::sync::Mutex;
 
 use crate::adapt::AdaptState;
 use crate::faults::FaultKind;
-use crate::protocol::{GroupResolution, SpecReport, SpecTrace, TraceNodeKind};
+use crate::protocol::SpecTrace;
 
 /// What happened, with enough coordinates to reconstruct the run story.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,17 +260,6 @@ impl EventKind {
             }
         }
     }
-
-    /// Chrome trace phase: span begin/end for paired kinds, instant else.
-    fn phase(&self) -> char {
-        match self {
-            EventKind::RunStart { .. }
-            | EventKind::GroupStart { .. }
-            | EventKind::SequentialTailStart { .. } => 'B',
-            EventKind::RunEnd | EventKind::GroupEnd { .. } | EventKind::SequentialTailEnd => 'E',
-            _ => 'i',
-        }
-    }
 }
 
 /// One recorded event: kind, wall-clock offset from the sink's epoch, and a
@@ -377,54 +361,6 @@ impl EventSink for RecordingSink {
     }
 }
 
-// ------------------------------------------------------------- exporters
-
-/// The [`SpecTrace`] laid out on virtual lanes: a list-schedule in work
-/// units where each node starts as soon as its dependences finish, on the
-/// first lane free at that time. This is the trace's *inherent* parallelism
-/// (unbounded lanes), independent of any platform model.
-#[derive(Debug, Clone, Default)]
-pub struct VirtualSchedule {
-    /// Per node: (start, finish, lane), in work units.
-    pub slots: Vec<(f64, f64, usize)>,
-    /// Number of lanes used.
-    pub lanes: usize,
-}
-
-impl VirtualSchedule {
-    /// Finish time of the last node (work units).
-    pub fn makespan(&self) -> f64 {
-        self.slots.iter().map(|s| s.1).fold(0.0, f64::max)
-    }
-}
-
-/// Lay the trace out on virtual lanes (see [`VirtualSchedule`]).
-pub fn virtual_schedule(trace: &SpecTrace) -> VirtualSchedule {
-    let mut slots: Vec<(f64, f64, usize)> = Vec::with_capacity(trace.nodes.len());
-    let mut lane_free: Vec<f64> = Vec::new();
-    for node in &trace.nodes {
-        let start = node
-            .deps
-            .iter()
-            .map(|&d| slots[d].1)
-            .fold(0.0_f64, f64::max);
-        let lane = match lane_free.iter().position(|&f| f <= start + 1e-12) {
-            Some(l) => l,
-            None => {
-                lane_free.push(0.0);
-                lane_free.len() - 1
-            }
-        };
-        let finish = start + node.work.total;
-        lane_free[lane] = finish;
-        slots.push((start, finish, lane));
-    }
-    VirtualSchedule {
-        slots,
-        lanes: lane_free.len(),
-    }
-}
-
 /// Check that every dependence edge points strictly backward (each node
 /// depends only on earlier nodes) — the invariant that makes a trace
 /// replayable and its exports well-formed.
@@ -440,248 +376,6 @@ pub fn validate_backward_deps(trace: &SpecTrace) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn node_name(kind: &TraceNodeKind) -> String {
-    match kind {
-        TraceNodeKind::Auxiliary { group } => format!("aux g{group}"),
-        TraceNodeKind::Invocation {
-            group,
-            index,
-            attempt,
-            sequential_tail,
-        } => {
-            if *sequential_tail {
-                format!("tail i{index}")
-            } else if *attempt > 0 {
-                format!("inv g{group} i{index} a{attempt}")
-            } else {
-                format!("inv g{group} i{index}")
-            }
-        }
-        TraceNodeKind::Validation { group, attempt } => format!("val g{group} a{attempt}"),
-    }
-}
-
-/// Render the trace and recorded events as a Chrome `trace_event` JSON
-/// document (loads in `about:tracing` / Perfetto).
-///
-/// Two processes are emitted:
-///
-/// - **pid 1** — the virtual schedule of the [`SpecTrace`]: one complete
-///   ("X") event per node, one row per virtual lane, timestamps in work
-///   units (1 unit = 1 µs). Each event's `args` carry the node index, its
-///   dependence edges, its group, and whether it committed — squashed work
-///   is visible as `committed: false`.
-/// - **pid 2** — the recorded wall-clock [`Event`]s (when any): span
-///   begin/end pairs for runs, groups, and the sequential tail, instants
-///   for validations, re-executions, commits, and aborts, one row per OS
-///   thread, timestamps in real microseconds.
-///
-/// Written by hand: the sanctioned dependency set has no JSON serializer.
-pub fn chrome_trace_json(trace: &SpecTrace, events: &[Event]) -> String {
-    let sched = virtual_schedule(trace);
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let push = |s: String, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&s);
-    };
-
-    push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-         \"args\":{\"name\":\"virtual schedule (work units)\"}}"
-            .to_string(),
-        &mut out,
-        &mut first,
-    );
-    for (i, node) in trace.nodes.iter().enumerate() {
-        let (start, finish, lane) = sched.slots[i];
-        let (group, committed) = match node.kind {
-            TraceNodeKind::Auxiliary { group } => (group, node.committed),
-            TraceNodeKind::Invocation { group, .. } => (group, node.committed),
-            TraceNodeKind::Validation { group, .. } => (group, node.committed),
-        };
-        let deps = node
-            .deps
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        push(
-            format!(
-                "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":1,\"tid\":{lane},\
-                 \"ts\":{ts:.3},\"dur\":{dur:.3},\"args\":{{\"node\":{i},\
-                 \"group\":{group},\"committed\":{committed},\"deps\":[{deps}]}}}}",
-                name = escape(&node_name(&node.kind)),
-                ts = start,
-                dur = finish - start,
-            ),
-            &mut out,
-            &mut first,
-        );
-    }
-
-    if !events.is_empty() {
-        push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
-             \"args\":{\"name\":\"wall clock\"}}"
-                .to_string(),
-            &mut out,
-            &mut first,
-        );
-        // Stable small tids per thread tag, in first-appearance order.
-        let mut tids: Vec<u64> = Vec::new();
-        for ev in events {
-            let tid = match tids.iter().position(|&t| t == ev.thread) {
-                Some(t) => t,
-                None => {
-                    tids.push(ev.thread);
-                    tids.len() - 1
-                }
-            };
-            let ph = ev.kind.phase();
-            let scope = if ph == 'i' { ",\"s\":\"t\"" } else { "" };
-            push(
-                format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"{ph}\",\"pid\":2,\"tid\":{tid},\
-                     \"ts\":{ts:.3}{scope}}}",
-                    name = escape(&ev.kind.label()),
-                    ts = ev.at.as_secs_f64() * 1.0e6,
-                ),
-                &mut out,
-                &mut first,
-            );
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-// ------------------------------------------------------- human summaries
-
-fn fmt_units(x: f64) -> String {
-    if x >= 1000.0 {
-        format!("{:.1}k", x / 1000.0)
-    } else {
-        format!("{x:.0}")
-    }
-}
-
-/// Render a human-readable run summary: a per-group timeline (input range,
-/// resolution, virtual-schedule span, committed/squashed work) and the
-/// work-split table behind Table 1's columns.
-pub fn render_summary(report: &SpecReport, trace: &SpecTrace) -> String {
-    let sched = virtual_schedule(trace);
-    let n_groups = report.groups.len();
-    let mut committed = vec![0.0_f64; n_groups];
-    let mut squashed = vec![0.0_f64; n_groups];
-    let mut span: Vec<Option<(f64, f64)>> = vec![None; n_groups];
-    for (i, node) in trace.nodes.iter().enumerate() {
-        let g = match node.kind {
-            TraceNodeKind::Auxiliary { group } => group,
-            TraceNodeKind::Invocation { group, .. } => group,
-            TraceNodeKind::Validation { group, .. } => group,
-        };
-        if g >= n_groups {
-            continue;
-        }
-        if node.committed {
-            committed[g] += node.work.total;
-        } else {
-            squashed[g] += node.work.total;
-        }
-        let (s, f, _) = sched.slots[i];
-        span[g] = Some(match span[g] {
-            Some((s0, f0)) => (s0.min(s), f0.max(f)),
-            None => (s, f),
-        });
-    }
-
-    let mut out = String::new();
-    out.push_str("per-group timeline (virtual work units):\n");
-    out.push_str(
-        "  group  inputs        span                resolution            committed  squashed\n",
-    );
-    for (g, rec) in report.groups.iter().enumerate() {
-        let res = match rec.resolution {
-            GroupResolution::NonSpeculative => "non-speculative".to_string(),
-            GroupResolution::Committed { reexecutions: 0 } => "committed".to_string(),
-            GroupResolution::Committed { reexecutions } => {
-                format!("committed (+{reexecutions} reexec)")
-            }
-            GroupResolution::Aborted => "aborted".to_string(),
-            GroupResolution::SequentialTail => "sequential tail".to_string(),
-        };
-        let (s, f) = span[g].unwrap_or((0.0, 0.0));
-        out.push_str(&format!(
-            "  {g:>5}  [{:>4},{:>4})  [{:>8},{:>8})  {res:<21} {:>9}  {:>8}\n",
-            rec.start,
-            rec.end,
-            fmt_units(s),
-            fmt_units(f),
-            fmt_units(committed[g]),
-            fmt_units(squashed[g]),
-        ));
-    }
-
-    let total = trace.total_work();
-    let pct = |x: f64| {
-        if total > 0.0 {
-            100.0 * x / total
-        } else {
-            0.0
-        }
-    };
-    out.push_str("\nwork split:\n");
-    out.push_str(&format!(
-        "  committed original  {:>10}  ({:.1}%)\n",
-        fmt_units(report.committed_original_work),
-        pct(report.committed_original_work)
-    ));
-    out.push_str(&format!(
-        "  committed auxiliary {:>10}  ({:.1}%, extra {:.1}% of original)\n",
-        fmt_units(report.committed_aux_work),
-        pct(report.committed_aux_work),
-        100.0 * report.extra_committed_fraction()
-    ));
-    out.push_str(&format!(
-        "  squashed            {:>10}  ({:.1}%)\n",
-        fmt_units(report.squashed_work),
-        pct(report.squashed_work)
-    ));
-    out.push_str(&format!("  total               {:>10}\n", fmt_units(total)));
-    out.push_str(&format!(
-        "\ncritical path: {} units over {} lanes ({} nodes); \
-         inherent speedup {:.2}x\n",
-        fmt_units(sched.makespan()),
-        sched.lanes,
-        trace.nodes.len(),
-        if sched.makespan() > 0.0 {
-            total / sched.makespan()
-        } else {
-            1.0
-        },
-    ));
-    out
 }
 
 #[cfg(test)]
@@ -758,31 +452,5 @@ mod tests {
         }
         .label()
         .contains("match"));
-    }
-
-    #[test]
-    fn span_kinds_pair_begin_end() {
-        assert_eq!(
-            EventKind::GroupStart {
-                group: 1,
-                start: 4,
-                end: 8,
-                speculative: true
-            }
-            .phase(),
-            'B'
-        );
-        assert_eq!(EventKind::GroupEnd { group: 1 }.phase(), 'E');
-        assert_eq!(
-            EventKind::GroupStart {
-                group: 1,
-                start: 4,
-                end: 8,
-                speculative: true
-            }
-            .label(),
-            EventKind::GroupEnd { group: 1 }.label(),
-            "begin/end labels must match for Chrome span pairing"
-        );
     }
 }

@@ -1795,78 +1795,4 @@ mod tests {
         assert_eq!(plain.report.validations, observed.report.validations);
         assert!(!sink.is_empty());
     }
-
-    #[test]
-    fn chrome_export_is_wellformed() {
-        use crate::obs::{chrome_trace_json, validate_backward_deps, RecordingSink};
-        let ins = inputs(16);
-        let cfg = SpecConfig {
-            group_size: 4,
-            window: 2,
-            ..SpecConfig::default()
-        };
-        let sink = Arc::new(RecordingSink::new());
-        let r = run_with_sink(&SumAlways, &ins, &AlwaysMatch(0), &cfg, 1, &sink);
-        validate_backward_deps(&r.trace).expect("backward deps");
-        let json = chrome_trace_json(&r.trace, &sink.events());
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        // One complete event per trace node, plus the wall-clock section.
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), r.trace.nodes.len());
-        // Every span that begins ends.
-        let begins = json.matches("\"ph\":\"B\"").count();
-        assert!(begins > 0);
-        assert_eq!(begins, json.matches("\"ph\":\"E\"").count());
-        assert!(json.contains("virtual schedule"));
-        assert!(json.contains("wall clock"));
-        // Balanced braces/brackets (a cheap structural JSON check).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn virtual_schedule_respects_dependences() {
-        use crate::obs::virtual_schedule;
-        let ins = inputs(16);
-        let cfg = SpecConfig {
-            group_size: 4,
-            window: 2,
-            ..SpecConfig::default()
-        };
-        let r = run_protocol(&SumAlways, &ins, &AlwaysMatch(0), &cfg, 1);
-        let sched = virtual_schedule(&r.trace);
-        assert_eq!(sched.slots.len(), r.trace.nodes.len());
-        for (i, node) in r.trace.nodes.iter().enumerate() {
-            let (start, finish, _) = sched.slots[i];
-            assert!(finish >= start);
-            for &d in &node.deps {
-                assert!(
-                    sched.slots[d].1 <= start + 1e-9,
-                    "node {i} starts before dep {d} finishes"
-                );
-            }
-        }
-        // Speculation means the schedule is genuinely parallel: the
-        // makespan is shorter than the serial sum of work.
-        assert!(sched.makespan() < r.trace.total_work());
-        assert!(sched.lanes > 1);
-    }
-
-    #[test]
-    fn render_summary_covers_groups_and_split() {
-        use crate::obs::render_summary;
-        let ins = inputs(16);
-        let cfg = SpecConfig {
-            group_size: 4,
-            window: 2,
-            ..SpecConfig::default()
-        };
-        let r = run_protocol(&SumAlways, &ins, &AlwaysMatch(0), &cfg, 1);
-        let text = render_summary(&r.report, &r.trace);
-        assert!(text.contains("per-group timeline"));
-        assert!(text.contains("non-speculative"));
-        assert!(text.contains("committed"));
-        assert!(text.contains("work split"));
-        assert!(text.contains("critical path"));
-    }
 }

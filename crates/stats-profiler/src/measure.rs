@@ -1,9 +1,6 @@
 //! One profile run: protocol → trace → platform simulation → measurement.
 
-use stats_core::{
-    run_protocol_with_options, ProtocolResult, RunOptions, Session, SpecConfig, SpecReport,
-    TradeoffBindings,
-};
+use stats_core::{run_protocol_with_options, RunOptions, SpecConfig, SpecReport, TradeoffBindings};
 use stats_sim::{simulate, EnergyModel, Platform};
 use stats_workloads::{Instance, Workload, WorkloadSpec};
 
@@ -171,68 +168,29 @@ pub fn measure_traced<W: Workload>(
     (m, json)
 }
 
-/// [`measure`] over a *streamed* workload: the instance's inputs are pushed
-/// through a [`Session`] in `chunk`-sized batches instead of handed to the
-/// protocol as one slice, and the profile pipeline runs over the streamed
-/// outcome's trace.
-///
-/// Because a `Session` is bit-identical to the batch protocol for the same
-/// seed and input order, this measures the same schedule as
-/// [`measure_instance`] — it exists to profile the streaming engine itself
-/// (and is exercised against the batch path in this crate's tests).
-pub fn measure_streamed<W: Workload>(
-    workload: &W,
-    instance: Instance<W::T>,
-    spec: &WorkloadSpec,
-    settings: &RunSettings,
-    chunk: usize,
-) -> FullMeasurement {
-    let session = Session::new(instance.initial, instance.transition, run_options(settings));
-    for batch in instance.inputs.chunks(chunk.max(1)) {
-        session.push_batch(batch.iter().cloned());
-    }
-    profile(workload, spec, settings, session.finish()).0
-}
-
-/// The runtime options a profile run executes under.
-fn run_options(settings: &RunSettings) -> RunOptions {
-    let options = RunOptions::default()
-        .config(settings.spec_config.clone())
-        .seed(settings.run_seed);
-    match settings.segment {
-        Some(segment) => options.segment(segment),
-        None => options,
-    }
-}
-
-/// The batch profile run, keeping the expanded task graph and its schedule
-/// alive for callers that export them.
+/// The profile run, keeping the expanded task graph and its schedule alive
+/// for callers that export them: execute the protocol, expand the executed
+/// trace, schedule it on the simulated platform, integrate energy and score
+/// output quality.
 fn measure_with_schedule<W: Workload>(
     workload: &W,
     instance: &Instance<W::T>,
     spec: &WorkloadSpec,
     settings: &RunSettings,
 ) -> (FullMeasurement, stats_sim::TaskGraph, stats_sim::Schedule) {
+    let mut options = RunOptions::default()
+        .config(settings.spec_config.clone())
+        .seed(settings.run_seed);
+    if let Some(segment) = settings.segment {
+        options = options.segment(segment);
+    }
     let result = run_protocol_with_options(
         &instance.transition,
         &instance.inputs,
         &instance.initial,
-        &run_options(settings),
+        &options,
     );
-    profile(workload, spec, settings, result)
-}
-
-/// The shared tail of every profile run, batch or streamed: expand the
-/// executed trace, schedule it on the simulated platform, integrate energy
-/// and score output quality.
-fn profile<W: Workload>(
-    workload: &W,
-    spec: &WorkloadSpec,
-    settings: &RunSettings,
-    result: ProtocolResult<W::T>,
-) -> (FullMeasurement, stats_sim::TaskGraph, stats_sim::Schedule) {
-    let tlp = workload.original_tlp();
-    let graph = expand_trace(&result.trace, &tlp, settings.t_orig);
+    let graph = expand_trace(&result.trace, &workload.original_tlp(), settings.t_orig);
     let schedule = simulate(&graph, &settings.platform, settings.threads);
     let energy = settings.energy.energy(&schedule, &settings.platform);
     let measurement = FullMeasurement {
@@ -354,39 +312,6 @@ mod tests {
         assert!(json.ends_with("]}"));
         // One complete event per scheduled task, on the simulated threads.
         assert!(json.matches("\"ph\":\"X\"").count() > 24);
-    }
-
-    #[test]
-    fn streamed_measure_matches_batch_measure() {
-        let w = BodyTrack;
-        let settings = RunSettings::for_mode(&w, Mode::ParStats, 8);
-        let batch = measure(&w, &spec(), &settings);
-        for chunk in [1usize, 7, 24] {
-            let streamed = measure_streamed(&w, w.instance(&spec()), &spec(), &settings, chunk);
-            // Streaming is bit-identical to the batch protocol, so the
-            // simulated schedule and every derived metric agree exactly.
-            assert_eq!(streamed.time_s, batch.time_s, "chunk {chunk}");
-            assert_eq!(streamed.energy_j, batch.energy_j, "chunk {chunk}");
-            assert_eq!(streamed.output_error, batch.output_error, "chunk {chunk}");
-            assert_eq!(streamed.report, batch.report, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn streamed_segmented_measure_matches_batch() {
-        let w = FluidAnimate;
-        let s = WorkloadSpec {
-            inputs: 24,
-            ..WorkloadSpec::default()
-        };
-        let settings = RunSettings {
-            segment: Some(8),
-            ..RunSettings::for_mode(&w, Mode::SeqStats, 8)
-        };
-        let batch = measure(&w, &s, &settings);
-        let streamed = measure_streamed(&w, w.instance(&s), &s, &settings, 5);
-        assert_eq!(streamed.time_s, batch.time_s);
-        assert_eq!(streamed.report, batch.report);
     }
 
     #[test]

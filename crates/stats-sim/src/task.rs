@@ -71,6 +71,11 @@ impl TaskGraph {
         id
     }
 
+    /// Replace a task's label.
+    pub fn set_label(&mut self, id: TaskId, label: String) {
+        self.tasks[id.0].label = label;
+    }
+
     /// Number of tasks in the graph.
     pub fn len(&self) -> usize {
         self.tasks.len()

@@ -12,7 +12,7 @@ use std::process::ExitCode;
 
 use stats::autotune::Objective;
 use stats::compiler::{backend, frontend, interp::Value, midend, opt};
-use stats::profiler::{expand_trace, measure, tune, Mode, RunSettings};
+use stats::profiler::{expand_trace, measure, measure_traced, tune, Mode, RunSettings};
 use stats::sim::simulate;
 use stats::workloads::{with_workload, BenchmarkId, Workload, WorkloadSpec};
 
@@ -278,24 +278,14 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     };
     with_workload!(bench, |w| {
         let settings = RunSettings::for_mode(&w, Mode::ParStats, threads);
-        let inst = w.instance(&spec);
-        let result = stats::core::run_protocol(
-            &inst.transition,
-            &inst.inputs,
-            &inst.initial,
-            &settings.spec_config,
-            settings.run_seed,
-        );
-        let graph = expand_trace(&result.trace, &w.original_tlp(), settings.t_orig);
-        let schedule = simulate(&graph, &settings.platform, threads);
-        let json = stats::sim::export::chrome_trace(&graph, &schedule);
+        let (m, json) = measure_traced(&w, &spec, &settings);
         if let Err(e) = std::fs::write(&out, json) {
             eprintln!("trace: cannot write {out}: {e}");
             return ExitCode::FAILURE;
         }
         println!(
-            "wrote {out} ({} tasks); open in chrome://tracing or Perfetto",
-            graph.len()
+            "wrote {out} ({:.4} simulated s); open in chrome://tracing or Perfetto",
+            m.time_s
         );
         ExitCode::SUCCESS
     })

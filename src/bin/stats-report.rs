@@ -1,9 +1,10 @@
 //! `stats-report` — human-readable observability report for one STATS run.
 //!
-//! Runs a benchmark's state dependence once sequentially (recording the
-//! structured event stream and the speculation trace) and once on the
-//! thread pool (recording pool counters), then prints the per-group
-//! timeline, the work-split table, and pool utilization.
+//! Runs a benchmark's state dependence once on the thread pool, recording
+//! the structured event stream, the speculation trace and the pool
+//! counters. It schedules the trace on `--threads` threads of the simulated
+//! platform and prints the per-group timeline and critical path from that
+//! schedule, the work-split table, and pool utilization.
 //!
 //! ```text
 //! stats-report swaptions --inputs 48 --threads 8
@@ -11,10 +12,10 @@
 //! ```
 //!
 //! `--trace FILE` writes the run as Chrome trace-event JSON (loads in
-//! `chrome://tracing` / Perfetto: one lane per virtual-schedule slot plus
-//! wall-clock spans per runtime thread). `--check` validates that every
-//! dependence edge in the recorded trace points backward and exits
-//! non-zero otherwise.
+//! `chrome://tracing` / Perfetto): process 1 is the simulated schedule, one
+//! row per simulated thread; process 2 the run's wall-clock spans, one row
+//! per runtime thread. `--check` validates that every dependence edge in
+//! the recorded trace points backward and exits non-zero otherwise.
 //!
 //! The `replay` subcommand records a production-shaped streaming session
 //! into a portable binary log and re-executes it (`docs/replay.md`):
@@ -31,13 +32,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use stats::autotune::OnlineTuner;
-use stats::core::obs::{chrome_trace_json, render_summary, validate_backward_deps};
+use stats::core::obs::validate_backward_deps;
 use stats::core::replay::{replay, SessionLog, SessionRecorder};
 use stats::core::{
-    run_protocol_with_options, EventSink, FaultPlan, FaultRule, InvocationCtx, RecordingSink,
-    RunOptions, SpecConfig, SpecState, StateDependence, StateTransition, ThreadPool,
-    TradeoffBindings,
+    EventSink, FaultPlan, FaultRule, InvocationCtx, RecordingSink, RunOptions, SpecConfig,
+    SpecState, StateDependence, StateTransition, ThreadPool, TradeoffBindings,
 };
+use stats::profiler::SimulatedRun;
 use stats::workloads::{with_workload, BenchmarkId, Workload, WorkloadSpec};
 
 fn flag(args: &[String], name: &str) -> Option<String> {
@@ -242,31 +243,11 @@ fn main() -> ExitCode {
             eprintln!("warning: {warning}");
         }
 
-        // Sequential observed run: the speculation trace plus the full
-        // structured event stream, for the report and the exporters.
+        // One pooled run, recorded: sinks are passive and the pooled
+        // runtime is bit-identical to the reference, so its trace and
+        // report are the reference's.
         let instance = w.instance(&spec);
         let sink = Arc::new(RecordingSink::new());
-        let result = run_protocol_with_options(
-            &instance.transition,
-            &instance.inputs,
-            &instance.initial,
-            &RunOptions::default()
-                .config(cfg.clone())
-                .seed(seed)
-                .sink(Arc::clone(&sink) as Arc<dyn EventSink>),
-        );
-        let events = sink.take();
-
-        println!(
-            "stats-report: {} ({} inputs, seed {seed})",
-            bench.name(),
-            inputs
-        );
-        println!();
-        print!("{}", render_summary(&result.report, &result.trace));
-
-        // Pooled run of the same dependence: real thread-pool counters.
-        let instance = w.instance(&spec);
         let pool = Arc::new(ThreadPool::new(threads));
         let began = std::time::Instant::now();
         let outcome = StateDependence::new(instance.inputs, instance.initial, instance.transition)
@@ -274,13 +255,25 @@ fn main() -> ExitCode {
                 RunOptions::default()
                     .pool(Arc::clone(&pool))
                     .config(cfg)
-                    .seed(seed),
+                    .seed(seed)
+                    .sink(Arc::clone(&sink) as Arc<dyn EventSink>),
             )
             .run();
         let wall = began.elapsed();
+        let events = sink.take();
+        let run = SimulatedRun::new(&outcome.trace, &w.original_tlp(), threads);
+
+        println!(
+            "stats-report: {} ({} inputs, seed {seed})",
+            bench.name(),
+            inputs
+        );
+        println!();
+        print!("{}", run.render_summary(&outcome.report, &outcome.trace));
+
         let m = pool.metrics();
         println!();
-        println!("thread pool ({threads} workers, pooled re-run):");
+        println!("thread pool ({threads} workers, same run):");
         println!(
             "  jobs executed     {:>8}    peak backlog depth {}",
             m.jobs_executed, m.max_injector_depth
@@ -295,15 +288,9 @@ fn main() -> ExitCode {
             100.0 * m.helped_share(),
             m.helper_busy
         );
-        assert_eq!(
-            outcome.outputs.len(),
-            result.outputs.len(),
-            "pooled run must cover every input"
-        );
 
         if let Some(path) = trace_out {
-            let json = chrome_trace_json(&result.trace, &events);
-            if let Err(e) = std::fs::write(&path, json) {
+            if let Err(e) = std::fs::write(&path, run.chrome_trace(&events)) {
                 eprintln!("--trace {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -313,7 +300,7 @@ fn main() -> ExitCode {
             );
         }
         if check {
-            match validate_backward_deps(&result.trace) {
+            match validate_backward_deps(&outcome.trace) {
                 Ok(()) => println!("check: all dependence edges point backward"),
                 Err(e) => {
                     eprintln!("check failed: {e}");
