@@ -120,13 +120,14 @@ impl ResultsDatabase {
     }
 
     /// Re-rank the stored configurations under a new objective without any
-    /// new profile runs (the objective-change reuse of §3.2).
+    /// new profile runs (the objective-change reuse of §3.2). Ties go to
+    /// the first configuration in sorted order.
     pub fn best_under(
         &self,
         mut objective: impl FnMut(&Measurement) -> f64,
     ) -> Option<(&Configuration, &Measurement)> {
-        self.by_config
-            .iter()
+        self.entries()
+            .into_iter()
             .min_by(|a, b| objective(a.1).total_cmp(&objective(b.1)))
     }
 
@@ -212,6 +213,17 @@ mod tests {
         let (frugal, _) = db.best_under(|m| m.energy_j).unwrap();
         assert_eq!(fast, &vec![1]);
         assert_eq!(frugal, &vec![0]);
+    }
+
+    #[test]
+    fn best_under_breaks_ties_in_sorted_order() {
+        for _ in 0..64 {
+            let mut db = ResultsDatabase::new();
+            for cfg in [[3, 1], [0, 9], [2, 2], [0, 5], [7, 0], [1, 1]] {
+                db.insert(cfg.to_vec(), m(1.0, 2.0));
+            }
+            assert_eq!(db.best_under(|m| m.time_s).unwrap().0, &vec![0, 5]);
+        }
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! Online re-tuning: the bandit portfolio driving a live stream.
+//! Online re-tuning: the paper's tuner driving a live stream.
 //!
 //! The paper's autotuner explores offline, against the profiler; this
 //! module closes the loop *online*. [`OnlineTuner`] implements
-//! `stats-core`'s [`Retuner`] hook: between stream segments it folds the
-//! engine's live commit/abort telemetry into an objective, reports it to
-//! the same [`AucBandit`] portfolio the offline tuner uses, and re-picks
-//! the speculation operating point — group cardinality, auxiliary window,
-//! re-execution budget — for the rest of the stream.
+//! `stats-core`'s [`Retuner`] hook with the same [`Tuner`]: between stream
+//! segments it folds the engine's live commit/abort telemetry into an
+//! objective, tells it to the tuner as the measurement of the operating
+//! point that ran, and asks the tuner for the next one — group
+//! cardinality, auxiliary window, re-execution budget — for the rest of
+//! the stream.
 //!
 //! The exploration is warm-started from, and folded back into, the
 //! [`ResultsDatabase`] (the paper's stored-exploration reuse, §3.2): the
 //! first decision replays the best configuration the database already
-//! knows for this objective; every later decision comes from the bandit
-//! and its measurement is inserted back, so successive runs keep getting
-//! smarter. Re-tuning decisions applied by the engine are recorded in the
-//! session's event stream, so a tuned run replays deterministically
+//! knows for this objective; every later decision comes from the tuner's
+//! portfolio and its measurement is inserted back, so successive runs keep
+//! getting smarter. Re-tuning decisions applied by the engine are recorded
+//! in the session's event stream, so a tuned run replays deterministically
 //! *without* the database (`docs/replay.md`).
 //!
 //! The database stores [`Measurement`]s; online trials map onto them as
@@ -22,15 +23,12 @@
 //! fraction, documented in `docs/tuning.md` — re-ranking under either
 //! works the same way as for offline profiles.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 use stats_core::{Retuner, SegmentStats, TuneDecision};
 
-use crate::bandit::AucBandit;
 use crate::history::{History, Measurement, ResultsDatabase};
 use crate::param::{Configuration, IntegerParameter, SearchSpace};
-use crate::technique::{GreedyMutation, RandomSearch, Technique};
+use crate::technique::{GreedyMutation, RandomSearch};
+use crate::tuner::{Objective, Tuner};
 
 /// How much one aborted segment adds to the objective, on top of the
 /// wasted-work fraction it already causes. Aborts also squash committed
@@ -38,7 +36,7 @@ use crate::technique::{GreedyMutation, RandomSearch, Technique};
 const ABORT_PENALTY: f64 = 2.0;
 
 /// A [`Retuner`] that re-picks the speculation operating point online with
-/// the OpenTuner-style [`AucBandit`] portfolio.
+/// the [`Tuner`] the offline search uses.
 ///
 /// ```
 /// use stats_autotune::OnlineTuner;
@@ -58,38 +56,36 @@ const ABORT_PENALTY: f64 = 2.0;
 ///     window: 2,
 ///     max_reexec: 3,
 /// };
-/// tuner.observe(&stats);
-/// assert!(tuner.decide(1).is_none()); // period not yet elapsed
-/// tuner.observe(&SegmentStats { segment: 1, ..stats });
-/// let decision: TuneDecision = tuner.decide(2).unwrap();
+/// assert!(tuner.decide(&stats).is_none()); // period not yet elapsed
+/// let decision: TuneDecision = tuner.decide(&SegmentStats { segment: 1, ..stats }).unwrap();
 /// assert!(decision.group_size >= 1);
 /// ```
 pub struct OnlineTuner {
-    space: SearchSpace,
+    tuner: Tuner,
     group_sizes: Vec<usize>,
     windows: Vec<usize>,
     budgets: Vec<usize>,
-    bandit: AucBandit,
-    rng: SmallRng,
     every: u64,
-    // Accumulated telemetry since the last decision.
+    period: Period,
+    // The configuration currently being measured; None before the first
+    // decision (the stream runs the caller's configured operating point).
+    current: Option<Configuration>,
+}
+
+/// Telemetry accumulated since the last decision.
+#[derive(Default)]
+struct Period {
     segments: u64,
     aborted: u64,
     committed_original: f64,
     committed_aux: f64,
     squashed: f64,
-    // The configuration currently being measured; None before the first
-    // decision (the stream runs the caller's configured operating point).
-    current: Option<Configuration>,
-    warm_started: bool,
-    db: ResultsDatabase,
-    history: History,
 }
 
 impl OnlineTuner {
     /// A tuner over the default candidate grids (group size 2–32, window
     /// 0–8, re-execution budget 1–4), deciding every 4 segments. The seed
-    /// fixes the bandit's proposal stream, so a given telemetry sequence
+    /// fixes the tuner's proposal stream, so a given telemetry sequence
     /// always produces the same decisions.
     pub fn new(seed: u64) -> Self {
         Self::with_candidates(
@@ -117,38 +113,24 @@ impl OnlineTuner {
             !group_sizes.is_empty() && !windows.is_empty() && !budgets.is_empty(),
             "candidate grids must be non-empty"
         );
+        let grid = |name: &str, len: usize| IntegerParameter::new(name, 0, len as i64 - 1);
         let space = SearchSpace::new()
-            .with(IntegerParameter::new(
-                "group_size",
-                0,
-                group_sizes.len() as i64 - 1,
-            ))
-            .with(IntegerParameter::new("window", 0, windows.len() as i64 - 1))
-            .with(IntegerParameter::new(
-                "max_reexec",
-                0,
-                budgets.len() as i64 - 1,
-            ));
+            .with(grid("group_size", group_sizes.len()))
+            .with(grid("window", windows.len()))
+            .with(grid("max_reexec", budgets.len()));
         OnlineTuner {
-            space,
+            tuner: Tuner::with_portfolio(
+                space,
+                Objective::Time,
+                seed,
+                vec![Box::new(RandomSearch), Box::new(GreedyMutation::default())],
+            ),
             group_sizes,
             windows,
             budgets,
-            bandit: AucBandit::new(vec![
-                Box::new(RandomSearch),
-                Box::new(GreedyMutation::default()),
-            ]),
-            rng: SmallRng::seed_from_u64(seed),
             every: 4,
-            segments: 0,
-            aborted: 0,
-            committed_original: 0.0,
-            committed_aux: 0.0,
-            squashed: 0.0,
+            period: Period::default(),
             current: None,
-            warm_started: false,
-            db: ResultsDatabase::new(),
-            history: History::new(),
         }
     }
 
@@ -159,107 +141,76 @@ impl OnlineTuner {
     }
 
     /// Warm-start from a previously saved exploration: the first decision
-    /// replays the database's best configuration under the online
-    /// objective (iterated in deterministic sorted order) instead of
-    /// sampling blind; its measurements keep accumulating into the same
+    /// replays the database's best in-space configuration under the online
+    /// objective (`time_s`; ties go to the first in sorted order) instead
+    /// of sampling blind; its measurements keep accumulating into the same
     /// database.
     pub fn warm_start(mut self, db: ResultsDatabase) -> Self {
-        self.db = db;
+        let best = db
+            .entries()
+            .into_iter()
+            .filter(|(cfg, _)| self.tuner.space().contains(cfg))
+            .min_by(|a, b| a.1.time_s.total_cmp(&b.1.time_s))
+            .map(|(cfg, _)| cfg.clone());
+        self.tuner = self
+            .tuner
+            .with_seed_configs(best.into_iter().collect())
+            .with_database(db);
         self
     }
 
     /// The exploration accumulated so far (warm-start entries included) —
     /// persist it with [`ResultsDatabase::save`] to seed the next run.
     pub fn database(&self) -> &ResultsDatabase {
-        &self.db
+        &self.tuner.database
     }
 
     /// Online trials in decision order (objective and abort fraction per
     /// measured operating point).
     pub fn history(&self) -> &History {
-        &self.history
+        &self.tuner.history
     }
+}
 
-    /// The wasted-work objective (lower is better): speculative overhead —
-    /// auxiliary and squashed work — as a fraction of committed original
-    /// work, plus [`ABORT_PENALTY`] per aborted-segment fraction.
-    fn objective(&self) -> f64 {
+impl Period {
+    /// The measurement of the operating point that ran this period:
+    /// `time_s` is the wasted-work objective (lower is better) —
+    /// speculative overhead, auxiliary and squashed work, as a fraction of
+    /// committed original work, plus [`ABORT_PENALTY`] per aborted-segment
+    /// fraction — and `energy_j` the abort fraction.
+    fn measurement(&self) -> Measurement {
         let wasted = (self.committed_aux + self.squashed) / self.committed_original.max(1e-9);
         let abort_fraction = self.aborted as f64 / self.segments.max(1) as f64;
-        wasted + ABORT_PENALTY * abort_fraction
-    }
-
-    fn decision_for(&self, cfg: &Configuration) -> TuneDecision {
-        TuneDecision {
-            group_size: self.group_sizes[cfg[0] as usize],
-            window: self.windows[cfg[1] as usize],
-            max_reexec: self.budgets[cfg[2] as usize],
+        Measurement {
+            time_s: wasted + ABORT_PENALTY * abort_fraction,
+            energy_j: abort_fraction,
         }
-    }
-
-    /// The database's best known configuration under the online objective,
-    /// scanned in deterministic (sorted-configuration) order and ignoring
-    /// entries outside this tuner's space.
-    fn warm_start_pick(&self) -> Option<Configuration> {
-        let mut best: Option<(&Configuration, f64)> = None;
-        for (cfg, m) in self.db.entries() {
-            if !self.space.contains(cfg) {
-                continue;
-            }
-            let objective = m.time_s + ABORT_PENALTY * m.energy_j;
-            if best.is_none_or(|(_, b)| objective < b) {
-                best = Some((cfg, objective));
-            }
-        }
-        best.map(|(cfg, _)| cfg.clone())
     }
 }
 
 impl Retuner for OnlineTuner {
-    fn observe(&mut self, stats: &SegmentStats) {
-        self.segments += 1;
-        self.aborted += u64::from(stats.aborted);
-        self.committed_original += stats.committed_original_work;
-        self.committed_aux += stats.committed_aux_work;
-        self.squashed += stats.squashed_work;
-    }
-
-    fn decide(&mut self, _next_segment: u64) -> Option<TuneDecision> {
-        if self.segments < self.every {
+    fn decide(&mut self, done: &SegmentStats) -> Option<TuneDecision> {
+        let period = &mut self.period;
+        period.segments += 1;
+        period.aborted += u64::from(done.aborted);
+        period.committed_original += done.committed_original_work;
+        period.committed_aux += done.committed_aux_work;
+        period.squashed += done.squashed_work;
+        if period.segments < self.every {
             return None;
         }
-        // Close out the configuration the elapsed period measured.
-        let objective = self.objective();
-        let abort_fraction = self.aborted as f64 / self.segments.max(1) as f64;
+        // Close out the configuration the elapsed period measured, then
+        // ask for the next operating point.
+        let m = std::mem::take(period).measurement();
         if let Some(cfg) = self.current.take() {
-            let m = Measurement {
-                time_s: objective,
-                energy_j: abort_fraction,
-            };
-            self.db.insert(cfg.clone(), m.clone());
-            self.history.record(cfg.clone(), m, objective);
-            // Safe for warm-start picks too: the bandit has nothing
-            // pending then, so only its member techniques learn.
-            self.bandit.report(&cfg, objective);
+            self.tuner.tell(cfg, m);
         }
-        self.segments = 0;
-        self.aborted = 0;
-        self.committed_original = 0.0;
-        self.committed_aux = 0.0;
-        self.squashed = 0.0;
-
-        // Pick the next operating point: replay stored knowledge first,
-        // then let the portfolio explore.
-        let cfg = if !self.warm_started {
-            self.warm_started = true;
-            match self.warm_start_pick() {
-                Some(cfg) => cfg,
-                None => self.bandit.propose(&self.space, &mut self.rng),
-            }
-        } else {
-            self.bandit.propose(&self.space, &mut self.rng)
+        let cfg = self.tuner.ask(1).pop().expect("ask(1) proposes one");
+        let decision = TuneDecision {
+            group_size: self.group_sizes[cfg[0] as usize],
+            window: self.windows[cfg[1] as usize],
+            max_reexec: self.budgets[cfg[2] as usize],
         };
-        let decision = self.decision_for(&cfg);
         self.current = Some(cfg);
         Some(decision)
     }
@@ -288,8 +239,7 @@ mod tests {
     fn drive(tuner: &mut OnlineTuner, rounds: u64) -> Vec<TuneDecision> {
         let mut decisions = Vec::new();
         for seg in 0..rounds {
-            tuner.observe(&stats(seg, seg % 3 == 2));
-            if let Some(d) = tuner.decide(seg + 1) {
+            if let Some(d) = tuner.decide(&stats(seg, seg % 3 == 2)) {
                 decisions.push(d);
             }
         }
@@ -345,8 +295,7 @@ mod tests {
             },
         );
         let mut tuner = OnlineTuner::new(1).every(1).warm_start(db);
-        tuner.observe(&stats(0, false));
-        let first = tuner.decide(1).unwrap();
+        let first = tuner.decide(&stats(0, false)).unwrap();
         assert_eq!(
             first,
             TuneDecision {
@@ -356,10 +305,86 @@ mod tests {
             }
         );
         // The measurement of the warm-start period folds back in.
-        tuner.observe(&stats(1, false));
-        tuner.decide(2).unwrap();
+        tuner.decide(&stats(1, false)).unwrap();
         assert!(tuner.database().get(&vec![2, 3, 3]).is_some());
         assert_eq!(tuner.history().len(), 1);
+    }
+
+    #[test]
+    fn warm_start_ranks_by_the_search_objective() {
+        // `time_s` already carries the abort penalty, so [0, 0, 0] (1.0) is
+        // better than [1, 1, 1] (1.5) whatever the abort fraction says.
+        let mut db = ResultsDatabase::new();
+        db.insert(
+            vec![0, 0, 0],
+            Measurement {
+                time_s: 1.0,
+                energy_j: 0.4,
+            },
+        );
+        db.insert(
+            vec![1, 1, 1],
+            Measurement {
+                time_s: 1.5,
+                energy_j: 0.0,
+            },
+        );
+        let mut tuner = OnlineTuner::new(1).every(1).warm_start(db);
+        assert_eq!(
+            tuner.decide(&stats(0, false)),
+            Some(TuneDecision {
+                group_size: 2,
+                window: 0,
+                max_reexec: 1
+            })
+        );
+    }
+
+    /// Decisions of `OnlineTuner::new(7).every(2)` over a fixed telemetry
+    /// sequence, as (finished segment, group size, window, budget). Any
+    /// change to the proposal stream, the objective or the ask/tell order
+    /// shows here.
+    #[test]
+    fn decisions_match_the_recorded_sequence() {
+        let telemetry = |segment: u64| {
+            let aborted = segment % 5 == 3;
+            SegmentStats {
+                reexecutions: (segment % 3) as usize,
+                committed_original_work: 40.0 + (segment % 7) as f64 * 4.0,
+                committed_aux_work: if aborted {
+                    0.0
+                } else {
+                    (segment % 4) as f64 * 1.5
+                },
+                squashed_work: if aborted { 24.0 } else { 0.0 },
+                ..stats(segment, aborted)
+            }
+        };
+        let mut tuner = OnlineTuner::new(7).every(2);
+        let decisions: Vec<_> = (0..24)
+            .filter_map(|seg| {
+                let d = tuner.decide(&telemetry(seg))?;
+                Some((seg, d.group_size, d.window, d.max_reexec))
+            })
+            .collect();
+        assert_eq!(
+            decisions,
+            [
+                (1, 2, 0, 3),
+                (3, 2, 2, 3),
+                (5, 16, 1, 4),
+                (7, 4, 2, 3),
+                (9, 2, 2, 3),
+                (11, 8, 0, 1),
+                (13, 4, 2, 3),
+                (15, 16, 4, 2),
+                (17, 2, 2, 2),
+                (19, 32, 0, 1),
+                (21, 2, 2, 3),
+                (23, 4, 8, 1),
+            ]
+        );
+        assert_eq!(tuner.history().len(), 11);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct GenerationTelemetry {
 }
 
 /// A boxed per-generation observer (see [`Tuner::with_telemetry`]).
-pub type TelemetryObserver = Box<dyn FnMut(&GenerationTelemetry)>;
+pub type TelemetryObserver = Box<dyn FnMut(&GenerationTelemetry) + Send>;
 
 /// The result of a tuning run.
 #[derive(Debug, Clone)]
@@ -63,14 +63,19 @@ pub struct TuningOutcome {
 
 /// Drives the search: asks the technique portfolio for configurations,
 /// measures them (through a user-supplied profiler function), and keeps the
-/// results database.
+/// results database and the trial history. The online re-tuner
+/// (`OnlineTuner`) drives the same ask/tell loop, one configuration per
+/// decision.
 pub struct Tuner {
     space: SearchSpace,
     objective: Objective,
     bandit: AucBandit,
     rng: SmallRng,
-    database: ResultsDatabase,
-    seed_configs: Vec<Configuration>,
+    /// Every measurement told so far, warm-start entries included.
+    pub(crate) database: ResultsDatabase,
+    /// Every trial told so far, in proposal order.
+    pub(crate) history: History,
+    seed_configs: std::vec::IntoIter<Configuration>,
     telemetry: Option<TelemetryObserver>,
 }
 
@@ -82,20 +87,36 @@ impl Tuner {
     /// exploration; different searches for the same program may find
     /// different best configurations" — different `seed`s reproduce that.
     pub fn new(space: SearchSpace, objective: Objective, seed: u64) -> Self {
-        let bandit = AucBandit::new(vec![
-            Box::new(RandomSearch),
-            Box::new(GreedyMutation::default()),
-            Box::new(GeneticAlgorithm::default()),
-            Box::new(DifferentialEvolution::default()),
-            Box::new(PatternSearch::default()),
-        ]);
+        Self::with_portfolio(
+            space,
+            objective,
+            seed,
+            vec![
+                Box::new(RandomSearch),
+                Box::new(GreedyMutation::default()),
+                Box::new(GeneticAlgorithm::default()),
+                Box::new(DifferentialEvolution::default()),
+                Box::new(PatternSearch::default()),
+            ],
+        )
+    }
+
+    /// A tuner whose bandit drives `techniques` instead of the default
+    /// portfolio.
+    pub(crate) fn with_portfolio(
+        space: SearchSpace,
+        objective: Objective,
+        seed: u64,
+        techniques: Vec<Box<dyn Technique>>,
+    ) -> Self {
         Tuner {
             space,
             objective,
-            bandit,
+            bandit: AucBandit::new(techniques),
             rng: SmallRng::seed_from_u64(seed),
             database: ResultsDatabase::new(),
-            seed_configs: Vec::new(),
+            history: History::new(),
+            seed_configs: Vec::new().into_iter(),
             telemetry: None,
         }
     }
@@ -105,7 +126,7 @@ impl Tuner {
     /// configuration. Guarantees the result is never worse than the best
     /// seed.
     pub fn with_seed_configs(mut self, seeds: Vec<Configuration>) -> Self {
-        self.seed_configs = seeds;
+        self.seed_configs = seeds.into_iter();
         self
     }
 
@@ -120,7 +141,10 @@ impl Tuner {
     /// generation's results are reported) with a [`GenerationTelemetry`]
     /// snapshot. Purely observational: the search trajectory is identical
     /// with or without an observer, under both runners.
-    pub fn with_telemetry(mut self, observer: impl FnMut(&GenerationTelemetry) + 'static) -> Self {
+    pub fn with_telemetry(
+        mut self,
+        observer: impl FnMut(&GenerationTelemetry) + Send + 'static,
+    ) -> Self {
         self.telemetry = Some(Box::new(observer));
         self
     }
@@ -128,6 +152,34 @@ impl Tuner {
     /// The search space.
     pub fn space(&self) -> &SearchSpace {
         &self.space
+    }
+
+    /// Ask: the next `n` configurations to measure — seed configurations
+    /// first, then one batch from the technique portfolio, each repaired
+    /// into the space. Nothing is reported in between.
+    pub(crate) fn ask(&mut self, n: usize) -> Vec<Configuration> {
+        let seeds: Vec<_> = self.seed_configs.by_ref().take(n).collect();
+        let batch = self
+            .bandit
+            .propose_batch(&self.space, &mut self.rng, n - seeds.len());
+        seeds
+            .iter()
+            .chain(&batch)
+            .map(|cfg| self.space.repair(cfg))
+            .collect()
+    }
+
+    /// Tell: the measurement `m` of an asked configuration goes to the
+    /// database, the portfolio and the history. Results must be told in
+    /// proposal order.
+    pub(crate) fn tell(&mut self, cfg: Configuration, m: Measurement) {
+        let o = self.objective.of(&m);
+        self.bandit.report(&cfg, o);
+        // A trial the database answered is stored already.
+        if self.database.get(&cfg) != Some(&m) {
+            self.database.insert(cfg.clone(), m.clone());
+        }
+        self.history.record(cfg, m, o);
     }
 
     /// Size of one ask/tell generation: how many configurations are
@@ -154,7 +206,7 @@ impl Tuner {
         budget: usize,
         mut profile: impl FnMut(&Configuration) -> Measurement,
     ) -> (TuningOutcome, ResultsDatabase) {
-        self.run_generations(budget, |todo| todo.iter().map(&mut profile).collect())
+        self.run_generations(budget, |todo| todo.iter().map(|c| profile(c)).collect())
     }
 
     /// [`Tuner::run`] with each generation's profile runs spread over
@@ -173,83 +225,60 @@ impl Tuner {
         let workers = workers.max(1);
         self.run_generations(budget, |todo| {
             if workers == 1 || todo.len() <= 1 {
-                todo.iter().map(&profile).collect()
+                todo.iter().map(|c| profile(c)).collect()
             } else {
                 profile_concurrently(todo, workers, &profile)
             }
         })
     }
 
-    /// The generational ask/tell loop shared by the serial and parallel
-    /// runners. `evaluate` receives the deduplicated, not-yet-measured
-    /// configurations of one generation (in first-proposal order) and must
-    /// return one measurement per configuration, in the same order.
+    /// The generational loop shared by the serial and parallel runners:
+    /// ask for a generation, measure it, tell it. `evaluate` receives the
+    /// deduplicated, not-yet-measured configurations of one generation (in
+    /// first-proposal order) and must return one measurement per
+    /// configuration, in the same order.
     fn run_generations(
         mut self,
         budget: usize,
-        mut evaluate: impl FnMut(&[Configuration]) -> Vec<Measurement>,
+        mut evaluate: impl FnMut(&[&Configuration]) -> Vec<Measurement>,
     ) -> (TuningOutcome, ResultsDatabase) {
         assert!(budget > 0, "budget must be at least one trial");
-        let mut history = History::new();
-        let mut seeds = std::mem::take(&mut self.seed_configs).into_iter();
         let mut telemetry = self.telemetry.take();
-        let mut generation = 0usize;
-        let mut remaining = budget;
-        while remaining > 0 {
-            let gen_size = remaining.min(Self::GENERATION);
-            remaining -= gen_size;
-
-            // Ask: seed configurations first, then one batch from the
-            // technique portfolio — no results reported in between.
-            let mut cfgs: Vec<Configuration> = Vec::with_capacity(gen_size);
-            while cfgs.len() < gen_size {
-                match seeds.next() {
-                    Some(seed) => cfgs.push(self.space.repair(&seed)),
-                    None => break,
-                }
-            }
-            let need = gen_size - cfgs.len();
-            if need > 0 {
-                for cfg in self.bandit.propose_batch(&self.space, &mut self.rng, need) {
-                    cfgs.push(self.space.repair(&cfg));
-                }
-            }
+        for generation in 0..budget.div_ceil(Self::GENERATION) {
+            let gen_size = (budget - generation * Self::GENERATION).min(Self::GENERATION);
+            let cfgs = self.ask(gen_size);
 
             // Evaluate: only configurations the database cannot answer,
-            // each at most once per generation (hash-set dedup; the old
-            // `todo.contains` scan was quadratic in the generation size).
-            let mut seen: std::collections::HashSet<&Configuration> =
-                std::collections::HashSet::with_capacity(cfgs.len());
-            let mut todo: Vec<Configuration> = Vec::new();
-            for cfg in &cfgs {
-                if self.database.get(cfg).is_none() && seen.insert(cfg) {
-                    todo.push(cfg.clone());
-                }
-            }
-            drop(seen);
+            // each at most once per generation.
+            let mut seen = std::collections::HashSet::with_capacity(cfgs.len());
+            let todo: Vec<&Configuration> = cfgs
+                .iter()
+                .filter(|cfg| self.database.get(cfg).is_none() && seen.insert(*cfg))
+                .collect();
             let measurements = evaluate(&todo);
             assert_eq!(
                 measurements.len(),
                 todo.len(),
                 "evaluate must return one measurement per configuration"
             );
-            let measured = todo.len();
-            for (cfg, m) in todo.into_iter().zip(measurements) {
-                self.database.insert(cfg, m);
-            }
+            let evaluated = measurements.len();
 
-            // Tell: report results in proposal order, making the history
-            // independent of evaluation order (and hence worker count).
-            let evaluated = measured;
+            // Tell in proposal order, making the history independent of
+            // evaluation order (and hence worker count). A configuration's
+            // first miss takes its fresh measurement; the database answers
+            // every other trial.
+            let mut fresh = measurements.into_iter();
             for cfg in cfgs {
-                let m = self.database.get(&cfg).expect("inserted above").clone();
-                let o = self.objective.of(&m);
-                self.bandit.report(&cfg, o);
-                history.record(cfg, m, o);
+                let m = match self.database.get(&cfg) {
+                    Some(m) => m.clone(),
+                    None => fresh.next().expect("one measurement per miss"),
+                };
+                self.tell(cfg, m);
             }
 
             if let Some(observe) = telemetry.as_mut() {
-                let (_, _, best_objective) = history.best().expect("generation recorded trials");
+                let (_, _, best_objective) =
+                    self.history.best().expect("generation recorded trials");
                 observe(&GenerationTelemetry {
                     generation,
                     trials: gen_size,
@@ -258,13 +287,15 @@ impl Tuner {
                     best_objective,
                 });
             }
-            generation += 1;
         }
-        let (best, best_m, _) = history.best().expect("budget must be at least one trial");
+        let (best, best_measurement) = match self.history.best() {
+            Some((cfg, m, _)) => (cfg.clone(), m.clone()),
+            None => unreachable!("budget must be at least one trial"),
+        };
         let outcome = TuningOutcome {
-            best: best.clone(),
-            best_measurement: best_m.clone(),
-            history,
+            best,
+            best_measurement,
+            history: self.history,
         };
         (outcome, self.database)
     }
@@ -273,7 +304,7 @@ impl Tuner {
 /// Profile `todo` with `workers` scoped threads pulling indices from a
 /// shared cursor, then reassemble the measurements by index.
 fn profile_concurrently(
-    todo: &[Configuration],
+    todo: &[&Configuration],
     workers: usize,
     profile: &(impl Fn(&Configuration) -> Measurement + Sync),
 ) -> Vec<Measurement> {
@@ -298,7 +329,7 @@ fn profile_concurrently(
                         if i >= todo.len() {
                             break;
                         }
-                        local.push((i, profile(&todo[i])));
+                        local.push((i, profile(todo[i])));
                     }
                     local
                 })
@@ -449,14 +480,13 @@ mod tests {
 
     #[test]
     fn telemetry_reports_every_generation() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let seen: Rc<RefCell<Vec<GenerationTelemetry>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&seen);
+        use std::sync::{Arc, Mutex};
+        let seen: Arc<Mutex<Vec<GenerationTelemetry>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
         let tuner = Tuner::new(space(), Objective::Time, 7)
-            .with_telemetry(move |t| sink.borrow_mut().push(t.clone()));
+            .with_telemetry(move |t| sink.lock().unwrap().push(t.clone()));
         let (outcome, _) = tuner.run(50, measure);
-        let seen = seen.borrow();
+        let seen = seen.lock().unwrap();
 
         // 50 trials in generations of 8: six full generations plus one of 2.
         assert_eq!(seen.len(), 50usize.div_ceil(Tuner::GENERATION));
@@ -486,18 +516,17 @@ mod tests {
 
     #[test]
     fn telemetry_counts_database_hits_as_cached() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use std::sync::{Arc, Mutex};
         // Pre-measure everything, then re-tune on the warm database: every
         // trial answered by the database must show up as cached.
         let (_, db) = Tuner::new(space(), Objective::Time, 9).run(64, measure);
-        let seen: Rc<RefCell<Vec<GenerationTelemetry>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&seen);
+        let seen: Arc<Mutex<Vec<GenerationTelemetry>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
         let tuner = Tuner::new(space(), Objective::Time, 9)
             .with_database(db)
-            .with_telemetry(move |t| sink.borrow_mut().push(t.clone()));
+            .with_telemetry(move |t| sink.lock().unwrap().push(t.clone()));
         let (_, _) = tuner.run(64, measure);
-        let seen = seen.borrow();
+        let seen = seen.lock().unwrap();
         let cached: usize = seen.iter().map(|t| t.cached).sum();
         assert_eq!(cached, 64, "warm database answers every repeated trial");
     }

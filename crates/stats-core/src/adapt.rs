@@ -20,11 +20,11 @@
 //! draws the state machine.
 //!
 //! A third piece, the [`Retuner`] trait, is the hook for *online
-//! re-tuning*: between segments an installed retuner observes the same
+//! re-tuning*: after each segment an installed retuner is handed the same
 //! per-segment telemetry and may re-pick the execution-model operating
 //! point (group cardinality, auxiliary window, re-execution budget) for
 //! the rest of the run. `stats-autotune`'s `OnlineTuner` implements it
-//! with the bandit portfolio, warm-started from the cross-run
+//! with the offline `Tuner`, warm-started from the cross-run
 //! `ResultsDatabase`. `SegmentControl` composes the controller and the
 //! retuner, once, for every linear run — batch or streamed
 //! (`docs/tuning.md`).
@@ -271,8 +271,9 @@ impl AdaptiveController {
     }
 }
 
-/// Telemetry for one finished segment of a linear run, batch or streamed,
-/// handed to an installed [`Retuner`] before the next segment starts.
+/// Telemetry for one finished segment of a linear run, batch or streamed:
+/// the one argument of [`Retuner::decide`], called before the next segment
+/// starts.
 ///
 /// Every field is a deterministic function of `(inputs, seed, fault plan,
 /// configuration)` — no clocks — so a retuner driven only by these values
@@ -304,8 +305,8 @@ pub struct SegmentStats {
     pub max_reexec: usize,
 }
 
-/// A re-picked execution-model operating point, applied from the named
-/// segment onward (see [`Retuner::decide`]).
+/// A re-picked execution-model operating point, applied from the segment
+/// after the one [`Retuner::decide`] was handed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuneDecision {
     /// New speculation group cardinality (clamped to `>= 1` on apply).
@@ -319,13 +320,12 @@ pub struct TuneDecision {
 /// Online re-tuning hook, installed via
 /// [`RunOptions::retune`](crate::RunOptions::retune).
 ///
-/// Every linear run, batch or streamed, calls
-/// [`observe`](Retuner::observe) once per finished segment and then
-/// [`decide`](Retuner::decide) for the next segment; a `Some` decision
-/// rewrites the base configuration's group cardinality, auxiliary window,
-/// and re-execution budget for the rest of the run (the degradation
-/// ladder, when also enabled, restarts from the new base — see
-/// `docs/tuning.md`). Each applied decision is emitted as
+/// Every linear run, batch or streamed, calls [`decide`](Retuner::decide)
+/// once per finished segment; a `Some` decision rewrites the base
+/// configuration's group cardinality, auxiliary window, and re-execution
+/// budget from segment `done.segment + 1` on (the degradation ladder, when
+/// also enabled, restarts from the new base — see `docs/tuning.md`). Each
+/// applied decision is emitted as
 /// [`EventKind::Retune`](crate::EventKind::Retune), which is what makes
 /// tuned runs replayable without the tuner (`docs/replay.md`).
 ///
@@ -334,12 +334,10 @@ pub struct TuneDecision {
 /// at construction (e.g. a warm-start database snapshot), but not on clocks
 /// or ambient randomness.
 pub trait Retuner: Send {
-    /// Digest the telemetry of one finished segment.
-    fn observe(&mut self, stats: &SegmentStats);
-
-    /// Re-pick the operating point for `next_segment` (the zero-based index
-    /// of the segment about to run), or `None` to keep the current one.
-    fn decide(&mut self, next_segment: u64) -> Option<TuneDecision>;
+    /// Digest the telemetry of the finished segment `done`, and re-pick the
+    /// operating point for the segments after it, or return `None` to keep
+    /// the current one.
+    fn decide(&mut self, done: &SegmentStats) -> Option<TuneDecision>;
 }
 
 /// The operating point of each segment of one linear run, and the one
@@ -426,13 +424,9 @@ impl<'a> SegmentControl<'a> {
             window: seg.config.window,
             max_reexec: seg.config.max_reexec,
         };
-        let next = index + 1;
-        let decision = {
-            let mut retuner = retuner.lock();
-            retuner.observe(&stats);
-            retuner.decide(next)
+        let Some(d) = retuner.lock().decide(&stats) else {
+            return;
         };
-        let Some(d) = decision else { return };
         let base = SpecConfig {
             group_size: d.group_size.max(1),
             window: d.window,
@@ -445,7 +439,7 @@ impl<'a> SegmentControl<'a> {
             *ladder = AdaptiveController::new(*policy, &base);
         }
         seg.emit(EventKind::Retune {
-            segment: next,
+            segment: index + 1,
             group_size: base.group_size,
             window: base.window,
             max_reexec: base.max_reexec,

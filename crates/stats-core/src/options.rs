@@ -81,12 +81,13 @@ pub struct RunOptions {
     /// the configured [`SpecConfig`] fixed for the whole run.
     pub adapt: Option<AdaptPolicy>,
     /// Online re-tuning hook for every linear run, batch or streamed:
-    /// between segments the retuner observes per-segment telemetry and may
-    /// re-pick group cardinality, auxiliary window, and re-execution budget
-    /// for the rest of the run (`docs/tuning.md`). `None` (the default)
-    /// keeps the configured operating point. Shared behind a mutex so the
-    /// caller can keep a handle (e.g. to persist a results database after
-    /// the run); only the run's coordinator locks it, once per segment.
+    /// after each segment the run hands its [`SegmentStats`](crate::SegmentStats)
+    /// to [`Retuner::decide`], which may re-pick group cardinality,
+    /// auxiliary window, and re-execution budget for the rest of the run
+    /// (`docs/tuning.md`). `None` (the default) keeps the configured
+    /// operating point. Shared behind a mutex so the caller can keep a
+    /// handle (e.g. to persist a results database after the run); only the
+    /// run's coordinator locks it, once per segment.
     pub retune: Option<Arc<Mutex<dyn Retuner>>>,
     /// Retry-with-backoff budget for speculative groups whose job lost its
     /// worker ([`FaultKind::WorkerPanic`](crate::FaultKind::WorkerPanic)),

@@ -821,10 +821,8 @@ struct ReplayRetuner {
 }
 
 impl Retuner for ReplayRetuner {
-    fn observe(&mut self, _stats: &SegmentStats) {}
-
-    fn decide(&mut self, next_segment: u64) -> Option<TuneDecision> {
-        self.decisions.get(&next_segment).copied()
+    fn decide(&mut self, done: &SegmentStats) -> Option<TuneDecision> {
+        self.decisions.get(&(done.segment + 1)).copied()
     }
 }
 

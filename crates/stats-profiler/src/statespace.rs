@@ -101,45 +101,57 @@ pub struct TuneResult {
     pub database: ResultsDatabase,
 }
 
-/// Profile one configuration against a pre-materialized instance.
-fn profile_config<W: Workload>(
-    workload: &W,
-    instance: &Instance<W::T>,
-    spec: &WorkloadSpec,
-    threads: usize,
-    base: &RunSettings,
-    cfg: &Configuration,
-) -> Measurement {
-    let decoded = decode(workload, cfg);
-    let settings = RunSettings {
-        threads: decoded.alloc.clamp(1, threads),
-        t_orig: decoded.t_orig,
-        spec_config: decoded.spec_config,
-        ..base.clone()
-    };
-    let m = measure_instance(workload, instance, spec, &settings);
-    Measurement {
-        time_s: m.time_s,
-        energy_j: m.energy_j,
-    }
-}
-
-/// Measure the tuner's winning configuration in full.
-fn measure_best<W: Workload>(
-    workload: &W,
-    instance: &Instance<W::T>,
-    spec: &WorkloadSpec,
+/// One search's profiling context: the workload, its instance
+/// materialized once, and the base settings every configuration overrides.
+struct Search<'a, W: Workload> {
+    workload: &'a W,
+    instance: Instance<W::T>,
+    spec: &'a WorkloadSpec,
     threads: usize,
     base: RunSettings,
-    best: &DecodedConfig,
-) -> FullMeasurement {
-    let settings = RunSettings {
-        threads: best.alloc.clamp(1, threads),
-        t_orig: best.t_orig,
-        spec_config: best.spec_config.clone(),
-        ..base
-    };
-    measure_instance(workload, instance, spec, &settings)
+}
+
+impl<'a, W: Workload> Search<'a, W> {
+    fn new(workload: &'a W, spec: &'a WorkloadSpec, threads: usize) -> Self {
+        Search {
+            workload,
+            instance: workload.instance(spec),
+            spec,
+            threads,
+            base: RunSettings::for_mode(workload, crate::Mode::ParStats, threads),
+        }
+    }
+
+    /// Profile one decoded configuration in full.
+    fn measure(&self, decoded: DecodedConfig) -> FullMeasurement {
+        let settings = RunSettings {
+            threads: decoded.alloc.clamp(1, self.threads),
+            t_orig: decoded.t_orig,
+            spec_config: decoded.spec_config,
+            ..self.base.clone()
+        };
+        measure_instance(self.workload, &self.instance, self.spec, &settings)
+    }
+
+    /// Profile one configuration: the tuner's measurement.
+    fn profile(&self, cfg: &Configuration) -> Measurement {
+        let m = self.measure(decode(self.workload, cfg));
+        Measurement {
+            time_s: m.time_s,
+            energy_j: m.energy_j,
+        }
+    }
+
+    /// Decode the search's winner and measure it in full.
+    fn finish(&self, (outcome, database): (TuningOutcome, ResultsDatabase)) -> TuneResult {
+        let best = decode(self.workload, &outcome.best);
+        TuneResult {
+            best_measurement: self.measure(best.clone()),
+            outcome,
+            best,
+            database,
+        }
+    }
 }
 
 /// Autotune `workload` on the given training `spec` with `threads` hardware
@@ -189,19 +201,9 @@ pub fn retune<W: Workload>(
                 .map(|(c, _, _)| c.clone())
                 .collect(),
         );
-    let base_settings = RunSettings::for_mode(workload, crate::Mode::ParStats, threads);
-    let instance = workload.instance(spec);
-    let (outcome, database) = tuner.run(budget.max(prior.outcome.history.len()), |cfg| {
-        profile_config(workload, &instance, spec, threads, &base_settings, cfg)
-    });
-    let best = decode(workload, &outcome.best);
-    let best_measurement = measure_best(workload, &instance, spec, threads, base_settings, &best);
-    TuneResult {
-        outcome,
-        best,
-        best_measurement,
-        database,
-    }
+    let search = Search::new(workload, spec, threads);
+    let budget = budget.max(prior.outcome.history.len());
+    search.finish(tuner.run(budget, |cfg| search.profile(cfg)))
 }
 
 /// [`tune`] with the profile runs fanned out over `workers` threads.
@@ -221,31 +223,20 @@ pub fn tune_parallel<W: Workload + Sync>(
     search_seed: u64,
     workers: usize,
 ) -> TuneResult {
-    let (tuner, base_settings) =
-        seeded_tuner(workload, threads, objective, search_seed, usize::MAX);
-    let instance = workload.instance(spec);
-    let (outcome, database) = tuner.run_parallel(budget, workers, |cfg| {
-        profile_config(workload, &instance, spec, threads, &base_settings, cfg)
-    });
-    let best = decode(workload, &outcome.best);
-    let best_measurement = measure_best(workload, &instance, spec, threads, base_settings, &best);
-    TuneResult {
-        outcome,
-        best,
-        best_measurement,
-        database,
-    }
+    let tuner = seeded_tuner(workload, threads, objective, search_seed, usize::MAX);
+    let search = Search::new(workload, spec, threads);
+    search.finish(tuner.run_parallel(budget, workers, |cfg| search.profile(cfg)))
 }
 
-/// A tuner seeded with the four baseline configurations, plus the base run
-/// settings — the shared setup of [`tune_with_prefix`] and [`tune_parallel`].
+/// A tuner seeded with the four baseline configurations — the shared setup
+/// of [`tune_with_prefix`] and [`tune_parallel`].
 fn seeded_tuner<W: Workload>(
     workload: &W,
     threads: usize,
     objective: Objective,
     search_seed: u64,
     tradeoff_prefix: usize,
-) -> (Tuner, RunSettings) {
+) -> Tuner {
     let space = search_space(workload, threads, tradeoff_prefix);
     let t = threads.max(1) as i64;
     let n_tradeoffs = workload.tradeoffs().len();
@@ -268,14 +259,12 @@ fn seeded_tuner<W: Workload>(
     let mut original_half = vec![0, 2, 2, 2, 2, (t / 2).max(1), (t / 2).max(1)];
     original_half.extend(defaults);
     debug_assert_eq!(original_seed.len(), 7 + n_tradeoffs);
-    let tuner = Tuner::new(space, objective, search_seed).with_seed_configs(vec![
+    Tuner::new(space, objective, search_seed).with_seed_configs(vec![
         original_seed,
         par_seed,
         spec_seed,
         original_half,
-    ]);
-    let base_settings = RunSettings::for_mode(workload, crate::Mode::ParStats, threads);
-    (tuner, base_settings)
+    ])
 }
 
 /// [`tune`] with only the first `tradeoff_prefix` tradeoffs tunable.
@@ -289,20 +278,9 @@ pub fn tune_with_prefix<W: Workload>(
     search_seed: u64,
     tradeoff_prefix: usize,
 ) -> TuneResult {
-    let (tuner, base_settings) =
-        seeded_tuner(workload, threads, objective, search_seed, tradeoff_prefix);
-    let instance = workload.instance(spec);
-    let (outcome, database) = tuner.run(budget, |cfg| {
-        profile_config(workload, &instance, spec, threads, &base_settings, cfg)
-    });
-    let best = decode(workload, &outcome.best);
-    let best_measurement = measure_best(workload, &instance, spec, threads, base_settings, &best);
-    TuneResult {
-        outcome,
-        best,
-        best_measurement,
-        database,
-    }
+    let tuner = seeded_tuner(workload, threads, objective, search_seed, tradeoff_prefix);
+    let search = Search::new(workload, spec, threads);
+    search.finish(tuner.run(budget, |cfg| search.profile(cfg)))
 }
 
 #[cfg(test)]

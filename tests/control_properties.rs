@@ -4,7 +4,7 @@
 //! under the same adaptive controller and online re-tuner, so all three
 //! commit bit-identical outputs, final state, report and trace, and emit
 //! the same canonical event sequence, whatever the worker count and push
-//! chunking.
+//! chunking. The same draw, recorded, replays faithfully from its log.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,7 +12,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use stats::autotune::OnlineTuner;
 use stats::core::prelude::*;
-use stats::core::replay::canonical_events;
+use stats::core::replay::{canonical_events, replay, SessionLog, SessionRecorder};
 
 /// Nondeterministic short-memory transition with a tolerant comparison —
 /// exercises commits, re-executions, and aborts depending on config/seed.
@@ -171,5 +171,61 @@ proptest! {
             let got = events(sink);
             prop_assert!(got == expected, "{} events:\n{:?}\n!=\n{:?}", driver, got, expected);
         }
+    }
+
+    /// RECORDED CONTROL REPLAYS: a streamed run under the same draw —
+    /// faults and retries, the degradation ladder, the online re-tuner,
+    /// segmenting, any chunking — is recorded, its log round-trips through
+    /// bytes, and the replay on a pool of another size is faithful and
+    /// commits the same outputs and final state.
+    #[test]
+    fn recorded_controlled_runs_replay_faithfully(
+        n in 0usize..96,
+        config in arb_config(),
+        seed in any::<u64>(),
+        faults in arb_faults(),
+        adapt in any::<bool>(),
+        tune in any::<bool>(),
+        segment in (any::<bool>(), 4usize..16).prop_map(|(on, s)| on.then_some(s)),
+        workers in 1usize..4,
+        chunk in 1usize..25,
+    ) {
+        let mut options = RunOptions::default()
+            .pool(Arc::new(ThreadPool::new(workers)))
+            .config(config)
+            .seed(seed)
+            .faults(faults.0)
+            .retry(faults.1);
+        if let Some(s) = segment {
+            options = options.segment(s);
+        }
+        if adapt {
+            options = options.adapt(AdaptPolicy::default());
+        }
+        if tune {
+            options = options.retune(OnlineTuner::new(seed).every(2));
+        }
+        let recorder = SessionRecorder::new(Fuzzy(0.0), NoisyLast, options);
+        let inputs: Vec<u64> = (0..n as u64).collect();
+        for c in inputs.chunks(chunk) {
+            recorder.push_batch(c.iter().copied());
+        }
+        let (recorded, log) = recorder.finish();
+        let log = SessionLog::from_bytes(&log.to_bytes()).expect("a recorded log decodes");
+
+        let env = RunOptions::default().pool(Arc::new(ThreadPool::new(workers % 3 + 1)));
+        let replayed = replay(&log, Fuzzy(0.0), NoisyLast, env).expect("replay starts");
+        prop_assert!(
+            replayed.is_faithful(),
+            "divergences={} trace_matched={} report_matched={}",
+            replayed.divergences,
+            replayed.trace_matched,
+            replayed.report_matched
+        );
+        prop_assert_eq!(&replayed.outcome.outputs, &recorded.outputs);
+        prop_assert_eq!(
+            replayed.outcome.final_state.0.to_bits(),
+            recorded.final_state.0.to_bits()
+        );
     }
 }
