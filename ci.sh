@@ -8,7 +8,8 @@
 #   --loom   model-check the speculation runtime: builds stats-core with
 #            RUSTFLAGS="--cfg loom" (the sync facade swaps onto the model
 #            checker), runs every model in tests/loom.rs and names them in
-#            its summary line (the dispatch and session models must be there)
+#            its summary line (the dispatch, session and serve models must
+#            be there)
 #   --miri   run the non-pool stats-core unit tests under Miri (needs the
 #            nightly `miri` component; skips with a message otherwise)
 #   --tsan   run tests/pool_stress.rs under ThreadSanitizer (needs nightly
@@ -23,8 +24,8 @@
 #
 # The --loom/--miri/--tsan stages are separate entry points because each
 # rebuilds the world under a different configuration; run them when
-# touching anything under crates/stats-core/src/{sync,pool,session}.rs or
-# vendor/loom. docs/concurrency.md documents what each stage proves.
+# touching anything under crates/stats-core/src/{sync,pool,session}.rs,
+# crates/stats-core/src/serve/ or vendor/loom. docs/concurrency.md documents what each stage proves.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -48,13 +49,15 @@ if [[ "$stage" == "--loom" ]]; then
     # ordered-completion slots every batch and stream waits through rest on
     # the first four; the five session models drive the coordinator loop —
     # the linear engine over a stream's queue intake, with its
-    # wake-after-store (docs/concurrency.md). A rename or deletion must not
-    # pass silently.
+    # wake-after-store; the two serve models drive a tenant's backlog
+    # refill through its session's room hook (docs/concurrency.md). A
+    # rename or deletion must not pass silently.
     for required in ticket_runs_exactly_once pool_submit_never_strands_a_sleeper \
         pool_lanes_never_lose_jobs pool_ordered_yields_each_result_once \
         session_push_finish_matches_batch session_group_completion_wakes_coordinator \
         session_halfway_wakeup_never_strands_producer session_drop_mid_stream_joins \
-        session_panic_routing_try_finish; do
+        session_panic_routing_try_finish serve_refill_never_strands_a_backlog \
+        serve_refill_reports_a_dead_coordinator; do
         if [[ " $models " != *" $required "* ]]; then
             echo "error: loom model '$required' is missing from tests/loom.rs" >&2
             exit 1

@@ -110,8 +110,7 @@ pub use replay::{replay, ReplayError, ReplayOutcome, SessionLog, SessionRecorder
 pub use runtime::{SpecOutcome, StateDependence};
 pub use sdi::{ExactState, SpecState, StateTransition};
 pub use serve::{
-    FairnessPolicy, ServeError, ServerMetrics, ServerOptions, SessionServer, TenantHandle,
-    TenantMetrics,
+    ServeError, ServerMetrics, ServerOptions, SessionServer, TenantHandle, TenantMetrics,
 };
 pub use session::{PushError, Session, SessionError};
 pub use tradeoff::{
@@ -128,12 +127,12 @@ pub mod prelude {
     pub use crate::obs::{Event, EventKind, EventSink, NoopSink, RecordingSink};
     pub use crate::{
         replay, run_protocol, run_protocol_with_options, AdaptPolicy, AdaptState,
-        AdaptiveController, ExactState, FairnessPolicy, FaultKind, FaultPlan, FaultRule,
-        InvocationCtx, PlanError, PlanNode, PlanNodeId, Priority, ProtocolResult, PushError,
-        ReplayError, ReplayOutcome, RetryPolicy, Retuner, RunOptions, SegmentStats, ServeError,
-        ServerMetrics, ServerOptions, Session, SessionError, SessionLog, SessionRecorder,
-        SessionServer, SpecConfig, SpecOutcome, SpecPlan, SpecPlanBuilder, SpecReport, SpecState,
-        SpecTrace, SpillCodec, StateDependence, StateTransition, TenantHandle, TenantMetrics,
-        ThreadPool, TradeoffBindings, TuneDecision, WorkMeter,
+        AdaptiveController, ExactState, FaultKind, FaultPlan, FaultRule, InvocationCtx, PlanError,
+        PlanNode, PlanNodeId, Priority, ProtocolResult, PushError, ReplayError, ReplayOutcome,
+        RetryPolicy, Retuner, RunOptions, SegmentStats, ServeError, ServerMetrics, ServerOptions,
+        Session, SessionError, SessionLog, SessionRecorder, SessionServer, SpecConfig, SpecOutcome,
+        SpecPlan, SpecPlanBuilder, SpecReport, SpecState, SpecTrace, SpillCodec, StateDependence,
+        StateTransition, TenantHandle, TenantMetrics, ThreadPool, TradeoffBindings, TuneDecision,
+        WorkMeter,
     };
 }

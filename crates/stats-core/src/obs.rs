@@ -134,14 +134,14 @@ pub enum EventKind {
         /// Re-picked re-execution budget.
         max_reexec: usize,
     },
-    /// The [`SessionServer`](crate::serve::SessionServer) dispatcher
-    /// admitted inputs from a tenant's spill queue into its session under
-    /// the fairness policy (one event per tenant per dispatch round that
-    /// moved at least one input; see `docs/serving.md`).
+    /// A [`SessionServer`](crate::serve::SessionServer) tenant's session
+    /// pulled inputs from its spill queue (one event per refill that moved
+    /// at least one input; a refill runs each time the session queue has
+    /// drained to half; see `docs/serving.md`).
     TenantAdmission {
         /// Dense per-server tenant index.
         tenant: usize,
-        /// Inputs moved into the tenant's session this round.
+        /// Inputs moved into the tenant's session by this refill.
         admitted: usize,
     },
     /// A tenant's spill queue overflowed its in-memory bound and wrote a

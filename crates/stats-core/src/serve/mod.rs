@@ -10,11 +10,10 @@
 //! - **Admission windows** — every tenant's session keeps a small bounded
 //!   queue (`session_queue_capacity`) and a capped number of inflight
 //!   speculative groups, so no single stream can monopolize pool slots;
-//! - **Fairness** — overflow beyond the admission window lands in a
-//!   per-tenant [`SpillQueue`], and a dedicated `stats-serve` dispatcher
-//!   thread refills session queues from those backlogs under a
-//!   [`FairnessPolicy`] (deficit-weighted round-robin by default), so a
-//!   bursty tenant waits on its own backlog, not on everyone's;
+//! - **Backlog refill** — overflow beyond the admission window lands in a
+//!   per-tenant [`SpillQueue`], and each tenant's own session pulls from
+//!   that backlog whenever its queue has drained to half, so a bursty
+//!   tenant waits on its own backlog, not on everyone's;
 //! - **Bounded memory** — spill queues overflow to FIFO disk segments,
 //!   keeping the in-memory footprint per tenant constant no matter how
 //!   deep the backlog grows, with bit-identical replay (`docs/serving.md`).
@@ -29,33 +28,28 @@
 //! has killed its session, so one tenant's panic can never take down the
 //! front door for the rest.
 
-mod admission;
 mod spill;
 
 pub use crate::codec::SpillCodec;
-pub use admission::FairnessPolicy;
 pub use spill::{SpillEffect, SpillQueue, SpillStats};
 
 use std::io;
 use std::path::PathBuf;
-use std::time::Duration;
 
 #[cfg(not(loom))]
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{thread, Arc, Condvar, Mutex};
+use crate::sync::{Arc, Condvar, Mutex, Weak};
 
 use crate::obs::{EventKind, EventSink, NoopSink};
 use crate::options::RunOptions;
 use crate::pool::ThreadPool;
 use crate::runtime::SpecOutcome;
 use crate::sdi::StateTransition;
-use crate::session::{PushError, Session, SessionError};
-
-use admission::DeficitState;
+use crate::session::{PushError, RoomHook, Session, SessionError};
 
 /// Distinguishes concurrently-created servers' default spill directories.
 /// (Gated off under loom, whose atomics are not const-constructible in
-/// statics; the loom models never construct a server.)
+/// statics; a loom model's server keeps its backlog in memory.)
 #[cfg(not(loom))]
 static SERVER_INSTANCE: AtomicU64 = AtomicU64::new(0);
 
@@ -74,8 +68,6 @@ fn next_server_instance() -> u64 {
 /// they interact.
 #[derive(Clone)]
 pub struct ServerOptions {
-    /// How admission capacity is divided between backlogged tenants.
-    pub fairness: FairnessPolicy,
     /// Where spill segments are written (one subdirectory per tenant).
     /// `None` picks a fresh directory under the system temp dir.
     pub spill_dir: Option<PathBuf>,
@@ -98,7 +90,6 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
-            fairness: FairnessPolicy::default(),
             spill_dir: None,
             spill_mem_capacity: 256,
             spill_segment: 128,
@@ -110,12 +101,6 @@ impl Default for ServerOptions {
 }
 
 impl ServerOptions {
-    /// Choose the fairness policy.
-    pub fn fairness(mut self, fairness: FairnessPolicy) -> Self {
-        self.fairness = fairness;
-        self
-    }
-
     /// Write spill segments under `dir` instead of a temp directory.
     pub fn spill_dir(mut self, dir: PathBuf) -> Self {
         self.spill_dir = Some(dir);
@@ -190,22 +175,18 @@ pub struct TenantMetrics {
     /// Accepted inputs that went straight into the session queue (the
     /// spill queue was empty and the admission window had room).
     pub fast_path: u64,
-    /// Inputs the dispatcher moved from the spill queue into the session
-    /// under the fairness policy.
+    /// Inputs the tenant's session pulled from its spill queue.
     pub admitted: u64,
-    /// Dispatch rounds in which this tenant moved at least one input.
+    /// Refills that admitted at least one input (a refill runs each time
+    /// the session queue has drained to half).
     pub admission_rounds: u64,
     /// Spill activity (segments written/replayed).
     pub spill: SpillStats,
-    /// The tenant's fairness weight.
-    pub weight: u32,
 }
 
 /// A point-in-time snapshot of [`SessionServer`] activity.
 #[derive(Debug, Clone, Default)]
 pub struct ServerMetrics {
-    /// Dispatcher rounds that found at least one backlogged tenant.
-    pub dispatch_rounds: u64,
     /// Per-tenant counters for tenants still open, keyed by tenant id.
     pub open: Vec<(usize, TenantMetrics)>,
     /// Per-tenant counters for tenants already finished, keyed by id.
@@ -241,43 +222,131 @@ impl ServerMetrics {
     }
 }
 
+/// Why a tenant stopped taking inputs.
+enum Failure {
+    /// Its session refused an input: the coordinator is gone.
+    Push(PushError),
+    /// Its spill queue failed, so its input order is lost.
+    Spill(io::Error),
+}
+
+impl Failure {
+    /// The error to hand a caller, leaving the failure recorded
+    /// (`io::Error` is not `Clone`).
+    fn report(&self) -> ServeError {
+        match self {
+            Failure::Push(e) => ServeError::Push(e.clone()),
+            Failure::Spill(e) => ServeError::Spill(io::Error::new(e.kind(), e.to_string())),
+        }
+    }
+}
+
 /// One tenant's server-side state.
 struct TenantSlot<T: StateTransition> {
     session: Session<T>,
     spill: SpillQueue<T::Input>,
-    drr: DeficitState,
-    weight: u32,
     metrics: TenantMetrics,
-    /// New pushes rejected; the dispatcher still drains the backlog.
+    /// New pushes rejected; the session's refills still drain the backlog.
     closing: bool,
-    /// The session can no longer accept inputs (coordinator gone) or the
-    /// spill queue failed; the dispatcher skips it and `finish` reports.
-    dead: bool,
-    /// A spill I/O failure to surface at `finish`.
-    spill_failed: Option<io::Error>,
+    /// Sticky once set: every later `try_push` reports it without touching
+    /// the session, refills stop, and `finish` stops waiting for them.
+    failed: Option<Failure>,
 }
 
 struct ServerState<T: StateTransition> {
     tenants: Vec<Option<TenantSlot<T>>>,
     retired: Vec<(usize, TenantMetrics)>,
-    cursor: usize,
-    rounds: u64,
-    shutdown: bool,
 }
 
 struct ServerShared<T: StateTransition> {
     state: Mutex<ServerState<T>>,
-    /// Signaled when a backlog appears (spilled push), a tenant closes,
-    /// or the server shuts down.
-    work: Condvar,
-    /// Signaled when a closing tenant's backlog drains (or its session
-    /// dies), so `finish` can proceed.
+    /// Signaled after each refill, so a closing tenant's `finish` sees its
+    /// backlog drain (or its session die).
     drained: Condvar,
-    fairness: FairnessPolicy,
     sink: Arc<dyn EventSink>,
     spill_dir: PathBuf,
     spill_mem_capacity: usize,
     spill_segment: usize,
+}
+
+impl<T: StateTransition> ServerShared<T>
+where
+    T::Input: SpillCodec,
+{
+    fn emit(&self, kind: EventKind) {
+        if self.sink.enabled() {
+            self.sink.emit(kind);
+        }
+    }
+
+    /// Tenant `id`'s session has room: move its backlog in, oldest first,
+    /// until the session refuses an input or the backlog is empty. Runs on
+    /// the tenant's coordinator, outside the session's lock (lock order:
+    /// server state, then session).
+    fn refill(&self, id: usize) {
+        let mut state = self.state.lock();
+        let Some(slot) = state.tenants.get_mut(id).and_then(Option::as_mut) else {
+            return;
+        };
+        let mut admitted = 0usize;
+        while slot.failed.is_none() {
+            let (input, replay) = match slot.spill.pop() {
+                Ok(Some(popped)) => popped,
+                Ok(None) => break,
+                Err(e) => {
+                    slot.failed = Some(Failure::Spill(e));
+                    break;
+                }
+            };
+            if let Some((segment, inputs)) = replay {
+                self.emit(EventKind::SpillReplay {
+                    tenant: id,
+                    segment,
+                    inputs,
+                });
+            }
+            match slot.session.offer(input) {
+                Ok(None) => admitted += 1,
+                Ok(Some(input)) => {
+                    // The queue is full again: the input was the front.
+                    slot.spill.push_front_undo(input);
+                    break;
+                }
+                Err(e) => slot.failed = Some(Failure::Push(e)),
+            }
+        }
+        if admitted > 0 {
+            slot.metrics.admitted += admitted as u64;
+            slot.metrics.admission_rounds += 1;
+            self.emit(EventKind::TenantAdmission {
+                tenant: id,
+                admitted,
+            });
+        }
+        drop(state);
+        self.drained.notify_all();
+    }
+}
+
+/// Tenant `id`'s room hook: a refill while the server state lives. If the
+/// server and every handle were dropped meanwhile, this call holds the
+/// last reference and tears the server down on the tenant's own
+/// coordinator, which must not join itself.
+fn room_hook<T: StateTransition>(server: Weak<ServerShared<T>>, id: usize) -> RoomHook
+where
+    T::Input: SpillCodec,
+{
+    Box::new(move || {
+        let Some(shared) = server.upgrade() else {
+            return;
+        };
+        shared.refill(id);
+        if let Some(shared) = Arc::into_inner(shared) {
+            if let Some(slot) = shared.state.into_inner().tenants[id].take() {
+                slot.session.detach();
+            }
+        }
+    })
 }
 
 /// A sharded front door multiplexing many tenant [`Session`]s over one
@@ -321,13 +390,12 @@ pub struct SessionServer<T: StateTransition> {
     pool: Arc<ThreadPool>,
     session_queue_capacity: usize,
     max_inflight_groups: usize,
-    dispatcher: Option<thread::JoinHandle<()>>,
 }
 
 /// A tenant's handle onto a [`SessionServer`]: the only way inputs enter
 /// and the outcome leaves. Clonable so multiple producer threads can feed
 /// one tenant; [`finish`](TenantHandle::finish) may be called from any
-/// one clone.
+/// one clone. A handle may outlive its server.
 pub struct TenantHandle<T: StateTransition> {
     shared: Arc<ServerShared<T>>,
     id: usize,
@@ -346,95 +414,67 @@ impl<T: StateTransition> SessionServer<T>
 where
     T::Input: SpillCodec,
 {
-    /// Stand up a server multiplexing tenants over `pool`, spawning the
-    /// `stats-serve` dispatcher thread.
+    /// Stand up a server multiplexing tenants over `pool`.
     pub fn new(pool: Arc<ThreadPool>, options: ServerOptions) -> Self {
         let spill_dir = options.spill_dir.clone().unwrap_or_else(|| {
             std::env::temp_dir().join(format!(
-                "stats-serve-{}-{}",
+                "stats-spill-{}-{}",
                 std::process::id(),
                 next_server_instance()
             ))
         });
-        let shared = Arc::new(ServerShared {
-            state: Mutex::new(ServerState {
-                tenants: Vec::new(),
-                retired: Vec::new(),
-                cursor: 0,
-                rounds: 0,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            drained: Condvar::new(),
-            fairness: options.fairness,
-            sink: Arc::clone(&options.sink),
-            spill_dir,
-            spill_mem_capacity: options.spill_mem_capacity.max(1),
-            spill_segment: options.spill_segment.max(1),
-        });
-        let thread_shared = Arc::clone(&shared);
-        let dispatcher = thread::Builder::new()
-            .name("stats-serve".into())
-            .spawn(move || dispatcher_main(&thread_shared))
-            .expect("failed to spawn serve dispatcher");
         SessionServer {
-            shared,
+            shared: Arc::new(ServerShared {
+                state: Mutex::new(ServerState {
+                    tenants: Vec::new(),
+                    retired: Vec::new(),
+                }),
+                drained: Condvar::new(),
+                sink: Arc::clone(&options.sink),
+                spill_dir,
+                spill_mem_capacity: options.spill_mem_capacity.max(1),
+                spill_segment: options.spill_segment.max(1),
+            }),
             pool,
             session_queue_capacity: options.session_queue_capacity.max(1),
             max_inflight_groups: options.max_inflight_groups,
-            dispatcher: Some(dispatcher),
         }
     }
 
-    /// Open a weight-1 tenant. The tenant's `options` carry its seed,
-    /// config, faults, adaptation, and pool [`Priority`](crate::Priority);
-    /// the server overrides the pool (every tenant shares the server's)
-    /// and the queue/inflight admission window.
+    /// Open a tenant. The tenant's `options` carry its seed, config,
+    /// faults, adaptation, and pool [`Priority`](crate::Priority); the
+    /// server overrides the pool (every tenant shares the server's) and
+    /// the queue/inflight admission window.
     pub fn open_tenant(
         &self,
         initial: T::State,
         transition: T,
         options: RunOptions,
     ) -> TenantHandle<T> {
-        self.open_tenant_weighted(initial, transition, options, 1)
-    }
-
-    /// Open a tenant with a fairness `weight`: under
-    /// [`FairnessPolicy::DeficitWeighted`], a weight-`w` tenant earns `w`
-    /// times the admission credits of a weight-1 tenant per round.
-    pub fn open_tenant_weighted(
-        &self,
-        initial: T::State,
-        transition: T,
-        options: RunOptions,
-        weight: u32,
-    ) -> TenantHandle<T> {
         let options = options
             .pool(Arc::clone(&self.pool))
             .queue_capacity(self.session_queue_capacity)
             .max_inflight_groups(self.max_inflight_groups);
-        let session = Session::new(initial, transition, options);
-        let mut state = self.shared.state.lock();
-        let id = state.tenants.len();
+        // The id comes first: the session's room hook names it.
+        let id = {
+            let mut state = self.shared.state.lock();
+            state.tenants.push(None);
+            state.tenants.len() - 1
+        };
+        let room = room_hook(Arc::downgrade(&self.shared), id);
+        let session = Session::with_room_hook(initial, transition, options, Some(room));
         let spill = SpillQueue::new(
             self.shared.spill_dir.join(format!("tenant-{id}")),
             self.shared.spill_mem_capacity,
             self.shared.spill_segment,
         );
-        state.tenants.push(Some(TenantSlot {
+        self.shared.state.lock().tenants[id] = Some(TenantSlot {
             session,
             spill,
-            drr: DeficitState::default(),
-            weight: weight.max(1),
-            metrics: TenantMetrics {
-                weight: weight.max(1),
-                ..TenantMetrics::default()
-            },
+            metrics: TenantMetrics::default(),
             closing: false,
-            dead: false,
-            spill_failed: None,
-        }));
-        drop(state);
+            failed: None,
+        });
         TenantHandle {
             shared: Arc::clone(&self.shared),
             id,
@@ -461,7 +501,6 @@ where
     pub fn metrics(&self) -> ServerMetrics {
         let state = self.shared.state.lock();
         ServerMetrics {
-            dispatch_rounds: state.rounds,
             open: state
                 .tenants
                 .iter()
@@ -479,22 +518,6 @@ where
     }
 }
 
-impl<T: StateTransition> Drop for SessionServer<T> {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock();
-            state.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        if let Some(handle) = self.dispatcher.take() {
-            let _ = handle.join();
-        }
-        // Unfinished tenant sessions drop here: each drains what was
-        // admitted and joins its coordinator (spilled-but-never-admitted
-        // inputs are abandoned — finishing tenants is the caller's job).
-    }
-}
-
 impl<T: StateTransition> TenantHandle<T>
 where
     T::Input: SpillCodec,
@@ -508,71 +531,57 @@ where
     /// window absorbs steady traffic, the spill queue absorbs bursts
     /// (bounded memory, unbounded disk), and a dead tenant session
     /// surfaces as `Err` — with the pending panic message — instead of
-    /// taking the producer down.
+    /// taking the producer down. Once a push has failed, every later one
+    /// reports the same failure.
     pub fn try_push(&self, input: T::Input) -> Result<(), ServeError> {
         let mut state = self.shared.state.lock();
-        let state = &mut *state;
         let Some(slot) = state.tenants.get_mut(self.id).and_then(Option::as_mut) else {
             return Err(ServeError::TenantClosed);
         };
         if slot.closing {
             return Err(ServeError::TenantClosed);
         }
-        if let Some(e) = slot.spill_failed.take() {
-            return Err(ServeError::Spill(e));
+        if let Some(failure) = &slot.failed {
+            return Err(failure.report());
         }
         // Fast path: with no backlog ahead of it, the input may enter the
         // session directly (FIFO order is preserved by construction).
-        if slot.spill.is_empty() {
+        let input = if slot.spill.is_empty() {
             match slot.session.offer(input) {
                 Ok(None) => {
                     slot.metrics.pushed += 1;
                     slot.metrics.fast_path += 1;
                     return Ok(());
                 }
-                Ok(Some(input)) => {
-                    return self.spill_push(slot, input);
-                }
+                Ok(Some(input)) => input,
                 Err(e) => {
-                    slot.dead = true;
-                    self.shared.drained.notify_all();
+                    slot.failed = Some(Failure::Push(e.clone()));
                     return Err(ServeError::Push(e));
                 }
             }
-        }
-        if slot.dead {
-            // The dispatcher saw the session die; reproduce its error.
-            return match slot.session.offer(input) {
-                Err(e) => Err(ServeError::Push(e)),
-                Ok(_) => Err(ServeError::TenantClosed),
-            };
-        }
-        self.spill_push(slot, input)
-    }
-
-    /// Spill-queue a burst input, emitting the segment-write event when
-    /// the push tipped a segment onto disk.
-    fn spill_push(&self, slot: &mut TenantSlot<T>, input: T::Input) -> Result<(), ServeError> {
+        } else {
+            input
+        };
+        // The session's next refill takes it: a backlog only starts when
+        // the session queue is full, and the coordinator refills each time
+        // the queue drains to half.
         match slot.spill.push(input) {
             Ok(effect) => {
                 slot.metrics.pushed += 1;
                 if let SpillEffect::Spilled { segment, inputs } = effect {
-                    if self.shared.sink.enabled() {
-                        self.shared.sink.emit(EventKind::SpillWrite {
-                            tenant: self.id,
-                            segment,
-                            inputs,
-                        });
-                    }
+                    self.shared.emit(EventKind::SpillWrite {
+                        tenant: self.id,
+                        segment,
+                        inputs,
+                    });
                 }
-                // A backlog now exists: the dispatcher owns draining it.
-                self.shared.work.notify_all();
                 Ok(())
             }
             Err(e) => {
-                slot.dead = true;
-                self.shared.drained.notify_all();
-                Err(ServeError::Spill(e))
+                let failure = Failure::Spill(e);
+                let err = failure.report();
+                slot.failed = Some(failure);
+                Err(err)
             }
         }
     }
@@ -604,11 +613,11 @@ where
             .map_or(0, |s| s.spill.len())
     }
 
-    /// Close this tenant's stream, wait for its backlog to drain through
-    /// the fairness dispatcher and for every input to be processed, and
-    /// return the outcome. Fails — never panics — if the tenant's
-    /// transition panicked ([`ServeError::Session`] carries the payload's
-    /// message) or spilling failed. Only one clone of the handle can
+    /// Close this tenant's stream, wait for its session to pull the whole
+    /// backlog and process every input, and return the outcome. Fails —
+    /// never panics — if the tenant's transition panicked
+    /// ([`ServeError::Session`] carries the payload's message) or spilling
+    /// failed ([`ServeError::Spill`]). Only one clone of the handle can
     /// finish; the rest get [`ServeError::TenantClosed`].
     pub fn finish(self) -> Result<SpecOutcome<T>, ServeError> {
         let mut state = self.shared.state.lock();
@@ -621,12 +630,9 @@ where
             }
             slot.closing = true;
         }
-        self.shared.work.notify_all();
-        // Wait for the dispatcher to drain the backlog (or for the
-        // session to die trying).
         loop {
             let slot = state.tenants[self.id].as_ref().expect("closing tenant");
-            if slot.dead || slot.spill.is_empty() {
+            if slot.failed.is_some() || slot.spill.is_empty() {
                 break;
             }
             self.shared.drained.wait(&mut state);
@@ -639,134 +645,29 @@ where
         let TenantSlot {
             mut session,
             spill,
-            spill_failed,
+            failed,
             ..
         } = slot;
         drop(spill); // removes any leftover segment files
-        if let Some(e) = spill_failed {
-            return Err(ServeError::Spill(e));
-        }
-        match session.try_finish() {
-            Ok(outcome) => Ok(outcome),
-            Err(e) => Err(ServeError::Session(e)),
-        }
-    }
-}
-
-/// The `stats-serve` dispatcher: deficit-round-robin admission from spill
-/// backlogs into session queues, until shutdown.
-fn dispatcher_main<T: StateTransition>(shared: &Arc<ServerShared<T>>)
-where
-    T::Input: SpillCodec,
-{
-    let mut state = shared.state.lock();
-    loop {
-        if state.shutdown {
-            return;
-        }
-        let n = state.tenants.len();
-        let mut moved_total = 0usize;
-        let mut backlog = false;
-        let start = if n == 0 { 0 } else { state.cursor % n };
-        state.cursor = state.cursor.wrapping_add(1);
-        let mut events: Vec<EventKind> = Vec::new();
-        let mut drained_someone = false;
-        for off in 0..n {
-            let id = (start + off) % n;
-            let fairness = shared.fairness;
-            let Some(slot) = state.tenants[id].as_mut() else {
-                continue;
-            };
-            if slot.dead || slot.spill.is_empty() {
-                continue;
-            }
-            backlog = true;
-            let budget = slot.drr.earn(&fairness, slot.weight);
-            let mut moved = 0usize;
-            while moved < budget {
-                match slot.spill.pop() {
-                    Ok(Some((input, replay))) => {
-                        if let Some((segment, inputs)) = replay {
-                            events.push(EventKind::SpillReplay {
-                                tenant: id,
-                                segment,
-                                inputs,
-                            });
-                        }
-                        match slot.session.offer(input) {
-                            Ok(None) => {
-                                moved += 1;
-                                slot.drr.spend();
-                            }
-                            Ok(Some(input)) => {
-                                // Session full: give the input back and
-                                // keep the unspent credit for next round.
-                                slot.spill.push_front_undo(input);
-                                break;
-                            }
-                            Err(_) => {
-                                slot.dead = true;
-                                drained_someone = true;
-                                break;
-                            }
-                        }
-                    }
-                    Ok(None) => {
-                        slot.drr.forfeit();
-                        break;
-                    }
-                    Err(e) => {
-                        slot.spill_failed = Some(e);
-                        slot.dead = true;
-                        drained_someone = true;
-                        break;
-                    }
-                }
-            }
-            if moved > 0 {
-                moved_total += moved;
-                slot.metrics.admitted += moved as u64;
-                slot.metrics.admission_rounds += 1;
-                events.push(EventKind::TenantAdmission {
-                    tenant: id,
-                    admitted: moved,
-                });
-                if slot.closing && slot.spill.is_empty() {
-                    drained_someone = true;
-                }
-            }
-        }
-        if backlog {
-            state.rounds += 1;
-        }
-        if drained_someone {
-            shared.drained.notify_all();
-        }
-        if !events.is_empty() && shared.sink.enabled() {
-            for event in events {
-                shared.sink.emit(event);
-            }
-        }
-        if moved_total == 0 {
-            if backlog {
-                // Sessions are the bottleneck; they drain asynchronously
-                // and do not signal the server, so poll briefly.
-                shared.work.wait_for(&mut state, Duration::from_micros(500));
-            } else {
-                // Nothing queued anywhere: sleep until a push/close/
-                // shutdown signals `work`.
-                shared.work.wait(&mut state);
-            }
+        let finished = session.try_finish();
+        match failed {
+            Some(Failure::Spill(e)) => Err(ServeError::Spill(e)),
+            _ => finished.map_err(ServeError::Session),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
     use super::*;
     use crate::ctx::InvocationCtx;
     use crate::protocol::SpecConfig;
     use crate::sdi::{ExactState, SpecState};
+    use crate::sync::atomic::{AtomicUsize, Ordering};
+    use crate::sync::thread;
 
     #[derive(Clone, Debug)]
     struct Noisy(f64);
@@ -917,59 +818,251 @@ mod tests {
         assert_eq!(outcome.outputs, vec![0, 1]);
     }
 
+    /// Holds every input on a latch until the test opens it, so the
+    /// tenant's queue stays full and its backlog is still there when the
+    /// test looks; explodes on `explode_on` once released.
+    struct Latched {
+        entered: Arc<AtomicUsize>,
+        latch: Arc<(Mutex<bool>, Condvar)>,
+        explode_on: Option<u64>,
+    }
+    impl StateTransition for Latched {
+        type Input = u64;
+        type State = ExactState<u64>;
+        type Output = u64;
+        fn compute_output(
+            &self,
+            input: &u64,
+            state: &mut ExactState<u64>,
+            ctx: &mut InvocationCtx,
+        ) -> u64 {
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            let (lock, cvar) = &*self.latch;
+            let mut open = lock.lock();
+            while !*open {
+                cvar.wait(&mut open);
+            }
+            drop(open);
+            assert_ne!(Some(*input), self.explode_on, "tenant transition exploded");
+            ctx.charge(1.0);
+            state.0 = state.0.wrapping_add(*input);
+            state.0
+        }
+    }
+
+    struct LatchedTenant {
+        server: SessionServer<Latched>,
+        tenant: TenantHandle<Latched>,
+        entered: Arc<AtomicUsize>,
+        latch: Arc<(Mutex<bool>, Condvar)>,
+    }
+
+    impl LatchedTenant {
+        /// A one-input admission window and a sequential tenant whose
+        /// coordinator is held inside input 0: input 1 fills the session
+        /// queue and every later input goes to the spill queue.
+        fn open(options: ServerOptions, explode_on: Option<u64>) -> Self {
+            let server = SessionServer::new(
+                Arc::new(ThreadPool::new(1)),
+                options.session_queue_capacity(1),
+            );
+            let entered = Arc::new(AtomicUsize::new(0));
+            let latch = Arc::new((Mutex::new(false), Condvar::new()));
+            let tenant = server.open_tenant(
+                ExactState(0),
+                Latched {
+                    entered: Arc::clone(&entered),
+                    latch: Arc::clone(&latch),
+                    explode_on,
+                },
+                RunOptions::default().config(SpecConfig::sequential()),
+            );
+            tenant.try_push(0).expect("input 0");
+            await_entered(&entered, 1);
+            LatchedTenant {
+                server,
+                tenant,
+                entered,
+                latch,
+            }
+        }
+    }
+
+    fn release(latch: &(Mutex<bool>, Condvar)) {
+        *latch.0.lock() = true;
+        latch.1.notify_all();
+    }
+
+    fn await_entered(entered: &AtomicUsize, n: usize) {
+        while entered.load(Ordering::SeqCst) < n {
+            thread::yield_now();
+        }
+    }
+
+    /// `f()` on a thread of its own, failing the test if it has not
+    /// returned within a minute: a backlog nobody refills hangs instead.
+    fn within_a_minute<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(r) => r,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("hung: the backlog was never drained"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("the watched call panicked"),
+        }
+    }
+
+    fn prefix_sums(n: u64) -> Vec<u64> {
+        (0..n).map(|i| i * (i + 1) / 2).collect()
+    }
+
     #[test]
-    fn weighted_tenant_gets_more_admission_credit() {
-        // Whether a `try_push` takes the fast path or spills races with the
-        // tenant's session, so the backlog is built under the state lock,
-        // which the dispatcher holds for a whole round: both tenants are
-        // fully backlogged before the first round, and the session window
-        // holds every input, so each round moves exactly the tenant's
-        // credit — `quantum` for weight 1, `4 * quantum` for weight 4.
-        const INPUTS: u64 = 128;
-        const QUANTUM: u64 = 2;
-        let pool = Arc::new(ThreadPool::new(1));
-        let server = SessionServer::new(
-            Arc::clone(&pool),
+    fn spill_failure_is_sticky() {
+        // A regular file where the spill directory should be: the first
+        // segment write fails, stranding the in-memory backlog.
+        let blocker =
+            std::env::temp_dir().join(format!("stats-spill-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, b"not a directory").expect("blocker file");
+        let t = LatchedTenant::open(
             ServerOptions::default()
-                .session_queue_capacity(INPUTS as usize)
-                .spill_mem_capacity(8)
-                .spill_segment(8)
-                .fairness(FairnessPolicy::DeficitWeighted {
-                    quantum: QUANTUM as usize,
-                }),
+                .spill_dir(blocker.clone())
+                .spill_mem_capacity(1)
+                .spill_segment(1),
+            None,
         );
-        let light = server.open_tenant(
-            Noisy(0.0),
-            NoisyLast,
-            RunOptions::default().config(config()).seed(1),
+        t.tenant.try_push(1).expect("the session queue");
+        t.tenant.try_push(2).expect("the in-memory spill head");
+        assert!(matches!(t.tenant.try_push(3), Err(ServeError::Spill(_))));
+        // The session drains its queue and finds the backlog failed.
+        release(&t.latch);
+        await_entered(&t.entered, 2);
+        let queued = |t: &LatchedTenant| {
+            let state = t.server.shared.state.lock();
+            state.tenants[t.tenant.id()]
+                .as_ref()
+                .expect("open")
+                .session
+                .queued()
+        };
+        while queued(&t) > 0 {
+            thread::yield_now();
+        }
+        // A later push reports the failure and does not jump the stranded
+        // backlog into the live session.
+        assert!(matches!(t.tenant.try_push(4), Err(ServeError::Spill(_))));
+        assert_eq!(
+            queued(&t),
+            0,
+            "an input entered the session past the backlog"
         );
-        let heavy = server.open_tenant_weighted(
-            Noisy(0.0),
-            NoisyLast,
-            RunOptions::default().config(config()).seed(2),
-            4,
+        assert!(matches!(t.tenant.finish(), Err(ServeError::Spill(_))));
+        std::fs::remove_file(&blocker).expect("remove blocker");
+    }
+
+    #[test]
+    fn handle_outliving_its_server_finishes_a_spilled_backlog() {
+        let t = LatchedTenant::open(
+            ServerOptions::default()
+                .spill_mem_capacity(2)
+                .spill_segment(2),
+            None,
         );
-        {
-            let mut state = server.shared.state.lock();
-            for handle in [&light, &heavy] {
-                let slot = state.tenants[handle.id].as_mut().expect("open tenant");
-                for i in 0..INPUTS {
-                    handle.spill_push(slot, i).expect("spill");
+        assert_eq!(t.tenant.try_push_batch(1..16).expect("burst"), 15);
+        assert_eq!(t.tenant.backlog(), 14);
+        let LatchedTenant {
+            server,
+            tenant,
+            latch,
+            ..
+        } = t;
+        drop(server);
+        release(&latch);
+        let outputs = within_a_minute(move || tenant.finish().map(|o| o.outputs));
+        assert_eq!(outputs.expect("finish"), prefix_sums(16));
+    }
+
+    #[test]
+    fn tenant_panic_with_a_spilled_backlog_fails_finish() {
+        let t = LatchedTenant::open(
+            ServerOptions::default()
+                .spill_mem_capacity(2)
+                .spill_segment(2),
+            Some(0),
+        );
+        assert_eq!(t.tenant.try_push_batch(1..16).expect("burst"), 15);
+        assert_eq!(t.tenant.backlog(), 14);
+        // Input 0 explodes: the session's exit refill marks the tenant
+        // failed, and `finish` stops waiting for the stranded backlog.
+        release(&t.latch);
+        let tenant = t.tenant;
+        match within_a_minute(move || tenant.finish().map(|o| o.outputs)) {
+            Err(ServeError::Session(SessionError::Panicked { message, .. })) => {
+                assert!(message.contains("tenant transition exploded"), "{message}");
+            }
+            other => panic!("expected the contained panic, got {other:?}"),
+        }
+        assert_eq!(t.server.open_tenants(), 0);
+    }
+
+    /// Blocks its first `TenantAdmission` until released.
+    #[derive(Default)]
+    struct HeldSink {
+        held: Mutex<Option<bool>>,
+        changed: Condvar,
+    }
+    impl EventSink for HeldSink {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn emit(&self, kind: EventKind) {
+            if let EventKind::TenantAdmission { .. } = kind {
+                let mut held = self.held.lock();
+                if held.is_none() {
+                    *held = Some(true);
+                    self.changed.notify_all();
+                    while *held == Some(true) {
+                        self.changed.wait(&mut held);
+                    }
                 }
             }
         }
-        let lo = light.finish().expect("light");
-        let hi = heavy.finish().expect("heavy");
-        assert_eq!(lo.outputs.len(), INPUTS as usize);
-        assert_eq!(hi.outputs.len(), INPUTS as usize);
-        let m = server.metrics();
-        let light_m = m.tenant(0).expect("light metrics");
-        let heavy_m = m.tenant(1).expect("heavy metrics");
-        for t in [light_m, heavy_m] {
-            assert_eq!((t.pushed, t.fast_path, t.admitted), (INPUTS, 0, INPUTS));
+    }
+
+    #[test]
+    fn abandoned_server_is_torn_down_by_its_last_refill() {
+        let sink = Arc::new(HeldSink::default());
+        let t = LatchedTenant::open(ServerOptions::default().sink(sink.clone()), None);
+        assert_eq!(t.tenant.try_push_batch(1..4).expect("burst"), 3);
+        // Input 0 finishes, the coordinator takes input 1 and refills:
+        // input 2 enters the session, and the refill is held in its
+        // admission event while the server and the handle go away.
+        release(&t.latch);
+        let mut held = sink.held.lock();
+        while held.is_none() {
+            sink.changed.wait(&mut held);
         }
-        assert_eq!(light_m.admission_rounds, INPUTS / QUANTUM);
-        assert_eq!(heavy_m.admission_rounds, INPUTS / (4 * QUANTUM));
-        assert_eq!(m.dispatch_rounds, light_m.admission_rounds);
+        let LatchedTenant {
+            server,
+            tenant,
+            entered,
+            ..
+        } = t;
+        drop((server, tenant));
+        *held = Some(false);
+        sink.changed.notify_all();
+        drop(held);
+        // The refill held the last reference: the server is torn down on
+        // the tenant's own coordinator, which closes its session instead
+        // of joining itself and runs what it had admitted.
+        within_a_minute({
+            let entered = Arc::clone(&entered);
+            move || {
+                while Arc::strong_count(&entered) > 2 {
+                    thread::yield_now();
+                }
+            }
+        });
+        assert_eq!(entered.load(Ordering::SeqCst), 3, "inputs 0, 1 and 2 ran");
     }
 }

@@ -40,6 +40,11 @@ use crate::protocol::{
 use crate::runtime::{resolve_pool, Pooled, Shared, SpecOutcome};
 use crate::sdi::StateTransition;
 
+/// Called on the coordinator, outside `inner`, wherever `producer` is
+/// signalled: the queue has drained to half, or the coordinator is gone.
+/// The serve layer refills a tenant's queue from its spill backlog here.
+pub(crate) type RoomHook = Box<dyn Fn() + Send + Sync>;
+
 /// Everything shared between producers, the coordinator, and pool jobs.
 struct StreamShared<T: StateTransition> {
     inner: Mutex<StreamInner<T>>,
@@ -48,6 +53,17 @@ struct StreamShared<T: StateTransition> {
     /// Signaled when inputs, a finished group, or a close arrive.
     coordinator: Condvar,
     capacity: usize,
+    room: Option<RoomHook>,
+}
+
+impl<T: StateTransition> StreamShared<T> {
+    /// Wake blocked producers, then run the room hook (unlocked).
+    fn signal_room(&self) {
+        self.producer.notify_all();
+        if let Some(room) = &self.room {
+            room();
+        }
+    }
 }
 
 struct StreamInner<T: StateTransition> {
@@ -103,6 +119,17 @@ impl<T: StateTransition> Session<T> {
     /// other sessions and dependences; without one, a private pool sized to
     /// the machine is created and kept for the session's whole lifetime.
     pub fn new(initial: T::State, transition: T, options: RunOptions) -> Self {
+        Session::with_room_hook(initial, transition, options, None)
+    }
+
+    /// [`Session::new`] with a hook the coordinator calls whenever its
+    /// queue has room again (see [`RoomHook`]).
+    pub(crate) fn with_room_hook(
+        initial: T::State,
+        transition: T,
+        options: RunOptions,
+        room: Option<RoomHook>,
+    ) -> Self {
         assert!(
             options.plan.is_none(),
             "RunOptions::plan is batch-only: a Session streams a linear input \
@@ -124,6 +151,7 @@ impl<T: StateTransition> Session<T> {
             producer: Condvar::new(),
             coordinator: Condvar::new(),
             capacity: options.queue_capacity.max(1),
+            room,
         });
         let engine = Arc::new(Shared {
             inputs: Vec::new(),
@@ -213,9 +241,8 @@ impl<T: StateTransition> Session<T> {
     /// `Ok(Some(input))` returns it because the queue is full right now
     /// (try again after the engine drains), and `Err` means the
     /// coordinator has terminated and can never accept it. This is the
-    /// primitive the [`serve`](crate::serve) dispatcher multiplexes
-    /// tenants with: it must never park on one tenant's full queue while
-    /// other tenants have admission budget.
+    /// primitive the [`serve`](crate::serve) layer admits tenant inputs
+    /// with: a producer must never park on one tenant's full queue.
     pub fn offer(&self, input: T::Input) -> Result<Option<T::Input>, PushError> {
         let mut inner = self.shared.inner.lock();
         if inner.coordinator_gone {
@@ -320,6 +347,15 @@ impl<T: StateTransition> Session<T> {
             message: panic_message(&*payload),
             payload,
         })
+    }
+
+    /// Close the stream without joining the coordinator, which drains
+    /// what was queued and exits on its own. For a caller running on that
+    /// coordinator (a room hook tearing down its owner), which cannot join
+    /// itself; a panic of the transition is then dropped with the thread.
+    pub(crate) fn detach(mut self) {
+        self.close();
+        self.handle = None;
     }
 
     fn close(&self) {
@@ -486,7 +522,8 @@ impl<T: StateTransition> Drop for Session<T> {
 }
 
 /// Marks the coordinator as gone on any exit path, so producers blocked on
-/// a full queue wake up and fail instead of hanging.
+/// a full queue wake up and fail instead of hanging, and the room hook
+/// learns that the session is dead.
 struct CoordinatorGuard<T: StateTransition> {
     shared: Arc<StreamShared<T>>,
 }
@@ -496,7 +533,7 @@ impl<T: StateTransition> Drop for CoordinatorGuard<T> {
         let mut inner = self.shared.inner.lock();
         inner.coordinator_gone = true;
         drop(inner);
-        self.shared.producer.notify_all();
+        self.shared.signal_room();
     }
 }
 
@@ -580,7 +617,7 @@ impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
         let mut stalls = Vec::new();
         let mut inner = shared.inner.lock();
         let mut may_help = true;
-        loop {
+        let room = loop {
             let mut actionable = false;
             while !self.closed && self.arrived.len() < admit {
                 let Some(item) = inner.queue.pop_front() else {
@@ -595,14 +632,6 @@ impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
                 self.arrived.push(item);
                 actionable = true;
             }
-            // A producer blocked on the full queue is woken once the queue
-            // has drained to half: it then refills many slots per wake-up,
-            // where a wake-up per pop bought one slot each. The coordinator
-            // never waits for a producer while inputs are queued, so the
-            // queue always gets there.
-            if actionable && inner.queue.len() <= shared.capacity / 2 {
-                shared.producer.notify_all();
-            }
             if !self.closed
                 && (self.arrived.len() == self.limit || (inner.closed && inner.queue.is_empty()))
             {
@@ -615,7 +644,14 @@ impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
                 *next = groups.try_next();
             }
             if actionable || next.is_some() {
-                break;
+                // A producer blocked on the full queue is woken once the
+                // queue has drained to half: it then refills many slots per
+                // wake-up, where a wake-up per pop bought one slot each. The
+                // coordinator never waits for a producer while inputs are
+                // queued, so the queue always gets there. A visit that pops
+                // always ends here, so the signal (after the unlock) comes
+                // before any park.
+                break actionable && inner.queue.len() <= shared.capacity / 2;
             }
             // About to park. If no worker has started the group the
             // resolver needs next, run it here (unlocked: its wake-up takes
@@ -630,8 +666,11 @@ impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
                 continue;
             }
             shared.coordinator.wait(&mut inner);
-        }
+        };
         drop(inner);
+        if room {
+            shared.signal_room();
+        }
         // Injected queue stalls: the coordinator sleeps outside the lock
         // (producers keep filling the freed queue space meanwhile).
         for (site, delay) in stalls {

@@ -44,12 +44,18 @@
 //! - `session_panic_routing_try_finish` — a panic in a pool-executed
 //!   group crosses worker → coordinator → owner, and a producer blocked
 //!   on a stalled bounded queue cannot deadlock against it.
+//! - `serve_refill_never_strands_a_backlog` — a server tenant's spilled
+//!   inputs reach its session only through the session's own room hook:
+//!   each arrives once, in order, and `finish` returns.
+//! - `serve_refill_reports_a_dead_coordinator` — a tenant whose
+//!   coordinator dies with a backlog fails `finish` instead of hanging.
 
 #![cfg(loom)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use loom::model::Builder;
+use stats_core::serve::{ServeError, ServerOptions, SessionServer};
 use stats_core::sync::atomic::{AtomicU64, Ordering};
 use stats_core::sync::{thread, Arc, Condvar, Mutex};
 use stats_core::{
@@ -477,6 +483,66 @@ fn session_panic_routing_try_finish() {
         }
         // The worker survives for the next scope: the panic was contained.
         drop(session);
+    });
+}
+
+/// One pool worker; each tenant's session queue holds one input and its
+/// spill queue keeps the rest in memory.
+fn one_input_server<T: StateTransition<Input = u64>>() -> SessionServer<T> {
+    SessionServer::new(
+        Arc::new(ThreadPool::new(1)),
+        ServerOptions::default()
+            .session_queue_capacity(1)
+            .spill_mem_capacity(4),
+    )
+}
+
+/// The serve layer's backlog refill. A one-input session queue takes the
+/// first input; the other two wait in the tenant's in-memory spill queue,
+/// and only the session's room hook — run by its coordinator whenever a
+/// pop leaves the queue at half capacity, and on its exit — moves them
+/// in, racing the producer's own pushes for the server lock. Every output
+/// arrives once, in order, and `finish`, which waits on the server's
+/// `drained` condvar for the backlog to empty, returns: a refill that
+/// could be skipped leaves it parked for good.
+#[test]
+fn serve_refill_never_strands_a_backlog() {
+    model(2, || {
+        let server = one_input_server();
+        let tenant = server.open_tenant(
+            ExactState(0u64),
+            Sum,
+            RunOptions::default().config(two_group_config()),
+        );
+        assert_eq!(tenant.try_push_batch(1..=3u64).expect("burst"), 3);
+        let outcome = tenant.finish().expect("finish");
+        assert_eq!(outcome.outputs, vec![1, 3, 6], "backlog lost or reordered");
+    });
+}
+
+/// The dead-coordinator half of `serve_refill_never_strands_a_backlog`:
+/// input 1 explodes on the coordinator while inputs may still be spilled,
+/// and only the coordinator's exit hook can tell `finish` the tenant is
+/// dead.
+#[test]
+fn serve_refill_reports_a_dead_coordinator() {
+    model(2, || {
+        let server = one_input_server();
+        let tenant = server.open_tenant(
+            ExactState(0u64),
+            ExplodeOn(1),
+            RunOptions::default().config(SpecConfig::sequential()),
+        );
+        // The first input explodes, so a later push may already find the
+        // coordinator gone and fail; either way `finish` must report it.
+        let _ = tenant.try_push_batch(1..=3u64);
+        match tenant.finish() {
+            Err(ServeError::Session(SessionError::Panicked { message, .. })) => {
+                assert!(message.contains("transition exploded"), "{message}");
+            }
+            Err(other) => panic!("unexpected serve error: {other}"),
+            Ok(_) => panic!("the transition panic was swallowed"),
+        }
     });
 }
 
