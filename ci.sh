@@ -45,7 +45,7 @@ if [[ "$stage" == "--loom" ]]; then
     models="$(RUSTFLAGS="--cfg loom" cargo test --offline --release -q \
         -p stats-core --test loom -- --list 2>/dev/null \
         | sed -n 's/: test$//p' | tr '\n' ' ')"
-    # The wake-free dispatch handshakes, the two-lane queue and the
+    # The wake-free dispatch handshakes, the one job queue and the
     # ordered-completion slots every batch and stream waits through rest on
     # the first four; the five session models drive the coordinator loop —
     # the linear engine over a stream's queue intake, with its
@@ -53,7 +53,7 @@ if [[ "$stage" == "--loom" ]]; then
     # refill through its session's room hook (docs/concurrency.md). A
     # rename or deletion must not pass silently.
     for required in ticket_runs_exactly_once pool_submit_never_strands_a_sleeper \
-        pool_lanes_never_lose_jobs pool_ordered_yields_each_result_once \
+        pool_queue_never_loses_jobs pool_ordered_yields_each_result_once \
         session_push_finish_matches_batch session_group_completion_wakes_coordinator \
         session_halfway_wakeup_never_strands_producer session_drop_mid_stream_joins \
         session_panic_routing_try_finish serve_refill_never_strands_a_backlog \
@@ -159,9 +159,11 @@ cargo test --offline --workspace -q
 
 echo "== stats-benchmark correctness smokes (held-out seed)"
 # Linear commit path, mismatch path, heap state with real aborts, plans
-# pooled vs sequential, tenants through admission and spill; then the
-# traced pass of light, where an unfaithful replay is a failed operation.
-for workload in light misspec bodytrack dag_small serve_open; do
+# pooled vs sequential (dag_small's nodes mostly run on the coordinator,
+# dag_large's on the workers), tenants through admission and spill; then
+# the traced pass of light, where an unfaithful replay is a failed
+# operation.
+for workload in light misspec bodytrack dag_small dag_large serve_open; do
     bench --workload "$workload" --seed 7919 --seconds 2 --trace 0 > /dev/null
 done
 bench --workload light --seed 7919 --seconds 2 --trace 1 > /dev/null

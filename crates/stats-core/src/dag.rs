@@ -168,26 +168,31 @@ struct NodeOutcome<T: StateTransition> {
     rerun: Option<ProtocolResult<T>>,
 }
 
-/// The incremental DAG resolver: ingest eager node runs (the engine hands
-/// them over in topological order; any order would do); nodes are resolved
-/// — validated, committed, or aborted with their downstream cone squashed —
-/// strictly in the plan's canonical topological order, as soon as their
-/// cut-set allows. That fixed resolution order is what makes every schedule
-/// bit-identical.
+impl<T: StateTransition> NodeOutcome<T> {
+    /// A root or dataflow node: its only run commits, unvalidated.
+    fn committed(run: ProtocolResult<T>) -> Self {
+        NodeOutcome {
+            aux_work: None,
+            validated: false,
+            run,
+            rerun: None,
+        }
+    }
+}
+
+/// The DAG resolver: nodes are resolved — validated, committed, or aborted
+/// with their downstream cone squashed — one by one in the plan's canonical
+/// topological order, each once its parents have settled. That fixed
+/// resolution order is what makes every schedule bit-identical.
 pub(crate) struct PlanResolver<'a, T: StateTransition> {
     plan: &'a SpecPlan,
     /// Its fault plan is plan-level: forced mismatches target plan nodes
     /// (site = node id).
     ctx: RunCtx<'a, T>,
     inputs: &'a [T::Input],
-    pending: Vec<Option<NodeRun<T>>>,
     outcomes: Vec<Option<NodeOutcome<T>>>,
-    settled: Vec<bool>,
     /// For cone members: the aborted ancestor that doomed them.
     squash_root: Vec<Option<PlanNodeId>>,
-    /// Position in the canonical topological order of the next unresolved
-    /// node.
-    next_topo: usize,
     aborted: bool,
     dag_validations: usize,
 }
@@ -204,36 +209,10 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
             plan,
             ctx,
             inputs,
-            pending: (0..n).map(|_| None).collect(),
             outcomes: (0..n).map(|_| None).collect(),
-            settled: vec![false; n],
             squash_root: vec![None; n],
-            next_topo: 0,
             aborted: false,
             dag_validations: 0,
-        }
-    }
-
-    /// Hand one eager node run to the resolver and resolve every node the
-    /// canonical order now allows. Non-eager (dataflow) nodes are executed
-    /// inline here, on the resolving thread, as their parents settle.
-    pub(crate) fn ingest(&mut self, node: PlanNodeId, run: NodeRun<T>) {
-        assert!(
-            self.pending[node].is_none() && !self.settled[node],
-            "plan node {node} ingested twice"
-        );
-        self.pending[node] = Some(run);
-        self.drain();
-    }
-
-    fn drain(&mut self) {
-        while self.next_topo < self.plan.len() {
-            let node = self.plan.topo_order()[self.next_topo];
-            if node_is_eager(self.plan, self.ctx.config, node) && self.pending[node].is_none() {
-                break; // the eager run has not arrived yet
-            }
-            self.resolve(node);
-            self.next_topo += 1;
         }
     }
 
@@ -267,67 +246,66 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
         run_node_inner(self.plan, node, self.ctx, self.inputs, start, seed)
     }
 
-    fn resolve(&mut self, node: PlanNodeId) {
-        if self.plan.node(node).parents.is_empty() {
-            let NodeRun { run, .. } = self.pending[node].take().expect("root run ingested");
-            self.outcomes[node] = Some(NodeOutcome {
-                aux_work: None,
-                validated: false,
+    /// Resolve `node`, the next one in canonical topological order. `eager`
+    /// is its eager run; a dataflow node has none and runs here, from its
+    /// parents' merged state.
+    fn resolve(&mut self, node: PlanNodeId, eager: Option<NodeRun<T>>) {
+        let outcome = match eager {
+            // A root ran from the plan's initial state: nothing to validate.
+            Some(NodeRun {
+                spec_start: None,
                 run,
-                rerun: None,
-            });
-            self.settled[node] = true;
-            return;
-        }
-        let merged = self.merged_parent_state(node);
-        if !node_speculates(self.plan, self.ctx.config, node) {
+                ..
+            }) => NodeOutcome::committed(run),
             // Pure dataflow: the node waited for its parents and now runs
             // from the real merged state — the segmented semantics.
-            let run = self.run_inline(node, &merged, node_seed(self.ctx.seed, node));
-            self.outcomes[node] = Some(NodeOutcome {
-                aux_work: None,
-                validated: false,
-                run,
-                rerun: None,
-            });
-            self.settled[node] = true;
-            return;
-        }
-        let NodeRun {
-            aux_work,
-            spec_start,
-            run,
-        } = self.pending[node].take().expect("speculative run ingested");
-        let spec_start = spec_start.expect("speculative run carries its start state");
-        if let Some(root) = self.squash_root[node] {
-            // Cut-set rollback rule: downstream of an abort, the eager run
-            // is squashed without validation and the node re-executes from
-            // its real merged state (speculation re-enabled inside — the
-            // recovery run starts from a *real* state, like a fresh
-            // segment after a segmented abort).
-            self.ctx.emit(EventKind::ConeSquash { node, root });
-            let rerun = self.run_inline(node, &merged, rerun_seed(self.ctx.seed, node));
-            self.outcomes[node] = Some(NodeOutcome {
+            None => {
+                let merged = self.merged_parent_state(node);
+                let seed = node_seed(self.ctx.seed, node);
+                NodeOutcome::committed(self.run_inline(node, &merged, seed))
+            }
+            Some(NodeRun {
                 aux_work,
-                validated: false,
+                spec_start: Some(spec_start),
                 run,
-                rerun: Some(rerun),
-            });
-            self.settled[node] = true;
-            return;
-        }
+            }) => {
+                let merged = self.merged_parent_state(node);
+                let (validated, matched) = match self.squash_root[node] {
+                    // Cut-set rollback rule: downstream of an abort, the
+                    // eager run is squashed without validation and the node
+                    // re-executes from its real merged state (speculation
+                    // re-enabled inside — the recovery run starts from a
+                    // *real* state, like a fresh segment after a segmented
+                    // abort).
+                    Some(root) => {
+                        self.ctx.emit(EventKind::ConeSquash { node, root });
+                        (false, false)
+                    }
+                    None => (true, self.validate(node, &spec_start, &merged)),
+                };
+                let rerun = (!matched)
+                    .then(|| self.run_inline(node, &merged, rerun_seed(self.ctx.seed, node)));
+                NodeOutcome {
+                    aux_work,
+                    validated,
+                    run,
+                    rerun,
+                }
+            }
+        };
+        self.outcomes[node] = Some(outcome);
+    }
+
+    /// Cut-set validation of a speculative node's start state against its
+    /// parents' merged state. A mismatch aborts the node and dooms its
+    /// downstream cone.
+    fn validate(&mut self, node: PlanNodeId, spec_start: &T::State, merged: &T::State) -> bool {
         self.dag_validations += 1;
-        let matched = spec_start.matches_any(std::slice::from_ref(&merged))
+        let matched = spec_start.matches_any(std::slice::from_ref(merged))
             && !self.ctx.forced_mismatch(node, 0);
         self.ctx.emit(EventKind::NodeValidation { node, matched });
         if matched {
             self.ctx.emit(EventKind::NodeCommit { node });
-            self.outcomes[node] = Some(NodeOutcome {
-                aux_work,
-                validated: true,
-                run,
-                rerun: None,
-            });
         } else {
             self.aborted = true;
             self.ctx.emit(EventKind::NodeAbort { node });
@@ -336,26 +314,14 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
                     self.squash_root[c] = Some(node);
                 }
             }
-            let rerun = self.run_inline(node, &merged, rerun_seed(self.ctx.seed, node));
-            self.outcomes[node] = Some(NodeOutcome {
-                aux_work,
-                validated: true,
-                run,
-                rerun: Some(rerun),
-            });
         }
-        self.settled[node] = true;
+        matched
     }
 
     /// Lay out the canonical trace (topological node order, fixed per-node
     /// shape: plan-aux, eager run, validation, recovery run), assemble the
     /// outputs, and merge the reports.
-    pub(crate) fn finish(mut self) -> ProtocolResult<T> {
-        assert_eq!(
-            self.next_topo,
-            self.plan.len(),
-            "unresolved plan nodes at finish"
-        );
+    fn finish(mut self) -> ProtocolResult<T> {
         let val_work = WorkMeter {
             total: self.ctx.config.validation_cost,
             memory: 0.0,
@@ -458,11 +424,11 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
 }
 
 /// Execute a plan: `exec` runs the eager nodes (roots and speculative
-/// non-roots), their runs are ingested in canonical topological order into
-/// the [`PlanResolver`], and dataflow nodes and post-abort recovery runs
-/// execute on this thread as their parents settle. [`Inline`] — each eager
-/// node run right before it is ingested — is the sequential reference that
-/// every parallel schedule must reproduce bit-for-bit.
+/// non-roots) and hands their runs back in canonical topological order;
+/// the [`PlanResolver`] resolves every node in that order, running dataflow
+/// nodes and post-abort recovery runs on this thread. [`Inline`] — each
+/// eager node run right before it is resolved — is the sequential
+/// reference that every parallel schedule must reproduce bit-for-bit.
 pub(crate) fn run_plan<T: StateTransition, E: Executor<T>>(
     ctx: RunCtx<'_, T>,
     plan: &SpecPlan,
@@ -477,11 +443,11 @@ pub(crate) fn run_plan<T: StateTransition, E: Executor<T>>(
         .copied()
         .filter(|&n| node_is_eager(plan, ctx.config, n))
         .collect();
-    for (&node, run) in eager
-        .iter()
-        .zip(exec.nodes(ctx, plan, inputs, initial, &eager))
-    {
-        resolver.ingest(node, run);
+    let mut runs = exec.nodes(ctx, plan, inputs, initial, &eager);
+    for &node in plan.topo_order() {
+        let run = node_is_eager(plan, ctx.config, node)
+            .then(|| runs.next().expect("one run per eager node"));
+        resolver.resolve(node, run);
     }
     resolver.finish()
 }

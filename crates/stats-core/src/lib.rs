@@ -101,7 +101,7 @@ pub use faults::{FaultKind, FaultPlan, FaultRule};
 pub use obs::{Event, EventKind, EventSink, NoopSink, RecordingSink};
 pub use options::RunOptions;
 pub use plan::{PlanError, PlanNode, PlanNodeId, SpecPlan, SpecPlanBuilder};
-pub use pool::{PoolMetrics, Priority, ThreadPool, Ticket};
+pub use pool::{PoolMetrics, ThreadPool, Ticket};
 pub use protocol::{
     run_protocol, run_protocol_with_options, GroupRecord, GroupResolution, ProtocolResult,
     SpecConfig, SpecReport, SpecTrace, TraceNode, TraceNodeKind,
@@ -128,9 +128,9 @@ pub mod prelude {
     pub use crate::{
         replay, run_protocol, run_protocol_with_options, AdaptPolicy, AdaptState,
         AdaptiveController, ExactState, FaultKind, FaultPlan, FaultRule, InvocationCtx, PlanError,
-        PlanNode, PlanNodeId, Priority, ProtocolResult, PushError, ReplayError, ReplayOutcome,
-        RetryPolicy, Retuner, RunOptions, SegmentStats, ServeError, ServerMetrics, ServerOptions,
-        Session, SessionError, SessionLog, SessionRecorder, SessionServer, SpecConfig, SpecOutcome,
+        PlanNode, PlanNodeId, ProtocolResult, PushError, ReplayError, ReplayOutcome, RetryPolicy,
+        Retuner, RunOptions, SegmentStats, ServeError, ServerMetrics, ServerOptions, Session,
+        SessionError, SessionLog, SessionRecorder, SessionServer, SpecConfig, SpecOutcome,
         SpecPlan, SpecPlanBuilder, SpecReport, SpecState, SpecTrace, SpillCodec, StateDependence,
         StateTransition, TenantHandle, TenantMetrics, ThreadPool, TradeoffBindings, TuneDecision,
         WorkMeter,

@@ -13,7 +13,7 @@ use crate::adapt::{AdaptPolicy, RetryPolicy, Retuner};
 use crate::faults::FaultPlan;
 use crate::obs::{EventSink, NoopSink};
 use crate::plan::SpecPlan;
-use crate::pool::{Priority, ThreadPool};
+use crate::pool::ThreadPool;
 use crate::protocol::SpecConfig;
 use crate::sync::Mutex;
 
@@ -94,14 +94,6 @@ pub struct RunOptions {
     /// on every linear run, batch or streamed: the group's job retries
     /// itself, then runs the group regardless once the budget is spent.
     pub retry: RetryPolicy,
-    /// Dispatch lane for the speculative groups a pooled run — a
-    /// [`StateDependence`](crate::StateDependence) or a
-    /// [`Session`](crate::Session) — hands to the shared pool (and for the
-    /// non-critical nodes of a plan). [`Priority::High`] lets one run's
-    /// groups overtake queued [`Priority::Normal`] work from other runs
-    /// sharing the pool — the per-tenant knob behind the
-    /// [`serve`](crate::serve) front door. The lane never changes a result.
-    pub priority: Priority,
 }
 
 impl Default for RunOptions {
@@ -119,7 +111,6 @@ impl Default for RunOptions {
             adapt: None,
             retune: None,
             retry: RetryPolicy::default(),
-            priority: Priority::Normal,
         }
     }
 }
@@ -206,12 +197,6 @@ impl RunOptions {
     /// Set the retry budget for groups lost to worker death.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Choose the pool dispatch lane for this run's speculative groups.
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
         self
     }
 }

@@ -347,9 +347,8 @@ impl SpecPlan {
     }
 
     /// The critical path: the root-to-sink path maximizing total input
-    /// count (the engine's work proxy), as node ids in execution order. The
-    /// pooled engine dispatches these nodes on the pool's high-priority
-    /// lane so the longest chain is never stuck behind bulk siblings.
+    /// count (the engine's work proxy), as node ids in execution order:
+    /// the plan's heaviest dependence chain.
     pub fn critical_path(&self) -> Vec<PlanNodeId> {
         let n = self.nodes.len();
         // Longest path ending at each node, over the topological order.

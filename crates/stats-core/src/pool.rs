@@ -3,12 +3,12 @@
 //! The paper's runtime "includes an efficient thread pool implementation
 //! (shared with all state dependences) to minimize thread creation
 //! overhead". This pool is created once and shared. Submitted jobs wait in
-//! one of two FIFO lanes (see [`Priority`]) that live, with the rest of the
-//! pool's state, under one mutex: every idle worker takes the oldest job of
-//! the high lane, else of the normal lane, so group executions stay
+//! one FIFO queue that lives, with the rest of the pool's state, under one
+//! mutex: every idle worker takes the oldest job, so group executions stay
 //! balanced when their costs are skewed (e.g. groups with different
-//! auxiliary windows) — no worker holds work another could run. Looking at
-//! the lanes and deciding to park are one critical section.
+//! auxiliary windows) — no worker holds work another could run — and jobs
+//! start in the order the in-order resolvers consume them. Looking at the
+//! queue and deciding to park are one critical section.
 //!
 //! Speculation only pays when coordinating a group costs less than running
 //! it, so the pool wakes nobody it does not need:
@@ -37,7 +37,7 @@ use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{thread, Arc, CachePadded, Condvar, Mutex};
 
 /// A submitted closure in the slot it waits in until a thread claims it.
-/// Its lane entry and the [`Ticket`] share it; `take()` under the mutex is
+/// Its queue entry and the [`Ticket`] share it; `take()` under the mutex is
 /// the claim, so the closure runs exactly once whoever gets there first.
 struct Task(Mutex<Option<Box<dyn FnOnce() + Send>>>);
 
@@ -49,22 +49,6 @@ type Job = Arc<Task>;
 /// the time `submit` notifies (`pool_submit_never_strands_a_sleeper` in
 /// `tests/loom.rs` runs with the timeout disabled).
 const PARK_BACKSTOP: Duration = Duration::from_millis(1);
-
-/// Dispatch lane for a submitted job.
-///
-/// The pool keeps two queues. Workers drain the high lane before touching
-/// the normal one, so latency-critical jobs (e.g. speculative groups of a
-/// high-priority tenant behind the [`serve`](crate::serve) front door)
-/// overtake bulk work that was submitted earlier without preempting
-/// anything already running. Within a lane, order stays FIFO.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum Priority {
-    /// The default lane; all pre-existing entry points submit here.
-    #[default]
-    Normal,
-    /// Drained before `Normal` work by every worker.
-    High,
-}
 
 /// Monotonic pool counters, updated by whichever thread runs a job.
 ///
@@ -87,22 +71,21 @@ struct PoolCounters {
 }
 
 struct PoolShared {
-    /// The lanes and everything a worker decides to park or exit on.
+    /// The queue and everything a worker decides to park or exit on.
     live: Mutex<PoolState>,
     /// Parked workers wait here; its waiter count is the sleeper count.
     wake: Condvar,
     /// Jobs submitted and not yet claimed: raised by `enqueue`, lowered by
     /// the claiming thread. Only the source of `max_injector_depth` — the
-    /// lanes' lengths would also count entries whose ticket holder has
+    /// queue's length would also count entries whose ticket holder has
     /// already run the job.
     unclaimed: CachePadded<AtomicUsize>,
     counters: PoolCounters,
 }
 
 struct PoolState {
-    /// The [`Priority::High`] lane, drained before `normal`.
-    high: VecDeque<Job>,
-    normal: VecDeque<Job>,
+    /// Submitted jobs, oldest first.
+    queue: VecDeque<Job>,
     /// Jobs submitted but not yet finished.
     pending: usize,
     shutdown: bool,
@@ -116,19 +99,16 @@ enum Runner {
 }
 
 impl PoolShared {
-    fn enqueue(&self, priority: Priority, job: Box<dyn FnOnce() + Send>) -> Job {
+    fn enqueue(&self, job: Box<dyn FnOnce() + Send>) -> Job {
         let job: Job = Arc::new(Task(Mutex::new(Some(job))));
         let depth = {
-            // Published under `live`: a worker looks at the lanes and
+            // Published under `live`: a worker looks at the queue and
             // parks under the same lock, so it either sees this job or is
             // already waiting when the notify below looks for sleepers.
             let mut state = self.live.lock();
             assert!(!state.shutdown, "pool is shut down");
             state.pending += 1;
-            match priority {
-                Priority::Normal => state.normal.push_back(Arc::clone(&job)),
-                Priority::High => state.high.push_back(Arc::clone(&job)),
-            }
+            state.queue.push_back(Arc::clone(&job));
             self.unclaimed.fetch_add(1, Ordering::Relaxed) + 1
         };
         self.counters
@@ -231,8 +211,7 @@ impl ThreadPool {
         let counter = || CachePadded::new(AtomicU64::new(0));
         let shared = Arc::new(PoolShared {
             live: Mutex::new(PoolState {
-                high: VecDeque::new(),
-                normal: VecDeque::new(),
+                queue: VecDeque::new(),
                 pending: 0,
                 shutdown: false,
             }),
@@ -264,17 +243,17 @@ impl ThreadPool {
         self.workers.len()
     }
 
-    /// Submit a fire-and-forget job on the [`Priority::Normal`] lane.
+    /// Submit a fire-and-forget job.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.shared.enqueue(Priority::Normal, Box::new(job));
+        self.shared.enqueue(Box::new(job));
     }
 
-    /// Submit a job on a dispatch lane, waking one sleeping worker if there
-    /// is one. The [`Ticket`] lets the caller run the job itself should it
-    /// come to wait for it before a worker has started it.
-    pub fn submit(&self, priority: Priority, job: impl FnOnce() + Send + 'static) -> Ticket {
+    /// Submit a job behind every queued one, waking one sleeping worker if
+    /// there is one. The [`Ticket`] lets the caller run the job itself
+    /// should it come to wait for it before a worker has started it.
+    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Ticket {
         Ticket {
-            job: self.shared.enqueue(priority, Box::new(job)),
+            job: self.shared.enqueue(Box::new(job)),
             shared: Arc::clone(&self.shared),
         }
     }
@@ -293,13 +272,13 @@ impl ThreadPool {
         }
     }
 
-    /// Submit every job on its lane; the returned iterator hands the results
+    /// Submit every job in order; the returned iterator hands the results
     /// back strictly in submission order, whatever order they finish in.
     pub(crate) fn ordered<R, F, I>(&self, jobs: I) -> Ordered<R>
     where
         R: Send + 'static,
         F: FnOnce() -> R + Send + 'static,
-        I: IntoIterator<Item = (Priority, F)>,
+        I: IntoIterator<Item = F>,
         I::IntoIter: ExactSizeIterator,
     {
         let mut batch = self.open_ordered(|| {});
@@ -334,7 +313,7 @@ impl ThreadPool {
     #[doc(hidden)]
     pub fn ordered_for_model<R: Send + 'static>(
         &self,
-        jobs: Vec<(Priority, Box<dyn FnOnce() -> R + Send>)>,
+        jobs: Vec<Box<dyn FnOnce() -> R + Send>>,
     ) -> impl Iterator<Item = R> {
         self.ordered(jobs)
     }
@@ -352,11 +331,7 @@ impl ThreadPool {
         F: FnOnce(usize) + Send + 'static,
     {
         let settled = self.shared.counters.jobs.load(Ordering::Acquire) + jobs.len() as u64;
-        let mut batch = self.ordered(
-            jobs.into_iter()
-                .enumerate()
-                .map(|(i, job)| (Priority::Normal, move || job(i))),
-        );
+        let mut batch = self.ordered(jobs.into_iter().enumerate().map(|(i, job)| move || job(i)));
         let panics = std::iter::from_fn(|| batch.next_caught())
             .filter(Result::is_err)
             .count();
@@ -386,7 +361,7 @@ impl ThreadPool {
         let f = Arc::new(f);
         let jobs = items.into_iter().map(|item| {
             let f = Arc::clone(&f);
-            (Priority::Normal, move || f(item))
+            move || f(item)
         });
         self.ordered(jobs).collect()
     }
@@ -447,22 +422,22 @@ pub(crate) struct Ordered<R> {
 }
 
 impl<R: Send + 'static> Ordered<R> {
-    /// Submit `jobs`, each on its lane, behind the ones already in the batch.
+    /// Submit `jobs` behind the ones already in the batch.
     pub(crate) fn submit<F, I>(&mut self, jobs: I)
     where
         F: FnOnce() -> R + Send + 'static,
-        I: IntoIterator<Item = (Priority, F)>,
+        I: IntoIterator<Item = F>,
         I::IntoIter: ExactSizeIterator,
     {
         let jobs = jobs.into_iter();
         self.jobs.reserve(jobs.len());
-        for (priority, job) in jobs {
+        for job in jobs {
             let (slots, i) = (Arc::clone(&self.slots), self.submitted);
             self.submitted += 1;
             // The call consumes `job`, so its captures are gone before the
             // result can be seen.
             let body = move || slots.fill(i, std::panic::catch_unwind(AssertUnwindSafe(job)));
-            let job = self.shared.enqueue(priority, Box::new(body));
+            let job = self.shared.enqueue(Box::new(body));
             self.jobs.push_back(job);
         }
     }
@@ -543,12 +518,12 @@ pub struct PoolMetrics {
     /// Jobs completed since the pool was created — each submitted job
     /// once, whether a worker or its ticket's holder ran it.
     pub jobs_executed: u64,
-    /// Always 0 — one shared queue per lane, nothing to steal. Kept as a
-    /// field for the readers that name it.
+    /// Always 0 — one shared queue, nothing to steal. Kept as a field for
+    /// the readers that name it.
     pub steals: u64,
     /// Deepest backlog of submitted jobs no thread had claimed yet,
     /// observed at submission time. Read from a counter of unclaimed jobs,
-    /// not from the lanes' lengths, which also hold the entries of jobs
+    /// not from the queue's length, which also holds the entries of jobs
     /// their ticket holders ran.
     pub max_injector_depth: u64,
     /// Per-worker time spent executing jobs (index = worker).
@@ -592,8 +567,7 @@ impl PoolMetrics {
 fn worker_loop(idx: usize, shared: &PoolShared) {
     let mut state = shared.live.lock();
     loop {
-        let next = state.high.pop_front().or_else(|| state.normal.pop_front());
-        if let Some(job) = next {
+        if let Some(job) = state.queue.pop_front() {
             drop(state);
             // An entry whose ticket holder ran the job is simply dropped.
             shared.run(&job, Runner::Worker(idx));
@@ -805,14 +779,14 @@ mod tests {
         let n = 24;
         let jobs = (0..n).map(|i| {
             let last_ran = Arc::clone(&last_ran);
-            (Priority::Normal, move || {
+            move || {
                 match i {
                     0 => last_ran.wait(),
                     _ if i == n - 1 => last_ran.open(),
                     _ => {}
                 }
                 i
-            })
+            }
         });
         let out: Vec<usize> = pool.ordered(jobs).collect();
         assert_eq!(out, (0..n).collect::<Vec<_>>());
@@ -825,17 +799,17 @@ mod tests {
         let helped_before = pool.metrics().helped_jobs;
         let jobs = (0..16).map(|i| {
             let runs = Arc::clone(&runs);
-            (Priority::Normal, move || {
+            move || {
                 runs.lock()[i] += 1;
                 i
-            })
+            }
         });
         let out: Vec<usize> = pool.ordered(jobs).collect();
         assert_eq!(out, (0..16).collect::<Vec<_>>());
         assert_eq!(*runs.lock(), vec![1; 16], "job lost or run twice");
         assert_eq!(pool.metrics().helped_jobs - helped_before, 16);
         gate.open();
-        drop(pool); // the worker discards the sixteen stale lane entries
+        drop(pool); // the worker discards the sixteen stale queue entries
         assert_eq!(*runs.lock(), vec![1; 16], "a stale entry ran its job again");
     }
 
@@ -851,10 +825,10 @@ mod tests {
             .enumerate()
             .map(|(i, sentinel)| {
                 let held = Arc::clone(sentinel);
-                (Priority::Normal, move || {
+                move || {
                     let _held = &held;
                     i
-                })
+                }
             })
             .collect();
         for (i, got) in pool.ordered(jobs).enumerate() {
@@ -864,37 +838,16 @@ mod tests {
     }
 
     #[test]
-    fn ordered_mixed_priorities_come_back_in_submission_order() {
-        // The worker is released only once every job is queued, so it
-        // drains the high lane first while the consumer works from the
-        // front: execution order and submission order differ.
-        let (pool, gate) = wedged_pool();
-        let lanes = [Priority::Normal, Priority::High];
-        let runs = Arc::new(Mutex::new(vec![0u32; 12]));
-        let jobs = (0..12).map(|i| {
-            let runs = Arc::clone(&runs);
-            (lanes[i % 2], move || {
-                runs.lock()[i] += 1;
-                i
-            })
-        });
-        let results = pool.ordered(jobs);
-        gate.open();
-        assert_eq!(results.collect::<Vec<_>>(), (0..12).collect::<Vec<_>>());
-        assert_eq!(*runs.lock(), vec![1; 12]);
-    }
-
-    #[test]
     fn ordered_reraises_the_first_failing_jobs_own_payload() {
         let pool = ThreadPool::new(2);
         let started = Arc::new(AtomicU64::new(0));
         let jobs = (0..8).map(|i| {
             let started = Arc::clone(&started);
-            (Priority::Normal, move || {
+            move || {
                 started.fetch_add(1, Ordering::SeqCst);
                 assert!(i % 3 != 2, "job {i} exploded");
                 i
-            })
+            }
         });
         let mut results = pool.ordered(jobs);
         assert_eq!(results.next(), Some(0));
@@ -941,7 +894,7 @@ mod tests {
         assert_eq!(m.helped_jobs == 0, m.helper_busy.is_zero());
         let u = m.utilization(wall);
         assert!(u > 0.0 && u <= 1.0, "utilization {u}");
-        // 30 jobs pushed through one lane: a backlog was observable.
+        // 30 jobs pushed through one queue: a backlog was observable.
         assert!(m.max_injector_depth >= 1);
     }
 
@@ -957,7 +910,7 @@ mod tests {
     #[test]
     fn jobs_in_a_lane_start_in_submission_order() {
         // One worker, wedged on a gate job while 32 jobs queue up behind
-        // it: a lane is FIFO, so they start in the order they were
+        // it: the queue is FIFO, so they start in the order they were
         // submitted (what the in-order resolvers wait for first, runs
         // first).
         let pool = ThreadPool::new(1);
@@ -974,35 +927,6 @@ mod tests {
         gate.open();
         drop(pool); // drains everything
         assert_eq!(*order.lock(), (0..32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn priority_jobs_overtake_queued_normal_work() {
-        // One worker, wedged on a gate job. While it is busy, enqueue a
-        // burst of normal jobs and then one high-priority job: the
-        // priority job must run before any of the queued normal jobs.
-        let pool = ThreadPool::new(1);
-        let gate = Arc::new(Gate::default());
-        let order = Arc::new(Mutex::new(Vec::new()));
-        {
-            let gate = Arc::clone(&gate);
-            pool.execute(move || gate.wait());
-        }
-        for i in 0..8 {
-            let order = Arc::clone(&order);
-            pool.execute(move || order.lock().push(format!("normal-{i}")));
-        }
-        {
-            let order = Arc::clone(&order);
-            pool.submit(Priority::High, move || {
-                order.lock().push("high".to_string())
-            });
-        }
-        gate.open();
-        drop(pool); // drains everything
-        let order = order.lock().clone();
-        assert_eq!(order.len(), 9);
-        assert_eq!(order[0], "high", "priority job did not overtake: {order:?}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! program. The log overrides every *semantics-bearing* knob of the
 //! environment options it is replayed with (seed, configuration scalars,
 //! segmenting, faults, adapt/retry policies); the environment contributes
-//! only non-semantic resources (pool, sink, queue capacity, priority).
+//! only non-semantic resources (pool, sink, queue capacity).
 //!
 //! Online re-tuning decisions are recorded as
 //! [`EventKind::Retune`] events and played back verbatim by an internal
@@ -854,7 +854,7 @@ impl<T: StateTransition> ReplayOutcome<T> {
 ///
 /// `initial` and `transition` are the same program the recording ran
 /// (code is not serialized); `env` contributes only non-semantic resources
-/// (pool, sink, queue capacity, priority, tradeoff bindings) — every
+/// (pool, sink, queue capacity, tradeoff bindings) — every
 /// semantics-bearing knob (seed, configuration scalars, segmenting, fault
 /// plan, adapt/retry policies, re-tuning decisions) comes from the log.
 /// The recorded inputs are re-pushed with the recorded chunking.

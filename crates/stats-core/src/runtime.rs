@@ -18,7 +18,7 @@ use crate::adapt::SegmentControl;
 use crate::dag::{run_node_eager, NodeRun};
 use crate::options::RunOptions;
 use crate::plan::{PlanNodeId, SpecPlan};
-use crate::pool::{Ordered, Priority, ThreadPool};
+use crate::pool::{Ordered, ThreadPool};
 use crate::protocol::{
     execute_group, run_batch, Executor, GroupData, GroupSpec, Groups, ProtocolResult, RunCtx,
     SpecConfig, Window,
@@ -188,7 +188,6 @@ impl<T: StateTransition> Drop for StateDependence<T> {
 /// job for [`ThreadPool::ordered`], so group *k* is validated and
 /// committed while groups *k+1…* still run, and the coordinator runs the
 /// unit it is about to wait for itself when no worker has started it.
-/// Groups go on the options' [`Priority`] lane.
 ///
 /// Pool jobs outlive any borrow, so they reach the run through `shared`
 /// rather than through the borrowed arguments, which name the same run.
@@ -219,7 +218,6 @@ struct PooledGroups<T: StateTransition> {
 impl<T: StateTransition> Groups<T> for PooledGroups<T> {
     fn submit(&mut self, spec: GroupSpec, _: &[T::Input], window: Window<T::Input>) {
         let run = Arc::clone(&self.run);
-        let priority = run.shared.options.priority;
         let job = move || {
             let ctx = RunCtx {
                 config: &run.config,
@@ -232,7 +230,7 @@ impl<T: StateTransition> Groups<T> for PooledGroups<T> {
             };
             execute_group(ctx, inputs, base, &run.initial, spec)
         };
-        self.batch.submit([(priority, job)]);
+        self.batch.submit([job]);
     }
 
     fn try_next(&mut self) -> Option<GroupData<T>> {
@@ -267,29 +265,23 @@ impl<T: StateTransition> Executor<T> for Pooled<'_, T> {
         }
     }
 
-    /// Critical-path nodes go on the [`Priority::High`] lane so the longest
-    /// dependence chain is never stuck behind sibling branches.
+    /// Eager nodes queue in topological order, the order the resolver
+    /// consumes them in: the pool's FIFO queue starts first what the
+    /// resolver needs first.
     fn nodes<'a>(
         &'a self,
         _ctx: RunCtx<'a, T>,
-        plan: &'a SpecPlan,
+        _plan: &'a SpecPlan,
         _inputs: &'a [T::Input],
         _initial: &'a T::State,
         eager: &'a [PlanNodeId],
     ) -> impl Iterator<Item = NodeRun<T>> + 'a {
-        let critical = plan.critical_path();
         self.pool.ordered(eager.iter().map(|&node| {
             let s = Arc::clone(self.shared);
-            let priority = if critical.contains(&node) {
-                Priority::High
-            } else {
-                s.options.priority
-            };
-            let job = move || {
+            move || {
                 let plan = s.options.plan.as_ref().expect("plan mode");
                 run_node_eager(plan, node, s.ctx(), &s.inputs, &s.initial)
-            };
-            (priority, job)
+            }
         }))
     }
 }
@@ -331,6 +323,17 @@ mod tests {
             rollback: 1,
             ..SpecConfig::default()
         }
+    }
+
+    /// A diamond plan: one root, two branches, one join.
+    fn diamond() -> SpecPlan {
+        let mut b = SpecPlan::builder();
+        let src = b.node(8);
+        let l = b.node(8);
+        let r = b.node(8);
+        let j = b.node(8);
+        b.edge(src, l).edge(src, r).edge(l, j).edge(r, j);
+        b.build().unwrap()
     }
 
     fn pooled_options(threads: usize, seed: u64) -> RunOptions {
@@ -384,13 +387,7 @@ mod tests {
         // A diamond plan over the noisy workload: the pooled DAG driver
         // must reproduce the sequential plan run bit-for-bit regardless of
         // how many workers race the eager node runs.
-        let mut b = crate::SpecPlan::builder();
-        let src = b.node(8);
-        let l = b.node(8);
-        let r = b.node(8);
-        let j = b.node(8);
-        b.edge(src, l).edge(src, r).edge(l, j).edge(r, j);
-        let plan = b.build().unwrap();
+        let plan = diamond();
         let inputs: Vec<f64> = (0..plan.total_inputs()).map(|i| i as f64).collect();
         for seed in [0_u64, 7, 42] {
             let options = RunOptions::default()
@@ -528,43 +525,11 @@ mod tests {
         }
     }
 
-    /// Short-memory transition that logs every input it runs, except
-    /// input 0, on which it blocks until `release` opens.
-    struct BlockOnFirst {
-        log: Arc<crate::sync::Mutex<Vec<String>>>,
-        entered: Arc<Latch>,
-        release: Arc<Latch>,
-    }
-    impl StateTransition for BlockOnFirst {
-        type Input = u64;
-        type State = crate::sdi::ExactState<u64>;
-        type Output = u64;
-        fn compute_output(
-            &self,
-            input: &u64,
-            state: &mut Self::State,
-            ctx: &mut InvocationCtx,
-        ) -> u64 {
-            if *input == 0 {
-                self.entered.open();
-                self.release.wait();
-            } else {
-                self.log.lock().push(format!("input {input}"));
-            }
-            ctx.charge(1.0);
-            state.0 = *input;
-            *input
-        }
-    }
-
     #[test]
-    fn batch_groups_run_on_the_options_priority_lane() {
-        // The only worker is wedged, with normal-lane fillers queued behind
-        // it; the run's coordinator is stuck inside group 0 (input 0
-        // blocks), so it cannot run later groups itself. Released, the
-        // worker takes the high lane first: a `Priority::High` run's groups
-        // overtake the fillers — group 1's auxiliary run on input 3 is the
-        // first thing it executes.
+    fn plan_nodes_run_on_the_coordinator_when_the_pool_is_wedged() {
+        // The only worker is wedged for the whole run, so every eager node
+        // is still queued when the coordinator comes to resolve it: it must
+        // run each one itself instead of waiting for the worker.
         let pool = Arc::new(ThreadPool::new(1));
         let (wedge, wedged) = (Arc::new(Latch::default()), Arc::new(Latch::default()));
         {
@@ -575,35 +540,23 @@ mod tests {
             });
         }
         wedged.wait();
-        let log = Arc::new(crate::sync::Mutex::new(Vec::new()));
-        for _ in 0..4 {
-            let log = Arc::clone(&log);
-            pool.execute(move || log.lock().push("filler".to_string()));
-        }
-        let (entered, release) = (Arc::new(Latch::default()), Arc::new(Latch::default()));
-        let transition = BlockOnFirst {
-            log: Arc::clone(&log),
-            entered: Arc::clone(&entered),
-            release: Arc::clone(&release),
-        };
-        let initial = crate::sdi::ExactState(0);
-        let mut dep = StateDependence::new((0..16).collect(), initial, transition).with_options(
-            RunOptions::default()
-                .pool(Arc::clone(&pool))
-                .config(config())
-                .priority(Priority::High),
-        );
-        dep.start();
-        entered.wait();
+        let plan = diamond();
+        let inputs: Vec<f64> = (0..plan.total_inputs()).map(|i| i as f64).collect();
+        let options = RunOptions::default().config(config()).seed(7).plan(plan);
+        let reference = run_protocol_with_options(&NoisyLast, &inputs, &Noisy(0.0), &options);
+        let outcome = StateDependence::new(inputs, Noisy(0.0), NoisyLast)
+            .with_options(options.pool(Arc::clone(&pool)))
+            .run();
+        let helped = pool.metrics().helped_jobs;
         wedge.open();
-        while log.lock().is_empty() {
-            thread::yield_now();
-        }
-        let first = log.lock()[0].clone();
-        release.open();
-        let outcome = dep.join();
-        assert_eq!(first, "input 3", "the worker ran {first:?} first");
-        assert_eq!(outcome.outputs, (0..16).collect::<Vec<u64>>());
+        assert_eq!(helped, 4, "the root, both branches and the join");
+        assert_eq!(outcome.outputs, reference.outputs);
+        assert_eq!(
+            outcome.final_state.0.to_bits(),
+            reference.final_state.0.to_bits()
+        );
+        assert_eq!(outcome.report, reference.report);
+        assert_eq!(outcome.trace, reference.trace);
     }
 
     #[test]

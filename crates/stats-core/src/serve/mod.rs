@@ -2,10 +2,10 @@
 //! tenant [`Session`]s behind per-tenant handles.
 //!
 //! A [`SessionServer`] is the front door the ROADMAP's "millions of users"
-//! item asks for. Each tenant opens a handle with its own seed, config,
-//! and [`Priority`](crate::Priority); the server multiplexes their
-//! speculative groups onto the one pool while three mechanisms keep the
-//! tenants isolated from each other:
+//! item asks for. Each tenant opens a handle with its own seed and config;
+//! the server multiplexes their speculative groups onto the one pool's
+//! FIFO queue while three mechanisms keep the tenants isolated from each
+//! other:
 //!
 //! - **Admission windows** — every tenant's session keeps a small bounded
 //!   queue (`session_queue_capacity`) and a capped number of inflight
@@ -442,9 +442,8 @@ where
     }
 
     /// Open a tenant. The tenant's `options` carry its seed, config,
-    /// faults, adaptation, and pool [`Priority`](crate::Priority); the
-    /// server overrides the pool (every tenant shares the server's) and
-    /// the queue/inflight admission window.
+    /// faults and adaptation; the server overrides the pool (every tenant
+    /// shares the server's) and the queue/inflight admission window.
     pub fn open_tenant(
         &self,
         initial: T::State,

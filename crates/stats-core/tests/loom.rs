@@ -19,7 +19,7 @@
 //! - `pool_scope_routes_job_panics` — a job's panic travels in its result
 //!   slot and surfaces from `scope` in every schedule.
 //! - `pool_drop_completes_outstanding_work` — shutdown/drain handshake.
-//! - `pool_lanes_never_lose_jobs` — two workers, jobs on both lanes, a
+//! - `pool_queue_never_loses_jobs` — two workers, three queued jobs, a
 //!   drop right behind the last submit: each job runs exactly once.
 //! - `ticket_runs_exactly_once` — a worker, the ticket's holder and a pool
 //!   drop race for one job: it runs once, is counted once, and a panic in
@@ -28,9 +28,9 @@
 //!   backstop disabled: a parked worker is always woken for a new job.
 //! - `pool_ordered_yields_each_result_once` — the `ordered` slot handshake
 //!   the batch and plan engines, `scope` and `map` all wait through: two
-//!   workers and the consumer race for three jobs on both lanes; every
-//!   result arrives once, in submission order, after its job's captures
-//!   are gone, and the pool can be dropped right behind the last one.
+//!   workers and the consumer race for three jobs; every result arrives
+//!   once, in submission order, after its job's captures are gone, and the
+//!   pool can be dropped right behind the last one.
 //! - `session_push_finish_matches_batch` — producer/coordinator/worker
 //!   handoff commits every input exactly once, in order.
 //! - `session_group_completion_wakes_coordinator` — a stream's groups go
@@ -59,8 +59,8 @@ use stats_core::serve::{ServeError, ServerOptions, SessionServer};
 use stats_core::sync::atomic::{AtomicU64, Ordering};
 use stats_core::sync::{thread, Arc, Condvar, Mutex};
 use stats_core::{
-    ExactState, InvocationCtx, Priority, RunOptions, Session, SessionError, SpecConfig,
-    StateTransition, ThreadPool,
+    ExactState, InvocationCtx, RunOptions, Session, SessionError, SpecConfig, StateTransition,
+    ThreadPool,
 };
 
 /// Run `f` under every schedule within `preemptions` involuntary switches.
@@ -192,21 +192,18 @@ fn pool_drop_completes_outstanding_work() {
     });
 }
 
-/// Tentpole model 4: two workers racing for jobs on both lanes run every
+/// Tentpole model 4: two workers racing for three queued jobs run every
 /// submitted job exactly once (no loss, no duplication), and the drop that
 /// follows the last submit still drains them all.
 #[test]
-fn pool_lanes_never_lose_jobs() {
+fn pool_queue_never_loses_jobs() {
     model(2, || {
         let seen = Arc::new(Mutex::new([0u32; 3]));
         let pool = ThreadPool::new(2);
-        for (i, lane) in [Priority::Normal, Priority::High, Priority::Normal]
-            .into_iter()
-            .enumerate()
-        {
+        for i in 0..3 {
             let seen = Arc::clone(&seen);
             // The ticket is dropped: only the workers can run the job.
-            pool.submit(lane, move || seen.lock()[i] += 1);
+            pool.submit(move || seen.lock()[i] += 1);
         }
         drop(pool);
         assert_eq!(*seen.lock(), [1, 1, 1], "job lost or duplicated");
@@ -226,7 +223,7 @@ fn ticket_runs_exactly_once() {
         let pool = ThreadPool::new(1);
         let ticket = {
             let runs = Arc::clone(&runs);
-            pool.submit(Priority::Normal, move || {
+            pool.submit(move || {
                 runs.fetch_add(1, Ordering::Relaxed);
             })
         };
@@ -280,7 +277,7 @@ fn pool_submit_never_strands_a_sleeper() {
 
 /// The ordered-completion handshake (`ThreadPool::ordered`): two workers
 /// and the consumer — which claims the job it is about to wait for — race
-/// for three jobs spread over both lanes. In every schedule each result is
+/// for three jobs. In every schedule each result is
 /// handed out exactly once and in submission order, the job behind it ran
 /// exactly once and has let go of what it captured (the sentinel) by the
 /// time its result is visible, and dropping the pool right behind the last
@@ -294,17 +291,15 @@ fn pool_ordered_yields_each_result_once() {
         let runs = Arc::new(Mutex::new([0u32; 3]));
         let sentinels: Vec<Arc<()>> = (0..3).map(|_| Arc::new(())).collect();
         let pool = ThreadPool::new(2);
-        let jobs = [Priority::Normal, Priority::High, Priority::Normal]
-            .into_iter()
-            .enumerate()
-            .map(|(i, lane)| {
+        let jobs = (0..3)
+            .map(|i| {
                 let (runs, held) = (Arc::clone(&runs), Arc::clone(&sentinels[i]));
                 let job = move || {
                     let _held = &held;
                     runs.lock()[i] += 1;
                     i
                 };
-                (lane, Box::new(job) as Box<dyn FnOnce() -> usize + Send>)
+                Box::new(job) as Box<dyn FnOnce() -> usize + Send>
             })
             .collect();
         let mut results = pool.ordered_for_model(jobs);
