@@ -168,8 +168,19 @@ for workload in light misspec bodytrack dag_small dag_large serve_open; do
 done
 bench --workload light --seed 7919 --seconds 2 --trace 1 > /dev/null
 
-echo "== figures smoke (parallel cell driver, tiny sizes)"
-cargo run --release --offline -q -p bench --bin figures -- --tiny fig3 fig13 > /dev/null
+echo "== figures smoke (Figures 3, 12, 13, 14 at tiny sizes, with their TSVs)"
+FIG_DIR=$(mktemp -d /tmp/figures.XXXXXX)
+cargo run --release --offline -q -p bench --bin figures -- \
+    --tiny --out "$FIG_DIR" fig3 fig12 fig13 fig14 > /dev/null
+# A TSV write error only prints to stderr, so check the files themselves.
+for name in fig03 fig13 fig14; do
+    test -s "$FIG_DIR/$name.tsv"
+done
+if [[ "$(find "$FIG_DIR" -name 'fig12_*.tsv' -size +0 | wc -l)" -ne 6 ]]; then
+    echo "error: figures --out wrote fewer than six non-empty fig12_*.tsv" >&2
+    exit 1
+fi
+rm -rf "$FIG_DIR"
 
 echo "== rustdoc (deny warnings, workspace crates only)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q \

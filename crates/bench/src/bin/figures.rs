@@ -11,11 +11,12 @@
 //! Available targets: `fig2 fig3 table1 fig12 fig13 fig14 fig15 fig16
 //! fig17 fig18 fig19 fig20 all`.
 //!
-//! Figures 3, 12, 13, and 14 run through the parallel experiment driver
-//! (independent cells fanned over a thread pool); their values are
-//! identical to the serial implementations.
+//! Figures 12 and 14 fan their cells over one thread pool; Figures 3 and 13
+//! are derived from Figure 12's curves, which are computed once whenever
+//! any of the three is requested.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use bench::experiments::{self, Settings};
 use bench::{render, tsv};
@@ -26,19 +27,17 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let tiny = args.iter().any(|a| a == "--tiny");
+    let dir_after = |flag: &str| {
+        args.iter()
+            .position(|a| a == flag)
+            .and_then(|i| args.get(i + 1))
+            .map(PathBuf::from)
+    };
     // `--out DIR` additionally writes one TSV per figure into DIR.
-    let out: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+    let out = dir_after("--out");
     // `--trace DIR` exports Chrome trace JSON for representative fig12/14
     // cells into DIR (loadable in chrome://tracing / Perfetto).
-    let trace: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+    let trace = dir_after("--trace");
     let mut targets: Vec<&str> = Vec::new();
     let mut skip_next = false;
     for a in &args {
@@ -84,132 +83,96 @@ fn main() {
 
     let wants = |t: &str| targets.contains(&t);
 
-    let dump = |r: std::io::Result<()>| {
-        if let Err(e) = r {
-            eprintln!("--out: {e}");
+    // Print a figure, and with `--out` also write its TSV.
+    let emit = |text: String, write: &dyn Fn(&Path) -> io::Result<()>| {
+        print!("{text}");
+        if let Some(dir) = &out {
+            if let Err(e) = write(dir) {
+                eprintln!("--out: {e}");
+            }
         }
     };
 
-    // Figures 3, 12, 13, 14 share the parallel driver: one fan-out covers
-    // whichever of them were requested.
-    let figure_set = if wants("fig3") || wants("fig12") || wants("fig13") || wants("fig14") {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let pool = ThreadPool::new(workers);
-        Some(experiments::figures_parallel(&settings, &pool))
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
+    let pool = ThreadPool::new(workers);
+    let curves = if wants("fig3") || wants("fig12") || wants("fig13") {
+        experiments::fig12(&settings, &pool)
     } else {
-        None
+        Vec::new()
     };
     if wants("fig2") {
         let rows = experiments::fig02(&settings);
-        print!("{}", render::fig02_text(&rows));
-        if let Some(dir) = &out {
-            dump(tsv::fig02(dir, &rows));
-        }
+        emit(render::fig02_text(&rows), &|dir| tsv::fig02(dir, &rows));
     }
     if wants("fig3") {
-        let (rows, geo) = &figure_set.as_ref().expect("driver ran for fig3").fig03;
-        print!("{}", render::fig03_text(rows, *geo));
-        if let Some(dir) = &out {
-            dump(tsv::fig03(dir, rows, *geo));
-        }
+        let (rows, geo) = experiments::fig03(&curves);
+        emit(render::fig03_text(&rows, geo), &|dir| {
+            tsv::fig03(dir, &rows, geo)
+        });
     }
     if wants("table1") {
         let rows = experiments::table1(&settings);
-        print!("{}", render::table1_text(&rows));
-        if let Some(dir) = &out {
-            dump(tsv::table1(dir, &rows));
-        }
+        emit(render::table1_text(&rows), &|dir| tsv::table1(dir, &rows));
     }
     if wants("fig12") {
-        let set = figure_set.as_ref().expect("driver ran for fig12");
-        for c in &set.fig12 {
-            print!("{}", render::fig12_text(c));
-            if let Some(dir) = &out {
-                dump(tsv::fig12(dir, c));
-            }
+        for c in &curves {
+            emit(render::fig12_text(c), &|dir| tsv::fig12(dir, c));
         }
     }
     if wants("fig13") {
-        let (threads, original, par) = &figure_set.as_ref().expect("driver ran for fig13").fig13;
-        print!("{}", render::fig13_text(threads, original, par));
-        if let Some(dir) = &out {
-            dump(tsv::fig13(dir, threads, original, par));
-        }
+        let (threads, original, par) = experiments::fig13(&curves);
+        emit(render::fig13_text(&threads, &original, &par), &|dir| {
+            tsv::fig13(dir, &threads, &original, &par)
+        });
     }
     if wants("fig14") {
-        let rows = &figure_set.as_ref().expect("driver ran for fig14").fig14;
-        print!("{}", render::fig14_text(rows));
-        if let Some(dir) = &out {
-            dump(tsv::fig14(dir, rows));
-        }
+        let rows = experiments::fig14(&settings, &pool);
+        emit(render::fig14_text(&rows), &|dir| tsv::fig14(dir, &rows));
     }
     if wants("fig15") {
         let rows = experiments::fig15(&settings);
-        print!("{}", render::fig15_text(&rows));
-        if let Some(dir) = &out {
-            dump(tsv::fig15(dir, &rows));
-        }
+        emit(render::fig15_text(&rows), &|dir| tsv::fig15(dir, &rows));
     }
     if wants("fig16") {
         let rows = experiments::fig16(&settings);
-        print!("{}", render::fig16_text(&rows));
-        if let Some(dir) = &out {
-            dump(tsv::fig16(dir, &rows));
-        }
+        emit(render::fig16_text(&rows), &|dir| tsv::fig16(dir, &rows));
     }
     if wants("fig17") {
         let rows = experiments::fig17(&settings);
-        print!("{}", render::fig17_text(&rows));
-        if let Some(dir) = &out {
-            dump(tsv::fig17(dir, &rows));
-        }
+        emit(render::fig17_text(&rows), &|dir| tsv::fig17(dir, &rows));
     }
     if wants("fig18") {
         let curve = experiments::fig18(&settings);
-        print!("{}", render::fig18_text(&curve));
-        if let Some(dir) = &out {
-            dump(tsv::fig18(dir, &curve));
-        }
+        emit(render::fig18_text(&curve), &|dir| tsv::fig18(dir, &curve));
     }
     if wants("fig19") {
         let rows = experiments::fig19(&settings);
-        print!("{}", render::fig19_text(&rows));
-        if let Some(dir) = &out {
-            dump(tsv::fig19(dir, &rows));
-        }
+        emit(render::fig19_text(&rows), &|dir| tsv::fig19(dir, &rows));
     }
     if wants("ablation") {
         for bench in [BenchmarkId::BodyTrack, BenchmarkId::FluidAnimate] {
             let a = experiments::ablation(&settings, bench);
-            print!("{}", render::ablation_text(&a));
-            if let Some(dir) = &out {
-                dump(tsv::ablation(dir, &a));
-            }
+            emit(render::ablation_text(&a), &|dir| tsv::ablation(dir, &a));
         }
     }
     if wants("summary") {
         let sum = experiments::summary(&settings);
-        print!("{}", render::summary_text(&sum));
-        if let Some(dir) = &out {
-            dump(tsv::summary(dir, &sum));
-        }
+        emit(render::summary_text(&sum), &|dir| tsv::summary(dir, &sum));
     }
     if wants("multisocket") {
         let rows = experiments::multisocket(&settings);
-        print!("{}", render::multisocket_text(&rows));
-        if let Some(dir) = &out {
-            dump(tsv::multisocket(dir, &rows));
-        }
+        emit(render::multisocket_text(&rows), &|dir| {
+            tsv::multisocket(dir, &rows)
+        });
     }
     if wants("fig20") {
         let reps = if quick { 2 } else { 4 };
         let (curve, convergence) = experiments::fig20(&settings, reps);
-        print!("{}", render::fig20_text(&curve, convergence));
-        if let Some(dir) = &out {
-            dump(tsv::fig20(dir, &curve, convergence));
-        }
+        emit(render::fig20_text(&curve, convergence), &|dir| {
+            tsv::fig20(dir, &curve, convergence)
+        });
     }
     if let Some(dir) = &trace {
         match experiments::export_traces(&settings, dir) {

@@ -1,10 +1,10 @@
 //! The experiment implementations, one per table/figure.
 
-use std::collections::HashMap;
-
 use stats_autotune::Objective;
 use stats_core::{run_protocol, SpecConfig, ThreadPool, TradeoffBindings};
-use stats_profiler::{measure, tune, DecodedConfig, Mode, RunSettings, TuneResult};
+use stats_profiler::{
+    measure, tune, DecodedConfig, FullMeasurement, Mode, RunSettings, TuneResult,
+};
 use stats_sim::Platform;
 use stats_workloads::{
     metrics::geometric_mean, with_workload, BenchmarkId, NondetSource, Workload, WorkloadSpec,
@@ -26,7 +26,7 @@ pub struct Settings {
 }
 
 impl Settings {
-    /// Minimal sizes for Criterion benches (wall-clock bounded).
+    /// Minimal sizes, for smoke runs (`figures --tiny`).
     pub fn tiny() -> Self {
         Settings {
             inputs: 12,
@@ -37,7 +37,7 @@ impl Settings {
         }
     }
 
-    /// Small sizes for tests and Criterion.
+    /// Small sizes, for tests and quick looks (`figures --quick`).
     pub fn quick() -> Self {
         Settings {
             inputs: 32,
@@ -101,23 +101,73 @@ fn tuned(
     ))
 }
 
-fn measure_decoded(
-    id: BenchmarkId,
-    spec: &WorkloadSpec,
-    decoded: &DecodedConfig,
+/// The highest of `speedups`, and never below 1.0: the sequential program
+/// is always an option. Every "peak speedup" bar is this.
+fn peak(speedups: impl IntoIterator<Item = f64>) -> f64 {
+    speedups.into_iter().fold(1.0_f64, f64::max)
+}
+
+/// The original program's peak speedup over `seq` across the thread grid.
+fn peak_original(settings: &Settings, bench: BenchmarkId, spec: &WorkloadSpec, seq: f64) -> f64 {
+    peak(
+        settings
+            .threads
+            .iter()
+            .map(|&t| seq / original_time(bench, spec, t)),
+    )
+}
+
+/// A tuned configuration run on `threads` software threads of `platform`,
+/// its original TLP on `t_orig` of them (clamped to `1..=threads`). Callers
+/// that honour the tuned thread allocation pass `cfg.alloc.clamp(1, t)` as
+/// `threads`.
+fn tuned_settings<W: Workload>(
+    w: &W,
+    cfg: &DecodedConfig,
     threads: usize,
-    t_orig_override: Option<usize>,
-) -> stats_profiler::FullMeasurement {
-    with_workload!(id, |w| {
-        let alloc = decoded.alloc.clamp(1, threads);
-        let base = RunSettings::for_mode(&w, Mode::ParStats, alloc);
-        let settings = RunSettings {
-            threads: alloc,
-            t_orig: t_orig_override.unwrap_or(decoded.t_orig).clamp(1, alloc),
-            spec_config: decoded.spec_config.clone(),
-            ..base
-        };
-        measure(&w, spec, &settings)
+    t_orig: usize,
+    platform: &Platform,
+) -> RunSettings {
+    RunSettings {
+        threads,
+        t_orig: t_orig.clamp(1, threads),
+        spec_config: cfg.spec_config.clone(),
+        platform: platform.clone(),
+        ..RunSettings::for_mode(w, Mode::ParStats, threads)
+    }
+}
+
+/// [`tuned_settings`] measured on `bench`.
+fn measure_tuned(
+    bench: BenchmarkId,
+    spec: &WorkloadSpec,
+    cfg: &DecodedConfig,
+    threads: usize,
+    t_orig: usize,
+    platform: &Platform,
+) -> FullMeasurement {
+    with_workload!(bench, |w| measure(
+        &w,
+        spec,
+        &tuned_settings(&w, cfg, threads, t_orig, platform)
+    ))
+}
+
+/// The first of a figure's two rounds over `pool`: every benchmark's
+/// sequential time and its configuration tuned at `threads` threads with
+/// search seed `seed`, one job per benchmark. The second round fans out
+/// the measurement cells, which only depend on these.
+fn seq_and_tuned(
+    settings: &Settings,
+    pool: &ThreadPool,
+    threads: usize,
+    seed: u64,
+) -> Vec<(BenchmarkId, f64, DecodedConfig)> {
+    let spec = settings.spec();
+    let budget = settings.tune_budget;
+    pool.map(BenchmarkId::all().to_vec(), move |bench| {
+        let seq = sequential_time(bench, &spec);
+        (bench, seq, tuned(bench, &spec, threads, budget, seed).best)
     })
 }
 
@@ -185,22 +235,15 @@ pub struct MaxSpeedupRow {
 }
 
 /// Figure 3: highest speedup of the original benchmarks on 28 cores —
-/// far from the ideal 28x, demonstrating the need for more TLP.
-pub fn fig03(settings: &Settings) -> (Vec<MaxSpeedupRow>, f64) {
-    let spec = settings.spec();
-    let rows: Vec<MaxSpeedupRow> = BenchmarkId::all()
-        .into_iter()
-        .map(|bench| {
-            let seq = sequential_time(bench, &spec);
-            let best = settings
-                .threads
-                .iter()
-                .map(|&t| seq / original_time(bench, &spec, t))
-                .fold(1.0_f64, f64::max);
-            MaxSpeedupRow {
-                bench,
-                max_speedup: best,
-            }
+/// far from the ideal 28x, demonstrating the need for more TLP. Derived
+/// from [`fig12`]'s curves: each bar is the peak of a benchmark's Original
+/// curve.
+pub fn fig03(curves: &[ScalabilityCurves]) -> (Vec<MaxSpeedupRow>, f64) {
+    let rows: Vec<MaxSpeedupRow> = curves
+        .iter()
+        .map(|c| MaxSpeedupRow {
+            bench: c.bench,
+            max_speedup: peak(c.original.iter().copied()),
         })
         .collect();
     let geo = geometric_mean(&rows.iter().map(|r| r.max_speedup).collect::<Vec<_>>());
@@ -227,7 +270,7 @@ pub struct ScalabilityCurves {
 impl ScalabilityCurves {
     /// Max of each curve (the adjoining bar graphs).
     pub fn maxima(&self) -> (f64, f64, f64) {
-        let max = |v: &[f64]| v.iter().copied().fold(1.0_f64, f64::max);
+        let max = |v: &[f64]| peak(v.iter().copied());
         (
             max(&self.original),
             max(&self.seq_stats),
@@ -237,30 +280,42 @@ impl ScalabilityCurves {
 }
 
 /// Figure 12: speedup vs hardware threads for Original / Seq. STATS /
-/// Par. STATS. The STATS lines use a configuration autotuned at the
-/// maximum thread count (the paper's default operating mode).
-pub fn fig12(settings: &Settings, bench: BenchmarkId) -> ScalabilityCurves {
+/// Par. STATS, one set of curves per benchmark in [`BenchmarkId::all`]
+/// order. The STATS lines use a configuration autotuned at the maximum
+/// thread count (the paper's default operating mode).
+///
+/// Every (benchmark, thread count) cell is a pure function of the
+/// settings, so fanning the cells over `pool` gives the same curves at any
+/// pool size.
+pub fn fig12(settings: &Settings, pool: &ThreadPool) -> Vec<ScalabilityCurves> {
     let spec = settings.spec();
-    let seq = sequential_time(bench, &spec);
-    let best = tuned(bench, &spec, settings.max_threads, settings.tune_budget, 1);
-
-    let mut original = Vec::new();
-    let mut seq_stats = Vec::new();
-    let mut par_stats = Vec::new();
-    for &t in &settings.threads {
-        original.push(seq / original_time(bench, &spec, t));
-        let par = measure_decoded(bench, &spec, &best.best, t, None);
-        par_stats.push(seq / par.time_s);
-        let sq = measure_decoded(bench, &spec, &best.best, t, Some(1));
-        seq_stats.push(seq / sq.time_s);
-    }
-    ScalabilityCurves {
-        bench,
-        threads: settings.threads.clone(),
-        original,
-        seq_stats,
-        par_stats,
-    }
+    let tuned = seq_and_tuned(settings, pool, settings.max_threads, 1);
+    let threads = settings.threads.clone();
+    let cells: Vec<(usize, usize)> = (0..tuned.len())
+        .flat_map(|b| threads.iter().map(move |&t| (b, t)))
+        .collect();
+    let r730 = Platform::haswell_r730();
+    let speedups = pool.map(cells, move |(b, t)| {
+        let (bench, seq, cfg) = &tuned[b];
+        let alloc = cfg.alloc.clamp(1, t);
+        let stats = |t_orig| seq / measure_tuned(*bench, &spec, cfg, alloc, t_orig, &r730).time_s;
+        (
+            seq / original_time(*bench, &spec, t),
+            stats(1),
+            stats(cfg.t_orig),
+        )
+    });
+    BenchmarkId::all()
+        .into_iter()
+        .zip(speedups.chunks(threads.len()))
+        .map(|(bench, row)| ScalabilityCurves {
+            bench,
+            threads: threads.clone(),
+            original: row.iter().map(|c| c.0).collect(),
+            seq_stats: row.iter().map(|c| c.1).collect(),
+            par_stats: row.iter().map(|c| c.2).collect(),
+        })
+        .collect()
 }
 
 /// Figure 13: geometric mean of the Figure 12 curves.
@@ -300,256 +355,51 @@ pub struct HyperThreadingRow {
 /// socket, with and without the second hardware context per core. Each bar
 /// is the *best* speedup over the mode's usable thread counts (up to 14
 /// software threads without HT, up to 28 with), exactly as the paper
-/// reports peak speedups.
-pub fn fig14(settings: &Settings) -> Vec<HyperThreadingRow> {
+/// reports peak speedups. Par. STATS runs a configuration tuned at 14
+/// threads; cells fan over `pool` as in [`fig12`].
+pub fn fig14(settings: &Settings, pool: &ThreadPool) -> Vec<HyperThreadingRow> {
     let spec = settings.spec();
-    let platform = Platform::haswell_single_socket();
-    let (no_ht, ht) = fig14_thread_counts();
+    let tuned = seq_and_tuned(settings, pool, 14, 2);
+    // Thread counts without and with Hyper-Threading; each count of their
+    // union is measured once.
+    let (no_ht, ht) = ([4, 8, 11, 14], [4, 8, 14, 18, 22, 28]);
+    let mut grid = no_ht.to_vec();
+    grid.extend(ht.iter().filter(|t| !no_ht.contains(t)));
+    let cells: Vec<(usize, usize)> = (0..tuned.len())
+        .flat_map(|b| grid.iter().map(move |&t| (b, t)))
+        .collect();
+    let socket = Platform::haswell_single_socket();
+    let speedups = pool.map(cells, move |(b, t)| {
+        let (bench, seq, cfg) = &tuned[b];
+        let original = with_workload!(*bench, |w| {
+            let run = RunSettings {
+                platform: socket.clone(),
+                ..RunSettings::for_mode(&w, Mode::Original, t)
+            };
+            measure(&w, &spec, &run).time_s
+        });
+        let stats = measure_tuned(*bench, &spec, cfg, t, cfg.t_orig, &socket).time_s;
+        (seq / original, seq / stats)
+    });
+    let best_over = |row: &[(f64, f64)], counts: &[usize], pick: fn(&(f64, f64)) -> f64| {
+        peak(
+            grid.iter()
+                .zip(row)
+                .filter(|(t, _)| counts.contains(t))
+                .map(|(_, cell)| pick(cell)),
+        )
+    };
     BenchmarkId::all()
         .into_iter()
-        .map(|bench| {
-            let seq = sequential_time(bench, &spec);
-            let best = tuned(bench, &spec, 14, settings.tune_budget, 2);
-            let best_over = |counts: &[usize], original: bool| -> f64 {
-                counts
-                    .iter()
-                    .map(|&t| ht_speedup(bench, &spec, &best.best, t, original, seq, &platform))
-                    .fold(1.0_f64, f64::max)
-            };
-            HyperThreadingRow {
-                bench,
-                original: best_over(&no_ht, true),
-                original_ht: best_over(&ht, true),
-                par_stats: best_over(&no_ht, false),
-                par_stats_ht: best_over(&ht, false),
-            }
+        .zip(speedups.chunks(grid.len()))
+        .map(|(bench, row)| HyperThreadingRow {
+            bench,
+            original: best_over(row, &no_ht, |c| c.0),
+            original_ht: best_over(row, &ht, |c| c.0),
+            par_stats: best_over(row, &no_ht, |c| c.1),
+            par_stats_ht: best_over(row, &ht, |c| c.1),
         })
         .collect()
-}
-
-/// Thread counts for Figure 14's two per-core-context regimes (one socket
-/// without and with Hyper-Threading).
-fn fig14_thread_counts() -> (Vec<usize>, Vec<usize>) {
-    (vec![4, 8, 11, 14], vec![4, 8, 14, 18, 22, 28])
-}
-
-/// One Figure 14 cell: speedup over sequential on the single-socket
-/// platform, as Original or as tuned Par. STATS.
-fn ht_speedup(
-    bench: BenchmarkId,
-    spec: &WorkloadSpec,
-    best: &DecodedConfig,
-    threads: usize,
-    original: bool,
-    seq: f64,
-    platform: &Platform,
-) -> f64 {
-    with_workload!(bench, |w| {
-        let mut settings_run = if original {
-            RunSettings::for_mode(&w, Mode::Original, threads)
-        } else {
-            let base = RunSettings::for_mode(&w, Mode::ParStats, threads);
-            RunSettings {
-                threads,
-                t_orig: best.t_orig.clamp(1, threads),
-                spec_config: best.spec_config.clone(),
-                ..base
-            }
-        };
-        settings_run.platform = platform.clone();
-        seq / measure(&w, spec, &settings_run).time_s
-    })
-}
-
-// ------------------------------------------------------- Parallel driver
-
-/// The figures the parallel driver covers. Values are identical to the
-/// serial [`fig03`]/[`fig12`]/[`fig13`]/[`fig14`] functions: every cell is
-/// deterministic, so only the wall-clock changes.
-pub struct FigureSet {
-    /// Figure 3 rows and their geometric mean.
-    pub fig03: (Vec<MaxSpeedupRow>, f64),
-    /// Figure 12 curves, one per benchmark in [`BenchmarkId::all`] order.
-    pub fig12: Vec<ScalabilityCurves>,
-    /// Figure 13: thread counts, Original geomean, Par. STATS geomean.
-    pub fig13: (Vec<usize>, Vec<f64>, Vec<f64>),
-    /// Figure 14 rows.
-    pub fig14: Vec<HyperThreadingRow>,
-}
-
-/// Compute Figures 3, 12, 13, and 14 by fanning their independent
-/// (benchmark × mode × thread-count) cells over `pool`.
-///
-/// Two rounds: first the per-benchmark sequential baselines and tuning
-/// runs (each a cell), then every measurement cell, which only depend on
-/// round-1 results. Cells shared between figures — the sequential baseline
-/// and the Original-mode times feed Figures 3 and 12 alike — are computed
-/// once, where the serial functions recompute them per figure.
-pub fn figures_parallel(settings: &Settings, pool: &ThreadPool) -> FigureSet {
-    let spec = settings.spec();
-    let benches = BenchmarkId::all();
-    let budget = settings.tune_budget;
-    let max_threads = settings.max_threads;
-
-    // ---- Round 1: baselines and autotuning, three cells per benchmark.
-    #[derive(Clone, Copy)]
-    enum PrepKind {
-        Seq,
-        TuneMax,
-        TuneHt,
-    }
-    enum PrepOut {
-        Seq(f64),
-        Cfg(DecodedConfig),
-    }
-    let prep_cells: Vec<(usize, PrepKind)> = (0..benches.len())
-        .flat_map(|bi| {
-            [
-                (bi, PrepKind::Seq),
-                (bi, PrepKind::TuneMax),
-                (bi, PrepKind::TuneHt),
-            ]
-        })
-        .collect();
-    let prep = pool.map(prep_cells, move |(bi, kind)| {
-        let bench = BenchmarkId::all()[bi];
-        match kind {
-            PrepKind::Seq => PrepOut::Seq(sequential_time(bench, &spec)),
-            PrepKind::TuneMax => PrepOut::Cfg(tuned(bench, &spec, max_threads, budget, 1).best),
-            PrepKind::TuneHt => PrepOut::Cfg(tuned(bench, &spec, 14, budget, 2).best),
-        }
-    });
-    let mut seq = Vec::with_capacity(benches.len());
-    let mut best_max = Vec::with_capacity(benches.len());
-    let mut best_ht = Vec::with_capacity(benches.len());
-    for chunk in prep.chunks(3) {
-        match chunk {
-            [PrepOut::Seq(s), PrepOut::Cfg(m), PrepOut::Cfg(h)] => {
-                seq.push(*s);
-                best_max.push(m.clone());
-                best_ht.push(h.clone());
-            }
-            _ => unreachable!("map returns cells in submission order"),
-        }
-    }
-
-    // ---- Round 2: every measurement cell, all independent.
-    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-    enum CellKind {
-        /// Original-mode time on the full platform (Figures 3 and 12).
-        Orig,
-        /// Par. STATS at the tuned configuration (Figure 12).
-        Par,
-        /// Seq. STATS: tuned configuration with `t_orig = 1` (Figure 12).
-        SeqStats,
-        /// Single-socket Original (Figure 14).
-        HtOrig,
-        /// Single-socket tuned Par. STATS (Figure 14).
-        HtPar,
-    }
-    let thread_list = settings.threads.clone();
-    let (no_ht, ht) = fig14_thread_counts();
-    let mut ht_union = no_ht.clone();
-    for &t in &ht {
-        if !ht_union.contains(&t) {
-            ht_union.push(t);
-        }
-    }
-    let mut cells: Vec<(usize, usize, CellKind)> = Vec::new();
-    for bi in 0..benches.len() {
-        for &t in &thread_list {
-            cells.push((bi, t, CellKind::Orig));
-            cells.push((bi, t, CellKind::Par));
-            cells.push((bi, t, CellKind::SeqStats));
-        }
-        for &t in &ht_union {
-            cells.push((bi, t, CellKind::HtOrig));
-            cells.push((bi, t, CellKind::HtPar));
-        }
-    }
-    let keys = cells.clone();
-    let platform = Platform::haswell_single_socket();
-    let (seq_by, max_by, ht_by) = (seq.clone(), best_max.clone(), best_ht.clone());
-    let speedups = pool.map(cells, move |(bi, t, kind)| {
-        let bench = BenchmarkId::all()[bi];
-        match kind {
-            CellKind::Orig => seq_by[bi] / original_time(bench, &spec, t),
-            CellKind::Par => {
-                seq_by[bi] / measure_decoded(bench, &spec, &max_by[bi], t, None).time_s
-            }
-            CellKind::SeqStats => {
-                seq_by[bi] / measure_decoded(bench, &spec, &max_by[bi], t, Some(1)).time_s
-            }
-            CellKind::HtOrig => {
-                ht_speedup(bench, &spec, &ht_by[bi], t, true, seq_by[bi], &platform)
-            }
-            CellKind::HtPar => {
-                ht_speedup(bench, &spec, &ht_by[bi], t, false, seq_by[bi], &platform)
-            }
-        }
-    });
-    let cell: HashMap<(usize, usize, CellKind), f64> = keys.into_iter().zip(speedups).collect();
-
-    // ---- Assembly, matching the serial functions exactly.
-    let fig03_rows: Vec<MaxSpeedupRow> = benches
-        .into_iter()
-        .enumerate()
-        .map(|(bi, bench)| MaxSpeedupRow {
-            bench,
-            max_speedup: thread_list
-                .iter()
-                .map(|&t| cell[&(bi, t, CellKind::Orig)])
-                .fold(1.0_f64, f64::max),
-        })
-        .collect();
-    let geo = geometric_mean(&fig03_rows.iter().map(|r| r.max_speedup).collect::<Vec<_>>());
-
-    let curves: Vec<ScalabilityCurves> = benches
-        .into_iter()
-        .enumerate()
-        .map(|(bi, bench)| ScalabilityCurves {
-            bench,
-            threads: thread_list.clone(),
-            original: thread_list
-                .iter()
-                .map(|&t| cell[&(bi, t, CellKind::Orig)])
-                .collect(),
-            seq_stats: thread_list
-                .iter()
-                .map(|&t| cell[&(bi, t, CellKind::SeqStats)])
-                .collect(),
-            par_stats: thread_list
-                .iter()
-                .map(|&t| cell[&(bi, t, CellKind::Par)])
-                .collect(),
-        })
-        .collect();
-    let fig13_data = fig13(&curves);
-
-    let best_over = |bi: usize, counts: &[usize], kind: CellKind| -> f64 {
-        counts
-            .iter()
-            .map(|&t| cell[&(bi, t, kind)])
-            .fold(1.0_f64, f64::max)
-    };
-    let fig14_rows: Vec<HyperThreadingRow> = benches
-        .into_iter()
-        .enumerate()
-        .map(|(bi, bench)| HyperThreadingRow {
-            bench,
-            original: best_over(bi, &no_ht, CellKind::HtOrig),
-            original_ht: best_over(bi, &ht, CellKind::HtOrig),
-            par_stats: best_over(bi, &no_ht, CellKind::HtPar),
-            par_stats_ht: best_over(bi, &ht, CellKind::HtPar),
-        })
-        .collect();
-
-    FigureSet {
-        fig03: (fig03_rows, geo),
-        fig12: curves,
-        fig13: fig13_data,
-        fig14: fig14_rows,
-    }
 }
 
 // --------------------------------------------------------------- Figure 15
@@ -728,7 +578,9 @@ pub fn fig17(settings: &Settings) -> Vec<RelatedWorkRow> {
                 .collect();
             let best = tuned(bench, &spec, t, settings.tune_budget, 5);
             let par = seq / best.best_measurement.time_s;
-            let sq = seq / measure_decoded(bench, &spec, &best.best, t, Some(1)).time_s;
+            let alloc = best.best.alloc.clamp(1, t);
+            let r730 = Platform::haswell_r730();
+            let sq = seq / measure_tuned(bench, &spec, &best.best, alloc, 1, &r730).time_s;
             RelatedWorkRow {
                 bench,
                 approaches,
@@ -761,12 +613,7 @@ pub fn fig18(settings: &Settings) -> Vec<f64> {
     for bench in BenchmarkId::all() {
         let seq = sequential_time(bench, &spec);
         let n = with_workload!(bench, |w| w.tradeoffs().len());
-        let original_best = settings
-            .threads
-            .iter()
-            .map(|&th| seq / original_time(bench, &spec, th))
-            .fold(1.0_f64, f64::max);
-        let mut speedups = vec![original_best];
+        let mut speedups = vec![peak_original(settings, bench, &spec, seq)];
         for prefix in 1..=max_tradeoffs {
             let k = prefix.min(n);
             let s = with_workload!(bench, |w| {
@@ -822,17 +669,15 @@ pub fn fig19(settings: &Settings) -> Vec<TrainingRow> {
         .into_iter()
         .map(|bench| {
             let seq = sequential_time(bench, &spec);
-            let original = settings
-                .threads
-                .iter()
-                .map(|&th| seq / original_time(bench, &spec, th))
-                .fold(1.0_f64, f64::max);
+            let original = peak_original(settings, bench, &spec, seq);
             let good = tuned(bench, &spec, t, settings.tune_budget, 7);
             let bad = with_workload!(bench, |w| {
                 tune(&w, &bad_spec, t, Objective::Time, settings.tune_budget, 7)
             });
             // Evaluate the badly-trained configuration on the real inputs.
-            let bad_on_real = measure_decoded(bench, &spec, &bad.best, t, None);
+            let alloc = bad.best.alloc.clamp(1, t);
+            let r730 = Platform::haswell_r730();
+            let bad_on_real = measure_tuned(bench, &spec, &bad.best, alloc, bad.best.t_orig, &r730);
             TrainingRow {
                 bench,
                 original,
@@ -856,7 +701,6 @@ pub fn fig20(settings: &Settings, repetitions: usize) -> (Vec<f64>, f64) {
     let mut curves: Vec<Vec<f64>> = Vec::new();
     let mut convergence_points = Vec::new();
     for bench in BenchmarkId::all() {
-        let seq = sequential_time(bench, &spec);
         for rep in 0..repetitions as u64 {
             let r = tuned(bench, &spec, t, budget, 1000 + rep);
             let curve = r.outcome.history.best_so_far_curve();
@@ -865,7 +709,6 @@ pub fn fig20(settings: &Settings, repetitions: usize) -> (Vec<f64>, f64) {
             if let Some(p) = r.outcome.history.convergence_point(0.01) {
                 convergence_points.push(p as f64);
             }
-            let _ = seq;
         }
     }
     let len = curves.iter().map(Vec::len).min().unwrap_or(0);
@@ -967,32 +810,27 @@ pub fn export_traces(
 ) -> std::io::Result<Vec<std::path::PathBuf>> {
     std::fs::create_dir_all(dir)?;
     let spec = settings.spec();
-    let single_socket = Platform::haswell_single_socket();
+    let cells = [
+        (
+            settings.max_threads,
+            Platform::haswell_r730(),
+            "fig12-par-stats",
+        ),
+        (14, Platform::haswell_single_socket(), "fig14-single-socket"),
+    ];
     let mut written = Vec::new();
     for bench in BenchmarkId::all() {
-        let best = tuned(bench, &spec, settings.max_threads, settings.tune_budget, 1);
-        let traced = |threads: usize, platform: Option<&Platform>| {
-            with_workload!(bench, |w| {
-                let alloc = best.best.alloc.clamp(1, threads);
-                let base = RunSettings::for_mode(&w, Mode::ParStats, alloc);
-                let mut run = RunSettings {
-                    threads: alloc,
-                    t_orig: best.best.t_orig.clamp(1, alloc),
-                    spec_config: best.best.spec_config.clone(),
-                    ..base
-                };
-                if let Some(p) = platform {
-                    run.platform = p.clone();
-                }
+        let cfg = tuned(bench, &spec, settings.max_threads, settings.tune_budget, 1).best;
+        for (threads, platform, name) in &cells {
+            let json = with_workload!(bench, |w| {
+                let run =
+                    tuned_settings(&w, &cfg, cfg.alloc.clamp(1, *threads), cfg.t_orig, platform);
                 stats_profiler::measure_traced(&w, &spec, &run).1
-            })
-        };
-        let fig12 = dir.join(format!("{}-fig12-par-stats.trace.json", bench.name()));
-        std::fs::write(&fig12, traced(settings.max_threads, None))?;
-        written.push(fig12);
-        let fig14 = dir.join(format!("{}-fig14-single-socket.trace.json", bench.name()));
-        std::fs::write(&fig14, traced(14, Some(&single_socket)))?;
-        written.push(fig14);
+            });
+            let path = dir.join(format!("{}-{name}.trace.json", bench.name()));
+            std::fs::write(&path, json)?;
+            written.push(path);
+        }
     }
     Ok(written)
 }
@@ -1015,132 +853,6 @@ fn workload_loc(bench: BenchmarkId) -> usize {
         .lines()
         .filter(|l| !l.trim().is_empty())
         .count()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn quick() -> Settings {
-        let mut s = Settings::quick();
-        s.tune_budget = 8;
-        s.seeds = 3;
-        s.inputs = 16;
-        s.threads = vec![4, 16];
-        s
-    }
-
-    #[test]
-    fn fig02_variability_positive_everywhere() {
-        for row in fig02(&quick()) {
-            assert!(
-                row.variability > 0.0,
-                "{} shows no output variability",
-                row.bench.name()
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_driver_matches_serial_figures() {
-        let settings = Settings::tiny();
-        let pool = ThreadPool::new(4);
-        let set = figures_parallel(&settings, &pool);
-
-        let (serial03, serial_geo) = fig03(&settings);
-        assert_eq!(set.fig03.1, serial_geo);
-        for (p, s) in set.fig03.0.iter().zip(&serial03) {
-            assert_eq!(p.bench, s.bench);
-            assert_eq!(p.max_speedup, s.max_speedup);
-        }
-
-        let serial12 = fig12(&settings, BenchmarkId::Swaptions);
-        let par12 = &set.fig12[0];
-        assert_eq!(par12.original, serial12.original);
-        assert_eq!(par12.seq_stats, serial12.seq_stats);
-        assert_eq!(par12.par_stats, serial12.par_stats);
-
-        let serial14 = fig14(&settings);
-        for (p, s) in set.fig14.iter().zip(&serial14) {
-            assert_eq!(p.original, s.original);
-            assert_eq!(p.original_ht, s.original_ht);
-            assert_eq!(p.par_stats, s.par_stats);
-            assert_eq!(p.par_stats_ht, s.par_stats_ht);
-        }
-    }
-
-    #[test]
-    fn fig03_speedups_above_one_below_ideal() {
-        let (rows, geo) = fig03(&quick());
-        for r in &rows {
-            assert!(r.max_speedup >= 1.0, "{}", r.bench.name());
-            assert!(r.max_speedup < 28.0, "{}", r.bench.name());
-        }
-        assert!(geo > 1.0);
-    }
-
-    #[test]
-    fn fig12_par_stats_dominates_for_bodytrack() {
-        let c = fig12(&quick(), BenchmarkId::BodyTrack);
-        let (orig, _seq, par) = c.maxima();
-        assert!(
-            par > orig,
-            "Par. STATS {par} not above original {orig} for bodytrack"
-        );
-    }
-
-    #[test]
-    fn fig12_fluidanimate_stats_does_not_help() {
-        let c = fig12(&quick(), BenchmarkId::FluidAnimate);
-        let (orig, _seq, par) = c.maxima();
-        // The autotuner falls back to the original TLP: comparable maxima.
-        assert!(
-            par >= orig * 0.7,
-            "par {par} collapsed below original {orig}"
-        );
-        assert!(
-            par <= orig * 1.5,
-            "par {par} implausibly above original {orig}"
-        );
-    }
-
-    #[test]
-    fn ablation_window_governs_commit_rate() {
-        let a = ablation(&quick(), BenchmarkId::BodyTrack);
-        // No window -> nothing commits; a generous window -> everything.
-        assert_eq!(a.window.first().unwrap().commit_rate, 0.0);
-        assert!(a.window.last().unwrap().commit_rate > 0.9);
-        // fluidanimate never commits at any window.
-        let f = ablation(&quick(), BenchmarkId::FluidAnimate);
-        assert!(f.window.iter().all(|p| p.commit_rate < 0.3));
-    }
-
-    #[test]
-    fn table1_rows_complete() {
-        let mut s = quick();
-        s.tune_budget = 8;
-        let rows = table1(&s);
-        assert_eq!(rows.len(), 6);
-        for r in &rows {
-            assert!(r.original_loc > 50, "{}", r.bench.name());
-            assert!(r.generated_loc > 0);
-            assert!(r.binary_size_increase > 0.0, "{}", r.bench.name());
-        }
-        // swaptions/streamcluster/streamclassifier need no comparison code.
-        assert_eq!(rows[0].state_comparison_loc, 0);
-        assert!(rows[4].state_comparison_loc > 0); // bodytrack
-    }
-
-    #[test]
-    fn synthesized_sources_compile() {
-        for bench in BenchmarkId::all() {
-            let tradeoffs = with_workload!(bench, |w| w.tradeoffs());
-            let src = stats_compiler::frontend::synthesize_source(bench.name(), &tradeoffs);
-            let compiled = stats_compiler::frontend::compile(&src)
-                .unwrap_or_else(|e| panic!("{}: {e}\n{src}", bench.name()));
-            assert!(compiled.module.metadata.tradeoffs.len() >= tradeoffs.len());
-        }
-    }
 }
 
 // ----------------------------------------------------------------- Ablation
@@ -1270,23 +982,13 @@ pub fn multisocket(settings: &Settings) -> Vec<MultiSocketRow> {
         .into_iter()
         .map(|bench| {
             let seq = sequential_time(bench, &spec);
-            let best = tuned(bench, &spec, settings.max_threads, settings.tune_budget, 9);
+            let best = tuned(bench, &spec, settings.max_threads, settings.tune_budget, 9).best;
             let run = |threads: usize, numa: bool| -> f64 {
-                with_workload!(bench, |w| {
-                    let base = RunSettings::for_mode(&w, Mode::ParStats, threads);
-                    let mut platform = Platform::haswell_r730();
-                    if !numa {
-                        platform.numa_penalty = 1.0;
-                    }
-                    let settings_run = RunSettings {
-                        threads,
-                        t_orig: best.best.t_orig.clamp(1, threads),
-                        spec_config: best.best.spec_config.clone(),
-                        platform,
-                        ..base
-                    };
-                    seq / measure(&w, &spec, &settings_run).time_s
-                })
+                let mut platform = Platform::haswell_r730();
+                if !numa {
+                    platform.numa_penalty = 1.0;
+                }
+                seq / measure_tuned(bench, &spec, &best, threads, best.t_orig, &platform).time_s
             };
             MultiSocketRow {
                 bench,
@@ -1328,12 +1030,7 @@ pub fn summary(settings: &Settings) -> Summary {
     let mut speculating = 0usize;
     for bench in BenchmarkId::all() {
         let seq = sequential_time(bench, &spec);
-        let best_orig = settings
-            .threads
-            .iter()
-            .map(|&t| seq / original_time(bench, &spec, t))
-            .fold(1.0_f64, f64::max);
-        original.push(best_orig);
+        original.push(peak_original(settings, bench, &spec, seq));
         let tuned_result = tuned(bench, &spec, settings.max_threads, settings.tune_budget, 12);
         par.push(seq / tuned_result.best_measurement.time_s);
         if tuned_result
@@ -1371,5 +1068,129 @@ pub fn summary(settings: &Settings) -> Summary {
         improvement_pct: (pg / og - 1.0) * 100.0,
         energy_relative: geometric_mean(&energy_rel),
         benchmarks_speculating: speculating,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn quick() -> Settings {
+        let mut s = Settings::quick();
+        s.tune_budget = 8;
+        s.seeds = 3;
+        s.inputs = 16;
+        s.threads = vec![4, 16];
+        s
+    }
+
+    #[test]
+    fn fig02_variability_positive_everywhere() {
+        for row in fig02(&quick()) {
+            assert!(
+                row.variability > 0.0,
+                "{} shows no output variability",
+                row.bench.name()
+            );
+        }
+    }
+
+    /// Figure 12 at [`quick`] sizes, on a two-worker pool.
+    fn quick_curves() -> Vec<ScalabilityCurves> {
+        fig12(&quick(), &ThreadPool::new(2))
+    }
+
+    fn curve_of(bench: BenchmarkId) -> ScalabilityCurves {
+        quick_curves()
+            .into_iter()
+            .find(|c| c.bench == bench)
+            .expect("every benchmark has curves")
+    }
+
+    #[test]
+    fn figures_do_not_depend_on_pool_size() {
+        let settings = Settings::tiny();
+        // `{:?}` prints every f64 in its shortest round-trip form, so equal
+        // strings mean bit-identical rows.
+        let run = |workers: usize| {
+            let pool = ThreadPool::new(workers);
+            let curves = fig12(&settings, &pool);
+            let derived = (fig03(&curves), fig13(&curves));
+            format!("{curves:?} {derived:?} {:?}", fig14(&settings, &pool))
+        };
+        assert_eq!(run(1), run(3));
+    }
+
+    #[test]
+    fn fig03_speedups_above_one_below_ideal() {
+        let (rows, geo) = fig03(&quick_curves());
+        for r in &rows {
+            assert!(r.max_speedup >= 1.0, "{}", r.bench.name());
+            assert!(r.max_speedup < 28.0, "{}", r.bench.name());
+        }
+        assert!(geo > 1.0);
+    }
+
+    #[test]
+    fn fig12_par_stats_dominates_for_bodytrack() {
+        let c = curve_of(BenchmarkId::BodyTrack);
+        let (orig, _seq, par) = c.maxima();
+        assert!(
+            par > orig,
+            "Par. STATS {par} not above original {orig} for bodytrack"
+        );
+    }
+
+    #[test]
+    fn fig12_fluidanimate_stats_does_not_help() {
+        let c = curve_of(BenchmarkId::FluidAnimate);
+        let (orig, _seq, par) = c.maxima();
+        // The autotuner falls back to the original TLP: comparable maxima.
+        assert!(
+            par >= orig * 0.7,
+            "par {par} collapsed below original {orig}"
+        );
+        assert!(
+            par <= orig * 1.5,
+            "par {par} implausibly above original {orig}"
+        );
+    }
+
+    #[test]
+    fn ablation_window_governs_commit_rate() {
+        let a = ablation(&quick(), BenchmarkId::BodyTrack);
+        // No window -> nothing commits; a generous window -> everything.
+        assert_eq!(a.window.first().unwrap().commit_rate, 0.0);
+        assert!(a.window.last().unwrap().commit_rate > 0.9);
+        // fluidanimate never commits at any window.
+        let f = ablation(&quick(), BenchmarkId::FluidAnimate);
+        assert!(f.window.iter().all(|p| p.commit_rate < 0.3));
+    }
+
+    #[test]
+    fn table1_rows_complete() {
+        let mut s = quick();
+        s.tune_budget = 8;
+        let rows = table1(&s);
+        assert_eq!(rows.len(), 6);
+        for r in &rows {
+            assert!(r.original_loc > 50, "{}", r.bench.name());
+            assert!(r.generated_loc > 0);
+            assert!(r.binary_size_increase > 0.0, "{}", r.bench.name());
+        }
+        // swaptions/streamcluster/streamclassifier need no comparison code.
+        assert_eq!(rows[0].state_comparison_loc, 0);
+        assert!(rows[4].state_comparison_loc > 0); // bodytrack
+    }
+
+    #[test]
+    fn synthesized_sources_compile() {
+        for bench in BenchmarkId::all() {
+            let tradeoffs = with_workload!(bench, |w| w.tradeoffs());
+            let src = stats_compiler::frontend::synthesize_source(bench.name(), &tradeoffs);
+            let compiled = stats_compiler::frontend::compile(&src)
+                .unwrap_or_else(|e| panic!("{}: {e}\n{src}", bench.name()));
+            assert!(compiled.module.metadata.tradeoffs.len() >= tradeoffs.len());
+        }
     }
 }

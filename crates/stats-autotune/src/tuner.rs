@@ -308,9 +308,9 @@ fn profile_concurrently(
     workers: usize,
     profile: &(impl Fn(&Configuration) -> Measurement + Sync),
 ) -> Vec<Measurement> {
-    // A mutexed cursor, not an atomic: this crate has no dependency on the
-    // stats-core `sync` facade, and CI's memory-ordering gate funnels every
-    // raw atomic import in the workspace through that facade.
+    // A mutexed cursor, not an atomic: CI's memory-ordering gate bans raw
+    // atomics outside the `stats_core::sync` facade, and one uncontended
+    // lock per configuration is nothing next to the profile run it hands out.
     let next = std::sync::Mutex::new(0usize);
     let mut out: Vec<Option<Measurement>> = vec![None; todo.len()];
     std::thread::scope(|s| {

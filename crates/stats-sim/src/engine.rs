@@ -63,37 +63,14 @@ impl Schedule {
     }
 }
 
-/// Tie-breaking policy when several tasks are ready at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Smallest task id first (submission order) — the default; matches a
-    /// FIFO work queue.
-    #[default]
-    Fifo,
-    /// Longest remaining dependence chain first (HLF / critical-path
-    /// scheduling): classic list scheduling with level priorities, usually
-    /// at or below FIFO's makespan on fork/join-heavy graphs.
-    CriticalPathFirst,
-}
-
-/// Schedule `graph` on `threads` software threads of `platform` with the
-/// default FIFO tie-break.
+/// Schedule `graph` on `threads` software threads of `platform`.
 ///
 /// The scheduler is greedy, non-preemptive, work-conserving list scheduling:
-/// when several tasks are ready, the policy picks one; when several threads
-/// are idle, the fastest (then lowest-numbered) thread is chosen. The result
-/// is fully deterministic.
+/// when several tasks are ready, the smallest task id (submission order, as
+/// from a FIFO work queue) goes first; when several threads are idle, the
+/// fastest (then lowest-numbered) thread is chosen. The result is fully
+/// deterministic.
 pub fn simulate(graph: &TaskGraph, platform: &Platform, threads: usize) -> Schedule {
-    simulate_with_policy(graph, platform, threads, SchedPolicy::Fifo)
-}
-
-/// [`simulate`] with an explicit ready-queue policy.
-pub fn simulate_with_policy(
-    graph: &TaskGraph,
-    platform: &Platform,
-    threads: usize,
-    policy: SchedPolicy,
-) -> Schedule {
     let placement = platform.place(threads);
     let n_threads = placement.threads();
     let n_tasks = graph.len();
@@ -108,33 +85,11 @@ pub fn simulate_with_policy(
     }
     let mut ready_at = vec![0.0_f64; n_tasks];
 
-    // Per-task priority: FIFO uses the id; critical-path-first uses the
-    // downward rank (longest chain of costs from the task to a sink),
-    // larger first. Encode as a key so smaller = higher priority.
-    let priority: Vec<u64> = match policy {
-        SchedPolicy::Fifo => (0..n_tasks as u64).collect(),
-        SchedPolicy::CriticalPathFirst => {
-            let mut rank = vec![0.0_f64; n_tasks];
-            for i in (0..n_tasks).rev() {
-                let down = dependents[i]
-                    .iter()
-                    .map(|&d| rank[d])
-                    .fold(0.0_f64, f64::max);
-                rank[i] = graph.task(TaskId(i)).cost + down;
-            }
-            // Negate so larger ranks sort first under Reverse ordering; the
-            // bit trick keeps a total order for positive finite floats.
-            rank.iter().map(|r| u64::MAX - r.to_bits()).collect()
-        }
-    };
-
-    // Ready tasks, highest priority (smallest key, then smallest id) first.
-    let mut ready: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    for i in 0..n_tasks {
-        if indegree[i] == 0 {
-            ready.push(Reverse((priority[i], i)));
-        }
-    }
+    // Ready tasks, smallest id first.
+    let mut ready: BinaryHeap<Reverse<usize>> = (0..n_tasks)
+        .filter(|&i| indegree[i] == 0)
+        .map(Reverse)
+        .collect();
 
     // Idle threads become available when their free time passes the
     // simulation clock; among available threads the fastest (then lowest
@@ -177,12 +132,12 @@ pub fn simulate_with_policy(
                 break;
             }
         }
-        // Dispatch: highest-priority ready task onto the fastest available
+        // Dispatch: the first ready task onto the fastest available
         // thread, starting at the simulation clock. A task only enters the
         // ready heap once its dependences completed (<= now), so starting
         // at `now` never violates data readiness.
         while ready.peek().is_some() && available.peek().is_some() {
-            let Reverse((_, task_idx)) = ready.pop().expect("peeked");
+            let Reverse(task_idx) = ready.pop().expect("peeked");
             let Reverse((_, thread)) = available.pop().expect("peeked");
             let start = now.max(ready_at[task_idx]);
             let task = graph.task(TaskId(task_idx));
@@ -202,8 +157,8 @@ pub fn simulate_with_policy(
 
         // Advance to the next completion time and release the dependents of
         // *every* task finishing then — dispatching between two co-timed
-        // completions would let low-priority work steal slots from tasks
-        // that become ready in the same instant.
+        // completions would let a later task steal a slot from an earlier
+        // one that becomes ready in the same instant.
         if let Some(Reverse((ft, _, _))) = running.peek().copied() {
             now = f64::from_bits(ft);
             while let Some(&Reverse((ft2, _, _))) = running.peek() {
@@ -216,7 +171,7 @@ pub fn simulate_with_policy(
                     ready_at[dep] = ready_at[dep].max(finish);
                     indegree[dep] -= 1;
                     if indegree[dep] == 0 {
-                        ready.push(Reverse((priority[dep], dep)));
+                        ready.push(Reverse(dep));
                     }
                 }
             }
@@ -352,45 +307,6 @@ mod tests {
         let g = TaskGraph::new();
         let s = simulate(&g, &Platform::haswell_r730(), 4);
         assert_eq!(s.makespan_work(), 0.0);
-    }
-
-    #[test]
-    fn critical_path_first_beats_fifo_on_adversarial_graph() {
-        // Two chains: a long one submitted *after* a crowd of short tasks.
-        // FIFO starts the short tasks first and the long chain straggles;
-        // CP-first starts the chain immediately.
-        let mut g = TaskGraph::new();
-        for _ in 0..8 {
-            g.add_task(10.0, 0.0, &[]);
-        }
-        let mut prev = g.add_task(10.0, 0.0, &[]);
-        for _ in 0..7 {
-            prev = g.add_task(10.0, 0.0, &[prev]);
-        }
-        let p = Platform::haswell_single_socket();
-        let fifo = simulate_with_policy(&g, &p, 2, SchedPolicy::Fifo);
-        let cp = simulate_with_policy(&g, &p, 2, SchedPolicy::CriticalPathFirst);
-        assert!(
-            cp.makespan_work() < fifo.makespan_work(),
-            "cp {} !< fifo {}",
-            cp.makespan_work(),
-            fifo.makespan_work()
-        );
-        assert!((cp.makespan_work() - 80.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn policies_agree_on_serial_graphs() {
-        let mut g = TaskGraph::new();
-        let mut prev = None;
-        for _ in 0..5 {
-            let deps: Vec<_> = prev.into_iter().collect();
-            prev = Some(g.add_task(7.0, 0.0, &deps));
-        }
-        let p = Platform::haswell_single_socket();
-        let a = simulate_with_policy(&g, &p, 4, SchedPolicy::Fifo);
-        let b = simulate_with_policy(&g, &p, 4, SchedPolicy::CriticalPathFirst);
-        assert_eq!(a.makespan_work(), b.makespan_work());
     }
 
     #[test]

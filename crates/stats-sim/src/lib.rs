@@ -37,6 +37,6 @@ mod platform;
 mod task;
 
 pub use energy::{EnergyModel, EnergyReport};
-pub use engine::{simulate, simulate_with_policy, SchedPolicy, Schedule, TaskPlacement};
+pub use engine::{simulate, Schedule, TaskPlacement};
 pub use platform::{Placement, Platform};
 pub use task::{Task, TaskGraph, TaskId};
