@@ -161,12 +161,14 @@ echo "== stats-benchmark correctness smokes (held-out seed)"
 # Linear commit path, mismatch path, heap state with real aborts, plans
 # pooled vs sequential (dag_small's nodes mostly run on the coordinator,
 # dag_large's on the workers), tenants through admission and spill; then
-# the traced pass of light, where an unfaithful replay is a failed
-# operation.
+# the traced passes of light and misspec, where an unfaithful replay is a
+# failed operation (misspec's recorded session re-executes and aborts).
 for workload in light misspec bodytrack dag_small dag_large serve_open; do
     bench --workload "$workload" --seed 7919 --seconds 2 --trace 0 > /dev/null
 done
-bench --workload light --seed 7919 --seconds 2 --trace 1 > /dev/null
+for workload in light misspec; do
+    bench --workload "$workload" --seed 7919 --seconds 2 --trace 1 > /dev/null
+done
 
 echo "== figures smoke (Figures 3, 12, 13, 14 at tiny sizes, with their TSVs)"
 FIG_DIR=$(mktemp -d /tmp/figures.XXXXXX)

@@ -15,11 +15,10 @@
 //! | default-vs-full-range interval divergence | [`LintKind::IntervalDivergence`] | warning |
 //! | dead tradeoffs / unreachable functions | [`LintKind::UnusedTradeoff`], [`LintKind::UnreachableFunction`] | warning |
 //!
-//! The checks are exposed three ways: the `stats-lint` binary (structured
-//! diagnostics for humans and CI), the middle-end gate
+//! The checks are exposed two ways: the `stats-lint` binary (structured
+//! diagnostics for humans and CI) and the middle-end gate
 //! ([`crate::midend::MidendOptions::enforce_analysis`], which refuses
-//! codegen on error-severity findings), and the
-//! [`purity::purity_facts`] library API for runtime schedulers.
+//! codegen on error-severity findings).
 
 pub mod callgraph;
 pub mod dataflow;
@@ -27,8 +26,6 @@ pub mod interval;
 pub mod lints;
 pub mod purity;
 pub mod races;
-
-pub use purity::{purity_facts, DepPurity};
 
 use crate::ir::Module;
 use crate::verify::Location;

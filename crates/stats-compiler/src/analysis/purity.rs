@@ -14,9 +14,9 @@
 //! - a load of undeclared state *nobody* writes is only a warning (the
 //!   variable is effectively a constant, but should still be declared).
 //!
-//! The per-dependence facts are exposed as [`DepPurity`] via
-//! [`purity_facts`], independent of diagnostic rendering, so runtime
-//! schedulers can consume them programmatically.
+//! The per-dependence facts are computed as `DepPurity` by
+//! `purity_facts`, independent of diagnostic rendering; the lint is their
+//! only consumer.
 
 use std::collections::HashSet;
 
@@ -27,7 +27,7 @@ use super::{Diagnostic, LintKind, Severity};
 
 /// Purity facts for one state dependence's auxiliary code.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DepPurity {
+pub(crate) struct DepPurity {
     /// The dependence's name.
     pub dep: String,
     /// The function analyzed: the auxiliary clone when the middle-end ran,
@@ -44,16 +44,8 @@ pub struct DepPurity {
     pub undeclared: Vec<String>,
 }
 
-impl DepPurity {
-    /// True when every state access is covered by the declaration — the
-    /// clone is pure with respect to undeclared state.
-    pub fn is_pure(&self) -> bool {
-        self.undeclared.is_empty()
-    }
-}
-
 /// Compute purity facts for every state dependence in `module`.
-pub fn purity_facts(module: &Module, cg: &CallGraph) -> Vec<DepPurity> {
+pub(crate) fn purity_facts(module: &Module, cg: &CallGraph) -> Vec<DepPurity> {
     module
         .metadata
         .state_deps
@@ -201,7 +193,7 @@ mod tests {
         assert!(f.is_aux);
         assert_eq!(f.subject_fn, "step__aux_d");
         assert_eq!(f.writes, ["log"]);
-        assert!(!f.is_pure());
+        assert_eq!(f.undeclared, ["log"]);
         let diags = check(&m, &cg);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].severity, Severity::Error);
@@ -218,7 +210,7 @@ mod tests {
         );
         let cg = CallGraph::build(&m);
         let facts = purity_facts(&m, &cg);
-        assert!(facts[0].is_pure());
+        assert!(facts[0].undeclared.is_empty());
         assert!(check(&m, &cg).is_empty());
     }
 

@@ -357,7 +357,7 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
 
             let mut aux_idx = None;
             if let Some(w) = aux_work {
-                let idx = trace.push(TraceNodeKind::Auxiliary { group: node }, w, Vec::new());
+                let idx = trace.push(TraceNodeKind::Auxiliary { group: node }, w, &[]);
                 trace.nodes[idx].committed = !squashed;
                 aux_idx = Some(idx);
             }
@@ -381,7 +381,7 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
                         attempt: 0,
                     },
                     val_work,
-                    deps,
+                    &deps,
                 ));
             }
 
@@ -577,8 +577,8 @@ mod tests {
             Some(FaultPlan::new(3).validation_mismatch(FaultRule::permanent(1.0))),
         ] {
             let r = run_diamond(faults.as_ref(), &NOOP, 11);
-            for (i, node) in r.trace.nodes.iter().enumerate() {
-                for &d in &node.deps {
+            for i in 0..r.trace.nodes.len() {
+                for &d in r.trace.deps(i) {
                     assert!(d < i, "node {i} depends on non-earlier {d}");
                 }
             }
@@ -587,6 +587,16 @@ mod tests {
                 + r.report.squashed_work;
             assert!((r.trace.total_work() - parts).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn absorbed_node_runs_lay_out_like_a_direct_trace() {
+        // Forced mismatches squash node runs and re-run them: both kinds
+        // of sub-run are absorbed, and the arena stays the direct layout.
+        let faults = FaultPlan::new(3).validation_mismatch(FaultRule::permanent(1.0));
+        let r = run_diamond(Some(&faults), &NOOP, 11);
+        assert!(r.trace.nodes.iter().any(|n| !n.committed));
+        assert_eq!(r.trace, r.trace.laid_out_directly());
     }
 
     #[test]

@@ -366,7 +366,7 @@ impl EventSink for RecordingSink {
 /// replayable and its exports well-formed.
 pub fn validate_backward_deps(trace: &SpecTrace) -> Result<(), String> {
     for (i, node) in trace.nodes.iter().enumerate() {
-        for &d in &node.deps {
+        for &d in trace.deps(i) {
             if d >= i {
                 return Err(format!(
                     "node {i} ({:?}) depends on non-earlier node {d}",

@@ -21,6 +21,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 
 use crate::adapt::{RetryPolicy, SegmentControl};
 use crate::ctx::{InvocationCtx, WorkMeter};
@@ -164,34 +165,57 @@ pub enum TraceNodeKind {
     },
 }
 
-/// One node of a [`SpecTrace`]: a unit of executed work with dependences.
+/// One node of a [`SpecTrace`]: a unit of executed work with dependences
+/// (read them with [`SpecTrace::deps`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceNode {
     /// What the node did.
     pub kind: TraceNodeKind,
     /// Work performed (CPU + memory-bound split).
     pub work: WorkMeter,
-    /// Indices of trace nodes that must finish before this one starts.
-    pub deps: Vec<usize>,
     /// Whether the node's results were committed (false = squashed work).
     pub committed: bool,
+    /// This node's dependences: its range of the trace's edge arena.
+    edges: Range<usize>,
 }
 
 /// The recorded execution: every piece of work the protocol performed, with
 /// dependence edges reflecting the execution model's parallelism.
+///
+/// Every node's dependences live in one edge arena, appended in node order:
+/// node `i`'s range starts where node `i - 1`'s ends. That keeps a trace's
+/// layout a function of its graph alone, so two traces of the same graph
+/// compare equal under the derived `PartialEq` however they were built
+/// (laid out directly, or absorbed from sub-traces).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpecTrace {
-    /// Nodes in execution-discovery order; `deps` refer to indices herein.
+    /// Nodes in execution-discovery order; dependences refer to indices
+    /// herein.
     pub nodes: Vec<TraceNode>,
+    edges: Vec<usize>,
 }
 
 impl SpecTrace {
-    pub(crate) fn push(&mut self, kind: TraceNodeKind, work: WorkMeter, deps: Vec<usize>) -> usize {
+    /// Indices of the trace nodes that must finish before node `i` starts,
+    /// all of them below `i`.
+    pub fn deps(&self, i: usize) -> &[usize] {
+        &self.edges[self.nodes[i].edges.clone()]
+    }
+
+    /// Make room for `nodes` more nodes with `edges` more dependences.
+    pub(crate) fn reserve(&mut self, nodes: usize, edges: usize) {
+        self.nodes.reserve(nodes);
+        self.edges.reserve(edges);
+    }
+
+    pub(crate) fn push(&mut self, kind: TraceNodeKind, work: WorkMeter, deps: &[usize]) -> usize {
+        let from = self.edges.len();
+        self.edges.extend_from_slice(deps);
         self.nodes.push(TraceNode {
             kind,
             work,
-            deps,
             committed: true,
+            edges: from..self.edges.len(),
         });
         self.nodes.len() - 1
     }
@@ -203,16 +227,29 @@ impl SpecTrace {
     /// every node's committed flag off.
     pub(crate) fn absorb(&mut self, sub: SpecTrace, entry_deps: &[usize], squash: bool) {
         let base = self.nodes.len();
+        self.reserve(sub.nodes.len(), sub.edges.len() + entry_deps.len());
         for mut node in sub.nodes {
-            node.deps.iter_mut().for_each(|d| *d += base);
-            if node.deps.is_empty() {
-                node.deps.extend_from_slice(entry_deps);
+            let from = self.edges.len();
+            match &sub.edges[node.edges] {
+                [] => self.edges.extend_from_slice(entry_deps),
+                deps => self.edges.extend(deps.iter().map(|d| d + base)),
             }
-            if squash {
-                node.committed = false;
-            }
+            node.edges = from..self.edges.len();
+            node.committed &= !squash;
             self.nodes.push(node);
         }
+    }
+
+    /// The same graph laid out directly, node by node through
+    /// [`push`](SpecTrace::push): what an absorbed trace must equal.
+    #[cfg(test)]
+    pub(crate) fn laid_out_directly(&self) -> SpecTrace {
+        let mut direct = SpecTrace::default();
+        for (i, node) in self.nodes.iter().enumerate() {
+            let at = direct.push(node.kind.clone(), node.work, self.deps(i));
+            direct.nodes[at].committed = node.committed;
+        }
+        direct
     }
 
     /// The last committed node from index `from` on: the node that
@@ -852,7 +889,7 @@ pub(crate) fn run_segments<T: StateTransition>(
         }
     }
     // No inputs, no groups, no events: the resolver's degenerate result.
-    merged.unwrap_or_else(|| Resolver::new(ctx, 1).finish(initial))
+    merged.unwrap_or_else(|| Resolver::new(ctx, 1, 0).finish(initial))
 }
 
 /// The one per-segment engine of every linear run — a segment of a batch
@@ -887,10 +924,16 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
         usize::MAX
     };
     let known = intake.arrived().0.len();
-    let mut resolver = Resolver::new(ctx, g);
+    let mut resolver = Resolver::new(ctx, g, known);
     let mut groups = exec.groups(ctx, initial, intake.wake());
     let checkpoint_at = (g < usize::MAX).then(|| g - config.rollback.clamp(1, g));
-    let mut group0 = Some(GroupData::chain(GroupSpec::default(), initial.clone()));
+    // Sized for the inputs of group 0 that are here already; its end is
+    // set when it is complete.
+    let sized = GroupSpec {
+        end: known.min(g),
+        ..GroupSpec::default()
+    };
+    let mut group0 = Some(GroupData::chain(sized, initial.clone()));
     // The result the resolver needs next, once it is here.
     let mut next: Option<GroupData<T>> = None;
     let (mut submitted, mut ingested) = (1usize, 0usize);
@@ -1309,8 +1352,8 @@ mod tests {
             ..SpecConfig::default()
         };
         let r = run_protocol(&SumAlways, &ins, &AlwaysMatch(0), &cfg, 1);
-        for (i, node) in r.trace.nodes.iter().enumerate() {
-            for &d in &node.deps {
+        for i in 0..r.trace.nodes.len() {
+            for &d in r.trace.deps(i) {
                 assert!(d < i, "node {i} depends on later node {d}");
             }
         }
@@ -1348,7 +1391,7 @@ mod tests {
                 )
             })
             .expect("first invocation of group 1");
-        assert_eq!(r.trace.nodes[first_g1].deps, vec![aux_idx]);
+        assert_eq!(r.trace.deps(first_g1), [aux_idx]);
     }
 
     #[test]
@@ -1517,7 +1560,7 @@ mod tests {
     #[test]
     fn segmented_trace_has_cross_segment_state_edges() {
         // Regression: each segment's entry nodes (group 0's first
-        // invocation, every auxiliary run) used to have empty `deps`, so
+        // invocation, every auxiliary run) used to have no dependences, so
         // `stats-sim` replay treated segments as fully independent and
         // overestimated parallelism. They must depend on the previous
         // segment's last committed node.
@@ -1534,13 +1577,8 @@ mod tests {
         let first = run_protocol(&Last, &ins[..seg_len], &ExactState(0), &cfg, 9);
         let boundary = first.trace.nodes.len();
         assert!(boundary < r.trace.nodes.len(), "multiple segments expected");
-        let zero_dep: Vec<usize> = r
-            .trace
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.deps.is_empty())
-            .map(|(i, _)| i)
+        let zero_dep: Vec<usize> = (0..r.trace.nodes.len())
+            .filter(|&i| r.trace.deps(i).is_empty())
             .collect();
         assert!(!zero_dep.is_empty(), "segment 0 still has entry nodes");
         assert!(
@@ -1552,8 +1590,8 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         // Edges still point strictly backward after the merge.
-        for (i, node) in r.trace.nodes.iter().enumerate() {
-            for &d in &node.deps {
+        for i in 0..r.trace.nodes.len() {
+            for &d in r.trace.deps(i) {
                 assert!(d < i, "node {i} depends on non-earlier {d}");
             }
         }
@@ -1572,17 +1610,85 @@ mod tests {
             ..SpecConfig::default()
         };
         let r = run_segmented(&SumNever, &ins, &NeverMatch(0), &cfg, 3, 10);
-        let zero_dep = r.trace.nodes.iter().filter(|n| n.deps.is_empty()).count();
+        let entries = |t: &SpecTrace| (0..t.nodes.len()).filter(|&i| t.deps(i).is_empty()).count();
+        let zero_dep = entries(&r.trace);
         // Only segment 0's own entry nodes may be dependence-free: the
         // whole second segment is chained behind segment 0's tail.
         let standalone = run_protocol(&SumNever, &ins[..10], &NeverMatch(0), &cfg, 3);
-        let seg0_entries = standalone
-            .trace
-            .nodes
-            .iter()
-            .filter(|n| n.deps.is_empty())
-            .count();
+        let seg0_entries = entries(&standalone.trace);
         assert_eq!(zero_dep, seg0_entries, "segment 1 entries must be chained");
+    }
+
+    #[test]
+    fn absorbed_sub_traces_lay_out_like_direct_ones() {
+        let w = WorkMeter {
+            total: 1.0,
+            memory: 0.0,
+        };
+        let invocation = |group, index| TraceNodeKind::Invocation {
+            group,
+            index,
+            attempt: 0,
+            sequential_tail: false,
+        };
+        // A sub-run with two entry nodes (an auxiliary run and group 0's
+        // first invocation) and a node with two dependences.
+        let mut sub = SpecTrace::default();
+        let aux = sub.push(TraceNodeKind::Auxiliary { group: 1 }, w, &[]);
+        let first = sub.push(invocation(0, 0), w, &[]);
+        let spec = sub.push(invocation(1, 1), w, &[aux]);
+        sub.push(
+            TraceNodeKind::Validation {
+                group: 1,
+                attempt: 0,
+            },
+            w,
+            &[first, aux, spec],
+        );
+        for squash in [false, true] {
+            let mut absorbed = SpecTrace::default();
+            let a = absorbed.push(invocation(0, 0), w, &[]);
+            let b = absorbed.push(invocation(0, 1), w, &[a]);
+            let mut direct = absorbed.clone();
+            absorbed.absorb(sub.clone(), &[a, b], squash);
+            for (kind, deps) in [
+                (TraceNodeKind::Auxiliary { group: 1 }, vec![a, b]),
+                (invocation(0, 0), vec![a, b]),
+                (invocation(1, 1), vec![2]),
+                (
+                    TraceNodeKind::Validation {
+                        group: 1,
+                        attempt: 0,
+                    },
+                    vec![3, 2, 4],
+                ),
+            ] {
+                let at = direct.push(kind, w, &deps);
+                direct.nodes[at].committed = !squash;
+            }
+            for i in 0..direct.nodes.len() {
+                assert_eq!(
+                    absorbed.deps(i),
+                    direct.deps(i),
+                    "node {i}, squash {squash}"
+                );
+            }
+            assert_eq!(absorbed, direct, "equal graphs compare equal");
+        }
+
+        // Whole runs: segments absorbed behind each other, on the commit
+        // path and through aborts.
+        let cfg = SpecConfig {
+            group_size: 4,
+            window: 1,
+            max_reexec: 1,
+            ..SpecConfig::default()
+        };
+        let committing = run_segmented(&Last, &inputs(24), &ExactState(0), &cfg, 9, 8);
+        let aborting = run_segmented(&SumNever, &inputs(20), &NeverMatch(0), &cfg, 3, 10);
+        for r in [&committing.trace, &aborting.trace] {
+            assert_eq!(*r, r.laid_out_directly());
+        }
     }
 
     /// State that matches only once two original final states exist — i.e.

@@ -584,7 +584,7 @@ impl Fnv {
 pub fn trace_digest(trace: &SpecTrace) -> u64 {
     let mut h = Fnv::new();
     h.usize(trace.nodes.len());
-    for node in &trace.nodes {
+    for (i, node) in trace.nodes.iter().enumerate() {
         match &node.kind {
             TraceNodeKind::Auxiliary { group } => {
                 h.u64(0);
@@ -610,8 +610,9 @@ pub fn trace_digest(trace: &SpecTrace) -> u64 {
         }
         h.f64(node.work.total);
         h.f64(node.work.memory);
-        h.usize(node.deps.len());
-        for &d in &node.deps {
+        let deps = trace.deps(i);
+        h.usize(deps.len());
+        for &d in deps {
             h.usize(d);
         }
         h.bool(node.committed);
@@ -1125,15 +1126,11 @@ mod tests {
     #[test]
     fn digests_are_sensitive_to_float_bits() {
         let mut trace = SpecTrace::default();
-        trace.nodes.push(crate::protocol::TraceNode {
-            kind: TraceNodeKind::Auxiliary { group: 0 },
-            work: crate::ctx::WorkMeter {
-                total: 0.0,
-                memory: 0.0,
-            },
-            deps: vec![],
-            committed: true,
-        });
+        let work = crate::ctx::WorkMeter {
+            total: 0.0,
+            memory: 0.0,
+        };
+        trace.push(TraceNodeKind::Auxiliary { group: 0 }, work, &[]);
         let a = trace_digest(&trace);
         trace.nodes[0].work.total = -0.0; // same value, different bits
         let b = trace_digest(&trace);

@@ -55,7 +55,10 @@ pub(crate) struct Resolver<'a, T: StateTransition> {
     g: usize,
     groups: Vec<Ingested<T>>,
     records: Vec<GroupRecord>,
-    outputs: Vec<Option<T::Output>>,
+    /// The committed outputs so far, extended in group order: a matched
+    /// re-execution overwrites its own tail, an abort truncates at the
+    /// restart, and the sequential tail appends.
+    outputs: Vec<T::Output>,
     /// Number of groups fully settled (validated, or squashed by an abort).
     settled: usize,
     aborted: bool,
@@ -68,13 +71,16 @@ pub(crate) struct Resolver<'a, T: StateTransition> {
 }
 
 impl<'a, T: StateTransition> Resolver<'a, T> {
-    pub(crate) fn new(ctx: RunCtx<'a, T>, g: usize) -> Self {
+    /// A resolver for a run in groups of `g` inputs, sized for the `known`
+    /// inputs it already holds (all of a batch run's, none of a stream's).
+    pub(crate) fn new(ctx: RunCtx<'a, T>, g: usize, known: usize) -> Self {
+        let groups = known.div_ceil(g);
         Resolver {
             ctx,
             g,
-            groups: Vec::new(),
-            records: Vec::new(),
-            outputs: Vec::new(),
+            groups: Vec::with_capacity(groups),
+            records: Vec::with_capacity(groups),
+            outputs: Vec::with_capacity(known),
             settled: 0,
             aborted: false,
             abort_restart: 0,
@@ -102,9 +108,6 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             self.groups.len(),
             "groups must be ingested in order"
         );
-        if self.outputs.len() < spec.end {
-            self.outputs.resize_with(spec.end, || None);
-        }
         // After an abort the group was doomed before its data arrived: the
         // sequential tail already owns its input range, so its outputs are
         // dropped and its whole chain is squashed work — exactly how the
@@ -112,9 +115,12 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         let doomed = self.aborted;
         let outputs = std::mem::take(&mut data.outputs);
         if !doomed {
-            for (off, out) in outputs.into_iter().enumerate() {
-                self.outputs[spec.start + off] = Some(out);
-            }
+            debug_assert_eq!(
+                self.outputs.len(),
+                spec.start,
+                "outputs extend at the group"
+            );
+            self.outputs.extend(outputs);
         }
         self.records.push(GroupRecord {
             start: spec.start,
@@ -217,8 +223,11 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                 // The matching original execution becomes official: its
                 // tail outputs replace attempt 0's, whose nodes are
                 // squashed at trace layout.
-                for (off, out) in tail_outputs.into_iter().enumerate() {
-                    self.outputs[re_start + off] = Some(out);
+                for (slot, out) in self.outputs[re_start..prev_end]
+                    .iter_mut()
+                    .zip(tail_outputs)
+                {
+                    *slot = out;
                 }
                 self.groups[k - 1].tail_squashed = rollback;
             }
@@ -246,9 +255,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                 c.squashed_all = true;
             }
             let restart = self.groups[k].data.spec.start;
-            for slot in self.outputs.iter_mut().skip(restart) {
-                *slot = None;
-            }
+            self.outputs.truncate(restart);
             for r in self.records.iter_mut().skip(k) {
                 r.resolution = GroupResolution::SequentialTail;
             }
@@ -278,14 +285,30 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             let (out, m) = self
                 .ctx
                 .invoke(&inputs[i], &mut state, i / self.g, i, attempt, false);
-            if self.outputs.len() <= i {
-                self.outputs.resize_with(i + 1, || None);
-            }
-            self.outputs[i] = Some(out);
+            debug_assert_eq!(self.outputs.len(), i, "the tail appends at its next input");
+            self.outputs.push(out);
             self.tail_works.push(m);
             self.tail_next += 1;
         }
         self.tail_state = Some(state);
+    }
+
+    /// How many nodes [`finish`](Resolver::finish) lays out: every group's
+    /// attempt-0 chain, each validation with the tails it re-executed, and
+    /// the sequential tail.
+    fn trace_nodes(&self) -> usize {
+        let mut nodes = self.tail_works.len();
+        for c in &self.groups {
+            nodes += usize::from(c.data.aux_work.is_some()) + c.data.works.len();
+            if let Some(rec) = &c.val {
+                nodes += 1 + rec
+                    .attempts
+                    .iter()
+                    .map(|a| a.works.len() + 1)
+                    .sum::<usize>();
+            }
+        }
+        nodes
     }
 
     /// Lay out the canonical trace, settle accounting, and return the run's
@@ -298,22 +321,24 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         );
         let config = self.ctx.config;
         let mut trace = SpecTrace::default();
+        // Every node but a first validation has at most one dependence,
+        // and a first validation at most three.
+        let nodes = self.trace_nodes();
+        trace.reserve(nodes, nodes + 2 * self.groups.len());
 
         // Phase-1 layout: every group's attempt-0 chain (auxiliary node,
         // then the chained invocations), in group order.
         let mut chain_last: Vec<usize> = Vec::with_capacity(self.groups.len());
         let mut chain_aux: Vec<Option<usize>> = Vec::with_capacity(self.groups.len());
         for (k, c) in self.groups.iter().enumerate() {
-            let mut deps: Vec<usize> = Vec::new();
             let mut aux = None;
             if let Some(aux_work) = c.data.aux_work {
-                let idx = trace.push(TraceNodeKind::Auxiliary { group: k }, aux_work, vec![]);
+                let idx = trace.push(TraceNodeKind::Auxiliary { group: k }, aux_work, &[]);
                 trace.nodes[idx].committed = !c.squashed_all;
-                deps.push(idx);
                 aux = Some(idx);
             }
             let len = c.data.works.len();
-            let mut last = usize::MAX;
+            let mut prev = aux;
             for (off, &m) in c.data.works.iter().enumerate() {
                 let node = trace.push(
                     TraceNodeKind::Invocation {
@@ -323,13 +348,12 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                         sequential_tail: false,
                     },
                     m,
-                    deps,
+                    prev.as_slice(),
                 );
                 trace.nodes[node].committed = !(c.squashed_all || off >= len - c.tail_squashed);
-                deps = vec![node];
-                last = node;
+                prev = Some(node);
             }
-            chain_last.push(last);
+            chain_last.push(prev.unwrap_or(usize::MAX));
             chain_aux.push(aux);
         }
 
@@ -348,25 +372,19 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             let (prev_start, prev_end) = (prev.start, prev.end);
             let rollback = config.rollback.clamp(1, prev_end - prev_start);
             let re_start = prev_end - rollback;
-            let mut val_deps = vec![
-                chain_last[k - 1],
-                chain_aux[k].expect("speculative group has an auxiliary node"),
-            ];
-            if let Some(gate) = prev_commit_gate {
-                val_deps.push(gate);
-            }
+            let aux = chain_aux[k].expect("speculative group has an auxiliary node");
+            let val_deps = [chain_last[k - 1], aux, prev_commit_gate.unwrap_or(0)];
             let mut val_node = trace.push(
                 TraceNodeKind::Validation {
                     group: k,
                     attempt: 0,
                 },
                 val_work,
-                val_deps,
+                &val_deps[..2 + usize::from(prev_commit_gate.is_some())],
             );
             for (a, attempt_rec) in rec.attempts.iter().enumerate() {
                 let attempt = a + 1;
-                let mut deps = vec![val_node];
-                let mut tail_nodes: Vec<usize> = Vec::with_capacity(attempt_rec.works.len());
+                let mut prev = val_node;
                 for (off, &m) in attempt_rec.works.iter().enumerate() {
                     let node = trace.push(
                         TraceNodeKind::Invocation {
@@ -376,29 +394,24 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                             sequential_tail: false,
                         },
                         m,
-                        deps,
+                        &[prev],
                     );
-                    tail_nodes.push(node);
-                    deps = vec![node];
+                    trace.nodes[node].committed = attempt_rec.matched;
+                    prev = node;
                 }
                 val_node = trace.push(
                     TraceNodeKind::Validation { group: k, attempt },
                     val_work,
-                    deps,
+                    &[prev],
                 );
-                if !attempt_rec.matched {
-                    for node in tail_nodes {
-                        trace.nodes[node].committed = false;
-                    }
-                }
             }
             if rec.matched {
                 prev_commit_gate = Some(val_node);
             } else {
-                let mut deps = vec![val_node];
+                let mut prev = val_node;
                 for (off, &m) in self.tail_works.iter().enumerate() {
                     let i = self.abort_restart + off;
-                    let node = trace.push(
+                    prev = trace.push(
                         TraceNodeKind::Invocation {
                             group: i / self.g,
                             index: i,
@@ -406,16 +419,22 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                             sequential_tail: true,
                         },
                         m,
-                        deps,
+                        &[prev],
                     );
-                    deps = vec![node];
                 }
                 break;
             }
         }
+        debug_assert_eq!(trace.nodes.len(), nodes, "the trace has the nodes reserved");
         if self.aborted {
             self.ctx.emit(EventKind::SequentialTailEnd);
         }
+
+        debug_assert_eq!(
+            self.outputs.len(),
+            self.records.last().map_or(0, |r| r.end),
+            "every input has a committed output"
+        );
 
         // Phase-3 accounting.
         let mut report = SpecReport {
@@ -437,16 +456,114 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                 None => initial.clone(),
             }
         };
-        let outputs: Vec<T::Output> = self
-            .outputs
-            .into_iter()
-            .map(|o| o.expect("every input has a committed output"))
-            .collect();
         ProtocolResult {
-            outputs,
+            outputs: self.outputs,
             final_state,
             report,
             trace,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adapt::RetryPolicy;
+    use crate::ctx::InvocationCtx;
+    use crate::obs::NOOP;
+    use crate::protocol::{run_protocol, SpecConfig};
+    use crate::sdi::SpecState;
+    use crate::{RunOptions, Session};
+
+    /// The input after which no speculative state ever matches.
+    const POISON: u64 = 11;
+
+    /// The last input. A speculative state matches once three originals
+    /// exist — attempt 0 and two re-executions — unless it is [`POISON`].
+    #[derive(Clone, Debug)]
+    struct Third(u64);
+    impl SpecState for Third {
+        fn matches_any(&self, originals: &[Self]) -> bool {
+            self.0 != POISON && originals.len() >= 3
+        }
+    }
+
+    /// Keeps the last input as its state and outputs a fresh draw past
+    /// it, so every attempt at an input outputs something else.
+    struct Draw;
+    impl StateTransition for Draw {
+        type Input = u64;
+        type State = Third;
+        type Output = f64;
+        fn compute_output(&self, input: &u64, state: &mut Third, ctx: &mut InvocationCtx) -> f64 {
+            ctx.charge(1.0);
+            state.0 = *input;
+            *input as f64 + ctx.uniform(0.0, 1.0)
+        }
+    }
+
+    #[test]
+    fn outputs_settle_in_place_through_a_matched_reexecution_and_an_abort() {
+        let inputs: Vec<u64> = (0..16).collect();
+        let config = SpecConfig {
+            group_size: 4,
+            window: 1,
+            max_reexec: 2,
+            rollback: 2,
+            ..SpecConfig::default()
+        };
+        let seed = 5;
+        // Groups 1 and 2 match on the second re-execution of the previous
+        // group's last two inputs; group 3 starts after the poison, aborts
+        // after two, and inputs 12..16 run in the sequential tail.
+        #[rustfmt::skip]
+        let coords: [(usize, usize); 16] = [
+            (0, 0), (0, 0), (0, 2), (0, 2),
+            (1, 0), (1, 0), (1, 2), (1, 2),
+            (2, 0), (2, 0), (2, 0), (2, 0),
+            (3, 3), (3, 3), (3, 3), (3, 3),
+        ];
+        let ctx = RunCtx {
+            transition: &Draw,
+            config: &config,
+            seed,
+            sink: &NOOP,
+            faults: None,
+            retry: RetryPolicy::default(),
+        };
+        let expected: Vec<f64> = inputs
+            .iter()
+            .zip(coords)
+            .enumerate()
+            .map(|(i, (input, (group, attempt)))| {
+                ctx.invoke(input, &mut Third(0), group, i, attempt, false).0
+            })
+            .collect();
+        let attempt0 = ctx.invoke(&inputs[2], &mut Third(0), 0, 2, 0, false).0;
+        assert_ne!(expected[2], attempt0, "the re-executed output differs");
+
+        let batch = run_protocol(&Draw, &inputs, &Third(0), &config, seed);
+        let resolutions: Vec<GroupResolution> =
+            batch.report.groups.iter().map(|g| g.resolution).collect();
+        assert_eq!(
+            resolutions,
+            [
+                GroupResolution::NonSpeculative,
+                GroupResolution::Committed { reexecutions: 2 },
+                GroupResolution::Committed { reexecutions: 2 },
+                GroupResolution::SequentialTail,
+            ]
+        );
+        assert_eq!(batch.report.reexecutions, 6);
+        assert_eq!(batch.outputs, expected);
+
+        // A stream fed one input at a time settles the same outputs: its
+        // tail appends as the inputs arrive.
+        let options = RunOptions::default().config(config.clone()).seed(seed);
+        let session = Session::new(Third(0), Draw, options);
+        for &input in &inputs {
+            session.push(input);
+        }
+        assert_eq!(session.finish().outputs, expected);
     }
 }

@@ -18,8 +18,8 @@ pub fn expand_trace(trace: &SpecTrace, tlp: &OriginalTlp, t_orig: usize) -> Task
     // Exit task of each trace node (the task later nodes must wait for).
     let mut exit: Vec<TaskId> = Vec::with_capacity(trace.nodes.len());
 
-    for node in &trace.nodes {
-        let deps: Vec<TaskId> = node.deps.iter().map(|&d| exit[d]).collect();
+    for (i, node) in trace.nodes.iter().enumerate() {
+        let deps: Vec<TaskId> = trace.deps(i).iter().map(|&d| exit[d]).collect();
         let cost = node.work.total;
         let mem = node.work.mem_fraction();
 

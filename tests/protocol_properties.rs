@@ -152,8 +152,8 @@ proptest! {
     ) {
         let inputs: Vec<u64> = (0..n as u64).collect();
         let r = run_protocol(&NoisyLast, &inputs, &Fuzzy(0.0), &config, seed);
-        for (i, node) in r.trace.nodes.iter().enumerate() {
-            for &d in &node.deps {
+        for i in 0..r.trace.nodes.len() {
+            for &d in r.trace.deps(i) {
                 prop_assert!(d < i);
             }
         }
