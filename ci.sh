@@ -49,15 +49,14 @@ if [[ "$stage" == "--loom" ]]; then
     # ordered-completion slots every batch and stream waits through rest on
     # the first four; the five session models drive the coordinator loop —
     # the linear engine over a stream's queue intake, with its
-    # wake-after-store; the two serve models drive a tenant's backlog
-    # refill through its session's room hook (docs/concurrency.md). A
-    # rename or deletion must not pass silently.
+    # wake-after-store; the serve model drives a tenant's spill backlog
+    # through its session's intake (docs/concurrency.md). A rename or
+    # deletion must not pass silently.
     for required in ticket_runs_exactly_once pool_submit_never_strands_a_sleeper \
         pool_queue_never_loses_jobs pool_ordered_yields_each_result_once \
         session_push_finish_matches_batch session_group_completion_wakes_coordinator \
         session_halfway_wakeup_never_strands_producer session_drop_mid_stream_joins \
-        session_panic_routing_try_finish serve_refill_never_strands_a_backlog \
-        serve_refill_reports_a_dead_coordinator; do
+        session_panic_routing_try_finish serve_spill_intake_never_strands_a_backlog; do
         if [[ " $models " != *" $required "* ]]; then
             echo "error: loom model '$required' is missing from tests/loom.rs" >&2
             exit 1

@@ -38,7 +38,7 @@ use loom::sync as base;
 #[cfg(not(loom))]
 use std::sync as base;
 
-pub use self::base::{Arc, Weak};
+pub use self::base::Arc;
 
 /// Atomic integer types and memory orderings (model-checked under loom:
 /// `Relaxed` loads explore stale values, `Acquire`/`Release` pairs

@@ -44,11 +44,11 @@
 //! - `session_panic_routing_try_finish` — a panic in a pool-executed
 //!   group crosses worker → coordinator → owner, and a producer blocked
 //!   on a stalled bounded queue cannot deadlock against it.
-//! - `serve_refill_never_strands_a_backlog` — a server tenant's spilled
-//!   inputs reach its session only through the session's own room hook:
-//!   each arrives once, in order, and `finish` returns.
-//! - `serve_refill_reports_a_dead_coordinator` — a tenant whose
-//!   coordinator dies with a backlog fails `finish` instead of hanging.
+//! - `serve_spill_intake_never_strands_a_backlog` — a server tenant's
+//!   spilled inputs reach its queue only through its own coordinator's
+//!   refill: each arrives once, in order, and `finish` returns; a tenant
+//!   whose coordinator dies with a backlog fails `finish` instead of
+//!   hanging.
 
 #![cfg(loom)]
 
@@ -481,63 +481,74 @@ fn session_panic_routing_try_finish() {
     });
 }
 
-/// One pool worker; each tenant's session queue holds one input and its
-/// spill queue keeps the rest in memory.
-fn one_input_server<T: StateTransition<Input = u64>>() -> SessionServer<T> {
+/// One pool worker; each tenant's session queue holds `capacity` inputs
+/// and its spill backlog keeps the rest in memory.
+fn spill_server<T: StateTransition<Input = u64>>(capacity: usize) -> SessionServer<T> {
     SessionServer::new(
         Arc::new(ThreadPool::new(1)),
         ServerOptions::default()
-            .session_queue_capacity(1)
+            .session_queue_capacity(capacity)
             .spill_mem_capacity(4),
     )
 }
 
-/// The serve layer's backlog refill. A one-input session queue takes the
-/// first input; the other two wait in the tenant's in-memory spill queue,
-/// and only the session's room hook — run by its coordinator whenever a
-/// pop leaves the queue at half capacity, and on its exit — moves them
-/// in, racing the producer's own pushes for the server lock. Every output
-/// arrives once, in order, and `finish`, which waits on the server's
-/// `drained` condvar for the backlog to empty, returns: a refill that
-/// could be skipped leaves it parked for good.
+/// The serve layer's spill intake, three tenants one after the other.
+/// `steady`'s three-input burst leaves two inputs in its backlog, which
+/// only its own coordinator moves into its one-input queue, when a pop
+/// drains it, under the session's lock that the producer's pushes race
+/// for: every output arrives once, in order, and `finish` returns.
+/// `exploding`'s first input panics on its coordinator while the rest may
+/// still be in its backlog: `finish` reports the panic instead of hanging.
+/// A one-input queue is refilled in the same critical section as every
+/// pop that makes room in it, so no push can ever find it with room while
+/// a backlog waits; `trickle`'s three-input queue, taken one input per
+/// segment, can: a pop leaves it above half, unrefilled, and the push
+/// that follows must still go behind the backlog. `trickle` is explored
+/// on its own: in one execution with the other two, the schedules
+/// multiply past what a CI stage can wait for.
 #[test]
-fn serve_refill_never_strands_a_backlog() {
+fn serve_spill_intake_never_strands_a_backlog() {
     model(2, || {
-        let server = one_input_server();
-        let tenant = server.open_tenant(
+        let server = spill_server(1);
+        let steady = server.open_tenant(
             ExactState(0u64),
-            Sum,
+            ExplodeOn(u64::MAX),
             RunOptions::default().config(two_group_config()),
         );
-        assert_eq!(tenant.try_push_batch(1..=3u64).expect("burst"), 3);
-        let outcome = tenant.finish().expect("finish");
+        assert_eq!(steady.try_push_batch(1..=3u64).expect("burst"), 3);
+        let outcome = steady.finish().expect("finish");
         assert_eq!(outcome.outputs, vec![1, 3, 6], "backlog lost or reordered");
-    });
-}
-
-/// The dead-coordinator half of `serve_refill_never_strands_a_backlog`:
-/// input 1 explodes on the coordinator while inputs may still be spilled,
-/// and only the coordinator's exit hook can tell `finish` the tenant is
-/// dead.
-#[test]
-fn serve_refill_reports_a_dead_coordinator() {
-    model(2, || {
-        let server = one_input_server();
-        let tenant = server.open_tenant(
+        let exploding = server.open_tenant(
             ExactState(0u64),
             ExplodeOn(1),
             RunOptions::default().config(SpecConfig::sequential()),
         );
         // The first input explodes, so a later push may already find the
         // coordinator gone and fail; either way `finish` must report it.
-        let _ = tenant.try_push_batch(1..=3u64);
-        match tenant.finish() {
+        let _ = exploding.try_push_batch(1..=3u64);
+        match exploding.finish() {
             Err(ServeError::Session(SessionError::Panicked { message, .. })) => {
                 assert!(message.contains("transition exploded"), "{message}");
             }
             Err(other) => panic!("unexpected serve error: {other}"),
             Ok(_) => panic!("the transition panic was swallowed"),
         }
+    });
+    model(2, || {
+        let trickle = spill_server(3).open_tenant(
+            ExactState(0u64),
+            ExplodeOn(u64::MAX),
+            RunOptions::default()
+                .config(SpecConfig::sequential())
+                .segment(1),
+        );
+        assert_eq!(trickle.try_push_batch(1..=5u64).expect("burst"), 5);
+        let outcome = trickle.finish().expect("finish");
+        assert_eq!(
+            outcome.outputs,
+            vec![1, 3, 6, 10, 15],
+            "a push overtook the backlog"
+        );
     });
 }
 
