@@ -448,11 +448,11 @@ impl<R> Ordered<R> {
     /// the step before blocking on its result (why:
     /// [`Ticket::run_if_unclaimed`]). Only that job: any other would
     /// compete with the workers for cores on work that is not yet on the
-    /// consumer's critical path.
-    pub(crate) fn claim_next(&self) {
-        if let Some(job) = self.jobs.front() {
-            self.shared.run(job, Runner::TicketHolder);
-        }
+    /// consumer's critical path. Returns whether this call ran it.
+    pub(crate) fn claim_next(&self) -> bool {
+        self.jobs
+            .front()
+            .is_some_and(|job| self.shared.run(job, Runner::TicketHolder))
     }
 
     /// The next result if it is already stored, a panic re-raised as by

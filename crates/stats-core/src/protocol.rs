@@ -22,6 +22,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use crate::adapt::{RetryPolicy, SegmentControl};
 use crate::ctx::{InvocationCtx, WorkMeter};
@@ -734,7 +735,12 @@ pub(crate) trait Groups<T: StateTransition> {
     /// Run the next group here if nobody has started it: the step before
     /// blocking on it (why: [`Ticket::run_if_unclaimed`](crate::Ticket::run_if_unclaimed)).
     /// A no-op with no group outstanding.
-    fn claim_next(&self) {}
+    fn claim_next(&mut self) {}
+
+    /// Group 0 is complete with a full group's inputs, and running them on
+    /// the calling thread took `elapsed`: what running one group here
+    /// costs. The reference has no use for it.
+    fn group0_ran(&mut self, _elapsed: Duration) {}
 }
 
 /// What a pool job of a group reads its inputs from.
@@ -934,6 +940,8 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
         ..GroupSpec::default()
     };
     let mut group0 = Some(GroupData::chain(sized, initial.clone()));
+    // The time spent running group 0 so far; never read by the run itself.
+    let mut group0_time = Duration::ZERO;
     // The result the resolver needs next, once it is here.
     let mut next: Option<GroupData<T>> = None;
     let (mut submitted, mut ingested) = (1usize, 0usize);
@@ -961,8 +969,13 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
         }
         if let Some(data) = &mut group0 {
             let end = n.min(g);
+            let began = Instant::now();
             for (i, input) in inputs.iter().enumerate().take(end).skip(data.outputs.len()) {
                 data.step(ctx, input, i, checkpoint_at);
+            }
+            group0_time += began.elapsed();
+            if end == g {
+                groups.group0_ran(group0_time);
             }
             if end == g || closed {
                 ctx.emit(EventKind::GroupStart {

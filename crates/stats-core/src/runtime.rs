@@ -1,17 +1,26 @@
 //! The user-facing runtime object: `StateDependence` (paper Figure 9).
 //!
-//! `StateDependence::start()` begins the §3.1 execution model in parallel
-//! with the invoking thread, running groups of invocations concurrently on a
-//! shared [`ThreadPool`]; `join()` waits until all inputs are correctly
-//! processed and returns the committed outputs. All knobs (pool, sink,
-//! seed, config, segmenting) come from one [`RunOptions`] value — the same
-//! options type the streaming [`Session`](crate::Session) consumes.
+//! `StateDependence::run()` runs the §3.1 execution model on the calling
+//! thread, which coordinates while groups of invocations run concurrently
+//! on a shared [`ThreadPool`]; `start()` does the same on a coordinator
+//! thread of its own, in parallel with the invoking thread, and `join()`
+//! waits until all inputs are correctly processed and returns the committed
+//! outputs. All knobs (pool, sink, seed, config, segmenting) come from one
+//! [`RunOptions`] value — the same options type the streaming
+//! [`Session`](crate::Session) consumes.
 //!
 //! Because every invocation's PRVG stream is derived from coordinates (run
 //! seed, group, index, attempt), the parallel execution is *reproducible*
 //! and byte-identical to the sequential reference
 //! [`run_protocol`](crate::run_protocol) — a property the test suite checks.
+//! That is also what lets the pooled executor choose, from what the run
+//! measures, whether a group is worth dispatching at all ([`Gate`]).
 
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::time::{Duration, Instant};
+
+use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{thread, Arc};
 
 use crate::adapt::SegmentControl;
@@ -109,39 +118,34 @@ impl<T: StateTransition> StateDependence<T> {
         self
     }
 
-    /// Run to completion and return the outcome. Equivalent to `start()`
-    /// followed by `join()`; the seed comes from [`RunOptions::seed`].
-    pub fn run(mut self) -> SpecOutcome<T> {
-        self.start();
-        self.join()
-    }
-
-    /// Begin the execution model in parallel with the invoking thread.
+    /// Run to completion on the calling thread and return the outcome: the
+    /// caller coordinates (runs group 0, validates and commits) while the
+    /// pool runs the speculative groups worth dispatching. The outcome is
+    /// the one `start()` followed by `join()` returns, without a coordinator
+    /// thread; a panic in the transition unwinds here with its own payload.
+    /// The seed comes from [`RunOptions::seed`].
     ///
     /// # Panics
     ///
-    /// Panics if called twice.
+    /// Panics if `start()` was called first.
+    pub fn run(self) -> SpecOutcome<T> {
+        assert!(self.handle.is_none(), "run() after start(): use join()");
+        run_pooled(&self.shared)
+    }
+
+    /// Begin the execution model on a `stats-coordinator` thread, in
+    /// parallel with the invoking thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called twice, or if the thread cannot be spawned.
     pub fn start(&mut self) {
         assert!(self.handle.is_none(), "start() called twice");
         let shared = Arc::clone(&self.shared);
-        let pool = resolve_pool(&shared.options);
         self.handle = Some(
             thread::Builder::new()
                 .name("stats-coordinator".into())
-                .spawn(move || {
-                    let exec = Pooled {
-                        shared: &shared,
-                        pool: &pool,
-                    };
-                    run_batch(
-                        shared.ctx(),
-                        &shared.inputs,
-                        &shared.initial,
-                        SegmentControl::new(&shared.options),
-                        shared.options.plan.as_ref(),
-                        &exec,
-                    )
-                })
+                .spawn(move || run_pooled(&shared))
                 .expect("failed to spawn coordinator"),
         );
     }
@@ -157,6 +161,20 @@ impl<T: StateTransition> StateDependence<T> {
             .join()
             .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
+}
+
+/// The batch engine over `shared`'s inputs on the options' pool, coordinated
+/// by the calling thread.
+fn run_pooled<T: StateTransition>(shared: &Arc<Shared<T>>) -> ProtocolResult<T> {
+    let pool = resolve_pool(&shared.options);
+    run_batch(
+        shared.ctx(),
+        &shared.inputs,
+        &shared.initial,
+        SegmentControl::new(&shared.options),
+        shared.options.plan.as_ref(),
+        &Pooled::new(shared, &pool),
+    )
 }
 
 /// The options' shared pool, or a private one sized to the machine.
@@ -187,7 +205,8 @@ impl<T: StateTransition> Drop for StateDependence<T> {
 /// The pooled executor of `StateDependence` and `Session`: every unit is a
 /// job for [`ThreadPool::ordered`], so group *k* is validated and
 /// committed while groups *k+1…* still run, and the coordinator runs the
-/// unit it is about to wait for itself when no worker has started it.
+/// unit it is about to wait for itself when no worker has started it —
+/// except the speculative groups its [`Gate`] keeps on the coordinator.
 ///
 /// Pool jobs outlive any borrow, so they reach the run through `shared`
 /// rather than through the borrowed arguments, which name the same run.
@@ -195,8 +214,98 @@ impl<T: StateTransition> Drop for StateDependence<T> {
 /// releases a job's clone before its result is visible, so that handle is
 /// never dropped on a worker.
 pub(crate) struct Pooled<'s, T: StateTransition> {
-    pub(crate) shared: &'s Arc<Shared<T>>,
-    pub(crate) pool: &'s ThreadPool,
+    shared: &'s Arc<Shared<T>>,
+    pool: &'s ThreadPool,
+    gate: Gate,
+}
+
+impl<'s, T: StateTransition> Pooled<'s, T> {
+    /// The executor of one run — every segment of it — over `shared` on
+    /// `pool`.
+    pub(crate) fn new(shared: &'s Arc<Shared<T>>, pool: &'s ThreadPool) -> Self {
+        Pooled {
+            shared,
+            pool,
+            gate: Gate::new(pool.threads()),
+        }
+    }
+}
+
+/// Who runs a run's speculative groups once its [`Gate`] has decided.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Route {
+    /// Jobs on the pool, as the groups are submitted.
+    Pool,
+    /// The coordinator, when the resolver needs each group.
+    Coordinator,
+}
+
+/// The cost gate of one pooled run: whether its speculative groups are worth
+/// dispatching. A group pays for the pool only if a worker starts it sooner
+/// than the coordinator would finish it, so the gate compares two times the
+/// run measures anyway:
+///
+/// - running a group on the coordinator: group 0's wall time, which the
+///   coordinator always runs itself ([`Groups::group0_ran`]);
+/// - dispatching one: the delay between submitting a *probe* — one of the
+///   first speculative groups, at most the pool's worker count in flight,
+///   which go to the pool undecided — and a worker starting it. A probe the
+///   coordinator takes back sooner than group 0's time tells nothing, and
+///   its place in the lookahead goes to the next group.
+///
+/// A worker that starts a probe within group 0's time routes the run to
+/// the pool; a probe that waits longer (unstarted, or started late) routes
+/// it to the coordinator. Groups past the probes wait for that decision,
+/// which then holds for the rest of the run, every segment included. It is
+/// timed, so it chooses only who runs a group: groups, seeds, trace, report
+/// and events are the same either way.
+struct Gate {
+    /// Probes that may still be sent before groups wait for the decision.
+    lookahead: Cell<usize>,
+    /// Group 0's wall time, from the run's first full group 0.
+    group0: Cell<Option<Duration>>,
+    /// The shortest delay between sending a probe and a worker starting it,
+    /// kept as `u64::MAX - ns` so that `fetch_max` keeps the least; 0 while
+    /// no worker has started one.
+    started: Arc<AtomicU64>,
+    /// The longest a probe the coordinator took back had waited unstarted.
+    waited: Cell<Duration>,
+    route: Cell<Option<Route>>,
+}
+
+impl Gate {
+    fn new(workers: usize) -> Self {
+        Gate {
+            lookahead: Cell::new(workers),
+            group0: Cell::new(None),
+            started: Arc::new(AtomicU64::new(0)),
+            waited: Cell::new(Duration::ZERO),
+            route: Cell::new(None),
+        }
+    }
+
+    /// The route, once the measurements decide it. `unclaimed` is when the
+    /// oldest probe the coordinator has not taken back was sent, if one is
+    /// still outstanding.
+    fn route(&self, unclaimed: Option<Instant>) -> Option<Route> {
+        if self.route.get().is_none() {
+            let group0 = self.group0.get()?;
+            let started = match self.started.load(Ordering::Relaxed) {
+                0 => None,
+                inverted => Some(Duration::from_nanos(u64::MAX - inverted)),
+            };
+            let waited = unclaimed.map_or(Duration::ZERO, |sent| sent.elapsed());
+            let route = if started.is_some_and(|delay| delay <= group0) {
+                Route::Pool
+            } else if started.is_some() || waited.max(self.waited.get()) >= group0 {
+                Route::Coordinator
+            } else {
+                return None;
+            };
+            self.route.set(Some(route));
+        }
+        self.route.get()
+    }
 }
 
 /// What every group job of one linear run starts from. Built once per run
@@ -209,40 +318,176 @@ struct RunJob<T: StateTransition> {
     seed: u64,
 }
 
-/// One linear run's open batch on the pool.
-struct PooledGroups<T: StateTransition> {
-    run: Arc<RunJob<T>>,
-    batch: Ordered<GroupData<T>>,
+/// The inputs a group over `window` reads, and the index of the first.
+fn window_inputs<'w, I>(batch: &'w [I], window: &'w Window<I>) -> (&'w [I], usize) {
+    match window {
+        Window::Batch { offset } => (&batch[*offset..], 0),
+        Window::Copied { inputs, base } => (inputs, *base),
+    }
 }
 
-impl<T: StateTransition> Groups<T> for PooledGroups<T> {
-    fn submit(&mut self, spec: GroupSpec, _: &[T::Input], window: Window<T::Input>) {
-        let run = Arc::clone(&self.run);
+/// A probe in flight: when it was sent, and whether the coordinator took
+/// it back.
+struct Probe {
+    sent: Instant,
+    claimed: bool,
+}
+
+/// One linear run's groups on a pooled executor: an open batch on the pool,
+/// then the groups held back for the gate or for the coordinator. Every
+/// group in `batch` comes before every group in `held`, and the first
+/// `probes.len()` jobs of `batch` are the probes.
+struct PooledGroups<'a, T: StateTransition, W> {
+    shared: &'a Arc<Shared<T>>,
+    pool: &'a ThreadPool,
+    gate: &'a Gate,
+    ctx: RunCtx<'a, T>,
+    initial: &'a T::State,
+    /// The batch and what its jobs start from are made at the first
+    /// dispatch: a run the gate keeps on the coordinator opens no batch and
+    /// clones no state for the pool.
+    run: Option<Arc<RunJob<T>>>,
+    batch: Option<Ordered<GroupData<T>>>,
+    /// What the batch runs for every stored result, until it is opened.
+    wake: Option<W>,
+    probes: VecDeque<Probe>,
+    held: VecDeque<(GroupSpec, Window<T::Input>)>,
+}
+
+impl<T: StateTransition, W: Fn() + Send + Sync + 'static> PooledGroups<'_, T, W> {
+    /// Groups submitted to the pool whose results are not taken yet.
+    fn in_flight(&self) -> usize {
+        self.batch.as_ref().map_or(0, ExactSizeIterator::len)
+    }
+
+    /// Submit a group to the pool; a probe records when a worker starts it.
+    fn dispatch(&mut self, spec: GroupSpec, window: Window<T::Input>, probe: bool) {
+        let run = Arc::clone(self.run.get_or_insert_with(|| {
+            Arc::new(RunJob {
+                shared: Arc::clone(self.shared),
+                initial: self.initial.clone(),
+                config: self.ctx.config.clone(),
+                seed: self.ctx.seed,
+            })
+        }));
+        let probe = probe.then(|| {
+            let sent = Instant::now();
+            self.probes.push_back(Probe {
+                sent,
+                claimed: false,
+            });
+            let coordinator = std::thread::current().id();
+            (sent, coordinator, Arc::clone(&self.gate.started))
+        });
         let job = move || {
+            if let Some((sent, coordinator, started)) = probe {
+                if std::thread::current().id() != coordinator {
+                    let delay = u64::try_from(sent.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    started.fetch_max(u64::MAX - delay, Ordering::Relaxed);
+                }
+            }
             let ctx = RunCtx {
                 config: &run.config,
                 seed: run.seed,
                 ..run.shared.ctx()
             };
-            let (inputs, base) = match &window {
-                Window::Batch { offset } => (&run.shared.inputs[*offset..], 0),
-                Window::Copied { inputs, base } => (&inputs[..], *base),
-            };
+            let (inputs, base) = window_inputs(&run.shared.inputs, &window);
             execute_group(ctx, inputs, base, &run.initial, spec)
         };
-        self.batch.submit([job]);
+        let (pool, wake) = (self.pool, &mut self.wake);
+        (self
+            .batch
+            .get_or_insert_with(|| pool.open_ordered(wake.take().expect("unopened"))))
+        .submit([job]);
+    }
+
+    /// Send the held groups where the gate routes them: every one to the
+    /// pool once it chooses the pool; while it has not decided, the next
+    /// ones as probes, as many as the lookahead has left. The rest stay
+    /// held.
+    fn settle(&mut self) {
+        while !self.held.is_empty() {
+            let unclaimed = self.probes.iter().find(|p| !p.claimed).map(|p| p.sent);
+            let probe = match self.gate.route(unclaimed) {
+                Some(Route::Pool) => false,
+                Some(Route::Coordinator) => return,
+                None if self.gate.lookahead.get() > 0 => {
+                    self.gate.lookahead.set(self.gate.lookahead.get() - 1);
+                    true
+                }
+                None => return,
+            };
+            let (spec, window) = self.held.pop_front().expect("a held group");
+            self.dispatch(spec, window, probe);
+        }
+    }
+
+    /// Bookkeeping for a result taken out of the batch.
+    fn took(&mut self, data: Option<GroupData<T>>) -> Option<GroupData<T>> {
+        if data.is_some() {
+            self.probes.pop_front();
+        }
+        data
+    }
+
+    /// Run the first held group here.
+    fn run_held(&mut self) -> Option<GroupData<T>> {
+        let (spec, window) = self.held.pop_front()?;
+        let (inputs, base) = window_inputs(&self.shared.inputs, &window);
+        Some(execute_group(self.ctx, inputs, base, self.initial, spec))
+    }
+}
+
+impl<T: StateTransition, W: Fn() + Send + Sync + 'static> Groups<T> for PooledGroups<'_, T, W> {
+    fn submit(&mut self, spec: GroupSpec, _: &[T::Input], window: Window<T::Input>) {
+        self.held.push_back((spec, window));
+        self.settle();
     }
 
     fn try_next(&mut self) -> Option<GroupData<T>> {
-        self.batch.try_next()
+        self.settle();
+        if self.in_flight() > 0 {
+            let data = self.batch.as_mut().and_then(Ordered::try_next);
+            return self.took(data);
+        }
+        self.run_held()
     }
 
     fn next(&mut self) -> Option<GroupData<T>> {
-        self.batch.next()
+        self.settle();
+        if self.in_flight() > 0 {
+            // Claimed here first, so that a probe taken back is seen.
+            self.claim_next();
+            let data = self.batch.as_mut().and_then(Iterator::next);
+            return self.took(data);
+        }
+        self.run_held()
     }
 
-    fn claim_next(&self) {
-        self.batch.claim_next();
+    fn claim_next(&mut self) {
+        if !self.batch.as_ref().is_some_and(Ordered::claim_next) {
+            return;
+        }
+        if let Some(probe) = self.probes.front_mut() {
+            probe.claimed = true;
+            // A probe taken back before group 0's time tells nothing about
+            // how soon a worker would have started it: it does not count
+            // against the lookahead.
+            let waited = probe.sent.elapsed();
+            let gate = self.gate;
+            if gate.group0.get().is_some_and(|group0| waited >= group0) {
+                gate.waited.set(gate.waited.get().max(waited));
+            } else {
+                gate.lookahead.set(gate.lookahead.get() + 1);
+            }
+        }
+    }
+
+    fn group0_ran(&mut self, elapsed: Duration) {
+        if self.gate.group0.get().is_none() {
+            self.gate.group0.set(Some(elapsed));
+        }
+        self.settle();
     }
 }
 
@@ -253,15 +498,17 @@ impl<T: StateTransition> Executor<T> for Pooled<'_, T> {
         initial: &'a T::State,
         wake: impl Fn() + Send + Sync + 'static,
     ) -> impl Groups<T> + 'a {
-        let run = RunJob {
-            shared: Arc::clone(self.shared),
-            initial: initial.clone(),
-            config: ctx.config.clone(),
-            seed: ctx.seed,
-        };
         PooledGroups {
-            run: Arc::new(run),
-            batch: self.pool.open_ordered(wake),
+            shared: self.shared,
+            pool: self.pool,
+            gate: &self.gate,
+            ctx,
+            initial,
+            run: None,
+            batch: None,
+            wake: Some(wake),
+            probes: VecDeque::new(),
+            held: VecDeque::new(),
         }
     }
 
@@ -292,6 +539,7 @@ mod tests {
     use crate::ctx::InvocationCtx;
     use crate::protocol::{run_protocol, run_protocol_with_options, SpecConfig};
     use crate::sdi::SpecState;
+    use std::panic::AssertUnwindSafe;
 
     /// Nondeterministic short-memory workload: state is the last input plus
     /// bounded noise; matches tolerate the noise.
@@ -573,5 +821,173 @@ mod tests {
         let oa = a.run();
         let ob = b.run();
         assert_eq!(oa.outputs, ob.outputs);
+    }
+
+    /// Cheap, short-memory work: the state is the last input.
+    struct Noop;
+    impl StateTransition for Noop {
+        type Input = f64;
+        type State = Noisy;
+        type Output = f64;
+        fn compute_output(&self, input: &f64, state: &mut Noisy, ctx: &mut InvocationCtx) -> f64 {
+            ctx.charge(1.0);
+            state.0 = *input;
+            *input
+        }
+    }
+
+    /// [`NoisyLast`] after spinning for the given time on every input.
+    struct Spin(std::time::Duration);
+    impl StateTransition for Spin {
+        type Input = f64;
+        type State = Noisy;
+        type Output = f64;
+        fn compute_output(&self, input: &f64, state: &mut Noisy, ctx: &mut InvocationCtx) -> f64 {
+            let began = std::time::Instant::now();
+            while began.elapsed() < self.0 {
+                std::hint::spin_loop();
+            }
+            NoisyLast.compute_output(input, state, ctx)
+        }
+    }
+
+    /// Run `transition` over `inputs` on `pool` under `options`, require
+    /// the sequential reference's outputs, report and trace, and return the
+    /// jobs the pool ran for it once `expected` of them have counted (a job
+    /// counts just after its result is stored) or a second has passed.
+    fn gated_run<T>(
+        transition: T,
+        inputs: Vec<f64>,
+        pool: &Arc<ThreadPool>,
+        options: RunOptions,
+        expected: u64,
+    ) -> u64
+    where
+        T: StateTransition<Input = f64, State = Noisy, Output = f64>,
+    {
+        let reference = run_protocol_with_options(&transition, &inputs, &Noisy(0.0), &options);
+        let before = pool.metrics().jobs_executed;
+        let outcome = StateDependence::new(inputs, Noisy(0.0), transition)
+            .with_options(options.pool(Arc::clone(pool)))
+            .run();
+        assert_eq!(outcome.outputs, reference.outputs);
+        assert_eq!(outcome.report, reference.report);
+        assert_eq!(outcome.trace, reference.trace);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        loop {
+            let jobs = pool.metrics().jobs_executed - before;
+            if jobs >= expected || std::time::Instant::now() > deadline {
+                return jobs;
+            }
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn gate_keeps_coordination_bound_groups_on_the_coordinator() {
+        // Group 0 of four no-op inputs takes far less than a parked worker
+        // takes to start a group: only the probes, one per worker, reach
+        // the pool.
+        let pool = Arc::new(ThreadPool::new(2));
+        std::thread::sleep(std::time::Duration::from_millis(20)); // both workers park
+        let options = RunOptions::default().config(config()).seed(11);
+        let inputs: Vec<f64> = (0..64).map(f64::from).collect();
+        let jobs = gated_run(Noop, inputs, &pool, options, 2);
+        assert!(jobs <= 2, "{jobs} of 15 speculative groups dispatched");
+    }
+
+    #[test]
+    fn gate_dispatches_every_group_of_compute_bound_work() {
+        // Two inputs of 2 ms per group: a worker starts a probe long before
+        // the coordinator could finish one (even with other tests holding
+        // the cores), so every speculative group goes to the pool, the ones
+        // past the probes included.
+        let pool = Arc::new(ThreadPool::new(2));
+        let options = RunOptions::default()
+            .config(SpecConfig {
+                group_size: 2,
+                ..config()
+            })
+            .seed(3);
+        let inputs: Vec<f64> = (0..10).map(f64::from).collect();
+        let spin = Spin(std::time::Duration::from_millis(2));
+        assert_eq!(gated_run(spin, inputs, &pool, options, 4), 4);
+    }
+
+    #[test]
+    fn gate_decision_holds_across_segments() {
+        // Two groups per segment: each segment's one speculative group is
+        // dispatched, the first as a probe and the rest on its decision.
+        let pool = Arc::new(ThreadPool::new(2));
+        let options = RunOptions::default()
+            .config(SpecConfig {
+                group_size: 2,
+                ..config()
+            })
+            .seed(9)
+            .segment(4);
+        let inputs: Vec<f64> = (0..12).map(f64::from).collect();
+        let spin = Spin(std::time::Duration::from_millis(2));
+        assert_eq!(gated_run(spin, inputs, &pool, options, 3), 3);
+    }
+
+    #[test]
+    fn run_inside_a_job_of_its_own_pool_completes() {
+        // The caller is the pool's only worker, so nobody else can start a
+        // group: the caller must run every one of them itself.
+        let pool = Arc::new(ThreadPool::new(1));
+        let inputs: Vec<f64> = (0..40).map(f64::from).collect();
+        let options = RunOptions::default().config(config()).seed(5);
+        let reference = run_protocol_with_options(&NoisyLast, &inputs, &Noisy(0.0), &options);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let inner = Arc::clone(&pool);
+        pool.execute(move || {
+            let outcome = StateDependence::new(inputs, Noisy(0.0), NoisyLast)
+                .with_options(options.pool(inner))
+                .run();
+            tx.send(outcome).expect("the test waits");
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run() inside its own pool's only worker hung");
+        assert_eq!(outcome.outputs, reference.outputs);
+        assert_eq!(outcome.report, reference.report);
+        assert_eq!(outcome.trace, reference.trace);
+    }
+
+    /// [`Exploding`] from input `at` on.
+    struct ExplodingFrom(f64);
+    impl StateTransition for ExplodingFrom {
+        type Input = f64;
+        type State = Noisy;
+        type Output = f64;
+        fn compute_output(&self, input: &f64, state: &mut Noisy, ctx: &mut InvocationCtx) -> f64 {
+            if *input >= self.0 {
+                panic!("transition exploded at {input}");
+            }
+            NoisyLast.compute_output(input, state, ctx)
+        }
+    }
+
+    #[test]
+    fn run_unwinds_a_transition_panic_with_its_own_payload() {
+        // In group 0, on the caller; and in a speculative group, wherever
+        // it ran.
+        for at in [0.0, 9.0] {
+            let dep = StateDependence::new(
+                (0..24).map(f64::from).collect(),
+                Noisy(0.0),
+                ExplodingFrom(at),
+            )
+            .with_options(pooled_options(2, 0));
+            let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| dep.run())) else {
+                panic!("the transition panicked at {at}");
+            };
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(
+                message,
+                Some(format!("transition exploded at {at}").as_str())
+            );
+        }
     }
 }

@@ -34,7 +34,7 @@ mod spill;
 pub use crate::codec::SpillCodec;
 pub use spill::{SpillEffect, SpillQueue, SpillStats};
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::io;
 use std::path::PathBuf;
@@ -313,7 +313,12 @@ struct Tenant<T: StateTransition> {
 }
 
 struct ServerState<T: StateTransition> {
-    tenants: Vec<Option<Tenant<T>>>,
+    /// The open tenants only, by id: a retired tenant leaves the map, so
+    /// its size and every scan of it follow the open tenants, not the
+    /// server's history.
+    tenants: BTreeMap<usize, Tenant<T>>,
+    /// The id the next tenant gets.
+    next_id: usize,
     retired: Vec<(usize, TenantMetrics)>,
 }
 
@@ -355,7 +360,7 @@ fn retire<T: StateTransition>(
 impl<T: StateTransition> Drop for ServerShared<T> {
     fn drop(&mut self) {
         let tenants = std::mem::take(&mut self.state.lock().tenants);
-        for session in tenants.into_iter().flatten().filter_map(|t| t.session) {
+        for session in tenants.into_values().filter_map(|t| t.session) {
             drop(retire(session));
         }
         if self.owns_spill_dir {
@@ -446,7 +451,8 @@ where
         SessionServer {
             shared: Arc::new(ServerShared {
                 state: Mutex::new(ServerState {
-                    tenants: Vec::new(),
+                    tenants: BTreeMap::new(),
+                    next_id: 0,
                     retired: Vec::new(),
                 }),
                 sink: Arc::clone(&options.sink),
@@ -478,8 +484,8 @@ where
         // spawned outside the server lock.
         let id = {
             let mut state = self.shared.state.lock();
-            state.tenants.push(None);
-            state.tenants.len() - 1
+            state.next_id += 1;
+            state.next_id - 1
         };
         let backlog = Backlog {
             spill: SpillQueue::new(
@@ -494,10 +500,11 @@ where
         };
         let session = Session::with_backlog(initial, transition, options, Some(backlog));
         let stream = session.stream();
-        self.shared.state.lock().tenants[id] = Some(Tenant {
+        let tenant = Tenant {
             stream: Arc::clone(&stream),
             session: Some(session),
-        });
+        };
+        self.shared.state.lock().tenants.insert(id, tenant);
         TenantHandle {
             shared: Arc::clone(&self.shared),
             stream,
@@ -507,13 +514,7 @@ where
 
     /// Number of tenants currently open.
     pub fn open_tenants(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .tenants
-            .iter()
-            .filter(|t| t.is_some())
-            .count()
+        self.shared.state.lock().tenants.len()
     }
 
     /// The shared pool every tenant's speculative groups dispatch onto.
@@ -527,8 +528,8 @@ where
         // after the server lock is released.
         let (open, retired) = {
             let state = self.shared.state.lock();
-            let open: Vec<_> = (state.tenants.iter().enumerate())
-                .filter_map(|(id, tenant)| Some((id, Arc::clone(&tenant.as_ref()?.stream))))
+            let open: Vec<_> = (state.tenants.iter())
+                .map(|(&id, tenant)| (id, Arc::clone(&tenant.stream)))
                 .collect();
             (open, state.retired.clone())
         };
@@ -598,11 +599,11 @@ where
     /// reference, it also finishes every unfinished tenant
     /// ([`SessionServer`]).
     pub fn finish(self) -> Result<SpecOutcome<T>, ServeError> {
-        let session = (self.shared.state.lock().tenants[self.id].as_mut())
+        let session = (self.shared.state.lock().tenants.get_mut(&self.id))
             .and_then(|tenant| tenant.session.take());
         let (outcome, metrics) = retire(session.ok_or(ServeError::TenantClosed)?);
         let mut state = self.shared.state.lock();
-        state.tenants[self.id] = None;
+        state.tenants.remove(&self.id);
         state.retired.push((self.id, metrics));
         outcome
     }
@@ -647,6 +648,22 @@ mod tests {
             max_reexec: 2,
             ..SpecConfig::default()
         }
+    }
+
+    #[test]
+    fn finished_tenants_leave_the_tenant_map() {
+        let server = SessionServer::new(Arc::new(ThreadPool::new(1)), ServerOptions::default());
+        for t in 0..2000u64 {
+            let tenant = server.open_tenant(Noisy(0.0), NoisyLast, RunOptions::default().seed(t));
+            tenant.try_push(t).expect("push");
+            assert_eq!(tenant.finish().expect("finish").outputs.len(), 1);
+        }
+        assert!(server.shared.state.lock().tenants.is_empty());
+        assert_eq!(server.open_tenants(), 0);
+        let metrics = server.metrics();
+        assert!(metrics.open.is_empty());
+        assert_eq!(metrics.retired.len(), 2000);
+        assert_eq!(metrics.retired.last().map(|(id, _)| *id), Some(1999));
     }
 
     #[test]
@@ -890,7 +907,7 @@ mod tests {
         await_entered(&t.entered, 2);
         let queued = |t: &LatchedTenant| {
             let state = t.server.shared.state.lock();
-            let tenant = state.tenants[t.tenant.id()].as_ref().expect("open");
+            let tenant = state.tenants.get(&t.tenant.id()).expect("open");
             tenant.session.as_ref().expect("unfinished").queued()
         };
         while queued(&t) > 0 {
@@ -998,7 +1015,7 @@ mod tests {
         // coordinator, with the backlog still on disk.
         let taken = |t: &LatchedTenant| {
             let state = t.server.shared.state.lock();
-            (state.tenants[id].as_ref()).is_some_and(|tenant| tenant.session.is_none())
+            (state.tenants.get(&id)).is_some_and(|tenant| tenant.session.is_none())
         };
         while !taken(&t) {
             thread::yield_now();

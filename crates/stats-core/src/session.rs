@@ -15,7 +15,10 @@
 //! its inputs are complete, and overlaps validation + commit of group `k`
 //! with the execution of later groups already in flight. When the
 //! coordinator would otherwise park and the group its resolver needs next
-//! has not been started by any worker, it runs that group itself.
+//! has not been started by any worker, it runs that group itself; once the
+//! stream has shown that workers start groups later than the coordinator
+//! finishes one, it runs every later group itself (the pooled executor's
+//! cost gate).
 //!
 //! **Determinism contract**: for the same seed and the same input order,
 //! `Session` is bit-identical — outputs, final state, [`SpecReport`], and
@@ -231,10 +234,7 @@ impl<T: StateTransition> Session<T> {
                 match std::panic::catch_unwind(AssertUnwindSafe(|| {
                     // The batch engine's segment loop and per-segment
                     // engine, with each segment read off the queue.
-                    let exec = Pooled {
-                        shared: &engine,
-                        pool: &pool,
-                    };
+                    let exec = Pooled::new(&engine, &pool);
                     let control = SegmentControl::new(&engine.options);
                     run_segments(
                         engine.ctx(),
