@@ -153,6 +153,22 @@ if grep -rn --include='*.rs' 'std::sync::atomic' crates/ \
     exit 1
 fi
 
+echo "== interp leaf gate (no stats-compiler product module names interp)"
+# `interp` is the reference semantics the bytecode tier is tested against;
+# the execution rules both share live in `value`. A product module (the
+# lines before a file's first `#[cfg(test)]`) that names `interp` would put
+# the reference back on the product path, so it fails CI.
+leaks="$(for f in $(find crates/stats-compiler/src -name '*.rs' | sort); do
+    case "$f" in */stats-compiler/src/interp.rs | */stats-compiler/src/lib.rs) continue ;; esac
+    sed '/^#\[cfg(test)\]/,$d' "$f" | { grep -nw 'interp' || true; } | sed "s|^|$f:|"
+done)"
+if [[ -n "$leaks" ]]; then
+    echo "$leaks" >&2
+    echo "error: a stats-compiler product module names \`interp\` (take the" \
+         "shared execution rules from crate::value instead)" >&2
+    exit 1
+fi
+
 echo "== cargo test"
 cargo test --offline --workspace -q
 

@@ -2,17 +2,20 @@
 //!
 //! The IR's registers are mutable slots (not SSA), so classic iterative
 //! dataflow applies directly: facts flow block to block along `Jmp`/`Br`
-//! edges, joining at merge points, until a fixed point. Analyses implement
-//! [`ForwardAnalysis`] (a transfer function over instructions) on a fact
-//! type implementing [`Lattice`] (a join); [`run`] drives the worklist and
-//! returns the fact holding at each block's entry.
+//! edges, joining at merge points, until a fixed point. A block ends at its
+//! first terminator ([`crate::ir::Block::terminator`]), as in both
+//! interpreters: instructions after it are dead and never transferred.
+//! Analyses implement [`ForwardAnalysis`] (a transfer function over
+//! instructions) on a fact type implementing [`Lattice`] (a join); [`run`]
+//! drives the worklist and returns the fact holding at each block's entry.
 //!
 //! The framework is deliberately small: the speculation-safety checks in
 //! this module tree ([`super::interval`] in particular) need exactly
-//! forward flow with widening, and nothing here is specific to any one of
-//! them.
+//! forward flow with widening, the interpreters' definite-assignment check
+//! ([`crate::value`]) forward flow with an intersecting join, and nothing
+//! here is specific to any one of them.
 
-use crate::ir::{Block, Function, Inst};
+use crate::ir::{Function, Inst};
 
 /// A join-semilattice of dataflow facts.
 pub trait Lattice: Clone {
@@ -34,15 +37,6 @@ pub trait ForwardAnalysis {
     /// containing block has been visited enough times that the analysis
     /// should accelerate convergence (loop heads).
     fn transfer(&self, f: &Function, inst: &Inst, fact: &mut Self::Fact, widen: bool);
-}
-
-/// Control-flow successors of a block (from its terminator).
-pub fn successors(block: &Block) -> Vec<usize> {
-    match block.insts.last() {
-        Some(Inst::Jmp { target }) => vec![target.0],
-        Some(Inst::Br { then_b, else_b, .. }) => vec![then_b.0, else_b.0],
-        _ => Vec::new(),
-    }
 }
 
 /// How many times a block may be re-visited before `transfer` is asked to
@@ -67,10 +61,10 @@ pub fn run<A: ForwardAnalysis>(f: &Function, analysis: &A) -> Vec<Option<A::Fact
         visits[b] += 1;
         let widen = visits[b] > WIDEN_AFTER;
         let mut fact = entry_facts[b].clone().expect("reached block has a fact");
-        for inst in &f.blocks[b].insts {
+        for inst in f.blocks[b].live() {
             analysis.transfer(f, inst, &mut fact, widen);
         }
-        for succ in successors(&f.blocks[b]) {
+        for succ in f.blocks[b].successors().map(|s| s.0) {
             if succ >= n {
                 continue; // malformed target; verify reports it elsewhere
             }

@@ -283,14 +283,16 @@ pub fn analyze_function(f: &Function, tradeoffs: &HashMap<String, Interval>) -> 
 
     let mut ret: Option<Interval> = None;
     let mut zero_divisors = Vec::new();
-    let mut flat = 0usize;
+    // Flat indices count every instruction, dead ones after a block's
+    // terminator included; only the live prefix is scanned.
+    let mut block_start = 0usize;
     for (bi, block) in f.blocks.iter().enumerate() {
-        let Some(fact) = entry_facts.get(bi).and_then(Clone::clone) else {
-            flat += block.insts.len();
+        let flat_indices = block_start..;
+        block_start += block.insts.len();
+        let Some(mut env) = entry_facts.get(bi).and_then(Clone::clone) else {
             continue;
         };
-        let mut env = fact;
-        for inst in &block.insts {
+        for (flat, inst) in flat_indices.zip(block.live()) {
             match inst {
                 Inst::Bin {
                     op: BinOp::Div | BinOp::Rem,
@@ -307,7 +309,6 @@ pub fn analyze_function(f: &Function, tradeoffs: &HashMap<String, Interval>) -> 
                 _ => {}
             }
             analysis.transfer(f, inst, &mut env, false);
-            flat += 1;
         }
     }
     FnSummary { ret, zero_divisors }
@@ -426,9 +427,11 @@ mod tests {
     }
 
     fn run(src: &str) -> Vec<Diagnostic> {
-        let m = midend_module(src);
-        let cg = CallGraph::build(&m);
-        check(&m, &cg)
+        run_module(&midend_module(src))
+    }
+
+    fn run_module(m: &Module) -> Vec<Diagnostic> {
+        check(m, &CallGraph::build(m))
     }
 
     #[test]
@@ -512,5 +515,40 @@ mod tests {
              fn f(x) { return x / tradeoff step; }",
         );
         assert_eq!(diags.len(), 1, "{diags:?}");
+    }
+
+    /// Lowering leaves code after a `return`; it never runs, so a division
+    /// there is no finding.
+    #[test]
+    fn division_after_return_is_dead() {
+        let m = midend_module(
+            "tradeoff step { values = [0, 1, 2]; default_index = 1; }
+             state_dependence d { compute = f; }
+             fn f(x) { return x; let y = x / tradeoff step; return y; }",
+        );
+        let diags = crate::analysis::analyze(&m);
+        assert!(
+            diags.iter().all(|d| d.lint != LintKind::IntervalDivergence),
+            "{diags:?}"
+        );
+    }
+
+    /// A finding's location counts every instruction before it, dead ones
+    /// after an earlier block's terminator included.
+    #[test]
+    fn locations_stay_flat_instruction_indices() {
+        let m = midend_module(
+            "tradeoff step { values = [0, 1, 2]; default_index = 1; }
+             state_dependence d { compute = f; }
+             fn f(x) { if (x > 0) { return 1; let z = 2; } return x / tradeoff step; }",
+        );
+        let diags = run_module(&m);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        let f = m.function("f__aux_d").unwrap();
+        let div = f
+            .insts()
+            .position(|i| matches!(i, Inst::Bin { op: BinOp::Div, .. }))
+            .unwrap();
+        assert_eq!(diags[0].location, Some(Location::new("f__aux_d", div)));
     }
 }

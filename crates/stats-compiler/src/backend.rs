@@ -15,9 +15,9 @@ use stats_core::{ScalarType, TradeoffBindings, TradeoffValue};
 
 use crate::bytecode::BytecodeInterp;
 use crate::frontend::CompileError;
-use crate::interp::{ExecError, Value};
 use crate::ir::{Module, Ty};
 use crate::midend::{substitute, tradeoff_value_at, ResolvedValue};
+use crate::value::{ExecError, Value};
 
 /// A per-dependence configuration: tradeoff indices in the order of the
 /// dependence's `aux_tradeoffs` metadata.
@@ -60,7 +60,8 @@ pub fn instantiate(module: &Module, config: &DepConfig) -> Result<Module, Compil
 /// Execute a function of an instantiated module. The bytecode engine plays
 /// the role of running the generated binary — the IR is lowered to a flat
 /// executable form first, as the paper's dynamic compiler would emit
-/// machine code (`interp::Interp` remains as the reference semantics).
+/// machine code (the slot-resolved `Interp` remains as the reference
+/// semantics).
 pub fn call(module: &Module, function: &str, args: &[Value]) -> Result<Option<Value>, ExecError> {
     BytecodeInterp::new(module).call(function, args)
 }

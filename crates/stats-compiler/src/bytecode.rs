@@ -1,6 +1,6 @@
 //! Flat bytecode compiler and interpreter — the raw-speed execution tier.
 //!
-//! The slot-resolved interpreter ([`crate::interp::Interp`]) still walks a
+//! The slot-resolved reference interpreter (`Interp`) walks a
 //! `Vec<Vec<PInst>>` of nested enums: every step matches an instruction
 //! enum, then matches each `Slot` operand, and every call allocates a fresh
 //! frame. This module takes the next multiple off the hot path, the way
@@ -26,23 +26,21 @@
 //!   into single fused ops, since dispatch count — not arm cost — is what
 //!   the hot loop pays for.
 //!
-//! Semantics are bit-identical to [`crate::interp::Interp`] by
-//! construction: both engines share `binop`, `cast`, the definite
-//! assignment check, the intrinsic table, and the fuel discipline (one
-//! unit per executed IR instruction; fused ops charge one unit per
-//! covered instruction with the budget check in between, so even
-//! `OutOfFuel` surfaces at the same step). `tests/differential.rs`
+//! Semantics are bit-identical to the reference interpreter by
+//! construction: both engines embed the same environment and run the same
+//! prepare check ([`crate::value`]), share `binop`, `cast` and the
+//! intrinsic table, and keep the same fuel discipline (one unit per
+//! executed IR instruction; fused ops charge one unit per covered
+//! instruction with the budget check in between, so even `OutOfFuel`
+//! surfaces at the same step). `tests/differential.rs`
 //! property-tests the equivalence across random programs on all three
 //! engines (AST reference, slot, bytecode).
 
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 
-use crate::interp::{
-    binop, cast, check_definite_assignment, frame_size, ExecError, Value, DEFAULT_INTRINSICS,
-};
-use crate::ir::{BinOp, Inst, Module, Operand, Ty, TyRef};
+use crate::ir::{BinOp, Block, Function, Inst, Module, Operand, Ty, TyRef};
+use crate::value::{binop, cast, check_arity, Callee, Env, ExecError, Value};
 
 /// Sentinel slot meaning "no destination register".
 const NO_SLOT: u32 = u32::MAX;
@@ -90,9 +88,6 @@ enum OpCode {
     RetNone,
     /// Return `frame[a]`.
     RetVal,
-    /// Fell off the end of a block with no terminator (the slot
-    /// interpreter panics on the same malformed input).
-    Trap,
     // --- Fused superinstructions (see `fuse`) ---------------------------
     // Each covers two IR instructions and charges two fuel units with a
     // budget check between them, so `OutOfFuel` surfaces at exactly the
@@ -304,24 +299,13 @@ impl fmt::Debug for CompiledFn {
     }
 }
 
-/// Bytecode interpreter over a module, API-compatible with
-/// [`crate::interp::Interp`]: a fuel budget shared across calls,
-/// cross-invocation state variables seeded from the module's state table,
-/// and host intrinsics that shadow module functions. Functions compile to
-/// flat bytecode once, on first call, and are cached.
+/// Bytecode interpreter over a module, API-compatible with the reference
+/// interpreter `Interp` and embedding the same environment: a fuel budget
+/// shared across calls, cross-invocation state variables seeded from the
+/// module's state table, and host intrinsics that shadow module functions.
+/// Functions compile to flat bytecode once, on first call, and are cached.
 pub struct BytecodeInterp<'m> {
-    module: &'m Module,
-    fuel: u64,
-    /// Cross-invocation state values, indexed by state slot.
-    state: Vec<Value>,
-    /// State variable name → slot.
-    state_index: HashMap<String, usize>,
-    /// Host intrinsics, by slot.
-    intrinsics: Vec<fn(&[Value]) -> Value>,
-    /// Intrinsic name → slot; checked before module functions.
-    intrinsic_index: HashMap<String, usize>,
-    /// Compiled functions, indexed like `module.functions()`.
-    compiled: Vec<Option<Rc<CompiledFn>>>,
+    env: Env<'m, CompiledFn>,
     /// One-entry call-target cache: the last `(name, function index)` pair
     /// [`Self::call`] resolved. Entry-point calls overwhelmingly repeat the
     /// same function, and the module's function table never changes, so a
@@ -337,47 +321,28 @@ pub struct BytecodeInterp<'m> {
 impl<'m> BytecodeInterp<'m> {
     /// Create an interpreter with the default fuel budget (1M steps).
     pub fn new(module: &'m Module) -> Self {
-        let mut interp = BytecodeInterp {
-            module,
-            fuel: 1_000_000,
-            state: Vec::new(),
-            state_index: HashMap::new(),
-            intrinsics: Vec::new(),
-            intrinsic_index: HashMap::new(),
-            compiled: vec![None; module.functions().len()],
+        BytecodeInterp {
+            env: Env::new(module),
             last_call: None,
             stack: Vec::new(),
             scratch: Vec::new(),
-        };
-        for &(name, f) in DEFAULT_INTRINSICS {
-            interp.register_intrinsic(name, f);
         }
-        for v in &module.metadata.state_vars {
-            let init = match v.init {
-                crate::metadata::StateInit::Int(i) => Value::Int(i),
-                crate::metadata::StateInit::Float(f) => Value::Float(f),
-            };
-            let slot = interp.state_slot(&v.name);
-            interp.state[slot] = init;
-        }
-        interp
     }
 
     /// Replace the fuel budget.
     pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = fuel;
+        self.env.fuel = fuel;
         self
     }
 
     /// The current value of a state variable.
     pub fn state_value(&self, name: &str) -> Option<Value> {
-        self.state_index.get(name).map(|&i| self.state[i])
+        self.env.state_value(name)
     }
 
     /// Overwrite a state variable (e.g. to restore a checkpoint).
     pub fn set_state(&mut self, name: impl Into<String>, value: Value) {
-        let slot = self.state_slot(&name.into());
-        self.state[slot] = value;
+        self.env.set_state(&name.into(), value);
     }
 
     /// Register a host intrinsic callable from IR.
@@ -385,27 +350,7 @@ impl<'m> BytecodeInterp<'m> {
     /// Invalidates the compiled-function cache: a new intrinsic can change
     /// how callee names resolve.
     pub fn register_intrinsic(&mut self, name: impl Into<String>, f: fn(&[Value]) -> Value) {
-        let name = name.into();
-        match self.intrinsic_index.get(&name) {
-            Some(&i) => self.intrinsics[i] = f,
-            None => {
-                self.intrinsic_index.insert(name, self.intrinsics.len());
-                self.intrinsics.push(f);
-            }
-        }
-        self.compiled = vec![None; self.module.functions().len()];
-    }
-
-    /// The state slot for `name`, allocating one (default `Int(0)`) if the
-    /// variable was never declared — matching [`crate::interp::Interp`].
-    fn state_slot(&mut self, name: &str) -> usize {
-        if let Some(&i) = self.state_index.get(name) {
-            return i;
-        }
-        let i = self.state.len();
-        self.state.push(Value::Int(0));
-        self.state_index.insert(name.to_string(), i);
-        i
+        self.env.register_intrinsic(name.into(), f);
     }
 
     /// Call `name` with `args`; returns the function's returned value.
@@ -413,22 +358,13 @@ impl<'m> BytecodeInterp<'m> {
         let idx = match &self.last_call {
             Some((n, i)) if n == name => *i,
             _ => {
-                let i = self
-                    .module
-                    .function_index(name)
-                    .ok_or_else(|| ExecError::UnknownFunction(name.to_string()))?;
+                let i = self.env.function(name)?;
                 self.last_call = Some((name.to_string(), i));
                 i
             }
         };
-        let f = self.compile(idx)?;
-        if f.params.len() != args.len() {
-            return Err(ExecError::ArityMismatch {
-                function: name.to_string(),
-                expected: f.params.len(),
-                got: args.len(),
-            });
-        }
+        let f = self.env.prepare(idx, Self::compile)?;
+        check_arity(name, f.params.len(), args.len())?;
         let base = self.stack.len();
         self.stack.resize(base + f.frame_len, Value::Int(0));
         for (&p, &a) in f.params.iter().zip(args) {
@@ -440,29 +376,14 @@ impl<'m> BytecodeInterp<'m> {
         result
     }
 
-    /// Compile a function to bytecode (cached after the first call).
-    fn compile(&mut self, idx: usize) -> Result<Rc<CompiledFn>, ExecError> {
-        if let Some(c) = &self.compiled[idx] {
-            return Ok(Rc::clone(c));
-        }
-        let module: &'m Module = self.module;
-        let f = &module.functions()[idx];
-        let nregs = frame_size(f);
-        check_definite_assignment(f, nregs)?;
-
-        // Pass 1: lay out blocks end to end. A block with no terminator
-        // gets a trailing trap so flat fallthrough can't silently run into
-        // the next block.
-        let has_term = |insts: &[Inst]| {
-            insts
-                .iter()
-                .any(|i| matches!(i, Inst::Jmp { .. } | Inst::Br { .. } | Inst::Ret { .. }))
-        };
+    /// Compile a function that passed the prepare check to bytecode.
+    fn compile(env: &mut Env<'_, CompiledFn>, f: &Function, nregs: usize) -> CompiledFn {
+        // Pass 1: lay out blocks end to end, each up to its terminator.
         let mut starts = Vec::with_capacity(f.blocks.len());
         let mut at = 0u32;
         for block in &f.blocks {
             starts.push(at);
-            at += block.insts.len() as u32 + u32::from(!has_term(&block.insts));
+            at += block.live().len() as u32;
         }
 
         // Pass 2: emit, pooling immediates (deduplicated by bit pattern)
@@ -492,8 +413,7 @@ impl<'m> BytecodeInterp<'m> {
             c: 0,
         };
         for block in &f.blocks {
-            let emitted_at_entry = code.len();
-            for inst in &block.insts {
+            for inst in block.live() {
                 let op = match inst {
                     Inst::Const { dst, value } => Op {
                         dst: dst.0,
@@ -545,11 +465,11 @@ impl<'m> BytecodeInterp<'m> {
                     }
                     Inst::LoadState { dst, state } => Op {
                         dst: dst.0,
-                        a: self.state_slot(state) as u32,
+                        a: env.state_slot(state) as u32,
                         ..op0(OpCode::LoadState)
                     },
                     Inst::StoreState { state, src } => Op {
-                        a: self.state_slot(state) as u32,
+                        a: env.state_slot(state) as u32,
                         b: slot(src, &mut consts),
                         ..op0(OpCode::StoreState)
                     },
@@ -560,10 +480,8 @@ impl<'m> BytecodeInterp<'m> {
                             let s = slot(a, &mut consts);
                             args_pool.push(s);
                         }
-                        // Intrinsics shadow module functions, matching the
-                        // slot interpreter's lookup order.
-                        if let Some(&i) = self.intrinsic_index.get(callee) {
-                            match args_pool[start as usize..] {
+                        match env.callee(callee) {
+                            Some(Callee::Intrinsic(i)) => match args_pool[start as usize..] {
                                 [arg] => Op {
                                     dst,
                                     a: i as u32,
@@ -588,21 +506,21 @@ impl<'m> BytecodeInterp<'m> {
                                     code: OpCode::CallIntrinsic,
                                     aux: 0,
                                 },
-                            }
-                        } else if let Some(i) = module.function_index(callee) {
-                            Op {
+                            },
+                            Some(Callee::Function(i)) => Op {
                                 dst,
                                 a: i as u32,
                                 b: start,
                                 c: args.len() as u32,
                                 code: OpCode::CallFn,
                                 aux: 0,
-                            }
-                        } else {
-                            errors.push(ExecError::UnknownFunction(callee.clone()));
-                            Op {
-                                a: (errors.len() - 1) as u32,
-                                ..op0(OpCode::Fail)
+                            },
+                            None => {
+                                errors.push(ExecError::UnknownFunction(callee.clone()));
+                                Op {
+                                    a: (errors.len() - 1) as u32,
+                                    ..op0(OpCode::Fail)
+                                }
                             }
                         }
                     }
@@ -630,19 +548,21 @@ impl<'m> BytecodeInterp<'m> {
                 };
                 code.push(op);
             }
-            if !has_term(&block.insts) {
-                code.push(op0(OpCode::Trap));
-            }
-            debug_assert!(code.len() > emitted_at_entry, "every block emits >= 1 op");
         }
         debug_assert_eq!(code.len() as u32, at, "pass-1/pass-2 layout mismatch");
 
         // Pass 3: peephole-fuse adjacent instruction pairs into
-        // superinstructions (dispatch count is the dominant hot-loop cost).
-        fuse(&mut code, &args_pool, nregs);
+        // superinstructions (dispatch count is the dominant hot-loop cost). A
+        // pair may elide a temporary only the pair itself reads, so count each
+        // register's reads first.
+        let mut reads = vec![0u32; nregs];
+        for r in f.blocks.iter().flat_map(Block::live).flat_map(Inst::reads) {
+            reads[r.0 as usize] += 1;
+        }
+        fuse(&mut code, &reads);
 
         let frame_len = nregs + consts.len();
-        let compiled = Rc::new(CompiledFn {
+        CompiledFn {
             name: f.name.clone(),
             params: f.params.iter().map(|p| p.0).collect(),
             nregs,
@@ -651,9 +571,7 @@ impl<'m> BytecodeInterp<'m> {
             code,
             args_pool,
             errors,
-        });
-        self.compiled[idx] = Some(Rc::clone(&compiled));
-        Ok(compiled)
+        }
     }
 
     /// The hot loop: execute `f` with its frame at `stack[base..]`.
@@ -667,9 +585,9 @@ impl<'m> BytecodeInterp<'m> {
     /// [`Self::compile`] rather than re-checked on every operand.
     fn exec_at(&mut self, f: &CompiledFn, base: usize) -> Result<Option<Value>, ExecError> {
         let mut pc = 0usize;
-        let mut fuel = self.fuel;
+        let mut fuel = self.env.fuel;
         let mut stack = std::mem::take(&mut self.stack);
-        let mut state = std::mem::take(&mut self.state);
+        let mut state = std::mem::take(&mut self.env.state);
         macro_rules! bin_arm {
             ($bop:expr, $op:expr) => {{
                 let a = fget(&stack, base, $op.a);
@@ -758,11 +676,11 @@ impl<'m> BytecodeInterp<'m> {
                 break Err(ExecError::OutOfFuel);
             }
             fuel -= 1;
-            // SAFETY: `compile` guarantees pc stays in bounds: every block
-            // ends in a terminator (a Trap is appended otherwise), jump
-            // targets are block starts, and sequential execution from a
-            // block start reaches the block's first terminator before
-            // running off its end — so every read is within `code`.
+            // SAFETY: pc stays in bounds: the prepare check gave every block
+            // a terminator whose targets exist, `compile` emits each block
+            // up to that terminator and points jumps at block starts, so
+            // execution from a block start reaches its terminator before
+            // running off its end — every read is within `code`.
             let op = unsafe { *f.code.get_unchecked(pc) };
             pc += 1;
             match op.code {
@@ -808,20 +726,20 @@ impl<'m> BytecodeInterp<'m> {
                         let v = fget(&stack, base, a);
                         self.scratch.push(v);
                     }
-                    let func = self.intrinsics[op.a as usize];
+                    let func = self.env.intrinsics[op.a as usize];
                     let result = func(&self.scratch);
                     if op.dst != NO_SLOT {
                         fset(&mut stack, base, op.dst, result);
                     }
                 }
                 OpCode::CallFn => {
-                    self.fuel = fuel;
+                    self.env.fuel = fuel;
                     self.stack = stack;
-                    self.state = state;
+                    self.env.state = state;
                     let r = self.call_fn(f, base, op);
-                    fuel = self.fuel;
+                    fuel = self.env.fuel;
                     stack = std::mem::take(&mut self.stack);
-                    state = std::mem::take(&mut self.state);
+                    state = std::mem::take(&mut self.env.state);
                     if let Err(e) = r {
                         break Err(e);
                     }
@@ -837,12 +755,6 @@ impl<'m> BytecodeInterp<'m> {
                 }
                 OpCode::RetNone => break Ok(None),
                 OpCode::RetVal => break Ok(Some(fget(&stack, base, op.a))),
-                OpCode::Trap => {
-                    self.fuel = fuel;
-                    self.stack = stack;
-                    self.state = state;
-                    panic!("bytecode: `{}` fell off a block with no terminator", f.name)
-                }
                 OpCode::LtBr => cmp_br_arm!(BinOp::Lt, op),
                 OpCode::LeBr => cmp_br_arm!(BinOp::Le, op),
                 OpCode::GtBr => cmp_br_arm!(BinOp::Gt, op),
@@ -888,7 +800,7 @@ impl<'m> BytecodeInterp<'m> {
                 OpCode::MulMul => bin_bin_arm!(BinOp::Mul, BinOp::Mul, op),
                 OpCode::CallIntrinsic1 => {
                     let args = [fget(&stack, base, op.b)];
-                    let func = self.intrinsics[op.a as usize];
+                    let func = self.env.intrinsics[op.a as usize];
                     let result = func(&args);
                     if op.dst != NO_SLOT {
                         fset(&mut stack, base, op.dst, result);
@@ -896,7 +808,7 @@ impl<'m> BytecodeInterp<'m> {
                 }
                 OpCode::CallIntrinsic2 => {
                     let args = [fget(&stack, base, op.b), fget(&stack, base, op.c)];
-                    let func = self.intrinsics[op.a as usize];
+                    let func = self.env.intrinsics[op.a as usize];
                     let result = func(&args);
                     if op.dst != NO_SLOT {
                         fset(&mut stack, base, op.dst, result);
@@ -904,9 +816,9 @@ impl<'m> BytecodeInterp<'m> {
                 }
             }
         };
-        self.fuel = fuel;
+        self.env.fuel = fuel;
         self.stack = stack;
-        self.state = state;
+        self.env.state = state;
         result
     }
 
@@ -915,14 +827,8 @@ impl<'m> BytecodeInterp<'m> {
     /// dispatch loop stays small.
     #[inline(never)]
     fn call_fn(&mut self, f: &CompiledFn, base: usize, op: Op) -> Result<(), ExecError> {
-        let callee = self.compile(op.a as usize)?;
-        if callee.params.len() != op.c as usize {
-            return Err(ExecError::ArityMismatch {
-                function: callee.name.clone(),
-                expected: callee.params.len(),
-                got: op.c as usize,
-            });
-        }
+        let callee = self.env.prepare(op.a as usize, Self::compile)?;
+        check_arity(&callee.name, callee.params.len(), op.c as usize)?;
         let cbase = self.stack.len();
         self.stack.resize(cbase + callee.frame_len, Value::Int(0));
         for (i, &p) in callee.params.iter().enumerate() {
@@ -966,48 +872,7 @@ impl<'m> BytecodeInterp<'m> {
 /// step as the slot interpreter. Fusion never crosses a block boundary:
 /// the second element of a pair is mid-block by construction, and jump
 /// targets only ever point at block starts — asserted when remapping.
-fn fuse(code: &mut Vec<Op>, args_pool: &[u32], nregs: usize) {
-    // How often each *register* slot is read (constant-pool slots are
-    // counted too but never queried: fused destinations are registers).
-    let mut reads = vec![0u32; nregs];
-    let mut read = |slot: u32| {
-        if (slot as usize) < nregs {
-            reads[slot as usize] += 1;
-        }
-    };
-    for op in code.iter() {
-        match op.code {
-            OpCode::Mov | OpCode::CastI64 | OpCode::CastF32 | OpCode::CastF64 => read(op.a),
-            OpCode::Add
-            | OpCode::Sub
-            | OpCode::Mul
-            | OpCode::Div
-            | OpCode::Rem
-            | OpCode::Lt
-            | OpCode::Le
-            | OpCode::Gt
-            | OpCode::Ge
-            | OpCode::Eq
-            | OpCode::Ne => {
-                read(op.a);
-                read(op.b);
-            }
-            OpCode::StoreState => read(op.b),
-            OpCode::Br | OpCode::RetVal => read(op.a),
-            OpCode::CallIntrinsic1 => read(op.b),
-            OpCode::CallIntrinsic2 => {
-                read(op.b);
-                read(op.c);
-            }
-            OpCode::CallIntrinsic | OpCode::CallFn => {
-                for &s in &args_pool[op.b as usize..(op.b + op.c) as usize] {
-                    read(s);
-                }
-            }
-            _ => {}
-        }
-    }
-
+fn fuse(code: &mut Vec<Op>, reads: &[u32]) {
     // Defensive: never fuse across an instruction something jumps to. By
     // construction targets are block starts and pairs are intra-block, so
     // this should never actually block a fusion.
@@ -1135,8 +1000,9 @@ fn fuse(code: &mut Vec<Op>, args_pool: &[u32], nregs: usize) {
 fn fget(stack: &[Value], base: usize, slot: u32) -> Value {
     debug_assert!(base + (slot as usize) < stack.len());
     // SAFETY: `compile` only emits operand slots below `frame_len`
-    // (register operands are covered by `frame_size`, pooled constants sit
-    // at `nregs..frame_len` by construction), and the frame
+    // (the prepare check sized `nregs` to cover every register the
+    // emitted instructions name, pooled constants sit at
+    // `nregs..frame_len` by construction), and the frame
     // `[base, base + frame_len)` stays inside the arena for the whole
     // call — callees push strictly above it and truncate back on return.
     unsafe { *stack.get_unchecked(base + slot as usize) }
@@ -1175,12 +1041,9 @@ fn sset(state: &mut [Value], slot: u32, v: Value) {
 impl fmt::Debug for BytecodeInterp<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BytecodeInterp")
-            .field("fuel", &self.fuel)
-            .field("state", &self.state.len())
-            .field(
-                "compiled",
-                &self.compiled.iter().filter(|c| c.is_some()).count(),
-            )
+            .field("fuel", &self.env.fuel)
+            .field("state", &self.env.state.len())
+            .field("compiled", &self.env.prepared_count())
             .finish()
     }
 }

@@ -1,129 +1,27 @@
-//! IR interpreter — the stand-in for LLVM's dynamic compiler.
+//! Slot-resolved IR interpreter — the reference semantics.
 //!
 //! The paper generates machine code for a tradeoff's `getValue()` function
-//! at configuration time and invokes it; we interpret the same IR. The
-//! interpreter also executes whole instantiated modules, which the test
-//! suite uses to verify back-end substitutions end-to-end.
+//! at configuration time and invokes it; the product path does the same
+//! with [`crate::bytecode::BytecodeInterp`]. This interpreter executes the
+//! same IR by the same rules ([`crate::value`]) in the most direct form,
+//! and `tests/differential.rs` and `tests/interleaving.rs` check the
+//! bytecode tier and the pipeline against it.
 //!
 //! Functions are *slot-resolved* before their first execution: registers
 //! become indices into a flat frame (`Vec<Value>`), state variables become
 //! indices into the interpreter's state slots, and callees are resolved to
 //! intrinsic/function indices — so the hot execution loop performs no name
-//! hashing and no `String` clones. A definite-assignment dataflow check at
-//! preparation time makes reading a never-assigned register a static error
-//! ([`ExecError::UnassignedRegister`]) instead of a silent default value.
+//! hashing and no `String` clones. The shared prepare check runs first, so
+//! a malformed block ([`ExecError::MalformedBlock`]) or a read of a
+//! never-assigned register ([`ExecError::UnassignedRegister`]) is a static
+//! error instead of a panic or a silent default value.
 
-use std::collections::HashMap;
-use std::fmt;
 use std::rc::Rc;
 
-use crate::ir::{BinOp, Function, Inst, Module, Operand, Ty, TyRef};
+pub use crate::value::{ExecError, Value};
 
-/// A runtime value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Value {
-    /// 64-bit integer.
-    Int(i64),
-    /// Floating point (width is a property of casts, not storage).
-    Float(f64),
-}
-
-impl Value {
-    /// Integer payload, if integral.
-    pub fn as_int(self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(v),
-            Value::Float(_) => None,
-        }
-    }
-
-    /// Numeric payload, widening integers.
-    pub fn as_float(self) -> f64 {
-        match self {
-            Value::Int(v) => v as f64,
-            Value::Float(v) => v,
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn truthy(self) -> bool {
-        match self {
-            Value::Int(v) => v != 0,
-            Value::Float(v) => v != 0.0,
-        }
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::Int(v)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Float(v)
-    }
-}
-
-/// An execution error.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecError {
-    /// Call to a function the module does not define.
-    UnknownFunction(String),
-    /// An unsubstituted tradeoff placeholder was reached — the back-end
-    /// must instantiate the module before execution.
-    UnresolvedTradeoff(String),
-    /// Wrong number of call arguments.
-    ArityMismatch {
-        /// Callee name.
-        function: String,
-        /// Expected parameter count.
-        expected: usize,
-        /// Provided argument count.
-        got: usize,
-    },
-    /// The step budget was exhausted (runaway loop or recursion).
-    OutOfFuel,
-    /// Division or remainder by zero.
-    DivisionByZero,
-    /// A register is read on some path before any instruction assigns it.
-    /// Detected statically by the definite-assignment check when the
-    /// function is slot-resolved, so execution never observes an
-    /// uninitialized frame slot.
-    UnassignedRegister {
-        /// Function containing the offending read.
-        function: String,
-        /// The register number.
-        reg: u32,
-    },
-}
-
-impl fmt::Display for ExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecError::UnknownFunction(n) => write!(f, "unknown function `{n}`"),
-            ExecError::UnresolvedTradeoff(n) => {
-                write!(
-                    f,
-                    "unresolved tradeoff placeholder `{n}` (run the back-end first)"
-                )
-            }
-            ExecError::ArityMismatch {
-                function,
-                expected,
-                got,
-            } => write!(f, "`{function}` takes {expected} arguments, got {got}"),
-            ExecError::OutOfFuel => write!(f, "execution exceeded the step budget"),
-            ExecError::DivisionByZero => write!(f, "division by zero"),
-            ExecError::UnassignedRegister { function, reg } => {
-                write!(f, "`{function}` reads register %{reg} before assignment")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
+use crate::ir::{BinOp, Inst, Module, Operand, Ty, TyRef};
+use crate::value::{binop, cast, check_arity, Callee, Env};
 
 /// A resolved operand: a frame slot or an immediate.
 #[derive(Debug, Clone, Copy)]
@@ -203,6 +101,7 @@ struct PreparedFn {
     params: Vec<usize>,
     /// Frame size.
     nregs: usize,
+    /// Each block up to and including its terminator.
     blocks: Vec<Vec<PInst>>,
 }
 
@@ -217,111 +116,31 @@ struct PreparedFn {
 /// Each function is slot-resolved once, on its first call, and cached; the
 /// per-call cost is a flat `Vec<Value>` frame indexed by register number.
 pub struct Interp<'m> {
-    module: &'m Module,
-    fuel: u64,
-    /// Cross-invocation state values, indexed by state slot.
-    state: Vec<Value>,
-    /// State variable name → slot.
-    state_index: HashMap<String, usize>,
-    /// Host intrinsics callable from IR (e.g. `sqrt` variants used by
-    /// function tradeoffs in tests and workload descriptors), by slot.
-    intrinsics: Vec<fn(&[Value]) -> Value>,
-    /// Intrinsic name → slot. Checked before module functions when
-    /// resolving callees, as the unprepared interpreter did.
-    intrinsic_index: HashMap<String, usize>,
-    /// Slot-resolved functions, indexed like `module.functions()`.
-    prepared: Vec<Option<Rc<PreparedFn>>>,
+    env: Env<'m, PreparedFn>,
 }
-
-/// The signature every host intrinsic implements.
-pub(crate) type IntrinsicFn = fn(&[Value]) -> Value;
-
-/// The host intrinsics both interpreters register out of the box (e.g.
-/// `sqrt` variants used by function tradeoffs in tests and workload
-/// descriptors). Shared with [`crate::bytecode::BytecodeInterp`] so the two
-/// engines resolve callee names identically.
-pub(crate) const DEFAULT_INTRINSICS: &[(&str, IntrinsicFn)] = &[
-    ("sqrt", |args| {
-        Value::Float(args.first().map(|v| v.as_float()).unwrap_or(0.0).sqrt())
-    }),
-    ("abs", |args| match args.first() {
-        Some(Value::Int(v)) => Value::Int(v.wrapping_abs()),
-        Some(Value::Float(v)) => Value::Float(v.abs()),
-        None => Value::Int(0),
-    }),
-    ("min", |args| {
-        let a = args.first().map(|v| v.as_float()).unwrap_or(0.0);
-        let b = args.get(1).map(|v| v.as_float()).unwrap_or(0.0);
-        Value::Float(a.min(b))
-    }),
-    ("max", |args| {
-        let a = args.first().map(|v| v.as_float()).unwrap_or(0.0);
-        let b = args.get(1).map(|v| v.as_float()).unwrap_or(0.0);
-        Value::Float(a.max(b))
-    }),
-    ("exp", |args| {
-        Value::Float(args.first().map(|v| v.as_float()).unwrap_or(0.0).exp())
-    }),
-    ("ln", |args| {
-        Value::Float(
-            args.first()
-                .map(|v| v.as_float())
-                .unwrap_or(0.0)
-                .max(f64::MIN_POSITIVE)
-                .ln(),
-        )
-    }),
-    ("pow", |args| {
-        let a = args.first().map(|v| v.as_float()).unwrap_or(0.0);
-        let b = args.get(1).map(|v| v.as_float()).unwrap_or(0.0);
-        Value::Float(a.powf(b))
-    }),
-    ("floor", |args| {
-        Value::Int(args.first().map(|v| v.as_float()).unwrap_or(0.0).floor() as i64)
-    }),
-];
 
 impl<'m> Interp<'m> {
     /// Create an interpreter with the default fuel budget (1M steps).
     pub fn new(module: &'m Module) -> Self {
-        let mut interp = Interp {
-            module,
-            fuel: 1_000_000,
-            state: Vec::new(),
-            state_index: HashMap::new(),
-            intrinsics: Vec::new(),
-            intrinsic_index: HashMap::new(),
-            prepared: vec![None; module.functions().len()],
-        };
-        for &(name, f) in DEFAULT_INTRINSICS {
-            interp.register_intrinsic(name, f);
+        Interp {
+            env: Env::new(module),
         }
-        for v in &module.metadata.state_vars {
-            let init = match v.init {
-                crate::metadata::StateInit::Int(i) => Value::Int(i),
-                crate::metadata::StateInit::Float(f) => Value::Float(f),
-            };
-            let slot = interp.state_slot(&v.name);
-            interp.state[slot] = init;
-        }
-        interp
     }
 
     /// Replace the fuel budget.
     pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = fuel;
+        self.env.fuel = fuel;
         self
     }
 
     /// The current value of a state variable.
     pub fn state_value(&self, name: &str) -> Option<Value> {
-        self.state_index.get(name).map(|&i| self.state[i])
+        self.env.state_value(name)
     }
 
     /// Overwrite a state variable (e.g. to restore a checkpoint).
     pub fn set_state(&mut self, name: impl Into<String>, value: Value) {
-        let slot = self.state_slot(&name.into());
-        self.state[slot] = value;
+        self.env.set_state(&name.into(), value);
     }
 
     /// Register a host intrinsic callable from IR.
@@ -329,154 +148,28 @@ impl<'m> Interp<'m> {
     /// Invalidates the prepared-function cache: a new intrinsic can change
     /// how callee names resolve.
     pub fn register_intrinsic(&mut self, name: impl Into<String>, f: fn(&[Value]) -> Value) {
-        let name = name.into();
-        match self.intrinsic_index.get(&name) {
-            Some(&i) => self.intrinsics[i] = f,
-            None => {
-                self.intrinsic_index.insert(name, self.intrinsics.len());
-                self.intrinsics.push(f);
-            }
-        }
-        self.prepared = vec![None; self.module.functions().len()];
-    }
-
-    /// The state slot for `name`, allocating one (default `Int(0)`) if the
-    /// variable was never declared — undeclared state reads default to zero,
-    /// as in the unprepared interpreter.
-    fn state_slot(&mut self, name: &str) -> usize {
-        if let Some(&i) = self.state_index.get(name) {
-            return i;
-        }
-        let i = self.state.len();
-        self.state.push(Value::Int(0));
-        self.state_index.insert(name.to_string(), i);
-        i
+        self.env.register_intrinsic(name.into(), f);
     }
 
     /// Call `name` with `args`; returns the function's returned value.
     pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, ExecError> {
-        let idx = self
-            .module
-            .function_index(name)
-            .ok_or_else(|| ExecError::UnknownFunction(name.to_string()))?;
-        let f = self.prepare(idx)?;
-        if f.params.len() != args.len() {
-            return Err(ExecError::ArityMismatch {
-                function: name.to_string(),
-                expected: f.params.len(),
-                got: args.len(),
-            });
-        }
+        let f = self.prepare(self.env.function(name)?)?;
+        check_arity(name, f.params.len(), args.len())?;
         self.exec(&f, args)
     }
 
     /// Slot-resolve a function (cached after the first call).
     fn prepare(&mut self, idx: usize) -> Result<Rc<PreparedFn>, ExecError> {
-        if let Some(p) = &self.prepared[idx] {
-            return Ok(Rc::clone(p));
-        }
-        let f = &self.module.functions()[idx];
-        let nregs = frame_size(f);
-        check_definite_assignment(f, nregs)?;
-        let mut blocks = Vec::with_capacity(f.blocks.len());
-        // Resolving state slots and callees needs `&mut self`, so collect
-        // name resolutions first, then translate.
-        for block in &f.blocks {
-            let mut insts = Vec::with_capacity(block.insts.len());
-            for inst in &block.insts {
-                insts.push(self.resolve_inst(inst));
-            }
-            blocks.push(insts);
-        }
-        let prepared = Rc::new(PreparedFn {
+        self.env.prepare(idx, |env, f, nregs| PreparedFn {
             name: f.name.clone(),
             params: f.params.iter().map(|p| p.0 as usize).collect(),
             nregs,
-            blocks,
-        });
-        self.prepared[idx] = Some(Rc::clone(&prepared));
-        Ok(prepared)
-    }
-
-    fn resolve_inst(&mut self, inst: &Inst) -> PInst {
-        let slot = |op: &Operand| -> Slot {
-            match *op {
-                Operand::Reg(r) => Slot::Reg(r.0 as usize),
-                Operand::ImmInt(v) => Slot::Int(v),
-                Operand::ImmFloat(v) => Slot::Float(v),
-            }
-        };
-        match inst {
-            Inst::Const { dst, value } => PInst::Const {
-                dst: dst.0 as usize,
-                value: slot(value),
-            },
-            Inst::Bin { op, dst, lhs, rhs } => PInst::Bin {
-                op: *op,
-                dst: dst.0 as usize,
-                lhs: slot(lhs),
-                rhs: slot(rhs),
-            },
-            Inst::Cast { dst, src, to } => match to {
-                TyRef::Concrete(t) => PInst::Cast {
-                    dst: dst.0 as usize,
-                    src: slot(src),
-                    to: *t,
-                },
-                TyRef::Tradeoff(name) => PInst::UnresolvedTradeoff {
-                    tradeoff: name.clone(),
-                },
-            },
-            Inst::TradeoffRef { tradeoff, .. } | Inst::CallTradeoff { tradeoff, .. } => {
-                PInst::UnresolvedTradeoff {
-                    tradeoff: tradeoff.clone(),
-                }
-            }
-            Inst::LoadState { dst, state } => PInst::LoadState {
-                dst: dst.0 as usize,
-                slot: self.state_slot(state),
-            },
-            Inst::StoreState { state, src } => PInst::StoreState {
-                slot: self.state_slot(state),
-                src: slot(src),
-            },
-            Inst::Call { dst, callee, args } => {
-                let dst = dst.map(|d| d.0 as usize);
-                let args: Vec<Slot> = args.iter().map(&slot).collect();
-                // Intrinsics shadow module functions, as in the unprepared
-                // interpreter's lookup order.
-                if let Some(&i) = self.intrinsic_index.get(callee) {
-                    PInst::CallIntrinsic {
-                        dst,
-                        intrinsic: i,
-                        args,
-                    }
-                } else if let Some(i) = self.module.function_index(callee) {
-                    PInst::CallFn {
-                        dst,
-                        callee: i,
-                        args,
-                    }
-                } else {
-                    PInst::UnknownCallee {
-                        callee: callee.clone(),
-                    }
-                }
-            }
-            Inst::Jmp { target } => PInst::Jmp { target: target.0 },
-            Inst::Br {
-                cond,
-                then_b,
-                else_b,
-            } => PInst::Br {
-                cond: slot(cond),
-                then_b: then_b.0,
-                else_b: else_b.0,
-            },
-            Inst::Ret { value } => PInst::Ret {
-                value: value.as_ref().map(slot),
-            },
-        }
+            blocks: f
+                .blocks
+                .iter()
+                .map(|block| block.live().iter().map(|i| resolve(env, i)).collect())
+                .collect(),
+        })
     }
 
     fn exec(&mut self, f: &PreparedFn, args: &[Value]) -> Result<Option<Value>, ExecError> {
@@ -487,10 +180,10 @@ impl<'m> Interp<'m> {
         let mut block = 0usize;
         let mut pc = 0usize;
         loop {
-            if self.fuel == 0 {
+            if self.env.fuel == 0 {
                 return Err(ExecError::OutOfFuel);
             }
-            self.fuel -= 1;
+            self.env.fuel -= 1;
             let inst = &f.blocks[block][pc];
             pc += 1;
             match inst {
@@ -506,10 +199,10 @@ impl<'m> Interp<'m> {
                     frame[*dst] = cast(read(&frame, *src), *to);
                 }
                 PInst::LoadState { dst, slot } => {
-                    frame[*dst] = self.state[*slot];
+                    frame[*dst] = self.env.state[*slot];
                 }
                 PInst::StoreState { slot, src } => {
-                    self.state[*slot] = read(&frame, *src);
+                    self.env.state[*slot] = read(&frame, *src);
                 }
                 PInst::UnresolvedTradeoff { tradeoff } => {
                     return Err(ExecError::UnresolvedTradeoff(tradeoff.clone()))
@@ -523,7 +216,7 @@ impl<'m> Interp<'m> {
                     args,
                 } => {
                     let vals: Vec<Value> = args.iter().map(|&a| read(&frame, a)).collect();
-                    let result = self.intrinsics[*intrinsic](&vals);
+                    let result = self.env.intrinsics[*intrinsic](&vals);
                     if let Some(dst) = dst {
                         frame[*dst] = result;
                     }
@@ -531,13 +224,7 @@ impl<'m> Interp<'m> {
                 PInst::CallFn { dst, callee, args } => {
                     let vals: Vec<Value> = args.iter().map(|&a| read(&frame, a)).collect();
                     let callee = self.prepare(*callee)?;
-                    if callee.params.len() != vals.len() {
-                        return Err(ExecError::ArityMismatch {
-                            function: callee.name.clone(),
-                            expected: callee.params.len(),
-                            got: vals.len(),
-                        });
-                    }
+                    check_arity(&callee.name, callee.params.len(), vals.len())?;
                     let result = self.exec(&callee, &vals)?;
                     if let Some(dst) = dst {
                         frame[*dst] = result.unwrap_or(Value::Int(0));
@@ -567,6 +254,79 @@ impl<'m> Interp<'m> {
     }
 }
 
+fn resolve(env: &mut Env<'_, PreparedFn>, inst: &Inst) -> PInst {
+    let slot = |op: &Operand| -> Slot {
+        match *op {
+            Operand::Reg(r) => Slot::Reg(r.0 as usize),
+            Operand::ImmInt(v) => Slot::Int(v),
+            Operand::ImmFloat(v) => Slot::Float(v),
+        }
+    };
+    match inst {
+        Inst::Const { dst, value } => PInst::Const {
+            dst: dst.0 as usize,
+            value: slot(value),
+        },
+        Inst::Bin { op, dst, lhs, rhs } => PInst::Bin {
+            op: *op,
+            dst: dst.0 as usize,
+            lhs: slot(lhs),
+            rhs: slot(rhs),
+        },
+        Inst::Cast { dst, src, to } => match to {
+            TyRef::Concrete(t) => PInst::Cast {
+                dst: dst.0 as usize,
+                src: slot(src),
+                to: *t,
+            },
+            TyRef::Tradeoff(name) => PInst::UnresolvedTradeoff {
+                tradeoff: name.clone(),
+            },
+        },
+        Inst::TradeoffRef { tradeoff, .. } | Inst::CallTradeoff { tradeoff, .. } => {
+            PInst::UnresolvedTradeoff {
+                tradeoff: tradeoff.clone(),
+            }
+        }
+        Inst::LoadState { dst, state } => PInst::LoadState {
+            dst: dst.0 as usize,
+            slot: env.state_slot(state),
+        },
+        Inst::StoreState { state, src } => PInst::StoreState {
+            slot: env.state_slot(state),
+            src: slot(src),
+        },
+        Inst::Call { dst, callee, args } => {
+            let dst = dst.map(|d| d.0 as usize);
+            let args: Vec<Slot> = args.iter().map(&slot).collect();
+            match env.callee(callee) {
+                Some(Callee::Intrinsic(intrinsic)) => PInst::CallIntrinsic {
+                    dst,
+                    intrinsic,
+                    args,
+                },
+                Some(Callee::Function(callee)) => PInst::CallFn { dst, callee, args },
+                None => PInst::UnknownCallee {
+                    callee: callee.clone(),
+                },
+            }
+        }
+        Inst::Jmp { target } => PInst::Jmp { target: target.0 },
+        Inst::Br {
+            cond,
+            then_b,
+            else_b,
+        } => PInst::Br {
+            cond: slot(cond),
+            then_b: then_b.0,
+            else_b: else_b.0,
+        },
+        Inst::Ret { value } => PInst::Ret {
+            value: value.as_ref().map(slot),
+        },
+    }
+}
+
 #[inline]
 fn read(frame: &[Value], s: Slot) -> Value {
     match s {
@@ -574,238 +334,6 @@ fn read(frame: &[Value], s: Slot) -> Value {
         Slot::Int(v) => Value::Int(v),
         Slot::Float(v) => Value::Float(v),
     }
-}
-
-/// Frame size for `f`: covers `next_reg` plus any register a hand-built
-/// function references beyond it.
-pub(crate) fn frame_size(f: &Function) -> usize {
-    fn see(n: &mut usize, op: &Operand) {
-        if let Operand::Reg(r) = op {
-            *n = (*n).max(r.0 as usize + 1);
-        }
-    }
-    let mut n = f.next_reg as usize;
-    for &p in &f.params {
-        n = n.max(p.0 as usize + 1);
-    }
-    for block in &f.blocks {
-        for inst in &block.insts {
-            if let Some(d) = def_of(inst) {
-                n = n.max(d as usize + 1);
-            }
-            match inst {
-                Inst::Const { value, .. } => see(&mut n, value),
-                Inst::Bin { lhs, rhs, .. } => {
-                    see(&mut n, lhs);
-                    see(&mut n, rhs);
-                }
-                Inst::Cast { src, .. } => see(&mut n, src),
-                Inst::Call { args, .. } | Inst::CallTradeoff { args, .. } => {
-                    args.iter().for_each(|a| see(&mut n, a));
-                }
-                Inst::StoreState { src, .. } => see(&mut n, src),
-                Inst::Br { cond, .. } => see(&mut n, cond),
-                Inst::Ret { value } => {
-                    if let Some(v) = value {
-                        see(&mut n, v);
-                    }
-                }
-                Inst::TradeoffRef { .. } | Inst::LoadState { .. } | Inst::Jmp { .. } => {}
-            }
-        }
-    }
-    n
-}
-
-/// Registers an instruction reads, in evaluation order.
-fn reads_of(inst: &Inst) -> Vec<u32> {
-    let mut out = Vec::new();
-    let mut see = |op: &Operand| {
-        if let Operand::Reg(r) = op {
-            out.push(r.0);
-        }
-    };
-    match inst {
-        Inst::Const { value, .. } => see(value),
-        Inst::Bin { lhs, rhs, .. } => {
-            see(lhs);
-            see(rhs);
-        }
-        Inst::Cast { src, .. } => see(src),
-        Inst::Call { args, .. } | Inst::CallTradeoff { args, .. } => args.iter().for_each(see),
-        Inst::StoreState { src, .. } => see(src),
-        Inst::Br { cond, .. } => see(cond),
-        Inst::Ret { value } => {
-            if let Some(v) = value {
-                see(v)
-            }
-        }
-        Inst::TradeoffRef { .. } | Inst::LoadState { .. } | Inst::Jmp { .. } => {}
-    }
-    out
-}
-
-/// The register an instruction assigns, if any.
-fn def_of(inst: &Inst) -> Option<u32> {
-    match inst {
-        Inst::Const { dst, .. }
-        | Inst::Bin { dst, .. }
-        | Inst::Cast { dst, .. }
-        | Inst::TradeoffRef { dst, .. }
-        | Inst::LoadState { dst, .. } => Some(dst.0),
-        Inst::Call { dst, .. } | Inst::CallTradeoff { dst, .. } => dst.map(|d| d.0),
-        Inst::StoreState { .. } | Inst::Jmp { .. } | Inst::Br { .. } | Inst::Ret { .. } => None,
-    }
-}
-
-/// Successor blocks of a block's terminator (the first terminator found —
-/// anything after it is dead).
-fn successors(insts: &[Inst]) -> Vec<usize> {
-    for inst in insts {
-        match inst {
-            Inst::Jmp { target } => return vec![target.0],
-            Inst::Br { then_b, else_b, .. } => return vec![then_b.0, else_b.0],
-            Inst::Ret { .. } => return vec![],
-            _ => {}
-        }
-    }
-    vec![]
-}
-
-/// Forward definite-assignment dataflow: a register may be read only if it
-/// is assigned on *every* path from entry. Rejects the function otherwise,
-/// so execution can use a flat frame with no per-read presence checks.
-pub(crate) fn check_definite_assignment(f: &Function, nregs: usize) -> Result<(), ExecError> {
-    let words = nregs.div_ceil(64).max(1);
-    let set = |bits: &mut [u64], r: u32| bits[r as usize / 64] |= 1 << (r % 64);
-    let has = |bits: &[u64], r: u32| bits[r as usize / 64] & (1 << (r % 64)) != 0;
-
-    let mut entry = vec![0u64; words];
-    for &p in &f.params {
-        set(&mut entry, p.0);
-    }
-    // Fixpoint: in-set of a block = intersection of predecessors' out-sets.
-    let mut in_sets: Vec<Option<Vec<u64>>> = vec![None; f.blocks.len()];
-    in_sets[0] = Some(entry);
-    let mut work = vec![0usize];
-    while let Some(b) = work.pop() {
-        let mut out = in_sets[b].clone().expect("worklist blocks are reached");
-        let insts = &f.blocks[b].insts;
-        let term = insts
-            .iter()
-            .position(|i| matches!(i, Inst::Jmp { .. } | Inst::Br { .. } | Inst::Ret { .. }))
-            .map(|i| i + 1)
-            .unwrap_or(insts.len());
-        for inst in &insts[..term] {
-            if let Some(d) = def_of(inst) {
-                set(&mut out, d);
-            }
-        }
-        for s in successors(insts) {
-            let changed = match &mut in_sets[s] {
-                Some(existing) => {
-                    let mut changed = false;
-                    for (e, o) in existing.iter_mut().zip(&out) {
-                        let next = *e & *o;
-                        changed |= next != *e;
-                        *e = next;
-                    }
-                    changed
-                }
-                None => {
-                    in_sets[s] = Some(out.clone());
-                    true
-                }
-            };
-            if changed {
-                work.push(s);
-            }
-        }
-    }
-    // Check reads against the converged in-sets.
-    for (b, in_set) in in_sets.iter().enumerate() {
-        let Some(in_set) = in_set else { continue };
-        let mut live = in_set.clone();
-        let insts = &f.blocks[b].insts;
-        let term = insts
-            .iter()
-            .position(|i| matches!(i, Inst::Jmp { .. } | Inst::Br { .. } | Inst::Ret { .. }))
-            .map(|i| i + 1)
-            .unwrap_or(insts.len());
-        for inst in &insts[..term] {
-            for r in reads_of(inst) {
-                if !has(&live, r) {
-                    return Err(ExecError::UnassignedRegister {
-                        function: f.name.clone(),
-                        reg: r,
-                    });
-                }
-            }
-            if let Some(d) = def_of(inst) {
-                set(&mut live, d);
-            }
-        }
-    }
-    Ok(())
-}
-
-#[inline(always)]
-pub(crate) fn cast(v: Value, ty: Ty) -> Value {
-    match ty {
-        Ty::I64 => Value::Int(match v {
-            Value::Int(i) => i,
-            Value::Float(f) => f as i64,
-        }),
-        Ty::F32 => Value::Float(v.as_float() as f32 as f64),
-        Ty::F64 => Value::Float(v.as_float()),
-    }
-}
-
-#[inline(always)]
-pub(crate) fn binop(op: BinOp, a: Value, b: Value) -> Result<Value, ExecError> {
-    use BinOp::*;
-    // Integer op if both sides are integers; float otherwise.
-    if let (Value::Int(x), Value::Int(y)) = (a, b) {
-        let v = match op {
-            Add => x.wrapping_add(y),
-            Sub => x.wrapping_sub(y),
-            Mul => x.wrapping_mul(y),
-            Div => {
-                if y == 0 {
-                    return Err(ExecError::DivisionByZero);
-                }
-                x.wrapping_div(y)
-            }
-            Rem => {
-                if y == 0 {
-                    return Err(ExecError::DivisionByZero);
-                }
-                x.wrapping_rem(y)
-            }
-            Lt => (x < y) as i64,
-            Le => (x <= y) as i64,
-            Gt => (x > y) as i64,
-            Ge => (x >= y) as i64,
-            Eq => (x == y) as i64,
-            Ne => (x != y) as i64,
-        };
-        return Ok(Value::Int(v));
-    }
-    let x = a.as_float();
-    let y = b.as_float();
-    Ok(match op {
-        Add => Value::Float(x + y),
-        Sub => Value::Float(x - y),
-        Mul => Value::Float(x * y),
-        Div => Value::Float(x / y),
-        Rem => Value::Float(x % y),
-        Lt => Value::Int((x < y) as i64),
-        Le => Value::Int((x <= y) as i64),
-        Gt => Value::Int((x > y) as i64),
-        Ge => Value::Int((x >= y) as i64),
-        Eq => Value::Int((x == y) as i64),
-        Ne => Value::Int((x != y) as i64),
-    })
 }
 
 #[cfg(test)]

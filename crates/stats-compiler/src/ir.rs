@@ -200,11 +200,108 @@ pub enum Inst {
     },
 }
 
+impl Inst {
+    /// Is this a `Jmp`, `Br` or `Ret`?
+    pub fn is_terminator(&self) -> bool {
+        matches!(self, Inst::Jmp { .. } | Inst::Br { .. } | Inst::Ret { .. })
+    }
+
+    /// The register this instruction assigns, if any.
+    pub fn def(&self) -> Option<Reg> {
+        match self {
+            Inst::Const { dst, .. }
+            | Inst::Bin { dst, .. }
+            | Inst::Cast { dst, .. }
+            | Inst::TradeoffRef { dst, .. }
+            | Inst::LoadState { dst, .. } => Some(*dst),
+            Inst::Call { dst, .. } | Inst::CallTradeoff { dst, .. } => *dst,
+            Inst::StoreState { .. } | Inst::Jmp { .. } | Inst::Br { .. } | Inst::Ret { .. } => None,
+        }
+    }
+
+    /// The registers this instruction reads, in evaluation order.
+    pub fn reads(&self) -> impl Iterator<Item = Reg> + '_ {
+        let (one, two, many): (Option<&Operand>, Option<&Operand>, &[Operand]) = match self {
+            Inst::Const { value: op, .. }
+            | Inst::Cast { src: op, .. }
+            | Inst::StoreState { src: op, .. }
+            | Inst::Br { cond: op, .. } => (Some(op), None, &[]),
+            Inst::Bin { lhs, rhs, .. } => (Some(lhs), Some(rhs), &[]),
+            Inst::Call { args, .. } | Inst::CallTradeoff { args, .. } => (None, None, args),
+            Inst::Ret { value } => (value.as_ref(), None, &[]),
+            Inst::TradeoffRef { .. } | Inst::LoadState { .. } | Inst::Jmp { .. } => {
+                (None, None, &[])
+            }
+        };
+        one.into_iter()
+            .chain(two)
+            .chain(many)
+            .filter_map(|op| match op {
+                Operand::Reg(r) => Some(*r),
+                Operand::ImmInt(_) | Operand::ImmFloat(_) => None,
+            })
+    }
+
+    /// The operands [`Inst::reads`] walks, mutably, for passes that
+    /// rewrite them.
+    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut Operand> {
+        let (one, two, many): (Option<&mut Operand>, Option<&mut Operand>, &mut [Operand]) =
+            match self {
+                Inst::Const { value: op, .. }
+                | Inst::Cast { src: op, .. }
+                | Inst::StoreState { src: op, .. }
+                | Inst::Br { cond: op, .. } => (Some(op), None, &mut []),
+                Inst::Bin { lhs, rhs, .. } => (Some(lhs), Some(rhs), &mut []),
+                Inst::Call { args, .. } | Inst::CallTradeoff { args, .. } => (None, None, args),
+                Inst::Ret { value } => (value.as_mut(), None, &mut []),
+                Inst::TradeoffRef { .. } | Inst::LoadState { .. } | Inst::Jmp { .. } => {
+                    (None, None, &mut [])
+                }
+            };
+        one.into_iter().chain(two).chain(many)
+    }
+}
+
 /// A basic block: straight-line instructions ending in a terminator.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Block {
-    /// Instructions, the last of which must be `Jmp`/`Br`/`Ret`.
+    /// Instructions. The first `Jmp`/`Br`/`Ret` ends the block; lowering
+    /// and the verifier require one, and lowering may leave dead code after
+    /// it.
     pub insts: Vec<Inst>,
+}
+
+impl Block {
+    /// The instructions that can execute: everything up to and including
+    /// the block's [terminator](Block::terminator). Lowering may leave code
+    /// after a `return`; it never runs, and every pass that follows control
+    /// flow skips it.
+    pub fn live(&self) -> &[Inst] {
+        let end = self
+            .insts
+            .iter()
+            .position(Inst::is_terminator)
+            .map_or(self.insts.len(), |i| i + 1);
+        &self.insts[..end]
+    }
+
+    /// The block's terminator: its *first* `Jmp`/`Br`/`Ret`, which is the
+    /// one execution reaches. `None` for a malformed block with none.
+    pub fn terminator(&self) -> Option<&Inst> {
+        self.live().last().filter(|i| i.is_terminator())
+    }
+
+    /// The blocks control may pass to from this one, read from its
+    /// terminator.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        match self.terminator() {
+            Some(Inst::Jmp { target }) => [Some(*target), None],
+            Some(Inst::Br { then_b, else_b, .. }) => [Some(*then_b), Some(*else_b)],
+            _ => [None, None],
+        }
+        .into_iter()
+        .flatten()
+    }
 }
 
 /// An IR function.
@@ -474,5 +571,40 @@ mod tests {
         }
         f.push(e, Inst::Ret { value: None });
         assert_eq!(f.callees(), vec!["h".to_string()]);
+    }
+
+    #[test]
+    fn a_block_ends_at_its_first_terminator() {
+        let mut f = Function::new("g", 1);
+        let x = f.params[0];
+        let r = f.fresh_reg();
+        let exit = f.new_block();
+        let e = BlockId(0);
+        f.push(
+            e,
+            Inst::Br {
+                cond: x.into(),
+                then_b: exit,
+                else_b: e,
+            },
+        );
+        f.push(
+            e,
+            Inst::Bin {
+                op: BinOp::Add,
+                dst: r,
+                lhs: x.into(),
+                rhs: x.into(),
+            },
+        );
+        f.push(e, Inst::Jmp { target: BlockId(9) });
+        let block = &f.blocks[0];
+        assert_eq!(block.live().len(), 1);
+        assert_eq!(block.terminator(), Some(&block.insts[0]));
+        assert_eq!(block.successors().collect::<Vec<_>>(), vec![exit, e]);
+        assert!(f.blocks[exit.0].terminator().is_none());
+        assert_eq!(block.insts[1].reads().collect::<Vec<_>>(), vec![x, x]);
+        assert_eq!(block.insts[1].def(), Some(r));
+        assert_eq!(block.insts[0].def(), None);
     }
 }

@@ -25,8 +25,14 @@
 //! - [`midend`]: auxiliary-code generation (the deep-cloning pass);
 //! - [`backend`]: configuration instantiation and the bridge to
 //!   `stats_core::TradeoffBindings`;
-//! - [`interp`]: the IR interpreter standing in for LLVM's dynamic compiler
-//!   (the paper JITs `getValue()` only to fetch tradeoff values).
+//! - [`bytecode`]: the flat bytecode tier standing in for LLVM's dynamic
+//!   compiler (the paper JITs `getValue()` only to fetch tradeoff values);
+//!   [`backend::call`] and the middle-end's `getValue` runs execute on it;
+//! - [`value`]: the IR's execution rules, written once — values, errors,
+//!   arithmetic, intrinsics, the interpreter environment, and the check a
+//!   function passes before it runs;
+//! - [`interp`]: the slot-resolved reference interpreter, which the tests
+//!   hold the bytecode tier to; no product module depends on it.
 //!
 //! # Pipeline example
 //!
@@ -68,6 +74,7 @@ pub mod midend;
 pub mod opt;
 mod parser;
 pub mod pretty;
+pub mod value;
 pub mod verify;
 
 pub use frontend::CompileError;

@@ -15,9 +15,9 @@ use std::collections::HashSet;
 
 use crate::bytecode::BytecodeInterp;
 use crate::frontend::{CompileError, Compiled};
-use crate::interp::Value;
 use crate::ir::{Function, Inst, Module, Operand, Ty, TyRef};
 use crate::metadata::{TradeoffMeta, TradeoffValues};
+use crate::value::Value;
 
 /// Middle-end options.
 #[derive(Debug, Clone, Copy)]

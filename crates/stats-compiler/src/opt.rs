@@ -2,21 +2,28 @@
 //!
 //! The back-end's tradeoff substitution leaves obvious constants behind
 //! (`dst = const; use dst` chains, branches on constant conditions). These
-//! passes clean the instantiated module before execution: block-local
-//! constant folding, branch simplification, unreachable-block elimination,
-//! and dead-store elimination. They keep instantiation cheap (all passes
-//! are linear) while shrinking the "binary".
+//! passes clean the instantiated module before execution: dead-tail
+//! removal, block-local constant folding, branch simplification,
+//! unreachable-block elimination, and dead-store elimination. They keep
+//! instantiation cheap (all passes are linear) while shrinking the
+//! "binary".
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use crate::interp::Value;
 use crate::ir::{BinOp, Block, Function, Inst, Module, Operand, Reg};
+use crate::value::{binop, Value};
 
 /// Run every optimization pass over each function of the module, to a fixed
 /// point (bounded), and return the number of instructions removed.
 pub fn optimize(module: &mut Module) -> usize {
     let before = module.inst_count();
     for f in module.functions_mut() {
+        // Code after a block's terminator never runs. Dropping it first
+        // keeps the terminator last, so no later pass sees (or remaps) a
+        // dead jump to a block it removed.
+        for block in f.blocks.iter_mut() {
+            block.insts.truncate(block.live().len());
+        }
         for _ in 0..4 {
             let changed = fold_constants(f) | simplify_branches(f);
             remove_unreachable_blocks(f);
@@ -29,11 +36,11 @@ pub fn optimize(module: &mut Module) -> usize {
     before.saturating_sub(module.inst_count())
 }
 
-fn as_const(op: &Operand, env: &HashMap<Reg, Value>) -> Option<Value> {
+fn as_const(op: &Operand) -> Option<Value> {
     match op {
         Operand::ImmInt(v) => Some(Value::Int(*v)),
         Operand::ImmFloat(v) => Some(Value::Float(*v)),
-        Operand::Reg(r) => env.get(r).copied(),
+        Operand::Reg(_) => None,
     }
 }
 
@@ -44,50 +51,6 @@ fn to_operand(v: Value) -> Operand {
     }
 }
 
-fn eval_bin(op: BinOp, a: Value, b: Value) -> Option<Value> {
-    use BinOp::*;
-    if let (Value::Int(x), Value::Int(y)) = (a, b) {
-        let v = match op {
-            Add => x.wrapping_add(y),
-            Sub => x.wrapping_sub(y),
-            Mul => x.wrapping_mul(y),
-            Div => {
-                if y == 0 {
-                    return None; // preserve the runtime error
-                }
-                x.wrapping_div(y)
-            }
-            Rem => {
-                if y == 0 {
-                    return None;
-                }
-                x.wrapping_rem(y)
-            }
-            Lt => (x < y) as i64,
-            Le => (x <= y) as i64,
-            Gt => (x > y) as i64,
-            Ge => (x >= y) as i64,
-            Eq => (x == y) as i64,
-            Ne => (x != y) as i64,
-        };
-        return Some(Value::Int(v));
-    }
-    let (x, y) = (a.as_float(), b.as_float());
-    Some(match op {
-        Add => Value::Float(x + y),
-        Sub => Value::Float(x - y),
-        Mul => Value::Float(x * y),
-        Div => Value::Float(x / y),
-        Rem => Value::Float(x % y),
-        Lt => Value::Int((x < y) as i64),
-        Le => Value::Int((x <= y) as i64),
-        Gt => Value::Int((x > y) as i64),
-        Ge => Value::Int((x >= y) as i64),
-        Eq => Value::Int((x == y) as i64),
-        Ne => Value::Int((x != y) as i64),
-    })
-}
-
 /// Block-local constant propagation and folding. Registers written by
 /// non-constant instructions (or in other blocks) are conservatively
 /// unknown at block entry, which is sound for the mutable-register IR.
@@ -96,94 +59,39 @@ fn fold_constants(f: &mut Function) -> bool {
     for block in f.blocks.iter_mut() {
         let mut env: HashMap<Reg, Value> = HashMap::new();
         for inst in block.insts.iter_mut() {
-            match inst {
-                Inst::Const { dst, value } => {
-                    if let Operand::Reg(src) = value {
-                        if let Some(v) = env.get(src).copied() {
-                            *value = to_operand(v);
-                            changed = true;
-                        }
-                    }
-                    match as_const(value, &env) {
-                        Some(v) => {
-                            env.insert(*dst, v);
-                        }
-                        None => {
-                            env.remove(dst);
-                        }
+            for op in inst.operands_mut() {
+                if let Operand::Reg(r) = op {
+                    if let Some(&v) = env.get(r) {
+                        *op = to_operand(v);
+                        changed = true;
                     }
                 }
-                Inst::Bin { op, dst, lhs, rhs } => {
-                    for side in [&mut *lhs, &mut *rhs] {
-                        if let Operand::Reg(src) = side {
-                            if let Some(v) = env.get(src).copied() {
-                                *side = to_operand(v);
-                                changed = true;
-                            }
-                        }
+            }
+            let Some(dst) = inst.def() else { continue };
+            // Every register operand left is one not known to be constant.
+            let folded = match inst {
+                Inst::Const { value, .. } => as_const(value),
+                // A division by zero is left to fail at run time.
+                Inst::Bin { op, lhs, rhs, .. } => match (as_const(lhs), as_const(rhs)) {
+                    (Some(a), Some(b)) => binop(*op, a, b).ok(),
+                    _ => None,
+                },
+                _ => None,
+            };
+            match folded {
+                Some(v) => {
+                    if !matches!(inst, Inst::Const { .. }) {
+                        *inst = Inst::Const {
+                            dst,
+                            value: to_operand(v),
+                        };
+                        changed = true;
                     }
-                    match (as_const(lhs, &env), as_const(rhs, &env)) {
-                        (Some(a), Some(b)) => match eval_bin(*op, a, b) {
-                            Some(v) => {
-                                env.insert(*dst, v);
-                                *inst = Inst::Const {
-                                    dst: *dst,
-                                    value: to_operand(v),
-                                };
-                                changed = true;
-                            }
-                            None => {
-                                env.remove(dst);
-                            }
-                        },
-                        _ => {
-                            env.remove(dst);
-                        }
-                    }
+                    env.insert(dst, v);
                 }
-                Inst::Cast { dst, .. }
-                | Inst::TradeoffRef { dst, .. }
-                | Inst::LoadState { dst, .. } => {
-                    env.remove(dst);
+                None => {
+                    env.remove(&dst);
                 }
-                Inst::StoreState { src, .. } => {
-                    if let Operand::Reg(r) = src {
-                        if let Some(v) = env.get(r).copied() {
-                            *src = to_operand(v);
-                            changed = true;
-                        }
-                    }
-                }
-                Inst::Call { dst, args, .. } | Inst::CallTradeoff { dst, args, .. } => {
-                    for a in args.iter_mut() {
-                        if let Operand::Reg(src) = a {
-                            if let Some(v) = env.get(src).copied() {
-                                *a = to_operand(v);
-                                changed = true;
-                            }
-                        }
-                    }
-                    if let Some(dst) = dst {
-                        env.remove(dst);
-                    }
-                }
-                Inst::Br { cond, .. } => {
-                    if let Operand::Reg(src) = cond {
-                        if let Some(v) = env.get(src).copied() {
-                            *cond = to_operand(v);
-                            changed = true;
-                        }
-                    }
-                }
-                Inst::Ret { value } => {
-                    if let Some(Operand::Reg(src)) = value {
-                        if let Some(v) = env.get(src).copied() {
-                            *value = Some(to_operand(v));
-                            changed = true;
-                        }
-                    }
-                }
-                Inst::Jmp { .. } => {}
             }
         }
     }
@@ -198,7 +106,7 @@ fn simplify_branches(f: &mut Function) -> bool {
             cond,
             then_b,
             else_b,
-        }) = block.insts.last()
+        }) = block.terminator()
         {
             let taken = match cond {
                 Operand::ImmInt(v) => Some(if *v != 0 { *then_b } else { *else_b }),
@@ -206,7 +114,8 @@ fn simplify_branches(f: &mut Function) -> bool {
                 Operand::Reg(_) => None,
             };
             if let Some(target) = taken {
-                *block.insts.last_mut().expect("nonempty") = Inst::Jmp { target };
+                let at = block.live().len() - 1;
+                block.insts[at] = Inst::Jmp { target };
                 changed = true;
             }
         }
@@ -225,16 +134,7 @@ fn remove_unreachable_blocks(f: &mut Function) {
             continue;
         }
         reachable[b] = true;
-        if let Some(term) = f.blocks[b].insts.last() {
-            match term {
-                Inst::Jmp { target } => stack.push(target.0),
-                Inst::Br { then_b, else_b, .. } => {
-                    stack.push(then_b.0);
-                    stack.push(else_b.0);
-                }
-                _ => {}
-            }
-        }
+        stack.extend(f.blocks[b].successors().map(|s| s.0));
     }
     if reachable.iter().all(|&r| r) {
         return;
@@ -266,34 +166,7 @@ fn remove_unreachable_blocks(f: &mut Function) {
 /// anywhere in the function (sound even with mutable registers: a register
 /// with no reads at all cannot affect behavior).
 fn eliminate_dead_stores(f: &mut Function) {
-    use std::collections::HashSet;
-    let mut read: HashSet<Reg> = HashSet::new();
-    let mut mark = |op: &Operand| {
-        if let Operand::Reg(r) = op {
-            read.insert(*r);
-        }
-    };
-    for inst in f.insts() {
-        match inst {
-            Inst::Const { value, .. } => mark(value),
-            Inst::Bin { lhs, rhs, .. } => {
-                mark(lhs);
-                mark(rhs);
-            }
-            Inst::Cast { src, .. } => mark(src),
-            Inst::Call { args, .. } | Inst::CallTradeoff { args, .. } => {
-                args.iter().for_each(&mut mark)
-            }
-            Inst::Br { cond, .. } => mark(cond),
-            Inst::Ret { value } => {
-                if let Some(v) = value {
-                    mark(v);
-                }
-            }
-            Inst::StoreState { src, .. } => mark(src),
-            Inst::TradeoffRef { .. } | Inst::LoadState { .. } | Inst::Jmp { .. } => {}
-        }
-    }
+    let read: HashSet<Reg> = f.insts().flat_map(Inst::reads).collect();
     for block in f.blocks.iter_mut() {
         block.insts.retain(|inst| match inst {
             // Division and remainder can trap: only dead when the divisor
@@ -415,6 +288,20 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(out, Value::Int(4));
+    }
+
+    /// Lowering leaves a dead `jmp` after each `return`. The optimizer
+    /// drops it before it removes blocks, so no jump is left pointing at a
+    /// block that is gone.
+    #[test]
+    fn no_jump_outlives_its_target() {
+        let mut m = compiled_module("fn f(x) { if (1 < 2) { return x; } else { return 0; } }");
+        optimize(&mut m);
+        let f = m.function("f").unwrap();
+        crate::lower::validate(f).unwrap();
+        assert!(f.blocks.iter().all(|b| b.live().len() == b.insts.len()));
+        let out = Interp::new(&m).call("f", &[Value::Int(3)]).unwrap();
+        assert_eq!(out, Some(Value::Int(3)));
     }
 
     #[test]

@@ -18,10 +18,7 @@
 use std::collections::HashSet;
 
 use crate::ir::{Function, Inst, Module};
-
-/// Host intrinsics the interpreter provides (calls to these are legal
-/// without a module definition).
-pub const INTRINSICS: &[&str] = &["sqrt", "abs", "min", "max", "exp", "ln", "pow", "floor"];
+use crate::value::DEFAULT_INTRINSICS;
 
 /// A precise code location: a function plus a flat instruction index (the
 /// position in [`Function::insts`] iteration order). Shared by verification
@@ -100,7 +97,7 @@ fn check_insts(
         let at = || Location::new(&f.name, i);
         match inst {
             Inst::Call { callee, args, .. } => {
-                if INTRINSICS.contains(&callee.as_str()) {
+                if DEFAULT_INTRINSICS.iter().any(|(name, _)| name == callee) {
                     continue;
                 }
                 match module.function(callee) {
