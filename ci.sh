@@ -153,6 +153,17 @@ if grep -rn --include='*.rs' 'std::sync::atomic' crates/ \
     exit 1
 fi
 
+echo "== no-unsafe gate (no unsafe block, fn or impl under stats-compiler/src)"
+# The bytecode tier reads its code, frames and state through checked
+# indexing, so the compiler crate needs no unsafe code; `--miri` runs only
+# stats-core, so any that crept in would go unchecked.
+if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|fn\b|impl\b)' \
+        crates/stats-compiler/src/; then
+    echo "error: unsafe code under crates/stats-compiler/src (use checked" \
+         "indexing; nothing runs this crate under Miri)" >&2
+    exit 1
+fi
+
 echo "== interp leaf gate (no stats-compiler product module names interp)"
 # `interp` is the reference semantics the bytecode tier is tested against;
 # the execution rules both share live in `value`. A product module (the

@@ -283,12 +283,12 @@ pub fn analyze_function(f: &Function, tradeoffs: &HashMap<String, Interval>) -> 
 
     let mut ret: Option<Interval> = None;
     let mut zero_divisors = Vec::new();
-    // Flat indices count every instruction, dead ones after a block's
-    // terminator included; only the live prefix is scanned.
+    // Flat indices are positions in `Function::insts`, which walks each
+    // block up to its terminator.
     let mut block_start = 0usize;
     for (bi, block) in f.blocks.iter().enumerate() {
         let flat_indices = block_start..;
-        block_start += block.insts.len();
+        block_start += block.live().len();
         let Some(mut env) = entry_facts.get(bi).and_then(Clone::clone) else {
             continue;
         };
@@ -533,8 +533,8 @@ mod tests {
         );
     }
 
-    /// A finding's location counts every instruction before it, dead ones
-    /// after an earlier block's terminator included.
+    /// A finding's location is its position in `Function::insts`, which
+    /// skips the dead code after an earlier block's terminator.
     #[test]
     fn locations_stay_flat_instruction_indices() {
         let m = midend_module(

@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use crate::ast::{Expr, Program, TradeoffKind};
-use crate::ir::Module;
+use crate::ir::{validate, MalformedBlock, Module};
 use crate::lexer::LexError;
 use crate::lower::{self, LowerError};
 use crate::metadata::{values_from_kind, StateDepMeta, StateInit, StateVarMeta, TradeoffMeta};
@@ -73,6 +73,15 @@ impl From<LowerError> for CompileError {
     }
 }
 
+/// Lowering built a function with a malformed block.
+impl From<MalformedBlock> for CompileError {
+    fn from(e: MalformedBlock) -> Self {
+        CompileError::Lower(LowerError {
+            message: e.to_string(),
+        })
+    }
+}
+
 /// The front-end's output: the AST, the IR module with populated metadata
 /// tables, and the generated descriptor source text.
 #[derive(Debug, Clone)]
@@ -106,7 +115,7 @@ pub fn compile(source: &str) -> Result<Compiled, CompileError> {
     // Lower user functions (state declarations are visible as globals).
     for f in &program.functions {
         let lowered = lower::lower_fn_with_globals(f, &globals)?;
-        lower::validate(&lowered)?;
+        validate(&lowered)?;
         module.add_function(lowered);
     }
 
@@ -116,7 +125,7 @@ pub fn compile(source: &str) -> Result<Compiled, CompileError> {
         let get_value_fn = lower::get_value_fn_name(&t.name);
         if let TradeoffKind::Computed { param, expr } = &t.kind {
             let f = lower::lower_get_value(&t.name, param, expr)?;
-            lower::validate(&f)?;
+            validate(&f)?;
             // The getValue function itself must not reference tradeoffs.
             if !f.tradeoff_refs().is_empty() {
                 return Err(CompileError::Semantic(format!(

@@ -339,7 +339,8 @@ fn read(frame: &[Value], s: Slot) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::{lower_fn, validate};
+    use crate::ir::validate;
+    use crate::lower::lower_fn;
     use crate::parser::parse;
 
     fn module_of(src: &str) -> Module {

@@ -277,12 +277,20 @@ impl Block {
     /// after a `return`; it never runs, and every pass that follows control
     /// flow skips it.
     pub fn live(&self) -> &[Inst] {
-        let end = self
-            .insts
+        &self.insts[..self.live_len()]
+    }
+
+    /// [`Block::live`], mutably.
+    pub fn live_mut(&mut self) -> &mut [Inst] {
+        let end = self.live_len();
+        &mut self.insts[..end]
+    }
+
+    fn live_len(&self) -> usize {
+        self.insts
             .iter()
             .position(Inst::is_terminator)
-            .map_or(self.insts.len(), |i| i + 1);
-        &self.insts[..end]
+            .map_or(self.insts.len(), |i| i + 1)
     }
 
     /// The block's terminator: its *first* `Jmp`/`Br`/`Ret`, which is the
@@ -346,19 +354,22 @@ impl Function {
         self.blocks[block.0].insts.push(inst);
     }
 
-    /// Total instruction count.
+    /// Count of the instructions that can execute (each block's
+    /// [live](Block::live) part).
     pub fn inst_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.insts.len()).sum()
+        self.blocks.iter().map(|b| b.live().len()).sum()
     }
 
-    /// Iterate over all instructions.
+    /// Iterate over the instructions that can execute, block by block, each
+    /// block up to its terminator. Code after a terminator never runs, so
+    /// no analysis or rewrite sees it.
     pub fn insts(&self) -> impl Iterator<Item = &Inst> {
-        self.blocks.iter().flat_map(|b| b.insts.iter())
+        self.blocks.iter().flat_map(Block::live)
     }
 
-    /// Iterate mutably over all instructions.
+    /// [`Function::insts`], mutably.
     pub fn insts_mut(&mut self) -> impl Iterator<Item = &mut Inst> {
-        self.blocks.iter_mut().flat_map(|b| b.insts.iter_mut())
+        self.blocks.iter_mut().flat_map(Block::live_mut)
     }
 
     /// Names of directly called functions (both direct calls and the
@@ -419,6 +430,50 @@ impl Function {
         }
         (reads, writes)
     }
+}
+
+/// A function whose block structure execution cannot follow: it has no
+/// blocks, a block has no terminator, or a terminator targets a block the
+/// function does not have.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MalformedBlock {
+    /// The function's name.
+    pub function: String,
+    /// The offending block's index (0 for a function with no blocks).
+    pub block: usize,
+}
+
+impl fmt::Display for MalformedBlock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "`{}`: block {} has no terminator or jumps out of range",
+            self.function, self.block
+        )
+    }
+}
+
+impl std::error::Error for MalformedBlock {}
+
+/// The block structure every pass and both interpreters rely on: `f` has
+/// at least one block, and every block has a [terminator](Block::terminator)
+/// whose successors exist. Code after a terminator is not checked; it
+/// never runs. The front end, [`crate::verify::verify`] and the
+/// interpreters' prepare check all call this.
+pub fn validate(f: &Function) -> Result<(), MalformedBlock> {
+    let malformed = |block| MalformedBlock {
+        function: f.name.clone(),
+        block,
+    };
+    if f.blocks.is_empty() {
+        return Err(malformed(0));
+    }
+    for (b, block) in f.blocks.iter().enumerate() {
+        if block.terminator().is_none() || block.successors().any(|s| s.0 >= f.blocks.len()) {
+            return Err(malformed(b));
+        }
+    }
+    Ok(())
 }
 
 /// A module: functions plus the metadata tables.

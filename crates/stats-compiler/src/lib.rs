@@ -20,14 +20,18 @@
 //!   Figure 11 and an AST;
 //! - [`ir`]: a compact block-based IR with explicit tradeoff-reference
 //!   instructions and per-module [`metadata`] tables (the paper borrows this
-//!   metadata design from CIL);
+//!   metadata design from CIL), and the one block-structure check
+//!   ([`ir::validate`]) that the front end, [`verify`] and both
+//!   interpreters run;
 //! - [`lower`]: AST → IR;
 //! - [`midend`]: auxiliary-code generation (the deep-cloning pass);
 //! - [`backend`]: configuration instantiation and the bridge to
 //!   `stats_core::TradeoffBindings`;
 //! - [`bytecode`]: the flat bytecode tier standing in for LLVM's dynamic
 //!   compiler (the paper JITs `getValue()` only to fetch tradeoff values);
-//!   [`backend::call`] and the middle-end's `getValue` runs execute on it;
+//!   [`backend::call`] and the middle-end's `getValue` runs execute on it,
+//!   compiling a function once and calling it once, so it is one op per IR
+//!   instruction with no fusion and no `unsafe` code;
 //! - [`value`]: the IR's execution rules, written once — values, errors,
 //!   arithmetic, intrinsics, the interpreter environment, and the check a
 //!   function passes before it runs;

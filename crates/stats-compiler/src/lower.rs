@@ -423,29 +423,10 @@ pub fn get_value_fn_name(tradeoff: &str) -> String {
     format!("T_{tradeoff}_getValue")
 }
 
-/// Verify structural invariants the rest of the pipeline assumes: every
-/// block ends in a terminator and branch targets are in range.
-pub fn validate(f: &Function) -> Result<(), LowerError> {
-    for (i, b) in f.blocks.iter().enumerate() {
-        match b.insts.last() {
-            Some(Inst::Jmp { target }) if target.0 >= f.blocks.len() => {
-                return err(format!("{}: block {i} jumps out of range", f.name))
-            }
-            Some(Inst::Br { then_b, else_b, .. })
-                if then_b.0 >= f.blocks.len() || else_b.0 >= f.blocks.len() =>
-            {
-                return err(format!("{}: block {i} branches out of range", f.name))
-            }
-            Some(Inst::Jmp { .. }) | Some(Inst::Br { .. }) | Some(Inst::Ret { .. }) => {}
-            _ => return err(format!("{}: block {i} lacks a terminator", f.name)),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::validate;
     use crate::parser::parse;
 
     fn lower(src: &str) -> Function {

@@ -298,7 +298,7 @@ mod tests {
         let mut m = compiled_module("fn f(x) { if (1 < 2) { return x; } else { return 0; } }");
         optimize(&mut m);
         let f = m.function("f").unwrap();
-        crate::lower::validate(f).unwrap();
+        crate::ir::validate(f).unwrap();
         assert!(f.blocks.iter().all(|b| b.live().len() == b.insts.len()));
         let out = Interp::new(&m).call("f", &[Value::Int(3)]).unwrap();
         assert_eq!(out, Some(Value::Int(3)));

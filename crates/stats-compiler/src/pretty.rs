@@ -87,7 +87,7 @@ impl fmt::Display for Module {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "; module: {} functions, {} instructions, {} tradeoff rows, {} state deps",
+            "; module: {} functions, {} live instructions, {} tradeoff rows, {} state deps",
             self.functions().len(),
             self.inst_count(),
             self.metadata.tradeoffs.len(),

@@ -28,7 +28,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::analysis::dataflow::{self, ForwardAnalysis, Lattice};
-use crate::ir::{BinOp, Block, Function, Inst, Module, Ty};
+use crate::ir::{self, BinOp, Block, Function, Inst, Module, Ty};
 
 /// A runtime value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -218,8 +218,8 @@ pub(crate) struct Env<'m, P> {
     /// Steps left, shared across calls.
     pub(crate) fuel: u64,
     /// Cross-invocation state values, indexed by state slot. Only grows
-    /// (`state_slot` pushes): the bytecode tier reads and writes slots it
-    /// resolved earlier without a bounds check.
+    /// (`state_slot` pushes), so a slot the bytecode tier resolved when it
+    /// compiled a function stays in range.
     pub(crate) state: Vec<Value>,
     /// State variable name → slot.
     state_index: HashMap<String, usize>,
@@ -350,21 +350,13 @@ pub(crate) fn check_arity(function: &str, expected: usize, got: usize) -> Result
     })
 }
 
-/// The prepare check: block structure, then definite assignment. Returns
-/// the frame size.
+/// The prepare check: block structure ([`ir::validate`]), then definite
+/// assignment. Returns the frame size.
 fn check(f: &Function) -> Result<usize, ExecError> {
-    let malformed = |block| ExecError::MalformedBlock {
-        function: f.name.clone(),
-        block,
-    };
-    if f.blocks.is_empty() {
-        return Err(malformed(0));
-    }
-    for (b, block) in f.blocks.iter().enumerate() {
-        if block.terminator().is_none() || block.successors().any(|s| s.0 >= f.blocks.len()) {
-            return Err(malformed(b));
-        }
-    }
+    ir::validate(f).map_err(|e| ExecError::MalformedBlock {
+        function: e.function,
+        block: e.block,
+    })?;
     let nregs = frame_size(f);
     let analysis = DefiniteAssignment { nregs };
     let entry = dataflow::run(f, &analysis);

@@ -1,9 +1,9 @@
 //! Module-level IR verification.
 //!
-//! [`lower::validate`](crate::lower::validate) checks one function's block
-//! structure; this pass checks whole-module invariants the pipeline relies
-//! on between phases:
+//! This pass checks the invariants the pipeline relies on between phases:
 //!
+//! - every function's block structure ([`crate::ir::validate`], the check
+//!   the interpreters run before executing a function);
 //! - every direct call targets a defined function or a known host
 //!   intrinsic, with matching arity for defined functions;
 //! - metadata referential integrity: each state dependence's `compute_fn`
@@ -175,7 +175,7 @@ pub fn verify(module: &Module) -> Result<(), VerifyError> {
         .collect();
 
     for f in module.functions() {
-        crate::lower::validate(f).map_err(|e| err(format!("{}: {e}", f.name)))?;
+        crate::ir::validate(f).map_err(|e| err(e.to_string()))?;
         check_insts(module, f, &tradeoff_names, &state_names)?;
     }
 
@@ -385,6 +385,60 @@ mod tests {
         m.add_function(f);
         let e = verify(&m).unwrap_err();
         assert!(e.message.contains("nowhere"));
+    }
+
+    /// `verify` and the interpreters run one block-structure check
+    /// (`ir::validate`): a block ends at its first terminator, so code
+    /// after it is not checked, and a block with no terminator is refused
+    /// by both, naming the same block.
+    #[test]
+    fn verify_and_the_interpreter_agree_on_block_structure() {
+        use crate::bytecode::BytecodeInterp;
+        use crate::ir::{BlockId, Function, Inst, Operand};
+        use crate::value::{ExecError, Value};
+
+        let mut dead_tail = Function::new("dead_tail", 0);
+        dead_tail.push(
+            BlockId(0),
+            Inst::Ret {
+                value: Some(Operand::ImmInt(5)),
+            },
+        );
+        dead_tail.push(
+            BlockId(0),
+            Inst::Jmp {
+                target: BlockId(99),
+            },
+        );
+        let mut m = Module::new();
+        m.add_function(dead_tail);
+        verify(&m).unwrap();
+        let out = BytecodeInterp::new(&m).call("dead_tail", &[]).unwrap();
+        assert_eq!(out, Some(Value::Int(5)));
+
+        let mut open = Function::new("open", 0);
+        let b1 = open.new_block();
+        open.push(BlockId(0), Inst::Jmp { target: b1 });
+        let r = open.fresh_reg();
+        open.push(
+            b1,
+            Inst::Const {
+                dst: r,
+                value: Operand::ImmInt(1),
+            },
+        );
+        let mut m = Module::new();
+        m.add_function(open);
+        let e = verify(&m).unwrap_err();
+        assert!(e.message.contains("block 1"), "{e}");
+        let err = BytecodeInterp::new(&m).call("open", &[]).unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::MalformedBlock {
+                function: "open".into(),
+                block: 1,
+            }
+        );
     }
 
     #[test]

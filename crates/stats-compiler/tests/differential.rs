@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use stats_compiler::ast::{BinOp, Expr, FnDef, Stmt};
 use stats_compiler::bytecode::BytecodeInterp;
 use stats_compiler::interp::{Interp, Value};
-use stats_compiler::ir::Module;
-use stats_compiler::lower::{lower_fn, validate};
+use stats_compiler::ir::{validate, Module};
+use stats_compiler::lower::lower_fn;
 use stats_compiler::opt;
 
 /// Reference evaluator over the AST (integer-only semantics, wrapping

@@ -106,3 +106,16 @@ fn shipped_examples_are_clean() {
         );
     }
 }
+
+/// A store after `return` never runs, so it is neither a race on
+/// undeclared state nor an impurity of the auxiliary code: the program
+/// lints without errors and passes the middle-end gate.
+#[test]
+fn a_store_after_return_is_not_a_finding() {
+    let source = "state total = 0; state hidden = 0; \
+        state_dependence mean { compute = update; state = [total]; } \
+        fn update(sample) { total = total + sample; return total; hidden = hidden + 1; }";
+    let diags = lint(source);
+    assert!(!analysis::has_errors(&diags), "{diags:?}");
+    midend::run(frontend::compile(source).unwrap()).expect("the gate passes");
+}

@@ -823,114 +823,6 @@ mod tests {
         assert_eq!(oa.outputs, ob.outputs);
     }
 
-    /// Cheap, short-memory work: the state is the last input.
-    struct Noop;
-    impl StateTransition for Noop {
-        type Input = f64;
-        type State = Noisy;
-        type Output = f64;
-        fn compute_output(&self, input: &f64, state: &mut Noisy, ctx: &mut InvocationCtx) -> f64 {
-            ctx.charge(1.0);
-            state.0 = *input;
-            *input
-        }
-    }
-
-    /// [`NoisyLast`] after spinning for the given time on every input.
-    struct Spin(std::time::Duration);
-    impl StateTransition for Spin {
-        type Input = f64;
-        type State = Noisy;
-        type Output = f64;
-        fn compute_output(&self, input: &f64, state: &mut Noisy, ctx: &mut InvocationCtx) -> f64 {
-            let began = std::time::Instant::now();
-            while began.elapsed() < self.0 {
-                std::hint::spin_loop();
-            }
-            NoisyLast.compute_output(input, state, ctx)
-        }
-    }
-
-    /// Run `transition` over `inputs` on `pool` under `options`, require
-    /// the sequential reference's outputs, report and trace, and return the
-    /// jobs the pool ran for it once `expected` of them have counted (a job
-    /// counts just after its result is stored) or a second has passed.
-    fn gated_run<T>(
-        transition: T,
-        inputs: Vec<f64>,
-        pool: &Arc<ThreadPool>,
-        options: RunOptions,
-        expected: u64,
-    ) -> u64
-    where
-        T: StateTransition<Input = f64, State = Noisy, Output = f64>,
-    {
-        let reference = run_protocol_with_options(&transition, &inputs, &Noisy(0.0), &options);
-        let before = pool.metrics().jobs_executed;
-        let outcome = StateDependence::new(inputs, Noisy(0.0), transition)
-            .with_options(options.pool(Arc::clone(pool)))
-            .run();
-        assert_eq!(outcome.outputs, reference.outputs);
-        assert_eq!(outcome.report, reference.report);
-        assert_eq!(outcome.trace, reference.trace);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
-        loop {
-            let jobs = pool.metrics().jobs_executed - before;
-            if jobs >= expected || std::time::Instant::now() > deadline {
-                return jobs;
-            }
-            thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn gate_keeps_coordination_bound_groups_on_the_coordinator() {
-        // Group 0 of four no-op inputs takes far less than a parked worker
-        // takes to start a group: only the probes, one per worker, reach
-        // the pool.
-        let pool = Arc::new(ThreadPool::new(2));
-        std::thread::sleep(std::time::Duration::from_millis(20)); // both workers park
-        let options = RunOptions::default().config(config()).seed(11);
-        let inputs: Vec<f64> = (0..64).map(f64::from).collect();
-        let jobs = gated_run(Noop, inputs, &pool, options, 2);
-        assert!(jobs <= 2, "{jobs} of 15 speculative groups dispatched");
-    }
-
-    #[test]
-    fn gate_dispatches_every_group_of_compute_bound_work() {
-        // Two inputs of 2 ms per group: a worker starts a probe long before
-        // the coordinator could finish one (even with other tests holding
-        // the cores), so every speculative group goes to the pool, the ones
-        // past the probes included.
-        let pool = Arc::new(ThreadPool::new(2));
-        let options = RunOptions::default()
-            .config(SpecConfig {
-                group_size: 2,
-                ..config()
-            })
-            .seed(3);
-        let inputs: Vec<f64> = (0..10).map(f64::from).collect();
-        let spin = Spin(std::time::Duration::from_millis(2));
-        assert_eq!(gated_run(spin, inputs, &pool, options, 4), 4);
-    }
-
-    #[test]
-    fn gate_decision_holds_across_segments() {
-        // Two groups per segment: each segment's one speculative group is
-        // dispatched, the first as a probe and the rest on its decision.
-        let pool = Arc::new(ThreadPool::new(2));
-        let options = RunOptions::default()
-            .config(SpecConfig {
-                group_size: 2,
-                ..config()
-            })
-            .seed(9)
-            .segment(4);
-        let inputs: Vec<f64> = (0..12).map(f64::from).collect();
-        let spin = Spin(std::time::Duration::from_millis(2));
-        assert_eq!(gated_run(spin, inputs, &pool, options, 3), 3);
-    }
-
     #[test]
     fn run_inside_a_job_of_its_own_pool_completes() {
         // The caller is the pool's only worker, so nobody else can start a
