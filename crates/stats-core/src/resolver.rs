@@ -13,6 +13,18 @@
 //! then the post-abort sequential tail). That deferred layout is what makes
 //! a streamed run bit-identical — outputs, report, *and* trace — to the
 //! batch run over the same inputs and seed.
+//!
+//! What a run retains until `finish` is only what that layout and the
+//! result need. Each [`GroupData`] is dropped at ingest: its outputs move
+//! into the run's, its chain's work meters into one run-wide [`Blocks`]
+//! store, and the rest into a small per-group record (auxiliary work,
+//! squash marks, validation history) beside the group's [`GroupRecord`].
+//! The only states held are the last settled group's final state and
+//! checkpoint — what validating the next group reads — or, after an
+//! abort, the sequential tail's. The store's blocks never reallocate, so
+//! a stream of unknown length leaves no abandoned doubling buffers behind
+//! for the allocator to return to the kernel and the next stream to
+//! fault back in.
 
 use crate::ctx::WorkMeter;
 use crate::obs::EventKind;
@@ -22,11 +34,59 @@ use crate::protocol::{
 };
 use crate::sdi::{SpecState, StateTransition};
 
-/// One ingested group: what its run handed over (outputs moved into the
-/// run's), how much of its attempt-0 chain is squashed, and — once it is
-/// validated — its validation history.
-struct Ingested<T: StateTransition> {
-    data: GroupData<T>,
+/// Entries per block of a [`Blocks`] store whose length was not known when
+/// it was made: 64 KiB of work meters, below glibc's default 128 KiB mmap
+/// threshold, so blocks come from the coordinator's heap and go back to it.
+const BLOCK: usize = 4096;
+
+/// An append-only list kept in fixed-capacity blocks: an append fills the
+/// last block and starts new ones as it needs them, and never moves or
+/// reallocates an entry already stored.
+struct Blocks<E> {
+    blocks: Vec<Vec<E>>,
+}
+
+impl<E: Copy> Blocks<E> {
+    /// A store for `known` entries in one block of exactly that many; with
+    /// none known, blocks of [`BLOCK`] entries start as appends need them.
+    fn new(known: usize) -> Self {
+        let first = (known > 0).then(|| Vec::with_capacity(known));
+        Blocks {
+            blocks: first.into_iter().collect(),
+        }
+    }
+
+    /// Append `entries`, filling the last block before starting another.
+    fn extend(&mut self, mut entries: &[E]) {
+        while !entries.is_empty() {
+            let block = match self.blocks.last_mut() {
+                Some(block) if block.len() < block.capacity() => block,
+                _ => {
+                    self.blocks.push(Vec::with_capacity(BLOCK));
+                    self.blocks.last_mut().expect("a block was just started")
+                }
+            };
+            let (now, rest) = entries.split_at(entries.len().min(block.capacity() - block.len()));
+            block.extend_from_slice(now);
+            entries = rest;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum()
+    }
+
+    /// Every entry, in append order.
+    fn iter(&self) -> impl Iterator<Item = &E> {
+        self.blocks.iter().flatten()
+    }
+}
+
+/// What [`Resolver::finish`] lays out of one ingested group besides its
+/// attempt-0 chain (whose work meters are in the run's store, and whose
+/// input range is its [`GroupRecord`]).
+struct Chain {
+    aux_work: Option<WorkMeter>,
     /// Trailing invocations squashed by a matched re-execution.
     tail_squashed: usize,
     /// Entire chain (including the auxiliary run) squashed by an abort.
@@ -46,21 +106,32 @@ struct ValRec {
     matched: bool,
 }
 
+/// The states of the last settled group: what validating the next one
+/// compares against and re-executes from.
+struct Settled<S> {
+    final_state: S,
+    /// `None` only for a group 0 that is its run's only group.
+    checkpoint: Option<S>,
+}
+
 /// Incremental validation/commit/abort engine. Groups are ingested strictly
-/// in order; each ingest resolves as many groups as possible.
+/// in order; each ingest settles its group.
 pub(crate) struct Resolver<'a, T: StateTransition> {
     /// Its fault plan forces validation mismatches when set.
     ctx: RunCtx<'a, T>,
     /// Effective group size, for the post-abort `group_of` arithmetic.
     g: usize,
-    groups: Vec<Ingested<T>>,
+    chains: Vec<Chain>,
+    /// Every ingested group's attempt-0 chain work meters, in input order.
+    chain_works: Blocks<WorkMeter>,
     records: Vec<GroupRecord>,
     /// The committed outputs so far, extended in group order: a matched
     /// re-execution overwrites its own tail, an abort truncates at the
     /// restart, and the sequential tail appends.
     outputs: Vec<T::Output>,
-    /// Number of groups fully settled (validated, or squashed by an abort).
-    settled: usize,
+    /// The last settled group's states; `None` before group 0 and after an
+    /// abort.
+    last: Option<Settled<T::State>>,
     aborted: bool,
     abort_restart: usize,
     tail_next: usize,
@@ -78,10 +149,11 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         Resolver {
             ctx,
             g,
-            groups: Vec::with_capacity(groups),
+            chains: Vec::with_capacity(groups),
+            chain_works: Blocks::new(known),
             records: Vec::with_capacity(groups),
             outputs: Vec::with_capacity(known),
-            settled: 0,
+            last: None,
             aborted: false,
             abort_restart: 0,
             tail_next: 0,
@@ -92,20 +164,28 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         }
     }
 
-    /// Number of groups whose fate (commit / abort / tail) is decided. A
-    /// stream's intake admits new inputs only a bounded number of groups
-    /// past this point.
+    /// Number of groups whose fate (commit / abort / tail) is decided: every
+    /// ingested one. A stream's intake admits new inputs only a bounded
+    /// number of groups past this point.
     pub(crate) fn settled_groups(&self) -> usize {
-        self.settled
+        self.chains.len()
     }
 
     /// Hand the next group's execution data to the resolver (groups must
-    /// arrive in order `0, 1, 2, ...`) and resolve as far as possible.
-    pub(crate) fn ingest(&mut self, mut data: GroupData<T>, inputs: &[T::Input]) {
-        let spec = data.spec;
+    /// arrive in order `0, 1, 2, ...`) and settle it.
+    pub(crate) fn ingest(&mut self, data: GroupData<T>, inputs: &[T::Input]) {
+        let GroupData {
+            spec,
+            aux_work,
+            spec_start,
+            checkpoint,
+            final_state,
+            outputs,
+            works,
+        } = data;
         debug_assert_eq!(
             spec.k,
-            self.groups.len(),
+            self.chains.len(),
             "groups must be ingested in order"
         );
         // After an abort the group was doomed before its data arrived: the
@@ -113,7 +193,6 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         // dropped and its whole chain is squashed work — exactly how the
         // batch path treats every group from the abort point on.
         let doomed = self.aborted;
-        let outputs = std::mem::take(&mut data.outputs);
         if !doomed {
             debug_assert_eq!(
                 self.outputs.len(),
@@ -122,6 +201,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             );
             self.outputs.extend(outputs);
         }
+        self.chain_works.extend(&works);
         self.records.push(GroupRecord {
             start: spec.start,
             end: spec.end,
@@ -131,37 +211,40 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                 _ => GroupResolution::Committed { reexecutions: 0 }, // provisional
             },
         });
-        self.groups.push(Ingested {
-            data,
+        self.chains.push(Chain {
+            aux_work,
             tail_squashed: 0,
             squashed_all: doomed,
             val: None,
         });
-        while !self.aborted && self.settled < self.groups.len() {
-            let k = self.settled;
-            if k > 0 {
-                self.validate(k, inputs);
-            }
-            self.settled = k + 1;
+        if doomed {
+            return;
         }
-        if self.aborted {
-            self.settled = self.groups.len();
+        if spec.k > 0 {
+            let spec_start = spec_start.expect("speculative group has a start state");
+            self.validate(spec.k, &spec_start, inputs);
+        }
+        if !self.aborted {
+            self.last = Some(Settled {
+                final_state,
+                checkpoint,
+            });
         }
     }
 
-    /// Validate speculative group `k` against the (growing) set of original
-    /// final states of group `k - 1`, re-executing the previous group's
-    /// tail up to the budget; on exhaustion, abort into the sequential tail.
-    fn validate(&mut self, k: usize, inputs: &[T::Input]) {
-        let config = self.ctx.config;
-        let spec = self.groups[k]
-            .data
-            .spec_start
-            .take()
-            .expect("speculative group has a start state");
-        let prev = self.groups[k - 1].data.spec;
+    /// Validate speculative group `k`, which started from `spec`, against
+    /// the (growing) set of original final states of group `k - 1`,
+    /// re-executing the previous group's tail up to the budget; on
+    /// exhaustion, abort into the sequential tail.
+    fn validate(&mut self, k: usize, spec: &T::State, inputs: &[T::Input]) {
+        let (ctx, config) = (self.ctx, self.ctx.config);
+        let prev = self.records[k - 1];
         let (prev_start, prev_end) = (prev.start, prev.end);
         let rollback = config.rollback.clamp(1, prev_end - prev_start);
+        let last = self
+            .last
+            .as_ref()
+            .expect("a speculative group follows a settled one");
 
         // Attempt 0 — the common, all-matched path — compares against the
         // previous final state in place; `originals` (previous final state
@@ -169,11 +252,10 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         // documents) is only materialized if a re-execution is needed.
         let mut originals: Vec<T::State> = Vec::new();
         self.validations += 1;
-        let mut matched = spec
-            .matches_any(std::slice::from_ref(&self.groups[k - 1].data.final_state))
-            && !self.ctx.forced_mismatch(k, 0);
+        let mut matched =
+            spec.matches_any(std::slice::from_ref(&last.final_state)) && !ctx.forced_mismatch(k, 0);
         let mut attempts = 0usize;
-        self.ctx.emit(EventKind::Validation {
+        ctx.emit(EventKind::Validation {
             group: k,
             attempt: 0,
             matched,
@@ -185,18 +267,17 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         };
         while !matched && attempts < config.max_reexec {
             if originals.is_empty() {
-                originals.push(self.groups[k - 1].data.final_state.clone());
+                originals.push(last.final_state.clone());
             }
             attempts += 1;
             self.reexecutions += 1;
-            self.ctx.emit(EventKind::Reexecution {
+            ctx.emit(EventKind::Reexecution {
                 group: k - 1,
                 attempt: attempts,
             });
             // Re-execute the previous group's last `rollback` inputs from
             // the checkpoint, with fresh PRVG streams.
-            let mut state = self.groups[k - 1]
-                .data
+            let mut state = last
                 .checkpoint
                 .clone()
                 .expect("a group followed by another has its checkpoint");
@@ -205,16 +286,14 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             let mut tail_works: Vec<WorkMeter> = Vec::with_capacity(rollback);
             for (off, input) in inputs[re_start..prev_end].iter().enumerate() {
                 let i = re_start + off;
-                let (out, m) = self
-                    .ctx
-                    .invoke(input, &mut state, k - 1, i, attempts, false);
+                let (out, m) = ctx.invoke(input, &mut state, k - 1, i, attempts, false);
                 tail_outputs.push(out);
                 tail_works.push(m);
             }
             originals.push(state);
             self.validations += 1;
-            matched = spec.matches_any(&originals) && !self.ctx.forced_mismatch(k, attempts);
-            self.ctx.emit(EventKind::Validation {
+            matched = spec.matches_any(&originals) && !ctx.forced_mismatch(k, attempts);
+            ctx.emit(EventKind::Validation {
                 group: k,
                 attempt: attempts,
                 matched,
@@ -229,7 +308,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                 {
                     *slot = out;
                 }
-                self.groups[k - 1].tail_squashed = rollback;
+                self.chains[k - 1].tail_squashed = rollback;
             }
             rec.attempts.push(AttemptRec {
                 works: tail_works,
@@ -237,33 +316,28 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             });
         }
         rec.matched = matched;
-        self.groups[k].val = Some(rec);
+        self.chains[k].val = Some(rec);
 
         if matched {
             self.records[k].resolution = GroupResolution::Committed {
                 reexecutions: attempts,
             };
-            self.ctx.emit(EventKind::GroupCommit {
+            ctx.emit(EventKind::GroupCommit {
                 group: k,
                 reexecutions: attempts,
             });
         } else {
             self.aborted = true;
-            self.ctx.emit(EventKind::GroupAbort { group: k });
-            // Squash every group from k on (outputs and work).
-            for c in self.groups.iter_mut().skip(k) {
-                c.squashed_all = true;
-            }
-            let restart = self.groups[k].data.spec.start;
+            ctx.emit(EventKind::GroupAbort { group: k });
+            // Squash group k (outputs and work); later groups arrive doomed.
+            self.chains[k].squashed_all = true;
+            let restart = self.records[k].start;
             self.outputs.truncate(restart);
-            for r in self.records.iter_mut().skip(k) {
-                r.resolution = GroupResolution::SequentialTail;
-            }
-            self.ctx
-                .emit(EventKind::SequentialTailStart { index: restart });
+            self.records[k].resolution = GroupResolution::SequentialTail;
+            ctx.emit(EventKind::SequentialTailStart { index: restart });
             self.abort_restart = restart;
             self.tail_next = restart;
-            self.tail_state = Some(self.groups[k - 1].data.final_state.clone());
+            self.tail_state = self.last.take().map(|last| last.final_state);
             self.process_tail(inputs);
         }
     }
@@ -297,9 +371,9 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
     /// attempt-0 chain, each validation with the tails it re-executed, and
     /// the sequential tail.
     fn trace_nodes(&self) -> usize {
-        let mut nodes = self.tail_works.len();
-        for c in &self.groups {
-            nodes += usize::from(c.data.aux_work.is_some()) + c.data.works.len();
+        let mut nodes = self.tail_works.len() + self.chain_works.len();
+        for c in &self.chains {
+            nodes += usize::from(c.aux_work.is_some());
             if let Some(rec) = &c.val {
                 nodes += 1 + rec
                     .attempts
@@ -314,36 +388,33 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
     /// Lay out the canonical trace, settle accounting, and return the run's
     /// result. `initial` is only used for the degenerate zero-input run.
     pub(crate) fn finish(mut self, initial: &T::State) -> ProtocolResult<T> {
-        debug_assert_eq!(
-            self.settled,
-            self.groups.len(),
-            "unresolved groups at finish"
-        );
         let config = self.ctx.config;
         let mut trace = SpecTrace::default();
         // Every node but a first validation has at most one dependence,
         // and a first validation at most three.
         let nodes = self.trace_nodes();
-        trace.reserve(nodes, nodes + 2 * self.groups.len());
+        trace.reserve(nodes, nodes + 2 * self.chains.len());
 
         // Phase-1 layout: every group's attempt-0 chain (auxiliary node,
-        // then the chained invocations), in group order.
-        let mut chain_last: Vec<usize> = Vec::with_capacity(self.groups.len());
-        let mut chain_aux: Vec<Option<usize>> = Vec::with_capacity(self.groups.len());
-        for (k, c) in self.groups.iter().enumerate() {
+        // then the chained invocations), in group order, its work meters
+        // read off the store as the chains go by.
+        let mut chain_last: Vec<usize> = Vec::with_capacity(self.chains.len());
+        let mut chain_aux: Vec<Option<usize>> = Vec::with_capacity(self.chains.len());
+        let mut works = self.chain_works.iter();
+        for (k, (c, r)) in self.chains.iter().zip(&self.records).enumerate() {
             let mut aux = None;
-            if let Some(aux_work) = c.data.aux_work {
+            if let Some(aux_work) = c.aux_work {
                 let idx = trace.push(TraceNodeKind::Auxiliary { group: k }, aux_work, &[]);
                 trace.nodes[idx].committed = !c.squashed_all;
                 aux = Some(idx);
             }
-            let len = c.data.works.len();
+            let len = r.end - r.start;
             let mut prev = aux;
-            for (off, &m) in c.data.works.iter().enumerate() {
+            for (off, &m) in works.by_ref().take(len).enumerate() {
                 let node = trace.push(
                     TraceNodeKind::Invocation {
                         group: k,
-                        index: c.data.spec.start + off,
+                        index: r.start + off,
                         attempt: 0,
                         sequential_tail: false,
                     },
@@ -356,6 +427,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             chain_last.push(prev.unwrap_or(usize::MAX));
             chain_aux.push(aux);
         }
+        debug_assert!(works.next().is_none(), "every chain work meter is laid out");
 
         // Phase-2 layout: per speculative group, the validation chain and
         // re-executed tails; after an abort, the sequential tail.
@@ -364,11 +436,11 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             total: config.validation_cost,
             memory: 0.0,
         };
-        for k in 1..self.groups.len() {
-            let Some(rec) = &self.groups[k].val else {
+        for k in 1..self.chains.len() {
+            let Some(rec) = &self.chains[k].val else {
                 break;
             };
-            let prev = self.groups[k - 1].data.spec;
+            let prev = self.records[k - 1];
             let (prev_start, prev_end) = (prev.start, prev.end);
             let rollback = config.rollback.clamp(1, prev_end - prev_start);
             let re_start = prev_end - rollback;
@@ -446,15 +518,14 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         };
         report.add_work(&trace.nodes);
 
+        // `self` is consumed: the final state moves out instead of cloning
+        // (states can be arbitrarily large workload states).
         let final_state = if self.aborted {
             self.tail_state.take().expect("tail state present")
         } else {
-            // `self` is consumed: the last final state moves out instead of
-            // cloning (states can be arbitrarily large workload states).
-            match self.groups.pop() {
-                Some(last) => last.data.final_state,
-                None => initial.clone(),
-            }
+            self.last
+                .take()
+                .map_or_else(|| initial.clone(), |last| last.final_state)
         };
         ProtocolResult {
             outputs: self.outputs,
@@ -471,9 +542,11 @@ mod tests {
     use crate::adapt::RetryPolicy;
     use crate::ctx::InvocationCtx;
     use crate::obs::NOOP;
-    use crate::protocol::{run_protocol, SpecConfig};
+    use crate::protocol::{execute_group, run_protocol, GroupSpec, SpecConfig};
     use crate::sdi::SpecState;
-    use crate::{RunOptions, Session};
+    use crate::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use crate::sync::Arc;
+    use crate::{RunOptions, Session, ThreadPool};
 
     /// The input after which no speculative state ever matches.
     const POISON: u64 = 11;
@@ -565,5 +638,133 @@ mod tests {
             session.push(input);
         }
         assert_eq!(session.finish().outputs, expected);
+    }
+
+    #[test]
+    fn an_append_past_a_full_block_moves_no_earlier_block() {
+        let mut store = Blocks::new(0);
+        let mut seen: Vec<(*const usize, usize)> = Vec::new();
+        // Appends of 7 entries straddle both block boundaries.
+        let entries: Vec<usize> = (0..2 * BLOCK + 5).collect();
+        for (i, chunk) in entries.chunks(7).enumerate() {
+            store.extend(chunk);
+            let blocks: Vec<_> = store
+                .blocks
+                .iter()
+                .map(|b| (b.as_ptr(), b.capacity()))
+                .collect();
+            assert_eq!(blocks[..seen.len()], seen, "after append {i}");
+            seen = blocks;
+        }
+        assert_eq!(seen.len(), 3);
+        assert!(seen.iter().all(|&(_, capacity)| capacity == BLOCK));
+        assert_eq!(store.len(), entries.len());
+        assert!(store.iter().eq(&entries));
+    }
+
+    #[test]
+    fn a_batch_run_keeps_one_block_of_exactly_its_inputs() {
+        let (n, g) = (100, 8);
+        let inputs: Vec<u64> = (0..n as u64).collect();
+        let config = SpecConfig {
+            group_size: g,
+            window: 1,
+            ..SpecConfig::default()
+        };
+        let ctx = RunCtx {
+            transition: &Draw,
+            config: &config,
+            seed: 5,
+            sink: &NOOP,
+            faults: None,
+            retry: RetryPolicy::default(),
+        };
+        let mut resolver = Resolver::new(ctx, g, n);
+        for (k, start) in (0..n).step_by(g).enumerate() {
+            let spec = GroupSpec {
+                k,
+                start,
+                end: (start + g).min(n),
+            };
+            let data = execute_group(ctx, &inputs, 0, &Third(3), spec);
+            resolver.ingest(data, &inputs);
+        }
+        let blocks = &resolver.chain_works.blocks;
+        assert_eq!(blocks.len(), 1);
+        assert_eq!((blocks[0].len(), blocks[0].capacity()), (n, n));
+    }
+
+    /// `Counted` instances alive now, and the most alive at once.
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    /// A tolerant state that counts its live instances.
+    #[derive(Debug)]
+    struct Counted(f64);
+    impl Counted {
+        fn new(level: f64) -> Self {
+            let live = LIVE.fetch_add(1, SeqCst) + 1;
+            PEAK.fetch_max(live, SeqCst);
+            Counted(level)
+        }
+    }
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            Counted::new(self.0)
+        }
+    }
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            LIVE.fetch_sub(1, SeqCst);
+        }
+    }
+    impl SpecState for Counted {
+        fn matches_any(&self, originals: &[Self]) -> bool {
+            originals.iter().any(|o| (o.0 - self.0).abs() < 0.5)
+        }
+    }
+
+    /// The state is the input plus noise: window-1 auxiliary code matches.
+    struct Level;
+    impl StateTransition for Level {
+        type Input = u64;
+        type State = Counted;
+        type Output = f64;
+        fn compute_output(&self, input: &u64, state: &mut Counted, ctx: &mut InvocationCtx) -> f64 {
+            ctx.charge(1.0);
+            state.0 = *input as f64 + ctx.uniform(-0.1, 0.1);
+            state.0
+        }
+    }
+
+    #[test]
+    fn a_stream_holds_states_for_its_admission_window_not_its_groups() {
+        let (groups, g, max_inflight) = (1_200, 8, 4);
+        let options = RunOptions::default()
+            .config(SpecConfig {
+                group_size: g,
+                window: 1,
+                ..SpecConfig::default()
+            })
+            .seed(5)
+            .max_inflight_groups(max_inflight)
+            .pool(Arc::new(ThreadPool::new(2)));
+        let inputs: Vec<u64> = (0..(groups * g) as u64).collect();
+        let session = Session::new(Counted::new(0.0), Level, options);
+        for chunk in inputs.chunks(256) {
+            session.push_batch(chunk.iter().copied());
+        }
+        let result = session.finish();
+        assert_eq!(result.report.committed_speculative_groups(), groups - 1);
+        // Each group admitted but not yet settled holds its start, its
+        // checkpoint and its final state (plus its auxiliary run's state
+        // while it runs); the resolver, the run's group 0 and the session
+        // hold a few more.
+        let bound = 4 * (max_inflight + 1) + 8;
+        let peak = PEAK.load(SeqCst);
+        assert!(
+            peak <= bound,
+            "{peak} live states, at most {bound} expected"
+        );
     }
 }

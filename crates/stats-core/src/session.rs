@@ -20,6 +20,16 @@
 //! finishes one, it runs every later group itself (the pooled executor's
 //! cost gate).
 //!
+//! **What a stream retains.** Until a segment finishes, its coordinator
+//! keeps the segment's inputs (re-executions and a post-abort sequential
+//! tail read them), its committed outputs, one small record per group and
+//! one work meter per input, in fixed-size blocks that never reallocate —
+//! what the segment's trace is laid out from. States are held only for
+//! the last settled group (final state and checkpoint) and for the groups
+//! in flight, at most `max_inflight_groups` past the settled prefix: a
+//! stream's live states are bounded by its admission window, not its
+//! length.
+//!
 //! **Determinism contract**: for the same seed and the same input order,
 //! `Session` is bit-identical — outputs, final state, [`SpecReport`], and
 //! [`SpecTrace`](crate::SpecTrace) — to the batch
