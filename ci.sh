@@ -324,13 +324,24 @@ if problems:
 print(f"docs OK: {checked} references across {len(pages)} pages")
 EOF
 
-echo "== stats-lint corpus smoke"
-cargo build --offline -q --bin stats-lint
+echo "== stats-lint corpus smoke (and stats-cli compile)"
+cargo build --offline -q --bin stats-lint --bin stats-cli
 ./target/debug/stats-lint --quiet examples/dsl/*.stats
 if ./target/debug/stats-lint --quiet examples/dsl/violations/*.stats; then
     echo "error: violation corpus unexpectedly passed stats-lint" >&2
     exit 1
 fi
+# README's compile example runs the whole pipeline; a call to a function
+# nothing defines must fail at compile time (`verify`), not when run.
+./target/debug/stats-cli compile examples/dsl/bodytrack_mini.stats \
+    --dep body=9,3,1 --optimize --run update_model__aux_body 5 > /dev/null
+UNDEF_DIR=$(mktemp -d /tmp/stats-undef.XXXXXX)
+echo 'fn f(x) { return nope(x); }' > "$UNDEF_DIR/undef.stats"
+if ./target/debug/stats-cli compile "$UNDEF_DIR/undef.stats" > /dev/null 2>&1; then
+    echo "error: stats-cli compile accepted a call to an undefined function" >&2
+    exit 1
+fi
+rm -rf "$UNDEF_DIR"
 
 echo "== clean tree (CI wrote nothing outside target/ and /tmp)"
 if [[ "$(tree_state)" != "$tree_before" ]]; then

@@ -166,14 +166,4 @@ impl Program {
     pub fn function(&self, name: &str) -> Option<&FnDef> {
         self.functions.iter().find(|f| f.name == name)
     }
-
-    /// Look up a tradeoff by name.
-    pub fn tradeoff(&self, name: &str) -> Option<&TradeoffDef> {
-        self.tradeoffs.iter().find(|t| t.name == name)
-    }
-
-    /// Look up a state variable by name.
-    pub fn state(&self, name: &str) -> Option<&StateDef> {
-        self.states.iter().find(|s| s.name == name)
-    }
 }

@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::ir::{BinOp, Block, Function, Inst, Module, Operand, Ty, TyRef};
-use crate::value::{binop, cast, check_arity, Callee, Env, ExecError, Value};
+use crate::value::{binop, cast, check_arity, Callee, Env, ExecError, Value, DEFAULT_INTRINSICS};
 
 /// Sentinel slot meaning "no destination register".
 const NO_SLOT: u32 = u32::MAX;
@@ -154,14 +154,6 @@ impl<'m> BytecodeInterp<'m> {
     /// Overwrite a state variable (e.g. to restore a checkpoint).
     pub fn set_state(&mut self, name: impl Into<String>, value: Value) {
         self.env.set_state(&name.into(), value);
-    }
-
-    /// Register a host intrinsic callable from IR.
-    ///
-    /// Invalidates the compiled-function cache: a new intrinsic can change
-    /// how callee names resolve.
-    pub fn register_intrinsic(&mut self, name: impl Into<String>, f: fn(&[Value]) -> Value) {
-        self.env.register_intrinsic(name.into(), f);
     }
 
     /// Call `name` with `args`; returns the function's returned value.
@@ -335,7 +327,7 @@ impl<'m> BytecodeInterp<'m> {
                     let args = &f.args_pool[op.b as usize..(op.b + op.c) as usize];
                     self.scratch.clear();
                     self.scratch.extend(args.iter().map(|&a| self.stack[at(a)]));
-                    let result = self.env.intrinsics[op.a as usize](&self.scratch);
+                    let result = (DEFAULT_INTRINSICS[op.a as usize].1)(&self.scratch);
                     if op.dst != NO_SLOT {
                         self.stack[at(op.dst)] = result;
                     }
@@ -633,21 +625,5 @@ mod tests {
             );
             assert!(interp.stack.is_empty());
         }
-    }
-
-    #[test]
-    fn intrinsic_override_invalidates_cache() {
-        let src = "fn f(x) { return sqrt(x); }";
-        let m = module_of(src);
-        let mut interp = BytecodeInterp::new(&m);
-        assert_eq!(
-            interp.call("f", &[4.0.into()]).unwrap(),
-            Some(Value::Float(2.0))
-        );
-        interp.register_intrinsic("sqrt", |_| Value::Float(7.0));
-        assert_eq!(
-            interp.call("f", &[4.0.into()]).unwrap(),
-            Some(Value::Float(7.0))
-        );
     }
 }

@@ -21,7 +21,7 @@ use std::rc::Rc;
 pub use crate::value::{ExecError, Value};
 
 use crate::ir::{BinOp, Inst, Module, Operand, Ty, TyRef};
-use crate::value::{binop, cast, check_arity, Callee, Env};
+use crate::value::{binop, cast, check_arity, Callee, Env, DEFAULT_INTRINSICS};
 
 /// A resolved operand: a frame slot or an immediate.
 #[derive(Debug, Clone, Copy)]
@@ -143,14 +143,6 @@ impl<'m> Interp<'m> {
         self.env.set_state(&name.into(), value);
     }
 
-    /// Register a host intrinsic callable from IR.
-    ///
-    /// Invalidates the prepared-function cache: a new intrinsic can change
-    /// how callee names resolve.
-    pub fn register_intrinsic(&mut self, name: impl Into<String>, f: fn(&[Value]) -> Value) {
-        self.env.register_intrinsic(name.into(), f);
-    }
-
     /// Call `name` with `args`; returns the function's returned value.
     pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, ExecError> {
         let f = self.prepare(self.env.function(name)?)?;
@@ -216,7 +208,7 @@ impl<'m> Interp<'m> {
                     args,
                 } => {
                     let vals: Vec<Value> = args.iter().map(|&a| read(&frame, a)).collect();
-                    let result = self.env.intrinsics[*intrinsic](&vals);
+                    let result = (DEFAULT_INTRINSICS[*intrinsic].1)(&vals);
                     if let Some(dst) = dst {
                         frame[*dst] = result;
                     }

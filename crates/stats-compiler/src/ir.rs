@@ -458,8 +458,8 @@ impl std::error::Error for MalformedBlock {}
 /// The block structure every pass and both interpreters rely on: `f` has
 /// at least one block, and every block has a [terminator](Block::terminator)
 /// whose successors exist. Code after a terminator is not checked; it
-/// never runs. The front end, [`crate::verify::verify`] and the
-/// interpreters' prepare check all call this.
+/// never runs. [`crate::verify::verify`], which the front end runs, and
+/// the interpreters' prepare check call this.
 pub fn validate(f: &Function) -> Result<(), MalformedBlock> {
     let malformed = |block| MalformedBlock {
         function: f.name.clone(),

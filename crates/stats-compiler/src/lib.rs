@@ -17,12 +17,16 @@
 //! - [`frontend`]: a small `.stats` language (tradeoff and state-dependence
 //!   declarations plus a C-like function language) with a hand-written lexer
 //!   and recursive-descent parser; emits the descriptor-table source text of
-//!   Figure 11 and an AST;
+//!   Figure 11 and an AST, and ends by running [`verify`] over the module it
+//!   built;
 //! - [`ir`]: a compact block-based IR with explicit tradeoff-reference
 //!   instructions and per-module [`metadata`] tables (the paper borrows this
 //!   metadata design from CIL), and the one block-structure check
-//!   ([`ir::validate`]) that the front end, [`verify`] and both
-//!   interpreters run;
+//!   ([`ir::validate`]) that [`verify`] and both interpreters run;
+//! - [`verify`]: the module's reference rules, written once — every call
+//!   reaches a module function or one of the closed table of host
+//!   intrinsics with the arity it takes, and every tradeoff, state and
+//!   state-dependence reference names a declared item;
 //! - [`lower`]: AST → IR;
 //! - [`midend`]: auxiliary-code generation (the deep-cloning pass);
 //! - [`backend`]: configuration instantiation and the bridge to

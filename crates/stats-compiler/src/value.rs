@@ -7,12 +7,12 @@
 //!
 //! - the runtime [`Value`] and every [`ExecError`];
 //! - arithmetic and comparisons (`binop`) and conversions (`cast`);
-//! - the host intrinsics every interpreter starts with
-//!   (`DEFAULT_INTRINSICS`, which the verifier also consults);
+//! - the host intrinsics (`DEFAULT_INTRINSICS`): one closed table that
+//!   the verifier, the front end and both interpreters resolve callee
+//!   names against;
 //! - the environment both interpreters embed (`Env`): the fuel budget
-//!   shared across calls, cross-invocation state slots, the intrinsic
-//!   registry, callee lookup (intrinsics shadow module functions) and the
-//!   per-function cache;
+//!   shared across calls, cross-invocation state slots, callee lookup
+//!   (intrinsics shadow module functions) and the per-function cache;
 //! - the one check a function passes before either interpreter runs it
 //!   (`Env::prepare`): every block has a terminator whose targets exist,
 //!   the frame covers every register, and every read register is
@@ -150,12 +150,12 @@ impl fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// The signature every host intrinsic implements.
-pub(crate) type IntrinsicFn = fn(&[Value]) -> Value;
+type IntrinsicFn = fn(&[Value]) -> Value;
 
-/// The host intrinsics every interpreter registers out of the box (e.g.
-/// `sqrt` variants used by function tradeoffs in tests and workload
-/// descriptors). Calls to these names are legal without a module
-/// definition.
+/// The host intrinsics: the only names callable without a module
+/// definition. The table is closed, so its names are reserved:
+/// [`crate::verify::verify`] rejects a module function an intrinsic
+/// shadows.
 pub(crate) const DEFAULT_INTRINSICS: &[(&str, IntrinsicFn)] = &[
     ("sqrt", |args| {
         Value::Float(args.first().map(|v| v.as_float()).unwrap_or(0.0).sqrt())
@@ -197,9 +197,14 @@ pub(crate) const DEFAULT_INTRINSICS: &[(&str, IntrinsicFn)] = &[
     }),
 ];
 
+/// The row of [`DEFAULT_INTRINSICS`] named `name`, if any.
+pub(crate) fn intrinsic(name: &str) -> Option<usize> {
+    DEFAULT_INTRINSICS.iter().position(|&(n, _)| n == name)
+}
+
 /// What a callee name resolves to.
 pub(crate) enum Callee {
-    /// A registered host intrinsic, by slot.
+    /// A host intrinsic, by row of [`DEFAULT_INTRINSICS`].
     Intrinsic(usize),
     /// A module function, by index into `module.functions()`.
     Function(usize),
@@ -223,32 +228,21 @@ pub(crate) struct Env<'m, P> {
     pub(crate) state: Vec<Value>,
     /// State variable name → slot.
     state_index: HashMap<String, usize>,
-    /// Host intrinsics callable from IR, by slot.
-    pub(crate) intrinsics: Vec<IntrinsicFn>,
-    /// Intrinsic name → slot. Checked before module functions when
-    /// resolving callees.
-    intrinsic_index: HashMap<String, usize>,
     /// Prepared functions, indexed like `module.functions()`. Private:
     /// only `prepare` fills it, after the check passed.
     prepared: Vec<Option<Rc<P>>>,
 }
 
 impl<'m, P> Env<'m, P> {
-    /// The default intrinsics, the module's declared state, and a 1M-step
-    /// fuel budget.
+    /// The module's declared state and a 1M-step fuel budget.
     pub(crate) fn new(module: &'m Module) -> Self {
         let mut env = Env {
             module,
             fuel: 1_000_000,
             state: Vec::new(),
             state_index: HashMap::new(),
-            intrinsics: Vec::new(),
-            intrinsic_index: HashMap::new(),
             prepared: vec![None; module.functions().len()],
         };
-        for &(name, f) in DEFAULT_INTRINSICS {
-            env.register_intrinsic(name.to_string(), f);
-        }
         for v in &module.metadata.state_vars {
             let init = match v.init {
                 crate::metadata::StateInit::Int(i) => Value::Int(i),
@@ -270,19 +264,6 @@ impl<'m, P> Env<'m, P> {
         self.state[slot] = value;
     }
 
-    /// Register (or replace) a host intrinsic. Invalidates the prepared
-    /// functions: a new intrinsic can change how callee names resolve.
-    pub(crate) fn register_intrinsic(&mut self, name: String, f: IntrinsicFn) {
-        match self.intrinsic_index.get(&name) {
-            Some(&i) => self.intrinsics[i] = f,
-            None => {
-                self.intrinsic_index.insert(name, self.intrinsics.len());
-                self.intrinsics.push(f);
-            }
-        }
-        self.prepared.fill(None);
-    }
-
     /// The state slot for `name`, allocating one (default `Int(0)`) if the
     /// variable was never declared — undeclared state reads default to zero.
     pub(crate) fn state_slot(&mut self, name: &str) -> usize {
@@ -297,8 +278,8 @@ impl<'m, P> Env<'m, P> {
 
     /// Resolve a callee name: host intrinsics shadow module functions.
     pub(crate) fn callee(&self, name: &str) -> Option<Callee> {
-        match self.intrinsic_index.get(name) {
-            Some(&i) => Some(Callee::Intrinsic(i)),
+        match intrinsic(name) {
+            Some(i) => Some(Callee::Intrinsic(i)),
             None => self.module.function_index(name).map(Callee::Function),
         }
     }

@@ -4,8 +4,10 @@
 //!
 //! - every function's block structure ([`crate::ir::validate`], the check
 //!   the interpreters run before executing a function);
-//! - every direct call targets a defined function or a known host
-//!   intrinsic, with matching arity for defined functions;
+//! - every direct call targets a defined function or a host intrinsic
+//!   (the closed table in [`crate::value`]), with matching arity for
+//!   defined functions; no defined function has an intrinsic's name, since
+//!   intrinsics shadow module functions and no call could reach it;
 //! - metadata referential integrity: each state dependence's `compute_fn`
 //!   (and `aux_fn`, once the middle-end ran) exists; every name in
 //!   `aux_tradeoffs` has a tradeoff row; every tradeoff row's
@@ -18,7 +20,7 @@
 use std::collections::HashSet;
 
 use crate::ir::{Function, Inst, Module};
-use crate::value::DEFAULT_INTRINSICS;
+use crate::value::intrinsic;
 
 /// A precise code location: a function plus a flat instruction index (the
 /// position in [`Function::insts`] iteration order). Shared by verification
@@ -96,10 +98,7 @@ fn check_insts(
     for (i, inst) in f.insts().enumerate() {
         let at = || Location::new(&f.name, i);
         match inst {
-            Inst::Call { callee, args, .. } => {
-                if DEFAULT_INTRINSICS.iter().any(|(name, _)| name == callee) {
-                    continue;
-                }
+            Inst::Call { callee, args, .. } if intrinsic(callee).is_none() => {
                 match module.function(callee) {
                     None => {
                         return Err(err_at(
@@ -175,6 +174,12 @@ pub fn verify(module: &Module) -> Result<(), VerifyError> {
         .collect();
 
     for f in module.functions() {
+        if intrinsic(&f.name).is_some() {
+            return Err(err(format!(
+                "function `{0}` is unreachable: the host intrinsic `{0}` shadows it",
+                f.name
+            )));
+        }
         crate::ir::validate(f).map_err(|e| err(e.to_string()))?;
         check_insts(module, f, &tradeoff_names, &state_names)?;
     }
