@@ -12,7 +12,8 @@
 //!   (and `aux_fn`, once the middle-end ran) exists; every name in
 //!   `aux_tradeoffs` has a tradeoff row; every tradeoff row's
 //!   `cloned_from`/`owner_dep` references exist; computed rows point at a
-//!   defined `getValue` function;
+//!   defined `getValue` function, and every candidate of a function row is
+//!   a defined function or a host intrinsic;
 //! - every tradeoff referenced by instructions has a metadata row (before
 //!   the back-end) — after instantiation, [`verify_instantiated`] instead
 //!   requires that *no* placeholder survived.
@@ -20,6 +21,7 @@
 use std::collections::HashSet;
 
 use crate::ir::{Function, Inst, Module};
+use crate::metadata::TradeoffValues;
 use crate::value::intrinsic;
 
 /// A precise code location: a function plus a flat instruction index (the
@@ -191,13 +193,27 @@ pub fn verify(module: &Module) -> Result<(), VerifyError> {
                 row.name, row.default_index, row.max_index
             )));
         }
-        if let crate::metadata::TradeoffValues::Computed { get_value_fn } = &row.values {
-            if module.function(get_value_fn).is_none() {
+        match &row.values {
+            TradeoffValues::Computed { get_value_fn }
+                if module.function(get_value_fn).is_none() =>
+            {
                 return Err(err(format!(
                     "tradeoff `{}`: getValue function `{get_value_fn}` missing",
                     row.name
                 )));
             }
+            TradeoffValues::Functions(candidates) => {
+                let unknown = candidates
+                    .iter()
+                    .find(|c| module.function(c).is_none() && intrinsic(c).is_none());
+                if let Some(c) = unknown {
+                    return Err(err(format!(
+                        "tradeoff `{}`: candidate `{c}` is neither a function nor an intrinsic",
+                        row.name
+                    )));
+                }
+            }
+            _ => {}
         }
         if let Some(orig) = &row.cloned_from {
             // The original row is deleted by the middle-end; only require
@@ -277,7 +293,7 @@ pub fn verify_instantiated(module: &Module) -> Result<(), VerifyError> {
 mod tests {
     use super::*;
     use crate::backend::{self, DepConfig};
-    use crate::frontend::compile;
+    use crate::frontend::{compile, CompileError};
     use crate::midend;
 
     const SRC: &str = r#"
@@ -366,6 +382,25 @@ mod tests {
         });
         let e = verify(&m).unwrap_err();
         assert!(e.message.contains("missing"));
+    }
+
+    #[test]
+    fn unknown_function_tradeoff_candidate_detected() {
+        let err = compile(
+            "tradeoff r { functions = [nope, sqrt]; default_index = 0; }
+             state_dependence d { compute = f; }
+             fn f(a) { return choose r(a); }",
+        )
+        .unwrap_err();
+        assert!(matches!(err, CompileError::Semantic(_)), "{err}");
+        assert!(format!("{err}").contains("candidate `nope`"), "{err}");
+        // Candidates naming a function or an intrinsic verify.
+        compile(
+            "tradeoff r { functions = [g, sqrt]; default_index = 0; }
+             fn g(a) { return a; }
+             fn f(a) { return choose r(a); }",
+        )
+        .unwrap();
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use crate::obs::EventKind;
 use crate::options::RunOptions;
-use crate::protocol::{ProtocolResult, RunCtx, SpecConfig};
+use crate::protocol::{RunCtx, SpecConfig};
 use crate::sdi::StateTransition;
 use crate::sync::Mutex;
 
@@ -397,34 +397,15 @@ impl<'a> SegmentControl<'a> {
         }
     }
 
-    /// Digest the result `r` of segment `index`, which ran under `seg`.
-    pub(crate) fn observe<T: StateTransition>(
-        &mut self,
-        seg: RunCtx<'_, T>,
-        index: u64,
-        r: &ProtocolResult<T>,
-    ) {
-        let report = &r.report;
+    /// Digest the telemetry `done` of a segment, which ran under `seg`.
+    pub(crate) fn observe<T: StateTransition>(&mut self, seg: RunCtx<'_, T>, done: &SegmentStats) {
         if let Some((_, ladder)) = &mut self.ladder {
-            if let Some((state, group_size)) = ladder.observe_segment(report.aborted) {
+            if let Some((state, group_size)) = ladder.observe_segment(done.aborted) {
                 seg.emit(EventKind::AdaptTransition { state, group_size });
             }
         }
         let Some(retuner) = self.retuner else { return };
-        let stats = SegmentStats {
-            segment: index,
-            inputs: r.outputs.len(),
-            aborted: report.aborted,
-            reexecutions: report.reexecutions,
-            validations: report.validations,
-            committed_original_work: report.committed_original_work,
-            committed_aux_work: report.committed_aux_work,
-            squashed_work: report.squashed_work,
-            group_size: seg.config.group_size,
-            window: seg.config.window,
-            max_reexec: seg.config.max_reexec,
-        };
-        let Some(d) = retuner.lock().decide(&stats) else {
+        let Some(d) = retuner.lock().decide(done) else {
             return;
         };
         let base = SpecConfig {
@@ -439,7 +420,7 @@ impl<'a> SegmentControl<'a> {
             *ladder = AdaptiveController::new(*policy, &base);
         }
         seg.emit(EventKind::Retune {
-            segment: index + 1,
+            segment: done.segment + 1,
             group_size: base.group_size,
             window: base.window,
             max_reexec: base.max_reexec,

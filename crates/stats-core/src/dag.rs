@@ -40,6 +40,7 @@ use crate::protocol::{
     run_linear, segment_seed, Executor, Inline, ProtocolResult, RunCtx, Slice, SpecConfig,
     SpecReport, SpecTrace, TraceNodeKind,
 };
+use crate::resolver::LinearRun;
 use crate::sdi::{SpecState, StateTransition};
 
 /// Salt applied to the run seed for plan-level auxiliary chains, so the
@@ -78,12 +79,12 @@ pub(crate) fn node_is_eager(plan: &SpecPlan, config: &SpecConfig, node: PlanNode
 }
 
 /// One eagerly executable node run: the plan-auxiliary state it started
-/// from (`None` for roots) and the inner protocol result. Pure data — this
-/// is what pool jobs hand back to the [`PlanResolver`].
+/// from (`None` for roots) and the inner run, not yet laid out. Pure data —
+/// this is what pool jobs hand back to the [`PlanResolver`].
 pub(crate) struct NodeRun<T: StateTransition> {
     aux_work: Option<WorkMeter>,
     spec_start: Option<T::State>,
-    run: ProtocolResult<T>,
+    run: LinearRun<T>,
 }
 
 /// One inner protocol run over `node`'s inputs from `start`, inline on the
@@ -96,7 +97,7 @@ fn run_node_inner<T: StateTransition>(
     inputs: &[T::Input],
     start: &T::State,
     seed: u64,
-) -> ProtocolResult<T> {
+) -> LinearRun<T> {
     let base = plan.input_base(node);
     let inner = RunCtx {
         seed,
@@ -162,15 +163,15 @@ struct NodeOutcome<T: StateTransition> {
     validated: bool,
     /// The first execution: the committed run, unless `rerun` is present —
     /// then this run was squashed.
-    run: ProtocolResult<T>,
+    run: LinearRun<T>,
     /// The recovery execution from the real merged parent state, present
     /// exactly when the node aborted or was cone-squashed.
-    rerun: Option<ProtocolResult<T>>,
+    rerun: Option<LinearRun<T>>,
 }
 
 impl<T: StateTransition> NodeOutcome<T> {
     /// A root or dataflow node: its only run commits, unvalidated.
-    fn committed(run: ProtocolResult<T>) -> Self {
+    fn committed(run: LinearRun<T>) -> Self {
         NodeOutcome {
             aux_work: None,
             validated: false,
@@ -242,7 +243,7 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
 
     /// An inner run of `node` on the resolving thread: a dataflow node, or
     /// a post-abort recovery run.
-    fn run_inline(&self, node: PlanNodeId, start: &T::State, seed: u64) -> ProtocolResult<T> {
+    fn run_inline(&self, node: PlanNodeId, start: &T::State, seed: u64) -> LinearRun<T> {
         run_node_inner(self.plan, node, self.ctx, self.inputs, start, seed)
     }
 
@@ -319,8 +320,8 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
     }
 
     /// Lay out the canonical trace (topological node order, fixed per-node
-    /// shape: plan-aux, eager run, validation, recovery run), assemble the
-    /// outputs, and merge the reports.
+    /// shape: plan-aux, eager run, validation, recovery run), each run
+    /// straight into the plan's trace and report, and assemble the outputs.
     fn finish(mut self) -> ProtocolResult<T> {
         let val_work = WorkMeter {
             total: self.ctx.config.validation_cost,
@@ -369,7 +370,8 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
                 None => gates.clone(),
             };
             let committed_at = (!squashed).then_some(base);
-            let (run_outputs, run_final) = report.absorb_run(&mut trace, run, &entry, committed_at);
+            let (run_outputs, run_final) =
+                run.lay_out(&mut trace, &mut report, &entry, committed_at);
 
             let mut val_idx = None;
             if validated {
@@ -389,7 +391,7 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
                 Some(r) => {
                     let mut entry: Vec<usize> = val_idx.into_iter().collect();
                     entry.extend_from_slice(&gates);
-                    report.absorb_run(&mut trace, r, &entry, Some(base))
+                    r.lay_out(&mut trace, &mut report, &entry, Some(base))
                 }
                 None => (run_outputs, run_final),
             };
@@ -587,16 +589,6 @@ mod tests {
                 + r.report.squashed_work;
             assert!((r.trace.total_work() - parts).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn absorbed_node_runs_lay_out_like_a_direct_trace() {
-        // Forced mismatches squash node runs and re-run them: both kinds
-        // of sub-run are absorbed, and the arena stays the direct layout.
-        let faults = FaultPlan::new(3).validation_mismatch(FaultRule::permanent(1.0));
-        let r = run_diamond(Some(&faults), &NOOP, 11);
-        assert!(r.trace.nodes.iter().any(|n| !n.committed));
-        assert_eq!(r.trace, r.trace.laid_out_directly());
     }
 
     #[test]

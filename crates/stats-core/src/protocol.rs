@@ -24,14 +24,14 @@ use std::fmt;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use crate::adapt::{RetryPolicy, SegmentControl};
+use crate::adapt::{RetryPolicy, SegmentControl, SegmentStats};
 use crate::ctx::{InvocationCtx, WorkMeter};
 use crate::dag::{run_node_eager, run_plan, NodeRun};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::obs::{EventKind, EventSink, NOOP};
 use crate::options::RunOptions;
 use crate::plan::{PlanNodeId, SpecPlan};
-use crate::resolver::Resolver;
+use crate::resolver::{LinearRun, Resolver};
 use crate::sdi::StateTransition;
 use crate::tradeoff::TradeoffBindings;
 
@@ -183,11 +183,12 @@ pub struct TraceNode {
 /// The recorded execution: every piece of work the protocol performed, with
 /// dependence edges reflecting the execution model's parallelism.
 ///
-/// Every node's dependences live in one edge arena, appended in node order:
-/// node `i`'s range starts where node `i - 1`'s ends. That keeps a trace's
-/// layout a function of its graph alone, so two traces of the same graph
-/// compare equal under the derived `PartialEq` however they were built
-/// (laid out directly, or absorbed from sub-traces).
+/// A run's trace is laid out once, in place: every segment and every plan
+/// node run pushes its nodes straight onto it, behind the nodes its entry
+/// nodes depend on. Every node's dependences live in one edge arena,
+/// appended in node order: node `i`'s range starts where node `i - 1`'s
+/// ends, so a trace's layout is a function of its graph alone, and two
+/// traces of the same graph compare equal under the derived `PartialEq`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpecTrace {
     /// Nodes in execution-discovery order; dependences refer to indices
@@ -221,40 +222,8 @@ impl SpecTrace {
         self.nodes.len() - 1
     }
 
-    /// Append a sub-trace laid out on its own (a segment, or one plan
-    /// node's run): shift its dependence indices past the nodes already
-    /// here, attach its entry nodes (those with no dependences inside the
-    /// sub-trace) to `entry_deps`, and — when the run was squashed — force
-    /// every node's committed flag off.
-    pub(crate) fn absorb(&mut self, sub: SpecTrace, entry_deps: &[usize], squash: bool) {
-        let base = self.nodes.len();
-        self.reserve(sub.nodes.len(), sub.edges.len() + entry_deps.len());
-        for mut node in sub.nodes {
-            let from = self.edges.len();
-            match &sub.edges[node.edges] {
-                [] => self.edges.extend_from_slice(entry_deps),
-                deps => self.edges.extend(deps.iter().map(|d| d + base)),
-            }
-            node.edges = from..self.edges.len();
-            node.committed &= !squash;
-            self.nodes.push(node);
-        }
-    }
-
-    /// The same graph laid out directly, node by node through
-    /// [`push`](SpecTrace::push): what an absorbed trace must equal.
-    #[cfg(test)]
-    pub(crate) fn laid_out_directly(&self) -> SpecTrace {
-        let mut direct = SpecTrace::default();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let at = direct.push(node.kind.clone(), node.work, self.deps(i));
-            direct.nodes[at].committed = node.committed;
-        }
-        direct
-    }
-
     /// The last committed node from index `from` on: the node that
-    /// produced the state a sub-run laid out there committed last.
+    /// produced the state the runs laid out there committed last.
     pub(crate) fn last_committed(&self, from: usize) -> Option<usize> {
         let region = &self.nodes[from..];
         region.iter().rposition(|n| n.committed).map(|i| from + i)
@@ -331,42 +300,12 @@ impl SpecReport {
             .count()
     }
 
-    /// Merge a sub-run laid out on its own — a segment, or one run of a
-    /// plan node — into this run, whose trace is `trace`: the sub-run's
-    /// trace goes behind `entry` ([`SpecTrace::absorb`]), its counters add
-    /// up, and its groups shift to input `base`. A squashed sub-run (`base`
-    /// is `None`) has every node squashed, and its groups are not the
-    /// run's. Its work is added with the rest of its trace region
-    /// ([`add_work`](SpecReport::add_work)). Returns the sub-run's outputs
-    /// and final state.
-    pub(crate) fn absorb_run<T: StateTransition>(
-        &mut self,
-        trace: &mut SpecTrace,
-        sub: ProtocolResult<T>,
-        entry: &[usize],
-        base: Option<usize>,
-    ) -> (Vec<T::Output>, T::State) {
-        trace.absorb(sub.trace, entry, base.is_none());
-        self.reexecutions += sub.report.reexecutions;
-        self.validations += sub.report.validations;
-        self.aborted |= sub.report.aborted;
-        if let Some(base) = base {
-            let groups = sub.report.groups.into_iter();
-            self.groups.extend(groups.map(|g| GroupRecord {
-                start: g.start + base,
-                end: g.end + base,
-                ..g
-            }));
-        }
-        (sub.outputs, sub.final_state)
-    }
-
     /// Add the work of one region of the run's trace to the committed
     /// original / committed auxiliary / squashed partition, as one sub-sum
     /// per part: the float addition order every driver's report shares, so
     /// a linear dataflow plan reproduces the segmented run's report bit for
-    /// bit.
-    pub(crate) fn add_work(&mut self, region: &[TraceNode]) {
+    /// bit. Returns the three sub-sums, in field order.
+    pub(crate) fn add_work(&mut self, region: &[TraceNode]) -> [f64; 3] {
         let (mut original, mut aux, mut squashed) = (0.0_f64, 0.0_f64, 0.0_f64);
         for node in region {
             let w = node.work.total;
@@ -379,6 +318,7 @@ impl SpecReport {
         self.committed_original_work += original;
         self.committed_aux_work += aux;
         self.squashed_work += squashed;
+        [original, aux, squashed]
     }
 
     /// Extra committed work (auxiliary code) relative to the committed
@@ -866,36 +806,67 @@ pub(crate) fn run_batch<T: StateTransition, E: Executor<T>>(
 /// i)`, and the configuration `control` hands it; `next(ctx, start, len)`
 /// runs it over at most `len` further inputs from the committed state
 /// `start` — a slice of the batch, or what a stream's queue delivers — and
-/// returns `None` once there are none. `control` then observes the result.
-/// An unsegmented run is one segment of `usize::MAX` inputs, and since
-/// `segment_seed(seed, 0) == seed` that segment *is* the whole run: its
-/// result is returned as it is.
+/// returns `None` once there are none. Each segment is laid out at the end
+/// of the run's one trace, and `control` then observes its share of the
+/// report. An unsegmented run is one segment of `usize::MAX` inputs, and
+/// since `segment_seed(seed, 0) == seed` that segment *is* the whole run.
 pub(crate) fn run_segments<T: StateTransition>(
     ctx: RunCtx<'_, T>,
     initial: &T::State,
     mut control: SegmentControl<'_>,
-    mut next: impl FnMut(RunCtx<'_, T>, &T::State, usize) -> Option<ProtocolResult<T>>,
+    mut next: impl FnMut(RunCtx<'_, T>, &T::State, usize) -> Option<LinearRun<T>>,
 ) -> ProtocolResult<T> {
-    let mut merged: Option<ProtocolResult<T>> = None;
-    for index in 0u64.. {
+    let (mut trace, mut report) = (SpecTrace::default(), SpecReport::default());
+    let mut outputs = Vec::new();
+    let mut last: Option<T::State> = None;
+    for segment in 0u64.. {
         let config = control.config();
         let seg = RunCtx {
             config: &config,
-            seed: segment_seed(ctx.seed, index),
+            seed: segment_seed(ctx.seed, segment),
             ..ctx
         };
-        let start = merged.as_ref().map_or(initial, |m| &m.final_state);
-        let Some(r) = next(seg, start, control.segment) else {
+        let Some(run) = next(seg, last.as_ref().unwrap_or(initial), control.segment) else {
             break;
         };
-        control.observe(seg, index, &r);
-        match &mut merged {
-            Some(m) => m.chain(r),
-            None => merged = Some(r),
+        let (aborted, reexecutions, validations) = (run.aborted, run.reexecutions, run.validations);
+        // The cross-segment state edge: a segment's entry nodes start from
+        // the state the previous segment committed last, so they depend on
+        // the node that produced it. Every input has a committed node, so
+        // that is the run's last committed node so far.
+        let (from, entry) = (trace.nodes.len(), trace.last_committed(0));
+        let base = Some(outputs.len());
+        let (seg_outputs, final_state) =
+            run.lay_out(&mut trace, &mut report, entry.as_slice(), base);
+        let [committed_original_work, committed_aux_work, squashed_work] =
+            report.add_work(&trace.nodes[from..]);
+        let done = SegmentStats {
+            segment,
+            inputs: seg_outputs.len(),
+            aborted,
+            reexecutions,
+            validations,
+            committed_original_work,
+            committed_aux_work,
+            squashed_work,
+            group_size: config.group_size,
+            window: config.window,
+            max_reexec: config.max_reexec,
+        };
+        control.observe(seg, &done);
+        match outputs.is_empty() {
+            true => outputs = seg_outputs,
+            false => outputs.extend(seg_outputs),
         }
+        last = Some(final_state);
     }
-    // No inputs, no groups, no events: the resolver's degenerate result.
-    merged.unwrap_or_else(|| Resolver::new(ctx, 1, 0).finish(initial))
+    ProtocolResult {
+        outputs,
+        // No inputs, no segments: the initial state is the final one.
+        final_state: last.unwrap_or_else(|| initial.clone()),
+        report,
+        trace,
+    }
 }
 
 /// The one per-segment engine of every linear run — a segment of a batch
@@ -920,7 +891,7 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
     intake: &mut impl Intake<T>,
     initial: &T::State,
     exec: &E,
-) -> ProtocolResult<T> {
+) -> LinearRun<T> {
     let config = ctx.config;
     // The group size while the input count is unknown: a run that never
     // completes a second block has one group, however large.
@@ -1002,9 +973,9 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
         }
         intake.wait(&mut groups, &mut next, resolver.settled_groups(), g);
     }
-    let result = resolver.finish(initial);
+    let run = resolver.finish();
     ctx.emit(EventKind::RunEnd);
-    result
+    run
 }
 
 impl fmt::Display for SpecReport {
@@ -1035,32 +1006,14 @@ pub(crate) fn segment_seed(run_seed: u64, idx: u64) -> u64 {
     run_seed ^ idx << 32
 }
 
-impl<T: StateTransition> ProtocolResult<T> {
-    /// Append the result of the next segment, run from this one's final
-    /// state: output offsets shift, reports add up, and the segment's trace
-    /// chains behind the last committed node so far.
-    fn chain(&mut self, next: ProtocolResult<T>) {
-        let (base, from) = (self.outputs.len(), self.trace.nodes.len());
-        // The cross-segment state edge: a segment's entry nodes (group 0's
-        // first invocation and every auxiliary run) start from the state
-        // the previous segment committed last, so they depend on the node
-        // that produced it. Every input has a committed node, so that is
-        // the previous segment's last committed node.
-        let prev = self.trace.last_committed(0);
-        let (report, trace) = (&mut self.report, &mut self.trace);
-        let (outputs, final_state) = report.absorb_run(trace, next, prev.as_slice(), Some(base));
-        report.add_work(&trace.nodes[from..]);
-        self.outputs.extend(outputs);
-        self.final_state = final_state;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::adapt::{Retuner, TuneDecision};
     use crate::sdi::{ExactState, SpecState};
+    use crate::sync::Mutex;
 
     /// Segmented run via the unified options surface.
     fn run_segmented<T: StateTransition>(
@@ -1632,76 +1585,76 @@ mod tests {
         assert_eq!(zero_dep, seg0_entries, "segment 1 entries must be chained");
     }
 
-    #[test]
-    fn absorbed_sub_traces_lay_out_like_direct_ones() {
-        let w = WorkMeter {
-            total: 1.0,
-            memory: 0.0,
-        };
-        let invocation = |group, index| TraceNodeKind::Invocation {
-            group,
-            index,
-            attempt: 0,
-            sequential_tail: false,
-        };
-        // A sub-run with two entry nodes (an auxiliary run and group 0's
-        // first invocation) and a node with two dependences.
-        let mut sub = SpecTrace::default();
-        let aux = sub.push(TraceNodeKind::Auxiliary { group: 1 }, w, &[]);
-        let first = sub.push(invocation(0, 0), w, &[]);
-        let spec = sub.push(invocation(1, 1), w, &[aux]);
-        sub.push(
-            TraceNodeKind::Validation {
-                group: 1,
-                attempt: 0,
-            },
-            w,
-            &[first, aux, spec],
-        );
-        for squash in [false, true] {
-            let mut absorbed = SpecTrace::default();
-            let a = absorbed.push(invocation(0, 0), w, &[]);
-            let b = absorbed.push(invocation(0, 1), w, &[a]);
-            let mut direct = absorbed.clone();
-            absorbed.absorb(sub.clone(), &[a, b], squash);
-            for (kind, deps) in [
-                (TraceNodeKind::Auxiliary { group: 1 }, vec![a, b]),
-                (invocation(0, 0), vec![a, b]),
-                (invocation(1, 1), vec![2]),
-                (
-                    TraceNodeKind::Validation {
-                        group: 1,
-                        attempt: 0,
-                    },
-                    vec![3, 2, 4],
-                ),
-            ] {
-                let at = direct.push(kind, w, &deps);
-                direct.nodes[at].committed = !squash;
-            }
-            for i in 0..direct.nodes.len() {
-                assert_eq!(
-                    absorbed.deps(i),
-                    direct.deps(i),
-                    "node {i}, squash {squash}"
-                );
-            }
-            assert_eq!(absorbed, direct, "equal graphs compare equal");
+    /// Keeps the last input as its state; a speculative state matches once
+    /// a re-execution produced a second original, unless it is a multiple
+    /// of three. Work is fractional, so sums depend on their order.
+    #[derive(Clone, Debug)]
+    struct Thirds(u64);
+    impl SpecState for Thirds {
+        fn matches_any(&self, originals: &[Self]) -> bool {
+            !self.0.is_multiple_of(3) && originals.len() >= 2
         }
+    }
 
-        // Whole runs: segments absorbed behind each other, on the commit
-        // path and through aborts.
-        let cfg = SpecConfig {
-            group_size: 4,
-            window: 1,
-            max_reexec: 1,
-            ..SpecConfig::default()
-        };
-        let committing = run_segmented(&Last, &inputs(24), &ExactState(0), &cfg, 9, 8);
-        let aborting = run_segmented(&SumNever, &inputs(20), &NeverMatch(0), &cfg, 3, 10);
-        for r in [&committing.trace, &aborting.trace] {
-            assert_eq!(*r, r.laid_out_directly());
+    struct LastThirds;
+    impl StateTransition for LastThirds {
+        type Input = u64;
+        type State = Thirds;
+        type Output = u64;
+        fn compute_output(&self, input: &u64, state: &mut Thirds, ctx: &mut InvocationCtx) -> u64 {
+            ctx.charge(0.1 + *input as f64 * 0.37);
+            state.0 = *input;
+            state.0
         }
+    }
+
+    /// Records every segment's telemetry and never re-tunes.
+    struct Recorder(Arc<Mutex<Vec<SegmentStats>>>);
+    impl Retuner for Recorder {
+        fn decide(&mut self, done: &SegmentStats) -> Option<TuneDecision> {
+            self.0.lock().push(*done);
+            None
+        }
+    }
+
+    #[test]
+    fn the_controller_reads_each_segments_share_of_the_report() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let options = RunOptions::default()
+            .config(SpecConfig {
+                group_size: 4,
+                window: 1,
+                max_reexec: 1,
+                ..SpecConfig::default()
+            })
+            .seed(17)
+            .segment(16)
+            .retune(Recorder(Arc::clone(&seen)));
+        let r = run_protocol_with_options(&LastThirds, &inputs(100), &Thirds(0), &options);
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 7, "one record per segment");
+        assert!(seen.iter().any(|s| s.aborted) && seen.iter().any(|s| !s.aborted));
+        assert!(seen.iter().any(|s| s.reexecutions > 0));
+        assert_eq!(
+            seen.iter().map(|s| s.inputs).sum::<usize>(),
+            r.outputs.len()
+        );
+        let sum = |f: fn(&SegmentStats) -> usize| seen.iter().map(f).sum::<usize>();
+        assert_eq!(sum(|s| s.reexecutions), r.report.reexecutions);
+        assert_eq!(sum(|s| s.validations), r.report.validations);
+        assert_eq!(seen.iter().any(|s| s.aborted), r.report.aborted);
+        let fold =
+            |f: fn(&SegmentStats) -> f64| seen.iter().fold(0.0_f64, |acc, s| acc + f(s)).to_bits();
+        let report = &r.report;
+        assert_eq!(
+            fold(|s| s.committed_original_work),
+            report.committed_original_work.to_bits()
+        );
+        assert_eq!(
+            fold(|s| s.committed_aux_work),
+            report.committed_aux_work.to_bits()
+        );
+        assert_eq!(fold(|s| s.squashed_work), report.squashed_work.to_bits());
     }
 
     /// State that matches only once two original final states exist — i.e.

@@ -7,14 +7,20 @@
 //! finishes them while later inputs are still arriving.
 //!
 //! Outputs, states, counters, and events are settled *eagerly* as each group
-//! is ingested; the [`SpecTrace`] is laid out only at [`Resolver::finish`],
-//! in the exact node order of the historical batch implementation (all
-//! attempt-0 chains first, then per-group validation/re-execution nodes,
-//! then the post-abort sequential tail). That deferred layout is what makes
-//! a streamed run bit-identical — outputs, report, *and* trace — to the
-//! batch run over the same inputs and seed.
+//! is ingested; the task graph is laid out only once the run is over, in the
+//! exact node order of the historical batch implementation (all attempt-0
+//! chains first, then per-group validation/re-execution nodes, then the
+//! post-abort sequential tail). That deferred layout is what makes a
+//! streamed run bit-identical — outputs, report, *and* trace — to the batch
+//! run over the same inputs and seed.
 //!
-//! What a run retains until `finish` is only what that layout and the
+//! A run is laid out once, in place: [`Resolver::finish`] hands back a
+//! [`LinearRun`], which borrows nothing of the run's context, and
+//! [`LinearRun::lay_out`] pushes its nodes straight onto the [`SpecTrace`]
+//! of the run it belongs to — the segment loop's, or a plan's — behind the
+//! entry nodes its caller names.
+//!
+//! What a run retains until its layout is only what that layout and the
 //! result need. Each [`GroupData`] is dropped at ingest: its outputs move
 //! into the run's, its chain's work meters into one run-wide [`Blocks`]
 //! store, and the rest into a small per-group record (auxiliary work,
@@ -29,8 +35,7 @@
 use crate::ctx::WorkMeter;
 use crate::obs::EventKind;
 use crate::protocol::{
-    GroupData, GroupRecord, GroupResolution, ProtocolResult, RunCtx, SpecReport, SpecTrace,
-    TraceNodeKind,
+    GroupData, GroupRecord, GroupResolution, RunCtx, SpecReport, SpecTrace, TraceNodeKind,
 };
 use crate::sdi::{SpecState, StateTransition};
 
@@ -367,7 +372,66 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         self.tail_state = Some(state);
     }
 
-    /// How many nodes [`finish`](Resolver::finish) lays out: every group's
+    /// Close the run, which settled at least one group: the sequential
+    /// tail, if any, ends here, and the final state moves out (states can
+    /// be arbitrarily large workload states, so it is not cloned). What is
+    /// left borrows nothing of the run's context: the [`LinearRun`] its
+    /// caller lays out where the run lands.
+    pub(crate) fn finish(self) -> LinearRun<T> {
+        let config = self.ctx.config;
+        debug_assert_eq!(
+            self.outputs.len(),
+            self.records.last().map_or(0, |r| r.end),
+            "every input has a committed output"
+        );
+        if self.aborted {
+            self.ctx.emit(EventKind::SequentialTailEnd);
+        }
+        // After an abort only the tail holds a state.
+        let settled = self.last.map(|last| last.final_state);
+        let final_state = self.tail_state.or(settled).expect("a run has a group");
+        LinearRun {
+            outputs: self.outputs,
+            final_state,
+            aborted: self.aborted,
+            reexecutions: self.reexecutions,
+            validations: self.validations,
+            records: self.records,
+            chains: self.chains,
+            chain_works: self.chain_works,
+            tail_works: self.tail_works,
+            abort_restart: self.abort_restart,
+            g: self.g,
+            rollback: config.rollback,
+            max_reexec: config.max_reexec,
+            validation_cost: config.validation_cost,
+        }
+    }
+}
+
+/// One finished linear run — a segment, or one run of a plan node — before
+/// its task graph is laid out: the committed outputs and final state, the
+/// counters, and what [`lay_out`](LinearRun::lay_out) reads, with the
+/// configuration scalars it needs and no borrow of the run's context.
+pub(crate) struct LinearRun<T: StateTransition> {
+    pub(crate) outputs: Vec<T::Output>,
+    pub(crate) final_state: T::State,
+    pub(crate) aborted: bool,
+    pub(crate) reexecutions: usize,
+    pub(crate) validations: usize,
+    records: Vec<GroupRecord>,
+    chains: Vec<Chain>,
+    chain_works: Blocks<WorkMeter>,
+    tail_works: Vec<WorkMeter>,
+    abort_restart: usize,
+    g: usize,
+    rollback: usize,
+    max_reexec: usize,
+    validation_cost: f64,
+}
+
+impl<T: StateTransition> LinearRun<T> {
+    /// How many nodes [`lay_out`](LinearRun::lay_out) pushes: every group's
     /// attempt-0 chain, each validation with the tails it re-executed, and
     /// the sequential tail.
     fn trace_nodes(&self) -> usize {
@@ -385,15 +449,28 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         nodes
     }
 
-    /// Lay out the canonical trace, settle accounting, and return the run's
-    /// result. `initial` is only used for the degenerate zero-input run.
-    pub(crate) fn finish(mut self, initial: &T::State) -> ProtocolResult<T> {
-        let config = self.ctx.config;
-        let mut trace = SpecTrace::default();
-        // Every node but a first validation has at most one dependence,
-        // and a first validation at most three.
+    /// Lay the run out at the end of the run's `trace`, in the canonical
+    /// order (all attempt-0 chains, then per group its validations and
+    /// re-executed tails, then the sequential tail), and add its counters
+    /// to `report`. The entry nodes — every auxiliary run and group 0's
+    /// first invocation — depend on `entry`; the run's groups join the
+    /// report shifted to input `base`. A squashed run (`base` is `None`)
+    /// has every node squashed, and its groups are not the report's. Work
+    /// is left for the caller to add with the rest of its trace region
+    /// ([`SpecReport::add_work`]). Returns the outputs and final state.
+    pub(crate) fn lay_out(
+        self,
+        trace: &mut SpecTrace,
+        report: &mut SpecReport,
+        entry: &[usize],
+        base: Option<usize>,
+    ) -> (Vec<T::Output>, T::State) {
+        let from = trace.nodes.len();
+        // Every node but an entry node or a first validation has at most
+        // one dependence, and a first validation at most three.
         let nodes = self.trace_nodes();
-        trace.reserve(nodes, nodes + 2 * self.chains.len());
+        let entries = self.chains.len() + 1;
+        trace.reserve(nodes, nodes + 2 * self.chains.len() + entries * entry.len());
 
         // Phase-1 layout: every group's attempt-0 chain (auxiliary node,
         // then the chained invocations), in group order, its work meters
@@ -404,7 +481,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         for (k, (c, r)) in self.chains.iter().zip(&self.records).enumerate() {
             let mut aux = None;
             if let Some(aux_work) = c.aux_work {
-                let idx = trace.push(TraceNodeKind::Auxiliary { group: k }, aux_work, &[]);
+                let idx = trace.push(TraceNodeKind::Auxiliary { group: k }, aux_work, entry);
                 trace.nodes[idx].committed = !c.squashed_all;
                 aux = Some(idx);
             }
@@ -419,7 +496,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                         sequential_tail: false,
                     },
                     m,
-                    prev.as_slice(),
+                    prev.as_ref().map_or(entry, std::slice::from_ref),
                 );
                 trace.nodes[node].committed = !(c.squashed_all || off >= len - c.tail_squashed);
                 prev = Some(node);
@@ -433,7 +510,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         // re-executed tails; after an abort, the sequential tail.
         let mut prev_commit_gate: Option<usize> = None;
         let val_work = WorkMeter {
-            total: config.validation_cost,
+            total: self.validation_cost,
             memory: 0.0,
         };
         for k in 1..self.chains.len() {
@@ -442,7 +519,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             };
             let prev = self.records[k - 1];
             let (prev_start, prev_end) = (prev.start, prev.end);
-            let rollback = config.rollback.clamp(1, prev_end - prev_start);
+            let rollback = self.rollback.clamp(1, prev_end - prev_start);
             let re_start = prev_end - rollback;
             let aux = chain_aux[k].expect("speculative group has an auxiliary node");
             let val_deps = [chain_last[k - 1], aux, prev_commit_gate.unwrap_or(0)];
@@ -487,7 +564,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                         TraceNodeKind::Invocation {
                             group: i / self.g,
                             index: i,
-                            attempt: config.max_reexec + 1,
+                            attempt: self.max_reexec + 1,
                             sequential_tail: true,
                         },
                         m,
@@ -497,42 +574,28 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                 break;
             }
         }
-        debug_assert_eq!(trace.nodes.len(), nodes, "the trace has the nodes reserved");
-        if self.aborted {
-            self.ctx.emit(EventKind::SequentialTailEnd);
-        }
-
         debug_assert_eq!(
-            self.outputs.len(),
-            self.records.last().map_or(0, |r| r.end),
-            "every input has a committed output"
+            trace.nodes.len() - from,
+            nodes,
+            "the run has the nodes reserved"
         );
 
-        // Phase-3 accounting.
-        let mut report = SpecReport {
-            groups: self.records,
-            reexecutions: self.reexecutions,
-            validations: self.validations,
-            aborted: self.aborted,
-            ..SpecReport::default()
-        };
-        report.add_work(&trace.nodes);
-
-        // `self` is consumed: the final state moves out instead of cloning
-        // (states can be arbitrarily large workload states).
-        let final_state = if self.aborted {
-            self.tail_state.take().expect("tail state present")
-        } else {
-            self.last
-                .take()
-                .map_or_else(|| initial.clone(), |last| last.final_state)
-        };
-        ProtocolResult {
-            outputs: self.outputs,
-            final_state,
-            report,
-            trace,
+        report.reexecutions += self.reexecutions;
+        report.validations += self.validations;
+        report.aborted |= self.aborted;
+        match base {
+            Some(base) => report
+                .groups
+                .extend(self.records.iter().map(|g| GroupRecord {
+                    start: g.start + base,
+                    end: g.end + base,
+                    ..*g
+                })),
+            None => trace.nodes[from..]
+                .iter_mut()
+                .for_each(|n| n.committed = false),
         }
+        (self.outputs, self.final_state)
     }
 }
 
