@@ -12,6 +12,13 @@
 //! - a **work meter** accumulating abstract work units, which become task
 //!   costs on the simulated platform and the "extra committed instructions"
 //!   column of Table 1.
+//!
+//! The runtime builds one context per *chain* — a group's invocations, an
+//! auxiliary window, a re-execution attempt, a sequential tail — and
+//! re-arms it before each invocation: the PRVG is reseeded from the
+//! invocation's coordinates and the meter starts at zero, so an invocation
+//! sees exactly what a context of its own would show it, while the
+//! bindings are cloned once per chain.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -63,6 +70,14 @@ impl InvocationCtx {
             meter: WorkMeter::default(),
             auxiliary,
         }
+    }
+
+    /// Re-arm the context for the next invocation of its chain: the PRVG
+    /// restarts from `seed`, as [`InvocationCtx::new`] seeds it, and the
+    /// meter from zero. The bindings and the auxiliary flag stay.
+    pub(crate) fn rearm(&mut self, seed: u64) {
+        self.rng = SmallRng::seed_from_u64(seed);
+        self.meter = WorkMeter::default();
     }
 
     /// Derive a per-invocation seed from a run seed and the invocation's
@@ -187,6 +202,26 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.rng().random::<u64>(), b.rng().random::<u64>());
         }
+    }
+
+    #[test]
+    fn a_rearmed_context_is_a_fresh_one() {
+        let mut rearmed = ctx();
+        rearmed.rng().random::<u64>();
+        rearmed.charge(3.0);
+        rearmed.charge_mem(2.0);
+        rearmed.rearm(41);
+        assert_eq!(rearmed.meter(), WorkMeter::default());
+        let mut fresh = InvocationCtx::new(41, rearmed.bindings.clone(), false);
+        for _ in 0..100 {
+            assert_eq!(rearmed.rng().random::<u64>(), fresh.rng().random::<u64>());
+        }
+        assert_eq!(
+            rearmed.normal(0.0, 1.0).to_bits(),
+            fresh.normal(0.0, 1.0).to_bits()
+        );
+        assert_eq!(rearmed.tradeoff_int("layers"), 5);
+        assert!(!rearmed.is_auxiliary());
     }
 
     #[test]

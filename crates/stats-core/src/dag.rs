@@ -134,13 +134,14 @@ pub(crate) fn run_node_eager<T: StateTransition>(
         seed: ctx.seed ^ PLAN_AUX_SALT,
         ..ctx
     };
+    let mut chain = plan_aux.chain_ctx(true);
     for &p in &plan.node(node).parents {
         let p_base = plan.input_base(p);
         let p_len = plan.node(p).inputs;
         let w = ctx.config.window.min(p_len);
         let lo = p_base + p_len - w;
         for (i, input) in (lo..p_base + p_len).zip(&inputs[lo..p_base + p_len]) {
-            let (_out, m) = plan_aux.invoke(input, &mut state, node, i, 0, true);
+            let (_out, m) = plan_aux.invoke(&mut chain, input, &mut state, node, i, 0);
             aux_work.total += m.total;
             aux_work.memory += m.memory;
         }

@@ -31,7 +31,7 @@ use crate::faults::{FaultKind, FaultPlan};
 use crate::obs::{EventKind, EventSink, NOOP};
 use crate::options::RunOptions;
 use crate::plan::{PlanNodeId, SpecPlan};
-use crate::resolver::{LinearRun, Resolver};
+use crate::resolver::{expected_inputs, LinearRun, Resolver};
 use crate::sdi::StateTransition;
 use crate::tradeoff::TradeoffBindings;
 
@@ -368,6 +368,24 @@ pub(crate) struct GroupData<T: StateTransition> {
     pub(crate) works: Vec<WorkMeter>,
 }
 
+/// A group's output and work-meter buffers. A settled group's come back
+/// from [`Resolver::ingest`] emptied, their capacity kept, and the next
+/// group run on the same thread fills them, so a run whose groups all run
+/// on its coordinator allocates none per group.
+pub(crate) struct GroupBuffers<T: StateTransition> {
+    pub(crate) outputs: Vec<T::Output>,
+    pub(crate) works: Vec<WorkMeter>,
+}
+
+impl<T: StateTransition> Default for GroupBuffers<T> {
+    fn default() -> Self {
+        GroupBuffers {
+            outputs: Vec::new(),
+            works: Vec::new(),
+        }
+    }
+}
+
 /// What every unit of one run — a group, a plan node, a validation —
 /// executes under: the transition, the operating point, the seed its PRVG
 /// streams derive from, where events go, which faults are injected and how
@@ -410,26 +428,42 @@ impl<'a, T: StateTransition> RunCtx<'a, T> {
         }
     }
 
+    /// The context of one chain of this run's invocations — of the
+    /// original code, or of the auxiliary code with its own bindings —
+    /// which [`invoke`](RunCtx::invoke) re-arms for each of them: the
+    /// bindings are cloned once per chain, not once per input.
+    pub(crate) fn chain_ctx(&self, auxiliary: bool) -> InvocationCtx {
+        let bindings = match auxiliary {
+            true => &self.config.aux_bindings,
+            false => &self.config.orig_bindings,
+        };
+        InvocationCtx::new(0, bindings.clone(), auxiliary)
+    }
+
     /// Run `input` on `state` as invocation `(group, index, attempt)` of
-    /// this run: the original code, or the auxiliary code with its own
-    /// bindings and seed salt.
+    /// this run, in `chain`'s context (from [`chain_ctx`](RunCtx::chain_ctx)):
+    /// the original code, or the auxiliary code with its seed salt.
     pub(crate) fn invoke(
         &self,
+        chain: &mut InvocationCtx,
         input: &T::Input,
         state: &mut T::State,
         group: usize,
         index: usize,
         attempt: usize,
-        auxiliary: bool,
     ) -> (T::Output, WorkMeter) {
-        let (bindings, seed) = match auxiliary {
-            true => (&self.config.aux_bindings, self.seed ^ AUX_SEED_SALT),
-            false => (&self.config.orig_bindings, self.seed),
+        let seed = match chain.is_auxiliary() {
+            true => self.seed ^ AUX_SEED_SALT,
+            false => self.seed,
         };
-        let seed = InvocationCtx::derive_seed(seed, group as u64, index as u64, attempt as u64);
-        let mut ctx = InvocationCtx::new(seed, bindings.clone(), auxiliary);
-        let out = self.transition.compute_output(input, state, &mut ctx);
-        (out, ctx.meter())
+        chain.rearm(InvocationCtx::derive_seed(
+            seed,
+            group as u64,
+            index as u64,
+            attempt as u64,
+        ));
+        let out = self.transition.compute_output(input, state, chain);
+        (out, chain.meter())
     }
 
     /// Whether the fault plan forces validation attempt `attempt` at `site`
@@ -455,25 +489,38 @@ impl<T: StateTransition> GroupData<T> {
     /// Group `spec` before its chained invocations of the original code
     /// from `state` — which [`execute_group`] runs after the auxiliary
     /// code, and every linear run's coordinator runs for group 0 as its
-    /// inputs arrive.
-    fn chain(spec: GroupSpec, state: T::State) -> Self {
+    /// inputs arrive. Its outputs and work meters fill `buffers`, which
+    /// are empty.
+    fn chain(spec: GroupSpec, state: T::State, buffers: GroupBuffers<T>) -> Self {
+        let GroupBuffers {
+            mut outputs,
+            mut works,
+        } = buffers;
+        debug_assert!(
+            outputs.is_empty() && works.is_empty(),
+            "spare buffers are empty"
+        );
         let len = spec.end - spec.start;
+        outputs.reserve(len);
+        works.reserve(len);
         GroupData {
             spec,
             aux_work: None,
             spec_start: None,
             checkpoint: None,
             final_state: state,
-            outputs: Vec::with_capacity(len),
-            works: Vec::with_capacity(len),
+            outputs,
+            works,
         }
     }
 
-    /// Run input `i` of the run, the group's next one, keeping the state
-    /// before input `checkpoint_at` as the checkpoint.
+    /// Run input `i` of the run, the group's next one, in the chain's
+    /// context `chain`, keeping the state before input `checkpoint_at` as
+    /// the checkpoint.
     fn step(
         &mut self,
         ctx: RunCtx<'_, T>,
+        chain: &mut InvocationCtx,
         input: &T::Input,
         i: usize,
         checkpoint_at: Option<usize>,
@@ -481,7 +528,7 @@ impl<T: StateTransition> GroupData<T> {
         if checkpoint_at == Some(i) {
             self.checkpoint = Some(self.final_state.clone());
         }
-        let (out, m) = ctx.invoke(input, &mut self.final_state, self.spec.k, i, 0, false);
+        let (out, m) = ctx.invoke(chain, input, &mut self.final_state, self.spec.k, i, 0);
         self.outputs.push(out);
         self.works.push(m);
     }
@@ -495,13 +542,15 @@ impl<T: StateTransition> GroupData<T> {
 /// `inputs` may be a window of the run's inputs starting at position `base`
 /// (a stream ships each pool job only the inputs it reads); the spec's
 /// `start`/`end` and the loop indices stay those of the run, because they
-/// feed the PRVG seed derivation.
+/// feed the PRVG seed derivation. The group's outputs and work meters fill
+/// `buffers` (empty, perhaps with a settled group's capacity).
 pub(crate) fn execute_group<T: StateTransition>(
     ctx: RunCtx<'_, T>,
     inputs: &[T::Input],
     base: usize,
     initial: &T::State,
     spec: GroupSpec,
+    buffers: GroupBuffers<T>,
 ) -> GroupData<T> {
     let (config, run_seed) = (ctx.config, ctx.seed);
     let GroupSpec { k, start, end } = spec;
@@ -549,8 +598,9 @@ pub(crate) fn execute_group<T: StateTransition>(
     let mut aux_state = initial.clone();
     let mut aux_work = WorkMeter::default();
     let w_start = start.saturating_sub(config.window);
+    let mut aux = ctx.chain_ctx(true);
     for (i, input) in (w_start..start).zip(&inputs[w_start - base..start - base]) {
-        let (_out, m) = ctx.invoke(input, &mut aux_state, k, i, 0, true);
+        let (_out, m) = ctx.invoke(&mut aux, input, &mut aux_state, k, i, 0);
         aux_work.total += m.total;
         aux_work.memory += m.memory;
     }
@@ -558,9 +608,10 @@ pub(crate) fn execute_group<T: StateTransition>(
     // `rollback` is clamped to `1..=len`, so the chain passes the
     // checkpoint and captures it there.
     let checkpoint_at = end - config.rollback.clamp(1, end - start);
-    let mut data = GroupData::chain(spec, aux_state.clone());
+    let mut data = GroupData::chain(spec, aux_state.clone(), buffers);
+    let mut chain = ctx.chain_ctx(false);
     for (i, input) in (start..end).zip(&inputs[start - base..end - base]) {
-        data.step(ctx, input, i, Some(checkpoint_at));
+        data.step(ctx, &mut chain, input, i, Some(checkpoint_at));
     }
     ctx.emit(EventKind::GroupEnd { group: k });
     data.aux_work = Some(aux_work);
@@ -623,8 +674,8 @@ pub fn run_protocol_with_options<T: StateTransition>(
 pub(crate) trait Executor<T: StateTransition> {
     /// Open the batch that one linear run from `initial` under `ctx`
     /// submits its speculative groups to; every stored result runs `wake`
-    /// (see [`Intake::wake`]). The reference runs a group when it is
-    /// submitted.
+    /// (see [`Intake::wake`]). The reference runs a group when the
+    /// resolver asks for it.
     fn groups<'a>(
         &'a self,
         ctx: RunCtx<'a, T>,
@@ -634,7 +685,8 @@ pub(crate) trait Executor<T: StateTransition> {
         InlineGroups {
             ctx,
             initial,
-            done: VecDeque::new(),
+            queued: VecDeque::new(),
+            spare: GroupBuffers::default(),
         }
     }
 
@@ -657,20 +709,25 @@ pub(crate) trait Executor<T: StateTransition> {
 
 /// The open batch of one linear run's speculative groups: submitted in
 /// group order, results handed back in that order. The default methods are
-/// the reference's, which runs a group when it is submitted.
+/// the reference's, which runs a group when its result is asked for.
 pub(crate) trait Groups<T: StateTransition> {
     /// Submit the next group. A job on another thread reads `window`; one
-    /// run on the submitting thread reads the run's `arrived` inputs.
-    fn submit(&mut self, spec: GroupSpec, arrived: &[T::Input], window: Window<T::Input>);
+    /// run on the coordinator reads the run's arrived inputs, which every
+    /// request for a result passes.
+    fn submit(&mut self, spec: GroupSpec, window: Window<T::Input>);
 
-    /// The next group's result: run here if nobody has started the group,
-    /// waited for otherwise; `None` when no group is outstanding.
-    fn next(&mut self) -> Option<GroupData<T>>;
+    /// The next group's result: run here, over the run's `arrived` inputs,
+    /// if nobody has started the group, waited for otherwise; `None` when
+    /// no group is outstanding.
+    fn next(&mut self, arrived: &[T::Input]) -> Option<GroupData<T>>;
 
-    /// The next group's result, if it is stored already.
-    fn try_next(&mut self) -> Option<GroupData<T>> {
-        self.next()
+    /// The next group's result, if it is stored already or runs here.
+    fn try_next(&mut self, arrived: &[T::Input]) -> Option<GroupData<T>> {
+        self.next(arrived)
     }
+
+    /// A settled group's emptied buffers, for the next group run here.
+    fn recycle(&mut self, spare: GroupBuffers<T>);
 
     /// Run the next group here if nobody has started it: the step before
     /// blocking on it (why: [`Ticket::run_if_unclaimed`](crate::Ticket::run_if_unclaimed)).
@@ -692,21 +749,36 @@ pub(crate) enum Window<I> {
     Copied { inputs: Vec<I>, base: usize },
 }
 
-/// The sequential reference's batch: a group runs when it is submitted.
+/// The sequential reference's batch: a submitted group waits in `queued`
+/// and runs when the resolver asks for it, into the last settled group's
+/// buffers, so the reference holds one group's data at a time.
 struct InlineGroups<'a, T: StateTransition> {
     ctx: RunCtx<'a, T>,
     initial: &'a T::State,
-    done: VecDeque<GroupData<T>>,
+    queued: VecDeque<GroupSpec>,
+    spare: GroupBuffers<T>,
 }
 
 impl<T: StateTransition> Groups<T> for InlineGroups<'_, T> {
-    fn submit(&mut self, spec: GroupSpec, arrived: &[T::Input], _: Window<T::Input>) {
-        let data = execute_group(self.ctx, arrived, 0, self.initial, spec);
-        self.done.push_back(data);
+    fn submit(&mut self, spec: GroupSpec, _: Window<T::Input>) {
+        self.queued.push_back(spec);
     }
 
-    fn next(&mut self) -> Option<GroupData<T>> {
-        self.done.pop_front()
+    fn next(&mut self, arrived: &[T::Input]) -> Option<GroupData<T>> {
+        let spec = self.queued.pop_front()?;
+        let spare = std::mem::take(&mut self.spare);
+        Some(execute_group(
+            self.ctx,
+            arrived,
+            0,
+            self.initial,
+            spec,
+            spare,
+        ))
+    }
+
+    fn recycle(&mut self, spare: GroupBuffers<T>) {
+        self.spare = spare;
     }
 }
 
@@ -723,6 +795,12 @@ pub(crate) trait Intake<T: StateTransition> {
     /// The inputs arrived so far, the run's input 0 first, and whether
     /// they are all of them.
     fn arrived(&self) -> (&[T::Input], bool);
+
+    /// The most inputs the run can take: a closed intake's are all here,
+    /// a stream segment's are its length.
+    fn limit(&self) -> usize {
+        self.arrived().0.len()
+    }
 
     /// What a pool job of a group over inputs `lo..hi` reads.
     fn window(&self, lo: usize, hi: usize) -> Window<T::Input>;
@@ -748,7 +826,7 @@ pub(crate) trait Intake<T: StateTransition> {
     ) {
         *next = Some(
             groups
-                .next()
+                .next(self.arrived().0)
                 .expect("a closed run waits only for submitted groups"),
         );
     }
@@ -879,13 +957,18 @@ pub(crate) fn run_segments<T: StateTransition>(
 ///   group (as [`SpecConfig::effective_group_size`] says).
 /// - A speculative group is submitted as soon as its inputs are complete,
 ///   *before* this thread runs group 0's newly arrived inputs, so the two
-///   overlap.
+///   overlap on a pool; the reference runs it when the resolver asks for
+///   its result.
 /// - Group 0 runs here, input by input, as [`execute_group`] runs a
 ///   group's chain; its `GroupStart`/`GroupEnd` pair is emitted once it is
 ///   complete, and `RunStart` counts the inputs there when the run starts
-///   (all of a batch's, none of a stream's).
-/// - Results reach the [`Resolver`] in group order; the trace's dependence
-///   edges carry the parallelism however `exec` scheduled the work.
+///   (all of a batch's, none of a stream's). The run is sized for the
+///   inputs it expects ([`expected_inputs`]): a short stream segment's
+///   length, or else the inputs there.
+/// - Results reach the [`Resolver`] in group order, and each settled
+///   group's buffers go back to `exec` for the next group it runs here;
+///   the trace's dependence edges carry the parallelism however `exec`
+///   scheduled the work.
 pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
     ctx: RunCtx<'_, T>,
     intake: &mut impl Intake<T>,
@@ -901,16 +984,22 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
         usize::MAX
     };
     let known = intake.arrived().0.len();
-    let mut resolver = Resolver::new(ctx, g, known);
+    let expected = expected_inputs(known, intake.limit());
+    let mut resolver = Resolver::new(ctx, g, expected);
     let mut groups = exec.groups(ctx, initial, intake.wake());
     let checkpoint_at = (g < usize::MAX).then(|| g - config.rollback.clamp(1, g));
-    // Sized for the inputs of group 0 that are here already; its end is
-    // set when it is complete.
+    // Sized for the inputs of group 0 the run expects; its end is set when
+    // it is complete.
     let sized = GroupSpec {
-        end: known.min(g),
+        end: expected.min(g),
         ..GroupSpec::default()
     };
-    let mut group0 = Some(GroupData::chain(sized, initial.clone()));
+    let mut group0 = Some(GroupData::chain(
+        sized,
+        initial.clone(),
+        GroupBuffers::default(),
+    ));
+    let mut chain0 = ctx.chain_ctx(false);
     // The time spent running group 0 so far; never read by the run itself.
     let mut group0_time = Duration::ZERO;
     // The result the resolver needs next, once it is here.
@@ -935,14 +1024,14 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
                 end: start.saturating_add(g).min(n),
             };
             let window = intake.window(start.saturating_sub(config.window), spec.end);
-            groups.submit(spec, inputs, window);
+            groups.submit(spec, window);
             submitted += 1;
         }
         if let Some(data) = &mut group0 {
             let end = n.min(g);
             let began = Instant::now();
             for (i, input) in inputs.iter().enumerate().take(end).skip(data.outputs.len()) {
-                data.step(ctx, input, i, checkpoint_at);
+                data.step(ctx, &mut chain0, input, i, checkpoint_at);
             }
             group0_time += began.elapsed();
             if end == g {
@@ -964,8 +1053,8 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
         }
         resolver.process_tail(inputs);
         // Until group 0 is here, no later group has been submitted.
-        while let Some(data) = next.take().or_else(|| groups.try_next()) {
-            resolver.ingest(data, intake.arrived().0);
+        while let Some(data) = next.take().or_else(|| groups.try_next(intake.arrived().0)) {
+            groups.recycle(resolver.ingest(data, intake.arrived().0));
             ingested += 1;
         }
         if closed && ingested == n.div_ceil(g) {
@@ -1720,15 +1809,16 @@ mod tests {
             faults: None,
             retry: RetryPolicy::default(),
         };
+        let mut chain = ctx.chain_ctx(false);
         let mut state = MatchSecond(0.0);
         for (i, input) in ins.iter().enumerate().take(3) {
-            let _ = ctx.invoke(input, &mut state, 0, i, 0, false);
+            let _ = ctx.invoke(&mut chain, input, &mut state, 0, i, 0);
         }
         let checkpoint = state.clone();
         let mut s0 = checkpoint.clone();
-        let (attempt0_out, _) = ctx.invoke(&ins[3], &mut s0, 0, 3, 0, false);
+        let (attempt0_out, _) = ctx.invoke(&mut chain, &ins[3], &mut s0, 0, 3, 0);
         let mut s1 = checkpoint.clone();
-        let (attempt1_out, _) = ctx.invoke(&ins[3], &mut s1, 0, 3, 1, false);
+        let (attempt1_out, _) = ctx.invoke(&mut chain, &ins[3], &mut s1, 0, 3, 1);
         assert_ne!(attempt0_out, attempt1_out, "re-execution must differ");
         assert_eq!(
             r.outputs[3], attempt1_out,
@@ -1821,6 +1911,44 @@ mod tests {
         // Timestamps are monotone within the (sequential) reference run.
         for pair in events.windows(2) {
             assert!(pair[0].at <= pair[1].at);
+        }
+    }
+
+    /// The reference runs a speculative group only when the resolver asks
+    /// for it, once the group before it has settled: it holds one group's
+    /// data at a time.
+    #[test]
+    fn the_reference_runs_a_group_once_the_one_before_settles() {
+        use crate::obs::{EventKind, RecordingSink};
+        let ins = inputs(30);
+        let cfg = SpecConfig {
+            group_size: 4,
+            window: 2,
+            ..SpecConfig::default()
+        };
+        let sink = Arc::new(RecordingSink::new());
+        let r = run_with_sink(&SumAlways, &ins, &AlwaysMatch(0), &cfg, 5, &sink);
+        let groups = r.report.groups.len();
+        assert_eq!(groups, 8);
+        assert_eq!(r.report.committed_speculative_groups(), groups - 1);
+        let kinds: Vec<EventKind> = sink.events().iter().map(|e| e.kind).collect();
+        let at = |wanted: &dyn Fn(&EventKind) -> bool| {
+            let found: Vec<usize> = (0..kinds.len()).filter(|&i| wanted(&kinds[i])).collect();
+            assert_eq!(found.len(), 1, "the event is emitted once");
+            found[0]
+        };
+        for k in 1..groups {
+            let settled = match k {
+                1 => at(&|e| *e == EventKind::GroupEnd { group: 0 }),
+                _ => at(&|e| matches!(e, EventKind::GroupCommit { group, .. } if *group == k - 1)),
+            };
+            let start = at(&|e| matches!(e, EventKind::GroupStart { group, .. } if *group == k));
+            let end = at(&|e| *e == EventKind::GroupEnd { group: k });
+            assert!(
+                settled < start && start < end,
+                "group {k} ran at events {start}..{end}, before group {} settled at {settled}",
+                k - 1
+            );
         }
     }
 

@@ -21,10 +21,12 @@
 //! entry nodes its caller names.
 //!
 //! What a run retains until its layout is only what that layout and the
-//! result need. Each [`GroupData`] is dropped at ingest: its outputs move
-//! into the run's, its chain's work meters into one run-wide [`Blocks`]
-//! store, and the rest into a small per-group record (auxiliary work,
-//! squash marks, validation history) beside the group's [`GroupRecord`].
+//! result need. Each [`GroupData`] is taken apart at ingest: its outputs
+//! move into the run's, its chain's work meters into one run-wide
+//! [`Blocks`] store, and the rest into a small per-group record (auxiliary
+//! work, squash marks, validation history) beside the group's
+//! [`GroupRecord`]; its two emptied buffers go back to the caller, and the
+//! next group run on the coordinator fills them.
 //! The only states held are the last settled group's final state and
 //! checkpoint — what validating the next group reads — or, after an
 //! abort, the sequential tail's. The store's blocks never reallocate, so
@@ -32,10 +34,11 @@
 //! for the allocator to return to the kernel and the next stream to
 //! fault back in.
 
-use crate::ctx::WorkMeter;
+use crate::ctx::{InvocationCtx, WorkMeter};
 use crate::obs::EventKind;
 use crate::protocol::{
-    GroupData, GroupRecord, GroupResolution, RunCtx, SpecReport, SpecTrace, TraceNodeKind,
+    GroupBuffers, GroupData, GroupRecord, GroupResolution, RunCtx, SpecReport, SpecTrace,
+    TraceNodeKind,
 };
 use crate::sdi::{SpecState, StateTransition};
 
@@ -43,6 +46,17 @@ use crate::sdi::{SpecState, StateTransition};
 /// it was made: 64 KiB of work meters, below glibc's default 128 KiB mmap
 /// threshold, so blocks come from the coordinator's heap and go back to it.
 const BLOCK: usize = 4096;
+
+/// How many inputs a run that holds `known` inputs and takes at most
+/// `limit` is sized for: a stream segment short enough for one block is
+/// sized from its length, so its run starts no [`BLOCK`]-entry block and
+/// grows nothing by doubling; any other run from what it holds.
+pub(crate) fn expected_inputs(known: usize, limit: usize) -> usize {
+    match limit <= BLOCK {
+        true => limit,
+        false => known,
+    }
+}
 
 /// An append-only list kept in fixed-capacity blocks: an append fills the
 /// last block and starts new ones as it needs them, and never moves or
@@ -124,6 +138,9 @@ struct Settled<S> {
 pub(crate) struct Resolver<'a, T: StateTransition> {
     /// Its fault plan forces validation mismatches when set.
     ctx: RunCtx<'a, T>,
+    /// The context of the original code's invocations the resolver runs
+    /// itself: re-executions and the sequential tail.
+    rerun: InvocationCtx,
     /// Effective group size, for the post-abort `group_of` arithmetic.
     g: usize,
     chains: Vec<Chain>,
@@ -148,11 +165,12 @@ pub(crate) struct Resolver<'a, T: StateTransition> {
 
 impl<'a, T: StateTransition> Resolver<'a, T> {
     /// A resolver for a run in groups of `g` inputs, sized for the `known`
-    /// inputs it already holds (all of a batch run's, none of a stream's).
+    /// inputs it expects (see [`expected_inputs`]).
     pub(crate) fn new(ctx: RunCtx<'a, T>, g: usize, known: usize) -> Self {
         let groups = known.div_ceil(g);
         Resolver {
             ctx,
+            rerun: ctx.chain_ctx(false),
             g,
             chains: Vec::with_capacity(groups),
             chain_works: Blocks::new(known),
@@ -177,16 +195,17 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
     }
 
     /// Hand the next group's execution data to the resolver (groups must
-    /// arrive in order `0, 1, 2, ...`) and settle it.
-    pub(crate) fn ingest(&mut self, data: GroupData<T>, inputs: &[T::Input]) {
+    /// arrive in order `0, 1, 2, ...`) and settle it. Returns the group's
+    /// output and work-meter buffers, emptied, for the next group to fill.
+    pub(crate) fn ingest(&mut self, data: GroupData<T>, inputs: &[T::Input]) -> GroupBuffers<T> {
         let GroupData {
             spec,
             aux_work,
             spec_start,
             checkpoint,
             final_state,
-            outputs,
-            works,
+            mut outputs,
+            mut works,
         } = data;
         debug_assert_eq!(
             spec.k,
@@ -198,15 +217,19 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         // dropped and its whole chain is squashed work — exactly how the
         // batch path treats every group from the abort point on.
         let doomed = self.aborted;
-        if !doomed {
+        if doomed {
+            outputs.clear();
+        } else {
             debug_assert_eq!(
                 self.outputs.len(),
                 spec.start,
                 "outputs extend at the group"
             );
-            self.outputs.extend(outputs);
+            self.outputs.append(&mut outputs);
         }
         self.chain_works.extend(&works);
+        works.clear();
+        let spare = GroupBuffers { outputs, works };
         self.records.push(GroupRecord {
             start: spec.start,
             end: spec.end,
@@ -223,7 +246,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             val: None,
         });
         if doomed {
-            return;
+            return spare;
         }
         if spec.k > 0 {
             let spec_start = spec_start.expect("speculative group has a start state");
@@ -235,6 +258,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                 checkpoint,
             });
         }
+        spare
     }
 
     /// Validate speculative group `k`, which started from `spec`, against
@@ -291,7 +315,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             let mut tail_works: Vec<WorkMeter> = Vec::with_capacity(rollback);
             for (off, input) in inputs[re_start..prev_end].iter().enumerate() {
                 let i = re_start + off;
-                let (out, m) = ctx.invoke(input, &mut state, k - 1, i, attempts, false);
+                let (out, m) = ctx.invoke(&mut self.rerun, input, &mut state, k - 1, i, attempts);
                 tail_outputs.push(out);
                 tail_works.push(m);
             }
@@ -361,9 +385,14 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             // A fresh (re-)execution: distinct attempt number so its PRVG
             // streams differ from the squashed speculative run.
             let attempt = self.ctx.config.max_reexec + 1;
-            let (out, m) = self
-                .ctx
-                .invoke(&inputs[i], &mut state, i / self.g, i, attempt, false);
+            let (out, m) = self.ctx.invoke(
+                &mut self.rerun,
+                &inputs[i],
+                &mut state,
+                i / self.g,
+                i,
+                attempt,
+            );
             debug_assert_eq!(self.outputs.len(), i, "the tail appends at its next input");
             self.outputs.push(out);
             self.tail_works.push(m);
@@ -603,7 +632,6 @@ impl<T: StateTransition> LinearRun<T> {
 mod tests {
     use super::*;
     use crate::adapt::RetryPolicy;
-    use crate::ctx::InvocationCtx;
     use crate::obs::NOOP;
     use crate::protocol::{execute_group, run_protocol, GroupSpec, SpecConfig};
     use crate::sdi::SpecState;
@@ -667,15 +695,17 @@ mod tests {
             faults: None,
             retry: RetryPolicy::default(),
         };
+        let mut chain = ctx.chain_ctx(false);
         let expected: Vec<f64> = inputs
             .iter()
             .zip(coords)
             .enumerate()
             .map(|(i, (input, (group, attempt)))| {
-                ctx.invoke(input, &mut Third(0), group, i, attempt, false).0
+                ctx.invoke(&mut chain, input, &mut Third(0), group, i, attempt)
+                    .0
             })
             .collect();
-        let attempt0 = ctx.invoke(&inputs[2], &mut Third(0), 0, 2, 0, false).0;
+        let attempt0 = ctx.invoke(&mut chain, &inputs[2], &mut Third(0), 0, 2, 0).0;
         assert_ne!(expected[2], attempt0, "the re-executed output differs");
 
         let batch = run_protocol(&Draw, &inputs, &Third(0), &config, seed);
@@ -749,7 +779,7 @@ mod tests {
                 start,
                 end: (start + g).min(n),
             };
-            let data = execute_group(ctx, &inputs, 0, &Third(3), spec);
+            let data = execute_group(ctx, &inputs, 0, &Third(3), spec, GroupBuffers::default());
             resolver.ingest(data, &inputs);
         }
         let blocks = &resolver.chain_works.blocks;

@@ -29,8 +29,8 @@ use crate::options::RunOptions;
 use crate::plan::{PlanNodeId, SpecPlan};
 use crate::pool::{Ordered, ThreadPool};
 use crate::protocol::{
-    execute_group, run_batch, Executor, GroupData, GroupSpec, Groups, ProtocolResult, RunCtx,
-    SpecConfig, Window,
+    execute_group, run_batch, Executor, GroupBuffers, GroupData, GroupSpec, Groups, ProtocolResult,
+    RunCtx, SpecConfig, Window,
 };
 use crate::sdi::StateTransition;
 
@@ -352,6 +352,8 @@ struct PooledGroups<'a, T: StateTransition, W> {
     wake: Option<W>,
     probes: VecDeque<Probe>,
     held: VecDeque<(GroupSpec, Window<T::Input>)>,
+    /// The last settled group's buffers, for the next held group.
+    spare: GroupBuffers<T>,
 }
 
 impl<T: StateTransition, W: Fn() + Send + Sync + 'static> PooledGroups<'_, T, W> {
@@ -392,7 +394,14 @@ impl<T: StateTransition, W: Fn() + Send + Sync + 'static> PooledGroups<'_, T, W>
                 ..run.shared.ctx()
             };
             let (inputs, base) = window_inputs(&run.shared.inputs, &window);
-            execute_group(ctx, inputs, base, &run.initial, spec)
+            execute_group(
+                ctx,
+                inputs,
+                base,
+                &run.initial,
+                spec,
+                GroupBuffers::default(),
+            )
         };
         let (pool, wake) = (self.pool, &mut self.wake);
         (self
@@ -430,21 +439,29 @@ impl<T: StateTransition, W: Fn() + Send + Sync + 'static> PooledGroups<'_, T, W>
         data
     }
 
-    /// Run the first held group here.
+    /// Run the first held group here, into the spare buffers.
     fn run_held(&mut self) -> Option<GroupData<T>> {
         let (spec, window) = self.held.pop_front()?;
         let (inputs, base) = window_inputs(&self.shared.inputs, &window);
-        Some(execute_group(self.ctx, inputs, base, self.initial, spec))
+        let spare = std::mem::take(&mut self.spare);
+        Some(execute_group(
+            self.ctx,
+            inputs,
+            base,
+            self.initial,
+            spec,
+            spare,
+        ))
     }
 }
 
 impl<T: StateTransition, W: Fn() + Send + Sync + 'static> Groups<T> for PooledGroups<'_, T, W> {
-    fn submit(&mut self, spec: GroupSpec, _: &[T::Input], window: Window<T::Input>) {
+    fn submit(&mut self, spec: GroupSpec, window: Window<T::Input>) {
         self.held.push_back((spec, window));
         self.settle();
     }
 
-    fn try_next(&mut self) -> Option<GroupData<T>> {
+    fn try_next(&mut self, _: &[T::Input]) -> Option<GroupData<T>> {
         self.settle();
         if self.in_flight() > 0 {
             let data = self.batch.as_mut().and_then(Ordered::try_next);
@@ -453,7 +470,7 @@ impl<T: StateTransition, W: Fn() + Send + Sync + 'static> Groups<T> for PooledGr
         self.run_held()
     }
 
-    fn next(&mut self) -> Option<GroupData<T>> {
+    fn next(&mut self, _: &[T::Input]) -> Option<GroupData<T>> {
         self.settle();
         if self.in_flight() > 0 {
             // Claimed here first, so that a probe taken back is seen.
@@ -483,6 +500,10 @@ impl<T: StateTransition, W: Fn() + Send + Sync + 'static> Groups<T> for PooledGr
         }
     }
 
+    fn recycle(&mut self, spare: GroupBuffers<T>) {
+        self.spare = spare;
+    }
+
     fn group0_ran(&mut self, elapsed: Duration) {
         if self.gate.group0.get().is_none() {
             self.gate.group0.set(Some(elapsed));
@@ -509,6 +530,7 @@ impl<T: StateTransition> Executor<T> for Pooled<'_, T> {
             wake: Some(wake),
             probes: VecDeque::new(),
             held: VecDeque::new(),
+            spare: GroupBuffers::default(),
         }
     }
 

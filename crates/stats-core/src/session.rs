@@ -624,6 +624,10 @@ impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
         (&self.arrived, self.closed)
     }
 
+    fn limit(&self) -> usize {
+        self.limit
+    }
+
     /// A pool job gets a copy of only the inputs it reads.
     fn window(&self, lo: usize, hi: usize) -> Window<T::Input> {
         Window::Copied {
@@ -694,7 +698,7 @@ impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
             // `next` is empty only once group 0 is ingested, so the
             // batch's next result is the one the resolver needs.
             if next.is_none() {
-                *next = groups.try_next();
+                *next = groups.try_next(&self.arrived);
             }
             if actionable || next.is_some() {
                 break room;

@@ -184,9 +184,11 @@ impl TradeoffOptions for EnumeratedTradeoff {
 /// state dependence's auxiliary code (set by the back-end from an autotuner
 /// configuration).
 ///
-/// Bindings are written once per configuration but cloned once per protocol
-/// *invocation* (each `InvocationCtx` owns a copy), so the map lives behind
-/// an [`Arc`]: cloning is a reference-count bump, and the rare post-clone
+/// Bindings are written once per configuration but cloned once per *chain*
+/// of invocations (each `InvocationCtx` owns a copy, and the runtime
+/// re-arms one context for every invocation of a group's chain, an
+/// auxiliary window, a re-execution or a sequential tail), so the map lives
+/// behind an [`Arc`]: cloning is a reference-count bump, and the rare post-clone
 /// [`set`](Self::set) copies on write via [`Arc::make_mut`].
 #[derive(Clone, Default)]
 pub struct TradeoffBindings {
