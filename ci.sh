@@ -164,19 +164,26 @@ if grep -rnE --include='*.rs' '\bunsafe[[:space:]]*(\{|fn\b|impl\b)' \
     exit 1
 fi
 
-echo "== interp leaf gate (no stats-compiler product module names interp)"
+echo "== interp leaf gate (no product source names interp)"
 # `interp` is the reference semantics the bytecode tier is tested against;
-# the execution rules both share live in `value`. A product module (the
-# lines before a file's first `#[cfg(test)]`) that names `interp` would put
-# the reference back on the product path, so it fails CI.
-leaks="$(for f in $(find crates/stats-compiler/src -name '*.rs' | sort); do
-    case "$f" in */stats-compiler/src/interp.rs | */stats-compiler/src/lib.rs) continue ;; esac
+# the execution rules both share live in `value`, and compiled code runs on
+# `bytecode::BytecodeInterp`. Product code (the lines before a file's first
+# `#[cfg(test)]` under crates/*/src, src/ and examples/) that names
+# `interp` would put the reference back on the product path, so it fails
+# CI. One named exception: crates/stats-benchmark/, whose `tune` job times
+# the reference beside the bytecode tier (`interp.get_value_ns`); ROADMAP
+# item 8 queues the benchmark change that drops it.
+leaks="$(for f in $(find crates/*/src src examples -name '*.rs' | sort); do
+    case "$f" in
+        */stats-compiler/src/interp.rs | */stats-compiler/src/lib.rs) continue ;;
+        crates/stats-benchmark/*) continue ;;
+    esac
     sed '/^#\[cfg(test)\]/,$d' "$f" | { grep -nw 'interp' || true; } | sed "s|^|$f:|"
 done)"
 if [[ -n "$leaks" ]]; then
     echo "$leaks" >&2
-    echo "error: a stats-compiler product module names \`interp\` (take the" \
-         "shared execution rules from crate::value instead)" >&2
+    echo "error: product code names \`interp\` (run compiled code on" \
+         "bytecode::BytecodeInterp and take values from stats_compiler::value)" >&2
     exit 1
 fi
 
@@ -331,10 +338,18 @@ if ./target/debug/stats-lint --quiet examples/dsl/violations/*.stats; then
     echo "error: violation corpus unexpectedly passed stats-lint" >&2
     exit 1
 fi
-# README's compile example runs the whole pipeline; a call to a function
-# nothing defines must fail at compile time (`verify`), not when run.
+# README's compile example runs the whole pipeline and must print the
+# value README shows; an option `compile` does not take is a usage error;
+# a call to a function nothing defines must fail at compile time
+# (`verify`), not when run.
 ./target/debug/stats-cli compile examples/dsl/bodytrack_mini.stats \
-    --dep body=9,3,1 --optimize --run update_model__aux_body 5 > /dev/null
+    --dep body=9,3,1 --run update_model__aux_body 5 \
+    | grep -qxF '; update_model__aux_body([Int(5)]) = Some(Int(35200))'
+if ./target/debug/stats-cli compile examples/dsl/bodytrack_mini.stats \
+    --dep body=9,3,1 --optimize --run update_model__aux_body 5 > /dev/null 2>&1; then
+    echo "error: stats-cli compile accepted an unknown option (--optimize)" >&2
+    exit 1
+fi
 UNDEF_DIR=$(mktemp -d /tmp/stats-undef.XXXXXX)
 echo 'fn f(x) { return nope(x); }' > "$UNDEF_DIR/undef.stats"
 if ./target/debug/stats-cli compile "$UNDEF_DIR/undef.stats" > /dev/null 2>&1; then

@@ -52,11 +52,6 @@ impl AucBandit {
         }
     }
 
-    /// Names of the portfolio techniques, in index order.
-    pub fn technique_names(&self) -> Vec<&str> {
-        self.techniques.iter().map(|t| t.name()).collect()
-    }
-
     /// AUC score of technique `i`: recency-weighted fraction of window
     /// entries where the technique improved the best-so-far.
     fn auc(&self, i: usize) -> f64 {

@@ -4,20 +4,24 @@
 //! (which state dependences get auxiliary code, and each auxiliary
 //! tradeoff's index) and produces the executable artifact. Setting each
 //! tradeoff fetches its value by "dynamically compiling" `getValue(i)`
-//! (here: interpreting it) and then rewrites references: constants replace
-//! placeholder calls, type tradeoffs retype casts, function tradeoffs
-//! replace callees. The instantiation step is deliberately cheap — the
-//! autotuner instantiates the same IR for many configurations.
+//! (here: compiling it to [`crate::bytecode`] and calling it) and then
+//! rewrites references: constants replace placeholder calls, type
+//! tradeoffs retype casts, function tradeoffs replace callees. The
+//! instantiation step is deliberately cheap — the autotuner instantiates
+//! the same IR for many configurations.
+//!
+//! The binary runs the same way: build one
+//! [`BytecodeInterp`](crate::bytecode::BytecodeInterp) over it and call
+//! its functions through that interpreter, which compiles each function
+//! once.
 
 use std::collections::HashMap;
 
 use stats_core::{ScalarType, TradeoffBindings, TradeoffValue};
 
-use crate::bytecode::BytecodeInterp;
 use crate::frontend::CompileError;
 use crate::ir::{Module, Ty};
 use crate::midend::{substitute, tradeoff_value_at, ResolvedValue};
-use crate::value::{ExecError, Value};
 
 /// A per-dependence configuration: tradeoff indices in the order of the
 /// dependence's `aux_tradeoffs` metadata.
@@ -57,15 +61,6 @@ pub fn instantiate(module: &Module, config: &DepConfig) -> Result<Module, Compil
     Ok(out)
 }
 
-/// Execute a function of an instantiated module. The bytecode engine plays
-/// the role of running the generated binary — the IR is lowered to a flat
-/// executable form first, as the paper's dynamic compiler would emit
-/// machine code (the slot-resolved `Interp` remains as the reference
-/// semantics).
-pub fn call(module: &Module, function: &str, args: &[Value]) -> Result<Option<Value>, ExecError> {
-    BytecodeInterp::new(module).call(function, args)
-}
-
 /// Build [`stats_core::TradeoffBindings`] for one dependence's auxiliary
 /// code from an instantiated configuration — the bridge between the
 /// compiler pipeline and native-Rust workloads. Keys are the *original*
@@ -103,8 +98,16 @@ pub fn core_bindings(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::BytecodeInterp;
     use crate::frontend::compile;
     use crate::midend;
+    use crate::value::{ExecError, Value};
+
+    /// Run one function of an instantiated module the way the product
+    /// path does: compile it to bytecode, then call it.
+    fn call(module: &Module, function: &str, args: &[Value]) -> Result<Option<Value>, ExecError> {
+        BytecodeInterp::new(module).call(function, args)
+    }
 
     fn module() -> Module {
         let src = r#"

@@ -2,11 +2,12 @@
 //!
 //! The paper's back-end compiles a tradeoff's `getValue(i)` at
 //! configuration time only to fetch one value per configuration (§3.4),
-//! and every caller here does the same: [`crate::backend::call`], the
-//! middle-end's `getValue` runs, `stats-cli compile --run` and the
-//! benchmark's `tune` job each build an interpreter, compile a function on
-//! its first call and call it once. No caller runs a DSL function in a
-//! loop, so the tier is the plainest form that still leaves the IR behind:
+//! and every caller here does the same: the middle-end's `getValue` runs,
+//! `stats-cli compile --run`, the `compiler_pipeline` example and the
+//! benchmark's `tune` job each build an interpreter over a module, compile
+//! a function on its first call and call it once. No caller runs a DSL
+//! function in a loop, so the tier is the plainest form that still leaves
+//! the IR behind:
 //!
 //! - **One op per IR instruction**: each function compiles to one flat
 //!   `Vec<Op>` of fixed-layout `{code, dst, a, b, c}` records, one for

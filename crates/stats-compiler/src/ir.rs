@@ -241,25 +241,6 @@ impl Inst {
                 Operand::ImmInt(_) | Operand::ImmFloat(_) => None,
             })
     }
-
-    /// The operands [`Inst::reads`] walks, mutably, for passes that
-    /// rewrite them.
-    pub fn operands_mut(&mut self) -> impl Iterator<Item = &mut Operand> {
-        let (one, two, many): (Option<&mut Operand>, Option<&mut Operand>, &mut [Operand]) =
-            match self {
-                Inst::Const { value: op, .. }
-                | Inst::Cast { src: op, .. }
-                | Inst::StoreState { src: op, .. }
-                | Inst::Br { cond: op, .. } => (Some(op), None, &mut []),
-                Inst::Bin { lhs, rhs, .. } => (Some(lhs), Some(rhs), &mut []),
-                Inst::Call { args, .. } | Inst::CallTradeoff { args, .. } => (None, None, args),
-                Inst::Ret { value } => (value.as_mut(), None, &mut []),
-                Inst::TradeoffRef { .. } | Inst::LoadState { .. } | Inst::Jmp { .. } => {
-                    (None, None, &mut [])
-                }
-            };
-        one.into_iter().chain(two).chain(many)
-    }
 }
 
 /// A basic block: straight-line instructions ending in a terminator.

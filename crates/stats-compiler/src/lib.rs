@@ -33,19 +33,20 @@
 //!   `stats_core::TradeoffBindings`;
 //! - [`bytecode`]: the flat bytecode tier standing in for LLVM's dynamic
 //!   compiler (the paper JITs `getValue()` only to fetch tradeoff values);
-//!   [`backend::call`] and the middle-end's `getValue` runs execute on it,
-//!   compiling a function once and calling it once, so it is one op per IR
-//!   instruction with no fusion and no `unsafe` code;
+//!   instantiated binaries and the middle-end's `getValue` runs execute on
+//!   it, compiling a function once and calling it once, so it is one op
+//!   per IR instruction with no fusion and no `unsafe` code;
 //! - [`value`]: the IR's execution rules, written once — values, errors,
 //!   arithmetic, intrinsics, the interpreter environment, and the check a
 //!   function passes before it runs;
 //! - [`interp`]: the slot-resolved reference interpreter, which the tests
-//!   hold the bytecode tier to; no product module depends on it.
+//!   hold the bytecode tier to; no product module depends on it, and the
+//!   benchmark's `tune` job is the only other product code that names it.
 //!
 //! # Pipeline example
 //!
 //! ```
-//! use stats_compiler::{backend, frontend, midend};
+//! use stats_compiler::{backend, bytecode::BytecodeInterp, frontend, midend};
 //!
 //! let source = r#"
 //!     tradeoff layers { max_index = 10; default_index = 4; value(i) = i + 1; }
@@ -62,7 +63,10 @@
 //! // The back-end instantiates a configuration (tradeoff index 9 -> 10):
 //! let config = [("track".to_string(), vec![9])].into_iter().collect();
 //! let binary = backend::instantiate(&module, &config).unwrap();
-//! let out = backend::call(&binary, "step__aux_track", &[7.into()]).unwrap();
+//! // The binary runs on the bytecode tier:
+//! let out = BytecodeInterp::new(&binary)
+//!     .call("step__aux_track", &[7.into()])
+//!     .unwrap();
 //! assert_eq!(out.unwrap().as_int(), Some(70));
 //! ```
 
@@ -79,7 +83,6 @@ mod lexer;
 pub mod lower;
 pub mod metadata;
 pub mod midend;
-pub mod opt;
 mod parser;
 pub mod pretty;
 pub mod value;

@@ -102,11 +102,6 @@ impl Metadata {
         self.state_deps.iter().find(|d| d.name == name)
     }
 
-    /// Look up a state variable row by name.
-    pub fn state_var(&self, name: &str) -> Option<&StateVarMeta> {
-        self.state_vars.iter().find(|v| v.name == name)
-    }
-
     /// Remove a tradeoff row (the middle-end deletes rows of tradeoffs it
     /// pins to their defaults).
     pub fn remove_tradeoff(&mut self, name: &str) {

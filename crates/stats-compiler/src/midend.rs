@@ -396,13 +396,11 @@ pub fn run_with_stats(
 ) -> Result<(Module, CloneStats), CompileError> {
     let original_insts = compiled.module.inst_count();
     let module = run_with(compiled, options)?;
-    Ok((
-        module.clone(),
-        CloneStats {
-            original_insts,
-            final_insts: module.inst_count(),
-        },
-    ))
+    let stats = CloneStats {
+        original_insts,
+        final_insts: module.inst_count(),
+    };
+    Ok((module, stats))
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //!
 //! A block ends at its first terminator ([`crate::ir::Block::terminator`]):
 //! both interpreters prepare each block up to it, and the dataflow
-//! framework and the optimizer follow the same edges.
+//! framework follows the same edges.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -4,8 +4,8 @@
 //! bytecode engines must agree *exactly* — same values AND same errors
 //! (including static `ExecError::UnassignedRegister`) — while the AST
 //! reference pins the integer semantics both must implement. Any
-//! divergence is a bug in the lowerer, an interpreter, the bytecode
-//! compiler, or (when the optimizer runs) an optimization pass.
+//! divergence is a bug in the lowerer, an interpreter or the bytecode
+//! compiler.
 
 use proptest::prelude::*;
 use stats_compiler::ast::{BinOp, Expr, FnDef, Stmt};
@@ -13,7 +13,6 @@ use stats_compiler::bytecode::BytecodeInterp;
 use stats_compiler::interp::{Interp, Value};
 use stats_compiler::ir::{validate, Module};
 use stats_compiler::lower::lower_fn;
-use stats_compiler::opt;
 
 /// Reference evaluator over the AST (integer-only semantics, wrapping
 /// arithmetic, mirroring the interpreter's `i64` rules).
@@ -269,9 +268,9 @@ proptest! {
         }
     }
 
-    /// Whole bodies with control flow, both raw and optimized.
+    /// Whole bodies with control flow.
     #[test]
-    fn bodies_agree_with_and_without_optimizer(
+    fn bodies_agree_across_engines(
         body in arb_body(),
         a in -40i64..40,
         b in -40i64..40,
@@ -285,8 +284,6 @@ proptest! {
         validate(&lowered).unwrap();
         let mut module = Module::new();
         module.add_function(lowered);
-        let mut optimized = module.clone();
-        opt::optimize(&mut optimized);
 
         let mut env = std::collections::HashMap::new();
         env.insert("a".to_string(), a);
@@ -294,22 +291,11 @@ proptest! {
         let reference = eval_body(&body, &mut env);
 
         let raw = run_ir(&module, a, b);
-        let opt_out = run_ir(&optimized, a, b);
         prop_assert_eq!(
             &raw,
             &run_bytecode(&module, a, b),
-            "slot and bytecode engines diverged on the raw module"
+            "slot and bytecode engines diverged"
         );
-        prop_assert_eq!(
-            &opt_out,
-            &run_bytecode(&optimized, a, b),
-            "slot and bytecode engines diverged on the optimized module"
-        );
-        match (&raw, &opt_out) {
-            (Ok(x), Ok(y)) => prop_assert_eq!(x, y, "optimizer changed behavior"),
-            (Err(_), Err(_)) => {}
-            other => prop_assert!(false, "optimizer changed trap behavior: {other:?}"),
-        }
         if let Some(Some(v)) = reference {
             if let Ok(Some(out)) = raw {
                 prop_assert_eq!(out, Value::Int(v));

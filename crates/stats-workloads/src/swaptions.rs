@@ -137,17 +137,6 @@ pub struct BlockResult {
     pub running_price: f64,
 }
 
-impl BlockResult {
-    /// This block's own mean price.
-    pub fn block_price(&self) -> f64 {
-        if self.count > 0 {
-            self.sum / self.count as f64
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Merge block results into the final price (the reduction merge).
 pub fn merged_price(outputs: &[BlockResult]) -> f64 {
     let sum: f64 = outputs.iter().map(|b| b.sum).sum();

@@ -9,9 +9,9 @@
 //! cloning over the call graph, default-pinning of global tradeoffs), and
 //! the back-end (per-configuration instantiation, with tradeoff values
 //! fetched by "dynamically compiling" `getValue(i)`), and the resulting
-//! "binaries" execute on the IR interpreter.
+//! "binaries" execute on the bytecode tier.
 
-use stats::compiler::{backend, frontend, midend};
+use stats::compiler::{backend, bytecode::BytecodeInterp, frontend, midend};
 
 const SOURCE: &str = r#"
 # A miniature bodytrack: the per-frame model update with two tradeoffs.
@@ -69,10 +69,13 @@ fn main() {
     for (label, indices) in [("cheapest", vec![0, 0]), ("highest-quality", vec![9, 3])] {
         let config = [("body".to_string(), indices)].into_iter().collect();
         let binary = backend::instantiate(&module, &config).expect("back-end");
-        let aux_out = backend::call(&binary, "update_model__aux_body", &[10.into()])
+        let mut run = BytecodeInterp::new(&binary);
+        let aux_out = run
+            .call("update_model__aux_body", &[10.into()])
             .expect("aux run")
             .expect("value");
-        let orig_out = backend::call(&binary, "update_model", &[10.into()])
+        let orig_out = run
+            .call("update_model", &[10.into()])
             .expect("original run")
             .expect("value");
         println!(

@@ -11,7 +11,7 @@
 use std::process::ExitCode;
 
 use stats::autotune::Objective;
-use stats::compiler::{backend, frontend, interp::Value, midend, opt};
+use stats::compiler::{backend, bytecode::BytecodeInterp, frontend, midend, value::Value};
 use stats::profiler::{expand_trace, measure, measure_traced, tune, Mode, RunSettings};
 use stats::sim::simulate;
 use stats::workloads::{with_workload, BenchmarkId, Workload, WorkloadSpec};
@@ -44,7 +44,7 @@ fn main() -> ExitCode {
                  \n\
                  bench <name> [--mode sequential|original|seq|par] [--threads N] [--inputs N]\n\
                  tune <name> [--threads N] [--inputs N] [--budget N] [--objective time|energy]\n\
-                 compile <file.stats> [--dep NAME=i,j,..] [--run FN ARGS..] [--optimize]\n\
+                 compile <file.stats> [--dep NAME=i,j,..] [--run FN ARGS..]\n\
                  gantt <name> [--threads N] [--inputs N] [--width N]\n\
                  trace <name> --out FILE.json [--threads N] [--inputs N]\n\
                  list"
@@ -184,6 +184,13 @@ fn cmd_compile(args: &[String]) -> ExitCode {
         eprintln!("compile: missing <file.stats>");
         return ExitCode::FAILURE;
     };
+    if let Some(unknown) = unknown_compile_flag(&args[1..]) {
+        eprintln!(
+            "compile: unknown option `{unknown}`\n\
+             usage: compile <file.stats> [--dep NAME=i,j,..] [--run FN ARGS..]"
+        );
+        return ExitCode::FAILURE;
+    }
     let source = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
@@ -218,7 +225,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             }
         }
     }
-    let mut binary = if config.is_empty() {
+    let binary = if config.is_empty() {
         module
     } else {
         match backend::instantiate(&module, &config) {
@@ -229,10 +236,6 @@ fn cmd_compile(args: &[String]) -> ExitCode {
             }
         }
     };
-    if args.iter().any(|a| a == "--optimize") {
-        let removed = opt::optimize(&mut binary);
-        eprintln!("; optimizer removed {removed} instructions");
-    }
     print!("{binary}");
 
     // Optional execution: --run FN ARGS..
@@ -251,7 +254,7 @@ fn cmd_compile(args: &[String]) -> ExitCode {
                     .or_else(|| a.parse::<f64>().map(Value::Float).ok())
             })
             .collect();
-        match backend::call(&binary, func, &call_args) {
+        match BytecodeInterp::new(&binary).call(func, &call_args) {
             Ok(v) => println!("; {func}({call_args:?}) = {v:?}"),
             Err(e) => {
                 eprintln!("run: {e}");
@@ -260,6 +263,23 @@ fn cmd_compile(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// The first `--…` option `compile` does not take, if any. `--dep` takes
+/// one value; `--run` takes a function name and then every argument up to
+/// the next `--…` option, so `--run f -3 2.5` holds no option.
+fn unknown_compile_flag(args: &[String]) -> Option<&str> {
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        match a {
+            "--dep" | "--run" => {
+                it.next();
+            }
+            _ if a.starts_with("--") => return Some(a),
+            _ => {}
+        }
+    }
+    None
 }
 
 fn cmd_trace(args: &[String]) -> ExitCode {
@@ -324,4 +344,31 @@ fn cmd_gantt(args: &[String]) -> ExitCode {
         println!("speculation: {}", result.report);
     });
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::unknown_compile_flag;
+
+    fn flag_of(args: &[&str]) -> Option<String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        unknown_compile_flag(&args).map(str::to_string)
+    }
+
+    #[test]
+    fn compile_takes_only_dep_and_run() {
+        assert_eq!(
+            flag_of(&["--dep", "d=1,2", "--run", "f", "-3", "2.5"]),
+            None
+        );
+        assert_eq!(flag_of(&["--run", "f", "5", "--dep", "d=0"]), None);
+        assert_eq!(
+            flag_of(&["--dep", "d=1", "--fast", "--run", "f"]),
+            Some("--fast".into())
+        );
+        assert_eq!(
+            flag_of(&["--run", "f", "5", "--bogus"]),
+            Some("--bogus".into())
+        );
+    }
 }

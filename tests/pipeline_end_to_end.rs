@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests spanning the compiler, core, workloads, and
 //! profiler crates: the full §3.2 architecture on one path.
 
-use stats::compiler::{backend, frontend, midend};
+use stats::compiler::{backend, bytecode::BytecodeInterp, frontend, midend, value::Value};
 use stats::core::{run_protocol, SpecConfig, TradeoffBindings};
 use stats::workloads::bodytrack::BodyTrack;
 use stats::workloads::{with_workload, BenchmarkId, Workload, WorkloadSpec};
@@ -110,14 +110,11 @@ fn configurations_change_behavior() {
             .into_iter()
             .collect();
         let binary = backend::instantiate(&module, &cfg).unwrap();
-        backend::call(
-            &binary,
-            dep.aux_fn.as_deref().unwrap(),
-            &[stats::compiler::interp::Value::Int(1)],
-        )
-        .unwrap()
-        .unwrap()
-        .as_float()
+        BytecodeInterp::new(&binary)
+            .call(dep.aux_fn.as_deref().unwrap(), &[Value::Int(1)])
+            .unwrap()
+            .unwrap()
+            .as_float()
     };
     let cheap = run(0);
     let rich = run(100);
