@@ -339,17 +339,21 @@ if ./target/debug/stats-lint --quiet examples/dsl/violations/*.stats; then
     exit 1
 fi
 # README's compile example runs the whole pipeline and must print the
-# value README shows; an option `compile` does not take is a usage error;
-# a call to a function nothing defines must fail at compile time
+# value README shows; an option `compile` does not take, an index that is
+# not a number and a dependence the program does not declare are usage
+# errors; a call to a function nothing defines must fail at compile time
 # (`verify`), not when run.
 ./target/debug/stats-cli compile examples/dsl/bodytrack_mini.stats \
     --dep body=9,3,1 --run update_model__aux_body 5 \
     | grep -qxF '; update_model__aux_body([Int(5)]) = Some(Int(35200))'
-if ./target/debug/stats-cli compile examples/dsl/bodytrack_mini.stats \
-    --dep body=9,3,1 --optimize --run update_model__aux_body 5 > /dev/null 2>&1; then
-    echo "error: stats-cli compile accepted an unknown option (--optimize)" >&2
-    exit 1
-fi
+for bad in "--dep body=9,3,1 --optimize" "--dep body=9,x,1" "--dep nobody=9,3,1"; do
+    # shellcheck disable=SC2086 # each case is several words on purpose
+    if ./target/debug/stats-cli compile examples/dsl/bodytrack_mini.stats \
+        $bad --run update_model__aux_body 5 > /dev/null 2>&1; then
+        echo "error: stats-cli compile accepted \`$bad\`" >&2
+        exit 1
+    fi
+done
 UNDEF_DIR=$(mktemp -d /tmp/stats-undef.XXXXXX)
 echo 'fn f(x) { return nope(x); }' > "$UNDEF_DIR/undef.stats"
 if ./target/debug/stats-cli compile "$UNDEF_DIR/undef.stats" > /dev/null 2>&1; then

@@ -421,7 +421,7 @@ impl<'a, T: StateTransition> PlanResolver<'a, T> {
             outputs,
             final_state,
             report,
-            trace,
+            trace: trace.into(),
         }
     }
 }

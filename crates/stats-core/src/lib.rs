@@ -103,8 +103,8 @@ pub use options::RunOptions;
 pub use plan::{PlanError, PlanNode, PlanNodeId, SpecPlan, SpecPlanBuilder};
 pub use pool::{PoolMetrics, ThreadPool, Ticket};
 pub use protocol::{
-    run_protocol, run_protocol_with_options, GroupRecord, GroupResolution, ProtocolResult,
-    SpecConfig, SpecReport, SpecTrace, TraceNode, TraceNodeKind,
+    run_protocol, run_protocol_with_options, GroupRecord, GroupResolution, LazyTrace,
+    ProtocolResult, SpecConfig, SpecReport, SpecTrace, TraceNode, TraceNodeKind,
 };
 pub use replay::{replay, ReplayError, ReplayOutcome, SessionLog, SessionRecorder};
 pub use runtime::{SpecOutcome, StateDependence};

@@ -7,18 +7,20 @@
 //! finishes them while later inputs are still arriving.
 //!
 //! Outputs, states, counters, and events are settled *eagerly* as each group
-//! is ingested; the task graph is laid out only once the run is over, in the
-//! exact node order of the historical batch implementation (all attempt-0
-//! chains first, then per-group validation/re-execution nodes, then the
-//! post-abort sequential tail). That deferred layout is what makes a
-//! streamed run bit-identical — outputs, report, *and* trace — to the batch
-//! run over the same inputs and seed.
+//! is ingested; the task graph is described only once the run is over, in
+//! the exact node order of the historical batch implementation (all
+//! attempt-0 chains first, then per-group validation/re-execution nodes,
+//! then the post-abort sequential tail). That deferred order is what makes
+//! a streamed run bit-identical — outputs, report, *and* trace — to the
+//! batch run over the same inputs and seed.
 //!
-//! A run is laid out once, in place: [`Resolver::finish`] hands back a
-//! [`LinearRun`], which borrows nothing of the run's context, and
-//! [`LinearRun::lay_out`] pushes its nodes straight onto the [`SpecTrace`]
-//! of the run it belongs to — the segment loop's, or a plan's — behind the
-//! entry nodes its caller names.
+//! [`Resolver::finish`] hands back a [`LinearRun`], which borrows nothing
+//! of the run's context. Settling it where it lands leaves a [`RunLayout`]:
+//! the run's records, walked in that one order (`RunLayout::walk`) by two
+//! consumers. The segment loop folds the report's work from the walk and
+//! keeps the layout for the result's [`LazyTrace`](crate::LazyTrace),
+//! which pushes the nodes onto a [`SpecTrace`] only when someone reads it;
+//! a plan pushes each node run's nodes onto its trace as it resolves.
 //!
 //! What a run retains until its layout is only what that layout and the
 //! result need. Each [`GroupData`] is taken apart at ingest: its outputs
@@ -37,8 +39,8 @@
 use crate::ctx::{InvocationCtx, WorkMeter};
 use crate::obs::EventKind;
 use crate::protocol::{
-    GroupBuffers, GroupData, GroupRecord, GroupResolution, RunCtx, SpecReport, SpecTrace,
-    TraceNodeKind,
+    add_node_work, GroupBuffers, GroupData, GroupRecord, GroupResolution, RunCtx, SpecReport,
+    SpecTrace, TraceNodeKind,
 };
 use crate::sdi::{SpecState, StateTransition};
 
@@ -405,7 +407,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
     /// tail, if any, ends here, and the final state moves out (states can
     /// be arbitrarily large workload states, so it is not cloned). What is
     /// left borrows nothing of the run's context: the [`LinearRun`] its
-    /// caller lays out where the run lands.
+    /// caller settles where the run lands.
     pub(crate) fn finish(self) -> LinearRun<T> {
         let config = self.ctx.config;
         debug_assert_eq!(
@@ -425,29 +427,85 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             aborted: self.aborted,
             reexecutions: self.reexecutions,
             validations: self.validations,
-            records: self.records,
-            chains: self.chains,
-            chain_works: self.chain_works,
-            tail_works: self.tail_works,
-            abort_restart: self.abort_restart,
-            g: self.g,
-            rollback: config.rollback,
-            max_reexec: config.max_reexec,
-            validation_cost: config.validation_cost,
+            layout: RunLayout {
+                records: self.records,
+                chains: self.chains,
+                chain_works: self.chain_works,
+                tail_works: self.tail_works,
+                abort_restart: self.abort_restart,
+                g: self.g,
+                rollback: config.rollback,
+                max_reexec: config.max_reexec,
+                validation_cost: config.validation_cost,
+                squashed: false,
+            },
         }
     }
 }
 
 /// One finished linear run — a segment, or one run of a plan node — before
-/// its task graph is laid out: the committed outputs and final state, the
-/// counters, and what [`lay_out`](LinearRun::lay_out) reads, with the
-/// configuration scalars it needs and no borrow of the run's context.
+/// it is settled where it lands: the committed outputs and final state, the
+/// counters, and its [`RunLayout`].
 pub(crate) struct LinearRun<T: StateTransition> {
     pub(crate) outputs: Vec<T::Output>,
     pub(crate) final_state: T::State,
     pub(crate) aborted: bool,
     pub(crate) reexecutions: usize,
     pub(crate) validations: usize,
+    pub(crate) layout: RunLayout,
+}
+
+impl<T: StateTransition> LinearRun<T> {
+    /// Add the run's counters to `report`, and its groups shifted to input
+    /// `base`; a squashed run (`base` is `None`) has every node squashed,
+    /// and its groups are not the report's. Returns the outputs, the final
+    /// state and what the run's task graph is laid out from.
+    pub(crate) fn settle(
+        self,
+        report: &mut SpecReport,
+        base: Option<usize>,
+    ) -> (Vec<T::Output>, T::State, RunLayout) {
+        let mut layout = self.layout;
+        report.reexecutions += self.reexecutions;
+        report.validations += self.validations;
+        report.aborted |= self.aborted;
+        match base {
+            Some(base) => report
+                .groups
+                .extend(layout.records.iter().map(|g| GroupRecord {
+                    start: g.start + base,
+                    end: g.end + base,
+                    ..*g
+                })),
+            None => layout.squashed = true,
+        }
+        (self.outputs, self.final_state, layout)
+    }
+
+    /// [`settle`](LinearRun::settle) the run and lay it out at once, at the
+    /// end of `trace`, its entry nodes depending on `entry`: a plan node's
+    /// run. Work is left for the caller to add with the rest of its trace
+    /// region ([`SpecReport::add_work`]).
+    pub(crate) fn lay_out(
+        self,
+        trace: &mut SpecTrace,
+        report: &mut SpecReport,
+        entry: &[usize],
+        base: Option<usize>,
+    ) -> (Vec<T::Output>, T::State) {
+        let (outputs, final_state, layout) = self.settle(report, base);
+        layout.lay_out(trace, entry);
+        (outputs, final_state)
+    }
+}
+
+/// What one linear run's task graph is drawn from: the records its
+/// resolver settled — the groups, each group's attempt-0 chain and
+/// validation history, the chains' work meters, the sequential tail's —
+/// with the configuration scalars the layout reads. It is a fraction of
+/// the size of the nodes it stands for: a work meter per input and a small
+/// record per group, where the trace holds a node and an edge per input.
+pub(crate) struct RunLayout {
     records: Vec<GroupRecord>,
     chains: Vec<Chain>,
     chain_works: Blocks<WorkMeter>,
@@ -457,13 +515,17 @@ pub(crate) struct LinearRun<T: StateTransition> {
     rollback: usize,
     max_reexec: usize,
     validation_cost: f64,
+    /// Whether the run was squashed as a whole (a plan node's eager run
+    /// that a recovery run replaced): then no node of it committed.
+    squashed: bool,
 }
 
-impl<T: StateTransition> LinearRun<T> {
-    /// How many nodes [`lay_out`](LinearRun::lay_out) pushes: every group's
-    /// attempt-0 chain, each validation with the tails it re-executed, and
-    /// the sequential tail.
-    fn trace_nodes(&self) -> usize {
+impl RunLayout {
+    /// How many nodes the run has, and the most dependence edges they have
+    /// behind entry nodes of `entry` dependences each: every node but an
+    /// entry node or a first validation has at most one dependence, and a
+    /// first validation at most three.
+    pub(crate) fn size(&self, entry: usize) -> (usize, usize) {
         let mut nodes = self.tail_works.len() + self.chain_works.len();
         for c in &self.chains {
             nodes += usize::from(c.aux_work.is_some());
@@ -475,113 +537,111 @@ impl<T: StateTransition> LinearRun<T> {
                     .sum::<usize>();
             }
         }
-        nodes
+        let entries = self.chains.len() + 1;
+        (nodes, nodes + 2 * self.chains.len() + entries * entry)
     }
 
-    /// Lay the run out at the end of the run's `trace`, in the canonical
-    /// order (all attempt-0 chains, then per group its validations and
-    /// re-executed tails, then the sequential tail), and add its counters
-    /// to `report`. The entry nodes — every auxiliary run and group 0's
-    /// first invocation — depend on `entry`; the run's groups join the
-    /// report shifted to input `base`. A squashed run (`base` is `None`)
-    /// has every node squashed, and its groups are not the report's. Work
-    /// is left for the caller to add with the rest of its trace region
-    /// ([`SpecReport::add_work`]). Returns the outputs and final state.
-    pub(crate) fn lay_out(
-        self,
-        trace: &mut SpecTrace,
-        report: &mut SpecReport,
+    /// The run's nodes in the canonical order — all attempt-0 chains
+    /// (auxiliary node, then the chained invocations) in group order, then
+    /// per speculative group its validations and re-executed tails, then
+    /// the sequential tail — each handed to `visit` with its kind, work,
+    /// whether it committed, and its dependences, as indices of a trace in
+    /// which the run's first node is node `from`. The entry nodes — every
+    /// auxiliary run and group 0's first invocation — depend on `entry`.
+    /// This walk is the only statement of the order: the layout pushes what
+    /// it visits, and the report's work is folded from it.
+    fn walk(
+        &self,
+        from: usize,
         entry: &[usize],
-        base: Option<usize>,
-    ) -> (Vec<T::Output>, T::State) {
-        let from = trace.nodes.len();
-        // Every node but an entry node or a first validation has at most
-        // one dependence, and a first validation at most three.
-        let nodes = self.trace_nodes();
-        let entries = self.chains.len() + 1;
-        trace.reserve(nodes, nodes + 2 * self.chains.len() + entries * entry.len());
+        mut visit: impl FnMut(TraceNodeKind, WorkMeter, bool, &[usize]),
+    ) {
+        let keep = !self.squashed;
+        // The index the next visited node has.
+        let mut at = from;
 
-        // Phase-1 layout: every group's attempt-0 chain (auxiliary node,
-        // then the chained invocations), in group order, its work meters
-        // read off the store as the chains go by.
-        let mut chain_last: Vec<usize> = Vec::with_capacity(self.chains.len());
-        let mut chain_aux: Vec<Option<usize>> = Vec::with_capacity(self.chains.len());
+        // Phase 1: every group's attempt-0 chain, its work meters read off
+        // the store as the chains go by.
         let mut works = self.chain_works.iter();
         for (k, (c, r)) in self.chains.iter().zip(&self.records).enumerate() {
-            let mut aux = None;
+            let mut prev = None;
             if let Some(aux_work) = c.aux_work {
-                let idx = trace.push(TraceNodeKind::Auxiliary { group: k }, aux_work, entry);
-                trace.nodes[idx].committed = !c.squashed_all;
-                aux = Some(idx);
+                let kind = TraceNodeKind::Auxiliary { group: k };
+                visit(kind, aux_work, keep && !c.squashed_all, entry);
+                prev = Some(at);
+                at += 1;
             }
             let len = r.end - r.start;
-            let mut prev = aux;
             for (off, &m) in works.by_ref().take(len).enumerate() {
-                let node = trace.push(
-                    TraceNodeKind::Invocation {
-                        group: k,
-                        index: r.start + off,
-                        attempt: 0,
-                        sequential_tail: false,
-                    },
-                    m,
-                    prev.as_ref().map_or(entry, std::slice::from_ref),
-                );
-                trace.nodes[node].committed = !(c.squashed_all || off >= len - c.tail_squashed);
-                prev = Some(node);
+                let kind = TraceNodeKind::Invocation {
+                    group: k,
+                    index: r.start + off,
+                    attempt: 0,
+                    sequential_tail: false,
+                };
+                let committed = !(c.squashed_all || off >= len - c.tail_squashed);
+                let deps = prev.as_ref().map_or(entry, std::slice::from_ref);
+                visit(kind, m, keep && committed, deps);
+                prev = Some(at);
+                at += 1;
             }
-            chain_last.push(prev.unwrap_or(usize::MAX));
-            chain_aux.push(aux);
         }
-        debug_assert!(works.next().is_none(), "every chain work meter is laid out");
+        debug_assert!(works.next().is_none(), "every chain work meter is walked");
 
-        // Phase-2 layout: per speculative group, the validation chain and
-        // re-executed tails; after an abort, the sequential tail.
-        let mut prev_commit_gate: Option<usize> = None;
+        // Phase 2: per speculative group, the validation chain and
+        // re-executed tails; after an abort, the sequential tail. A cursor
+        // re-walks phase 1's positions: where each chain starts, its
+        // auxiliary node and its last node.
         let val_work = WorkMeter {
             total: self.validation_cost,
             memory: 0.0,
         };
-        for k in 1..self.chains.len() {
-            let Some(rec) = &self.chains[k].val else {
+        let mut chain_at = from;
+        let mut prev_last = usize::MAX;
+        let mut prev_commit_gate: Option<usize> = None;
+        for (k, (c, r)) in self.chains.iter().zip(&self.records).enumerate() {
+            let span = usize::from(c.aux_work.is_some()) + (r.end - r.start);
+            let aux = c.aux_work.map(|_| chain_at);
+            let last = (span > 0).then(|| chain_at + span - 1);
+            chain_at += span;
+            if k == 0 {
+                prev_last = last.unwrap_or(usize::MAX);
+                continue;
+            }
+            let Some(rec) = &c.val else {
                 break;
             };
             let prev = self.records[k - 1];
-            let (prev_start, prev_end) = (prev.start, prev.end);
-            let rollback = self.rollback.clamp(1, prev_end - prev_start);
-            let re_start = prev_end - rollback;
-            let aux = chain_aux[k].expect("speculative group has an auxiliary node");
-            let val_deps = [chain_last[k - 1], aux, prev_commit_gate.unwrap_or(0)];
-            let mut val_node = trace.push(
-                TraceNodeKind::Validation {
-                    group: k,
-                    attempt: 0,
-                },
-                val_work,
-                &val_deps[..2 + usize::from(prev_commit_gate.is_some())],
-            );
+            let rollback = self.rollback.clamp(1, prev.end - prev.start);
+            let re_start = prev.end - rollback;
+            let aux = aux.expect("speculative group has an auxiliary node");
+            let val_deps = [prev_last, aux, prev_commit_gate.unwrap_or(0)];
+            let kind = TraceNodeKind::Validation {
+                group: k,
+                attempt: 0,
+            };
+            let deps = &val_deps[..2 + usize::from(prev_commit_gate.is_some())];
+            visit(kind, val_work, keep, deps);
+            let mut val_node = at;
+            at += 1;
             for (a, attempt_rec) in rec.attempts.iter().enumerate() {
                 let attempt = a + 1;
                 let mut prev = val_node;
                 for (off, &m) in attempt_rec.works.iter().enumerate() {
-                    let node = trace.push(
-                        TraceNodeKind::Invocation {
-                            group: k - 1,
-                            index: re_start + off,
-                            attempt,
-                            sequential_tail: false,
-                        },
-                        m,
-                        &[prev],
-                    );
-                    trace.nodes[node].committed = attempt_rec.matched;
-                    prev = node;
+                    let kind = TraceNodeKind::Invocation {
+                        group: k - 1,
+                        index: re_start + off,
+                        attempt,
+                        sequential_tail: false,
+                    };
+                    visit(kind, m, keep && attempt_rec.matched, &[prev]);
+                    prev = at;
+                    at += 1;
                 }
-                val_node = trace.push(
-                    TraceNodeKind::Validation { group: k, attempt },
-                    val_work,
-                    &[prev],
-                );
+                let kind = TraceNodeKind::Validation { group: k, attempt };
+                visit(kind, val_work, keep, &[prev]);
+                val_node = at;
+                at += 1;
             }
             if rec.matched {
                 prev_commit_gate = Some(val_node);
@@ -589,42 +649,48 @@ impl<T: StateTransition> LinearRun<T> {
                 let mut prev = val_node;
                 for (off, &m) in self.tail_works.iter().enumerate() {
                     let i = self.abort_restart + off;
-                    prev = trace.push(
-                        TraceNodeKind::Invocation {
-                            group: i / self.g,
-                            index: i,
-                            attempt: self.max_reexec + 1,
-                            sequential_tail: true,
-                        },
-                        m,
-                        &[prev],
-                    );
+                    let kind = TraceNodeKind::Invocation {
+                        group: i / self.g,
+                        index: i,
+                        attempt: self.max_reexec + 1,
+                        sequential_tail: true,
+                    };
+                    visit(kind, m, keep, &[prev]);
+                    prev = at;
+                    at += 1;
                 }
                 break;
             }
+            prev_last = last.unwrap_or(usize::MAX);
         }
+    }
+
+    /// The run's committed original, committed auxiliary and squashed work,
+    /// each summed in node order: what [`SpecReport::add_work`] adds over
+    /// the run's laid-out nodes, bit for bit, with no node made.
+    pub(crate) fn work_sums(&self) -> [f64; 3] {
+        let mut sums = [0.0_f64; 3];
+        self.walk(0, &[], |kind, work, committed, _| {
+            add_node_work(&mut sums, &kind, committed, work.total);
+        });
+        sums
+    }
+
+    /// Lay the run out at the end of `trace`, its entry nodes depending on
+    /// `entry`.
+    pub(crate) fn lay_out(&self, trace: &mut SpecTrace, entry: &[usize]) {
+        let from = trace.nodes.len();
+        let (nodes, edges) = self.size(entry.len());
+        trace.reserve(nodes, edges);
+        self.walk(from, entry, |kind, work, committed, deps| {
+            let node = trace.push(kind, work, deps);
+            trace.nodes[node].committed = committed;
+        });
         debug_assert_eq!(
             trace.nodes.len() - from,
             nodes,
             "the run has the nodes reserved"
         );
-
-        report.reexecutions += self.reexecutions;
-        report.validations += self.validations;
-        report.aborted |= self.aborted;
-        match base {
-            Some(base) => report
-                .groups
-                .extend(self.records.iter().map(|g| GroupRecord {
-                    start: g.start + base,
-                    end: g.end + base,
-                    ..*g
-                })),
-            None => trace.nodes[from..]
-                .iter_mut()
-                .for_each(|n| n.committed = false),
-        }
-        (self.outputs, self.final_state)
     }
 }
 

@@ -40,6 +40,10 @@ use std::sync as base;
 
 pub use self::base::Arc;
 
+/// A value made by its first reader: a lazily laid-out trace. It is
+/// `std`'s in both builds, since no loom model reads a trace.
+pub use std::sync::LazyLock;
+
 /// Atomic integer types and memory orderings (model-checked under loom:
 /// `Relaxed` loads explore stale values, `Acquire`/`Release` pairs
 /// establish happens-before edges the model tracks).

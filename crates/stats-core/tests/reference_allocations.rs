@@ -8,28 +8,35 @@
 //! groups of 8 that always commit, through `run_protocol_with_options`.
 //! Every group's output and work-meter buffers are the last settled
 //! group's, and every invocation re-arms its chain's context, so a run
-//! allocates for its trace, report and outputs, and nothing per group.
+//! allocates for its records, report and outputs, and nothing per group.
+//!
+//! The allocator also tallies the bytes asked for (a reallocation counts
+//! its new size): a run's trace is laid out only when it is first read, so
+//! a run whose trace nobody reads allocates no trace nodes at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use stats_core::{
     run_protocol_with_options, InvocationCtx, ProtocolResult, RunOptions, SpecConfig, SpecState,
-    StateTransition,
+    StateTransition, TraceNode,
 };
 
 thread_local! {
     /// Allocations made on this thread so far.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those allocations asked for.
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting.
 struct Counting;
 
-fn count() {
-    // During thread teardown the counter may be gone: that allocation is
+fn count(bytes: usize) {
+    // During thread teardown the counters may be gone: that allocation is
     // nobody's under test.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards its arguments to `System` unchanged, under
@@ -38,17 +45,17 @@ fn count() {
 // re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -155,4 +162,61 @@ fn a_segmented_run_allocates_per_segment_not_per_group() {
         allocations <= 16 * segments,
         "{allocations} allocations for {segments} segments"
     );
+}
+
+/// This thread's allocations and bytes so far.
+fn tally() -> (usize, usize) {
+    (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// The most bytes a 20 000-input run whose trace is never read may
+/// allocate: 64 per input covers its outputs (8), one work meter per input
+/// (16), the per-group records and report (about 13 per input in groups of
+/// 8) and the reference's queue of submitted groups (about 10), with room
+/// to spare; the run allocates 1 017 600. Laying the trace out adds a
+/// 72-byte node and an edge per input and more: the same run allocated
+/// 3 116 840 bytes while every run laid its trace out.
+const UNREAD_TRACE_BYTES: usize = 64 * INPUTS;
+
+#[test]
+fn a_run_whose_trace_is_never_read_allocates_no_trace() {
+    let inputs = inputs();
+    drop(run_protocol_with_options(
+        &Lcg,
+        &inputs,
+        &Level(0.0),
+        &options(),
+    ));
+    let (allocations, bytes) = tally();
+    let run = run_protocol_with_options(&Lcg, &inputs, &Level(0.0), &options());
+    let (allocations, bytes) = (tally().0 - allocations, tally().1 - bytes);
+    println!("unread trace: {allocations} allocations, {bytes} bytes");
+    assert_eq!(run.outputs.len(), INPUTS);
+    assert!(
+        bytes <= UNREAD_TRACE_BYTES,
+        "{bytes} bytes allocated, at most {UNREAD_TRACE_BYTES} expected"
+    );
+}
+
+#[test]
+fn the_first_read_lays_the_trace_out_once() {
+    let run = run_protocol_with_options(&Lcg, &inputs(), &Level(0.0), &options());
+    let before = tally();
+    let (nodes, work) = (run.trace.nodes.len(), run.trace.total_work());
+    let first = (tally().0 - before.0, tally().1 - before.1);
+    println!("first read: {} allocations, {} bytes", first.0, first.1);
+    assert!(
+        nodes > INPUTS,
+        "a node per input and per group's auxiliary run"
+    );
+    assert!(
+        first.1 >= nodes * std::mem::size_of::<TraceNode>(),
+        "the first read lays out {nodes} nodes"
+    );
+    let before = tally();
+    assert_eq!(
+        (run.trace.nodes.len(), run.trace.total_work()),
+        (nodes, work)
+    );
+    assert_eq!(tally(), before, "a second read allocates nothing");
 }

@@ -79,7 +79,9 @@ mod tests {
 
     fn trace(n: usize) -> SpecTrace {
         let inputs: Vec<u64> = (0..n as u64).collect();
-        run_protocol(&Unit, &inputs, &ExactState(0), &SpecConfig::sequential(), 0).trace
+        run_protocol(&Unit, &inputs, &ExactState(0), &SpecConfig::sequential(), 0)
+            .trace
+            .into_inner()
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::process::ExitCode;
 
 use stats::autotune::Objective;
+use stats::compiler::metadata::Metadata;
 use stats::compiler::{backend, bytecode::BytecodeInterp, frontend, midend, value::Value};
 use stats::profiler::{expand_trace, measure, measure_traced, tune, Mode, RunSettings};
 use stats::sim::simulate;
@@ -184,13 +185,16 @@ fn cmd_compile(args: &[String]) -> ExitCode {
         eprintln!("compile: missing <file.stats>");
         return ExitCode::FAILURE;
     };
-    if let Some(unknown) = unknown_compile_flag(&args[1..]) {
-        eprintln!(
-            "compile: unknown option `{unknown}`\n\
-             usage: compile <file.stats> [--dep NAME=i,j,..] [--run FN ARGS..]"
-        );
-        return ExitCode::FAILURE;
-    }
+    let options = match CompileArgs::parse(&args[1..]) {
+        Ok(options) => options,
+        Err(e) => {
+            eprintln!(
+                "compile: {e}\n\
+                 usage: compile <file.stats> [--dep NAME=i,j,..] [--run FN ARGS..]"
+            );
+            return ExitCode::FAILURE;
+        }
+    };
     let source = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
@@ -214,17 +218,13 @@ fn cmd_compile(args: &[String]) -> ExitCode {
     };
 
     // Optional instantiation: --dep NAME=i,j,...
-    let mut config = backend::DepConfig::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--dep" {
-            if let Some(spec) = args.get(i + 1) {
-                if let Some((name, idx)) = spec.split_once('=') {
-                    let indices: Vec<i64> = idx.split(',').filter_map(|v| v.parse().ok()).collect();
-                    config.insert(name.to_string(), indices);
-                }
-            }
+    let config = match options.dep_config(&module.metadata) {
+        Ok(config) => config,
+        Err(e) => {
+            eprintln!("compile: {e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
     let binary = if config.is_empty() {
         module
     } else {
@@ -239,22 +239,8 @@ fn cmd_compile(args: &[String]) -> ExitCode {
     print!("{binary}");
 
     // Optional execution: --run FN ARGS..
-    if let Some(pos) = args.iter().position(|a| a == "--run") {
-        let Some(func) = args.get(pos + 1) else {
-            eprintln!("--run: missing function name");
-            return ExitCode::FAILURE;
-        };
-        let call_args: Vec<Value> = args[pos + 2..]
-            .iter()
-            .take_while(|a| !a.starts_with("--"))
-            .filter_map(|a| {
-                a.parse::<i64>()
-                    .map(Value::Int)
-                    .ok()
-                    .or_else(|| a.parse::<f64>().map(Value::Float).ok())
-            })
-            .collect();
-        match BytecodeInterp::new(&binary).call(func, &call_args) {
+    if let Some((func, call_args)) = &options.run {
+        match BytecodeInterp::new(&binary).call(func, call_args) {
             Ok(v) => println!("; {func}({call_args:?}) = {v:?}"),
             Err(e) => {
                 eprintln!("run: {e}");
@@ -265,21 +251,79 @@ fn cmd_compile(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The first `--…` option `compile` does not take, if any. `--dep` takes
-/// one value; `--run` takes a function name and then every argument up to
-/// the next `--…` option, so `--run f -3 2.5` holds no option.
-fn unknown_compile_flag(args: &[String]) -> Option<&str> {
-    let mut it = args.iter().map(String::as_str);
-    while let Some(a) = it.next() {
-        match a {
-            "--dep" | "--run" => {
-                it.next();
+/// What `compile` is asked for after its file: configurations to
+/// instantiate (`--dep`) and one call to run (`--run`).
+#[derive(Debug, Default, PartialEq)]
+struct CompileArgs {
+    /// Each `--dep NAME=i,j,..`, in order: a later one for the same
+    /// dependence wins.
+    deps: Vec<(String, Vec<i64>)>,
+    /// `--run FN ARGS..`: the function and its arguments.
+    run: Option<(String, Vec<Value>)>,
+}
+
+impl CompileArgs {
+    /// Parse `compile`'s options. `--dep` takes one `NAME=i,j,..` value of
+    /// integer indices; `--run` takes a function name and then every
+    /// argument up to the next `--…` option, each an integer or a float,
+    /// so `--run f -3 2.5` holds no option. Anything else — an option
+    /// `compile` does not take, a stray argument, an index or a call
+    /// argument that is not a number — is a usage error.
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut parsed = CompileArgs::default();
+        let mut it = args.iter().map(String::as_str).peekable();
+        while let Some(a) = it.next() {
+            match a {
+                "--dep" => {
+                    let spec = it.next().ok_or("--dep: missing NAME=i,j,..")?;
+                    let (name, indices) = spec
+                        .split_once('=')
+                        .ok_or_else(|| format!("--dep `{spec}`: expected NAME=i,j,.."))?;
+                    let indices = indices
+                        .split(',')
+                        .map(|v| {
+                            v.parse()
+                                .map_err(|_| format!("--dep `{spec}`: `{v}` is not an index"))
+                        })
+                        .collect::<Result<_, _>>()?;
+                    parsed.deps.push((name.to_string(), indices));
+                }
+                "--run" => {
+                    let func = it.next().ok_or("--run: missing function name")?;
+                    let mut call = Vec::new();
+                    while let Some(arg) = it.next_if(|a| !a.starts_with("--")) {
+                        let value = arg
+                            .parse::<i64>()
+                            .map(Value::Int)
+                            .or_else(|_| arg.parse::<f64>().map(Value::Float))
+                            .map_err(|_| format!("--run {func}: `{arg}` is not a number"))?;
+                        call.push(value);
+                    }
+                    parsed.run = Some((func.to_string(), call));
+                }
+                _ if a.starts_with("--") => return Err(format!("unknown option `{a}`")),
+                _ => return Err(format!("unexpected argument `{a}`")),
             }
-            _ if a.starts_with("--") => return Some(a),
-            _ => {}
         }
+        Ok(parsed)
     }
-    None
+
+    /// The configuration the `--dep` options ask for, each naming one of
+    /// the module's state dependences.
+    fn dep_config(&self, metadata: &Metadata) -> Result<backend::DepConfig, String> {
+        let mut config = backend::DepConfig::new();
+        for (name, indices) in &self.deps {
+            if metadata.state_dep(name).is_none() {
+                let known: Vec<&str> = metadata.state_deps.iter().map(|d| &*d.name).collect();
+                return Err(format!(
+                    "--dep `{name}`: no state dependence of that name (declared: {})",
+                    known.join(", ")
+                ));
+            }
+            config.insert(name.clone(), indices.clone());
+        }
+        Ok(config)
+    }
 }
 
 fn cmd_trace(args: &[String]) -> ExitCode {
@@ -348,27 +392,57 @@ fn cmd_gantt(args: &[String]) -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::unknown_compile_flag;
+    use super::*;
 
-    fn flag_of(args: &[&str]) -> Option<String> {
+    fn parse(args: &[&str]) -> Result<CompileArgs, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        unknown_compile_flag(&args).map(str::to_string)
+        CompileArgs::parse(&args)
     }
 
     #[test]
     fn compile_takes_only_dep_and_run() {
         assert_eq!(
-            flag_of(&["--dep", "d=1,2", "--run", "f", "-3", "2.5"]),
-            None
+            parse(&["--dep", "d=1,2", "--run", "f", "-3", "2.5"]),
+            Ok(CompileArgs {
+                deps: vec![("d".into(), vec![1, 2])],
+                run: Some(("f".into(), vec![Value::Int(-3), Value::Float(2.5)])),
+            })
         );
-        assert_eq!(flag_of(&["--run", "f", "5", "--dep", "d=0"]), None);
+        assert!(parse(&["--run", "f", "5", "--dep", "d=0"]).is_ok());
         assert_eq!(
-            flag_of(&["--dep", "d=1", "--fast", "--run", "f"]),
-            Some("--fast".into())
+            parse(&["--dep", "d=1", "--fast", "--run", "f"]),
+            Err("unknown option `--fast`".into())
         );
         assert_eq!(
-            flag_of(&["--run", "f", "5", "--bogus"]),
-            Some("--bogus".into())
+            parse(&["--run", "f", "5", "--bogus"]),
+            Err("unknown option `--bogus`".into())
+        );
+        // Malformed values are refused, not dropped.
+        assert_eq!(
+            parse(&["--dep", "body=9,x,1"]),
+            Err("--dep `body=9,x,1`: `x` is not an index".into())
+        );
+        assert!(parse(&["--dep", "body"]).is_err());
+        assert!(parse(&["--dep"]).is_err());
+        assert_eq!(
+            parse(&["--run", "f", "abc"]),
+            Err("--run f: `abc` is not a number".into())
+        );
+        assert!(parse(&["--run"]).is_err());
+        assert!(parse(&["stray"]).is_err());
+
+        // A dependence the program does not declare is refused too.
+        let source = include_str!("../../examples/dsl/bodytrack_mini.stats");
+        let module = midend::run(frontend::compile(source).unwrap()).unwrap();
+        let known = parse(&["--dep", "body=9,3,1"]).unwrap();
+        assert_eq!(
+            known.dep_config(&module.metadata),
+            Ok([("body".to_string(), vec![9, 3, 1])].into_iter().collect())
+        );
+        let unknown = parse(&["--dep", "nobody=9,3,1"]).unwrap();
+        assert_eq!(
+            unknown.dep_config(&module.metadata),
+            Err("--dep `nobody`: no state dependence of that name (declared: body)".into())
         );
     }
 }
