@@ -190,6 +190,13 @@ fi
 echo "== cargo test"
 cargo test --offline --workspace -q
 
+echo "== allocator tests, release build"
+# These count what the allocator does (page faults, allocations, bytes),
+# which differs between the debug and the release build; the product is
+# the release build, so they run in both.
+cargo test --offline --release -q -p stats-core --test stream_faults \
+    --test reference_allocations --test stream_allocations
+
 echo "== stats-benchmark correctness smokes (held-out seed)"
 # Linear commit path, mismatch path, heap state with real aborts, plans
 # pooled vs sequential (dag_small's nodes mostly run on the coordinator,

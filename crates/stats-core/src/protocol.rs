@@ -19,9 +19,9 @@
 //! outputs, and the simulated platform (`stats-sim`) can replay the trace on
 //! any number of virtual cores.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 use std::panic::UnwindSafe;
 use std::time::{Duration, Instant};
 
@@ -178,8 +178,9 @@ pub struct TraceNode {
     pub work: WorkMeter,
     /// Whether the node's results were committed (false = squashed work).
     pub committed: bool,
-    /// This node's dependences: its range of the trace's edge arena.
-    edges: Range<usize>,
+    /// Where this node's dependences end in the trace's edge arena; they
+    /// start where node `i - 1`'s end.
+    edges_end: usize,
 }
 
 /// The recorded execution: every piece of work the protocol performed, with
@@ -191,8 +192,8 @@ pub struct TraceNode {
 /// `stats-report`, the profiler and simulator path (`expand_trace`,
 /// `SimulatedRun`), and [`SessionRecorder`](crate::SessionRecorder)'s
 /// `trace_digest` — and a batch run whose trace nobody reads never builds
-/// one. A [`Session`](crate::Session) reads its trace once its stream
-/// ends, and a plan run lays its trace out as it resolves.
+/// one, nor does a [`Session`](crate::Session) whose trace nobody reads.
+/// A plan run lays its trace out as it resolves.
 ///
 /// Every segment and every plan node run is laid out behind the nodes its
 /// entry nodes depend on. Every node's dependences live in one edge arena,
@@ -211,7 +212,10 @@ impl SpecTrace {
     /// Indices of the trace nodes that must finish before node `i` starts,
     /// all of them below `i`.
     pub fn deps(&self, i: usize) -> &[usize] {
-        &self.edges[self.nodes[i].edges.clone()]
+        let start = i
+            .checked_sub(1)
+            .map_or(0, |prev| self.nodes[prev].edges_end);
+        &self.edges[start..self.nodes[i].edges_end]
     }
 
     /// Make room for `nodes` more nodes with `edges` more dependences.
@@ -221,13 +225,12 @@ impl SpecTrace {
     }
 
     pub(crate) fn push(&mut self, kind: TraceNodeKind, work: WorkMeter, deps: &[usize]) -> usize {
-        let from = self.edges.len();
         self.edges.extend_from_slice(deps);
         self.nodes.push(TraceNode {
             kind,
             work,
             committed: true,
-            edges: from..self.edges.len(),
+            edges_end: self.edges.len(),
         });
         self.nodes.len() - 1
     }
@@ -363,11 +366,10 @@ pub struct ProtocolResult<T: StateTransition> {
     /// Aggregate statistics.
     pub report: SpecReport,
     /// The recorded task graph, laid out on first read (it derefs to a
-    /// [`SpecTrace`]): a batch run's caller that never reads it —
-    /// `run_protocol*`, `StateDependence::run` — pays nothing for it, and
-    /// the first read — `stats-report`, the profiler, a recorder's
-    /// `trace_digest` — pays for the whole layout, once. A `Session` reads
-    /// its own once its stream ends.
+    /// [`SpecTrace`]): a caller that never reads it — `run_protocol*`,
+    /// `StateDependence::run`, `Session::finish` — pays nothing for it,
+    /// and the first read — `stats-report`, the profiler, a recorder's
+    /// `trace_digest` — pays for the whole layout, once.
     pub trace: LazyTrace,
 }
 
@@ -784,7 +786,9 @@ pub(crate) trait Executor<T: StateTransition> {
         InlineGroups {
             ctx,
             initial,
-            queued: VecDeque::new(),
+            g: linear_group_size(ctx.config),
+            next: 1,
+            submitted: GroupSpec::default(),
             spare: GroupBuffers::default(),
         }
     }
@@ -818,10 +822,10 @@ pub(crate) trait Groups<T: StateTransition> {
     /// The next group's result: run here, over the run's `arrived` inputs,
     /// if nobody has started the group, waited for otherwise; `None` when
     /// no group is outstanding.
-    fn next(&mut self, arrived: &[T::Input]) -> Option<GroupData<T>>;
+    fn next(&mut self, arrived: Arrived<'_, T::Input>) -> Option<GroupData<T>>;
 
     /// The next group's result, if it is stored already or runs here.
-    fn try_next(&mut self, arrived: &[T::Input]) -> Option<GroupData<T>> {
+    fn try_next(&mut self, arrived: Arrived<'_, T::Input>) -> Option<GroupData<T>> {
         self.next(arrived)
     }
 
@@ -848,28 +852,49 @@ pub(crate) enum Window<I> {
     Copied { inputs: Vec<I>, base: usize },
 }
 
-/// The sequential reference's batch: a submitted group waits in `queued`
-/// and runs when the resolver asks for it, into the last settled group's
-/// buffers, so the reference holds one group's data at a time.
+/// The sequential reference's batch: a submitted group waits until the
+/// resolver asks for it and then runs, into the last settled group's
+/// buffers, so the reference holds one group's data at a time. A run
+/// submits groups `1, 2, ...` in order, each of `g` inputs but the last,
+/// so the groups waiting are those from `next` to the last submitted.
 struct InlineGroups<'a, T: StateTransition> {
     ctx: RunCtx<'a, T>,
     initial: &'a T::State,
-    queued: VecDeque<GroupSpec>,
+    g: usize,
+    /// The group that runs next.
+    next: usize,
+    /// The last group submitted.
+    submitted: GroupSpec,
     spare: GroupBuffers<T>,
 }
 
 impl<T: StateTransition> Groups<T> for InlineGroups<'_, T> {
     fn submit(&mut self, spec: GroupSpec, _: Window<T::Input>) {
-        self.queued.push_back(spec);
+        debug_assert_eq!(
+            spec.k,
+            self.submitted.k + 1,
+            "groups are submitted in order"
+        );
+        self.submitted = spec;
     }
 
-    fn next(&mut self, arrived: &[T::Input]) -> Option<GroupData<T>> {
-        let spec = self.queued.pop_front()?;
+    fn next(&mut self, arrived: Arrived<'_, T::Input>) -> Option<GroupData<T>> {
+        let k = self.next;
+        let spec = match k.cmp(&self.submitted.k) {
+            Ordering::Less => GroupSpec {
+                k,
+                start: k * self.g,
+                end: (k + 1) * self.g,
+            },
+            Ordering::Equal => self.submitted,
+            Ordering::Greater => return None,
+        };
+        self.next += 1;
         let spare = std::mem::take(&mut self.spare);
         Some(execute_group(
             self.ctx,
-            arrived,
-            0,
+            arrived.held,
+            arrived.base,
             self.initial,
             spec,
             spare,
@@ -891,15 +916,19 @@ impl<T: StateTransition> Executor<T> for Inline {}
 /// queue (`session::QueueIntake`), the only intake that bounds admission or
 /// waits for inputs. The default methods are a closed intake's.
 pub(crate) trait Intake<T: StateTransition> {
-    /// The inputs arrived so far, the run's input 0 first, and whether
+    /// The inputs arrived so far that the run still holds, and whether
     /// they are all of them.
-    fn arrived(&self) -> (&[T::Input], bool);
+    fn arrived(&self) -> (Arrived<'_, T::Input>, bool);
 
     /// The most inputs the run can take: a closed intake's are all here,
     /// a stream segment's are its length.
     fn limit(&self) -> usize {
         self.arrived().0.len()
     }
+
+    /// The run reads no input before input `from` any more: a stream lets
+    /// go of them. A closed intake holds its inputs anyway.
+    fn release(&mut self, _from: usize) {}
 
     /// What a pool job of a group over inputs `lo..hi` reads.
     fn window(&self, lo: usize, hi: usize) -> Window<T::Input>;
@@ -931,13 +960,49 @@ pub(crate) trait Intake<T: StateTransition> {
     }
 }
 
+/// The inputs a linear run has received and still holds: `held[j]` is the
+/// run's input `base + j`. A batch run holds every input from its input 0
+/// on; a stream lets go of those no group reads again
+/// ([`Intake::release`]), so what it holds is bounded by its admission
+/// window, not by its length.
+#[derive(Clone, Copy)]
+pub(crate) struct Arrived<'a, I> {
+    pub(crate) held: &'a [I],
+    pub(crate) base: usize,
+}
+
+impl<'a, I> Arrived<'a, I> {
+    /// All of `inputs`, from the run's input 0.
+    pub(crate) fn all(inputs: &'a [I]) -> Self {
+        Arrived {
+            held: inputs,
+            base: 0,
+        }
+    }
+
+    /// How many inputs have arrived, let go of or not.
+    pub(crate) fn len(&self) -> usize {
+        self.base + self.held.len()
+    }
+
+    /// Input `i`, which the run still holds.
+    pub(crate) fn get(&self, i: usize) -> &'a I {
+        &self.held[i - self.base]
+    }
+
+    /// Inputs `lo..hi`, which the run still holds.
+    pub(crate) fn range(&self, lo: usize, hi: usize) -> &'a [I] {
+        &self.held[lo - self.base..hi - self.base]
+    }
+}
+
 /// A batch run's intake, or a plan node's: its inputs, all arrived, and
 /// where they start in the batch.
 pub(crate) struct Slice<'a, I>(pub(crate) &'a [I], pub(crate) usize);
 
 impl<T: StateTransition> Intake<T> for Slice<'_, T::Input> {
-    fn arrived(&self) -> (&[T::Input], bool) {
-        (self.0, true)
+    fn arrived(&self) -> (Arrived<'_, T::Input>, bool) {
+        (Arrived::all(self.0), true)
     }
 
     fn window(&self, _: usize, _: usize) -> Window<T::Input> {
@@ -1043,6 +1108,17 @@ pub(crate) fn run_segments<T: StateTransition>(
     }
 }
 
+/// The group size of a linear run under `config` while its input count is
+/// unknown: a run that never completes a second block has one group,
+/// however large.
+fn linear_group_size(config: &SpecConfig) -> usize {
+    if config.speculate && config.group_size > 1 {
+        config.group_size
+    } else {
+        usize::MAX
+    }
+}
+
 /// The one per-segment engine of every linear run — a segment of a batch
 /// or of a stream, or a plan node's inputs — from `initial`, over the
 /// inputs `intake` delivers (never none), with `exec` running the
@@ -1072,13 +1148,7 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
     exec: &E,
 ) -> LinearRun<T> {
     let config = ctx.config;
-    // The group size while the input count is unknown: a run that never
-    // completes a second block has one group, however large.
-    let g = if config.speculate && config.group_size > 1 {
-        config.group_size
-    } else {
-        usize::MAX
-    };
+    let g = linear_group_size(config);
     let known = intake.arrived().0.len();
     let expected = expected_inputs(known, intake.limit());
     let mut resolver = Resolver::new(ctx, g, expected);
@@ -1124,9 +1194,9 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
             submitted += 1;
         }
         if let Some(data) = &mut group0 {
-            let end = n.min(g);
+            let (from, end) = (data.outputs.len(), n.min(g));
             let began = Instant::now();
-            for (i, input) in inputs.iter().enumerate().take(end).skip(data.outputs.len()) {
+            for (i, input) in (from..end).zip(inputs.range(from, end)) {
                 data.step(ctx, &mut chain0, input, i, checkpoint_at);
             }
             group0_time += began.elapsed();
@@ -1153,6 +1223,15 @@ pub(crate) fn run_linear<T: StateTransition, E: Executor<T>>(
             groups.recycle(resolver.ingest(data, intake.arrived().0));
             ingested += 1;
         }
+        // From here on no input is read before the last settled group's,
+        // whose tail the next validation may re-execute, or before the
+        // auxiliary window of the next group, should it run here; after an
+        // abort the sequential tail has run every input that has arrived.
+        intake.release(
+            ingested
+                .saturating_mul(g)
+                .saturating_sub(g.max(config.window)),
+        );
         if closed && ingested == n.div_ceil(g) {
             break;
         }
@@ -1337,6 +1416,20 @@ mod tests {
         unwind_safe(&r);
         let nodes = std::panic::catch_unwind(|| r.trace.nodes.len()).unwrap();
         assert!(nodes >= 10);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_trace_node_keeps_only_the_end_of_its_edges() {
+        assert_eq!(std::mem::size_of::<TraceNode>(), 64);
+        // A node's dependences start where the previous node's end.
+        let mut trace = SpecTrace::default();
+        for deps in [&[][..], &[0], &[], &[0, 1, 2]] {
+            let kind = TraceNodeKind::Auxiliary { group: 0 };
+            trace.push(kind, WorkMeter::default(), deps);
+        }
+        let deps: Vec<&[usize]> = (0..4).map(|i| trace.deps(i)).collect();
+        assert_eq!(deps, [&[][..], &[0], &[], &[0, 1, 2]]);
     }
 
     /// "Short memory" transition: the state is just the last input seen, so

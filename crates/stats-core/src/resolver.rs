@@ -25,68 +25,238 @@
 //! What a run retains until its layout is only what that layout and the
 //! result need. Each [`GroupData`] is taken apart at ingest: its outputs
 //! move into the run's, its chain's work meters into one run-wide
-//! [`Blocks`] store, and the rest into a small per-group record (auxiliary
-//! work, squash marks, validation history) beside the group's
-//! [`GroupRecord`]; its two emptied buffers go back to the caller, and the
+//! [`Blocks`] store, and the rest — the group's [`GroupRecord`] and a small
+//! record of its auxiliary work, squash marks and validation history —
+//! into another; its two emptied buffers go back to the caller, and the
 //! next group run on the coordinator fills them.
 //! The only states held are the last settled group's final state and
 //! checkpoint — what validating the next group reads — or, after an
-//! abort, the sequential tail's. The store's blocks never reallocate, so
-//! a stream of unknown length leaves no abandoned doubling buffers behind
-//! for the allocator to return to the kernel and the next stream to
-//! fault back in.
+//! abort, the sequential tail's. A run whose length is known keeps each
+//! store in one block of exactly its size. Any other run — a stream's —
+//! grows its stores in blocks of at most 64 KiB that never reallocate.
+//! Both take their blocks from, and give them back to, one spare store
+//! the process shares ([`SPARE`]), so a stream of unknown length leaves
+//! no abandoned doubling buffers behind, and the next run grows into the
+//! blocks the last one gave back instead of memory the allocator returned
+//! to the kernel.
+
+use std::any::{Any, TypeId};
+use std::mem::size_of;
 
 use crate::ctx::{InvocationCtx, WorkMeter};
 use crate::obs::EventKind;
 use crate::protocol::{
-    add_node_work, GroupBuffers, GroupData, GroupRecord, GroupResolution, RunCtx, SpecReport,
-    SpecTrace, TraceNodeKind,
+    add_node_work, Arrived, GroupBuffers, GroupData, GroupRecord, GroupResolution, RunCtx,
+    SpecReport, SpecTrace, TraceNodeKind,
 };
 use crate::sdi::{SpecState, StateTransition};
+use crate::sync::StaticMutex;
 
-/// Entries per block of a [`Blocks`] store whose length was not known when
-/// it was made: 64 KiB of work meters, below glibc's default 128 KiB mmap
-/// threshold, so blocks come from the coordinator's heap and go back to it.
-const BLOCK: usize = 4096;
+/// Bytes in a standard block of a [`Blocks`] store whose length was not
+/// known when it was made: half glibc's default 128 KiB mmap threshold, so
+/// a block comes from the heap, never from a mapping of its own.
+const BLOCK_BYTES: usize = 64 * 1024;
+
+/// Entries in the first block of a [`Blocks`] store whose length was not
+/// known when it was made; each next block doubles, up to a standard one.
+const FIRST_BLOCK: usize = 16;
+
+/// Entries per standard block of `E`s: as many as fit in [`BLOCK_BYTES`].
+const fn block_len<E>() -> usize {
+    match size_of::<E>() {
+        0 => BLOCK_BYTES,
+        size => BLOCK_BYTES / size,
+    }
+}
 
 /// How many inputs a run that holds `known` inputs and takes at most
-/// `limit` is sized for: a stream segment short enough for one block is
-/// sized from its length, so its run starts no [`BLOCK`]-entry block and
-/// grows nothing by doubling; any other run from what it holds.
+/// `limit` is sized for: a stream segment short enough for one standard
+/// block of work meters is sized from its length, so its run grows
+/// nothing; any other run from what it holds.
 pub(crate) fn expected_inputs(known: usize, limit: usize) -> usize {
-    match limit <= BLOCK {
+    match limit <= block_len::<WorkMeter>() {
         true => limit,
         false => known,
     }
 }
 
-/// An append-only list kept in fixed-capacity blocks: an append fills the
-/// last block and starts new ones as it needs them, and never moves or
-/// reallocates an entry already stored.
-struct Blocks<E> {
-    blocks: Vec<Vec<E>>,
+/// The most bytes of blocks the spare store keeps for stores of unknown
+/// length: the storage of a stream of some 100 000 inputs in groups of 8.
+/// A block given back past it goes back to the allocator.
+const SPARE_BYTES: usize = 64 * BLOCK_BYTES;
+
+/// The sizes of the one block of a store of known length that the spare
+/// store keeps, one per entry type: from a standard block, below which the
+/// allocator's own free lists serve as well, up to 1 MiB, the storage of a
+/// batch run of some 65 000 inputs.
+const EXACT_BYTES: std::ops::RangeInclusive<usize> = BLOCK_BYTES..=16 * BLOCK_BYTES;
+
+/// Whether a store of known length takes its block of `capacity` `E`s from
+/// the spare store and gives it back there.
+fn kept_exact<E>(capacity: usize) -> bool {
+    EXACT_BYTES.contains(&(capacity * size_of::<E>()))
 }
 
-impl<E: Copy> Blocks<E> {
-    /// A store for `known` entries in one block of exactly that many; with
-    /// none known, blocks of [`BLOCK`] entries start as appends need them.
-    fn new(known: usize) -> Self {
-        let first = (known > 0).then(|| Vec::with_capacity(known));
-        Blocks {
-            blocks: first.into_iter().collect(),
+/// The spare store: blocks that no run holds, kept for the next run of
+/// their entry type. A store gives its blocks back here when it is dropped
+/// — a run's once its trace is laid out or its result dropped — so the
+/// next run grows into them instead of into memory the allocator may have
+/// returned to the kernel, which every page of it would fault back in.
+/// What it keeps: every block of a store of unknown length, a stream's, up
+/// to [`SPARE_BYTES`], and per entry type the last block of a store of
+/// known length in [`EXACT_BYTES`], which the next run of that length
+/// takes (a batch run repeated over inputs of one length, say).
+static SPARE: StaticMutex<Spare> = StaticMutex::new(Spare {
+    bytes: 0,
+    kinds: Vec::new(),
+});
+
+/// What [`SPARE`] keeps.
+struct Spare {
+    /// Bytes of the blocks of stores of unknown length kept.
+    bytes: usize,
+    /// Per entry type `E`, its empty blocks: a [`Kept<E>`].
+    kinds: Vec<(TypeId, Box<dyn Any + Send>)>,
+}
+
+/// The empty blocks of `E`s the spare store keeps.
+struct Kept<E> {
+    /// Blocks of stores of unknown length.
+    grown: Vec<Vec<E>>,
+    /// The last block of a store of known length.
+    exact: Option<Vec<E>>,
+}
+
+impl Spare {
+    /// The kept blocks of `E`s.
+    fn kept<E: Send + 'static>(&mut self) -> &mut Kept<E> {
+        let kind = TypeId::of::<E>();
+        let at = match self.kinds.iter().position(|(k, _)| *k == kind) {
+            Some(at) => at,
+            None => {
+                let kept = Kept::<E> {
+                    grown: Vec::new(),
+                    exact: None,
+                };
+                self.kinds.push((kind, Box::new(kept)));
+                self.kinds.len() - 1
+            }
+        };
+        (self.kinds[at].1)
+            .downcast_mut()
+            .expect("blocks are kept under their entry type")
+    }
+
+    /// An empty block of `capacity` `E`s for a store of unknown length: a
+    /// kept one, or else a new one.
+    fn take<E: Send + 'static>(capacity: usize) -> Vec<E> {
+        let kept = {
+            let mut spare = SPARE.lock();
+            let grown = &mut spare.kept::<E>().grown;
+            let at = grown.iter().rposition(|b| b.capacity() == capacity);
+            let block = at.map(|at| grown.swap_remove(at));
+            if block.is_some() {
+                spare.bytes -= capacity * size_of::<E>();
+            }
+            block
+        };
+        kept.unwrap_or_else(|| Vec::with_capacity(capacity))
+    }
+
+    /// Keep `blocks` of a store of unknown length, which hold no entries,
+    /// while the store has room; the rest are freed.
+    fn give<E: Send + 'static>(blocks: impl Iterator<Item = Vec<E>>) {
+        let mut spare = SPARE.lock();
+        for block in blocks {
+            let bytes = block.capacity() * size_of::<E>();
+            if bytes > 0 && spare.bytes + bytes <= SPARE_BYTES {
+                spare.bytes += bytes;
+                spare.kept::<E>().grown.push(block);
+            }
         }
     }
 
-    /// Append `entries`, filling the last block before starting another.
-    fn extend(&mut self, mut entries: &[E]) {
-        while !entries.is_empty() {
-            let block = match self.blocks.last_mut() {
-                Some(block) if block.len() < block.capacity() => block,
-                _ => {
-                    self.blocks.push(Vec::with_capacity(BLOCK));
-                    self.blocks.last_mut().expect("a block was just started")
-                }
+    /// An empty block of exactly `capacity` `E`s for a store of known
+    /// length: the kept one if it has that capacity, or else a new one.
+    fn take_exact<E: Send + 'static>(capacity: usize) -> Vec<E> {
+        let kept = SPARE
+            .lock()
+            .kept::<E>()
+            .exact
+            .take_if(|b| b.capacity() == capacity);
+        kept.unwrap_or_else(|| Vec::with_capacity(capacity))
+    }
+
+    /// Keep `block`, which holds no entries, in place of the last one a
+    /// store of known length gave back, which is freed.
+    fn give_exact<E: Send + 'static>(block: Vec<E>) {
+        let last = SPARE.lock().kept::<E>().exact.replace(block);
+        drop(last);
+    }
+}
+
+/// An append-only list kept in blocks: an append fills the last block and
+/// takes a block twice its size, up to a standard one, when it is full. It
+/// never moves or reallocates an entry already stored.
+struct Blocks<E: Send + 'static> {
+    /// The first block, and the ones taken after it.
+    first: Vec<E>,
+    rest: Vec<Vec<E>>,
+    len: usize,
+    /// Whether the store's length was not known when it was made: then its
+    /// blocks come from, and go back to, the spare store's grown blocks.
+    grows: bool,
+}
+
+impl<E: Send + 'static> Blocks<E> {
+    /// A store for `known` entries in one block of exactly that many; with
+    /// none known, blocks are taken from the spare store as appends need
+    /// them. Either way, what the spare store keeps (see [`SPARE`]) goes
+    /// back to it when the store is dropped.
+    fn new(known: usize) -> Self {
+        let first = match kept_exact::<E>(known) {
+            true => Spare::take_exact(known),
+            false => Vec::with_capacity(known),
+        };
+        Blocks {
+            first,
+            rest: Vec::new(),
+            len: 0,
+            grows: known == 0,
+        }
+    }
+
+    /// The last block, with room for at least one more entry.
+    fn room(&mut self) -> &mut Vec<E> {
+        let last = self.rest.last().unwrap_or(&self.first);
+        if last.len() == last.capacity() {
+            let next = last.capacity().saturating_mul(2).max(FIRST_BLOCK);
+            let next = next.min(block_len::<E>());
+            let block = match self.grows {
+                true => Spare::take(next),
+                false => Vec::with_capacity(next),
             };
+            match self.first.capacity() {
+                0 => self.first = block,
+                _ => self.rest.push(block),
+            }
+        }
+        self.rest.last_mut().unwrap_or(&mut self.first)
+    }
+
+    fn push(&mut self, entry: E) {
+        self.room().push(entry);
+        self.len += 1;
+    }
+
+    /// Append `entries`, filling the last block before taking another.
+    fn extend_from_slice(&mut self, mut entries: &[E])
+    where
+        E: Copy,
+    {
+        self.len += entries.len();
+        while !entries.is_empty() {
+            let block = self.room();
             let (now, rest) = entries.split_at(entries.len().min(block.capacity() - block.len()));
             block.extend_from_slice(now);
             entries = rest;
@@ -94,19 +264,68 @@ impl<E: Copy> Blocks<E> {
     }
 
     fn len(&self) -> usize {
-        self.blocks.iter().map(Vec::len).sum()
+        self.len
+    }
+
+    fn last(&self) -> Option<&E> {
+        self.rest.last().unwrap_or(&self.first).last()
+    }
+
+    fn last_mut(&mut self) -> Option<&mut E> {
+        self.rest.last_mut().unwrap_or(&mut self.first).last_mut()
     }
 
     /// Every entry, in append order.
-    fn iter(&self) -> impl Iterator<Item = &E> {
-        self.blocks.iter().flatten()
+    fn iter(&self) -> Iter<'_, E> {
+        Iter {
+            blocks: self.rest.iter(),
+            block: self.first.iter(),
+        }
+    }
+}
+
+/// The entries of a [`Blocks`] store, in append order: a flattening that
+/// only ever runs forwards, so reading the next entry of a block costs what
+/// it costs in a slice.
+struct Iter<'a, E> {
+    blocks: std::slice::Iter<'a, Vec<E>>,
+    block: std::slice::Iter<'a, E>,
+}
+
+impl<'a, E> Iterator for Iter<'a, E> {
+    type Item = &'a E;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a E> {
+        loop {
+            if let Some(entry) = self.block.next() {
+                return Some(entry);
+            }
+            self.block = self.blocks.next()?.iter();
+        }
+    }
+}
+
+impl<E: Send + 'static> Drop for Blocks<E> {
+    fn drop(&mut self) {
+        // Entries are dropped outside the spare store's lock.
+        if self.grows {
+            self.first.clear();
+            self.rest.iter_mut().for_each(Vec::clear);
+            let first = std::mem::take(&mut self.first);
+            Spare::give(std::iter::once(first).chain(self.rest.drain(..)));
+        } else if kept_exact::<E>(self.first.capacity()) {
+            self.first.clear();
+            Spare::give_exact(std::mem::take(&mut self.first));
+        }
     }
 }
 
 /// What [`Resolver::finish`] lays out of one ingested group besides its
-/// attempt-0 chain (whose work meters are in the run's store, and whose
-/// input range is its [`GroupRecord`]).
+/// attempt-0 chain's work meters (which are in the run's store): its
+/// record, and the rest of its chain's and its validation's history.
 struct Chain {
+    record: GroupRecord,
     aux_work: Option<WorkMeter>,
     /// Trailing invocations squashed by a matched re-execution.
     tail_squashed: usize,
@@ -145,10 +364,9 @@ pub(crate) struct Resolver<'a, T: StateTransition> {
     rerun: InvocationCtx,
     /// Effective group size, for the post-abort `group_of` arithmetic.
     g: usize,
-    chains: Vec<Chain>,
+    chains: Blocks<Chain>,
     /// Every ingested group's attempt-0 chain work meters, in input order.
     chain_works: Blocks<WorkMeter>,
-    records: Vec<GroupRecord>,
     /// The committed outputs so far, extended in group order: a matched
     /// re-execution overwrites its own tail, an abort truncates at the
     /// restart, and the sequential tail appends.
@@ -169,14 +387,12 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
     /// A resolver for a run in groups of `g` inputs, sized for the `known`
     /// inputs it expects (see [`expected_inputs`]).
     pub(crate) fn new(ctx: RunCtx<'a, T>, g: usize, known: usize) -> Self {
-        let groups = known.div_ceil(g);
         Resolver {
             ctx,
             rerun: ctx.chain_ctx(false),
             g,
-            chains: Vec::with_capacity(groups),
+            chains: Blocks::new(known.div_ceil(g)),
             chain_works: Blocks::new(known),
-            records: Vec::with_capacity(groups),
             outputs: Vec::with_capacity(known),
             last: None,
             aborted: false,
@@ -199,7 +415,11 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
     /// Hand the next group's execution data to the resolver (groups must
     /// arrive in order `0, 1, 2, ...`) and settle it. Returns the group's
     /// output and work-meter buffers, emptied, for the next group to fill.
-    pub(crate) fn ingest(&mut self, data: GroupData<T>, inputs: &[T::Input]) -> GroupBuffers<T> {
+    pub(crate) fn ingest(
+        &mut self,
+        data: GroupData<T>,
+        inputs: Arrived<'_, T::Input>,
+    ) -> GroupBuffers<T> {
         let GroupData {
             spec,
             aux_work,
@@ -229,31 +449,29 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             );
             self.outputs.append(&mut outputs);
         }
-        self.chain_works.extend(&works);
+        self.chain_works.extend_from_slice(&works);
         works.clear();
         let spare = GroupBuffers { outputs, works };
-        self.records.push(GroupRecord {
-            start: spec.start,
-            end: spec.end,
-            resolution: match spec.k {
-                _ if doomed => GroupResolution::SequentialTail,
-                0 => GroupResolution::NonSpeculative,
-                _ => GroupResolution::Committed { reexecutions: 0 }, // provisional
+        let mut chain = Chain {
+            record: GroupRecord {
+                start: spec.start,
+                end: spec.end,
+                resolution: match spec.k {
+                    _ if doomed => GroupResolution::SequentialTail,
+                    0 => GroupResolution::NonSpeculative,
+                    _ => GroupResolution::Committed { reexecutions: 0 }, // provisional
+                },
             },
-        });
-        self.chains.push(Chain {
             aux_work,
             tail_squashed: 0,
             squashed_all: doomed,
             val: None,
-        });
-        if doomed {
-            return spare;
-        }
-        if spec.k > 0 {
+        };
+        if !doomed && spec.k > 0 {
             let spec_start = spec_start.expect("speculative group has a start state");
-            self.validate(spec.k, &spec_start, inputs);
+            self.validate(spec.k, &mut chain, &spec_start, inputs);
         }
+        self.chains.push(chain);
         if !self.aborted {
             self.last = Some(Settled {
                 final_state,
@@ -263,14 +481,21 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         spare
     }
 
-    /// Validate speculative group `k`, which started from `spec`, against
-    /// the (growing) set of original final states of group `k - 1`,
-    /// re-executing the previous group's tail up to the budget; on
-    /// exhaustion, abort into the sequential tail.
-    fn validate(&mut self, k: usize, spec: &T::State, inputs: &[T::Input]) {
+    /// Validate speculative group `k`, whose `chain` is not stored yet and
+    /// which started from `spec`, against the (growing) set of original
+    /// final states of group `k - 1`, the last one stored, re-executing
+    /// that group's tail up to the budget; on exhaustion, abort into the
+    /// sequential tail.
+    fn validate(
+        &mut self,
+        k: usize,
+        chain: &mut Chain,
+        spec: &T::State,
+        inputs: Arrived<'_, T::Input>,
+    ) {
         let (ctx, config) = (self.ctx, self.ctx.config);
-        let prev = self.records[k - 1];
-        let (prev_start, prev_end) = (prev.start, prev.end);
+        let prev = self.chains.last_mut().expect("group k - 1 is stored");
+        let (prev_start, prev_end) = (prev.record.start, prev.record.end);
         let rollback = config.rollback.clamp(1, prev_end - prev_start);
         let last = self
             .last
@@ -315,7 +540,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             let re_start = prev_end - rollback;
             let mut tail_outputs: Vec<T::Output> = Vec::with_capacity(rollback);
             let mut tail_works: Vec<WorkMeter> = Vec::with_capacity(rollback);
-            for (off, input) in inputs[re_start..prev_end].iter().enumerate() {
+            for (off, input) in inputs.range(re_start, prev_end).iter().enumerate() {
                 let i = re_start + off;
                 let (out, m) = ctx.invoke(&mut self.rerun, input, &mut state, k - 1, i, attempts);
                 tail_outputs.push(out);
@@ -339,7 +564,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
                 {
                     *slot = out;
                 }
-                self.chains[k - 1].tail_squashed = rollback;
+                prev.tail_squashed = rollback;
             }
             rec.attempts.push(AttemptRec {
                 works: tail_works,
@@ -347,10 +572,10 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             });
         }
         rec.matched = matched;
-        self.chains[k].val = Some(rec);
+        chain.val = Some(rec);
 
         if matched {
-            self.records[k].resolution = GroupResolution::Committed {
+            chain.record.resolution = GroupResolution::Committed {
                 reexecutions: attempts,
             };
             ctx.emit(EventKind::GroupCommit {
@@ -361,10 +586,10 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             self.aborted = true;
             ctx.emit(EventKind::GroupAbort { group: k });
             // Squash group k (outputs and work); later groups arrive doomed.
-            self.chains[k].squashed_all = true;
-            let restart = self.records[k].start;
+            chain.squashed_all = true;
+            chain.record.resolution = GroupResolution::SequentialTail;
+            let restart = chain.record.start;
             self.outputs.truncate(restart);
-            self.records[k].resolution = GroupResolution::SequentialTail;
             ctx.emit(EventKind::SequentialTailStart { index: restart });
             self.abort_restart = restart;
             self.tail_next = restart;
@@ -377,7 +602,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
     /// (no speculation). The streaming engine calls this again whenever
     /// more inputs arrive; the batch path's inputs are all present at the
     /// time of the abort.
-    pub(crate) fn process_tail(&mut self, inputs: &[T::Input]) {
+    pub(crate) fn process_tail(&mut self, inputs: Arrived<'_, T::Input>) {
         if !self.aborted {
             return;
         }
@@ -389,7 +614,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             let attempt = self.ctx.config.max_reexec + 1;
             let (out, m) = self.ctx.invoke(
                 &mut self.rerun,
-                &inputs[i],
+                inputs.get(i),
                 &mut state,
                 i / self.g,
                 i,
@@ -412,7 +637,7 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
         let config = self.ctx.config;
         debug_assert_eq!(
             self.outputs.len(),
-            self.records.last().map_or(0, |r| r.end),
+            self.chains.last().map_or(0, |c| c.record.end),
             "every input has a committed output"
         );
         if self.aborted {
@@ -428,7 +653,6 @@ impl<'a, T: StateTransition> Resolver<'a, T> {
             reexecutions: self.reexecutions,
             validations: self.validations,
             layout: RunLayout {
-                records: self.records,
                 chains: self.chains,
                 chain_works: self.chain_works,
                 tail_works: self.tail_works,
@@ -470,13 +694,16 @@ impl<T: StateTransition> LinearRun<T> {
         report.validations += self.validations;
         report.aborted |= self.aborted;
         match base {
-            Some(base) => report
-                .groups
-                .extend(layout.records.iter().map(|g| GroupRecord {
-                    start: g.start + base,
-                    end: g.end + base,
-                    ..*g
-                })),
+            Some(base) => {
+                report.groups.reserve(layout.chains.len());
+                report
+                    .groups
+                    .extend(layout.chains.iter().map(|c| GroupRecord {
+                        start: c.record.start + base,
+                        end: c.record.end + base,
+                        ..c.record
+                    }));
+            }
             None => layout.squashed = true,
         }
         (self.outputs, self.final_state, layout)
@@ -506,8 +733,7 @@ impl<T: StateTransition> LinearRun<T> {
 /// the size of the nodes it stands for: a work meter per input and a small
 /// record per group, where the trace holds a node and an edge per input.
 pub(crate) struct RunLayout {
-    records: Vec<GroupRecord>,
-    chains: Vec<Chain>,
+    chains: Blocks<Chain>,
     chain_works: Blocks<WorkMeter>,
     tail_works: Vec<WorkMeter>,
     abort_restart: usize,
@@ -527,7 +753,7 @@ impl RunLayout {
     /// first validation at most three.
     pub(crate) fn size(&self, entry: usize) -> (usize, usize) {
         let mut nodes = self.tail_works.len() + self.chain_works.len();
-        for c in &self.chains {
+        for c in self.chains.iter() {
             nodes += usize::from(c.aux_work.is_some());
             if let Some(rec) = &c.val {
                 nodes += 1 + rec
@@ -563,7 +789,8 @@ impl RunLayout {
         // Phase 1: every group's attempt-0 chain, its work meters read off
         // the store as the chains go by.
         let mut works = self.chain_works.iter();
-        for (k, (c, r)) in self.chains.iter().zip(&self.records).enumerate() {
+        for (k, c) in self.chains.iter().enumerate() {
+            let r = &c.record;
             let mut prev = None;
             if let Some(aux_work) = c.aux_work {
                 let kind = TraceNodeKind::Auxiliary { group: k };
@@ -599,7 +826,10 @@ impl RunLayout {
         let mut chain_at = from;
         let mut prev_last = usize::MAX;
         let mut prev_commit_gate: Option<usize> = None;
-        for (k, (c, r)) in self.chains.iter().zip(&self.records).enumerate() {
+        let mut prev_record = None;
+        for (k, c) in self.chains.iter().enumerate() {
+            let r = &c.record;
+            let prev = prev_record.replace(c.record);
             let span = usize::from(c.aux_work.is_some()) + (r.end - r.start);
             let aux = c.aux_work.map(|_| chain_at);
             let last = (span > 0).then(|| chain_at + span - 1);
@@ -611,7 +841,7 @@ impl RunLayout {
             let Some(rec) = &c.val else {
                 break;
             };
-            let prev = self.records[k - 1];
+            let prev = prev.expect("a speculative group follows another");
             let rollback = self.rollback.clamp(1, prev.end - prev.start);
             let re_start = prev.end - rollback;
             let aux = aux.expect("speculative group has an auxiliary node");
@@ -799,26 +1029,81 @@ mod tests {
         assert_eq!(session.finish().outputs, expected);
     }
 
+    /// The blocks of `store`, in append order.
+    fn blocks<E: Send>(store: &Blocks<E>) -> impl Iterator<Item = &Vec<E>> {
+        std::iter::once(&store.first).chain(&store.rest)
+    }
+
     #[test]
     fn an_append_past_a_full_block_moves_no_earlier_block() {
+        /// An entry type of this test's own, so no other test's blocks
+        /// are kept under it.
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        struct Entry(usize);
+        let block = block_len::<Entry>();
         let mut store = Blocks::new(0);
-        let mut seen: Vec<(*const usize, usize)> = Vec::new();
+        let mut seen: Vec<(*const Entry, usize)> = Vec::new();
         // Appends of 7 entries straddle both block boundaries.
-        let entries: Vec<usize> = (0..2 * BLOCK + 5).collect();
+        let entries: Vec<usize> = (0..2 * block + 5).collect();
         for (i, chunk) in entries.chunks(7).enumerate() {
-            store.extend(chunk);
-            let blocks: Vec<_> = store
-                .blocks
-                .iter()
-                .map(|b| (b.as_ptr(), b.capacity()))
-                .collect();
+            let chunk: Vec<Entry> = chunk.iter().map(|&e| Entry(e)).collect();
+            store.extend_from_slice(&chunk);
+            let blocks: Vec<_> = blocks(&store).map(|b| (b.as_ptr(), b.capacity())).collect();
             assert_eq!(blocks[..seen.len()], seen, "after append {i}");
             seen = blocks;
         }
-        assert_eq!(seen.len(), 3);
-        assert!(seen.iter().all(|&(_, capacity)| capacity == BLOCK));
+        // Blocks double from the first up to two standard ones.
+        let capacities: Vec<usize> = seen.iter().map(|&(_, capacity)| capacity).collect();
+        let doubling = std::iter::successors(Some(FIRST_BLOCK), |c| Some(2 * c));
+        let mut expected: Vec<usize> = doubling.take_while(|&c| c < block).collect();
+        expected.extend([block, block]);
+        assert_eq!(capacities, expected);
         assert_eq!(store.len(), entries.len());
-        assert!(store.iter().eq(&entries));
+        assert!(store.iter().map(|e| e.0).eq(entries.iter().copied()));
+        assert_eq!(store.last(), Some(&Entry(2 * block + 4)));
+    }
+
+    #[test]
+    fn a_dropped_store_gives_its_blocks_to_the_next() {
+        /// An entry type of this test's own, as above.
+        struct Spared(usize);
+        let entries = 2 * block_len::<Spared>();
+        let mut first = Blocks::new(0);
+        (0..entries).for_each(|e| first.push(Spared(e)));
+        let mut kept: Vec<_> = blocks(&first).map(|b| b.as_ptr()).collect();
+        drop(first);
+        let mut second = Blocks::new(0);
+        (0..entries).for_each(|e| second.push(Spared(e)));
+        let mut taken: Vec<_> = blocks(&second).map(|b| b.as_ptr()).collect();
+        kept.sort();
+        taken.sort();
+        assert_eq!(
+            kept, taken,
+            "the second store grows into the first one's blocks"
+        );
+        assert!(second.iter().map(|e| e.0).eq(0..entries));
+    }
+
+    #[test]
+    fn a_dropped_store_of_known_length_gives_its_block_to_the_next_of_that_length() {
+        /// An entry type of this test's own, as above.
+        struct Exact(usize);
+        let known = block_len::<Exact>() + 1;
+        let mut first = Blocks::new(known);
+        (0..known).for_each(|e| first.push(Exact(e)));
+        let kept = first.first.as_ptr();
+        drop(first);
+        let shorter = Blocks::<Exact>::new(known - 1);
+        assert_ne!(
+            shorter.first.as_ptr(),
+            kept,
+            "another length takes no kept block"
+        );
+        let mut second = Blocks::new(known);
+        (0..known).for_each(|e| second.push(Exact(e)));
+        assert_eq!(second.first.as_ptr(), kept);
+        assert_eq!(blocks(&second).count(), 1);
+        assert!(second.iter().map(|e| e.0).eq(0..known));
     }
 
     #[test]
@@ -846,9 +1131,9 @@ mod tests {
                 end: (start + g).min(n),
             };
             let data = execute_group(ctx, &inputs, 0, &Third(3), spec, GroupBuffers::default());
-            resolver.ingest(data, &inputs);
+            resolver.ingest(data, Arrived::all(&inputs));
         }
-        let blocks = &resolver.chain_works.blocks;
+        let blocks: Vec<_> = blocks(&resolver.chain_works).collect();
         assert_eq!(blocks.len(), 1);
         assert_eq!((blocks[0].len(), blocks[0].capacity()), (n, n));
     }

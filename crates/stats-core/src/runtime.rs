@@ -29,8 +29,8 @@ use crate::options::RunOptions;
 use crate::plan::{PlanNodeId, SpecPlan};
 use crate::pool::{Ordered, ThreadPool};
 use crate::protocol::{
-    execute_group, run_batch, Executor, GroupBuffers, GroupData, GroupSpec, Groups, ProtocolResult,
-    RunCtx, SpecConfig, Window,
+    execute_group, run_batch, Arrived, Executor, GroupBuffers, GroupData, GroupSpec, Groups,
+    ProtocolResult, RunCtx, SpecConfig, Window,
 };
 use crate::sdi::StateTransition;
 
@@ -461,7 +461,7 @@ impl<T: StateTransition, W: Fn() + Send + Sync + 'static> Groups<T> for PooledGr
         self.settle();
     }
 
-    fn try_next(&mut self, _: &[T::Input]) -> Option<GroupData<T>> {
+    fn try_next(&mut self, _: Arrived<'_, T::Input>) -> Option<GroupData<T>> {
         self.settle();
         if self.in_flight() > 0 {
             let data = self.batch.as_mut().and_then(Ordered::try_next);
@@ -470,7 +470,7 @@ impl<T: StateTransition, W: Fn() + Send + Sync + 'static> Groups<T> for PooledGr
         self.run_held()
     }
 
-    fn next(&mut self, _: &[T::Input]) -> Option<GroupData<T>> {
+    fn next(&mut self, _: Arrived<'_, T::Input>) -> Option<GroupData<T>> {
         self.settle();
         if self.in_flight() > 0 {
             // Claimed here first, so that a probe taken back is seen.

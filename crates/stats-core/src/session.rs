@@ -20,18 +20,22 @@
 //! finishes one, it runs every later group itself (the pooled executor's
 //! cost gate).
 //!
-//! **What a stream retains.** Until a segment finishes, its coordinator
-//! keeps the segment's inputs (re-executions and a post-abort sequential
-//! tail read them), its committed outputs, one small record per group and
-//! one work meter per input, in fixed-size blocks that never reallocate —
-//! what the segment's trace is laid out from. The coordinator keeps every
-//! segment's records and, once the stream ends, lays the trace out from
-//! them, whether or not anyone reads it: it is the stream's one allocation
-//! large enough to lift glibc's dynamic mmap and trim thresholds above the
-//! rest of the coordinator's storage. Without it, every stream's storage
-//! goes back to the kernel when its result is dropped, and the next stream
-//! faults it back in (`tests/stream_faults.rs` read 192 minor faults per
-//! 20 000-input stream with the layout left to the reader, 0 with it).
+//! **What a stream retains.** A segment's coordinator holds the inputs it
+//! took off the queue only until no group can read them again — the last
+//! settled group's tail (a re-execution reads it) and the auxiliary window
+//! of the next group — so what it holds is bounded by its admission
+//! window, not by the stream's length. It keeps the segment's committed
+//! outputs, and one record per group and one work meter per input in
+//! blocks of at most 64 KiB that never reallocate, taken from a spare
+//! store the whole process shares (`resolver.rs`). The result keeps those
+//! records, not a trace: the trace is laid out from them only when a
+//! caller reads it, and once it is laid out, or the result dropped, the
+//! blocks go back to the store, up to a bound, for the next stream to
+//! take. So the next stream grows its records in blocks the last one
+//! used, not in memory the allocator gave back to the kernel:
+//! `tests/stream_faults.rs` reads 0 minor faults per 20 000-input stream,
+//! and `tests/stream_allocations.rs` pins that a stream whose trace is
+//! never read allocates less than its trace would take.
 //! States are held only for the last settled group (final state and
 //! checkpoint) and for the groups in flight, at most
 //! `max_inflight_groups` past the settled prefix: a
@@ -59,7 +63,7 @@ use crate::faults::FaultKind;
 use crate::obs::EventKind;
 use crate::options::RunOptions;
 use crate::protocol::{
-    run_linear, run_segments, GroupData, Groups, Intake, ProtocolResult, RunCtx, SpecTrace, Window,
+    run_linear, run_segments, Arrived, GroupData, Groups, Intake, ProtocolResult, RunCtx, Window,
 };
 use crate::runtime::{resolve_pool, Pooled, Shared, SpecOutcome};
 use crate::sdi::StateTransition;
@@ -254,7 +258,7 @@ impl<T: StateTransition> Session<T> {
                     // engine, with each segment read off the queue.
                     let exec = Pooled::new(&engine, &pool);
                     let control = SegmentControl::new(&engine.options);
-                    let result = run_segments(
+                    run_segments(
                         engine.ctx(),
                         &engine.initial,
                         control,
@@ -262,13 +266,7 @@ impl<T: StateTransition> Session<T> {
                             QueueIntake::open(&thread_shared, ctx, limit, max_inflight)
                                 .map(|mut intake| run_linear(ctx, &mut intake, start, &exec))
                         },
-                    );
-                    // Lay the trace out here, read or not: only its size
-                    // keeps glibc from handing the stream's storage back
-                    // to the kernel (see "What a stream retains";
-                    // `tests/stream_faults.rs` counts what that costs).
-                    let _: &SpecTrace = &result.trace;
-                    result
+                    )
                 })) {
                     Ok(result) => result,
                     Err(payload) => {
@@ -602,7 +600,10 @@ struct QueueIntake<'a, T: StateTransition> {
     ctx: RunCtx<'a, T>,
     limit: usize,
     max_inflight: usize,
-    arrived: Vec<T::Input>,
+    /// The inputs taken off the queue from input `base` on: those before
+    /// it no group reads again ([`Intake::release`]).
+    held: Vec<T::Input>,
+    base: usize,
     closed: bool,
 }
 
@@ -627,15 +628,25 @@ impl<'a, T: StateTransition> QueueIntake<'a, T> {
             ctx,
             limit,
             max_inflight,
-            arrived: Vec::new(),
+            held: Vec::new(),
+            base: 0,
             closed: false,
         })
+    }
+
+    /// How many inputs the segment has taken off the queue.
+    fn taken(&self) -> usize {
+        self.base + self.held.len()
     }
 }
 
 impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
-    fn arrived(&self) -> (&[T::Input], bool) {
-        (&self.arrived, self.closed)
+    fn arrived(&self) -> (Arrived<'_, T::Input>, bool) {
+        let arrived = Arrived {
+            held: &self.held,
+            base: self.base,
+        };
+        (arrived, self.closed)
     }
 
     fn limit(&self) -> usize {
@@ -645,8 +656,20 @@ impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
     /// A pool job gets a copy of only the inputs it reads.
     fn window(&self, lo: usize, hi: usize) -> Window<T::Input> {
         Window::Copied {
-            inputs: self.arrived[lo..hi].to_vec(),
+            inputs: self.held[lo - self.base..hi - self.base].to_vec(),
             base: lo,
+        }
+    }
+
+    /// The released inputs are dropped once they are at least as many as
+    /// the inputs held past them, so each input is moved at most once on
+    /// average, and the segment holds at most about twice its admission
+    /// window however long it runs.
+    fn release(&mut self, from: usize) {
+        let done = from.saturating_sub(self.base);
+        if done > 0 && 2 * done >= self.held.len() {
+            self.held.drain(..done);
+            self.base = from;
         }
     }
 
@@ -677,17 +700,17 @@ impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
         let mut may_help = true;
         let room = loop {
             let mut actionable = false;
-            while !self.closed && self.arrived.len() < admit {
+            while !self.closed && self.taken() < admit {
                 let Some(item) = inner.queue.pop_front() else {
                     break;
                 };
-                let i = self.arrived.len();
+                let i = self.taken();
                 let stall = self
                     .ctx
                     .faults
                     .and_then(|plan| plan.delay(FaultKind::QueueStall, self.ctx.seed, i as u64));
                 stalls.extend(stall.map(|delay| (i, delay)));
-                self.arrived.push(item);
+                self.held.push(item);
                 actionable = true;
             }
             // A producer blocked on the full queue is woken once the queue
@@ -704,7 +727,7 @@ impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
                 held.spilled(refilled);
             }
             if !self.closed
-                && (self.arrived.len() == self.limit || (inner.closed && inner.queue.is_empty()))
+                && (self.taken() == self.limit || (inner.closed && inner.queue.is_empty()))
             {
                 self.closed = true;
                 actionable = true;
@@ -712,7 +735,7 @@ impl<T: StateTransition> Intake<T> for QueueIntake<'_, T> {
             // `next` is empty only once group 0 is ingested, so the
             // batch's next result is the one the resolver needs.
             if next.is_none() {
-                *next = groups.try_next(&self.arrived);
+                *next = groups.try_next(self.arrived().0);
             }
             if actionable || next.is_some() {
                 break room;
@@ -1092,6 +1115,119 @@ mod tests {
             (err.pending_panic()).is_some_and(|m| m.contains("transition exploded")),
             "{err}"
         );
+    }
+
+    /// `Tracked` inputs alive now, and the most alive at once.
+    static LIVE_INPUTS: AtomicUsize = AtomicUsize::new(0);
+    static PEAK_INPUTS: AtomicUsize = AtomicUsize::new(0);
+
+    /// An input that counts its live instances.
+    struct Tracked(f64);
+    impl Tracked {
+        fn new(value: f64) -> Self {
+            let live = LIVE_INPUTS.fetch_add(1, Ordering::SeqCst) + 1;
+            PEAK_INPUTS.fetch_max(live, Ordering::SeqCst);
+            Tracked(value)
+        }
+    }
+    impl Clone for Tracked {
+        fn clone(&self) -> Self {
+            Tracked::new(self.0)
+        }
+    }
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            LIVE_INPUTS.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// [`NoisyLast`] over `Tracked` inputs.
+    struct TrackedLast;
+    impl StateTransition for TrackedLast {
+        type Input = Tracked;
+        type State = Noisy;
+        type Output = f64;
+        fn compute_output(
+            &self,
+            input: &Tracked,
+            state: &mut Noisy,
+            ctx: &mut InvocationCtx,
+        ) -> f64 {
+            NoisyLast.compute_output(&input.0, state, ctx)
+        }
+    }
+
+    #[test]
+    fn a_stream_holds_inputs_for_its_admission_window_not_its_length() {
+        let (inputs, max_inflight, capacity) = (4_000, 4, 64);
+        let g = config().group_size;
+        let session = Session::new(
+            Noisy(0.0),
+            TrackedLast,
+            options(5)
+                .max_inflight_groups(max_inflight)
+                .queue_capacity(capacity),
+        );
+        for i in 0..inputs {
+            session.push(Tracked::new(f64::from(i)));
+        }
+        let outcome = session.finish();
+        assert_eq!(
+            outcome.report.committed_speculative_groups(),
+            inputs as usize / g - 1
+        );
+        // The producer's input, the queue, the coordinator's admission
+        // window — a group past every admitted one, for the last settled
+        // group's tail — twice over for released inputs not yet dropped,
+        // and a copy of each admitted group's inputs and auxiliary window
+        // for the pool.
+        let window = (max_inflight + 1) * g;
+        let bound = 1 + capacity + 2 * window + window + max_inflight + 1;
+        let peak = PEAK_INPUTS.load(Ordering::SeqCst);
+        assert!(
+            peak <= bound,
+            "{peak} live inputs, at most {bound} expected"
+        );
+    }
+
+    /// A running sum: no group's speculative start matches, so a stream
+    /// aborts at group 1 into the sequential tail.
+    struct Sum;
+    impl StateTransition for Sum {
+        type Input = u64;
+        type State = ExactState<u64>;
+        type Output = u64;
+        fn compute_output(
+            &self,
+            input: &u64,
+            state: &mut ExactState<u64>,
+            ctx: &mut InvocationCtx,
+        ) -> u64 {
+            ctx.charge(1.0);
+            state.0 = state.0.wrapping_add(*input);
+            state.0
+        }
+    }
+
+    #[test]
+    fn a_stream_keeps_the_inputs_its_sequential_tail_has_yet_to_run() {
+        let inputs: Vec<u64> = (1..=4_000).collect();
+        let reference = run_protocol(&Sum, &inputs, &ExactState(0), &config(), 3);
+        assert!(reference.report.aborted);
+        // Admitting eight groups ahead lets the coordinator ingest the
+        // doomed groups after the abort in the same pass as the abort, and
+        // then release the inputs they cover.
+        let session = Session::new(
+            ExactState(0),
+            Sum,
+            options(3).max_inflight_groups(8).queue_capacity(16),
+        );
+        for chunk in inputs.chunks(64) {
+            session.push_batch(chunk.iter().copied());
+        }
+        let outcome = session.finish();
+        assert_eq!(outcome.outputs, reference.outputs);
+        assert_eq!(outcome.report, reference.report);
     }
 
     #[test]

@@ -44,6 +44,25 @@ pub use self::base::Arc;
 /// `std`'s in both builds, since no loom model reads a trace.
 pub use std::sync::LazyLock;
 
+/// The lock of a `static`: the spare-block store every run of the process
+/// shares (`resolver.rs`). It is `std`'s in both builds, since a `static`
+/// outlives every model execution, and it is held only to push or pop a
+/// spare block, never across an operation the model schedules. Poisoning
+/// is swallowed like [`Mutex`]'s.
+pub struct StaticMutex<T>(std::sync::Mutex<T>);
+
+impl<T> StaticMutex<T> {
+    /// Wrap `value` in a new mutex.
+    pub const fn new(value: T) -> Self {
+        StaticMutex(std::sync::Mutex::new(value))
+    }
+
+    /// Acquire the lock, ignoring poisoning.
+    pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Atomic integer types and memory orderings (model-checked under loom:
 /// `Relaxed` loads explore stale values, `Acquire`/`Release` pairs
 /// establish happens-before edges the model tracks).
